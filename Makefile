@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-json bench-gate smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke
+.PHONY: all build test race vet check bench bench-json bench-gate bench-build bench-allocs smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke
 
 all: check
 
@@ -35,8 +35,25 @@ race:
 # check is the pre-commit gate: static analysis, race tests on the
 # measurement pipeline, the fault-path, overload-path, and analysis-
 # plane smoke runs, the full tier-1 build + test sweep, then the
-# perf-regression gate against the committed BENCH_*.json baseline.
-check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke build test bench-gate
+# benchmark harness's own vet + tests, then the perf-regression gate
+# against the committed BENCH_*.json baseline.
+check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke build test bench-build bench-gate
+
+# bench-build vets and tests the benchmark harness. It is a module of
+# its own (benchmark/go.mod), so `go build ./... && go test ./...` at
+# the root does not notice when a change breaks one of the functions
+# benchmark/README.md pins.
+bench-build:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# bench-allocs prints the four gated end-to-end metrics of the three
+# workloads that exercise the per-RPC path (single forwards with a bulk
+# pull, single forwards both ways, nested forwards), one 15 s run each.
+bench-allocs:
+	@set -e; for w in hepnos_c7 sdskv_mixed mobject_ior; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --trace 0); \
+		echo "$$out" | grep -E '^(# [a-z0-9_]+ seed=|(setup_s|allocs_per_op|alloc_bytes_per_op|trace_bytes_per_op) )'; \
+	done
 
 # bench-json measures the RPC hot path (proc codec, batch building,
 # scheduler quantum switches and contended pool handoffs, unbatched vs

@@ -1,6 +1,7 @@
 package abt
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,29 +246,44 @@ func TestMutexUnlockUnlockedPanics(t *testing.T) {
 	m.Unlock()
 }
 
-func TestULTLocalStorage(t *testing.T) {
+func TestULTDataSlot(t *testing.T) {
 	_, p := newTestRT(t, 1)
-	type key struct{}
-	var got any
-	var ok bool
+	type record struct{ bc string }
+	var got *record
+	var empty any
 	u := p.Create("w", func(self *ULT) {
-		self.SetLocal(key{}, "breadcrumb")
-		got, ok = self.Local(key{})
+		empty = self.Data()
+		self.SetData(&record{bc: "breadcrumb"})
+		got, _ = self.Data().(*record)
 	})
 	u.Join(nil)
-	if !ok || got != "breadcrumb" {
-		t.Fatalf("Local = %v, %v", got, ok)
+	if empty != nil {
+		t.Fatalf("fresh ULT Data = %v, want nil", empty)
+	}
+	if got == nil || got.bc != "breadcrumb" {
+		t.Fatalf("Data = %v", got)
 	}
 }
 
-func TestULTLocalMissingKey(t *testing.T) {
+// TestDetachedDataPresetAndCleared checks both ends of a detached ULT's
+// life: CreateDetachedWith hands the body its record, and the recycled
+// struct does not carry it into the next life.
+func TestDetachedDataPresetAndCleared(t *testing.T) {
 	_, p := newTestRT(t, 1)
-	u := p.Create("w", func(self *ULT) {
-		if _, ok := self.Local("nope"); ok {
-			t.Error("unexpected local value")
-		}
-	})
-	u.Join(nil)
+	seen := make(chan any, 1)
+	body := func(self *ULT) { seen <- self.Data() }
+	rec := new(int)
+	p.CreateDetachedWith("with", body, rec)
+	if got := <-seen; got != any(rec) {
+		t.Fatalf("preset Data = %v, want %p", got, rec)
+	}
+	for p.FreeListLen() == 0 {
+		runtime.Gosched()
+	}
+	p.CreateDetached("without", body)
+	if got := <-seen; got != nil {
+		t.Fatalf("recycled ULT kept Data = %v", got)
+	}
 }
 
 func TestPanicIsCapturedAsError(t *testing.T) {

@@ -7,10 +7,16 @@ import "sync"
 // sets a value. Waiting from a ULT is cooperative — the XStream is
 // released while the ULT is parked — which is how Margo turns Mercury's
 // callback completion model into blocking calls.
+//
+// The zero value is an unset eventual, so one can be embedded by value
+// in a pooled record and reused through Reset.
 type Eventual struct {
-	mu      sync.Mutex
-	isSet   bool
-	val     any
+	mu    sync.Mutex
+	isSet bool
+	val   any
+	// waiter is the first parked ULT; the common one-waiter case never
+	// touches the slice.
+	waiter  *ULT
 	waiters []*ULT
 	extCh   chan struct{} // lazily created for non-ULT waiters
 }
@@ -18,25 +24,22 @@ type Eventual struct {
 // NewEventual returns an unset eventual.
 func NewEventual() *Eventual { return &Eventual{} }
 
+// Reset returns the eventual to the unset state for reuse. The caller
+// must own it exclusively: every Wait has returned and no Set is in
+// flight.
+func (e *Eventual) Reset() {
+	e.mu.Lock()
+	e.isSet = false
+	e.val = nil
+	e.extCh = nil
+	e.mu.Unlock()
+}
+
 // Set stores the value and wakes all waiters. Setting an already-set
 // eventual panics, matching the single-assignment contract.
 func (e *Eventual) Set(v any) {
-	e.mu.Lock()
-	if e.isSet {
-		e.mu.Unlock()
+	if !e.TrySet(v) {
 		panic("abt: Eventual set twice")
-	}
-	e.isSet = true
-	e.val = v
-	waiters := e.waiters
-	e.waiters = nil
-	ext := e.extCh
-	e.mu.Unlock()
-	if ext != nil {
-		close(ext)
-	}
-	for _, w := range waiters {
-		w.ready()
 	}
 }
 
@@ -50,14 +53,18 @@ func (e *Eventual) TrySet(v any) bool {
 	}
 	e.isSet = true
 	e.val = v
-	waiters := e.waiters
-	e.waiters = nil
+	first, rest := e.waiter, e.waiters
+	e.waiter, e.waiters = nil, nil
 	ext := e.extCh
 	e.mu.Unlock()
+	// Nothing below touches e: a woken waiter may Reset and reuse it.
 	if ext != nil {
 		close(ext)
 	}
-	for _, w := range waiters {
+	if first != nil {
+		first.ready()
+	}
+	for _, w := range rest {
 		w.ready()
 	}
 	return true
@@ -88,7 +95,11 @@ func (e *Eventual) Wait(self *ULT) any {
 		e.mu.Unlock()
 		<-ch
 	} else {
-		e.waiters = append(e.waiters, self)
+		if e.waiter == nil {
+			e.waiter = self
+		} else {
+			e.waiters = append(e.waiters, self)
+		}
 		self.pool.blocked.Add(1)
 		e.mu.Unlock()
 		self.park()

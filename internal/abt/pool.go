@@ -82,6 +82,13 @@ func (p *Pool) Create(name string, fn Func) *ULT {
 // ULTs cannot be joined, and their identity is reused after termination.
 // This is the RPC-handler spawn path — steady state allocates nothing.
 func (p *Pool) CreateDetached(name string, fn Func) {
+	p.CreateDetachedWith(name, fn, nil)
+}
+
+// CreateDetachedWith is CreateDetached with the ULT's data slot preset
+// to data: a spawner that passes a package-level fn and a pointer to its
+// per-request record needs no closure per spawn.
+func (p *Pool) CreateDetachedWith(name string, fn Func, data any) {
 	u := p.takeFree()
 	if u == nil {
 		u = newULT(name, fn, p, true)
@@ -92,6 +99,7 @@ func (p *Pool) CreateDetached(name string, fn Func) {
 		u.spawned = time.Now()
 		u.firstRun = time.Time{}
 	}
+	u.data = data
 	p.created.Add(1)
 	p.push(u)
 }

@@ -172,6 +172,73 @@ func TestULTReuseAllocFree(t *testing.T) {
 	}
 }
 
+// TestEventualReuseAllocFree pins the per-request wait of a pooled call
+// record: park one ULT on an embedded eventual, set it from another,
+// Reset, repeat — no waiter slice, no boxed value, no new eventual.
+func TestEventualReuseAllocFree(t *testing.T) {
+	rt := NewRuntime()
+	p := rt.AddPool("main")
+	rt.AddXStreams("es", 1, p)
+	defer rt.Shutdown()
+
+	var rec struct {
+		ev  Eventual
+		val int
+	}
+	done := make(chan int)
+	waiter := func(self *ULT) {
+		rec.ev.Wait(self)
+		done <- rec.val
+	}
+	setter := func(self *ULT) {
+		self.Yield() // let the waiter park first
+		rec.val++
+		rec.ev.Set(nil)
+	}
+	cycle := func() {
+		rec.ev.Reset()
+		p.CreateDetached("w", waiter)
+		p.CreateDetached("s", setter)
+		<-done
+	}
+	cycle()
+	cycle()
+	want := rec.val
+	if n := testing.AllocsPerRun(100, func() { want++; cycle() }); n != 0 {
+		t.Fatalf("eventual reset-and-reuse allocates %.1f objects per cycle, want 0", n)
+	}
+	if rec.val != want {
+		t.Fatalf("cycles completed = %d, want %d", rec.val, want)
+	}
+}
+
+// TestULTDataAllocFree pins the data slot: storing and loading a
+// pointer to a per-request record costs no allocation (the map + boxed
+// values it replaced cost one per key per request).
+func TestULTDataAllocFree(t *testing.T) {
+	rt := NewRuntime()
+	p := rt.AddPool("main")
+	rt.AddXStreams("es", 1, p)
+	defer rt.Shutdown()
+
+	type record struct{ reqID uint64 }
+	rec := &record{reqID: 7}
+	var n float64
+	var got *record
+	u := p.Create("w", func(self *ULT) {
+		n = testing.AllocsPerRun(1000, func() {
+			self.SetData(rec)
+			got = self.Data().(*record)
+		})
+	})
+	if err := joinTimeout(u, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 || got != rec {
+		t.Fatalf("SetData/Data: %.1f allocs per call (want 0), got %p want %p", n, got, rec)
+	}
+}
+
 // joinTimeout joins u, failing instead of hanging when the scheduler
 // loses it.
 func joinTimeout(u *ULT, d time.Duration) error {

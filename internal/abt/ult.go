@@ -8,7 +8,7 @@ import (
 )
 
 // Func is the body of a user-level thread. The runtime passes the ULT's
-// own handle so the body can yield, block, and reach ULT-local storage.
+// own handle so the body can yield, block, and reach its data slot.
 type Func func(self *ULT)
 
 // ULT is a user-level thread: a unit of cooperative work created into a
@@ -48,10 +48,11 @@ type ULT struct {
 	doneCh chan struct{} // nil for detached ULTs
 	panicV any
 
-	// locals is ULT-local storage, the analogue of ABT_key. Recycled
-	// detached ULTs keep the map allocation and clear the entries.
-	localMu sync.Mutex
-	locals  map[any]any
+	// data is the ULT's one typed local slot, the analogue of an
+	// ABT_key: the owner of the ULT's current life stores a pointer to
+	// its per-request record here. Only the ULT itself (or its creator,
+	// before the first run) touches it, so it needs no lock.
+	data any
 
 	// joiners are ULTs parked in Join waiting for this ULT to finish.
 	joinMu  sync.Mutex
@@ -113,23 +114,14 @@ func (u *ULT) Err() error {
 	return nil
 }
 
-// SetLocal stores a ULT-local value, the analogue of setting an ABT_key.
-func (u *ULT) SetLocal(key, val any) {
-	u.localMu.Lock()
-	if u.locals == nil {
-		u.locals = make(map[any]any)
-	}
-	u.locals[key] = val
-	u.localMu.Unlock()
-}
+// SetData stores v in the ULT's local slot, the analogue of setting an
+// ABT_key. Call it from the ULT itself. Storing a pointer does not
+// allocate; the slot is cleared when a detached ULT is recycled.
+func (u *ULT) SetData(v any) { u.data = v }
 
-// Local retrieves a ULT-local value previously stored with SetLocal.
-func (u *ULT) Local(key any) (any, bool) {
-	u.localMu.Lock()
-	defer u.localMu.Unlock()
-	v, ok := u.locals[key]
-	return v, ok
-}
+// Data returns the value last stored with SetData (or handed to
+// CreateDetachedWith), nil when none.
+func (u *ULT) Data() any { return u.data }
 
 // Yield returns the run token to the hosting XStream and requeues the ULT
 // on its pool, letting equal-priority work run.
@@ -218,9 +210,7 @@ func (u *ULT) mainDetached() {
 		pool.executed.Add(1)
 		u.fn = nil
 		u.panicV = nil
-		if u.locals != nil {
-			clear(u.locals)
-		}
+		u.data = nil
 		u.dispGate.set()
 		pool.recycle(u)
 	}

@@ -130,20 +130,44 @@ func (c *Collector) RecordTarget(key uint64, bc Breadcrumb, peer string, total t
 // Emit appends a trace event to the ring of the shard selected by key,
 // stamping its wall-clock time if unset, and tees it to any attached
 // sinks. Sinks observe every event including ones the bounded ring
-// subsequently drops (a streaming sink has no capacity limit of ours to
-// respect; its backpressure is its own).
+// drops (a streaming sink has no capacity limit of ours to respect; its
+// backpressure is its own).
 func (c *Collector) Emit(key uint64, ev Event) {
+	c.EmitSampled(key, ev, ev.PVars, ev.Components)
+}
+
+// EmitSampled is Emit for the RPC fast path: the event's PVAR sample
+// and component breakdown arrive beside it (nil when absent) rather
+// than through ev.PVars/ev.Components, are copied into the shard's own
+// storage, and so may live on the caller's stack — the pointers the
+// recorded event carries are the collector's.
+func (c *Collector) EmitSampled(key uint64, ev Event, pv *PVarSample, comps *[NumComponents]uint64) {
 	if ev.Timestamp == 0 {
 		ev.Timestamp = time.Now().UnixNano()
 	}
-	if sinks := c.sinks.Load(); sinks != nil {
-		for _, s := range *sinks {
-			if err := s.WriteEvent(ev); err != nil {
-				c.sinkErrs.Add(1)
-			}
+	stored := c.shard(key).trace.emit(&ev, pv, comps)
+	sinks := c.sinks.Load()
+	if sinks == nil {
+		return
+	}
+	if !stored {
+		// Dropped by the full ring: the sinks' copy needs annotations
+		// of its own.
+		ev.PVars, ev.Components = nil, nil
+		if pv != nil {
+			cp := *pv
+			ev.PVars = &cp
+		}
+		if comps != nil {
+			cp := *comps
+			ev.Components = &cp
 		}
 	}
-	c.shard(key).trace.Emit(ev)
+	for _, s := range *sinks {
+		if err := s.WriteEvent(ev); err != nil {
+			c.sinkErrs.Add(1)
+		}
+	}
 }
 
 // AddTraceSink attaches a sink that will observe every subsequently

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -350,4 +351,108 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 			t.Fatalf("error does not name the bad line: %v", err)
 		}
 	})
+}
+
+// goldenEvents is the fixed event sequence behind
+// testdata/trace_golden.jsonl: three requests' t1/t5/t8/t14 with PVAR
+// samples, component breakdowns and every optional field in use.
+func goldenEvents() []Event {
+	pv := func(k uint64) *PVarSample {
+		return &PVarSample{OFIEventsRead: k, CompletionQueue: k + 1, PostedHandles: k + 2, InputSerNanos: 100 * k,
+			OriginCBNanos: 7 * k, NetworkPending: k % 3, BulkBytesMoved: 4096 * k, RPCsInvokedTotal: 10 + k}
+	}
+	comps := func(k uint64) *[NumComponents]uint64 {
+		var c [NumComponents]uint64
+		for i := range c {
+			c[i] = k * uint64(i+1)
+		}
+		return &c
+	}
+	var evs []Event
+	for k := uint64(1); k <= 3; k++ {
+		base := Event{RequestID: 2<<32 | k, Entity: "n0/cli", Peer: "n1/srv", RPCName: "sdskv_put_packed", Breadcrumb: 0xed39 + k,
+			Sys: SysSample{PoolRunnable: int64(k), PoolBlocked: 1, HeapBytes: 1 << 20, Goroutines: 12}}
+		t1 := base
+		t1.Kind, t1.Order, t1.Timestamp, t1.PVars = EvOriginStart, 4*k, 1_000_000*int64(k), pv(k)
+		t5 := base
+		t5.Kind, t5.Order, t5.Timestamp, t5.Entity, t5.Peer, t5.QueueNanos, t5.PVars = EvTargetStart, 4*k+1, 1_000_000*int64(k)+10, "n1/srv", "n0/cli", 250, pv(k+10)
+		t8 := base
+		t8.Kind, t8.Order, t8.Timestamp, t8.Entity, t8.Peer, t8.Duration, t8.Failed = EvTargetEnd, 4*k+2, 1_000_000*int64(k)+20, "n1/srv", "n0/cli", 900, k == 2
+		t14 := base
+		t14.Kind, t14.Order, t14.Timestamp, t14.Duration, t14.BatchID, t14.WindowNanos, t14.PVars, t14.Components = EvOriginEnd, 4*k+3, 1_000_000*int64(k)+30, 2500, k-1, int64(30*(k-1)), pv(k+20), comps(k)
+		evs = append(evs, t1, t5, t8, t14)
+	}
+	return evs
+}
+
+// TestJSONLSinkOutputStable: the bytes a JSONL sink writes for a fixed
+// event sequence equal those written at commit 0b629fd
+// (testdata/trace_golden.jsonl), whichever way the annotations reach
+// the collector — inside the event, beside it (the RPC fast path), or
+// beside it with the ring already full, when the sinks' copy gets
+// annotations of its own.
+func TestJSONLSinkOutputStable(t *testing.T) {
+	golden, err := os.ReadFile("testdata/trace_golden.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		beside   bool
+	}{
+		{"in-event", 0, false},
+		{"beside", 0, true},
+		{"beside-ring-full", 5, true},
+	} {
+		var buf bytes.Buffer
+		p := NewProfiler("n0/cli", StageFull)
+		if tc.capacity > 0 {
+			p.SetShards(1)
+			p.SetTraceCapacity(tc.capacity)
+		}
+		sink := NewJSONLTraceSink(&buf)
+		p.AddTraceSink(sink)
+		for _, ev := range goldenEvents() {
+			if tc.beside {
+				// Values on this stack, as margo passes them.
+				var pv PVarSample
+				var comps [NumComponents]uint64
+				var pvp *PVarSample
+				var cp *[NumComponents]uint64
+				if ev.PVars != nil {
+					pv, pvp = *ev.PVars, &pv
+				}
+				if ev.Components != nil {
+					comps, cp = *ev.Components, &comps
+				}
+				ev.PVars, ev.Components = nil, nil
+				p.EmitSampled(ev.RequestID, ev, pvp, cp)
+			} else {
+				p.EmitAt(ev.RequestID, ev)
+			}
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("%s: sink output differs from testdata/trace_golden.jsonl:\n%s", tc.name, buf.String())
+		}
+		if tc.capacity > 0 {
+			if got := p.TraceDropped(); got != uint64(len(goldenEvents())-tc.capacity) {
+				t.Errorf("%s: dropped %d events, want %d", tc.name, got, len(goldenEvents())-tc.capacity)
+			}
+		}
+		// What the ring kept equals what the sinks saw.
+		kept, _, err := ReadEventsJSONL(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := p.TraceEvents()
+		for k := range evs {
+			if !reflect.DeepEqual(evs[k], kept[k]) {
+				t.Errorf("%s: ring event %d = %+v, want %+v", tc.name, k, evs[k], kept[k])
+			}
+		}
+	}
 }

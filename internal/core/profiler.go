@@ -370,6 +370,13 @@ func (p *Profiler) Emit(ev Event) { p.EmitAt(ev.RequestID, ev) }
 // emitting ULT's id on the RPC fast path).
 func (p *Profiler) EmitAt(key uint64, ev Event) { p.coll.Load().Emit(key, ev) }
 
+// EmitSampled is EmitAt with the event's PVAR sample and component
+// breakdown passed beside it (see Collector.EmitSampled): the collector
+// copies both, so the caller's values need not outlive the call.
+func (p *Profiler) EmitSampled(key uint64, ev Event, pv *PVarSample, comps *[NumComponents]uint64) {
+	p.coll.Load().EmitSampled(key, ev, pv, comps)
+}
+
 // TraceLen reports the number of buffered trace events.
 func (p *Profiler) TraceLen() int { return p.coll.Load().TraceLen() }
 

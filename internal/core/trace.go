@@ -108,10 +108,22 @@ type Event struct {
 	Components *[NumComponents]uint64 `json:"components,omitempty"`
 }
 
-// Tracer is a bounded per-process trace buffer.
+// sampleChunk is how many PVAR samples (or component arrays) one
+// storage chunk of a Tracer holds.
+const sampleChunk = 256
+
+// Tracer is a bounded per-process trace buffer. It owns the storage its
+// events' PVars and Components point into: emitters hand over values
+// that may live on their stack, and the tracer copies them into chunks
+// next to the ring, so annotating an event costs no allocation of its
+// own. A full chunk is left to the events that point into it and a
+// fresh one started; chunks are never reused, so event copies handed
+// out by Events stay valid across Reset.
 type Tracer struct {
 	mu      sync.Mutex
 	events  []Event
+	pvars   []PVarSample
+	comps   [][NumComponents]uint64
 	cap     int
 	dropped uint64
 }
@@ -129,14 +141,38 @@ func (t *Tracer) Emit(ev Event) {
 	if ev.Timestamp == 0 {
 		ev.Timestamp = time.Now().UnixNano()
 	}
+	t.emit(&ev, ev.PVars, ev.Components)
+}
+
+// emit appends *ev annotated with copies of *pv and *comps (either may
+// be nil) held in tracer-owned storage, and points ev.PVars and
+// ev.Components at those copies. It reports false, leaving ev alone,
+// when the ring is full and the event was dropped.
+func (t *Tracer) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) bool {
 	t.mu.Lock()
 	if len(t.events) >= t.cap {
 		t.dropped++
 		t.mu.Unlock()
-		return
+		return false
 	}
-	t.events = append(t.events, ev)
+	ev.PVars, ev.Components = nil, nil
+	if pv != nil {
+		if len(t.pvars) == cap(t.pvars) {
+			t.pvars = make([]PVarSample, 0, sampleChunk)
+		}
+		t.pvars = append(t.pvars, *pv)
+		ev.PVars = &t.pvars[len(t.pvars)-1]
+	}
+	if comps != nil {
+		if len(t.comps) == cap(t.comps) {
+			t.comps = make([][NumComponents]uint64, 0, sampleChunk)
+		}
+		t.comps = append(t.comps, *comps)
+		ev.Components = &t.comps[len(t.comps)-1]
+	}
+	t.events = append(t.events, *ev)
 	t.mu.Unlock()
+	return true
 }
 
 // Len reports the number of buffered events.
@@ -166,6 +202,7 @@ func (t *Tracer) Events() []Event {
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	t.events = t.events[:0]
+	t.pvars, t.comps = nil, nil
 	t.dropped = 0
 	t.mu.Unlock()
 }

@@ -58,7 +58,7 @@ var batchOpPool = sync.Pool{New: func() any { return new(batchOp) }}
 // opGroup completes one ForwardBatched/ForwardMany call: the issuing
 // ULT parks on ev until every member op has fanned back in.
 type opGroup struct {
-	ev        *abt.Eventual
+	ev        abt.Eventual
 	remaining atomic.Int32
 }
 
@@ -123,7 +123,12 @@ func (i *Instance) ForwardBatched(self *abt.ULT, target, rpcName string, in, out
 	if i.batchPol == nil {
 		return i.Forward(self, target, rpcName, in, out)
 	}
-	group := &opGroup{ev: abt.NewEventual()}
+	// Like forward(), the issuer holds the op's in-flight slot until it
+	// is running again: Drain must not find the instance idle, and stop
+	// its streams, while a woken issuer still waits for one.
+	i.rpcsInFlight.Add(1)
+	defer i.rpcDone(1)
+	group := new(opGroup)
 	group.remaining.Store(1)
 	var err error
 	if eerr := i.coalescerFor(target, rpcName).enqueue(self, in, out, &err, group); eerr != nil {
@@ -165,8 +170,10 @@ func (i *Instance) ForwardMany(self *abt.ULT, target, rpcName string, ins, outs 
 		}
 		return errs
 	}
+	i.rpcsInFlight.Add(int64(len(ins)))
+	defer i.rpcDone(len(ins))
 	co := i.coalescerFor(target, rpcName)
-	group := &opGroup{ev: abt.NewEventual()}
+	group := new(opGroup)
 	group.remaining.Store(int32(len(ins)))
 	for k := range ins {
 		var out mercury.Procable
@@ -193,26 +200,8 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 	stage := i.prof.Stage()
 
 	// Resolve the per-op identity exactly like forward(): breadcrumb
-	// ancestry, request ID, and the PR-4 deadline/priority locals.
-	var parent core.Breadcrumb
-	if v, ok := self.Local(keyBreadcrumb{}); ok {
-		parent = v.(core.Breadcrumb)
-	}
-	bc := parent.Push(co.rpc)
-	var reqID uint64
-	if v, ok := self.Local(keyRequestID{}); ok {
-		reqID = v.(uint64)
-	} else if stage.Injects() {
-		reqID = i.prof.NewRequestID()
-	}
-	var dlNanos int64
-	if v, ok := self.Local(keyDeadline{}); ok {
-		dlNanos = v.(int64)
-	}
-	var prio uint8
-	if v, ok := self.Local(keyPriority{}); ok {
-		prio = v.(uint8)
-	}
+	// ancestry, request ID, and the inherited deadline/priority.
+	bc, reqID, dlNanos, prio := i.inherit(self, co.rpc, stage)
 	if dlNanos != 0 && time.Now().UnixNano() > dlNanos {
 		// Already expired: fail without occupying a window slot.
 		i.exhaustedTotal.Add(1)
@@ -268,7 +257,6 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 	}
 	co.ops = append(co.ops, op)
 	co.win.Add(co.builder.Bytes()-preBytes, dlNanos)
-	i.rpcsInFlight.Add(1)
 
 	if reason := pol.Due(&co.win); reason != batch.ReasonNone {
 		fl := co.takeLocked(reason)
@@ -521,7 +509,7 @@ func (fl *batchFlight) completeOp(op *batchOp, err error, t14 time.Time, stage c
 				window = w
 			}
 		}
-		i.prof.EmitAt(op.ultID, core.Event{
+		i.prof.EmitSampled(op.ultID, core.Event{
 			RequestID:   op.reqID,
 			Order:       endOrder,
 			Kind:        core.EvOriginEnd,
@@ -535,14 +523,12 @@ func (fl *batchFlight) completeOp(op *batchOp, err error, t14 time.Time, stage c
 			BatchID:     fl.batchID,
 			WindowNanos: window,
 			Sys:         i.sysSample(i.mainPool),
-			Components:  &comps,
-		})
+		}, nil, &comps)
 	}
 	*op.res = err
 	group := op.group
 	op.out, op.res, op.group = nil, nil, nil
 	batchOpPool.Put(op)
-	i.rpcDone()
 	group.done()
 }
 

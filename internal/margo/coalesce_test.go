@@ -127,7 +127,14 @@ func TestBatchFlushOnDrain(t *testing.T) {
 				&kvArgs{Key: "k", Value: []byte("v")}, nil)
 		})
 	}
-	time.Sleep(20 * time.Millisecond) // let the ops park in the window
+	// Let every op park in the window: Drain flushes what is open when
+	// it starts, and a later arrival would wait out the 500ms delay.
+	co := cli.coalescerFor(srv.Addr(), "drain_echo")
+	for parked := 0; parked < ops; time.Sleep(time.Millisecond) {
+		co.mu.Lock()
+		parked = len(co.ops)
+		co.mu.Unlock()
+	}
 
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -242,7 +249,9 @@ func TestBatchDeadlineExpiredMember(t *testing.T) {
 	time.Sleep(5 * time.Millisecond) // the healthy op opens the window
 	expired := cli.Run("expired", func(self *abt.ULT) {
 		// 20ms of budget: alive at enqueue and flush, dead on arrival.
-		self.SetLocal(keyDeadline{}, time.Now().Add(20*time.Millisecond).UnixNano())
+		// The ULT stands in for a handler servicing a deadline-stamped
+		// request: batched forwards inherit the deadline from its slot.
+		self.SetData(&Context{dlNanos: time.Now().Add(20 * time.Millisecond).UnixNano()})
 		expiredErr = cli.ForwardBatched(self, srv.Addr(), "dl_echo",
 			&kvArgs{Key: "e", Value: []byte("v")}, nil)
 	})
@@ -381,7 +390,7 @@ func TestCoalescerEnqueueSteadyStateAllocs(t *testing.T) {
 		// Warm the op pool, builder arena, and ops slice to full window
 		// size, twice, so the measured round reuses everything.
 		for round := 0; round < 2; round++ {
-			g := &opGroup{ev: abt.NewEventual()}
+			g := new(opGroup)
 			g.remaining.Store(runs + 1)
 			for k := 0; k <= runs; k++ {
 				if err := co.enqueue(self, in, nil, &errs[k], g); err != nil {
@@ -397,7 +406,7 @@ func TestCoalescerEnqueueSteadyStateAllocs(t *testing.T) {
 			}
 		}
 
-		g := &opGroup{ev: abt.NewEventual()}
+		g := new(opGroup)
 		g.remaining.Store(runs + 1)
 		k := 0
 		n := testing.AllocsPerRun(runs, func() {

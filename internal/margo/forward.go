@@ -3,6 +3,7 @@ package margo
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +26,78 @@ func (i *Instance) RegisterClient(rpcNames ...string) error {
 	return nil
 }
 
-// forwardResult carries the completion of a Forward from the progress
-// ULT back to the issuing ULT.
-type forwardResult struct {
+// originCall is the origin-side record of one forward attempt or bulk
+// transfer in flight: the eventual the issuing ULT parks on, the result
+// the completion callback leaves for it, and the per-try timeout state.
+// Records are pooled; the Mercury handle (or bulk op) carries the
+// pointer, so completing a call takes no closure and boxes no value.
+type originCall struct {
+	ev  abt.Eventual
 	err error
 	t14 time.Time
+
+	// mh is the handle the armed timer cancels. timerFired
+	// disambiguates this call's own deadline from an external
+	// cancellation: the store happens before Cancel enqueues the
+	// completion, so when the wait observes ErrCanceled caused by the
+	// timer, the flag is already visible. If a genuine response races
+	// the timer, completeForward's CAS lets exactly one of them win — a
+	// late timer then cancels an already-completed handle, a no-op.
+	mh         *mercury.Handle
+	timer      *time.Timer
+	onTimeout  func() // == timeout, bound once so arming never allocates
+	timerFired atomic.Bool
+}
+
+var callPool = sync.Pool{New: func() any {
+	c := new(originCall)
+	c.onTimeout = c.timeout
+	return c
+}}
+
+// arm starts the per-try timer against mh.
+func (c *originCall) arm(mh *mercury.Handle, d time.Duration) {
+	c.mh = mh
+	if c.timer == nil {
+		c.timer = time.AfterFunc(d, c.onTimeout)
+	} else {
+		c.timer.Reset(d)
+	}
+}
+
+func (c *originCall) timeout() {
+	c.timerFired.Store(true)
+	c.mh.Cancel()
+}
+
+// release returns the record to the pool once the issuing ULT is done
+// with it. A record whose timer was armed for this use (mh is set) is
+// reused only if Stop reports that the timer had not fired and now
+// never will; otherwise it is left to the GC, because a late timeout
+// must never Cancel a handle that belongs to another request.
+func (c *originCall) release() {
+	if c.mh != nil && !c.timer.Stop() {
+		return
+	}
+	c.ev.Reset()
+	c.err, c.mh = nil, nil
+	c.timerFired.Store(false)
+	callPool.Put(c)
+}
+
+// forwardDone is the Mercury completion callback of every forward: it
+// runs at t14 in the progress ULT's Trigger pass and wakes the issuer.
+func forwardDone(h *mercury.Handle, err error) {
+	c := h.Data().(*originCall)
+	c.err, c.t14 = err, time.Now()
+	c.ev.Set(nil)
+}
+
+// bulkDone is forwardDone for bulk transfers.
+func bulkDone(arg any, err error) {
+	c := arg.(*originCall)
+	c.err = err
+	c.ev.Set(nil)
 }
 
 // Forward issues one blocking RPC from the calling ULT: it serializes
@@ -88,45 +156,28 @@ func (i *Instance) forward(self *abt.ULT, target, rpcName string, in, out mercur
 	}
 	stage := i.prof.Stage()
 
-	// Extend the callpath ancestry: parent breadcrumb comes from the
-	// ULT-local key when this call is made from inside a handler
-	// (paper §IV-A1), and the request ID is propagated the same way.
-	// Both are fixed before the attempt loop so every retry of this
-	// forward carries the same request ID — retried attempts stitch into
-	// one trace instead of appearing as unrelated requests.
-	var parent core.Breadcrumb
-	if v, ok := self.Local(keyBreadcrumb{}); ok {
-		parent = v.(core.Breadcrumb)
-	}
-	bc := parent.Push(rpcName)
-	var reqID uint64
-	if v, ok := self.Local(keyRequestID{}); ok {
-		reqID = v.(uint64)
-	} else if stage.Injects() {
-		reqID = i.prof.NewRequestID()
-	}
-
-	// Resolve the wire deadline and priority: explicit options win, then
-	// the ULT-local values a servicing handler inherited from its own
-	// request — so a multi-tier request carries one absolute deadline
-	// across every hop.
-	var dlNanos int64
+	// Extend the callpath ancestry: the parent breadcrumb and request
+	// ID come from the request the calling ULT is servicing when this
+	// call is made from inside a handler (paper §IV-A1). Both are fixed
+	// before the attempt loop so every retry of this forward carries
+	// the same request ID — retried attempts stitch into one trace
+	// instead of appearing as unrelated requests. Deadline and priority
+	// resolve the same way: explicit options win, then the values the
+	// servicing handler inherited from its own request — so a
+	// multi-tier request carries one absolute deadline across every
+	// hop.
+	bc, reqID, dlNanos, prio := i.inherit(self, rpcName, stage)
 	if !opts.Deadline.IsZero() {
 		dlNanos = opts.Deadline.UnixNano()
-	} else if v, ok := self.Local(keyDeadline{}); ok {
-		dlNanos = v.(int64)
 	}
-	prio := opts.Priority
-	if prio == 0 {
-		if v, ok := self.Local(keyPriority{}); ok {
-			prio = v.(uint8)
-		}
+	if opts.Priority != 0 {
+		prio = opts.Priority
 	}
 
 	// One in-flight slot per logical forward, however many attempts it
 	// takes; the deferred decrement cannot be lost to an early return.
 	i.rpcsInFlight.Add(1)
-	defer i.rpcDone()
+	defer i.rpcDone(1)
 
 	timeout := opts.Timeout
 	if dlNanos != 0 {
@@ -211,6 +262,24 @@ func (i *Instance) forward(self *abt.ULT, target, rpcName string, in, out mercur
 	}
 }
 
+// inherit resolves the identity a forward of rpcName issued by self
+// carries. When self is a handler ULT its data slot holds the Context of
+// the request it is servicing: the forward extends that request's
+// breadcrumb and keeps its request ID, deadline and priority. Otherwise
+// it is a root: empty ancestry, and a fresh request ID when tracing.
+func (i *Instance) inherit(self *abt.ULT, rpcName string, stage core.Stage) (bc core.Breadcrumb, reqID uint64, dlNanos int64, prio uint8) {
+	parent, _ := self.Data().(*Context)
+	if parent != nil {
+		dlNanos, prio = parent.dlNanos, parent.prio
+	}
+	if parent != nil && parent.traced {
+		bc, reqID = parent.bc, parent.reqID
+	} else if stage.Injects() {
+		reqID = i.prof.NewRequestID()
+	}
+	return bc.Push(rpcName), reqID, dlNanos, prio
+}
+
 // forwardOnce issues a single attempt of a forward. timedOut reports
 // that this attempt's own per-try timer (not an external CancelPosted)
 // canceled the handle — the disambiguation the retry classifier needs,
@@ -249,42 +318,29 @@ func (i *Instance) forwardOnce(self *abt.ULT, target, rpcName string, in, out me
 			Breadcrumb: uint64(bc),
 			Sys:        i.sysSample(i.mainPool),
 		}
-		if stage.SamplesPVars() {
-			ev.PVars = i.samplePVars(nil)
-		}
 		// Record into the calling ULT's collector shard: concurrent
 		// application ULTs on different execution streams take disjoint
 		// locks (t1).
-		i.prof.EmitAt(self.ID(), ev)
+		var pv core.PVarSample
+		i.prof.EmitSampled(self.ID(), ev, i.samplePVars(stage, &pv, nil), nil)
 	}
 
-	ev := abt.NewEventual()
-	err = mh.Forward(in, meta, func(h *mercury.Handle, err error) {
-		// Runs at t14 in the progress ULT's Trigger pass.
-		ev.Set(forwardResult{err: err, t14: time.Now()})
-	})
-	if err != nil {
+	c := callPool.Get().(*originCall)
+	mh.SetData(c)
+	if err = mh.Forward(in, meta, forwardDone); err != nil {
+		c.release()
 		return err, false
 	}
-	// timerFired disambiguates this forward's own deadline from an
-	// external cancellation: the store happens before Cancel enqueues the
-	// completion, so when the wait observes ErrCanceled caused by the
-	// timer, the flag is already visible. If a genuine response races the
-	// timer, completeForward's CAS lets exactly one of them win — a late
-	// timer then cancels an already-completed handle, which is a no-op.
-	var timerFired atomic.Bool
 	if timeout > 0 {
-		timer := time.AfterFunc(timeout, func() {
-			timerFired.Store(true)
-			mh.Cancel()
-		})
-		defer timer.Stop()
+		c.arm(mh, timeout)
 	}
-	res := ev.Wait(self).(forwardResult)
-	timedOut := timerFired.Load() && errors.Is(res.err, mercury.ErrCanceled)
+	c.ev.Wait(self)
+	resErr, t14 := c.err, c.t14
+	timedOut := c.timerFired.Load() && errors.Is(resErr, mercury.ErrCanceled)
+	c.release()
 	if timedOut {
 		i.timeoutsTotal.Add(1)
-	} else if errors.Is(res.err, mercury.ErrCanceled) {
+	} else if errors.Is(resErr, mercury.ErrCanceled) {
 		i.cancelsTotal.Add(1)
 	}
 
@@ -294,17 +350,19 @@ func (i *Instance) forwardOnce(self *abt.ULT, target, rpcName string, in, out me
 		}
 	}
 
-	if res.err == nil && out != nil {
-		res.err = mh.GetOutput(out)
+	if resErr == nil && out != nil {
+		resErr = mh.GetOutput(out)
 	}
 
 	if stage.Measures() {
-		originExec := res.t14.Sub(t1)
+		originExec := t14.Sub(t1)
+		// comps and pvs stay on this stack: the profile folds comps in
+		// and the collector copies what the event carries.
 		var comps [core.NumComponents]uint64
 		comps[core.CompOriginExec] = uint64(originExec)
-		var pv *core.PVarSample
-		if stage.SamplesPVars() {
-			pv = i.samplePVars(mh)
+		var pvs core.PVarSample
+		pv := i.samplePVars(stage, &pvs, mh)
+		if pv != nil {
 			comps[core.CompInputSer] = pv.InputSerNanos
 			comps[core.CompOriginCB] = pv.OriginCBNanos
 		}
@@ -313,23 +371,21 @@ func (i *Instance) forwardOnce(self *abt.ULT, target, rpcName string, in, out me
 		if stage.Injects() {
 			endOrder = i.prof.Clock.Tick()
 		}
-		i.prof.EmitAt(self.ID(), core.Event{
+		i.prof.EmitSampled(self.ID(), core.Event{
 			RequestID:  reqID,
 			Order:      endOrder,
 			Kind:       core.EvOriginEnd,
-			Timestamp:  i.prof.StampNanos(res.t14),
+			Timestamp:  i.prof.StampNanos(t14),
 			Entity:     i.Addr(),
 			Peer:       target,
 			RPCName:    rpcName,
 			Breadcrumb: uint64(bc),
 			Duration:   int64(originExec),
-			Failed:     res.err != nil,
+			Failed:     resErr != nil,
 			Sys:        i.sysSample(i.mainPool),
-			PVars:      pv,
-			Components: &comps,
-		})
+		}, pv, &comps)
 	}
-	return res.err, timedOut
+	return resErr, timedOut
 }
 
 // BulkCreate exposes buf for one-sided transfers.
@@ -351,25 +407,17 @@ func (i *Instance) BulkPush(self *abt.ULT, remote mercury.Bulk, off int, buf []b
 }
 
 func (i *Instance) bulkWait(self *abt.ULT, remote mercury.Bulk, off int, buf []byte, push bool) error {
-	ev := abt.NewEventual()
-	cb := func(err error) {
-		if err == nil {
-			ev.Set(nil)
-		} else {
-			ev.Set(err)
-		}
-	}
+	c := callPool.Get().(*originCall)
 	var err error
 	if push {
-		err = i.hg.BulkPush(remote, off, buf, cb)
+		err = i.hg.BulkPush(remote, off, buf, bulkDone, c)
 	} else {
-		err = i.hg.BulkPull(remote, off, buf, cb)
+		err = i.hg.BulkPull(remote, off, buf, bulkDone, c)
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		c.ev.Wait(self)
+		err = c.err
 	}
-	if v := ev.Wait(self); v != nil {
-		return v.(error)
-	}
-	return nil
+	c.release()
+	return err
 }

@@ -2,6 +2,8 @@ package margo
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"symbiosys/internal/abt"
@@ -16,18 +18,72 @@ import (
 // finish with Respond or RespondError.
 type HandlerFunc func(ctx *Context)
 
-// Context is the target-side view of one RPC being serviced.
+// Context is the target-side view of one RPC being serviced. It is the
+// request's one record on the target: the dispatch record the Trigger
+// callback hands to the handler ULT, the request context nested
+// forwards inherit from (it sits in the ULT's data slot), and the state
+// the response-sent callback (t13) completes the measurements from.
+//
+// Contexts are recycled: one is valid from the start of the handler
+// until the handler returns, and must not be retained (or used from
+// another ULT) past that point.
 type Context struct {
 	inst *Instance
 	mh   *mercury.Handle
+	fn   HandlerFunc
 	// Self is the handler ULT, used for all cooperative operations.
 	Self *abt.ULT
 
-	rpcName   string
-	bc        core.Breadcrumb
-	reqID     uint64
+	rpcName string
+	// What nested forwards inherit: the callpath ancestry and request
+	// identity (when the request carried them), the absolute deadline
+	// and the priority.
+	traced  bool
+	bc      core.Breadcrumb
+	reqID   uint64
+	dlNanos int64
+	prio    uint8
+
 	t5        time.Time
 	responded bool
+
+	// Fixed by finish (t8) for the response-sent callback (t13), which
+	// may run after the handler ULT has moved on to another request.
+	stage       core.Stage
+	ult         uint64
+	t8          time.Time
+	targetExec  time.Duration
+	handlerWait time.Duration
+	onSent      func(error) // == sent, bound once so responding never allocates
+
+	// refs counts the two parties that still use the record: the
+	// handler ULT (until the handler returns) and the t13 callback.
+	refs atomic.Int32
+}
+
+// contextPool has no New func: sent recycles into the pool, so one
+// that constructs Contexts would be an initialization cycle.
+var contextPool sync.Pool
+
+func acquireContext() *Context {
+	if c, ok := contextPool.Get().(*Context); ok {
+		return c
+	}
+	c := new(Context)
+	c.onSent = c.sent
+	return c
+}
+
+// unref drops one of the record's two users; the last one recycles it.
+// A request whose response could not be sent never sees its t13
+// callback, and its record is simply left to the GC.
+func (c *Context) unref() {
+	if c.refs.Add(-1) != 0 {
+		return
+	}
+	c.inst, c.mh, c.fn, c.Self = nil, nil, nil, nil
+	c.responded = false
+	contextPool.Put(c)
 }
 
 // Instance returns the hosting Margo instance.
@@ -48,14 +104,14 @@ func (c *Context) RequestID() uint64 { return c.reqID }
 // Deadline returns the absolute deadline propagated with the request,
 // or the zero time when none was stamped.
 func (c *Context) Deadline() time.Time {
-	if dl := c.mh.Meta().DeadlineNanos; dl != 0 {
-		return time.Unix(0, dl)
+	if c.dlNanos != 0 {
+		return time.Unix(0, c.dlNanos)
 	}
 	return time.Time{}
 }
 
 // Priority returns the request's admission priority class.
-func (c *Context) Priority() uint8 { return c.mh.Meta().Priority }
+func (c *Context) Priority() uint8 { return c.prio }
 
 // GetInput decodes the request arguments (charging the
 // input_deserialization_time PVAR, t6→t7).
@@ -74,7 +130,7 @@ func (c *Context) Compute(d time.Duration) {
 }
 
 // Forward issues a nested RPC from within the handler; the callpath
-// breadcrumb and request ID stored in the handler ULT's local keys
+// breadcrumb, request ID, deadline and priority of this request
 // propagate automatically (paper §IV-A1).
 func (c *Context) Forward(target, rpcName string, in, out mercury.Procable) error {
 	return c.inst.Forward(c.Self, target, rpcName, in, out)
@@ -95,9 +151,7 @@ func (c *Context) BulkPush(remote mercury.Bulk, off int, buf []byte) error {
 // (t13): the target completion callback interval, the PVAR fusion, and
 // the callpath profile entry.
 func (c *Context) Respond(out mercury.Procable) error {
-	return c.finish(false, func(meta mercury.Meta, cb func(error)) error {
-		return c.mh.Respond(out, meta, cb)
-	})
+	return c.finish(respondOK, out, "")
 }
 
 // RespondError reports a handler failure to the origin. The terminal
@@ -105,73 +159,91 @@ func (c *Context) Respond(out mercury.Procable) error {
 // (including the panic-recovery path) stitch as failed executions
 // rather than dangling or reading as successes.
 func (c *Context) RespondError(format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	return c.finish(true, func(meta mercury.Meta, cb func(error)) error {
-		return c.mh.RespondError(msg, meta, cb)
-	})
+	return c.finish(respondError, nil, fmt.Sprintf(format, args...))
 }
 
-func (c *Context) finish(failed bool, send func(mercury.Meta, func(error)) error) error {
+// respondKind selects which Mercury response finish sends.
+type respondKind uint8
+
+const (
+	respondOK respondKind = iota
+	respondError
+	respondExpired
+)
+
+func (c *Context) finish(kind respondKind, out mercury.Procable, msg string) error {
 	if c.responded {
 		return fmt.Errorf("margo: double response for %s", c.rpcName)
 	}
 	c.responded = true
 	i := c.inst
-	stage := i.prof.Stage()
+	c.stage = i.prof.Stage()
 
-	t8 := time.Now()
-	targetExec := t8.Sub(c.t5)
-	handlerWait := c.Self.FirstRunTime().Sub(c.Self.SpawnTime())
+	c.t8 = time.Now()
+	c.targetExec = c.t8.Sub(c.t5)
+	c.handlerWait = c.Self.FirstRunTime().Sub(c.Self.SpawnTime())
 
 	meta := mercury.Meta{}
-	if stage.Injects() {
+	if c.stage.Injects() {
 		meta = mercury.Meta{HasTrace: true, Order: i.prof.Clock.Tick()}
 	}
 
 	// ult keys this request's measurements to the handler ULT's shard:
 	// handlers running concurrently on different execution streams
 	// record without contending (t8, t13).
-	ult := c.Self.ID()
+	c.ult = c.Self.ID()
 
-	if stage.Measures() {
-		i.prof.EmitAt(ult, core.Event{
+	if c.stage.Measures() {
+		i.prof.EmitAt(c.ult, core.Event{
 			RequestID:  c.reqID,
 			Order:      meta.Order,
 			Kind:       core.EvTargetEnd,
-			Timestamp:  i.prof.StampNanos(t8),
+			Timestamp:  i.prof.StampNanos(c.t8),
 			Entity:     i.Addr(),
 			Peer:       c.mh.Peer(),
 			RPCName:    c.rpcName,
 			Breadcrumb: uint64(c.bc),
-			Duration:   int64(targetExec),
-			Failed:     failed,
+			Duration:   int64(c.targetExec),
+			Failed:     kind != respondOK,
 			Sys:        i.sysSample(i.handlerPool),
 		})
 	}
 
-	bc, origin, mh := c.bc, c.mh.Peer(), c.mh
-	return send(meta, func(err error) {
-		// t13: the response has been handed to the network. The profile
-		// entry is recorded even when the send failed (e.g. the reverse
-		// link partitioned): the handler did execute, and dropping its
-		// measurement would hide exactly the requests a fault campaign
-		// cares about.
-		if !stage.Measures() {
-			return
-		}
-		targetCB := time.Since(t8)
+	// From here the t13 callback is the record's second user.
+	c.refs.Add(1)
+	var err error
+	switch kind {
+	case respondOK:
+		err = c.mh.Respond(out, meta, c.onSent)
+	case respondError:
+		err = c.mh.RespondError(msg, meta, c.onSent)
+	default:
+		err = c.mh.RespondExpired(meta, c.onSent)
+	}
+	return err
+}
+
+// sent is the response-sent callback (t13): the response has been
+// handed to the network. The profile entry is recorded even when the
+// send failed (e.g. the reverse link partitioned): the handler did
+// execute, and dropping its measurement would hide exactly the requests
+// a fault campaign cares about.
+func (c *Context) sent(error) {
+	if c.stage.Measures() {
+		i := c.inst
 		var comps [core.NumComponents]uint64
-		comps[core.CompTargetExec] = uint64(targetExec)
-		comps[core.CompHandler] = uint64(handlerWait)
-		comps[core.CompTargetCB] = uint64(targetCB)
-		if stage.SamplesPVars() {
-			pv := i.samplePVars(mh)
+		comps[core.CompTargetExec] = uint64(c.targetExec)
+		comps[core.CompHandler] = uint64(c.handlerWait)
+		comps[core.CompTargetCB] = uint64(time.Since(c.t8))
+		var pv core.PVarSample
+		if i.samplePVars(c.stage, &pv, c.mh) != nil {
 			comps[core.CompInputDeser] = pv.InputDeserNanos
 			comps[core.CompOutputSer] = pv.OutputSerNanos
 			comps[core.CompRDMA] = pv.RDMANanos
 		}
-		i.prof.RecordTargetAt(ult, bc, origin, targetExec, &comps)
-	})
+		i.prof.RecordTargetAt(c.ult, c.bc, c.mh.Peer(), c.targetExec, &comps)
+	}
+	c.unref()
 }
 
 // Register installs a server-side RPC handler. Each incoming request
@@ -198,45 +270,42 @@ func (i *Instance) Register(rpcName string, fn HandlerFunc) error {
 		i.handlersInFlight.Add(1)
 		// Spawn the handler ULT (t4) detached and return immediately:
 		// nothing joins handler ULTs, so the scheduler recycles their
-		// structs and goroutines — steady-state dispatch allocates only
-		// this closure.
-		i.handlerPool.CreateDetached(rpcName, func(self *abt.ULT) {
-			defer i.handlersInFlight.Add(-1)
-			i.runHandler(self, mh, rpcName, fn)
-		})
+		// structs and goroutines, and the request's pooled Context rides
+		// the ULT's data slot — steady-state dispatch allocates nothing.
+		ctx := acquireContext()
+		ctx.inst, ctx.mh, ctx.fn, ctx.rpcName = i, mh, fn, rpcName
+		ctx.refs.Store(1)
+		i.handlerPool.CreateDetachedWith(rpcName, runHandler, ctx)
 	})
 }
 
-// runHandler is the handler ULT body: t5 onward.
-func (i *Instance) runHandler(self *abt.ULT, mh *mercury.Handle, rpcName string, fn HandlerFunc) {
+// runHandler is the handler ULT body: t5 onward. The ULT's data slot
+// holds the request's Context for its whole life, which is also where
+// nested forwards find the identity they inherit.
+func runHandler(self *abt.ULT) {
+	ctx := self.Data().(*Context)
+	i, mh, rpcName := ctx.inst, ctx.mh, ctx.rpcName
+	defer func() {
+		self.SetData(nil)
+		ctx.unref()
+		i.handlersInFlight.Add(-1)
+	}()
 	stage := i.prof.Stage()
 	meta := mh.Meta()
 
-	ctx := &Context{
-		inst:    i,
-		mh:      mh,
-		Self:    self,
-		rpcName: rpcName,
-		bc:      core.Breadcrumb(meta.Breadcrumb),
-		reqID:   meta.RequestID,
-		t5:      time.Now(),
-	}
+	ctx.Self = self
+	ctx.traced = meta.HasTrace
+	ctx.bc = core.Breadcrumb(meta.Breadcrumb)
+	ctx.reqID = meta.RequestID
+	// The absolute deadline (and priority) propagate to nested forwards,
+	// so every hop of a multi-tier request can make the same drop/serve
+	// decision against the same clock.
+	ctx.dlNanos = meta.DeadlineNanos
+	ctx.prio = meta.Priority
+	ctx.t5 = time.Now()
 
 	if meta.HasTrace {
-		// Store the callpath ancestry and request identity in ULT-local
-		// keys so RPCs issued by this handler extend the chain.
-		self.SetLocal(keyBreadcrumb{}, ctx.bc)
-		self.SetLocal(keyRequestID{}, ctx.reqID)
 		i.prof.Clock.Merge(meta.Order)
-	}
-	if meta.DeadlineNanos != 0 {
-		// Propagate the absolute deadline (and priority) to nested
-		// forwards, so every hop of a multi-tier request can make the
-		// same drop/serve decision against the same clock.
-		self.SetLocal(keyDeadline{}, meta.DeadlineNanos)
-	}
-	if meta.Priority != 0 {
-		self.SetLocal(keyPriority{}, meta.Priority)
 	}
 
 	if stage.Measures() {
@@ -255,13 +324,11 @@ func (i *Instance) runHandler(self *abt.ULT, mh *mercury.Handle, rpcName string,
 			QueueNanos: int64(self.FirstRunTime().Sub(self.SpawnTime())),
 			Sys:        i.sysSample(i.handlerPool),
 		}
-		if stage.SamplesPVars() {
-			ev.PVars = i.samplePVars(mh)
-		}
 		// The handler ULT's shard receives the t5 event and, in finish,
-		// the t8/t13 measurements — the PVAR samples fused above ride
-		// the same shard rather than a side channel.
-		i.prof.EmitAt(self.ID(), ev)
+		// the t8/t13 measurements — the PVAR sample fused here rides the
+		// same shard rather than a side channel.
+		var pv core.PVarSample
+		i.prof.EmitSampled(self.ID(), ev, i.samplePVars(stage, &pv, mh), nil)
 	}
 
 	if meta.DeadlineNanos != 0 && time.Now().UnixNano() > meta.DeadlineNanos {
@@ -271,9 +338,7 @@ func (i *Instance) runHandler(self *abt.ULT, mh *mercury.Handle, rpcName string,
 		// EvTargetStart above plus finish's Failed EvTargetEnd close the
 		// span, showing the queue wait that killed the request.
 		i.expiredTotal.Add(1)
-		_ = ctx.finish(true, func(m mercury.Meta, cb func(error)) error {
-			return mh.RespondExpired(m, cb)
-		})
+		_ = ctx.finish(respondExpired, nil, "")
 		return
 	}
 
@@ -285,7 +350,7 @@ func (i *Instance) runHandler(self *abt.ULT, mh *mercury.Handle, rpcName string,
 				ctx.RespondError("margo: handler for %s panicked: %v", rpcName, r)
 			}
 		}()
-		fn(ctx)
+		ctx.fn(ctx)
 	}()
 
 	if !ctx.responded {

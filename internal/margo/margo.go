@@ -233,19 +233,6 @@ type Instance struct {
 	sampler *telemetry.Sampler
 }
 
-// ULT-local key types for metadata propagation (paper §IV-A1: the
-// callpath ancestry and request identity travel in keys local to the ULT
-// servicing a request so downstream RPCs extend the chain).
-type (
-	keyBreadcrumb struct{}
-	keyRequestID  struct{}
-	// keyDeadline / keyPriority carry the overload-control fields across
-	// hops the same way: a handler servicing a deadline-stamped request
-	// stamps the same absolute deadline onto its nested forwards.
-	keyDeadline struct{}
-	keyPriority struct{}
-)
-
 // New creates and starts an instance: endpoint, Mercury class, Argobots
 // topology, PVAR session, and the progress ULT.
 func New(opts Options) (*Instance, error) {
@@ -500,10 +487,10 @@ func (i *Instance) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
-// rpcDone releases one in-flight slot and, on the transition to zero,
+// rpcDone releases n in-flight slots and, on the transition to zero,
 // wakes WaitIdle parkers.
-func (i *Instance) rpcDone() {
-	if i.rpcsInFlight.Add(-1) != 0 {
+func (i *Instance) rpcDone(n int) {
+	if i.rpcsInFlight.Add(int64(-n)) != 0 {
 		return
 	}
 	i.idleMu.Lock()
@@ -637,9 +624,16 @@ func (i *Instance) readBoundPVar(name string, mh *mercury.Handle) uint64 {
 	return v
 }
 
-// samplePVars builds the PVAR annotation for a trace event (Full stage).
-func (i *Instance) samplePVars(mh *mercury.Handle) *core.PVarSample {
-	s := &core.PVarSample{
+// samplePVars fills s, the PVAR annotation of a trace event, and
+// returns it — or returns nil, s untouched, when stage does not sample
+// PVARs. The handle-bound timers are read off mh when it is non-nil.
+// The caller owns s, typically on its stack: the collector copies what
+// it records.
+func (i *Instance) samplePVars(stage core.Stage, s *core.PVarSample, mh *mercury.Handle) *core.PVarSample {
+	if !stage.SamplesPVars() {
+		return nil
+	}
+	*s = core.PVarSample{
 		OFIEventsRead:    i.readGlobalPVar(mercury.PVarNumOFIEventsRead),
 		CompletionQueue:  i.readGlobalPVar(mercury.PVarCompletionQueueSize),
 		PostedHandles:    i.readGlobalPVar(mercury.PVarNumPostedHandles),

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"symbiosys/internal/na"
 )
 
 // This file implements the vectored wire frame (ISSUE 6 tentpole, layer
@@ -124,18 +122,11 @@ func (h *Handle) ForwardBatch(batchID uint64, b *BatchBuilder, cb ForwardCallbac
 		BatchID: batchID,
 		Count:   uint32(b.count),
 	}
-	frame, err := packFrame(&hdr, b.buf)
+	frame, err := hdr.pack(b.buf)
 	if err != nil {
 		return err
 	}
-
-	h.cb = cb
-	c.mu.Lock()
-	c.posted[h.cookie] = h
-	c.mu.Unlock()
-	c.postedLevel.Add(1)
-
-	c.ep.Send(h.target, na.TagUnexpected, frame, &forwardSendCtx{h: h})
+	h.post(frame, cb)
 	return nil
 }
 
@@ -326,13 +317,13 @@ func (bt *batchTarget) send() error {
 		buf = append(buf, slot.payload...)
 	}
 	hdr := respHeader{Status: statusOK, Flags: flagBatch, Count: uint32(len(bt.slots))}
-	frame, err := packFrame(&hdr, buf)
+	frame, err := hdr.pack(buf)
 	putArena(arena, buf)
 	if err != nil {
 		return err
 	}
 	c.responsesSent.Inc()
-	c.ep.Send(bt.peer, bt.cookie, frame, &batchRespondCtx{bt: bt})
+	c.ep.Send(bt.peer, bt.cookie, frame, bt)
 	return nil
 }
 
@@ -344,6 +335,3 @@ func (bt *batchTarget) complete(err error) {
 		}
 	}
 }
-
-// batchRespondCtx tags the network send of a batch reply frame.
-type batchRespondCtx struct{ bt *batchTarget }

@@ -94,7 +94,7 @@ func BenchmarkFramePack(b *testing.B) {
 	payload := make([]byte, 512)
 	b.SetBytes(512)
 	for i := 0; i < b.N; i++ {
-		if _, err := packFrame(&hdr, payload); err != nil {
+		if _, err := hdr.pack(payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package mercury
 
 import (
 	"fmt"
+	"sync"
 
 	"symbiosys/internal/na"
 )
@@ -36,27 +37,52 @@ func (c *Class) BulkFree(b Bulk) {
 	c.ep.DeregisterMemory(b.Mem)
 }
 
-// BulkPull reads remote[off:off+len(local)] into local. cb fires from
-// Trigger when the transfer completes. This is the path a target uses to
-// fetch key-value content after an sdskv_put_packed request (paper §V-C).
-func (c *Class) BulkPull(remote Bulk, off int, local []byte, cb func(error)) error {
-	return c.bulkOp(remote, off, local, cb, false)
+// BulkCallback completes a bulk transfer. arg is the value the caller
+// passed with the operation, so a package-level function can recover
+// its per-request record without a closure.
+type BulkCallback func(arg any, err error)
+
+// bulkOp is the pooled record of one bulk transfer in flight; it is the
+// context of the transfer's RDMA operation.
+type bulkOp struct {
+	cb  BulkCallback
+	arg any
+}
+
+var bulkOpPool = sync.Pool{New: func() any { return new(bulkOp) }}
+
+// finish recycles the record, then runs the caller's callback.
+func (op *bulkOp) finish(err error) {
+	cb, arg := op.cb, op.arg
+	*op = bulkOp{}
+	bulkOpPool.Put(op)
+	cb(arg, err)
+}
+
+// BulkPull reads remote[off:off+len(local)] into local. cb(arg, err)
+// fires from Trigger when the transfer completes. This is the path a
+// target uses to fetch key-value content after an sdskv_put_packed
+// request (paper §V-C).
+func (c *Class) BulkPull(remote Bulk, off int, local []byte, cb BulkCallback, arg any) error {
+	return c.bulkOp(remote, off, local, cb, arg, false)
 }
 
 // BulkPush writes local into remote[off:off+len(local)].
-func (c *Class) BulkPush(remote Bulk, off int, local []byte, cb func(error)) error {
-	return c.bulkOp(remote, off, local, cb, true)
+func (c *Class) BulkPush(remote Bulk, off int, local []byte, cb BulkCallback, arg any) error {
+	return c.bulkOp(remote, off, local, cb, arg, true)
 }
 
-func (c *Class) bulkOp(remote Bulk, off int, local []byte, cb func(error), push bool) error {
+func (c *Class) bulkOp(remote Bulk, off int, local []byte, cb BulkCallback, arg any, push bool) error {
 	if cb == nil {
 		return fmt.Errorf("mercury: bulk transfer requires a callback")
 	}
 	c.bulkBytes.Add(uint64(len(local)))
+	op := bulkOpPool.Get().(*bulkOp)
+	op.cb, op.arg = cb, arg
 	if push {
-		c.ep.Put(remote.Mem, off, local, &bulkCtx{cb: cb})
+		c.ep.Put(remote.Mem, off, local, op)
 	} else {
-		c.ep.Get(remote.Mem, off, local, &bulkCtx{cb: cb})
+		c.ep.Get(remote.Mem, off, local, op)
 	}
 	return nil
 }

@@ -27,6 +27,9 @@ type Handle struct {
 	peer   string
 	isTgt  bool
 
+	// data is the owner's per-request record (see SetData).
+	data any
+
 	// Origin-side state.
 	cb            ForwardCallback
 	respPayload   []byte
@@ -43,6 +46,11 @@ type Handle struct {
 	reqPayload []byte
 	meta       Meta
 	arrived    time.Time
+	// handler is the registered RPC handler the request is delivered to.
+	handler HandlerFunc
+	// respCB is the caller's response-sent callback (t13). The handle
+	// itself is the context of the response send.
+	respCB func(error)
 	// batchTgt links a sub-handle of a vectored request to the shared
 	// fan-in state; batchSlot is this entry's index in the reply.
 	batchTgt  *batchTarget
@@ -79,6 +87,15 @@ func (c *Class) Create(target, rpcName string) (*Handle, error) {
 	}, nil
 }
 
+// SetData attaches the owner's per-request record to the handle, so a
+// package-level completion callback can recover it from the handle it
+// is passed instead of capturing it in a closure. Storing a pointer
+// does not allocate.
+func (h *Handle) SetData(v any) { h.data = v }
+
+// Data returns the value last stored with SetData, nil when none.
+func (h *Handle) Data() any { return h.data }
+
 // RPCName returns the RPC the handle belongs to.
 func (h *Handle) RPCName() string { return h.rpcName }
 
@@ -114,7 +131,7 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 
 	// Serialize into a pooled arena: the cursor and scratch buffer are
 	// recycled, so the only allocation left on this path is the frame
-	// handed to the fabric (see packFrame).
+	// handed to the fabric (see finishFrame).
 	h.InputSerTime.Start()
 	arena := getArena()
 	payload, err := AppendEncode(*arena, in)
@@ -153,20 +170,25 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 		hdr.Mem = h.memH
 		eager = payload[:c.cfg.EagerLimit]
 	}
-	frame, err := packFrame(&hdr, eager)
+	frame, err := hdr.pack(eager)
 	putArena(arena, payload)
 	if err != nil {
 		return err
 	}
+	h.post(frame, cb)
+	return nil
+}
 
+// post registers the handle as awaiting a response and sends the
+// request frame; the handle is the send's context.
+func (h *Handle) post(frame []byte, cb ForwardCallback) {
+	c := h.class
 	h.cb = cb
 	c.mu.Lock()
 	c.posted[h.cookie] = h
 	c.mu.Unlock()
 	c.postedLevel.Add(1)
-
-	c.ep.Send(h.target, na.TagUnexpected, frame, &forwardSendCtx{h: h})
-	return nil
+	c.ep.Send(h.target, na.TagUnexpected, frame, h)
 }
 
 // completeForward finishes the origin side exactly once.
@@ -214,7 +236,7 @@ func (h *Handle) statusErr(status uint8, payload []byte) error {
 func (h *Handle) Cancel() {
 	c := h.class
 	c.unpost(h)
-	c.enqueue(func(time.Time) { h.completeForward(ErrCanceled) })
+	c.enqueue(completion{kind: compForwardErr, h: h, err: ErrCanceled})
 }
 
 // GetInput deserializes the request payload into v (target side),
@@ -298,13 +320,14 @@ func (h *Handle) respondStatus(status uint8, out Procable, meta Meta, cb func(er
 		hdr.Flags |= flagTrace
 		hdr.Order = meta.Order
 	}
-	frame, err := packFrame(&hdr, payload)
+	frame, err := hdr.pack(payload)
 	putArena(arena, payload)
 	if err != nil {
 		return err
 	}
 	c.responsesSent.Inc()
-	c.ep.Send(h.peer, h.cookie, frame, &respondCtx{h: h, cb: cb})
+	h.respCB = cb
+	c.ep.Send(h.peer, h.cookie, frame, h)
 	return nil
 }
 

@@ -92,8 +92,12 @@ type Class struct {
 
 	cookieSeq atomic.Uint64
 
-	cmu         sync.Mutex
-	completions []completion
+	// The completion queue is a head-indexed ring under cmu: cq has a
+	// power-of-two length, cqHead is the oldest entry, cqLen the depth.
+	cmu    sync.Mutex
+	cq     []completion
+	cqHead int
+	cqLen  int
 
 	// evBuf is the reusable event buffer for Progress's bounded read,
 	// guarded by progMu (one progress ULT drives Progress in practice,
@@ -122,12 +126,29 @@ type Class struct {
 	batchedOpsHandled   pvar.Counter
 }
 
-// completion is a queued callback plus its enqueue instant (t12 for
-// response completions; the residence until Trigger is the origin
-// completion callback delay).
+// compKind says what Trigger does with a queued completion.
+type compKind uint8
+
+const (
+	compResponse     compKind = iota // a response arrived for posted handle h (t12)
+	compForwardErr                   // h's forward failed locally: send error, cancel, malformed response
+	compRequest                      // fully received request h goes to its RPC handler
+	compUnknownRPC                   // request h names no handler; answer with an error status
+	compResponded                    // h's response was handed to the network (t13), or failed to be
+	compBatchReplied                 // the same for the vectored reply bt
+	compBulk                         // bulk transfer op finished
+)
+
+// completion is one typed completion-queue entry: the record it
+// concerns plus its enqueue instant. Entries carry no closure, so
+// queueing a completion allocates nothing.
 type completion struct {
-	run func(enqueued time.Time)
-	enq time.Time
+	kind compKind
+	h    *Handle
+	bt   *batchTarget
+	op   *bulkOp
+	err  error
+	enq  time.Time
 }
 
 // NewClass creates a Mercury instance bound to a fabric endpoint.
@@ -212,13 +233,27 @@ func (c *Class) RPCName(id uint32) (string, bool) {
 	return d.name, true
 }
 
-// enqueue adds a ready callback to the internal completion queue.
-func (c *Class) enqueue(fn func(enqueued time.Time)) {
+// enqueue adds a completion to the internal queue, stamping its
+// enqueue instant.
+func (c *Class) enqueue(comp completion) {
+	comp.enq = time.Now()
 	c.cmu.Lock()
-	c.completions = append(c.completions, completion{run: fn, enq: time.Now()})
-	n := int64(len(c.completions))
+	if c.cqLen == len(c.cq) {
+		c.growCQLocked()
+	}
+	c.cq[(c.cqHead+c.cqLen)&(len(c.cq)-1)] = comp
+	c.cqLen++
+	n := int64(c.cqLen)
 	c.cmu.Unlock()
 	c.cqLevel.Set(n)
+}
+
+// growCQLocked doubles the ring, unrolling it so the head is at 0.
+func (c *Class) growCQLocked() {
+	next := make([]completion, max(16, 2*len(c.cq)))
+	n := copy(next, c.cq[c.cqHead:])
+	copy(next[n:], c.cq[:c.cqHead])
+	c.cq, c.cqHead = next, 0
 }
 
 // Progress reads up to OFIMaxEvents network completion events and
@@ -251,28 +286,49 @@ func (c *Class) Trigger(max int) int {
 	ran := 0
 	for ran < max {
 		c.cmu.Lock()
-		if len(c.completions) == 0 {
+		if c.cqLen == 0 {
 			c.cmu.Unlock()
 			break
 		}
-		comp := c.completions[0]
-		copy(c.completions, c.completions[1:])
-		c.completions[len(c.completions)-1] = completion{}
-		c.completions = c.completions[:len(c.completions)-1]
-		n := int64(len(c.completions))
+		comp := c.cq[c.cqHead]
+		c.cq[c.cqHead] = completion{}
+		c.cqHead = (c.cqHead + 1) & (len(c.cq) - 1)
+		c.cqLen--
+		n := int64(c.cqLen)
 		c.cmu.Unlock()
 		c.cqLevel.Set(n)
-		comp.run(comp.enq)
+		c.run(comp)
 		ran++
 	}
 	return ran
+}
+
+// run executes one dequeued completion.
+func (c *Class) run(comp completion) {
+	switch comp.kind {
+	case compResponse:
+		comp.h.OriginCBTime.SetDuration(time.Since(comp.enq))
+		comp.h.completeForward(nil)
+	case compForwardErr:
+		comp.h.completeForward(comp.err)
+	case compRequest:
+		comp.h.handler(comp.h)
+	case compUnknownRPC:
+		comp.h.respondStatus(statusUnknownRPC, nil, Meta{}, nil)
+	case compResponded:
+		comp.h.respCB(comp.err)
+	case compBatchReplied:
+		comp.bt.complete(comp.err)
+	case compBulk:
+		comp.op.finish(comp.err)
+	}
 }
 
 // CompletionQueueLen reports the instantaneous internal queue length.
 func (c *Class) CompletionQueueLen() int {
 	c.cmu.Lock()
 	defer c.cmu.Unlock()
-	return len(c.completions)
+	return c.cqLen
 }
 
 // NetworkPending reports completion events still waiting in the network
@@ -280,7 +336,11 @@ func (c *Class) CompletionQueueLen() int {
 // signal.
 func (c *Class) NetworkPending() int { return c.ep.Pending() }
 
-// dispatch converts one network event into completion-queue work.
+// dispatch converts one network event into completion-queue work. The
+// context of every asynchronous network operation is the record it
+// belongs to: the *Handle of a request send, response send or internal
+// RDMA fetch, the *batchTarget of a vectored reply, the *bulkOp of a
+// bulk transfer.
 func (c *Class) dispatch(ev na.Event) {
 	switch ev.Kind {
 	case na.EvRecv:
@@ -291,49 +351,43 @@ func (c *Class) dispatch(ev na.Event) {
 		}
 	case na.EvRDMADone:
 		switch ctx := ev.Ctx.(type) {
-		case *rdmaReqCtx:
-			ctx.h.RDMATime.Stop()
-			c.deliver(ctx.h)
-		case *bulkCtx:
-			cb := ctx.cb
-			c.enqueue(func(time.Time) { cb(nil) })
+		case *Handle:
+			ctx.RDMATime.Stop()
+			c.deliver(ctx)
+		case *bulkOp:
+			c.enqueue(completion{kind: compBulk, op: ctx})
 		}
 	case na.EvSendDone:
 		switch ctx := ev.Ctx.(type) {
-		case *respondCtx:
-			cb := ctx.cb
-			if cb != nil {
-				c.enqueue(func(time.Time) { cb(nil) })
+		case *Handle:
+			// An origin's request hit the wire (completion comes with
+			// the response), or a target's response did (t13).
+			if ctx.isTgt && ctx.respCB != nil {
+				c.enqueue(completion{kind: compResponded, h: ctx})
 			}
-		case *batchRespondCtx:
+		case *batchTarget:
 			// The batch reply hit the wire: every member's completion
 			// callback shares this t13.
-			bt := ctx.bt
-			c.enqueue(func(time.Time) { bt.complete(nil) })
-		case *forwardSendCtx:
-			// Request hit the wire; completion comes with the response.
+			c.enqueue(completion{kind: compBatchReplied, bt: ctx})
 		}
 	case na.EvError:
 		c.sendErrors.Inc()
 		switch ctx := ev.Ctx.(type) {
-		case *forwardSendCtx:
-			h, err := ctx.h, ev.Err
-			c.unpost(h)
-			c.enqueue(func(time.Time) { h.completeForward(err) })
-		case *respondCtx:
-			cb, err := ctx.cb, ev.Err
-			if cb != nil {
-				c.enqueue(func(time.Time) { cb(err) })
+		case *Handle:
+			if !ctx.isTgt {
+				c.unpost(ctx)
+				c.enqueue(completion{kind: compForwardErr, h: ctx, err: ev.Err})
+			} else if ctx.respCB != nil {
+				c.enqueue(completion{kind: compResponded, h: ctx, err: ev.Err})
 			}
-		case *batchRespondCtx:
-			bt, err := ctx.bt, ev.Err
-			c.enqueue(func(time.Time) { bt.complete(err) })
-		case *bulkCtx:
-			cb, err := ctx.cb, ev.Err
-			c.enqueue(func(time.Time) { cb(err) })
-		case *rdmaReqCtx:
-			// Request metadata fetch failed; drop the request. The
-			// origin will observe a cancel/timeout at a higher layer.
+			// A target handle without a response callback either sent
+			// one nobody waits on, or failed its request metadata fetch:
+			// the request is dropped, and the origin observes a
+			// cancel/timeout at a higher layer.
+		case *batchTarget:
+			c.enqueue(completion{kind: compBatchReplied, bt: ctx, err: ev.Err})
+		case *bulkOp:
+			c.enqueue(completion{kind: compBulk, op: ctx, err: ev.Err})
 		}
 	}
 }
@@ -341,7 +395,7 @@ func (c *Class) dispatch(ev na.Event) {
 // handleRequest processes an incoming unexpected message (a request).
 func (c *Class) handleRequest(msg *na.Message) {
 	var hdr reqHeader
-	eager, err := unpackFrame(msg.Data, &hdr)
+	eager, err := hdr.unpack(msg.Data)
 	if err != nil {
 		return // malformed; drop
 	}
@@ -377,7 +431,7 @@ func (c *Class) handleRequest(msg *na.Message) {
 	copy(buf, eager)
 	h.reqPayload = buf
 	h.RDMATime.Start()
-	c.ep.Get(hdr.Mem, 0, buf[len(eager):], &rdmaReqCtx{h: h})
+	c.ep.Get(hdr.Mem, 0, buf[len(eager):], h)
 }
 
 // deliver queues handler invocation for a fully received request.
@@ -386,17 +440,13 @@ func (c *Class) deliver(h *Handle) {
 	def := c.rpcs[h.rpcID]
 	c.mu.Unlock()
 	if def == nil || def.handler == nil {
-		// Unknown RPC: answer with an error status so the origin fails
-		// fast instead of timing out.
-		c.enqueue(func(time.Time) {
-			h.respondStatus(statusUnknownRPC, nil, Meta{}, nil)
-		})
+		c.enqueue(completion{kind: compUnknownRPC, h: h})
 		return
 	}
 	h.rpcName = def.name
+	h.handler = def.handler
 	c.rpcsHandled.Inc()
-	handler := def.handler
-	c.enqueue(func(time.Time) { handler(h) })
+	c.enqueue(completion{kind: compRequest, h: h})
 }
 
 // handleResponse matches a response message to its posted handle.
@@ -413,28 +463,20 @@ func (c *Class) handleResponse(msg *na.Message) {
 	}
 	c.postedLevel.Add(-1)
 	var hdr respHeader
-	payload, err := unpackFrame(msg.Data, &hdr)
-	if err != nil {
-		c.enqueue(func(time.Time) { h.completeForward(err) })
-		return
+	payload, err := hdr.unpack(msg.Data)
+	if err == nil && hdr.Flags&flagBatch != 0 {
+		h.batchEnts, err = parseBatchResp(payload, int(hdr.Count))
 	}
-	if hdr.Flags&flagBatch != 0 {
-		ents, perr := parseBatchResp(payload, int(hdr.Count))
-		if perr != nil {
-			c.enqueue(func(time.Time) { h.completeForward(perr) })
-			return
-		}
-		h.batchEnts = ents
+	if err != nil {
+		c.enqueue(completion{kind: compForwardErr, h: h, err: err})
+		return
 	}
 	h.respStatus = hdr.Status
 	h.respMeta = Meta{HasTrace: hdr.Flags&flagTrace != 0, Order: hdr.Order}
 	h.respPayload = payload
 	// t12: the completion enters the queue; the delay until the origin
 	// callback runs at t14 is the origin completion callback time.
-	c.enqueue(func(enq time.Time) {
-		h.OriginCBTime.SetDuration(time.Since(enq))
-		h.completeForward(nil)
-	})
+	c.enqueue(completion{kind: compResponse, h: h})
 }
 
 // CancelPosted cancels every posted handle addressed to target (or all
@@ -463,12 +505,3 @@ func (c *Class) unpost(h *Handle) {
 	}
 	c.mu.Unlock()
 }
-
-// contexts attached to asynchronous network operations.
-type forwardSendCtx struct{ h *Handle }
-type respondCtx struct {
-	h  *Handle
-	cb func(error)
-}
-type rdmaReqCtx struct{ h *Handle }
-type bulkCtx struct{ cb func(error) }

@@ -2,6 +2,7 @@ package mercury
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -346,13 +347,13 @@ func TestBulkPullPush(t *testing.T) {
 			return
 		}
 		local := make([]byte, in.Size())
-		h.class.BulkPull(in, 0, local, func(err error) {
+		h.class.BulkPull(in, 0, local, func(_ any, err error) {
 			if err != nil {
 				t.Errorf("BulkPull: %v", err)
 			}
 			pulled <- local
 			h.Respond(&Void{}, Meta{}, nil)
-		})
+		}, nil)
 	})
 	p.client.Register("pull_rpc", nil)
 	h, _ := p.client.Create(p.server.Addr(), "pull_rpc")
@@ -492,5 +493,123 @@ func TestDestroyedHandleRejectsForward(t *testing.T) {
 	h.Destroy()
 	if err := h.Forward(&Void{}, Meta{}, nil); !errors.Is(err, ErrDestroyed) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// seqArg is a payload whose codec allocates nothing.
+type seqArg struct{ N uint64 }
+
+func (a *seqArg) Proc(p *Proc) error { return p.Uint64(&a.N) }
+
+// TestEchoRoundTripAllocs pins one Class-only round trip, both sides
+// driven from this goroutine: two handles, two frames, two fabric
+// messages and the handler's argument value. Completion-queue entries,
+// send contexts and headers cost nothing.
+func TestEchoRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled records are dropped at random under the race detector")
+	}
+	f := na.NewFabric(na.DefaultConfig())
+	cep, err := f.NewEndpoint("node0", "client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sep, err := f.NewEndpoint("node1", "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := NewClass(cep, Config{}), NewClass(sep, Config{})
+	server.Register("echo", func(h *Handle) {
+		var in seqArg
+		if err := h.GetInput(&in); err != nil {
+			t.Errorf("GetInput: %v", err)
+		}
+		if err := h.Respond(&in, Meta{HasTrace: true, Order: in.N}, func(error) {}); err != nil {
+			t.Errorf("Respond: %v", err)
+		}
+	})
+	client.Register("echo", nil)
+
+	var arg seqArg
+	done := false
+	cb := func(h *Handle, err error) {
+		if err == nil {
+			err = h.GetOutput(&arg)
+		}
+		if err != nil {
+			t.Errorf("forward: %v", err)
+		}
+		done = true
+	}
+	rtt := func() {
+		arg.N++
+		want := arg.N
+		h, err := client.Create(server.Addr(), "echo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = false
+		meta := Meta{HasTrace: true, Breadcrumb: 1, RequestID: want, Order: want, DeadlineNanos: 1 << 62, Priority: 1}
+		if err := h.Forward(&arg, meta, cb); err != nil {
+			t.Fatal(err)
+		}
+		for !done {
+			if server.Progress(0)+server.Trigger(16)+client.Progress(0)+client.Trigger(16) == 0 {
+				runtime.Gosched()
+			}
+		}
+		if arg.N != want || h.RespMeta().Order != want {
+			t.Fatalf("echo = %d (order %d), want %d", arg.N, h.RespMeta().Order, want)
+		}
+		h.Destroy()
+	}
+	for k := 0; k < 64; k++ {
+		rtt()
+	}
+	if n := testing.AllocsPerRun(1000, rtt); n > 8 {
+		t.Errorf("echo round trip allocates %.2f objects, want <= 8", n)
+	}
+}
+
+// TestCompletionQueueIsFIFOAcrossGrowthAndWrap drives the completion
+// ring through growth while its head is mid-array: completions must run
+// in enqueue order, and the queue-size PVAR must follow the depth.
+func TestCompletionQueueIsFIFOAcrossGrowthAndWrap(t *testing.T) {
+	f := na.NewFabric(na.DefaultConfig())
+	ep, err := f.NewEndpoint("node0", "solo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClass(ep, Config{})
+	var ran []int
+	record := func(arg any, err error) { ran = append(ran, arg.(int)) }
+	next := 0
+	enqueue := func(n int) {
+		for k := 0; k < n; k++ {
+			c.enqueue(completion{kind: compBulk, op: &bulkOp{cb: record, arg: next}})
+			next++
+		}
+	}
+	enqueue(12)
+	if got := c.Trigger(7); got != 7 {
+		t.Fatalf("Trigger(7) ran %d", got)
+	}
+	enqueue(11) // fills the 16-slot ring past its end
+	enqueue(40) // grows it, twice, with the head at 7
+	if got, want := c.CompletionQueueLen(), 12-7+11+40; got != want || c.cqLevel.Load() != int64(want) {
+		t.Fatalf("queue depth = %d (pvar %d), want %d", got, c.cqLevel.Load(), want)
+	}
+	for c.Trigger(5) > 0 {
+	}
+	if c.CompletionQueueLen() != 0 || c.cqLevel.Load() != 0 {
+		t.Fatalf("queue depth after drain = %d (pvar %d)", c.CompletionQueueLen(), c.cqLevel.Load())
+	}
+	if len(ran) != next {
+		t.Fatalf("ran %d completions, enqueued %d", len(ran), next)
+	}
+	for k, v := range ran {
+		if v != k {
+			t.Fatalf("completion %d ran at position %d", v, k)
+		}
 	}
 }

@@ -2,11 +2,14 @@ package mercury
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"symbiosys/internal/na"
 )
 
 // everything exercises all field kinds in one Procable.
@@ -162,12 +165,12 @@ func TestFramePackUnpack(t *testing.T) {
 	hdr.Mem.ID = 5
 	hdr.Mem.Len = 60
 	payload := []byte("payload-bytes")
-	frame, err := packFrame(&hdr, payload)
+	frame, err := hdr.pack(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got reqHeader
-	rest, err := unpackFrame(frame, &got)
+	rest, err := got.unpack(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +184,12 @@ func TestFramePackUnpack(t *testing.T) {
 
 func TestFrameUnpackErrors(t *testing.T) {
 	var hdr respHeader
-	if _, err := unpackFrame([]byte{1, 2}, &hdr); err == nil {
+	if _, err := hdr.unpack([]byte{1, 2}); err == nil {
 		t.Fatal("short frame accepted")
 	}
 	// Header length pointing past the end.
 	bad := []byte{255, 0, 0, 0, 1}
-	if _, err := unpackFrame(bad, &hdr); err == nil {
+	if _, err := hdr.unpack(bad); err == nil {
 		t.Fatal("oversized header length accepted")
 	}
 }
@@ -231,9 +234,9 @@ func TestDecodeArbitraryBytesNeverPanics(t *testing.T) {
 		var e everything
 		Decode(data, &e)
 		var rh reqHeader
-		unpackFrame(data, &rh)
+		rh.unpack(data)
 		var ph respHeader
-		unpackFrame(data, &ph)
+		ph.unpack(data)
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
@@ -250,12 +253,12 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			hdr.RequestID = reqID
 			hdr.Order = order
 		}
-		frame, err := packFrame(&hdr, payload)
+		frame, err := hdr.pack(payload)
 		if err != nil {
 			return false
 		}
 		var got reqHeader
-		rest, err := unpackFrame(frame, &got)
+		rest, err := got.unpack(frame)
 		if err != nil {
 			return false
 		}
@@ -263,5 +266,109 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Golden frames produced by the Procable-interface packFrame(&hdr, …)
+// this file's pack/unpack replaced (commit 0b629fd): the header codec
+// moved, the wire bytes must not.
+var goldenReqFrames = []struct {
+	hdr   reqHeader
+	frame string
+}{
+	{reqHeader{RPCID: 0x11223344, Cookie: 0x0102030405060708},
+		"0d000000443322110807060504030201007061796c6f6164"},
+	{reqHeader{RPCID: 42, Cookie: 99, Flags: flagTrace, Breadcrumb: 0xABCDEF0123456789, RequestID: 7<<32 | 5, Order: 3},
+		"250000002a0000006300000000000000018967452301efcdab050000000700000003000000000000007061796c6f6164"},
+	{reqHeader{RPCID: 42, Cookie: 100, Flags: flagDeadline, DeadlineNanos: 1790000000123456789, Priority: 2},
+		"160000002a00000064000000000000000415cd4e2b845bd718027061796c6f6164"},
+	{reqHeader{RPCID: 42, Cookie: 101, Flags: flagTrace | flagDeadline | flagMore, Breadcrumb: 1, RequestID: 2, Order: 3,
+		DeadlineNanos: -5, Priority: 255, TotalLen: 8192, Mem: na.MemHandle{Addr: "client-node0/loader", ID: 77, Len: 4096}},
+		"590000002a000000650000000000000007010000000000000002000000000000000300000000000000fbffffffffffffffff0020000013000000636c69656e742d6e6f6465302f6c6f616465724d0000000000000000100000000000007061796c6f6164"},
+	{reqHeader{RPCID: 7, Cookie: 102, Flags: flagBatch, BatchID: 0xFEEDFACE, Count: 64},
+		"1900000007000000660000000000000008cefaedfe00000000400000007061796c6f6164"},
+}
+
+var goldenRespFrames = []struct {
+	hdr   respHeader
+	frame string
+}{
+	{respHeader{Status: statusOK}, "0200000000006f7574"},
+	{respHeader{Status: statusHandlerError, Flags: flagTrace, Order: 0x1122334455667788}, "0a000000020188776655443322116f7574"},
+	{respHeader{Status: statusOK, Flags: flagBatch, Count: 3}, "060000000008030000006f7574"},
+	{respHeader{Status: statusExpired, Flags: flagTrace | flagBatch, Order: 9, Count: 1}, "0e00000004090900000000000000010000006f7574"},
+}
+
+func TestGoldenFramesStable(t *testing.T) {
+	for i, g := range goldenReqFrames {
+		want, _ := hex.DecodeString(g.frame)
+		frame, err := g.hdr.pack([]byte("payload"))
+		if err != nil || !bytes.Equal(frame, want) {
+			t.Errorf("request %d: pack = %x, %v; want %s", i, frame, err, g.frame)
+		}
+		var got reqHeader
+		rest, err := got.unpack(want)
+		if err != nil || got != g.hdr || string(rest) != "payload" {
+			t.Errorf("request %d: unpack = %+v, %q, %v; want %+v", i, got, rest, err, g.hdr)
+		}
+	}
+	for i, g := range goldenRespFrames {
+		want, _ := hex.DecodeString(g.frame)
+		frame, err := g.hdr.pack([]byte("out"))
+		if err != nil || !bytes.Equal(frame, want) {
+			t.Errorf("response %d: pack = %x, %v; want %s", i, frame, err, g.frame)
+		}
+		var got respHeader
+		rest, err := got.unpack(want)
+		if err != nil || got != g.hdr || string(rest) != "out" {
+			t.Errorf("response %d: unpack = %+v, %q, %v; want %+v", i, got, rest, err, g.hdr)
+		}
+	}
+}
+
+// TestHeaderCodecAllocFree pins what the per-type pack/unpack buys: the
+// header stays on the stack, so a frame costs its one exact-size buffer
+// and parsing one costs nothing.
+func TestHeaderCodecAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled cursors are dropped at random under the race detector")
+	}
+	hdr := reqHeader{RPCID: 42, Cookie: 99, Flags: flagTrace | flagDeadline, Breadcrumb: 1, RequestID: 2, Order: 3, DeadlineNanos: 4, Priority: 1}
+	payload := make([]byte, 256)
+	frame, err := hdr.pack(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		h := hdr
+		h.Cookie++
+		if _, err := h.pack(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("reqHeader.pack allocates %.1f objects, want 1 (the frame)", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		var got reqHeader
+		if _, err := got.unpack(frame); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("reqHeader.unpack allocates %.1f objects, want 0", n)
+	}
+	resp := respHeader{Status: statusOK, Flags: flagTrace, Order: 5}
+	rframe, _ := resp.pack(payload)
+	if n := testing.AllocsPerRun(200, func() {
+		r := resp
+		r.Order++
+		var got respHeader
+		if _, err := r.pack(payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.unpack(rframe); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("respHeader pack+unpack allocates %.1f objects, want 1 (the frame)", n)
 	}
 }

@@ -185,39 +185,74 @@ func (e *batchRespEntry) Proc(p *Proc) error {
 	return p.Err()
 }
 
-// packFrame prefixes an encoded header with its length and appends the
-// payload: [u32 hdrLen][header][payload]. The header is encoded into
-// pooled scratch; the only allocation is the exact-size frame itself,
-// which must be fresh because na.Endpoint.Send captures the slice (the
-// in-process receiver aliases it), so sent frames can never come from a
-// pool. One allocation per frame is therefore the steady-state floor —
-// batching amortizes it across the sub-requests a frame carries.
-func packFrame(hdr Procable, payload []byte) ([]byte, error) {
+// pack and unpack exist once per header type, each calling the type's
+// own Proc on a pooled cursor: a header passed as a Procable interface
+// would escape to the heap on every frame.
+
+// pack builds the request frame [u32 hdrLen][header][payload].
+func (r *reqHeader) pack(payload []byte) ([]byte, error) {
 	arena := getArena()
-	hb, err := AppendEncode(*arena, hdr)
-	if err != nil {
-		putArena(arena, hb)
-		return nil, err
-	}
-	frame := make([]byte, 0, 4+len(hb)+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(hb)))
-	frame = append(frame, hb...)
-	frame = append(frame, payload...)
-	putArena(arena, hb)
-	return frame, nil
+	p := acquireEncoder(*arena)
+	return finishFrame(arena, p, r.Proc(p), payload)
 }
 
-// unpackFrame splits a frame into its decoded header and payload view.
-func unpackFrame(data []byte, hdr Procable) (payload []byte, err error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("%w: frame too short", ErrProcShort)
+// pack builds the response frame [u32 hdrLen][header][payload].
+func (r *respHeader) pack(payload []byte) ([]byte, error) {
+	arena := getArena()
+	p := acquireEncoder(*arena)
+	return finishFrame(arena, p, r.Proc(p), payload)
+}
+
+// finishFrame prefixes the header p encoded into the pooled arena with
+// its length and appends the payload, then releases both. The only
+// allocation is the exact-size frame itself, which must be fresh
+// because na.Endpoint.Send captures the slice (the in-process receiver
+// aliases it), so sent frames can never come from a pool. One
+// allocation per frame is therefore the steady-state floor — batching
+// amortizes it across the sub-requests a frame carries.
+func finishFrame(arena *[]byte, p *Proc, err error, payload []byte) ([]byte, error) {
+	hb := p.buf
+	releaseProc(p)
+	var frame []byte
+	if err == nil {
+		frame = make([]byte, 0, 4+len(hb)+len(payload))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(hb)))
+		frame = append(frame, hb...)
+		frame = append(frame, payload...)
 	}
-	hl := int(binary.LittleEndian.Uint32(data))
-	if 4+hl > len(data) {
-		return nil, fmt.Errorf("%w: header length %d exceeds frame", ErrProcShort, hl)
+	putArena(arena, hb)
+	return frame, err
+}
+
+// unpack decodes a request frame's header and returns the payload view.
+func (r *reqHeader) unpack(frame []byte) (payload []byte, err error) {
+	p, payload, err := splitFrame(frame)
+	if err == nil {
+		err = r.Proc(p)
+		releaseProc(p)
 	}
-	if err := Decode(data[4:4+hl], hdr); err != nil {
-		return nil, err
+	return payload, err
+}
+
+// unpack decodes a response frame's header and returns the payload view.
+func (r *respHeader) unpack(frame []byte) (payload []byte, err error) {
+	p, payload, err := splitFrame(frame)
+	if err == nil {
+		err = r.Proc(p)
+		releaseProc(p)
 	}
-	return data[4+hl:], nil
+	return payload, err
+}
+
+// splitFrame returns a pooled decoder over the frame's header bytes and
+// the payload view behind them.
+func splitFrame(frame []byte) (hdr *Proc, payload []byte, err error) {
+	if len(frame) < 4 {
+		return nil, nil, fmt.Errorf("%w: frame too short", ErrProcShort)
+	}
+	hl := int(binary.LittleEndian.Uint32(frame))
+	if 4+hl > len(frame) {
+		return nil, nil, fmt.Errorf("%w: header length %d exceeds frame", ErrProcShort, hl)
+	}
+	return acquireDecoder(frame[4 : 4+hl]), frame[4+hl:], nil
 }

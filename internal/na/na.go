@@ -134,20 +134,6 @@ func (f *Fabric) delay(srcNode, dstNode string, size int) time.Duration {
 	return d
 }
 
-// after schedules fn once the modeled delay has elapsed (RDMA path;
-// message sends ride the per-destination sendChain instead). Work
-// always goes through the runtime timer even for µs-scale modeled
-// delays. On an idle host the timer wake granularity (~1ms) then acts
-// as a *uniform* inflation of every hop's latency — a constant scale
-// factor on the fabric, which preserves the relative behavior of the
-// experiments. The alternative (immediate goroutine handoff for short
-// delays) delivers faster but makes host scheduler contention, not the
-// modeled fabric and progress-loop dynamics, the dominant effect on a
-// small host — distorting exactly the phenomena the paper studies.
-func after(d time.Duration, fn func()) {
-	time.AfterFunc(d, fn)
-}
-
 // EventKind identifies a completion-queue event.
 type EventKind int8
 
@@ -221,11 +207,12 @@ type Endpoint struct {
 	nextID atomic.Uint64
 
 	// chainMu guards per-destination delivery chains that preserve
-	// point-to-point message ordering (as HPC fabrics do). Each chain
-	// owns a FIFO of pending deliveries and one reusable timer, so a
-	// steady-state send costs no timer, channel, or closure allocations.
+	// point-to-point ordering (as HPC fabrics do): one chain per peer
+	// for messages and one for RDMA. Each chain owns a FIFO of pending
+	// deliveries and one reusable timer, so a steady-state send or
+	// transfer costs no timer, channel, or closure allocations.
 	chainMu sync.Mutex
-	chains  map[string]*sendChain
+	chains  map[chainKey]*sendChain
 
 	sends atomic.Uint64
 	recvs atomic.Uint64
@@ -281,7 +268,7 @@ func (e *Endpoint) Send(to string, tag uint64, data []byte, ctx any) {
 	}
 	d := e.fabric.delay(e.node, dst.node, len(data)) + fault.delay
 	msg := &Message{From: e.addr, To: to, Tag: tag, Data: data}
-	e.chainFor(to).add(delivery{
+	e.chainFor(to, false).add(delivery{
 		dst:  dst,
 		msg:  msg,
 		ctx:  ctx,
@@ -291,38 +278,55 @@ func (e *Endpoint) Send(to string, tag uint64, data []byte, ctx any) {
 	})
 }
 
-// chainFor returns the delivery chain toward one destination address,
-// creating it on first use.
-func (e *Endpoint) chainFor(to string) *sendChain {
+// chainKey names one delivery chain: messages and RDMA toward the same
+// peer ride separate chains, so a large transfer does not hold back the
+// small messages behind it (and vice versa).
+type chainKey struct {
+	to   string
+	rdma bool
+}
+
+// chainFor returns the message or RDMA delivery chain toward one
+// destination address, creating it on first use.
+func (e *Endpoint) chainFor(to string, rdma bool) *sendChain {
+	key := chainKey{to: to, rdma: rdma}
 	e.chainMu.Lock()
 	defer e.chainMu.Unlock()
 	if e.chains == nil {
-		e.chains = make(map[string]*sendChain)
+		e.chains = make(map[chainKey]*sendChain)
 	}
-	sc := e.chains[to]
+	sc := e.chains[key]
 	if sc == nil {
 		sc = &sendChain{src: e}
 		sc.pumpFn = sc.pump
-		e.chains[to] = sc
+		e.chains[key] = sc
 	}
 	return sc
 }
 
-// delivery is one in-flight message awaiting its modeled transfer delay.
+// delivery is one in-flight message or RDMA transfer awaiting its
+// modeled transfer delay.
 type delivery struct {
-	dst  *Endpoint
-	msg  *Message
-	ctx  any
-	due  time.Time
+	dst *Endpoint
+	msg *Message // nil for an RDMA transfer
+	ctx any
+	due time.Time
+	// Message fault outcome.
 	drop bool
 	dup  bool
+	// RDMA transfer (msg == nil): local <-> region memID of dst at off.
+	memID uint64
+	off   int
+	local []byte
+	put   bool
 }
 
 // sendChain serializes deliveries from one endpoint to one destination
-// address so point-to-point ordering holds (as HPC fabrics guarantee):
-// entry i is delivered at max(its modeled arrival time, delivery of
-// entry i-1). A single timer is re-armed for the head of the FIFO —
-// the per-message timer+channel+closure trio this replaces dominated
+// address so point-to-point ordering holds (as HPC fabrics guarantee,
+// and as a reliable-connected queue pair completes its RDMA work
+// requests): entry i is delivered at max(its modeled arrival time,
+// delivery of entry i-1). A single timer is re-armed for the head of
+// the FIFO — the per-operation timer+closure this replaces dominated
 // the allocation profile of the RPC hot path.
 //
 // Deliveries still always ride the runtime timer, even for µs-scale
@@ -371,7 +375,11 @@ func (sc *sendChain) pump() {
 		}
 		sc.q[sc.qhead] = delivery{}
 		sc.qhead++
-		sc.src.deliver(d)
+		if d.msg != nil {
+			sc.src.deliver(d)
+		} else {
+			sc.src.completeRDMA(d)
+		}
 	}
 	sc.q = sc.q[:0]
 	sc.qhead = 0
@@ -455,23 +463,36 @@ func (e *Endpoint) rdma(remote MemHandle, off int, local []byte, ctx any, put bo
 		return
 	}
 	d := e.fabric.delay(e.node, dst.node, len(local)) + fault.delay
-	after(d, func() {
-		buf, ok := dst.memRegion(remote.ID)
-		if !ok {
-			e.cq.post(Event{Kind: EvError, Ctx: ctx, Err: ErrBadMemory})
-			return
-		}
-		if off < 0 || off+len(local) > len(buf) {
-			e.cq.post(Event{Kind: EvError, Ctx: ctx, Err: ErrBounds})
-			return
-		}
-		if put {
-			copy(buf[off:], local)
-		} else {
-			copy(local, buf[off:])
-		}
-		e.cq.post(Event{Kind: EvRDMADone, Ctx: ctx})
+	e.chainFor(remote.Addr, true).add(delivery{
+		dst:   dst,
+		ctx:   ctx,
+		due:   time.Now().Add(d),
+		memID: remote.ID,
+		off:   off,
+		local: local,
+		put:   put,
 	})
+}
+
+// completeRDMA performs one chained transfer against the region as it
+// is registered when the modeled delay has elapsed, and posts the
+// initiator's completion.
+func (e *Endpoint) completeRDMA(d delivery) {
+	buf, ok := d.dst.memRegion(d.memID)
+	if !ok {
+		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: ErrBadMemory})
+		return
+	}
+	if d.off < 0 || d.off+len(d.local) > len(buf) {
+		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: ErrBounds})
+		return
+	}
+	if d.put {
+		copy(buf[d.off:], d.local)
+	} else {
+		copy(d.local, buf[d.off:])
+	}
+	e.cq.post(Event{Kind: EvRDMADone, Ctx: d.ctx})
 }
 
 // Poll drains up to max completion events without blocking, returning

@@ -125,9 +125,10 @@ type ServerInfo struct {
 // a single issuing ULT (like a per-thread HEPnOS C++ client).
 //
 // With MaxInflight > 1 the client behaves like HEPnOS's asynchronous
-// engine: each flush is issued from its own ULT, up to MaxInflight
-// outstanding at once, and Flush waits for all of them. This is what
-// produces the bursty RPC floods of the paper's §V-C3/§V-C4 studies.
+// engine: each flush is issued from its own (detached, recycled) ULT,
+// up to MaxInflight outstanding at once, and Flush waits for all of
+// them. This is what produces the bursty RPC floods of the paper's
+// §V-C3/§V-C4 studies.
 type Client struct {
 	inst      *margo.Instance
 	kv        *sdskv.Client
@@ -144,10 +145,11 @@ type Client struct {
 	// their nominal duration, which would distort the model.
 	issueDebt time.Duration
 
-	// Async engine state.
+	// Async engine state. window holds one permit per allowed
+	// outstanding flush; a flusher returns its permit when it is done,
+	// so holding all maxInflight permits means none is outstanding.
 	maxInflight int
 	window      *abt.Semaphore
-	outstanding []*abt.ULT
 	asyncErrMu  sync.Mutex
 	asyncErr    error
 }
@@ -288,9 +290,11 @@ func (c *Client) flushDB(self *abt.ULT, idx int) error {
 		c.stored += uint64(n)
 		return nil
 	}
-	// Async engine: issue from a fresh ULT, bounded by the window.
+	// Async engine: issue from a detached ULT, bounded by the window.
+	// Nothing joins the flusher — the window permit it returns is the
+	// join — so the scheduler recycles its struct and goroutine.
 	c.window.Acquire(self)
-	u := c.inst.Run("hepnos-flush", func(flusher *abt.ULT) {
+	c.inst.MainPool().CreateDetached("hepnos-flush", func(flusher *abt.ULT) {
 		defer c.window.Release()
 		if err := c.kv.PutPacked(flusher, addr, dbID, keys, vals); err != nil {
 			c.asyncErrMu.Lock()
@@ -300,17 +304,21 @@ func (c *Client) flushDB(self *abt.ULT, idx int) error {
 			c.asyncErrMu.Unlock()
 		}
 	})
-	c.outstanding = append(c.outstanding, u)
 	c.stored += uint64(n)
 	return c.takeAsyncErr()
 }
 
-// waitOutstanding joins every in-flight async flush.
+// waitOutstanding waits for every in-flight async flush by taking the
+// whole window, then hands it back.
 func (c *Client) waitOutstanding(self *abt.ULT) error {
-	for _, u := range c.outstanding {
-		u.Join(self)
+	if c.window != nil {
+		for k := 0; k < c.maxInflight; k++ {
+			c.window.Acquire(self)
+		}
+		for k := 0; k < c.maxInflight; k++ {
+			c.window.Release()
+		}
 	}
-	c.outstanding = c.outstanding[:0]
 	return c.takeAsyncErr()
 }
 

@@ -2,6 +2,8 @@ package mobject
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -219,5 +221,54 @@ func TestConcurrentClients(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteOpCallpathGolden pins what a handler's nested forwards
+// inherit: one write_op yields exactly these (event kind, RPC,
+// breadcrumb) records — recorded at commit 0b629fd, before the request
+// identity moved from ULT-local keys to the handler's Context — and all
+// 52 of them carry the root's request ID.
+func TestWriteOpCallpathGolden(t *testing.T) {
+	golden := map[string]int{}
+	for rpc, g := range map[string]struct {
+		bc uint64
+		n  int
+	}{
+		"mobject_write_op":       {0xed39, 1},
+		"bake_create_rpc":        {0xed393a38, 1},
+		"bake_write_rpc":         {0xed39f1ab, 1},
+		"bake_persist_rpc":       {0xed391401, 1},
+		"bake_get_size_rpc":      {0xed39528f, 1},
+		"sdskv_put_rpc":          {0xed394377, 5},
+		"sdskv_get_rpc":          {0xed395e90, 2},
+		"sdskv_list_keyvals_rpc": {0xed39d565, 1},
+	} {
+		for _, kind := range []core.EventKind{core.EvOriginStart, core.EvTargetStart, core.EvTargetEnd, core.EvOriginEnd} {
+			golden[fmt.Sprintf("%s %s %#x", kind, rpc, g.bc)] = g.n
+		}
+	}
+
+	e := newEnv(t)
+	if err := e.run(t, func(self *abt.ULT) error {
+		return e.client.WriteOp(self, e.srv.Addr(), "obj-G", []byte("payload"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	e.srv.WaitIdle(2 * time.Second)
+
+	got := map[string]int{}
+	ids := map[uint64]int{}
+	for _, evs := range [][]core.Event{e.cli.Profiler().TraceEvents(), e.srv.Profiler().TraceEvents()} {
+		for _, ev := range evs {
+			ids[ev.RequestID]++
+			got[fmt.Sprintf("%s %s %#x", ev.Kind, ev.RPCName, ev.Breadcrumb)]++
+		}
+	}
+	if !reflect.DeepEqual(got, golden) {
+		t.Errorf("write_op events = %v\nwant %v", got, golden)
+	}
+	if len(ids) != 1 || ids[0] != 0 {
+		t.Errorf("request IDs = %v, want one non-zero ID on all events", ids)
 	}
 }
