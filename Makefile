@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-json bench-gate bench-build bench-allocs smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke
+.PHONY: all build test race vet check bench bench-json bench-gate bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke
 
 all: check
 
@@ -46,14 +46,27 @@ check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke build tes
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# bench-allocs prints the four gated end-to-end metrics of the three
-# workloads that exercise the per-RPC path (single forwards with a bulk
-# pull, single forwards both ways, nested forwards), one 15 s run each.
+# bench-allocs prints the four gated end-to-end metrics of the five
+# workloads that run RPCs (single forwards with a bulk pull, large
+# packed batches, single forwards both ways, coalesced forwards, nested
+# forwards), one 15 s run each.
 bench-allocs:
-	@set -e; for w in hepnos_c7 sdskv_mixed mobject_ior; do \
+	@set -e; for w in hepnos_c7 hepnos_c4 sdskv_mixed sdskv_multi mobject_ior; do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --trace 0); \
 		echo "$$out" | grep -E '^(# [a-z0-9_]+ seed=|(setup_s|allocs_per_op|alloc_bytes_per_op|trace_bytes_per_op) )'; \
 	done
+
+# alloc-sites prints where the HEPnOS configurations of Table IV put
+# their bytes: every allocation of one pass over C1..C7 sampled
+# (memprofilerate=1), top 20 sites by allocated space. It regenerates
+# the per-site table a payload-path change is argued from without
+# touching benchmark/.
+ALLOC_SITES_DIR ?= .bench_build/alloc-sites
+alloc-sites:
+	@mkdir -p $(ALLOC_SITES_DIR)
+	$(GO) test -run '^$$' -bench '^BenchmarkTableIVConfigs$$' -benchtime=1x \
+		-memprofile mem.out -memprofilerate=1 -outputdir $(ALLOC_SITES_DIR) -o $(ALLOC_SITES_DIR)/root.test .
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(ALLOC_SITES_DIR)/root.test $(ALLOC_SITES_DIR)/mem.out
 
 # bench-json measures the RPC hot path (proc codec, batch building,
 # scheduler quantum switches and contended pool handoffs, unbatched vs

@@ -289,9 +289,9 @@ func runProcDecode() ScenarioResult {
 	if err != nil {
 		panic(err)
 	}
-	// The destination is reused across iterations so the capacity-reuse
-	// decode path applies (fresh structs allocate by design).
-	dst := &kvPayload{Key: make([]byte, 0, 64), Value: make([]byte, 0, 512)}
+	// Byte slices decode as views of wire, so the destination needs no
+	// capacity of its own.
+	dst := &kvPayload{}
 	if err := mercury.Decode(wire, dst); err != nil {
 		panic(err)
 	}

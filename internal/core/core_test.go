@@ -311,6 +311,49 @@ func TestTracerBoundsAndReset(t *testing.T) {
 	}
 }
 
+// TestTracerChunksKeepOrderAndBounds fills a tracer across many chunk
+// boundaries (and up to a capacity that falls inside a chunk): events
+// come back complete and in emission order, the bound and the dropped
+// count hold, a copy from Events survives Reset, and the tracer starts
+// over small afterwards.
+func TestTracerChunksKeepOrderAndBounds(t *testing.T) {
+	const capacity = 3*eventChunk + 17
+	tr := NewTracer(capacity)
+	pv := PVarSample{}
+	for i := 0; i < capacity+5; i++ {
+		pv.OFIEventsRead = uint64(i)
+		ev := Event{RequestID: uint64(i), Timestamp: 1}
+		if ok := tr.emit(&ev, &pv, nil); ok != (i < capacity) {
+			t.Fatalf("emit %d = %v", i, ok)
+		}
+	}
+	if tr.Len() != capacity || tr.Dropped() != 5 {
+		t.Fatalf("len = %d dropped = %d, want %d and 5", tr.Len(), tr.Dropped(), capacity)
+	}
+	evs := tr.Events()
+	if len(evs) != capacity {
+		t.Fatalf("Events returned %d of %d", len(evs), capacity)
+	}
+	for i, ev := range evs {
+		if ev.RequestID != uint64(i) || ev.PVars == nil || ev.PVars.OFIEventsRead != uint64(i) {
+			t.Fatalf("event %d = %+v (pvars %+v)", i, ev, ev.PVars)
+		}
+	}
+	for i := 1; i < len(tr.chunks); i++ {
+		if c := cap(tr.chunks[i]); c > eventChunk || c < cap(tr.chunks[i-1]) {
+			t.Fatalf("chunk %d holds %d events after one of %d", i, c, cap(tr.chunks[i-1]))
+		}
+	}
+	tr.Reset()
+	tr.Emit(Event{RequestID: 99})
+	if evs[0].RequestID != 0 || evs[capacity-1].PVars.OFIEventsRead != capacity-1 {
+		t.Fatal("a copy handed out by Events changed after Reset")
+	}
+	if got := tr.Events(); len(got) != 1 || got[0].RequestID != 99 || cap(tr.chunks[0]) != chunkMin {
+		t.Fatalf("after Reset: %+v in a chunk of %d", got, cap(tr.chunks[0]))
+	}
+}
+
 func TestTraceDumpRoundTrip(t *testing.T) {
 	p := NewProfiler("node0/p", StageFull)
 	p.Emit(Event{

@@ -2,13 +2,14 @@ package core
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 )
 
 // SysSampler provides cheap OS/runtime statistics for trace-event
-// annotation. Reading runtime memory statistics is too expensive to do
-// per event, so samples are cached and refreshed at a bounded rate.
+// annotation. Reading runtime statistics is too expensive to do per
+// event, so samples are cached and refreshed at a bounded rate.
 type SysSampler struct {
 	mu        sync.Mutex
 	last      time.Time
@@ -44,10 +45,14 @@ func (s *SysSampler) Sample() SysSample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.refreshes == 0 || time.Since(s.last) >= s.refresh {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
+		// runtime/metrics rather than runtime.ReadMemStats, which stops
+		// the world — and every process's first sample lands inside the
+		// run it annotates. The metric is MemStats.HeapAlloc by another
+		// name.
+		heap := [1]metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		metrics.Read(heap[:])
 		s.cached = SysSample{
-			HeapBytes:  ms.HeapAlloc,
+			HeapBytes:  heap[0].Value.Uint64(),
 			Goroutines: runtime.NumGoroutine(),
 		}
 		s.last = time.Now()

@@ -5,12 +5,16 @@ import (
 	"sync"
 )
 
-// btree is an in-memory B-tree keyed by byte slices. Fan-out is fixed;
-// keys and values are copied on insertion so callers may reuse buffers.
+// btree is an in-memory B-tree keyed by byte slices. Fan-out is fixed.
+// A new pair is copied once, key and value side by side, into the
+// tree's slab, so callers may reuse their buffers; get and scan hand out
+// the stored bytes themselves, which an overwrite may rewrite in place.
 type btree struct {
 	root  *bnode
 	size  int
 	order int // max children per internal node
+	slab  slab
+	dead  int // pairs deleted or outgrown since the tree was built (see reclaim)
 }
 
 type bnode struct {
@@ -68,19 +72,39 @@ func (n *bnode) search(key []byte) (idx int, eq bool) {
 
 // put inserts or replaces, reporting whether a new key was added.
 func (t *btree) put(key, value []byte) bool {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
 	if len(t.root.keys) > t.maxKeys() {
 		t.growRoot()
 	}
-	added := t.insert(t.root, k, v)
+	added := t.insert(t.root, key, value)
 	if len(t.root.keys) > t.maxKeys() {
 		t.growRoot()
 	}
 	if added {
 		t.size++
 	}
+	t.reclaim()
 	return added
+}
+
+// reclaimMin is the fewest dead pairs worth a rebuild.
+const reclaimMin = 64
+
+// reclaim rebuilds the tree once it holds more dead pairs than live
+// ones. Slab ranges are never reused and delete never rebalances, so a
+// deleted pair's bytes stay pinned while anything else — a surviving
+// pair, a separator, a leaf's spare slot — points into its chunk;
+// copying the survivors into a fresh tree and slab drops all of that at
+// once, for a cost per delete that is amortised constant.
+func (t *btree) reclaim() {
+	if t.dead < reclaimMin || t.dead <= t.size {
+		return
+	}
+	fresh := newBTree()
+	t.scan(nil, func(k, v []byte) bool {
+		fresh.put(k, v)
+		return true
+	})
+	*t = *fresh
 }
 
 // growRoot splits an overfull root, raising the tree height.
@@ -121,22 +145,36 @@ func split(n *bnode) (mid []byte, left, right *bnode) {
 	return mid, left, right
 }
 
-// insert adds key/value beneath n, splitting children preemptively so a
-// single downward pass suffices.
+// insert copies key/value into the tree beneath n, splitting children
+// preemptively so a single downward pass suffices. An overwrite keeps
+// the stored key and reuses the old value's bytes when the new one fits.
 func (t *btree) insert(n *bnode, key, value []byte) bool {
 	for {
 		idx, eq := n.search(key)
 		if n.leaf() {
 			if eq {
-				n.vals[idx] = value
+				v := n.vals[idx]
+				if cap(v) < len(value) {
+					// An object of its own, freed by the next growth: a
+					// value that keeps growing abandons only the slab
+					// range it was first stored in.
+					v = make([]byte, len(value))
+					t.dead++
+				}
+				v = v[:len(value)]
+				copy(v, value)
+				n.vals[idx] = v
 				return false
 			}
+			kv := t.slab.alloc(len(key) + len(value))
+			copy(kv, key)
+			copy(kv[len(key):], value)
 			n.keys = append(n.keys, nil)
 			copy(n.keys[idx+1:], n.keys[idx:])
-			n.keys[idx] = key
+			n.keys[idx] = kv[:len(key):len(key)]
 			n.vals = append(n.vals, nil)
 			copy(n.vals[idx+1:], n.vals[idx:])
-			n.vals[idx] = value
+			n.vals[idx] = kv[len(key):]
 			return true
 		}
 		if eq {
@@ -162,8 +200,8 @@ func (t *btree) insert(n *bnode, key, value []byte) bool {
 }
 
 // delete removes key, reporting whether it was present. Nodes are not
-// rebalanced on delete (acceptable for the workloads here: deletions are
-// rare and lookups remain correct, only density degrades).
+// rebalanced on delete (lookups remain correct, only density degrades);
+// reclaim rebuilds the tree when most of it is gone.
 func (t *btree) delete(key []byte) bool {
 	n := t.root
 	for {
@@ -175,6 +213,8 @@ func (t *btree) delete(key []byte) bool {
 			n.keys = append(n.keys[:idx], n.keys[idx+1:]...)
 			n.vals = append(n.vals[:idx], n.vals[idx+1:]...)
 			t.size--
+			t.dead++
+			t.reclaim()
 			return true
 		}
 		if eq {

@@ -38,9 +38,11 @@ type DB interface {
 	Name() string
 	// Backend returns the engine identifier ("map", "leveldb", ...).
 	Backend() string
-	// Put stores value under key, replacing any previous value.
+	// Put stores copies of key and value, replacing any previous value;
+	// the caller may reuse both buffers as soon as it returns.
 	Put(key, value []byte) error
-	// Get retrieves the value stored under key.
+	// Get retrieves the value stored under key, as a copy the caller
+	// owns (List's pairs are copies too): a later Put never changes it.
 	Get(key []byte) (value []byte, found bool, err error)
 	// Delete removes key, reporting whether it was present.
 	Delete(key []byte) (bool, error)

@@ -1,0 +1,232 @@
+package kv
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+)
+
+// TestStoreOwnsItsBytes runs random put / overwrite-smaller /
+// overwrite-larger / delete / get / list traffic against a
+// map[string]string model, with value sizes on both sides of the slab's
+// own-allocation threshold, and holds every backend to the two halves
+// of the DB contract the slab store leans on: Put copies (the caller
+// scribbles over its key and value buffers right after every call), and
+// what Get and List return is the caller's (every slice ever returned
+// is re-checked at the end, after later Puts rewrote values in place).
+func TestStoreOwnsItsBytes(t *testing.T) {
+	sizes := []int{0, 1, 7, 48, 512, 600, slabChunk / 4, slabChunk/4 + 1, slabChunk + 100}
+	for _, db := range allBackends(t) {
+		t.Run(db.Backend(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			model := make(map[string]string)
+			type handed struct{ got, want []byte }
+			var out []handed
+			hand := func(got []byte) {
+				out = append(out, handed{got, append([]byte(nil), got...)})
+			}
+			kbuf, vbuf := make([]byte, 0, 16), make([]byte, 0, slabChunk+100)
+			for op := 0; op < 4000; op++ {
+				kbuf = append(kbuf[:0], fmt.Sprintf("key-%03d", rng.Intn(200))...)
+				k := string(kbuf)
+				switch rng.Intn(10) {
+				case 0: // delete
+					was, err := db.Delete(kbuf)
+					if _, in := model[k]; err != nil || was != in {
+						t.Fatalf("op %d: delete(%s) = %v, %v; model %v", op, k, was, err, in)
+					}
+					delete(model, k)
+				case 1, 2: // get
+					v, ok, err := db.Get(kbuf)
+					if mv, in := model[k]; err != nil || ok != in || string(v) != mv {
+						t.Fatalf("op %d: get(%s) = %d bytes/%v, %v; model %d bytes/%v", op, k, len(v), ok, err, len(mv), in)
+					}
+					hand(v)
+				case 3: // list a window
+					pairs, err := db.List(kbuf, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range pairs {
+						if string(p.Value) != model[string(p.Key)] {
+							t.Fatalf("op %d: list from %s: %s has %d bytes, model %d", op, k, p.Key, len(p.Value), len(model[string(p.Key)]))
+						}
+						hand(p.Key)
+						hand(p.Value)
+					}
+				default: // put: new key, or an overwrite smaller or larger than before
+					vbuf = vbuf[:sizes[rng.Intn(len(sizes))]]
+					for i := range vbuf {
+						vbuf[i] = byte(op + i)
+					}
+					if err := db.Put(kbuf, vbuf); err != nil {
+						t.Fatal(err)
+					}
+					model[k] = string(vbuf)
+					for i := range vbuf {
+						vbuf[i] = 0xEE
+					}
+					for i := range kbuf {
+						kbuf[i] = 0xEE
+					}
+				}
+			}
+			for i, h := range out {
+				if !bytes.Equal(h.got, h.want) {
+					t.Fatalf("slice %d handed out by Get/List changed after a later Put", i)
+				}
+			}
+			keys := make([]string, 0, len(model))
+			for k := range model {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			pairs, err := db.List(nil, len(model)+1)
+			if err != nil || len(pairs) != len(model) || db.Len() != len(model) {
+				t.Fatalf("List = %d pairs, %v; Len %d; model %d", len(pairs), err, db.Len(), len(model))
+			}
+			for i, k := range keys {
+				if string(pairs[i].Key) != k || string(pairs[i].Value) != model[k] {
+					t.Fatalf("List[%d] = %q (%d bytes), want %q (%d bytes)", i, pairs[i].Key, len(pairs[i].Value), k, len(model[k]))
+				}
+			}
+		})
+	}
+}
+
+// TestMapPutAllocs pins what the slab buys the "map" backend: a new
+// 48 B / 512 B pair costs no allocation of its own — one 16 KiB chunk
+// per 29 pairs, plus the tree's node growth (a leaf split every 16
+// ordered inserts: two nodes, four slices, two regrowths) — and an
+// overwrite that fits costs nothing at all.
+func TestMapPutAllocs(t *testing.T) {
+	db, err := Open("map", "pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, val := make([]byte, 48), make([]byte, 512)
+	var n uint64
+	fresh := mallocsPerRun(20000, func() {
+		n++
+		binary.BigEndian.PutUint64(key[40:], n)
+		if err := db.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Put of a new pair: %.3f objects amortised", fresh)
+	if fresh > 0.65 {
+		t.Errorf("Put of a new pair allocates %.3f objects amortised, want <= 0.65 (slab 0.035 + tree nodes)", fresh)
+	}
+	var s slab
+	if a := mallocsPerRun(20000, func() { s.alloc(560) }); a > 0.05 {
+		t.Errorf("slab.alloc(560) allocates %.3f objects amortised, want one chunk per 29", a)
+	}
+	over := testing.AllocsPerRun(1000, func() {
+		val[0]++
+		if err := db.Put(key, val[:400]); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if over != 0 {
+		t.Errorf("overwriting smaller then back to full size allocates %.1f objects, want 0", over)
+	}
+	if v, ok, _ := db.Get(key); !ok || !bytes.Equal(v, val) {
+		t.Fatal("overwritten value differs")
+	}
+}
+
+// TestDeletedBytesAreReclaimed bounds what the slab store retains: ranges
+// are never reused, so without btree.reclaim one survivor (or separator
+// key) per chunk would pin everything ever stored. Deleting nine pairs
+// in ten, scattered so that every chunk keeps a survivor, must release
+// most of the heap the load took, deleting the rest nearly all of it,
+// and a value that keeps growing must not leave its previous copies
+// behind.
+func TestDeletedBytesAreReclaimed(t *testing.T) {
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	db, err := Open("map", "retain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 20000
+	key, val := make([]byte, 48), make([]byte, 512)
+	base := heap()
+	for i := 0; i < pairs; i++ {
+		binary.BigEndian.PutUint64(key[40:], uint64(i))
+		if err := db.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded := heap() - base
+	if loaded < pairs*560 {
+		t.Fatalf("loading %d pairs took %d B of heap, less than their bytes", pairs, loaded)
+	}
+	remove := func(keep func(i int) bool) {
+		for i := 0; i < pairs; i++ {
+			if keep(i) {
+				continue
+			}
+			binary.BigEndian.PutUint64(key[40:], uint64(i))
+			if _, err := db.Delete(key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	remove(func(i int) bool { return i%10 == 0 })
+	if kept := heap() - base; kept > loaded/4 {
+		t.Errorf("a tenth of the pairs survive but %d of %d B stay live", kept, loaded)
+	}
+	for i := 0; i < pairs; i += 10 {
+		binary.BigEndian.PutUint64(key[40:], uint64(i))
+		if v, ok, err := db.Get(key); err != nil || !ok || len(v) != len(val) {
+			t.Fatalf("survivor %d = %d bytes, %v, %v", i, len(v), ok, err)
+		}
+	}
+	remove(func(int) bool { return false })
+	if kept := heap() - base; db.Len() != 0 || kept > loaded/20 {
+		t.Errorf("every pair deleted (Len %d) but %d of %d B stay live", db.Len(), kept, loaded)
+	}
+
+	grown := make([]byte, slabChunk/4)
+	empty := heap()
+	for n := 1; n <= len(grown); n++ {
+		grown[n-1] = byte(n)
+		if err := db.Put(key, grown[:n]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kept := heap() - empty; kept > 16*int64(len(grown)) {
+		t.Errorf("one value grown to %d B in steps of one keeps %d B live", len(grown), kept)
+	}
+	if v, _, _ := db.Get(key); !bytes.Equal(v, grown) {
+		t.Fatal("grown value differs")
+	}
+	runtime.KeepAlive(db)
+}
+
+// mallocsPerRun is testing.AllocsPerRun without the truncation to a
+// whole number, which would report every amortised cost below one
+// object as zero.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}

@@ -2,6 +2,7 @@ package margo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,6 +57,11 @@ type Context struct {
 	handlerWait time.Duration
 	onSent      func(error) // == sent, bound once so responding never allocates
 
+	// scratch is the request's bulk landing buffer (see Scratch), a
+	// mercury arena held from the first Scratch call until the record is
+	// recycled.
+	scratch *[]byte
+
 	// refs counts the two parties that still use the record: the
 	// handler ULT (until the handler returns) and the t13 callback.
 	refs atomic.Int32
@@ -81,9 +87,26 @@ func (c *Context) unref() {
 	if c.refs.Add(-1) != 0 {
 		return
 	}
+	if c.scratch != nil {
+		mercury.PutArena(c.scratch, *c.scratch)
+		c.scratch = nil
+	}
 	c.inst, c.mh, c.fn, c.Self = nil, nil, nil, nil
 	c.responded = false
 	contextPool.Put(c)
+}
+
+// Scratch returns the request's n-byte scratch buffer, contents
+// unspecified: somewhere to land a bulk pull that is decoded and copied
+// onward before the handler returns. It is recycled with the Context, so
+// neither it nor a view decoded from it may outlive the handler, and a
+// second call in one request reuses (and invalidates) the first's bytes.
+func (c *Context) Scratch(n int) []byte {
+	if c.scratch == nil {
+		c.scratch = mercury.GetArena(n)
+	}
+	*c.scratch = slices.Grow((*c.scratch)[:0], n)[:n]
+	return *c.scratch
 }
 
 // Instance returns the hosting Margo instance.
@@ -114,7 +137,9 @@ func (c *Context) Deadline() time.Time {
 func (c *Context) Priority() uint8 { return c.prio }
 
 // GetInput decodes the request arguments (charging the
-// input_deserialization_time PVAR, t6→t7).
+// input_deserialization_time PVAR, t6→t7). v's byte slices are read-only
+// views of the received frame; they outlive the Context and pin the
+// frame for as long as the handler's service keeps them.
 func (c *Context) GetInput(v mercury.Procable) error { return c.mh.GetInput(v) }
 
 // InputSize reports the serialized request payload size.

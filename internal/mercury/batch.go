@@ -304,21 +304,21 @@ func (bt *batchTarget) record(h *Handle, status uint8, out Procable, meta Meta, 
 // member callbacks share the batch reply's send completion (t13).
 func (bt *batchTarget) send() error {
 	c := bt.class
-	arena := getArena()
+	arena := GetArena(0)
 	buf := *arena
 	var err error
 	for i := range bt.slots {
 		slot := &bt.slots[i]
 		ent := batchRespEntry{Status: slot.status, Flags: slot.flags, Order: slot.order, Len: uint32(len(slot.payload))}
 		if buf, err = AppendEncode(buf, &ent); err != nil {
-			putArena(arena, buf)
+			PutArena(arena, buf)
 			return err
 		}
 		buf = append(buf, slot.payload...)
 	}
 	hdr := respHeader{Status: statusOK, Flags: flagBatch, Count: uint32(len(bt.slots))}
 	frame, err := hdr.pack(buf)
-	putArena(arena, buf)
+	PutArena(arena, buf)
 	if err != nil {
 		return err
 	}

@@ -181,8 +181,7 @@ func TestMalformedBatchFrameDropped(t *testing.T) {
 
 // TestAppendEncodeSteadyStateAllocs pins the hot encode path to zero
 // allocations: encoding into a buffer with capacity reuses it in place
-// (ISSUE 6 satellite c). String fields inherently allocate on encode,
-// so the pin uses the bytes-only KV shape.
+// (ISSUE 6 satellite c).
 func TestAppendEncodeSteadyStateAllocs(t *testing.T) {
 	in := &kvWire{Key: []byte("steady-state-key"), Value: make([]byte, 256)}
 	buf, err := AppendEncode(make([]byte, 0, 1024), in)
@@ -201,10 +200,11 @@ func TestAppendEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeReuseSteadyStateAllocs pins the hot decode path: decoding
-// into a struct whose byte slices already have capacity reuses them in
-// place (string fields always allocate, so the pin uses a bytes-only
-// payload — the shape of the KV hot path).
+// TestDecodeReuseSteadyStateAllocs pins the hot decode path: byte
+// slices decode as views of the wire buffer, so decoding allocates
+// nothing whatever the destination held before (string fields are one
+// allocation each, so the pin uses a bytes-only payload — the shape of
+// the KV hot path).
 func TestDecodeReuseSteadyStateAllocs(t *testing.T) {
 	kv := &kvWire{Key: []byte("key-000"), Value: make([]byte, 256)}
 	wire, err := Encode(kv)
@@ -221,7 +221,7 @@ func TestDecodeReuseSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	if n != 0 {
-		t.Fatalf("capacity-reusing Decode allocates %v/op, want 0", n)
+		t.Fatalf("Decode of a bytes-only payload allocates %v/op, want 0", n)
 	}
 	if string(dst.Key) != "key-000" || len(dst.Value) != 256 {
 		t.Fatalf("decode corrupted: key=%q len(value)=%d", dst.Key, len(dst.Value))

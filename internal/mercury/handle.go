@@ -133,11 +133,11 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 	// recycled, so the only allocation left on this path is the frame
 	// handed to the fabric (see finishFrame).
 	h.InputSerTime.Start()
-	arena := getArena()
+	arena := GetArena(0)
 	payload, err := AppendEncode(*arena, in)
 	h.InputSerTime.Stop()
 	if err != nil {
-		putArena(arena, payload)
+		PutArena(arena, payload)
 		return fmt.Errorf("mercury: encode input for %s: %w", h.rpcName, err)
 	}
 
@@ -171,7 +171,7 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 		eager = payload[:c.cfg.EagerLimit]
 	}
 	frame, err := hdr.pack(eager)
-	putArena(arena, payload)
+	PutArena(arena, payload)
 	if err != nil {
 		return err
 	}
@@ -240,7 +240,8 @@ func (h *Handle) Cancel() {
 }
 
 // GetInput deserializes the request payload into v (target side),
-// charging the input_deserialization_time PVAR (t6→t7).
+// charging the input_deserialization_time PVAR (t6→t7). v's byte slices
+// are read-only views of the received frame and pin it while held.
 func (h *Handle) GetInput(v Procable) error {
 	h.InputDeserTime.Start()
 	err := Decode(h.reqPayload, v)
@@ -251,7 +252,9 @@ func (h *Handle) GetInput(v Procable) error {
 	return nil
 }
 
-// GetOutput deserializes the response payload into v (origin side).
+// GetOutput deserializes the response payload into v (origin side). v's
+// byte slices are views of the response frame, which only the caller
+// references from then on.
 func (h *Handle) GetOutput(v Procable) error {
 	h.OutputDeserTime.Start()
 	err := Decode(h.respPayload, v)
@@ -303,7 +306,7 @@ func (h *Handle) respondStatus(status uint8, out Procable, meta Meta, cb func(er
 		return h.batchTgt.record(h, status, out, meta, cb)
 	}
 	c := h.class
-	arena := getArena()
+	arena := GetArena(0)
 	payload := *arena
 	var err error
 	if out != nil {
@@ -311,7 +314,7 @@ func (h *Handle) respondStatus(status uint8, out Procable, meta Meta, cb func(er
 		payload, err = AppendEncode(payload, out)
 		h.OutputSerTime.Stop()
 		if err != nil {
-			putArena(arena, payload)
+			PutArena(arena, payload)
 			return fmt.Errorf("mercury: encode output for rpc %#x: %w", h.rpcID, err)
 		}
 	}
@@ -321,7 +324,7 @@ func (h *Handle) respondStatus(status uint8, out Procable, meta Meta, cb func(er
 		hdr.Order = meta.Order
 	}
 	frame, err := hdr.pack(payload)
-	putArena(arena, payload)
+	PutArena(arena, payload)
 	if err != nil {
 		return err
 	}

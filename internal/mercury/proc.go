@@ -29,6 +29,10 @@ var (
 // drives both serialization and deserialization, mirroring Mercury's
 // hg_proc callbacks: the method visits each field in order and the Proc's
 // direction decides whether the field is written or read.
+//
+// Byte-slice fields of a decoded value are views of the buffer that was
+// decoded: read-only, valid for as long as they are held, and pinning
+// that whole buffer until they are dropped. Copy what must be modified.
 type Procable interface {
 	Proc(p *Proc) error
 }
@@ -79,32 +83,51 @@ func releaseProc(p *Proc) {
 }
 
 // arenaMaxRetain bounds the capacity of buffers returned to the arena
-// pool; occasional giant payloads are dropped to the GC rather than
-// pinned forever by the pool.
+// pools; occasional giant payloads are dropped to the GC rather than
+// pinned forever by a pool.
 const arenaMaxRetain = 1 << 20
 
-// arenaPool recycles encode scratch buffers: grow-in-place during use,
+// arenaSmall separates the two arena pools by capacity: header cursors
+// and RPC payload encodes draw from the small one, bulk landing and
+// registered buffers from the large one, so a forty-byte header encode
+// never holds a megabyte and a packed put does not regrow a 512-byte
+// arena every time.
+const arenaSmall = 64 << 10
+
+// arenaPools recycle scratch buffers: grow-in-place during use,
 // reset-on-put. Buffers are pooled as *[]byte to avoid the slice-header
 // allocation a plain []byte interface conversion would cost.
-var arenaPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
+var arenaPools [2]sync.Pool
+
+func arenaPool(n int) *sync.Pool {
+	if n > arenaSmall {
+		return &arenaPools[1]
+	}
+	return &arenaPools[0]
 }
 
-// getArena returns a zero-length scratch buffer with retained capacity.
-func getArena() *[]byte { return arenaPool.Get().(*[]byte) }
+// GetArena returns a zero-length scratch buffer with retained capacity,
+// from the pool whose buffers are the likelier to hold n bytes (it is
+// still the caller's to grow). Besides the encode paths here, it backs
+// margo's per-request Context.Scratch and the buffer sdskv registers
+// for a packed put.
+func GetArena(n int) *[]byte {
+	if a, ok := arenaPool(n).Get().(*[]byte); ok {
+		return a
+	}
+	b := make([]byte, 0, max(n, 512))
+	return &b
+}
 
-// putArena resets and recycles a scratch buffer. Pass the (possibly
+// PutArena resets and recycles a scratch buffer. Pass the (possibly
 // reallocated) slice back so grown capacity is retained for the next
 // user. Must not be called while any live data aliases the buffer.
-func putArena(a *[]byte, b []byte) {
+func PutArena(a *[]byte, b []byte) {
 	if cap(b) > arenaMaxRetain {
 		return
 	}
 	*a = b[:0]
-	arenaPool.Put(a)
+	arenaPool(cap(b)).Put(a)
 }
 
 // Op reports the direction of the pass.
@@ -249,74 +272,82 @@ func (p *Proc) Float64(v *float64) error {
 	return nil
 }
 
-// maxBlob bounds decoded variable-length fields so corrupt lengths fail
-// instead of attempting enormous allocations.
+// maxBlob bounds the length of one decoded variable-length field, so a
+// corrupt length is reported as such and int(n) cannot wrap on a 32-bit
+// host.
 const maxBlob = 1 << 30
 
-// Bytes processes a length-prefixed byte slice.
+// Bytes processes a length-prefixed byte slice. Decoding sets *v to a
+// capacity-clipped view of the decoded buffer, never a copy: appending
+// to it reallocates, writing through it writes the buffer (see Procable).
 func (p *Proc) Bytes(v *[]byte) error {
 	if p.op == OpEncode {
-		n := uint32(len(*v))
-		if err := p.Uint32(&n); err != nil {
-			return err
-		}
-		if p.err == nil {
-			p.buf = append(p.buf, *v...)
-		}
-		return p.err
+		return putBlob(p, *v)
 	}
-	var n uint32
-	if err := p.Uint32(&n); err != nil {
-		return err
-	}
-	if n > maxBlob {
-		return p.fail(fmt.Errorf("%w: %d", ErrProcString, n))
-	}
-	b, err := p.take(int(n))
+	b, err := p.blob()
 	if err != nil {
 		return err
 	}
-	// Reuse the caller's capacity when it suffices: decoding into a
-	// recycled struct is then allocation-free. Fresh (nil) destinations
-	// allocate exactly as before, so decoded slices that the caller
-	// retains (e.g. KV keys stored by a handler) are never aliased to a
-	// pooled buffer unless the caller opted in by recycling the struct.
-	if cap(*v) >= int(n) && *v != nil {
-		out := (*v)[:n]
-		copy(out, b)
-		*v = out
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	*v = out
+	*v = b[:len(b):len(b)]
 	return nil
 }
 
-// String processes a length-prefixed string.
+// putBlob appends one length-prefixed field to the encode buffer.
+func putBlob[T ~string | ~[]byte](p *Proc, v T) error {
+	n := uint32(len(v))
+	if err := p.Uint32(&n); err != nil {
+		return err
+	}
+	p.buf = append(p.buf, v...)
+	return nil
+}
+
+// blob takes one length-prefixed field off the decode buffer.
+func (p *Proc) blob() ([]byte, error) {
+	var n uint32
+	if err := p.Uint32(&n); err != nil {
+		return nil, err
+	}
+	if n > maxBlob {
+		return nil, p.fail(fmt.Errorf("%w: %d", ErrProcString, n))
+	}
+	return p.take(int(n))
+}
+
+// String processes a length-prefixed string. Decoding copies (a Go
+// string cannot alias mutable bytes): one allocation.
 func (p *Proc) String(v *string) error {
 	if p.op == OpEncode {
-		b := []byte(*v)
-		return p.Bytes(&b)
+		return putBlob(p, *v)
 	}
-	var b []byte
-	if err := p.Bytes(&b); err != nil {
+	b, err := p.blob()
+	if err != nil {
 		return err
 	}
 	*v = string(b)
 	return nil
 }
 
+// count decodes an element count and bounds it by what the rest of the
+// buffer could hold at minElem encoded bytes per element, so a corrupt
+// count fails before anything is allocated for it.
+func (p *Proc) count(n *uint32, minElem int) error {
+	if err := p.Uint32(n); err != nil {
+		return err
+	}
+	if p.op == OpDecode && int(*n) > p.Remaining()/minElem {
+		return p.fail(fmt.Errorf("%w: %d elements in %d bytes", ErrProcShort, *n, p.Remaining()))
+	}
+	return nil
+}
+
 // StringSlice processes a slice of strings.
 func (p *Proc) StringSlice(v *[]string) error {
 	n := uint32(len(*v))
-	if err := p.Uint32(&n); err != nil {
+	if err := p.count(&n, 4); err != nil {
 		return err
 	}
 	if p.op == OpDecode {
-		if n > maxBlob {
-			return p.fail(fmt.Errorf("%w: %d", ErrProcString, n))
-		}
 		*v = make([]string, n)
 	}
 	for i := range *v {
@@ -327,16 +358,15 @@ func (p *Proc) StringSlice(v *[]string) error {
 	return p.err
 }
 
-// BytesSlice processes a slice of byte slices.
+// BytesSlice processes a slice of byte slices. Decoding reuses the
+// header array *v already has when it is large enough; the elements are
+// views, as for Bytes.
 func (p *Proc) BytesSlice(v *[][]byte) error {
 	n := uint32(len(*v))
-	if err := p.Uint32(&n); err != nil {
+	if err := p.count(&n, 4); err != nil {
 		return err
 	}
 	if p.op == OpDecode {
-		if n > maxBlob {
-			return p.fail(fmt.Errorf("%w: %d", ErrProcString, n))
-		}
 		if cap(*v) >= int(n) && *v != nil {
 			*v = (*v)[:n]
 		} else {
@@ -354,13 +384,10 @@ func (p *Proc) BytesSlice(v *[][]byte) error {
 // Uint64Slice processes a slice of uint64 values.
 func (p *Proc) Uint64Slice(v *[]uint64) error {
 	n := uint32(len(*v))
-	if err := p.Uint32(&n); err != nil {
+	if err := p.count(&n, 8); err != nil {
 		return err
 	}
 	if p.op == OpDecode {
-		if n > maxBlob/8 {
-			return p.fail(fmt.Errorf("%w: %d", ErrProcString, n))
-		}
 		if cap(*v) >= int(n) && *v != nil {
 			*v = (*v)[:n]
 		} else {
@@ -378,15 +405,15 @@ func (p *Proc) Uint64Slice(v *[]uint64) error {
 // Encode serializes a Procable to a freshly allocated buffer. The
 // cursor comes from the pool; only the exact-size result escapes.
 func Encode(v Procable) ([]byte, error) {
-	arena := getArena()
+	arena := GetArena(0)
 	out, err := AppendEncode(*arena, v)
 	if err != nil {
-		putArena(arena, out)
+		PutArena(arena, out)
 		return nil, err
 	}
 	buf := make([]byte, len(out))
 	copy(buf, out)
-	putArena(arena, out)
+	PutArena(arena, out)
 	return buf, nil
 }
 
@@ -422,14 +449,7 @@ func Decode(buf []byte, v Procable) error {
 type RawBytes []byte
 
 // Proc implements Procable.
-func (r *RawBytes) Proc(p *Proc) error {
-	b := []byte(*r)
-	if err := p.Bytes(&b); err != nil {
-		return err
-	}
-	*r = RawBytes(b)
-	return nil
-}
+func (r *RawBytes) Proc(p *Proc) error { return p.Bytes((*[]byte)(r)) }
 
 // Void is an empty argument/response type.
 type Void struct{}

@@ -191,14 +191,14 @@ func (e *batchRespEntry) Proc(p *Proc) error {
 
 // pack builds the request frame [u32 hdrLen][header][payload].
 func (r *reqHeader) pack(payload []byte) ([]byte, error) {
-	arena := getArena()
+	arena := GetArena(0)
 	p := acquireEncoder(*arena)
 	return finishFrame(arena, p, r.Proc(p), payload)
 }
 
 // pack builds the response frame [u32 hdrLen][header][payload].
 func (r *respHeader) pack(payload []byte) ([]byte, error) {
-	arena := getArena()
+	arena := GetArena(0)
 	p := acquireEncoder(*arena)
 	return finishFrame(arena, p, r.Proc(p), payload)
 }
@@ -220,7 +220,7 @@ func finishFrame(arena *[]byte, p *Proc, err error, payload []byte) ([]byte, err
 		frame = append(frame, hb...)
 		frame = append(frame, payload...)
 	}
-	putArena(arena, hb)
+	PutArena(arena, hb)
 	return frame, err
 }
 

@@ -202,7 +202,9 @@ type Endpoint struct {
 
 	cq *completionQueue
 
-	memMu  sync.Mutex
+	// memMu is held for reading across every RDMA copy and for writing
+	// by Register/DeregisterMemory (see DeregisterMemory).
+	memMu  sync.RWMutex
 	mem    map[uint64][]byte
 	nextID atomic.Uint64
 
@@ -395,12 +397,17 @@ func (e *Endpoint) deliver(d delivery) {
 		return
 	}
 	if !d.drop {
+		if d.dup {
+			// The duplicate is a message with bytes of its own, copied
+			// before the original can reach a reader: receivers decode
+			// views of Data, so two deliveries never share a buffer.
+			dup := *d.msg
+			dup.Data = append([]byte(nil), d.msg.Data...)
+			d.dst.recvs.Add(1)
+			d.dst.cq.post(Event{Kind: EvRecv, Msg: &dup})
+		}
 		d.dst.recvs.Add(1)
 		d.dst.cq.post(Event{Kind: EvRecv, Msg: d.msg})
-		if d.dup {
-			d.dst.recvs.Add(1)
-			d.dst.cq.post(Event{Kind: EvRecv, Msg: d.msg})
-		}
 	}
 	// A dropped message still completes on the sender: the NIC
 	// reported the send done; the loss is the receiver's silence.
@@ -423,18 +430,34 @@ func (e *Endpoint) RegisterMemory(buf []byte) MemHandle {
 	return MemHandle{Addr: e.addr, ID: id, Len: len(buf)}
 }
 
-// DeregisterMemory revokes a handle returned by RegisterMemory.
+// DeregisterMemory revokes a handle returned by RegisterMemory. It is a
+// barrier: once it returns no transfer reads or writes the region again
+// (one still in flight fails with ErrBadMemory), so the owner may reuse
+// the buffer.
 func (e *Endpoint) DeregisterMemory(h MemHandle) {
 	e.memMu.Lock()
 	delete(e.mem, h.ID)
 	e.memMu.Unlock()
 }
 
-func (e *Endpoint) memRegion(id uint64) ([]byte, bool) {
-	e.memMu.Lock()
-	defer e.memMu.Unlock()
-	b, ok := e.mem[id]
-	return b, ok
+// transfer copies between local and region id at off, holding memMu for
+// reading across lookup and copy — what makes DeregisterMemory a barrier.
+func (e *Endpoint) transfer(id uint64, off int, local []byte, put bool) error {
+	e.memMu.RLock()
+	defer e.memMu.RUnlock()
+	buf, ok := e.mem[id]
+	if !ok {
+		return ErrBadMemory
+	}
+	if off < 0 || off+len(local) > len(buf) {
+		return ErrBounds
+	}
+	if put {
+		copy(buf[off:], local)
+	} else {
+		copy(local, buf[off:])
+	}
+	return nil
 }
 
 // Get reads remote[off:off+len(local)] into local (one-sided; the remote
@@ -478,19 +501,9 @@ func (e *Endpoint) rdma(remote MemHandle, off int, local []byte, ctx any, put bo
 // is registered when the modeled delay has elapsed, and posts the
 // initiator's completion.
 func (e *Endpoint) completeRDMA(d delivery) {
-	buf, ok := d.dst.memRegion(d.memID)
-	if !ok {
-		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: ErrBadMemory})
+	if err := d.dst.transfer(d.memID, d.off, d.local, d.put); err != nil {
+		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: err})
 		return
-	}
-	if d.off < 0 || d.off+len(d.local) > len(buf) {
-		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: ErrBounds})
-		return
-	}
-	if d.put {
-		copy(buf[d.off:], d.local)
-	} else {
-		copy(d.local, buf[d.off:])
 	}
 	e.cq.post(Event{Kind: EvRDMADone, Ctx: d.ctx})
 }

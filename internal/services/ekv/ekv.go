@@ -400,7 +400,9 @@ func (n *Node) handleMigratePush(ctx *margo.Context) {
 		ctx.RespondError("ekv: %v", err)
 		return
 	}
-	buf := make([]byte, in.Size)
+	// The chunk lands in the request's scratch buffer and decodes as
+	// views of it; db.Put copies each applied pair out.
+	buf := ctx.Scratch(int(in.Size))
 	if err := ctx.BulkPull(in.Bulk, 0, buf); err != nil {
 		ctx.RespondError("ekv: migrate pull: %v", err)
 		return

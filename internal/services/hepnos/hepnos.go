@@ -17,6 +17,7 @@ package hepnos
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 	"sync"
 	"time"
 
@@ -35,12 +36,32 @@ type EventKey struct {
 }
 
 // String renders the canonical storage key.
-func (k EventKey) String() string {
-	return fmt.Sprintf("%s/%012d/%012d/%012d", k.DataSet, k.Run, k.SubRun, k.Event)
+func (k EventKey) String() string { return string(k.AppendTo(nil)) }
+
+// Bytes returns the storage key as an exact-size byte slice.
+func (k EventKey) Bytes() []byte {
+	return k.AppendTo(make([]byte, 0, len(k.DataSet)+3*(1+keyDigits)))
 }
 
-// Bytes returns the storage key as a byte slice.
-func (k EventKey) Bytes() []byte { return []byte(k.String()) }
+// keyDigits is the zero-padded width of each numeric key component.
+const keyDigits = 12
+
+// AppendTo appends the canonical storage key,
+// "<dataset>/<run>/<subrun>/<event>" with each number zero-padded to
+// twelve digits (wider numbers are written in full), to dst.
+func (k EventKey) AppendTo(dst []byte) []byte {
+	dst = append(dst, k.DataSet...)
+	for _, v := range [...]uint64{k.Run, k.SubRun, k.Event} {
+		var scratch [20]byte // holds any uint64
+		digits := strconv.AppendUint(scratch[:0], v, 10)
+		dst = append(dst, '/')
+		for pad := len(digits); pad < keyDigits; pad++ {
+			dst = append(dst, '0')
+		}
+		dst = append(dst, digits...)
+	}
+	return dst
+}
 
 // Server is one HEPnOS service provider process: a Margo server with a
 // BAKE provider and an SDSKV provider hosting `databases` event DBs.
@@ -271,9 +292,15 @@ func (c *Client) flushDB(self *abt.ULT, idx int) error {
 	b := &c.pending[idx]
 	addr, dbID := c.locate(idx)
 	keys, vals := b.keys, b.vals
-	b.keys = nil
-	b.vals = nil
 	n := len(keys)
+	b.keys, b.vals = nil, nil
+	if n >= c.batchSize {
+		// This database fills its batches, so size the next one up
+		// front. One flushed part-full by Flush keeps growing by append:
+		// many databases sharing few events never reach BatchSize.
+		b.keys = make([][]byte, 0, n)
+		b.vals = make([][]byte, 0, n)
+	}
 	if c.issueCost > 0 {
 		// Modeled request-preparation CPU: holds the stream, as the
 		// real packing work would. Paid in coarse slices (see issueDebt).

@@ -73,6 +73,31 @@ func TestEventKeyFormat(t *testing.T) {
 	}
 }
 
+// TestEventKeyMatchesPrintfForm holds AppendTo to the key format stored
+// data already uses, including numbers wider than the padding.
+func TestEventKeyMatchesPrintfForm(t *testing.T) {
+	nums := []uint64{0, 9, 10, 999999999999, 1000000000000, 1<<64 - 1}
+	for _, run := range nums {
+		for _, ev := range nums {
+			k := EventKey{DataSet: "NOvA/numi", Run: run, SubRun: 7, Event: ev}
+			want := fmt.Sprintf("%s/%012d/%012d/%012d", k.DataSet, k.Run, k.SubRun, k.Event)
+			if got := k.Bytes(); string(got) != want || k.String() != want {
+				t.Fatalf("key = %q / %q, want %q", got, k.String(), want)
+			}
+			if got := k.AppendTo([]byte("x")); string(got) != "x"+want {
+				t.Fatalf("AppendTo(x) = %q", got)
+			}
+		}
+	}
+	k := EventKey{DataSet: "nova", Run: 1, SubRun: 2, Event: 3}
+	if a := testing.AllocsPerRun(100, func() { _ = k.Bytes() }); a != 1 {
+		t.Errorf("Bytes allocates %.0f objects, want 1 (the exact-size key)", a)
+	}
+	if got := k.Bytes(); cap(got) != len(got) {
+		t.Errorf("Bytes: cap %d for %d bytes", cap(got), len(got))
+	}
+}
+
 func TestStoreAndLoadEvents(t *testing.T) {
 	e := newEnv(t, 2, 4)
 	const events = 100

@@ -2,6 +2,7 @@ package sdskv
 
 import (
 	"fmt"
+	"slices"
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/margo"
@@ -59,8 +60,10 @@ func (c *Client) PutMulti(self *abt.ULT, target string, db uint32, keys, values 
 		return errs
 	}
 	ins := make([]mercury.Procable, len(keys))
+	args := make([]putArgs, len(keys))
 	for i := range keys {
-		ins[i] = &putArgs{DBID: db, Key: keys[i], Value: values[i]}
+		args[i] = putArgs{DBID: db, Key: keys[i], Value: values[i]}
+		ins[i] = &args[i]
 	}
 	return c.inst.ForwardMany(self, target, RPCPut, ins, nil)
 }
@@ -70,9 +73,11 @@ func (c *Client) PutMulti(self *abt.ULT, target string, db uint32, keys, values 
 func (c *Client) GetMulti(self *abt.ULT, target string, db uint32, keys [][]byte) (values [][]byte, found []bool, errs []error) {
 	ins := make([]mercury.Procable, len(keys))
 	outs := make([]mercury.Procable, len(keys))
+	args := make([]getArgs, len(keys))
 	resps := make([]getResp, len(keys))
 	for i := range keys {
-		ins[i] = &getArgs{DBID: db, Key: keys[i]}
+		args[i] = getArgs{DBID: db, Key: keys[i]}
+		ins[i] = &args[i]
 		outs[i] = &resps[i]
 	}
 	errs = c.inst.ForwardMany(self, target, RPCGet, ins, outs)
@@ -89,22 +94,28 @@ func (c *Client) GetMulti(self *abt.ULT, target string, db uint32, keys [][]byte
 
 // PutPacked stores a batch of pairs with a single RPC: the pairs are
 // packed into one buffer exposed for the target's bulk pull — the
-// HEPnOS data-loader hot path (paper §V-C1).
+// HEPnOS data-loader hot path (paper §V-C1). The buffer is a recycled
+// arena grown once to the batch's encoded size; BulkFree is the barrier
+// after which no pull (of this try or a timed-out earlier one) can read
+// it, so it goes back to the pool.
 func (c *Client) PutPacked(self *abt.ULT, target string, db uint32, keys, values [][]byte) error {
 	batch := packedBatch{Keys: keys, Values: values}
-	buf, err := mercury.Encode(&batch)
-	if err != nil {
-		return err
+	size := batch.encodedSize()
+	arena := mercury.GetArena(size)
+	buf, err := mercury.AppendEncode(slices.Grow(*arena, size), &batch)
+	if err == nil {
+		bulk := c.inst.BulkCreate(buf)
+		args := putPackedArgs{
+			DBID:    db,
+			NumKeys: uint32(len(keys)),
+			Bulk:    bulk,
+			Size:    uint64(len(buf)),
+		}
+		err = c.inst.Forward(self, target, RPCPutPacked, &args, nil)
+		c.inst.BulkFree(bulk)
 	}
-	bulk := c.inst.BulkCreate(buf)
-	defer c.inst.BulkFree(bulk)
-	args := putPackedArgs{
-		DBID:    db,
-		NumKeys: uint32(len(keys)),
-		Bulk:    bulk,
-		Size:    uint64(len(buf)),
-	}
-	return c.inst.Forward(self, target, RPCPutPacked, &args, nil)
+	mercury.PutArena(arena, buf)
+	return err
 }
 
 // ListKeyvals returns up to max pairs with keys >= start.

@@ -1,0 +1,304 @@
+package sdskv
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"sort"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"symbiosys/internal/abt"
+	"symbiosys/internal/margo"
+	"symbiosys/internal/mercury"
+	"symbiosys/internal/na"
+)
+
+// The tests in this file follow one packed put's bytes through the
+// buffers that are recycled around them — the client's registered
+// arena, the target's per-request scratch — and check that what the
+// backend stored is what was sent.
+
+// fastCfg makes the modeled backend cost negligible, so a test's run
+// time is the RPC path's.
+var fastCfg = Config{PutCostPerKey: time.Nanosecond}
+
+// stamped returns an n-byte value every byte of which depends on
+// (key, version): a value torn between two sends cannot pass for either.
+func stamped(key uint64, version uint32, n int) []byte {
+	v := make([]byte, n)
+	for k := range v {
+		v[k] = byte(key*31 + uint64(version)*7 + uint64(k))
+	}
+	return v
+}
+
+func keyBytes(key uint64) []byte { return binary.BigEndian.AppendUint64(nil, key) }
+
+// issuers runs fn on n concurrent client ULTs and joins them.
+func (e *env) issuers(t *testing.T, n int, fn func(self *abt.ULT, issuer int)) {
+	t.Helper()
+	ults := make([]*abt.ULT, n)
+	for k := range ults {
+		k := k
+		ults[k] = e.cli.Run("issuer", func(self *abt.ULT) { fn(self, k) })
+	}
+	for _, u := range ults {
+		if err := u.Join(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// stored reads key straight from the provider's backend.
+func (e *env) stored(t *testing.T, db uint32, key []byte) ([]byte, bool) {
+	t.Helper()
+	d, ok := e.prov.database(db)
+	if !ok {
+		t.Fatalf("database %d missing", db)
+	}
+	v, found, err := d.db.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v, found
+}
+
+// TestPutPackedThroughRecycledScratch: 20k put_packed RPCs whose sizes
+// alternate between a few bytes and a few KiB, so every recycled
+// Context lands a pull in a scratch buffer last sized for a different
+// request. A scratch handed to two requests at once, kept past its
+// request, or read beyond the pull shows as a stored value that differs
+// from the one sent.
+func TestPutPackedThroughRecycledScratch(t *testing.T) {
+	e := newEnv(t, fastCfg)
+	db, err := e.prov.OpenLocal("scratch", "map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const issuers, perIssuer = 4, 5000
+	size := func(k int) int { return []int{9, 3000, 48, 700, 1, 4200}[k%6] }
+	e.issuers(t, issuers, func(self *abt.ULT, issuer int) {
+		for k := 0; k < perIssuer; k++ {
+			// Two pairs, so views past the first also count.
+			k0, k1 := uint64(issuer)<<32|uint64(2*k), uint64(issuer)<<32|uint64(2*k+1)
+			keys := [][]byte{keyBytes(k0), keyBytes(k1)}
+			vals := [][]byte{stamped(k0, 0, size(k)), stamped(k1, 0, size(k+3))}
+			if err := e.client.PutPacked(self, e.srv.Addr(), db, keys, vals); err != nil {
+				t.Errorf("issuer %d put %d: %v", issuer, k, err)
+				return
+			}
+		}
+	})
+	for issuer := 0; issuer < issuers; issuer++ {
+		for k := 0; k < 2*perIssuer; k++ {
+			key := uint64(issuer)<<32 | uint64(k)
+			got, found := e.stored(t, db, keyBytes(key))
+			if want := stamped(key, 0, size(k/2+3*(k%2))); !found || !bytes.Equal(got, want) {
+				t.Fatalf("key %#x: stored %d bytes (found %v), differs from the %d sent", key, len(got), found, len(want))
+			}
+		}
+	}
+}
+
+// TestPutPackedRetriesNeverExposeARecycledBuffer drives PutPacked with a
+// per-try timeout of about one round trip over a link that delays a
+// tenth of its traffic, so many tries give up while the target's pull
+// of their buffer is still on the fabric, and the buffer goes back to
+// the pool for the next call to overwrite. BulkFree is what has to stop
+// such a pull: under -race a pull that still copied would be a data
+// race with the next encode, and a value assembled from two calls'
+// bytes matches no version its key was ever sent with.
+func TestPutPackedRetriesNeverExposeARecycledBuffer(t *testing.T) {
+	f := na.NewFabric(na.DefaultConfig())
+	srv, err := margo.New(margo.Options{Mode: margo.ModeServer, Node: "n1", Name: "sdskv", Fabric: f, HandlerStreams: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Shutdown() }) // registered first: runs after the clients'
+	prov, err := RegisterProvider(srv, fastCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := prov.OpenLocal("retry", "map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newClient := func(name string, retry *margo.RetryPolicy) (*margo.Instance, *Client) {
+		inst, err := margo.New(margo.Options{Mode: margo.ModeClient, Node: "n0", Name: name, Fabric: f, Retry: retry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { inst.Shutdown() })
+		c, err := NewClient(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.MarkIdempotent(RPCPutPacked)
+		return inst, c
+	}
+	e := &env{srv: srv, prov: prov}
+
+	// The timeout is twice the median round trip of this very call as one
+	// issuer on a healthy link sees it (measured by a client without a
+	// retry policy) — about what each of the four issuers below sees.
+	const valueSize = 8 << 10
+	e.cli, e.client = newClient("probe", nil)
+	rtts := make([]time.Duration, 101)
+	if err := e.run(t, func(self *abt.ULT) error {
+		for k := range rtts {
+			start := time.Now()
+			if err := e.client.PutPacked(self, srv.Addr(), db, [][]byte{keyBytes(1 << 60)}, [][]byte{stamped(1<<60, 0, valueSize)}); err != nil {
+				return err
+			}
+			rtts[k] = time.Since(start)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(rtts, func(a, b int) bool { return rtts[a] < rtts[b] })
+	rtt := 2 * rtts[len(rtts)/2]
+
+	e.cli, e.client = newClient("cli", &margo.RetryPolicy{
+		MaxAttempts: 4, PerTryTimeout: rtt, InitialBackoff: 10 * time.Microsecond, MaxBackoff: 100 * time.Microsecond, Budget: -1,
+	})
+	slow := na.FaultRule{DelayProb: 0.1, Delay: rtt}
+	f.SetFaultPlan(na.NewFaultPlan(3).SetLink(e.cli.Addr(), srv.Addr(), slow).SetLink(srv.Addr(), e.cli.Addr(), slow))
+
+	const issuers, perIssuer = 4, 600
+	var acked, gaveUp atomic.Int64
+	e.issuers(t, issuers, func(self *abt.ULT, issuer int) {
+		key := uint64(issuer + 1)
+		for v := uint32(1); v <= perIssuer; v++ {
+			err := e.client.PutPacked(self, srv.Addr(), db, [][]byte{keyBytes(key)}, [][]byte{stamped(key, v, valueSize)})
+			switch {
+			case err == nil:
+				acked.Add(1)
+			case errors.Is(err, mercury.ErrCanceled), errors.Is(err, mercury.ErrHandlerFail):
+				// Every try timed out, or the last one's pull found its
+				// region already revoked.
+				gaveUp.Add(1)
+			default:
+				t.Errorf("issuer %d version %d: %v", issuer, v, err)
+				return
+			}
+		}
+	})
+	f.SetFaultPlan(nil)
+	rs := e.cli.RetryStats()
+	t.Logf("per-try timeout %v: %d acked, %d gave up, %d timeouts, %d retries", rtt, acked.Load(), gaveUp.Load(), rs.Timeouts, rs.Retries)
+	if rs.Timeouts == 0 || rs.Retries == 0 || acked.Load() == 0 {
+		t.Fatalf("no try raced its timeout (timeouts %d, retries %d, acked %d): the test did not reach the path it is for", rs.Timeouts, rs.Retries, acked.Load())
+	}
+	for issuer := 0; issuer < issuers; issuer++ {
+		key := uint64(issuer + 1)
+		got, found := e.stored(t, db, keyBytes(key))
+		if !found || len(got) != valueSize {
+			t.Fatalf("key %d: stored %d bytes, found %v", key, len(got), found)
+		}
+		sent := false
+		for v := uint32(1); v <= perIssuer && !sent; v++ {
+			sent = bytes.Equal(got, stamped(key, v, valueSize))
+		}
+		if !sent {
+			t.Errorf("key %d: the stored value is not one this key was sent with", key)
+		}
+	}
+}
+
+// TestPutPackedRoundTripAllocs pins a whole single-pair packed put —
+// origin and target, the bulk pull and the backend insert included —
+// against the plain Forward round trip margo pins at 10 objects: the
+// payload path around it may add the store's amortised share (slab
+// chunk, tree nodes) and the target's two decoded slice headers, no
+// per-request buffer on either side.
+func TestPutPackedRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pooled records are dropped at random under the race detector")
+	}
+	e := newEnv(t, fastCfg)
+	db, err := e.prov.OpenLocal("pin", "map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, vals := [][]byte{make([]byte, 48)}, [][]byte{make([]byte, 512)}
+	if err := e.run(t, func(self *abt.ULT) error {
+		var n uint64
+		var ferr error
+		put := func() {
+			n++
+			binary.BigEndian.PutUint64(keys[0], n)
+			if err := e.client.PutPacked(self, e.srv.Addr(), db, keys, vals); err != nil && ferr == nil {
+				ferr = err
+			}
+		}
+		for k := 0; k < 512; k++ {
+			put()
+		}
+		a := testing.AllocsPerRun(2000, put)
+		t.Logf("PutPacked round trip: %.2f objects", a)
+		if a > 14 {
+			t.Errorf("PutPacked round trip allocates %.2f objects, want <= 14", a)
+		}
+		return ferr
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPackedBatchDecodeAllocs: a 64-pair batch decodes into its two
+// slice-header arrays and nothing else.
+func TestPackedBatchDecodeAllocs(t *testing.T) {
+	in := packedBatch{}
+	for k := 0; k < 64; k++ {
+		in.Keys = append(in.Keys, keyBytes(uint64(k)))
+		in.Values = append(in.Values, stamped(uint64(k), 0, 512))
+	}
+	wire, err := mercury.Encode(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wire) != in.encodedSize() {
+		t.Fatalf("encodedSize = %d, encoded %d bytes", in.encodedSize(), len(wire))
+	}
+	var out packedBatch
+	a := testing.AllocsPerRun(200, func() {
+		out = packedBatch{}
+		if err := mercury.Decode(wire, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !raceEnabled && a > 2 {
+		t.Errorf("Decode of a 64-pair batch allocates %.1f objects, want <= 2", a)
+	}
+	if len(out.Keys) != 64 || !bytes.Equal(out.Values[63], in.Values[63]) {
+		t.Fatal("decoded batch differs")
+	}
+}
+
+// FuzzPackedBatch feeds arbitrary bytes to the packed-batch decoder,
+// which slices a buffer a client controls: accepted input must decode
+// to views inside it and encode back to the bytes consumed, rejected
+// input must not panic. Seeds: testdata/fuzz/FuzzPackedBatch.
+func FuzzPackedBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b packedBatch
+		if err := mercury.Decode(data, &b); err != nil {
+			return
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+		for _, v := range append(append([][]byte(nil), b.Keys...), b.Values...) {
+			p := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
+			if len(v) > 0 && (cap(v) != len(v) || p < lo || p+uintptr(len(v)) > lo+uintptr(len(data))) {
+				t.Fatalf("decoded element %q is not a clipped view of the input", v)
+			}
+		}
+		wire, err := mercury.Encode(&b)
+		if err != nil || len(wire) != b.encodedSize() || !bytes.Equal(wire, data[:len(wire)]) {
+			t.Fatalf("re-encode = %x (encodedSize %d), %v; want a prefix of %x", wire, b.encodedSize(), err, data)
+		}
+	})
+}

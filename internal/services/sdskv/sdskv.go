@@ -264,6 +264,19 @@ func (b *packedBatch) Proc(pr *mercury.Proc) error {
 	return pr.Err()
 }
 
+// encodedSize is the exact length Proc encodes b to: two counts, then a
+// length prefix per element.
+func (b *packedBatch) encodedSize() int {
+	n := 8 + 4*(len(b.Keys)+len(b.Values))
+	for _, k := range b.Keys {
+		n += len(k)
+	}
+	for _, v := range b.Values {
+		n += len(v)
+	}
+	return n
+}
+
 // Handlers.
 
 func (p *Provider) handleOpen(ctx *margo.Context) {
@@ -346,8 +359,10 @@ func (p *Provider) handlePutPacked(ctx *margo.Context) {
 		return
 	}
 	// Pull the packed key-value content from client memory (the bulk
-	// transfer of Figure 2's execution phase).
-	buf := make([]byte, in.Size)
+	// transfer of Figure 2's execution phase) into the request's scratch
+	// buffer: the batch decodes as views of it, and the backend's Put
+	// copies each pair out before the handler returns.
+	buf := ctx.Scratch(int(in.Size))
 	if err := ctx.BulkPull(in.Bulk, 0, buf); err != nil {
 		ctx.RespondError("sdskv: bulk pull: %v", err)
 		return
