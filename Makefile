@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-json bench-gate bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke
+.PHONY: all build test race vet check bench bench-json bench-gate bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke
 
 all: check
 
@@ -30,14 +30,25 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/margo/... \
 		./internal/telemetry/... ./internal/policy/... ./internal/na/... \
 		./internal/mercury/... ./internal/abt/... ./internal/batch/... \
-		./internal/ssg/... ./internal/kv/... ./internal/services/...
+		./internal/ssg/... ./internal/kv/... ./internal/services/... \
+		./internal/analysis/...
 
 # check is the pre-commit gate: static analysis, race tests on the
 # measurement pipeline, the fault-path, overload-path, and analysis-
-# plane smoke runs, the full tier-1 build + test sweep, then the
-# benchmark harness's own vet + tests, then the perf-regression gate
-# against the committed BENCH_*.json baseline.
-check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke build test bench-build bench-gate
+# plane smoke runs, ten seconds of fuzzing the trace dump reader, the
+# full tier-1 build + test sweep, then the benchmark harness's own vet
+# + tests, then the perf-regression gate against the committed
+# BENCH_*.json baseline.
+check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build bench-gate
+
+# fuzz-smoke fuzzes core.ReadTrace, the one parser in the repository
+# that takes files from other processes: whatever the bytes, it returns
+# an error or a dump that re-encodes to exactly those bytes, without a
+# panic and without allocating more than a small multiple of the input.
+# The seed corpus under internal/core/testdata/fuzz/ is replayed by
+# plain `go test` as well; this target mutates it.
+fuzz-smoke:
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s
 
 # bench-build vets and tests the benchmark harness. It is a module of
 # its own (benchmark/go.mod), so `go build ./... && go test ./...` at
@@ -105,7 +116,10 @@ chaos-smoke:
 # small chaos campaign emits its dominant-path flame and clean-vs-chaos
 # diff automatically, the diff localizes the injected fault, and the
 # same trace set renders in all three output modes (cli, tui, html)
-# with a non-empty dominant path.
+# with a non-empty dominant path; and the campaign's trace dumps,
+# written with experiments.WriteDumps and read back the way symtrace
+# reads them, yield the same flame and report text as the events in
+# memory did.
 analyze-smoke:
 	$(GO) test ./internal/experiments/ -run 'TestAnalyzeSmoke|TestBatchSweepReports' -count=1 -v
 

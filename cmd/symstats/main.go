@@ -1,9 +1,11 @@
 // Command symstats is the SYMBIOSYS system statistics summary tool: it
-// ingests per-process trace dumps and reports the resource-saturation
-// view — pool runnable/blocked extremes, OFI events-read behaviour
-// against the configured threshold, completion-queue extremes, and the
-// realized batching view (coalesced ops per vectored flush, from the
-// batch IDs stamped on origin-end events). It also prints the PVAR
+// ingests per-process trace dumps (the binary <entity>.trace.bin files
+// experiments.WriteDumps and hepnos-bench -out write) and reports the
+// resource-saturation view — pool runnable/blocked extremes, OFI
+// events-read behaviour against the configured threshold,
+// completion-queue extremes, and the realized batching view (coalesced
+// ops per vectored flush, from the batch IDs stamped on origin-end
+// events). It also prints the PVAR
 // class table (paper Table I) and the list of PVARs a Mercury instance
 // exports (paper Table II) — including the num_batches_* counters.
 //
@@ -18,19 +20,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"symbiosys/internal/analysis"
 	"symbiosys/internal/analysis/report"
-	"symbiosys/internal/core"
+	"symbiosys/internal/experiments"
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/mercury/pvar"
 	"symbiosys/internal/na"
 )
 
 func main() {
-	dir := flag.String("dir", "", "directory holding *.trace.json dumps")
+	dir := flag.String("dir", "", "directory holding *.trace.bin dumps (binary trace dump format)")
 	capEvents := flag.Uint64("cap", 16, "OFI_max_events threshold for at-cap counting")
 	classes := flag.Bool("classes", false, "print the PVAR class table (paper Table I)")
 	pvars := flag.Bool("pvars", false, "print the PVARs a Mercury instance exports (paper Table II)")
@@ -93,25 +94,12 @@ func printPVars() {
 }
 
 func printStats(dir string, capEvents uint64, mode, out string) {
-	matches, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
+	dumps, err := experiments.ReadTraceDumps(dir)
 	if err != nil {
 		fatal(err)
 	}
-	if len(matches) == 0 {
-		fatal(fmt.Errorf("no *.trace.json dumps in %s", dir))
-	}
-	var dumps []*core.TraceDump
-	for _, path := range matches {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		d, err := core.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
-		}
-		dumps = append(dumps, d)
+	if len(dumps) == 0 {
+		fatal(fmt.Errorf("no *%s dumps in %s", experiments.TraceDumpSuffix, dir))
 	}
 	ts := analysis.MergeTraces(dumps)
 	stats := analysis.SystemStats(ts, capEvents)

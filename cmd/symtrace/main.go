@@ -1,7 +1,8 @@
 // Command symtrace is the SYMBIOSYS trace analysis tool (paper §V-A3):
-// it ingests per-process trace dumps or JSONL streams, groups events
-// into distributed requests by request ID and Lamport order, and
-// renders per-request views (span listing, ASCII Gantt, Zipkin export,
+// it ingests per-process trace dumps (binary <entity>.trace.bin files;
+// file arguments are read as dumps whatever their names) or
+// human-readable *.trace.jsonl streams, groups events into distributed
+// requests by request ID and Lamport order, and renders per-request views (span listing, ASCII Gantt, Zipkin export,
 // critical path) or whole-run views (request summary, dominant-path
 // flame report). The diff subcommand aligns two runs' critical paths by
 // shape and localizes regressions to a path segment.
@@ -27,6 +28,7 @@ import (
 	"symbiosys/internal/analysis"
 	"symbiosys/internal/analysis/report"
 	"symbiosys/internal/core"
+	"symbiosys/internal/experiments"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 		return
 	}
 
-	dir := flag.String("dir", "", "directory holding *.trace.json dumps")
+	dir := flag.String("dir", "", "directory holding *.trace.bin dumps (binary trace dump format)")
 	jsonl := flag.String("jsonl", "", "directory holding *.trace.jsonl streams (JSONL sink output)")
 	reqStr := flag.String("req", "", "request ID to inspect (hex with 0x, or decimal)")
 	zipkin := flag.String("zipkin", "", "write the selected request as Zipkin v2 JSON to this file")
@@ -119,8 +121,8 @@ func main() {
 // paths, align by shape, and report the per-segment deltas.
 func runDiff(argv []string) {
 	fs := flag.NewFlagSet("symtrace diff", flag.ExitOnError)
-	before := fs.String("before", "", "baseline run: directory holding *.trace.json dumps")
-	after := fs.String("after", "", "comparison run: directory holding *.trace.json dumps")
+	before := fs.String("before", "", "baseline run: directory holding *.trace.bin dumps")
+	after := fs.String("after", "", "comparison run: directory holding *.trace.bin dumps")
 	beforeJSONL := fs.String("before-jsonl", "", "baseline run: directory holding *.trace.jsonl streams")
 	afterJSONL := fs.String("after-jsonl", "", "comparison run: directory holding *.trace.jsonl streams")
 	mode := fs.String("o", "cli", "report output mode: cli, tui, or html")
@@ -161,17 +163,24 @@ func runDiff(argv []string) {
 	}
 }
 
-// ingest loads trace dumps (JSON snapshots and/or JSONL streams) into
+// ingest loads trace dumps (binary snapshots and/or JSONL streams) into
 // one merged trace set, returning run-quality warnings (drops,
 // truncated streams) rather than printing them, so reports embed them.
 func ingest(dir, jsonlDir string, extra []string) (*analysis.TraceSet, []string, error) {
-	files := append([]string(nil), extra...)
-	if dir != "" {
-		matches, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
+	var dumps []*core.TraceDump
+	for _, path := range extra {
+		d, err := experiments.ReadTraceDump(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		files = append(files, matches...)
+		dumps = append(dumps, d)
+	}
+	if dir != "" {
+		ds, err := experiments.ReadTraceDumps(dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		dumps = append(dumps, ds...)
 	}
 	var streams []string
 	if jsonlDir != "" {
@@ -181,22 +190,8 @@ func ingest(dir, jsonlDir string, extra []string) (*analysis.TraceSet, []string,
 		}
 		streams = matches
 	}
-	if len(files) == 0 && len(streams) == 0 {
+	if len(dumps) == 0 && len(streams) == 0 {
 		return nil, nil, fmt.Errorf("no trace dumps given; see -h")
-	}
-
-	var dumps []*core.TraceDump
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		d, err := core.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		dumps = append(dumps, d)
 	}
 	// JSONL streams are the streaming-sink export: events only, no drop
 	// counter (the sink observes every event). A truncated final line —

@@ -77,13 +77,6 @@ func barChar(kind string) string {
 	return "█"
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Gap is a stretch of a request's root span not covered by any nested
 // server span — client-side waiting, network transit, and queueing: the
 // per-request view of the paper's "unaccounted" time.

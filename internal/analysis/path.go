@@ -1,9 +1,9 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"symbiosys/internal/core"
 )
@@ -136,21 +136,25 @@ type PathStats struct {
 }
 
 // ExtractPaths computes the critical path of every request in the trace
-// set.
+// set. One sort groups the events by request; one builder then walks
+// the groups, reusing its scratch from request to request, so the sweep
+// allocates per distinct path shape and per arena chunk, not per
+// request. The paths' Segments are sub-slices of those chunks.
 func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
-	reqs := ts.Requests()
-	ids := make([]uint64, 0, len(reqs))
-	for id := range reqs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	var stats PathStats
-	stats.Requests = len(ids)
-	paths := make([]CriticalPath, 0, len(ids))
-	for _, id := range ids {
-		p := PathFromSpans(id, SpansOf(id, reqs[id]))
-		if p == nil {
+	keys := ts.byRequest()
+	stats := PathStats{Requests: countRuns(keys)}
+	paths := make([]CriticalPath, 0, stats.Requests)
+	b := pathBuilder{chunk: min(max(len(keys), 16), 1024)}
+	for lo := 0; lo < len(keys); {
+		hi := runEnd(keys, lo)
+		b.evs = b.evs[:0]
+		for _, k := range keys[lo:hi] {
+			b.evs = append(b.evs, ts.Events[k.pos])
+		}
+		id := keys[lo].req
+		lo = hi
+		p, ok := b.build(id, b.pair(id, b.evs))
+		if !ok {
 			continue
 		}
 		stats.Extracted++
@@ -163,7 +167,7 @@ func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
 		if p.Failed {
 			stats.Failed++
 		}
-		paths = append(paths, *p)
+		paths = append(paths, p)
 	}
 	return paths, stats
 }
@@ -171,103 +175,217 @@ func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
 // ExtractPath computes one request's critical path from its
 // Lamport-ordered events.
 func ExtractPath(requestID uint64, evs []core.Event) *CriticalPath {
-	return PathFromSpans(requestID, SpansOf(requestID, evs))
-}
-
-// pathBuilder carries the indexes one extraction works over.
-type pathBuilder struct {
-	spans []Span
-	// clientByBC / serverByBC index span positions per callpath,
-	// sorted by start time.
-	clientByBC map[core.Breadcrumb][]int
-	serverByBC map[core.Breadcrumb][]int
-	serverUsed []bool
-
-	path *CriticalPath
+	var b pathBuilder
+	return b.pathOf(requestID, b.pair(requestID, evs))
 }
 
 // PathFromSpans computes the critical path from one request's
 // reconstructed spans (SpansOf output). Returns nil when the request
 // has no spans at all.
 func PathFromSpans(requestID uint64, spans []Span) *CriticalPath {
-	if len(spans) == 0 {
-		return nil
-	}
-	b := &pathBuilder{
-		spans:      spans,
-		clientByBC: make(map[core.Breadcrumb][]int),
-		serverByBC: make(map[core.Breadcrumb][]int),
-		serverUsed: make([]bool, len(spans)),
-		path:       &CriticalPath{RequestID: requestID},
-	}
-	for i, s := range spans {
-		if s.Kind == "CLIENT" {
-			b.clientByBC[s.Breadcrumb] = append(b.clientByBC[s.Breadcrumb], i)
-		} else {
-			b.serverByBC[s.Breadcrumb] = append(b.serverByBC[s.Breadcrumb], i)
-		}
-		if s.BatchID != 0 {
-			b.path.Batched = true
-		}
-	}
-	byStart := func(idx []int) {
-		sort.SliceStable(idx, func(i, j int) bool {
-			return spans[idx[i]].StartNanos < spans[idx[j]].StartNanos
-		})
-	}
-	for _, idx := range b.clientByBC {
-		byStart(idx)
-	}
-	for _, idx := range b.serverByBC {
-		byStart(idx)
-	}
+	var b pathBuilder
+	return b.pathOf(requestID, spans)
+}
 
-	rootBC, ok := b.rootBreadcrumb()
+func (b *pathBuilder) pathOf(requestID uint64, spans []Span) *CriticalPath {
+	p, ok := b.build(requestID, spans)
 	if !ok {
 		return nil
 	}
-	if attempts := b.clientByBC[rootBC]; len(attempts) > 0 {
-		b.path.Attempts = b.expandHop(rootBC, attempts)
-	} else {
-		// Server-only view (the origin was unprofiled): expand the
-		// earliest root server span's interior directly.
-		si := b.serverByBC[rootBC][0]
-		b.serverUsed[si] = true
-		b.path.Incomplete = true
-		b.expandServer(b.spans[si])
-	}
-
-	segs := b.path.Segments
-	if len(segs) == 0 {
-		return nil
-	}
-	first, last := segs[0], segs[len(segs)-1]
-	b.path.TotalNanos = last.StartNanos + last.DurNanos - first.StartNanos
-	b.path.Shape = shapeOf(segs)
-	return b.path
+	return &p
 }
 
-// rootBreadcrumb picks the path's root hop: the shallowest breadcrumb
-// observed, earliest first on ties.
-func (b *pathBuilder) rootBreadcrumb() (core.Breadcrumb, bool) {
-	best := core.Breadcrumb(0)
-	bestDepth, bestStart := int(^uint(0)>>1), int64(0)
-	found := false
-	consider := func(bc core.Breadcrumb, start int64) {
-		d := bc.Depth()
-		if !found || d < bestDepth || (d == bestDepth && start < bestStart) {
-			best, bestDepth, bestStart, found = bc, d, start, true
+// pathBuilder extracts critical paths one request at a time. Everything
+// it indexes a request with is a slice kept from one request to the
+// next and scanned linearly — a request has a few spans on a handful of
+// callpaths — so building a path allocates nothing once the slices have
+// grown to the largest request seen. The zero value is ready to use.
+type pathBuilder struct {
+	// Pairing scratch (pair): the current request's events when they
+	// had to be gathered, its unmatched start events, its spans.
+	evs   []core.Event
+	open  []int
+	spans []Span
+
+	// The request being built: its spans, their positions grouped per
+	// (side, callpath) in start-time order, and which server spans an
+	// attempt has claimed.
+	cur    []Span
+	order  []int
+	groups []bcGroup
+	used   []bool
+	// stack and kids hold what the recursive expansion needs beyond a
+	// call's own frame — an attempt chain, a server span's child hops —
+	// each call using the region above its caller's.
+	stack []int
+	kids  []childGroup
+
+	path  CriticalPath
+	segs  []PathSegment
+	shape []byte
+
+	// Per sweep: finished paths' segments live in chunks of up to chunk
+	// segments (0: each path gets a slice of its own); shapes are
+	// interned, so a distinct shape allocates once.
+	chunk  int
+	arena  []PathSegment
+	shapes map[string]string
+}
+
+// bcGroup is the run order[lo:hi] of one side's spans on one callpath.
+type bcGroup struct {
+	bc     core.Breadcrumb
+	client bool
+	lo, hi int
+}
+
+// childGroup is one nested hop of a server span: the client spans
+// stack[lo:hi] issued on callpath bc, spanning [from, to].
+type childGroup struct {
+	bc       core.Breadcrumb
+	lo, hi   int
+	from, to int64
+}
+
+func isClient(s *Span) bool { return s.Kind == "CLIENT" }
+
+// build computes the critical path of the request whose spans these are
+// (SpansOf output); ok is false when there is none.
+func (b *pathBuilder) build(requestID uint64, spans []Span) (CriticalPath, bool) {
+	if len(spans) == 0 {
+		return CriticalPath{}, false
+	}
+	b.cur = spans
+	b.path = CriticalPath{RequestID: requestID}
+	b.segs = b.segs[:0]
+	b.used = slices.Grow(b.used[:0], len(spans))[:len(spans)]
+	clear(b.used)
+
+	// Index span positions per (side, callpath), client side first,
+	// each group by start time with ties in span order.
+	b.order = b.order[:0]
+	for i := range spans {
+		b.order = append(b.order, i)
+		if spans[i].BatchID != 0 {
+			b.path.Batched = true
 		}
 	}
-	for bc, idx := range b.clientByBC {
-		consider(bc, b.spans[idx[0]].StartNanos)
+	slices.SortFunc(b.order, func(x, y int) int {
+		sx, sy := &spans[x], &spans[y]
+		switch cx, cy := isClient(sx), isClient(sy); {
+		case cx && !cy:
+			return -1
+		case cy && !cx:
+			return 1
+		}
+		if c := cmp.Compare(sx.Breadcrumb, sy.Breadcrumb); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(sx.StartNanos, sy.StartNanos); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	b.groups = b.groups[:0]
+	for lo := 0; lo < len(b.order); {
+		first := &spans[b.order[lo]]
+		hi := lo + 1
+		for hi < len(b.order) {
+			s := &spans[b.order[hi]]
+			if s.Breadcrumb != first.Breadcrumb || isClient(s) != isClient(first) {
+				break
+			}
+			hi++
+		}
+		b.groups = append(b.groups, bcGroup{bc: first.Breadcrumb, client: isClient(first), lo: lo, hi: hi})
+		lo = hi
 	}
-	if !found {
-		for bc, idx := range b.serverByBC {
-			consider(bc, b.spans[idx[0]].StartNanos)
+
+	// The root hop is the shallowest callpath observed from the client
+	// side (from the server side when the origin was unprofiled), the
+	// earliest on ties, then the smallest breadcrumb.
+	root := b.groups[0]
+	for _, g := range b.groups[1:] {
+		if g.client != root.client {
+			break
+		}
+		gd, rd := g.bc.Depth(), root.bc.Depth()
+		if gd < rd || (gd == rd && spans[b.order[g.lo]].StartNanos < spans[b.order[root.lo]].StartNanos) {
+			root = g
 		}
 	}
-	return best, found
+	if root.client {
+		b.path.Attempts = b.expandHop(root.bc, b.order[root.lo:root.hi])
+	} else {
+		// Server-only view: expand the earliest root server span's
+		// interior directly.
+		si := b.order[root.lo]
+		b.used[si] = true
+		b.path.Incomplete = true
+		b.expandServer(&spans[si])
+	}
+
+	if len(b.segs) == 0 {
+		return CriticalPath{}, false
+	}
+	first, last := &b.segs[0], &b.segs[len(b.segs)-1]
+	b.path.TotalNanos = last.StartNanos + last.DurNanos - first.StartNanos
+	b.path.Shape = b.internShape()
+	b.path.Segments = b.keepSegments()
+	return b.path, true
+}
+
+// group returns the positions, in start order, of one side's spans on
+// one callpath.
+func (b *pathBuilder) group(bc core.Breadcrumb, client bool) []int {
+	for _, g := range b.groups {
+		if g.bc == bc && g.client == client {
+			return b.order[g.lo:g.hi]
+		}
+	}
+	return nil
+}
+
+// keepSegments moves the finished path's segments out of the scratch
+// into the sweep's arena and returns them, capacity clipped so that an
+// append by the caller cannot reach the next path's.
+func (b *pathBuilder) keepSegments() []PathSegment {
+	n := len(b.segs)
+	if cap(b.arena)-len(b.arena) < n {
+		b.arena = make([]PathSegment, 0, max(n, b.chunk))
+	}
+	lo := len(b.arena)
+	b.arena = append(b.arena, b.segs...)
+	return b.arena[lo : lo+n : lo+n]
+}
+
+// internShape builds the fold key: one token per segment, encoding
+// kind, hop RPC, and depth — entities are deliberately excluded so the
+// same logical path through different shards/processes folds together.
+// Paths of one sweep with equal keys share one string.
+func (b *pathBuilder) internShape() string {
+	buf := b.shape[:0]
+	for i := range b.segs {
+		s := &b.segs[i]
+		if i > 0 {
+			buf = append(buf, '|')
+		}
+		buf = strconv.AppendInt(buf, int64(s.Depth), 10)
+		buf = append(buf, ':')
+		buf = append(buf, s.RPC...)
+		buf = append(buf, '.')
+		buf = append(buf, s.Kind.String()...)
+	}
+	b.shape = buf
+	if shape, ok := b.shapes[string(buf)]; ok {
+		return shape
+	}
+	if b.shapes == nil {
+		b.shapes = make(map[string]string)
+	}
+	shape := string(buf)
+	b.shapes[shape] = shape
+	return shape
 }
 
 // emit appends one segment, dropping empty intervals.
@@ -275,7 +393,7 @@ func (b *pathBuilder) emit(seg PathSegment) {
 	if seg.DurNanos <= 0 {
 		return
 	}
-	b.path.Segments = append(b.path.Segments, seg)
+	b.segs = append(b.segs, seg)
 }
 
 // expandHop walks one hop's client attempts (retries share the
@@ -285,25 +403,27 @@ func (b *pathBuilder) emit(seg PathSegment) {
 // spans (concurrent siblings, e.g. batch fan-in under one request ID)
 // are reduced to the dominant one — the span ending last bounds
 // completion, so it alone is on the critical path and siblings do not
-// count as retry attempts.
+// count as retry attempts. attempts may alias b.order or a lower region
+// of b.stack; the chain goes on top of the stack.
 func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
-	chain := make([]int, 0, len(attempts))
+	base := len(b.stack)
 	for _, i := range attempts {
-		s := b.spans[i]
-		if len(chain) == 0 {
-			chain = append(chain, i)
+		s := &b.cur[i]
+		if len(b.stack) == base {
+			b.stack = append(b.stack, i)
 			continue
 		}
-		last := b.spans[chain[len(chain)-1]]
+		last := &b.cur[b.stack[len(b.stack)-1]]
 		if s.StartNanos >= last.StartNanos+last.DurNanos {
-			chain = append(chain, i) // sequential: a retry attempt
+			b.stack = append(b.stack, i) // sequential: a retry attempt
 		} else if s.StartNanos+s.DurNanos > last.StartNanos+last.DurNanos {
-			chain[len(chain)-1] = i // overlapping sibling: keep dominant
+			b.stack[len(b.stack)-1] = i // overlapping sibling: keep dominant
 		}
 	}
+	n := len(b.stack) - base
 	var prevEnd int64
-	for k, i := range chain {
-		s := b.spans[i]
+	for k := 0; k < n; k++ {
+		s := &b.cur[b.stack[base+k]]
 		if k > 0 {
 			if gap := s.StartNanos - prevEnd; gap > 0 {
 				b.emit(PathSegment{
@@ -317,18 +437,17 @@ func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
 		// failed attempt (dropped request, no target view) from
 		// stealing its retry's server span.
 		var nextStart int64
-		if k+1 < len(chain) {
-			nextStart = b.spans[chain[k+1]].StartNanos
+		if k+1 < n {
+			nextStart = b.cur[b.stack[base+k+1]].StartNanos
 		}
 		b.expandAttempt(s, nextStart)
 		prevEnd = s.StartNanos + s.DurNanos
 	}
-	if len(chain) > 0 {
-		if term := b.spans[chain[len(chain)-1]]; term.Failed {
-			b.path.Failed = true
-		}
+	if n > 0 && b.cur[b.stack[base+n-1]].Failed {
+		b.path.Failed = true
 	}
-	return len(chain)
+	b.stack = b.stack[:base]
+	return n
 }
 
 // expandAttempt decomposes one client attempt into batch-window wait,
@@ -336,16 +455,13 @@ func (b *pathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
 // response transit. An attempt with no target view degrades to one
 // unmatched segment. nextStart, when nonzero, is when the following
 // retry attempt began: server executions at or past it are off-limits.
-func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
+func (b *pathBuilder) expandAttempt(cs *Span, nextStart int64) {
 	depth := cs.Breadcrumb.Depth()
 	cursor := cs.StartNanos
 	csEnd := cs.StartNanos + cs.DurNanos
 
 	if cs.WindowNanos > 0 {
-		w := cs.WindowNanos
-		if w > cs.DurNanos {
-			w = cs.DurNanos
-		}
+		w := min(cs.WindowNanos, cs.DurNanos)
 		b.emit(PathSegment{
 			Kind: SegBatchWindow, RPC: cs.RPCName, Entity: cs.Entity,
 			Depth: depth, StartNanos: cursor, DurNanos: w, Failed: cs.Failed,
@@ -368,17 +484,11 @@ func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
 		}
 		return
 	}
-	b.serverUsed[si] = true
-	ss := b.spans[si]
+	b.used[si] = true
+	ss := &b.cur[si]
 	ssEnd := ss.StartNanos + ss.DurNanos
 
-	queue := ss.QueueNanos
-	if max := ss.StartNanos - cursor; queue > max {
-		queue = max
-	}
-	if queue < 0 {
-		queue = 0
-	}
+	queue := max(min(ss.QueueNanos, ss.StartNanos-cursor), 0)
 	if net := ss.StartNanos - queue - cursor; net > 0 {
 		b.emit(PathSegment{
 			Kind: SegNetOut, RPC: cs.RPCName, Entity: cs.Entity,
@@ -404,60 +514,52 @@ func (b *pathBuilder) expandAttempt(cs Span, nextStart int64) {
 // interleaved with nested hops issued by the handler. Calls from one
 // handler ULT are sequential, so the interior decomposes linearly; the
 // nested hops recurse through expandHop.
-func (b *pathBuilder) expandServer(ss Span) {
+func (b *pathBuilder) expandServer(ss *Span) {
 	depth := ss.Breadcrumb.Depth()
 	start, end := ss.StartNanos, ss.StartNanos+ss.DurNanos
 
 	// Child hops: client spans issued by this entity whose callpath
 	// extends this hop's, starting inside this span's window.
-	type childGroup struct {
-		bc       core.Breadcrumb
-		idx      []int
-		from, to int64
-	}
-	var children []childGroup
-	for bc, idx := range b.clientByBC {
-		if bc.Parent() != ss.Breadcrumb || bc == ss.Breadcrumb {
+	stackBase, kidBase := len(b.stack), len(b.kids)
+	for _, g := range b.groups {
+		if !g.client || g.bc.Parent() != ss.Breadcrumb || g.bc == ss.Breadcrumb {
 			continue
 		}
-		var mine []int
+		lo := len(b.stack)
 		var from, to int64
-		for _, i := range idx {
-			s := b.spans[i]
+		for _, i := range b.order[g.lo:g.hi] {
+			s := &b.cur[i]
 			if s.Entity != ss.Entity || s.StartNanos < start || s.StartNanos > end {
 				continue
 			}
-			if len(mine) == 0 || s.StartNanos < from {
+			if len(b.stack) == lo || s.StartNanos < from {
 				from = s.StartNanos
 			}
-			if e := s.StartNanos + s.DurNanos; e > to {
-				to = e
-			}
-			mine = append(mine, i)
+			to = max(to, s.StartNanos+s.DurNanos)
+			b.stack = append(b.stack, i)
 		}
-		if len(mine) > 0 {
-			children = append(children, childGroup{bc: bc, idx: mine, from: from, to: to})
+		if len(b.stack) > lo {
+			b.kids = append(b.kids, childGroup{bc: g.bc, lo: lo, hi: len(b.stack), from: from, to: to})
 		}
 	}
-	sort.Slice(children, func(i, j int) bool {
-		if children[i].from != children[j].from {
-			return children[i].from < children[j].from
+	slices.SortFunc(b.kids[kidBase:], func(x, y childGroup) int {
+		if c := cmp.Compare(x.from, y.from); c != 0 {
+			return c
 		}
-		return children[i].bc < children[j].bc
+		return cmp.Compare(x.bc, y.bc)
 	})
 
 	cursor := start
-	for _, ch := range children {
+	for k, n := kidBase, len(b.kids); k < n; k++ {
+		ch := b.kids[k] // by value: the nested hop may grow b.kids
 		if ch.from > cursor {
 			b.emit(PathSegment{
 				Kind: SegExec, RPC: ss.RPCName, Entity: ss.Entity,
 				Depth: depth, StartNanos: cursor, DurNanos: ch.from - cursor, Failed: ss.Failed,
 			})
 		}
-		b.expandHop(ch.bc, ch.idx)
-		if ch.to > cursor {
-			cursor = ch.to
-		}
+		b.expandHop(ch.bc, b.stack[ch.lo:ch.hi])
+		cursor = max(cursor, ch.to)
 	}
 	if end > cursor {
 		b.emit(PathSegment{
@@ -465,6 +567,7 @@ func (b *pathBuilder) expandServer(ss Span) {
 			Depth: depth, StartNanos: cursor, DurNanos: end - cursor, Failed: ss.Failed,
 		})
 	}
+	b.stack, b.kids = b.stack[:stackBase], b.kids[:kidBase]
 }
 
 // matchServer finds the unused target view of one client attempt: the
@@ -477,12 +580,12 @@ func (b *pathBuilder) expandServer(ss Span) {
 // with the first execution's t5, so Lamport order alone cannot split
 // attempts. It misattributes only when cross-process clock skew
 // exceeds the retry backoff gap.)
-func (b *pathBuilder) matchServer(cs Span, beforeNanos int64) int {
-	for _, i := range b.serverByBC[cs.Breadcrumb] {
-		if b.serverUsed[i] {
+func (b *pathBuilder) matchServer(cs *Span, beforeNanos int64) int {
+	for _, i := range b.group(cs.Breadcrumb, false) {
+		if b.used[i] {
 			continue
 		}
-		s := b.spans[i]
+		s := &b.cur[i]
 		if s.StartOrder < cs.StartOrder {
 			continue
 		}
@@ -494,44 +597,27 @@ func (b *pathBuilder) matchServer(cs Span, beforeNanos int64) int {
 	return -1
 }
 
-// shapeOf builds the fold key: one token per segment, encoding kind,
-// hop RPC, and depth — entities are deliberately excluded so the same
-// logical path through different shards/processes folds together.
-func shapeOf(segs []PathSegment) string {
-	var sb strings.Builder
-	for i, s := range segs {
-		if i > 0 {
-			sb.WriteByte('|')
-		}
-		fmt.Fprintf(&sb, "%d:%s.%s", s.Depth, s.RPC, s.Kind)
-	}
-	return sb.String()
-}
-
 // IncompleteRequests counts requests whose span set lacks any t5/t8
 // target pair despite having origin events — requests that would
 // otherwise be silently skipped by span-level analyses.
 func (ts *TraceSet) IncompleteRequests() int {
-	type seen struct{ origin, target bool }
-	byReq := make(map[uint64]*seen)
-	for _, e := range ts.Events {
-		s := byReq[e.RequestID]
-		if s == nil {
-			s = &seen{}
-			byReq[e.RequestID] = s
-		}
-		switch e.Kind {
-		case core.EvOriginStart, core.EvOriginEnd:
-			s.origin = true
-		case core.EvTargetStart, core.EvTargetEnd:
-			s.target = true
-		}
-	}
+	keys := ts.byRequest()
 	n := 0
-	for _, s := range byReq {
-		if s.origin && !s.target {
+	for lo := 0; lo < len(keys); {
+		hi := runEnd(keys, lo)
+		var origin, target bool
+		for _, k := range keys[lo:hi] {
+			switch ts.Events[k.pos].Kind {
+			case core.EvOriginStart, core.EvOriginEnd:
+				origin = true
+			case core.EvTargetStart, core.EvTargetEnd:
+				target = true
+			}
+		}
+		if origin && !target {
 			n++
 		}
+		lo = hi
 	}
 	return n
 }

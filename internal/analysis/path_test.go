@@ -1,9 +1,15 @@
 package analysis
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"symbiosys/internal/core"
 )
@@ -459,4 +465,835 @@ func TestSegKindStrings(t *testing.T) {
 	if time.Duration(0) != 0 { // keep the time import honest
 		t.Fatal("unreachable")
 	}
+}
+
+// TestRequestGroupingCases: RequestIDs and IncompleteRequests over
+// origin-only, target-only and mixed requests, interleaved across dumps.
+func TestRequestGroupingCases(t *testing.T) {
+	bc := uint64(core.Breadcrumb(0).Push("a_rpc"))
+	ev := func(id uint64, order uint64, kind core.EventKind) core.Event {
+		return core.Event{RequestID: id, Order: order, Kind: kind, Timestamp: pathTraceBase + int64(order),
+			Entity: "e", RPCName: "a_rpc", Breadcrumb: bc}
+	}
+	ts := MergeTraces([]*core.TraceDump{
+		{Entity: "cli", Events: []core.Event{
+			ev(30, 1, core.EvOriginStart), // mixed
+			ev(10, 1, core.EvOriginStart), // origin-only: both origin events
+			ev(30, 4, core.EvOriginEnd),
+			ev(50, 1, core.EvOriginEnd), // origin-only: a lone t14
+			ev(10, 2, core.EvOriginEnd),
+		}},
+		{Entity: "srv", Events: []core.Event{
+			ev(20, 1, core.EvTargetStart), // target-only
+			ev(30, 2, core.EvTargetStart),
+			ev(20, 2, core.EvTargetEnd),
+			ev(40, 1, core.EvTargetEnd), // target-only: a lone t8
+			ev(30, 3, core.EvTargetEnd),
+		}},
+	})
+	if got, want := ts.RequestIDs(), []uint64{10, 20, 30, 40, 50}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("RequestIDs() = %v, want %v", got, want)
+	}
+	if got := ts.IncompleteRequests(); got != 2 {
+		t.Fatalf("IncompleteRequests() = %d, want 2 (requests 10 and 50)", got)
+	}
+	if got, want := ts.IncompleteRequests(), oracleIncompleteRequests(ts); got != want {
+		t.Fatalf("IncompleteRequests() = %d, the map-based count %d", got, want)
+	}
+	reqs := ts.Requests()
+	if len(reqs) != 5 || len(reqs[30]) != 4 {
+		t.Fatalf("Requests() = %v", reqs)
+	}
+	for i, e := range reqs[30] {
+		if e.Order != uint64(i+1) {
+			t.Fatalf("request 30 not in Lamport order: %+v", reqs[30])
+		}
+	}
+	var empty TraceSet
+	if empty.RequestIDs() != nil || empty.IncompleteRequests() != 0 || len(empty.Requests()) != 0 {
+		t.Fatal("empty trace set has requests")
+	}
+}
+
+func TestMergeTracesPresizesAndStaysLazy(t *testing.T) {
+	a, b := twoHopEvents(1, pathTraceBase), retriedEvents(2, pathTraceBase)
+	ts := MergeTraces([]*core.TraceDump{{Entity: "a", Events: a}, {Entity: "b", Events: b}})
+	if len(ts.Events) != len(a)+len(b) || cap(ts.Events) != len(ts.Events) {
+		t.Fatalf("merged %d events into capacity %d, want %d exactly", len(ts.Events), cap(ts.Events), len(a)+len(b))
+	}
+	if ts.DroppedBy != nil {
+		t.Fatalf("DroppedBy = %v with no drops, want nil", ts.DroppedBy)
+	}
+	ts = MergeTraces([]*core.TraceDump{{Entity: "a", Events: a, Dropped: 2}, {Entity: "b"}, {Entity: "a", Dropped: 1}})
+	if ts.Dropped != 3 || len(ts.DroppedBy) != 1 || ts.DroppedBy["a"] != 3 {
+		t.Fatalf("dropped = %d by %v", ts.Dropped, ts.DroppedBy)
+	}
+}
+
+// synth fabricates a run's trace dumps from a seed: requests of nested
+// hops up to depth 3 between a few processes, with retried attempts
+// (request or response lost), batch fan-in under one request ID,
+// requests seen from one side only, Lamport orders that repeat across
+// processes, and dumps whose events are out of time order.
+type synth struct {
+	rng    *rand.Rand
+	dumps  map[string][]core.Event
+	clock  int64
+	order  uint64
+	ties   bool // Lamport orders repeat
+	zeroed bool // end events leave Duration to be derived
+}
+
+var (
+	synthRPCs    = []string{"put_rpc", "get_rpc", "list_rpc"}
+	synthServers = []string{"srv0", "srv1", "srv2"}
+)
+
+func (s *synth) tick() int64 {
+	s.clock += 1 + int64(s.rng.Intn(50))
+	return s.clock
+}
+
+func (s *synth) emit(ev core.Event) {
+	if !s.ties || s.rng.Intn(3) > 0 {
+		s.order++
+	}
+	ev.Order = s.order
+	s.dumps[ev.Entity] = append(s.dumps[ev.Entity], ev)
+}
+
+// hop issues one RPC from entity `from` on the callpath under parent,
+// as 1-3 attempts or as a fan of concurrent siblings.
+func (s *synth) hop(id uint64, from string, parent core.Breadcrumb, depth int) {
+	rpc := synthRPCs[s.rng.Intn(len(synthRPCs))]
+	bc := parent.Push(rpc)
+	to := synthServers[s.rng.Intn(len(synthServers))]
+	base := core.Event{RequestID: id, RPCName: rpc, Breadcrumb: uint64(bc)}
+	end := func(ev core.Event, start int64) core.Event {
+		ev.Timestamp = s.tick()
+		if !s.zeroed {
+			ev.Duration = ev.Timestamp - start
+		}
+		return ev
+	}
+	// serve runs one execution on the target, nested hops included.
+	serve := func() {
+		t5 := base
+		t5.Kind, t5.Entity, t5.Peer, t5.Timestamp = core.EvTargetStart, to, from, s.tick()
+		t5.QueueNanos = int64(s.rng.Intn(40))
+		s.emit(t5)
+		if depth < 3 {
+			for n := s.rng.Intn(3); n > 0; n-- {
+				s.tick()
+				s.hop(id, to, bc, depth+1)
+			}
+		}
+		t8 := base
+		t8.Kind, t8.Entity, t8.Peer, t8.Failed = core.EvTargetEnd, to, from, s.rng.Intn(25) == 0
+		s.emit(end(t8, t5.Timestamp))
+	}
+	t1 := base
+	t1.Kind, t1.Entity, t1.Peer = core.EvOriginStart, from, to
+	t14 := base
+	t14.Kind, t14.Entity, t14.Peer = core.EvOriginEnd, from, to
+
+	if s.rng.Intn(6) == 0 {
+		// Batch fan-in: siblings enter the window one after another,
+		// execute in turn, and complete together.
+		width := 2 + s.rng.Intn(6)
+		starts := make([]int64, width)
+		for i := range starts {
+			t1.Timestamp = s.tick()
+			starts[i] = t1.Timestamp
+			s.emit(t1)
+		}
+		for range starts {
+			serve()
+		}
+		t14.BatchID = 1 + uint64(s.rng.Intn(9))
+		for _, start := range starts {
+			t14.WindowNanos = int64(s.rng.Intn(60))
+			s.emit(end(t14, start))
+		}
+		return
+	}
+	attempts := 1
+	if s.rng.Intn(4) == 0 {
+		attempts += 1 + s.rng.Intn(2)
+	}
+	for a := 1; a <= attempts; a++ {
+		failed := a < attempts || s.rng.Intn(25) == 0
+		t1.Timestamp = s.tick()
+		s.emit(t1)
+		if !failed || s.rng.Intn(2) == 0 { // a failed attempt may have executed (response lost)
+			serve()
+		}
+		t14.Failed = failed
+		s.emit(end(t14, t1.Timestamp))
+		s.tick() // backoff
+	}
+}
+
+func synthTraceSet(seed int64) *TraceSet {
+	s := &synth{rng: rand.New(rand.NewSource(seed)), dumps: map[string][]core.Event{}, clock: pathTraceBase}
+	s.ties, s.zeroed = seed%3 == 0, seed%7 == 0
+	nreq := 1 + s.rng.Intn(24)
+	drop := map[uint64]func(core.Event) bool{}
+	for i := 0; i < nreq; i++ {
+		id := uint64(1+s.rng.Intn(3))<<32 | uint64(i)
+		cli := "cli" + strconv.Itoa(s.rng.Intn(2))
+		s.hop(id, cli, 0, 1)
+		isOrigin := func(e core.Event) bool { return e.Kind == core.EvOriginStart || e.Kind == core.EvOriginEnd }
+		switch s.rng.Intn(10) {
+		case 0: // server-only: the client was unprofiled
+			drop[id] = func(e core.Event) bool { return e.Entity == cli }
+		case 1: // origin-only: every target's events were lost
+			drop[id] = func(e core.Event) bool { return !isOrigin(e) }
+		case 2: // target-only
+			drop[id] = isOrigin
+		}
+	}
+	names := make([]string, 0, len(s.dumps))
+	for name := range s.dumps {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var dumps []*core.TraceDump
+	for _, name := range names {
+		var evs []core.Event
+		for _, e := range s.dumps[name] {
+			if f := drop[e.RequestID]; f == nil || !f(e) {
+				evs = append(evs, e)
+			}
+		}
+		if seed%4 == 0 {
+			s.rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
+		}
+		dumps = append(dumps, &core.TraceDump{Entity: name, Events: evs})
+	}
+	return MergeTraces(dumps)
+}
+
+// TestExtractPathsMatchesOracle: the sort-grouped, scratch-slice
+// extraction returns exactly what the map-based one it replaced returns
+// (kept below as the oracle), request by request and for the sweep.
+func TestExtractPathsMatchesOracle(t *testing.T) {
+	var saw struct{ retried, failed, incomplete, batched, deep, wide, serverOnly, originOnly int }
+	for seed := int64(1); seed <= 300; seed++ {
+		ts := synthTraceSet(seed)
+		wantPaths, wantStats := oracleExtractPaths(ts)
+		gotPaths, gotStats := ExtractPaths(ts)
+		if gotStats != wantStats {
+			t.Fatalf("seed %d: stats = %+v, oracle %+v", seed, gotStats, wantStats)
+		}
+		if !reflect.DeepEqual(gotPaths, wantPaths) {
+			for i := range wantPaths {
+				if i >= len(gotPaths) || !reflect.DeepEqual(gotPaths[i], wantPaths[i]) {
+					t.Fatalf("seed %d: path %d differs:\n got %+v\nwant %+v", seed, i, gotPaths[i], wantPaths[i])
+				}
+			}
+			t.Fatalf("seed %d: %d paths, oracle %d", seed, len(gotPaths), len(wantPaths))
+		}
+		wantReqs := oracleRequests(ts)
+		if got := ts.Requests(); !reflect.DeepEqual(got, wantReqs) {
+			t.Fatalf("seed %d: Requests() differs from the oracle", seed)
+		}
+		if got, want := ts.RequestIDs(), oracleRequestIDs(ts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: RequestIDs() = %v, oracle %v", seed, got, want)
+		}
+		if got, want := ts.IncompleteRequests(), oracleIncompleteRequests(ts); got != want {
+			t.Fatalf("seed %d: IncompleteRequests() = %d, oracle %d", seed, got, want)
+		}
+		for id, evs := range wantReqs {
+			wantSpans := oracleSpansOf(id, evs)
+			if got := SpansOf(id, evs); !reflect.DeepEqual(got, wantSpans) {
+				t.Fatalf("seed %d request %#x: SpansOf differs:\n got %+v\nwant %+v", seed, id, got, wantSpans)
+			}
+			want := oraclePathFromSpans(id, wantSpans)
+			if got := PathFromSpans(id, wantSpans); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d request %#x: PathFromSpans differs:\n got %+v\nwant %+v", seed, id, got, want)
+			}
+			if got := ExtractPath(id, evs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d request %#x: ExtractPath differs:\n got %+v\nwant %+v", seed, id, got, want)
+			}
+			if len(wantSpans) > 12 {
+				saw.wide++
+			}
+			if wantSpans != nil && oracleIncompleteRequests(&TraceSet{Events: evs}) == 1 {
+				saw.originOnly++
+			}
+		}
+		for _, p := range gotPaths {
+			if p.Shape != oracleShapeOf(p.Segments) {
+				t.Fatalf("seed %d: shape %q, oracle %q", seed, p.Shape, oracleShapeOf(p.Segments))
+			}
+			for _, s := range p.Segments {
+				if s.Depth >= 3 {
+					saw.deep++
+					break
+				}
+			}
+			if p.Batched {
+				saw.batched++
+			}
+			if p.Incomplete && p.Attempts == 0 {
+				saw.serverOnly++
+			}
+		}
+		saw.retried += gotStats.Retried
+		saw.failed += gotStats.Failed
+		saw.incomplete += gotStats.Incomplete
+	}
+	t.Logf("coverage: %+v", saw)
+	// The generator must have produced what the test claims to cover.
+	if saw.retried == 0 || saw.failed == 0 || saw.incomplete == 0 || saw.batched == 0 ||
+		saw.deep == 0 || saw.wide == 0 || saw.serverOnly == 0 || saw.originOnly == 0 {
+		t.Fatalf("synthetic traces missed a case: %+v", saw)
+	}
+}
+
+// TestExtractPathsSharesShapesAndClipsSegments: paths of one sweep with
+// equal shapes share the string, and appending to one path's Segments
+// cannot reach the next path's in the arena.
+func TestExtractPathsSharesShapesAndClipsSegments(t *testing.T) {
+	ts := MergeTraces([]*core.TraceDump{
+		{Entity: "a", Events: twoHopEvents(1, pathTraceBase)},
+		{Entity: "b", Events: twoHopEvents(2, pathTraceBase+10_000)},
+	})
+	paths, _ := ExtractPaths(ts)
+	if len(paths) != 2 {
+		t.Fatalf("paths = %d", len(paths))
+	}
+	if unsafe.StringData(paths[0].Shape) != unsafe.StringData(paths[1].Shape) {
+		t.Fatal("equal shapes of one sweep are separate strings")
+	}
+	want := paths[1].Segments[0]
+	if cap(paths[0].Segments) != len(paths[0].Segments) {
+		t.Fatalf("segments len %d cap %d, want clipped", len(paths[0].Segments), cap(paths[0].Segments))
+	}
+	_ = append(paths[0].Segments, PathSegment{Kind: SegBackoff})
+	if paths[1].Segments[0] != want {
+		t.Fatal("append to one path's segments overwrote the next path's")
+	}
+}
+
+// TestExtractPathsAllocations pins the point of the builder: a sweep
+// allocates per arena chunk and per distinct shape, not per request.
+func TestExtractPathsAllocations(t *testing.T) {
+	const requests = 2048
+	bc := uint64(core.Breadcrumb(0).Push("a_rpc"))
+	cli := &core.TraceDump{Entity: "cli"}
+	srv := &core.TraceDump{Entity: "srv"}
+	for i := 0; i < requests; i++ {
+		id, base := uint64(1)<<32|uint64(i), pathTraceBase+int64(i)*1000
+		ev := core.Event{RequestID: id, RPCName: "a_rpc", Breadcrumb: bc}
+		at := func(kind core.EventKind, order uint64, entity string, ts, dur int64) core.Event {
+			e := ev
+			e.Kind, e.Order, e.Entity, e.Timestamp, e.Duration = kind, order, entity, base+ts, dur
+			return e
+		}
+		t5 := at(core.EvTargetStart, 2, "srv", 100, 0)
+		t5.QueueNanos = 40
+		cli.Events = append(cli.Events, at(core.EvOriginStart, 1, "cli", 0, 0), at(core.EvOriginEnd, 4, "cli", 400, 400))
+		srv.Events = append(srv.Events, t5, at(core.EvTargetEnd, 3, "srv", 300, 200))
+	}
+	ts := MergeTraces([]*core.TraceDump{cli, srv})
+	var stats PathStats
+	allocs := testing.AllocsPerRun(5, func() { benchSinkPaths, stats = ExtractPaths(ts) })
+	if stats.Extracted != requests || stats.Incomplete != 0 {
+		t.Fatalf("stats = %+v", stats)
+	}
+	if per := allocs / requests; per >= 0.25 {
+		t.Fatalf("ExtractPaths allocated %.0f times for %d requests (%.2f per request), want < 0.25", allocs, requests, per)
+	}
+}
+
+// ---------------------------------------------------------------------
+// The oracle: the map-based request grouping, span pairing and path
+// builder that ExtractPaths replaced, verbatim but for the names. It
+// allocates per request (a map slot and slice per group, an `open` map
+// per pairing, two maps and a heap path per build, fmt into a builder
+// per shape) and exists only so TestExtractPathsMatchesOracle can hold
+// the replacement to its results.
+
+// oracleRequests groups events by request ID, each group sorted by Lamport
+// order (the clock-skew-tolerant ordering of the paper §IV-A2).
+func oracleRequests(ts *TraceSet) map[uint64][]core.Event {
+	out := make(map[uint64][]core.Event)
+	for _, e := range ts.Events {
+		out[e.RequestID] = append(out[e.RequestID], e)
+	}
+	for id := range out {
+		evs := out[id]
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Order < evs[j].Order })
+		out[id] = evs
+	}
+	return out
+}
+
+// oracleRequestIDs returns all request IDs, sorted.
+func oracleRequestIDs(ts *TraceSet) []uint64 {
+	seen := make(map[uint64]bool)
+	var ids []uint64
+	for _, e := range ts.Events {
+		if !seen[e.RequestID] {
+			seen[e.RequestID] = true
+			ids = append(ids, e.RequestID)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// oracleSpansOf reconstructs the call intervals of one request from its
+// Lamport-ordered events by pairing start and end events per (entity,
+// breadcrumb, side): each end event closes the oldest unmatched start
+// (calls from one ULT are sequential, so FIFO pairing is exact there
+// and a close approximation for concurrent same-callpath calls).
+func oracleSpansOf(requestID uint64, evs []core.Event) []Span {
+	type pairKey struct {
+		entity string
+		bc     core.Breadcrumb
+		client bool
+	}
+	open := make(map[pairKey][]core.Event)
+	var spans []Span
+	for _, e := range evs {
+		switch e.Kind {
+		case core.EvOriginStart, core.EvTargetStart:
+			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginStart}
+			open[k] = append(open[k], e)
+		case core.EvOriginEnd, core.EvTargetEnd:
+			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginEnd}
+			q := open[k]
+			if len(q) == 0 {
+				continue // unmatched end (dropped start)
+			}
+			start := q[0]
+			open[k] = q[1:]
+			kind := "SERVER"
+			if e.Kind == core.EvOriginEnd {
+				kind = "CLIENT"
+			}
+			dur := e.Duration
+			if dur == 0 {
+				dur = e.Timestamp - start.Timestamp
+			}
+			spans = append(spans, Span{
+				RequestID:  requestID,
+				Breadcrumb: core.Breadcrumb(e.Breadcrumb),
+				RPCName:    e.RPCName,
+				Entity:     e.Entity,
+				Kind:       kind,
+				StartNanos: start.Timestamp,
+				DurNanos:   dur,
+				StartOrder: start.Order,
+				Failed:     e.Failed,
+				// Queue wait rides the start (t5) event, window wait
+				// and batch identity the end (t14) event.
+				QueueNanos:  start.QueueNanos,
+				WindowNanos: e.WindowNanos,
+				BatchID:     e.BatchID,
+				Sys:         e.Sys,
+				PVars:       e.PVars,
+			})
+		}
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].StartOrder < spans[j].StartOrder })
+	return spans
+}
+
+// oracleExtractPaths computes the critical path of every request in the trace
+// set.
+func oracleExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
+	reqs := oracleRequests(ts)
+	ids := make([]uint64, 0, len(reqs))
+	for id := range reqs {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+
+	var stats PathStats
+	stats.Requests = len(ids)
+	paths := make([]CriticalPath, 0, len(ids))
+	for _, id := range ids {
+		p := oraclePathFromSpans(id, oracleSpansOf(id, reqs[id]))
+		if p == nil {
+			continue
+		}
+		stats.Extracted++
+		if p.Incomplete {
+			stats.Incomplete++
+		}
+		if p.Attempts > 1 {
+			stats.Retried++
+		}
+		if p.Failed {
+			stats.Failed++
+		}
+		paths = append(paths, *p)
+	}
+	return paths, stats
+}
+
+// oraclePathBuilder carries the indexes one extraction works over.
+type oraclePathBuilder struct {
+	spans []Span
+	// clientByBC / serverByBC index span positions per callpath,
+	// sorted by start time.
+	clientByBC map[core.Breadcrumb][]int
+	serverByBC map[core.Breadcrumb][]int
+	serverUsed []bool
+
+	path *CriticalPath
+}
+
+// oraclePathFromSpans computes the critical path from one request's
+// reconstructed spans (SpansOf output). Returns nil when the request
+// has no spans at all.
+func oraclePathFromSpans(requestID uint64, spans []Span) *CriticalPath {
+	if len(spans) == 0 {
+		return nil
+	}
+	b := &oraclePathBuilder{
+		spans:      spans,
+		clientByBC: make(map[core.Breadcrumb][]int),
+		serverByBC: make(map[core.Breadcrumb][]int),
+		serverUsed: make([]bool, len(spans)),
+		path:       &CriticalPath{RequestID: requestID},
+	}
+	for i, s := range spans {
+		if s.Kind == "CLIENT" {
+			b.clientByBC[s.Breadcrumb] = append(b.clientByBC[s.Breadcrumb], i)
+		} else {
+			b.serverByBC[s.Breadcrumb] = append(b.serverByBC[s.Breadcrumb], i)
+		}
+		if s.BatchID != 0 {
+			b.path.Batched = true
+		}
+	}
+	byStart := func(idx []int) {
+		sort.SliceStable(idx, func(i, j int) bool {
+			return spans[idx[i]].StartNanos < spans[idx[j]].StartNanos
+		})
+	}
+	for _, idx := range b.clientByBC {
+		byStart(idx)
+	}
+	for _, idx := range b.serverByBC {
+		byStart(idx)
+	}
+
+	rootBC, ok := b.rootBreadcrumb()
+	if !ok {
+		return nil
+	}
+	if attempts := b.clientByBC[rootBC]; len(attempts) > 0 {
+		b.path.Attempts = b.expandHop(rootBC, attempts)
+	} else {
+		// Server-only view (the origin was unprofiled): expand the
+		// earliest root server span's interior directly.
+		si := b.serverByBC[rootBC][0]
+		b.serverUsed[si] = true
+		b.path.Incomplete = true
+		b.expandServer(b.spans[si])
+	}
+
+	segs := b.path.Segments
+	if len(segs) == 0 {
+		return nil
+	}
+	first, last := segs[0], segs[len(segs)-1]
+	b.path.TotalNanos = last.StartNanos + last.DurNanos - first.StartNanos
+	b.path.Shape = oracleShapeOf(segs)
+	return b.path
+}
+
+// rootBreadcrumb picks the path's root hop: the shallowest breadcrumb
+// observed, earliest first on ties.
+func (b *oraclePathBuilder) rootBreadcrumb() (core.Breadcrumb, bool) {
+	best := core.Breadcrumb(0)
+	bestDepth, bestStart := int(^uint(0)>>1), int64(0)
+	found := false
+	consider := func(bc core.Breadcrumb, start int64) {
+		d := bc.Depth()
+		if !found || d < bestDepth || (d == bestDepth && start < bestStart) {
+			best, bestDepth, bestStart, found = bc, d, start, true
+		}
+	}
+	for bc, idx := range b.clientByBC {
+		consider(bc, b.spans[idx[0]].StartNanos)
+	}
+	if !found {
+		for bc, idx := range b.serverByBC {
+			consider(bc, b.spans[idx[0]].StartNanos)
+		}
+	}
+	return best, found
+}
+
+// emit appends one segment, dropping empty intervals.
+func (b *oraclePathBuilder) emit(seg PathSegment) {
+	if seg.DurNanos <= 0 {
+		return
+	}
+	b.path.Segments = append(b.path.Segments, seg)
+}
+
+// expandHop walks one hop's client attempts (retries share the
+// breadcrumb; earlier attempts carry Failed terminal events) and emits
+// the attempt chain with backoff gaps between attempts, returning the
+// chain length (sequential attempts). Overlapping same-breadcrumb
+// spans (concurrent siblings, e.g. batch fan-in under one request ID)
+// are reduced to the dominant one — the span ending last bounds
+// completion, so it alone is on the critical path and siblings do not
+// count as retry attempts.
+func (b *oraclePathBuilder) expandHop(bc core.Breadcrumb, attempts []int) int {
+	chain := make([]int, 0, len(attempts))
+	for _, i := range attempts {
+		s := b.spans[i]
+		if len(chain) == 0 {
+			chain = append(chain, i)
+			continue
+		}
+		last := b.spans[chain[len(chain)-1]]
+		if s.StartNanos >= last.StartNanos+last.DurNanos {
+			chain = append(chain, i) // sequential: a retry attempt
+		} else if s.StartNanos+s.DurNanos > last.StartNanos+last.DurNanos {
+			chain[len(chain)-1] = i // overlapping sibling: keep dominant
+		}
+	}
+	var prevEnd int64
+	for k, i := range chain {
+		s := b.spans[i]
+		if k > 0 {
+			if gap := s.StartNanos - prevEnd; gap > 0 {
+				b.emit(PathSegment{
+					Kind: SegBackoff, RPC: s.RPCName, Entity: s.Entity,
+					Depth: bc.Depth(), StartNanos: prevEnd, DurNanos: gap,
+				})
+			}
+		}
+		// A server execution starting after the next attempt began
+		// belongs to that attempt, not this one — the bound keeps a
+		// failed attempt (dropped request, no target view) from
+		// stealing its retry's server span.
+		var nextStart int64
+		if k+1 < len(chain) {
+			nextStart = b.spans[chain[k+1]].StartNanos
+		}
+		b.expandAttempt(s, nextStart)
+		prevEnd = s.StartNanos + s.DurNanos
+	}
+	if len(chain) > 0 {
+		if term := b.spans[chain[len(chain)-1]]; term.Failed {
+			b.path.Failed = true
+		}
+	}
+	return len(chain)
+}
+
+// expandAttempt decomposes one client attempt into batch-window wait,
+// request transit, queue wait, the matched server span's interior, and
+// response transit. An attempt with no target view degrades to one
+// unmatched segment. nextStart, when nonzero, is when the following
+// retry attempt began: server executions at or past it are off-limits.
+func (b *oraclePathBuilder) expandAttempt(cs Span, nextStart int64) {
+	depth := cs.Breadcrumb.Depth()
+	cursor := cs.StartNanos
+	csEnd := cs.StartNanos + cs.DurNanos
+
+	if cs.WindowNanos > 0 {
+		w := cs.WindowNanos
+		if w > cs.DurNanos {
+			w = cs.DurNanos
+		}
+		b.emit(PathSegment{
+			Kind: SegBatchWindow, RPC: cs.RPCName, Entity: cs.Entity,
+			Depth: depth, StartNanos: cursor, DurNanos: w, Failed: cs.Failed,
+		})
+		cursor += w
+	}
+
+	si := b.matchServer(cs, nextStart)
+	if si < 0 {
+		// No target view: the whole remainder is one unmatched segment
+		// (a failed attempt that died in flight, or lost target events).
+		b.emit(PathSegment{
+			Kind: SegUnmatched, RPC: cs.RPCName, Entity: cs.Entity,
+			Depth: depth, StartNanos: cursor, DurNanos: csEnd - cursor, Failed: cs.Failed,
+		})
+		if !cs.Failed {
+			// A successful attempt should have a target view; its
+			// absence means the span set is incomplete.
+			b.path.Incomplete = true
+		}
+		return
+	}
+	b.serverUsed[si] = true
+	ss := b.spans[si]
+	ssEnd := ss.StartNanos + ss.DurNanos
+
+	queue := ss.QueueNanos
+	if max := ss.StartNanos - cursor; queue > max {
+		queue = max
+	}
+	if queue < 0 {
+		queue = 0
+	}
+	if net := ss.StartNanos - queue - cursor; net > 0 {
+		b.emit(PathSegment{
+			Kind: SegNetOut, RPC: cs.RPCName, Entity: cs.Entity,
+			Depth: depth, StartNanos: cursor, DurNanos: net, Failed: cs.Failed,
+		})
+	}
+	b.emit(PathSegment{
+		Kind: SegQueue, RPC: cs.RPCName, Entity: ss.Entity,
+		Depth: depth, StartNanos: ss.StartNanos - queue, DurNanos: queue, Failed: cs.Failed,
+	})
+
+	b.expandServer(ss)
+
+	if net := csEnd - ssEnd; net > 0 {
+		b.emit(PathSegment{
+			Kind: SegNetBack, RPC: cs.RPCName, Entity: cs.Entity,
+			Depth: depth, StartNanos: ssEnd, DurNanos: net, Failed: cs.Failed,
+		})
+	}
+}
+
+// expandServer decomposes a server span's interior: handler execution
+// interleaved with nested hops issued by the handler. Calls from one
+// handler ULT are sequential, so the interior decomposes linearly; the
+// nested hops recurse through expandHop.
+func (b *oraclePathBuilder) expandServer(ss Span) {
+	depth := ss.Breadcrumb.Depth()
+	start, end := ss.StartNanos, ss.StartNanos+ss.DurNanos
+
+	// Child hops: client spans issued by this entity whose callpath
+	// extends this hop's, starting inside this span's window.
+	type childGroup struct {
+		bc       core.Breadcrumb
+		idx      []int
+		from, to int64
+	}
+	var children []childGroup
+	for bc, idx := range b.clientByBC {
+		if bc.Parent() != ss.Breadcrumb || bc == ss.Breadcrumb {
+			continue
+		}
+		var mine []int
+		var from, to int64
+		for _, i := range idx {
+			s := b.spans[i]
+			if s.Entity != ss.Entity || s.StartNanos < start || s.StartNanos > end {
+				continue
+			}
+			if len(mine) == 0 || s.StartNanos < from {
+				from = s.StartNanos
+			}
+			if e := s.StartNanos + s.DurNanos; e > to {
+				to = e
+			}
+			mine = append(mine, i)
+		}
+		if len(mine) > 0 {
+			children = append(children, childGroup{bc: bc, idx: mine, from: from, to: to})
+		}
+	}
+	sort.Slice(children, func(i, j int) bool {
+		if children[i].from != children[j].from {
+			return children[i].from < children[j].from
+		}
+		return children[i].bc < children[j].bc
+	})
+
+	cursor := start
+	for _, ch := range children {
+		if ch.from > cursor {
+			b.emit(PathSegment{
+				Kind: SegExec, RPC: ss.RPCName, Entity: ss.Entity,
+				Depth: depth, StartNanos: cursor, DurNanos: ch.from - cursor, Failed: ss.Failed,
+			})
+		}
+		b.expandHop(ch.bc, ch.idx)
+		if ch.to > cursor {
+			cursor = ch.to
+		}
+	}
+	if end > cursor {
+		b.emit(PathSegment{
+			Kind: SegExec, RPC: ss.RPCName, Entity: ss.Entity,
+			Depth: depth, StartNanos: cursor, DurNanos: end - cursor, Failed: ss.Failed,
+		})
+	}
+}
+
+// matchServer finds the unused target view of one client attempt: the
+// first unused server span of the same breadcrumb whose Lamport order
+// follows the attempt's start (the t5 merge ticks past the t1 order, so
+// a server execution can never precede the attempt that caused it).
+// beforeNanos, when nonzero, excludes server spans starting at or after
+// it — they belong to a later retry attempt. (The bound is a timestamp,
+// not an order: a dropped response leaves the retry's t1 concurrent
+// with the first execution's t5, so Lamport order alone cannot split
+// attempts. It misattributes only when cross-process clock skew
+// exceeds the retry backoff gap.)
+func (b *oraclePathBuilder) matchServer(cs Span, beforeNanos int64) int {
+	for _, i := range b.serverByBC[cs.Breadcrumb] {
+		if b.serverUsed[i] {
+			continue
+		}
+		s := b.spans[i]
+		if s.StartOrder < cs.StartOrder {
+			continue
+		}
+		if beforeNanos > 0 && s.StartNanos >= beforeNanos {
+			continue
+		}
+		return i
+	}
+	return -1
+}
+
+// oracleShapeOf builds the fold key: one token per segment, encoding kind,
+// hop RPC, and depth — entities are deliberately excluded so the same
+// logical path through different shards/processes folds together.
+func oracleShapeOf(segs []PathSegment) string {
+	var sb strings.Builder
+	for i, s := range segs {
+		if i > 0 {
+			sb.WriteByte('|')
+		}
+		fmt.Fprintf(&sb, "%d:%s.%s", s.Depth, s.RPC, s.Kind)
+	}
+	return sb.String()
+}
+
+// oracleIncompleteRequests counts requests whose span set lacks any t5/t8
+// target pair despite having origin events — requests that would
+// otherwise be silently skipped by span-level analyses.
+func oracleIncompleteRequests(ts *TraceSet) int {
+	type seen struct{ origin, target bool }
+	byReq := make(map[uint64]*seen)
+	for _, e := range ts.Events {
+		s := byReq[e.RequestID]
+		if s == nil {
+			s = &seen{}
+			byReq[e.RequestID] = s
+		}
+		switch e.Kind {
+		case core.EvOriginStart, core.EvOriginEnd:
+			s.origin = true
+		case core.EvTargetStart, core.EvTargetEnd:
+			s.target = true
+		}
+	}
+	n := 0
+	for _, s := range byReq {
+		if s.origin && !s.target {
+			n++
+		}
+	}
+	return n
 }

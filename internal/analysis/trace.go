@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,13 +21,24 @@ type TraceSet struct {
 	DroppedBy map[string]uint64
 }
 
-// MergeTraces combines trace dumps from every process.
+// MergeTraces combines trace dumps from every process. DroppedBy stays
+// nil until a dump reports drops.
 func MergeTraces(dumps []*core.TraceDump) *TraceSet {
-	ts := &TraceSet{DroppedBy: make(map[string]uint64)}
+	n := 0
+	for _, d := range dumps {
+		n += len(d.Events)
+	}
+	ts := &TraceSet{}
+	if n > 0 {
+		ts.Events = make([]core.Event, 0, n)
+	}
 	for _, d := range dumps {
 		ts.Events = append(ts.Events, d.Events...)
 		ts.Dropped += d.Dropped
 		if d.Dropped > 0 {
+			if ts.DroppedBy == nil {
+				ts.DroppedBy = make(map[string]uint64)
+			}
 			ts.DroppedBy[d.Entity] += d.Dropped
 		}
 	}
@@ -63,32 +76,78 @@ func (s *CollectSink) TraceSet() *TraceSet {
 	return out
 }
 
-// Requests groups events by request ID, each group sorted by Lamport
-// order (the clock-skew-tolerant ordering of the paper §IV-A2).
-func (ts *TraceSet) Requests() map[uint64][]core.Event {
-	out := make(map[uint64][]core.Event)
-	for _, e := range ts.Events {
-		out[e.RequestID] = append(out[e.RequestID], e)
+// reqKey places one event in the request grouping.
+type reqKey struct {
+	req, order uint64
+	pos        int // index into ts.Events
+}
+
+// byRequest indexes ts.Events sorted by request ID, then Lamport order
+// (the clock-skew-tolerant ordering of the paper §IV-A2), then position
+// in ts.Events — the order a stable sort by Lamport order gives each
+// request's events. Every request is one contiguous run of the result,
+// runs in ascending request ID; everything that works per request walks
+// it with runEnd.
+func (ts *TraceSet) byRequest() []reqKey {
+	keys := make([]reqKey, len(ts.Events))
+	for i := range ts.Events {
+		keys[i] = reqKey{ts.Events[i].RequestID, ts.Events[i].Order, i}
 	}
-	for id := range out {
-		evs := out[id]
-		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Order < evs[j].Order })
-		out[id] = evs
+	slices.SortFunc(keys, func(a, b reqKey) int {
+		if c := cmp.Compare(a.req, b.req); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.order, b.order); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return keys
+}
+
+// runEnd returns the end of the run of one request's keys that starts
+// at lo.
+func runEnd(keys []reqKey, lo int) int {
+	hi := lo + 1
+	for hi < len(keys) && keys[hi].req == keys[lo].req {
+		hi++
+	}
+	return hi
+}
+
+// countRuns returns the number of distinct requests in keys.
+func countRuns(keys []reqKey) int {
+	n := 0
+	for lo := 0; lo < len(keys); lo = runEnd(keys, lo) {
+		n++
+	}
+	return n
+}
+
+// Requests groups events by request ID, each group sorted by Lamport
+// order. The groups are sub-slices of one array.
+func (ts *TraceSet) Requests() map[uint64][]core.Event {
+	keys := ts.byRequest()
+	evs := make([]core.Event, len(keys))
+	for i, k := range keys {
+		evs[i] = ts.Events[k.pos]
+	}
+	out := make(map[uint64][]core.Event, countRuns(keys))
+	for lo := 0; lo < len(keys); {
+		hi := runEnd(keys, lo)
+		out[keys[lo].req] = evs[lo:hi:hi]
+		lo = hi
 	}
 	return out
 }
 
 // RequestIDs returns all request IDs, sorted.
 func (ts *TraceSet) RequestIDs() []uint64 {
-	seen := make(map[uint64]bool)
+	keys := ts.byRequest()
 	var ids []uint64
-	for _, e := range ts.Events {
-		if !seen[e.RequestID] {
-			seen[e.RequestID] = true
-			ids = append(ids, e.RequestID)
-		}
+	for lo := 0; lo < len(keys); lo = runEnd(keys, lo) {
+		ids = append(ids, keys[lo].req)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
@@ -135,55 +194,71 @@ func (ts *TraceSet) Spans(requestID uint64) []Span {
 // (calls from one ULT are sequential, so FIFO pairing is exact there
 // and a close approximation for concurrent same-callpath calls).
 func SpansOf(requestID uint64, evs []core.Event) []Span {
-	type pairKey struct {
-		entity string
-		bc     core.Breadcrumb
-		client bool
-	}
-	open := make(map[pairKey][]core.Event)
-	var spans []Span
-	for _, e := range evs {
+	var b pathBuilder
+	return b.pair(requestID, evs)
+}
+
+// pair is SpansOf into the builder's reused span storage. The starts
+// still open are a short list scanned from the oldest (a request has a
+// few spans, and few of them open at once), not a map per request.
+func (b *pathBuilder) pair(requestID uint64, evs []core.Event) []Span {
+	open := b.open[:0] // indexes into evs of unmatched start events
+	spans := b.spans[:0]
+	for i := range evs {
+		e := &evs[i]
+		var startKind core.EventKind
 		switch e.Kind {
 		case core.EvOriginStart, core.EvTargetStart:
-			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginStart}
-			open[k] = append(open[k], e)
-		case core.EvOriginEnd, core.EvTargetEnd:
-			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginEnd}
-			q := open[k]
-			if len(q) == 0 {
-				continue // unmatched end (dropped start)
-			}
-			start := q[0]
-			open[k] = q[1:]
-			kind := "SERVER"
-			if e.Kind == core.EvOriginEnd {
-				kind = "CLIENT"
-			}
-			dur := e.Duration
-			if dur == 0 {
-				dur = e.Timestamp - start.Timestamp
-			}
-			spans = append(spans, Span{
-				RequestID:  requestID,
-				Breadcrumb: core.Breadcrumb(e.Breadcrumb),
-				RPCName:    e.RPCName,
-				Entity:     e.Entity,
-				Kind:       kind,
-				StartNanos: start.Timestamp,
-				DurNanos:   dur,
-				StartOrder: start.Order,
-				Failed:     e.Failed,
-				// Queue wait rides the start (t5) event, window wait
-				// and batch identity the end (t14) event.
-				QueueNanos:  start.QueueNanos,
-				WindowNanos: e.WindowNanos,
-				BatchID:     e.BatchID,
-				Sys:         e.Sys,
-				PVars:       e.PVars,
-			})
+			open = append(open, i)
+			continue
+		case core.EvOriginEnd:
+			startKind = core.EvOriginStart
+		case core.EvTargetEnd:
+			startKind = core.EvTargetStart
+		default:
+			continue
 		}
+		at := slices.IndexFunc(open, func(j int) bool {
+			s := &evs[j]
+			return s.Kind == startKind && s.Breadcrumb == e.Breadcrumb && s.Entity == e.Entity
+		})
+		if at < 0 {
+			continue // unmatched end (dropped start)
+		}
+		start := &evs[open[at]]
+		open = slices.Delete(open, at, at+1)
+		kind := "SERVER"
+		if e.Kind == core.EvOriginEnd {
+			kind = "CLIENT"
+		}
+		dur := e.Duration
+		if dur == 0 {
+			dur = e.Timestamp - start.Timestamp
+		}
+		spans = append(spans, Span{
+			RequestID:  requestID,
+			Breadcrumb: core.Breadcrumb(e.Breadcrumb),
+			RPCName:    e.RPCName,
+			Entity:     e.Entity,
+			Kind:       kind,
+			StartNanos: start.Timestamp,
+			DurNanos:   dur,
+			StartOrder: start.Order,
+			Failed:     e.Failed,
+			// Queue wait rides the start (t5) event, window wait
+			// and batch identity the end (t14) event.
+			QueueNanos:  start.QueueNanos,
+			WindowNanos: e.WindowNanos,
+			BatchID:     e.BatchID,
+			Sys:         e.Sys,
+			PVars:       e.PVars,
+		})
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].StartOrder < spans[j].StartOrder })
+	// Not a stable sort: spans with equal start orders come out in the
+	// order the sort.Slice call this replaces left them in (both are the
+	// library's pdqsort, which is deterministic).
+	slices.SortFunc(spans, func(x, y Span) int { return cmp.Compare(x.StartOrder, y.StartOrder) })
+	b.open, b.spans = open, spans
 	return spans
 }
 

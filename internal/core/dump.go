@@ -57,7 +57,9 @@ func ReadProfile(r io.Reader) (*ProfileDump, error) {
 	return &d, nil
 }
 
-// TraceDump is the serialized per-process trace buffer.
+// TraceDump is the serialized per-process trace buffer. WriteTrace and
+// ReadTrace (tracedump.go) carry it to disk and back in the binary
+// trace dump format.
 type TraceDump struct {
 	Entity  string  `json:"entity"`
 	PID     uint32  `json:"pid"`
@@ -75,18 +77,4 @@ func (p *Profiler) DumpTrace() *TraceDump {
 		Dropped: c.Dropped(),
 		Events:  c.Events(),
 	}
-}
-
-// WriteTrace serializes a trace dump as JSON.
-func WriteTrace(w io.Writer, d *TraceDump) error {
-	return json.NewEncoder(w).Encode(d)
-}
-
-// ReadTrace parses one JSON trace dump.
-func ReadTrace(r io.Reader) (*TraceDump, error) {
-	var d TraceDump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("core: parse trace dump: %w", err)
-	}
-	return &d, nil
 }

@@ -1,0 +1,417 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+func encodeTrace(t testing.TB, d *TraceDump) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func roundTrip(t *testing.T, d *TraceDump) {
+	t.Helper()
+	got, err := ReadTrace(bytes.NewReader(encodeTrace(t, d)))
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if !reflect.DeepEqual(got, d) {
+		t.Fatalf("round trip changed the dump:\n got %+v\nwant %+v", got, d)
+	}
+}
+
+// fillRandom sets every field of the struct v points to from rng, one
+// level of pointers deep, drawing integers from the values a varint
+// codec gets wrong first: zero, one, the extremes, and values around
+// each 7-bit boundary. Filling by reflection means a field added to
+// Event, SysSample or PVarSample is exercised the day it is added, and
+// fails the round trip until the codec (and its version) follow.
+func fillRandom(rng *rand.Rand, v reflect.Value, strs []string) {
+	edge := func(bits int) uint64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2:
+			return math.MaxUint64 >> (64 - bits)
+		case 3:
+			return uint64(1)<<(7*(1+rng.Intn(9))%bits) - uint64(rng.Intn(2))
+		}
+		return rng.Uint64() >> rng.Intn(64) >> (64 - bits)
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillRandom(rng, v.Field(i), strs)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillRandom(rng, v.Index(i), strs)
+		}
+	case reflect.Pointer:
+		if rng.Intn(3) == 0 {
+			v.Set(reflect.Zero(v.Type()))
+			return
+		}
+		v.Set(reflect.New(v.Type().Elem()))
+		if rng.Intn(4) > 0 { // else: present but all zero
+			fillRandom(rng, v.Elem(), strs)
+		}
+	case reflect.String:
+		v.SetString(strs[rng.Intn(len(strs))])
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 0)
+	case reflect.Uint64:
+		v.SetUint(edge(64))
+	case reflect.Int64, reflect.Int:
+		v.SetInt(int64(edge(64)))
+	case reflect.Int8:
+		v.SetInt(int64(int8(edge(8))))
+	default:
+		panic("fillRandom: no rule for " + v.Type().String())
+	}
+}
+
+func randomDump(seed int64, nEvents, nStrings int) *TraceDump {
+	rng := rand.New(rand.NewSource(seed))
+	strs := []string{""}
+	for i := 1; i < nStrings; i++ {
+		strs = append(strs, "s"+strconv.Itoa(i)+strings.Repeat("x", rng.Intn(4)))
+	}
+	d := &TraceDump{Entity: strs[rng.Intn(len(strs))], PID: uint32(rng.Uint64()), Dropped: rng.Uint64() >> rng.Intn(64)}
+	if nEvents > 0 {
+		d.Events = make([]Event, nEvents)
+	}
+	for i := range d.Events {
+		fillRandom(rng, reflect.ValueOf(&d.Events[i]).Elem(), strs)
+	}
+	return d
+}
+
+func TestTraceDumpRoundTripGolden(t *testing.T) {
+	roundTrip(t, &TraceDump{Entity: "n0/cli", PID: 4242, Dropped: 3, Events: goldenEvents()})
+	roundTrip(t, &TraceDump{})
+	roundTrip(t, &TraceDump{Entity: "idle", PID: 1})
+}
+
+// TestTraceDumpRoundTripRandom covers zero and extreme values in every
+// field, nil against present-but-zero PVars and Components, empty Peer
+// and Entity, timestamps that go backwards and wrap, and string tables
+// past the one-byte index range.
+func TestTraceDumpRoundTripRandom(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		nStrings := 3
+		if seed%5 == 0 {
+			nStrings = 300
+		}
+		roundTrip(t, randomDump(seed, int(seed*7)%400, nStrings))
+	}
+	// One event with every field at its extreme.
+	ev := Event{
+		RequestID: math.MaxUint64, Order: math.MaxUint64, Kind: EventKind(math.MinInt8), Timestamp: math.MinInt64,
+		Breadcrumb: math.MaxUint64, Duration: math.MinInt64, BatchID: math.MaxUint64, Failed: true,
+		QueueNanos: math.MaxInt64, WindowNanos: math.MinInt64,
+		Sys:   SysSample{PoolRunnable: math.MinInt64, PoolBlocked: math.MaxInt64, HeapBytes: math.MaxUint64, Goroutines: math.MaxInt},
+		PVars: &PVarSample{}, Components: &[NumComponents]uint64{},
+	}
+	for _, p := range ev.PVars.fields() {
+		*p = math.MaxUint64
+	}
+	for i := range ev.Components {
+		ev.Components[i] = math.MaxUint64
+	}
+	next := ev
+	next.Timestamp = math.MaxInt64 // a delta that overflows int64
+	roundTrip(t, &TraceDump{Entity: "e", PID: math.MaxUint32, Dropped: math.MaxUint64, Events: []Event{ev, next, ev}})
+}
+
+// TestTraceCodecCoversEveryField fails when a field is added to a
+// struct the codec spells out by hand.
+func TestTraceCodecCoversEveryField(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want int
+	}{
+		{Event{}, 16}, {SysSample{}, 4}, {PVarSample{}, numPVarFields}, {TraceDump{}, 4},
+	} {
+		if got := reflect.TypeOf(c.v).NumField(); got != c.want {
+			t.Errorf("%T has %d fields, the trace dump codec encodes %d: extend the codec and bump traceVersion", c.v, got, c.want)
+		}
+	}
+	if NumComponents > 64 {
+		t.Fatal("component presence mask is 64 bits")
+	}
+}
+
+func TestTraceDumpSize(t *testing.T) {
+	evs := goldenEvents()
+	b := encodeTrace(t, &TraceDump{Entity: "n0/cli", Events: evs})
+	if per := len(b) / len(evs); per > 64 {
+		t.Fatalf("golden dump is %d B/event", per)
+	}
+}
+
+// allocatedBytes is the process's cumulative heap allocation.
+func allocatedBytes() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc
+}
+
+// uv is a varint literal for hand-built dumps.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+
+func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+func TestReadTraceRejectsMalformed(t *testing.T) {
+	head := cat([]byte(traceMagic), []byte{traceVersion})
+	// pid, dropped, one string "e".
+	pre := cat(head, uv(7), uv(0), uv(1), uv(1), []byte("e"))
+	// A minimal event: flags, ids, ts delta, three string indexes.
+	ev := func(flags uint64, rest ...[]byte) []byte {
+		return cat(uv(flags), uv(1), uv(1), uv(1), uv(0), uv(0), uv(0), uv(0), cat(rest...))
+	}
+	one := func(npv, ncomp uint64, event []byte) []byte {
+		return cat(pre, uv(1), uv(npv), uv(ncomp), event)
+	}
+	good := one(0, 0, ev(0))
+	if _, err := ReadTrace(bytes.NewReader(good)); err != nil {
+		t.Fatalf("hand-built minimal dump rejected: %v", err)
+	}
+	huge := uv(1 << 40)
+	cases := map[string][]byte{
+		"empty":                   nil,
+		"json":                    []byte(`{"entity":"e","pid":1,"dropped":0,"events":[]}`),
+		"bad magic":               cat([]byte("SYTX"), good[4:]),
+		"magic only":              []byte(traceMagic),
+		"future version":          cat([]byte(traceMagic), []byte{traceVersion + 1}, good[5:]),
+		"truncated varint":        cat(head, []byte{0x80}),
+		"overlong varint":         cat(head, bytes.Repeat([]byte{0xff}, 11)),
+		"non-minimal varint":      cat(head, []byte{0x87, 0x00}, good[6:]),
+		"pid overflow":            cat(head, uv(1<<32), good[6:]),
+		"no entity string":        cat(head, uv(7), uv(0), uv(0), uv(0), uv(0), uv(0)),
+		"2^40 strings":            cat(head, uv(7), uv(0), huge, uv(1), []byte("e")),
+		"string past the end":     cat(head, uv(7), uv(0), uv(1), uv(50), []byte("e")),
+		"2^40-byte string":        cat(head, uv(7), uv(0), uv(1), huge, []byte("e")),
+		"duplicate string":        cat(head, uv(7), uv(0), uv(2), uv(1), []byte("e"), uv(1), []byte("e"), uv(0), uv(0), uv(0)),
+		"unused string":           cat(head, uv(7), uv(0), uv(2), uv(1), []byte("e"), uv(1), []byte("f"), uv(1), uv(0), uv(0), ev(0)),
+		"2^40 events":             cat(pre, huge, uv(0), uv(0), ev(0)),
+		"2^40 events, 20 bytes":   cat(head, uv(7), uv(0), uv(1), uv(1), []byte("e"), huge, uv(0), uv(0)),
+		"more pvars than events":  cat(pre, uv(1), uv(2), uv(0), ev(0)),
+		"2^40 component arrays":   cat(pre, uv(1), uv(0), huge, ev(0)),
+		"missing event":           cat(pre, uv(2), uv(0), uv(0), ev(0)),
+		"truncated event":         good[:len(good)-2],
+		"trailing byte":           cat(good, []byte{0}),
+		"unknown flag bit":        one(0, 0, ev(1<<(evFlagBits+8))),
+		"string index too far":    one(0, 0, cat(uv(0), uv(1), uv(1), uv(1), uv(0), uv(1), uv(0), uv(0))),
+		"string index past table": one(0, 0, cat(uv(0), uv(1), uv(1), uv(1), uv(0), uv(0), uv(9), uv(0))),
+		"string index skips one": cat(head, uv(7), uv(0), uv(3), uv(1), []byte("e"), uv(1), []byte("f"), uv(1), []byte("g"),
+			uv(1), uv(0), uv(0), uv(0), uv(1), uv(1), uv(1), uv(0), uv(0), uv(2), uv(1)),
+		"zero optional field":   one(0, 0, ev(evDuration, uv(0))),
+		"undeclared pvars":      one(0, 0, ev(evPVars, uv(0))),
+		"unused pvars":          one(1, 0, ev(0)),
+		"undeclared components": one(0, 0, ev(evComponents, uv(0))),
+		"wide pvar mask":        one(1, 0, ev(evPVars, uv(1<<numPVarFields), uv(1))),
+		"wide component mask":   one(0, 1, ev(evComponents, uv(1<<NumComponents), uv(1))),
+		"zero masked value":     one(1, 0, ev(evPVars, uv(1), uv(0))),
+	}
+	for name, data := range cases {
+		d, err := ReadTrace(bytes.NewReader(data))
+		if err == nil {
+			t.Errorf("%s: accepted as %+v", name, d)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "core: parse trace dump: ") {
+			t.Errorf("%s: error %q is not a wrapped parse error", name, err)
+		}
+	}
+	// Every proper prefix of a real dump is an error too.
+	full := encodeTrace(t, &TraceDump{Entity: "n0/cli", Events: goldenEvents()})
+	for n := 0; n < len(full); n++ {
+		if _, err := ReadTrace(bytes.NewReader(full[:n])); err == nil {
+			t.Fatalf("prefix of %d of %d bytes accepted", n, len(full))
+		}
+	}
+}
+
+// TestReadTraceHostileCountsDoNotAllocate: a few bytes claiming 2^40 of
+// anything are refused before storage is sized from the claim.
+func TestReadTraceHostileCountsDoNotAllocate(t *testing.T) {
+	head := cat([]byte(traceMagic), []byte{traceVersion}, uv(7), uv(0))
+	huge := uv(1 << 40)
+	for name, data := range map[string][]byte{
+		"events":  cat(head, uv(1), uv(1), []byte("e"), huge, uv(0), uv(0)),
+		"strings": cat(head, huge, uv(1), []byte("e")),
+	} {
+		before := allocatedBytes()
+		if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if grew := allocatedBytes() - before; grew > 4096 {
+			t.Errorf("%s: %d input bytes made ReadTrace allocate %d bytes", name, len(data), grew)
+		}
+	}
+}
+
+// TestReadTraceAllocsIndependentOfSize: reading a dump costs the same
+// small number of allocations whether it holds 256 events or 4096.
+func TestReadTraceAllocsIndependentOfSize(t *testing.T) {
+	measure := func(n int) float64 {
+		var evs []Event
+		for len(evs) < n {
+			evs = append(evs, goldenEvents()...)
+		}
+		data := encodeTrace(t, &TraceDump{Entity: "n0/cli", Events: evs[:n]})
+		rd := bytes.NewReader(data)
+		return testing.AllocsPerRun(20, func() {
+			rd.Reset(data)
+			if _, err := ReadTrace(rd); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := measure(256), measure(4096)
+	if small != large || large > 24 {
+		t.Fatalf("ReadTrace allocates %v times for 256 events, %v for 4096; want equal and <= 24", small, large)
+	}
+}
+
+// fuzzSeeds is the committed seed corpus of FuzzReadTrace: the golden
+// events' dump, an empty dump, one-event dumps using each optional field
+// alone and all at once, and the golden dump cut at each section
+// boundary.
+func fuzzSeeds(t testing.TB) map[string][]byte {
+	seeds := map[string][]byte{}
+	golden := encodeTrace(t, &TraceDump{Entity: "n0/cli", PID: 4242, Dropped: 3, Events: goldenEvents()})
+	seeds["golden"] = golden
+	seeds["empty"] = encodeTrace(t, &TraceDump{})
+
+	all := goldenEvents()[11] // t14: every optional field but Failed and QueueNanos
+	all.Failed, all.QueueNanos = true, 250
+	seeds["one-all"] = encodeTrace(t, &TraceDump{Entity: "n0/cli", Events: []Event{all}})
+	bare := Event{RequestID: 1, Order: 1, Timestamp: 1, Entity: "e", RPCName: "r"}
+	for name, set := range map[string]func(*Event){
+		"bare":     func(*Event) {},
+		"failed":   func(e *Event) { e.Failed = true },
+		"duration": func(e *Event) { e.Duration = -5 },
+		"batch":    func(e *Event) { e.BatchID = 9 },
+		"queue":    func(e *Event) { e.QueueNanos = 250 },
+		"window":   func(e *Event) { e.WindowNanos = 30 },
+		"sys": func(e *Event) {
+			e.Sys = SysSample{PoolRunnable: -1, PoolBlocked: 2, HeapBytes: 1 << 20, Goroutines: 12}
+		},
+		"pvars":      func(e *Event) { e.PVars = all.PVars },
+		"pvars-zero": func(e *Event) { e.PVars = &PVarSample{} },
+		"components": func(e *Event) { e.Components = all.Components },
+		"peer":       func(e *Event) { e.Peer = "p" },
+		"kind":       func(e *Event) { e.Kind = -1 },
+	} {
+		ev := bare
+		set(&ev)
+		seeds["one-"+name] = encodeTrace(t, &TraceDump{Entity: "e", Events: []Event{ev}})
+	}
+
+	// Section boundaries of the golden dump: after the magic, the
+	// version, the pid/dropped pair, the string table, the counts, the
+	// first event, and one byte short of the end.
+	header := len(traceMagic) + 1 + len(uv(4242)) + len(uv(3))
+	table := header + len(uv(3))
+	for _, s := range []string{"n0/cli", "n1/srv", "sdskv_put_packed"} {
+		table += len(uv(uint64(len(s)))) + len(s)
+	}
+	counts := table + len(uv(12)) + len(uv(9)) + len(uv(3))
+	first := len(encodeTrace(t, &TraceDump{Entity: "n0/cli", PID: 4242, Dropped: 3, Events: goldenEvents()[:1]}))
+	for name, n := range map[string]int{
+		"magic": len(traceMagic), "version": len(traceMagic) + 1, "header": header,
+		"table": table, "counts": counts, "event1": first, "short": len(golden) - 1,
+	} {
+		seeds["cut-"+name] = golden[:n]
+	}
+	return seeds
+}
+
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzReadTrace from fuzzSeeds")
+
+const fuzzCorpusDir = "testdata/fuzz/FuzzReadTrace"
+
+// TestFuzzSeedCorpusCurrent keeps the committed corpus equal to what
+// fuzzSeeds builds, so a format change cannot leave stale seeds behind.
+// `go test ./internal/core -run TestFuzzSeedCorpusCurrent -update`
+// rewrites it.
+func TestFuzzSeedCorpusCurrent(t *testing.T) {
+	seeds := fuzzSeeds(t)
+	if *updateCorpus {
+		if err := os.RemoveAll(fuzzCorpusDir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(fuzzCorpusDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range seeds {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		path := filepath.Join(fuzzCorpusDir, "seed-"+name)
+		if *updateCorpus {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update)", err)
+		}
+		if string(got) != want {
+			t.Errorf("%s is stale (run with -update)", path)
+		}
+	}
+	if entries, err := os.ReadDir(fuzzCorpusDir); err == nil {
+		for _, e := range entries {
+			if name, ok := strings.CutPrefix(e.Name(), "seed-"); ok && seeds[name] == nil {
+				t.Errorf("%s has no entry in fuzzSeeds (run with -update)", e.Name())
+			}
+		}
+	}
+}
+
+// FuzzReadTrace: whatever the bytes, ReadTrace returns an error or a
+// dump that encodes back to exactly those bytes, without panicking and
+// without allocating more than a small multiple of the input.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := allocatedBytes()
+		d, err := ReadTrace(bytes.NewReader(data))
+		// The largest honest ratio is a ten-byte event decoding to an
+		// Event, a PVarSample and a component array (34x); the constant
+		// covers the fixed overhead and the fuzz worker's own goroutines.
+		if grew, limit := allocatedBytes()-before, uint64(len(data))*64+1<<16; grew > limit {
+			t.Fatalf("%d input bytes made ReadTrace allocate %d bytes (limit %d)", len(data), grew, limit)
+		}
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "core: parse trace dump: ") {
+				t.Fatalf("error %q is not a wrapped parse error", err)
+			}
+			return
+		}
+		if again := encodeTrace(t, d); !bytes.Equal(again, data) {
+			t.Fatalf("accepted dump re-encodes differently:\n in  %x\n out %x", data, again)
+		}
+	})
+}

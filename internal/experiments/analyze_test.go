@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +18,8 @@ import (
 // report pipeline end to end. A small chaos campaign (clean baseline +
 // faulted run) emits its reports automatically; the dominant-path
 // report must carry a non-empty dominant path, and the same trace set
-// must render in all three output modes.
+// must render in all three output modes — and, written to dump files
+// and read back, must yield the same flame and the same report text.
 func TestAnalyzeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	base := scaled(C2, 32)
@@ -72,12 +75,49 @@ func TestAnalyzeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// In file name order, the order the dumps come back from disk in.
+	sort.Slice(traces, func(i, j int) bool { return sanitize(traces[i].Entity) < sanitize(traces[j].Entity) })
 	f := analysis.BuildFlame(analysis.MergeTraces(traces))
 	if len(f.Paths) == 0 {
 		t.Fatal("no path shapes extracted from smoke run")
 	}
 	model := report.FromFlame("analyze smoke", f, 5)
 	model.Generated = "smoke"
+
+	// The same run through the files the offline tools read: written
+	// with WriteDumps, read back the way symtrace and symstats do. The
+	// trace dump format must carry everything the analysis uses, so the
+	// flame and its rendered text come out identical.
+	dumpDir := filepath.Join(dir, "dumps")
+	if err := WriteDumps(dumpDir, nil, traces); err != nil {
+		t.Fatal(err)
+	}
+	fromDisk, err := ReadTraceDumps(dumpDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromDisk) != len(traces) {
+		t.Fatalf("read %d trace dumps back, wrote %d", len(fromDisk), len(traces))
+	}
+	if !reflect.DeepEqual(fromDisk, traces) {
+		t.Fatal("trace dumps changed on their way through the files")
+	}
+	diskFlame := analysis.BuildFlame(analysis.MergeTraces(fromDisk))
+	if !reflect.DeepEqual(diskFlame, f) {
+		t.Fatal("flame built from the dump files differs from the in-memory one")
+	}
+	diskModel := report.FromFlame("analyze smoke", diskFlame, 5)
+	diskModel.Generated = "smoke"
+	var memTxt, diskTxt bytes.Buffer
+	if err := report.WriteCLI(&memTxt, model); err != nil {
+		t.Fatal(err)
+	}
+	if err := report.WriteCLI(&diskTxt, diskModel); err != nil {
+		t.Fatal(err)
+	}
+	if memTxt.String() != diskTxt.String() {
+		t.Fatalf("report from the dump files differs:\n%s\nin memory:\n%s", diskTxt.String(), memTxt.String())
+	}
 	for _, mode := range []report.Mode{report.ModeCLI, report.ModeTUI, report.ModeHTML} {
 		var buf bytes.Buffer
 		if err := report.Render(&buf, mode, model); err != nil {
