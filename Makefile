@@ -26,10 +26,16 @@ vet:
 # the batch window/coalescer state machine, plus the elastic plane:
 # the SSG membership host/agent churned from many ULTs, the rendezvous
 # ring, and the ekv migration engine's dual-write/dirty-set machinery.
+# The four packages a recycled Mercury handle crosses (na, mercury,
+# margo, core) run three times: their recycle tests race timers,
+# cancellation sweeps, late fabric errors and the last reference on
+# every request, and which side wins differs from run to run.
 race:
-	$(GO) test -race ./internal/core/... ./internal/margo/... \
-		./internal/telemetry/... ./internal/policy/... ./internal/na/... \
-		./internal/mercury/... ./internal/abt/... ./internal/batch/... \
+	$(GO) test -race -count=3 ./internal/na/... ./internal/mercury/... \
+		./internal/margo/... ./internal/core/...
+	$(GO) test -race \
+		./internal/telemetry/... ./internal/policy/... \
+		./internal/abt/... ./internal/batch/... \
 		./internal/ssg/... ./internal/kv/... ./internal/services/... \
 		./internal/analysis/...
 
@@ -67,15 +73,18 @@ bench-allocs:
 		echo "$$out" | grep -E '^(# [a-z0-9_]+ seed=|(setup_s|allocs_per_op|alloc_bytes_per_op|trace_bytes_per_op) )'; \
 	done
 
-# alloc-sites prints where the HEPnOS configurations of Table IV put
-# their bytes: every allocation of one pass over C1..C7 sampled
-# (memprofilerate=1), top 20 sites by allocated space. It regenerates
-# the per-site table a payload-path change is argued from without
-# touching benchmark/.
+# alloc-sites prints where one root benchmark puts its bytes: every
+# allocation of one pass sampled (memprofilerate=1), top 20 sites by
+# allocated space. The default, one pass over the HEPnOS configurations
+# of Table IV (C1..C7), regenerates the per-site table a payload-path
+# change is argued from; ALLOC_SITES_BENCH=BenchmarkFig05MobjectWriteTrace
+# does the same over a per-RPC shape (one composed mobject write: a dozen
+# nested forwards). Neither touches benchmark/.
 ALLOC_SITES_DIR ?= .bench_build/alloc-sites
+ALLOC_SITES_BENCH ?= BenchmarkTableIVConfigs
 alloc-sites:
 	@mkdir -p $(ALLOC_SITES_DIR)
-	$(GO) test -run '^$$' -bench '^BenchmarkTableIVConfigs$$' -benchtime=1x \
+	$(GO) test -run '^$$' -bench '^$(ALLOC_SITES_BENCH)$$' -benchtime=1x \
 		-memprofile mem.out -memprofilerate=1 -outputdir $(ALLOC_SITES_DIR) -o $(ALLOC_SITES_DIR)/root.test .
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(ALLOC_SITES_DIR)/root.test $(ALLOC_SITES_DIR)/mem.out
 

@@ -138,30 +138,28 @@ func (c *Collector) Emit(key uint64, ev Event) {
 
 // EmitSampled is Emit for the RPC fast path: the event's PVAR sample
 // and component breakdown arrive beside it (nil when absent) rather
-// than through ev.PVars/ev.Components, are copied into the shard's own
-// storage, and so may live on the caller's stack — the pointers the
-// recorded event carries are the collector's.
+// than through ev.PVars/ev.Components, are encoded into the shard's
+// trace with the event, and so may live on the caller's stack.
 func (c *Collector) EmitSampled(key uint64, ev Event, pv *PVarSample, comps *[NumComponents]uint64) {
 	if ev.Timestamp == 0 {
 		ev.Timestamp = time.Now().UnixNano()
 	}
-	stored := c.shard(key).trace.emit(&ev, pv, comps)
+	c.shard(key).trace.emit(&ev, pv, comps)
 	sinks := c.sinks.Load()
 	if sinks == nil {
 		return
 	}
-	if !stored {
-		// Dropped by the full ring: the sinks' copy needs annotations
-		// of its own.
-		ev.PVars, ev.Components = nil, nil
-		if pv != nil {
-			cp := *pv
-			ev.PVars = &cp
-		}
-		if comps != nil {
-			cp := *comps
-			ev.Components = &cp
-		}
+	// The sinks' event carries copies of the annotations, made on this
+	// branch alone: the caller's values do not escape when no sink is
+	// attached, and a sink may keep what it is handed.
+	ev.PVars, ev.Components = nil, nil
+	if pv != nil {
+		cp := *pv
+		ev.PVars = &cp
+	}
+	if comps != nil {
+		cp := *comps
+		ev.Components = &cp
 	}
 	for _, s := range *sinks {
 		if err := s.WriteEvent(ev); err != nil {
@@ -252,10 +250,11 @@ func (c *Collector) mergeStats(origin bool) map[StatKey]CallStats {
 // the cross-shard interleave is reconstructed the same way the offline
 // analysis orders events).
 func (c *Collector) Events() []Event {
-	var out []Event
+	snaps := make([]traceSnapshot, len(c.shards))
 	for i := range c.shards {
-		out = append(out, c.shards[i].trace.Events()...)
+		snaps[i] = c.shards[i].trace.snapshot()
 	}
+	out := decodeSnapshots(snaps)
 	sortEvents(out)
 	return out
 }

@@ -86,3 +86,36 @@ func BenchmarkEmitSharded(b *testing.B) {
 		c.Emit(7, ev)
 	}
 }
+
+// BenchmarkEmitAnnotated measures one fully annotated origin-end event
+// (PVAR sample and component breakdown on the caller's stack) through
+// the collector, the shape of the RPC fast path at StageFull.
+func BenchmarkEmitAnnotated(b *testing.B) {
+	c := NewCollector(8, 8*(b.N+1)) // every event lands in one shard
+	ev, pv, comps := annotatedEvent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.RequestID++
+		ev.Order += 2
+		ev.Timestamp += 41_000
+		c.EmitSampled(7, ev, &pv, &comps)
+	}
+}
+
+// annotatedEvent is a t14 event as margo emits it at StageFull.
+func annotatedEvent() (Event, PVarSample, [NumComponents]uint64) {
+	ev := Event{
+		RequestID: 4242<<32 | 1, Order: 17, Kind: EvOriginEnd, Timestamp: 1_700_000_000_000_000_000,
+		Entity: "n0/loader0", Peer: "n2/server1", RPCName: "sdskv_put_packed",
+		Breadcrumb: uint64(Breadcrumb(0).Push("sdskv_put_packed")), Duration: 38_500,
+		Sys: SysSample{PoolRunnable: 3, PoolBlocked: 61, HeapBytes: 48 << 20, Goroutines: 212},
+	}
+	pv := PVarSample{
+		OFIEventsRead: 7, CompletionQueue: 3, PostedHandles: 64,
+		InputSerNanos: 310, OriginCBNanos: 2_400, RPCsInvokedTotal: 123_456,
+	}
+	var comps [NumComponents]uint64
+	comps[CompOriginExec], comps[CompInputSer], comps[CompOriginCB] = 38_500, 310, 2_400
+	return ev, pv, comps
+}

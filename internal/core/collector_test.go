@@ -415,19 +415,7 @@ func TestJSONLSinkOutputStable(t *testing.T) {
 		p.AddTraceSink(sink)
 		for _, ev := range goldenEvents() {
 			if tc.beside {
-				// Values on this stack, as margo passes them.
-				var pv PVarSample
-				var comps [NumComponents]uint64
-				var pvp *PVarSample
-				var cp *[NumComponents]uint64
-				if ev.PVars != nil {
-					pv, pvp = *ev.PVars, &pv
-				}
-				if ev.Components != nil {
-					comps, cp = *ev.Components, &comps
-				}
-				ev.PVars, ev.Components = nil, nil
-				p.EmitSampled(ev.RequestID, ev, pvp, cp)
+				emitBeside(p.coll.Load(), ev.RequestID, ev)
 			} else {
 				p.EmitAt(ev.RequestID, ev)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -108,44 +109,53 @@ type Event struct {
 	Components *[NumComponents]uint64 `json:"components,omitempty"`
 }
 
-// A Tracer's storage chunks double from chunkMin entries to sampleChunk
-// (PVAR samples, component arrays) or eventChunk (events), so a shard
+// A Tracer's chunks double from chunkMin bytes to chunkMax, so a shard
 // that records twenty events does not pay for a large chunk — a
 // deployment's first events land inside the run they measure, and 48
-// shards times three full-size chunks of never-touched memory was a few
+// shards times a full-size chunk of never-touched memory was a few
 // milliseconds of page faults — and a busy one allocates rarely. The
-// unfilled tail of a shard's last chunk is the steady-state cost:
-// measured on mobject_ior and hepnos_c7, a 4096-event cap allocated 5%
-// and 4% more bytes per op than this one for the same object count (one
-// chunk per 512 events is already 0.002 per event).
+// unfilled tail of a shard's last chunk is the steady-state cost, which
+// is why chunkMax is some hundreds of events and no more.
 const (
-	chunkMin    = 16
-	sampleChunk = 256
-	eventChunk  = 512
+	chunkMin = 1 << 10
+	chunkMax = 32 << 10
 )
 
-// nextChunk is the capacity of the chunk that follows one of prev
-// entries (0: the first), growing to limit.
-func nextChunk(prev, limit int) int {
-	return min(max(2*prev, chunkMin), limit)
-}
-
-// Tracer is a bounded per-process trace buffer. It owns the storage its
-// events' PVars and Components point into: emitters hand over values
-// that may live on their stack, and the tracer copies them into chunks
-// next to the ring, so annotating an event costs no allocation of its
-// own. A full chunk is left to the events that point into it and a
-// fresh one started; chunks are never reused, so event copies handed
-// out by Events stay valid across Reset. The events themselves sit in
-// chunks too, each filled in place and never copied as the trace grows.
+// Tracer is a bounded per-process trace buffer. It stores each event as
+// the trace dump's event record (tracedump.go: flags word, varint IDs,
+// timestamp delta against the previous event, string-table indexes,
+// presence-masked annotations) appended to byte chunks, and expands the
+// records into Events only when they are read. A record is a fifth of
+// the Event, PVarSample and component array it stands for, and a chunk
+// of bytes holds no pointers, so the garbage collector never scans the
+// trace however long it grows. Emitters hand over annotations that may
+// live on their stack; encoding them is the copy.
+//
+// Chunks are filled in place and never rewritten or reused, and the
+// string table only grows, so a snapshot of the slice headers taken
+// under the lock can be decoded outside it, across later emits and
+// across Reset.
 type Tracer struct {
 	mu      sync.Mutex
-	chunks  [][]Event
-	n       int // events held across all chunks
-	pvars   []PVarSample
-	comps   [][NumComponents]uint64
+	full    [][]byte // filled chunks, oldest first
+	cur     []byte   // the chunk being filled; a record never spans two
+	n       int      // events held
+	npvars  int      // how many of them carry a PVAR sample
+	ncomps  int      // and a component array
+	prev    int64    // timestamp of the last event held: the next delta's base
 	cap     int
 	dropped uint64
+
+	// The shard's string table, in first-use order, with the index of
+	// each string and, per event field, the string resolved last: events
+	// of one shard repeat their entity, peer and RPC name, and the
+	// repeat is found by one comparison instead of three hashes.
+	strs  []string
+	index map[string]uint32
+	last  [3]struct {
+		s  string
+		i1 uint32 // index + 1; 0 while nothing is cached
+	}
 }
 
 // NewTracer returns a tracer that retains up to capacity events.
@@ -164,43 +174,55 @@ func (t *Tracer) Emit(ev Event) {
 	t.emit(&ev, ev.PVars, ev.Components)
 }
 
-// emit appends *ev annotated with copies of *pv and *comps (either may
-// be nil) held in tracer-owned storage, and points ev.PVars and
-// ev.Components at those copies. It reports false, leaving ev alone,
-// when the ring is full and the event was dropped.
+// intern returns s's index in the string table, adding it on first use.
+// field says which of the event's three strings s is.
+func (t *Tracer) intern(field int, s string) uint64 {
+	l := &t.last[field]
+	if l.i1 != 0 && l.s == s {
+		return uint64(l.i1 - 1)
+	}
+	i, ok := t.index[s]
+	if !ok {
+		if t.index == nil {
+			t.index = make(map[string]uint32)
+		}
+		i = uint32(len(t.strs))
+		t.strs = append(t.strs, s)
+		t.index[s] = i
+	}
+	l.s, l.i1 = s, i+1
+	return uint64(i)
+}
+
+// emit appends *ev's record, annotated with *pv and *comps (either may
+// be nil; ev.PVars and ev.Components are not read). Nothing is retained
+// but the event's three strings. It reports false when the buffer is
+// full and the event was dropped.
 func (t *Tracer) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) bool {
+	var rec eventRecord
 	t.mu.Lock()
 	if t.n >= t.cap {
 		t.dropped++
 		t.mu.Unlock()
 		return false
 	}
-	ev.PVars, ev.Components = nil, nil
-	if pv != nil {
-		if len(t.pvars) == cap(t.pvars) {
-			t.pvars = make([]PVarSample, 0, nextChunk(cap(t.pvars), sampleChunk))
+	n := rec.encode(ev, pv, comps, t.prev,
+		t.intern(0, ev.Entity), t.intern(1, ev.Peer), t.intern(2, ev.RPCName))
+	if len(t.cur)+n > cap(t.cur) {
+		if t.cur != nil {
+			t.full = append(t.full, t.cur)
 		}
-		t.pvars = append(t.pvars, *pv)
-		ev.PVars = &t.pvars[len(t.pvars)-1]
+		t.cur = make([]byte, 0, min(max(2*cap(t.cur), chunkMin), chunkMax))
+	}
+	t.cur = append(t.cur, rec[:n]...)
+	t.prev = ev.Timestamp
+	t.n++
+	if pv != nil {
+		t.npvars++
 	}
 	if comps != nil {
-		if len(t.comps) == cap(t.comps) {
-			t.comps = make([][NumComponents]uint64, 0, nextChunk(cap(t.comps), sampleChunk))
-		}
-		t.comps = append(t.comps, *comps)
-		ev.Components = &t.comps[len(t.comps)-1]
+		t.ncomps++
 	}
-	last := len(t.chunks) - 1
-	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
-		size := 0
-		if last >= 0 {
-			size = cap(t.chunks[last])
-		}
-		t.chunks = append(t.chunks, make([]Event, 0, nextChunk(size, eventChunk)))
-		last++
-	}
-	t.chunks[last] = append(t.chunks[last], *ev)
-	t.n++
 	t.mu.Unlock()
 	return true
 }
@@ -219,22 +241,79 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Events returns a copy of the buffered events in emission order.
-func (t *Tracer) Events() []Event {
+// traceSnapshot is a Tracer's content at one instant: immutable, so it
+// is decoded without the tracer's lock.
+type traceSnapshot struct {
+	full              [][]byte
+	cur               []byte
+	strs              []string
+	n, npvars, ncomps int
+}
+
+func (t *Tracer) snapshot() traceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, t.n)
-	for _, c := range t.chunks {
-		out = append(out, c...)
+	return traceSnapshot{
+		full: t.full[:len(t.full):len(t.full)], cur: t.cur, strs: t.strs,
+		n: t.n, npvars: t.npvars, ncomps: t.ncomps,
+	}
+}
+
+// decodeSnapshots expands the snapshots' records, in order, into one
+// event array, one PVAR sample array and one component array that the
+// events' PVars and Components point into — what ReadTrace makes of a
+// dump file.
+func decodeSnapshots(snaps []traceSnapshot) []Event {
+	var n, npvars, ncomps int
+	for i := range snaps {
+		n += snaps[i].n
+		npvars += snaps[i].npvars
+		ncomps += snaps[i].ncomps
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, n)
+	var r traceReader
+	if npvars > 0 {
+		r.pvars = make([]PVarSample, npvars)
+	}
+	if ncomps > 0 {
+		r.comps = make([][NumComponents]uint64, ncomps)
+	}
+	next := 0
+	chunk := func(c []byte) {
+		for r.b, r.off = c, 0; r.off < len(c) && next < n; next++ {
+			r.event(&out[next])
+		}
+	}
+	for i := range snaps {
+		s := &snaps[i]
+		// Every string counts as used already: a shard's table is in
+		// first-use order by construction, there is nothing to check.
+		r.strs, r.used, r.ts = s.strs, uint64(len(s.strs)), 0
+		for _, c := range s.full {
+			chunk(c)
+		}
+		chunk(s.cur)
+	}
+	if r.err != nil || next != n || r.off != len(r.b) {
+		// The records are this process's own writing.
+		panic(fmt.Sprintf("core: trace buffer corrupt at event %d of %d: %v", next, n, r.err))
 	}
 	return out
+}
+
+// Events returns the buffered events, expanded, in emission order.
+func (t *Tracer) Events() []Event {
+	return decodeSnapshots([]traceSnapshot{t.snapshot()})
 }
 
 // Reset clears the buffer (between experiment repetitions).
 func (t *Tracer) Reset() {
 	t.mu.Lock()
-	t.chunks, t.n = nil, 0
-	t.pvars, t.comps = nil, nil
-	t.dropped = 0
+	t.full, t.cur, t.strs, t.index = nil, nil, nil, nil
+	t.n, t.npvars, t.ncomps, t.prev, t.dropped = 0, 0, 0, 0, 0
+	clear(t.last[:])
 	t.mu.Unlock()
 }

@@ -1,0 +1,216 @@
+package core
+
+import (
+	"bytes"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// recordingSink keeps every event it is handed.
+type recordingSink struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (s *recordingSink) WriteEvent(ev Event) error {
+	s.mu.Lock()
+	s.evs = append(s.evs, ev)
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *recordingSink) Flush() error { return nil }
+
+// emitBeside hands ev to the collector the way margo does: annotations
+// in values on this stack, beside the event.
+func emitBeside(c *Collector, key uint64, ev Event) {
+	var pv PVarSample
+	var comps [NumComponents]uint64
+	var pvp *PVarSample
+	var cp *[NumComponents]uint64
+	if ev.PVars != nil {
+		pv, pvp = *ev.PVars, &pv
+	}
+	if ev.Components != nil {
+		comps, cp = *ev.Components, &comps
+	}
+	ev.PVars, ev.Components = nil, nil
+	c.EmitSampled(key, ev, pvp, cp)
+}
+
+// TestPackedTraceReturnsWhatWasEmitted: events with every field filled
+// by reflection (so a field added to Event, SysSample or PVarSample is
+// covered the day it is added, and fails here until the record carries
+// it) go through the collector's shards and come back from Events
+// deep-equal to what went in, in the order the collector promises:
+// per-shard emission order, merged by timestamp, Lamport order and
+// request ID. Timestamps are random, so deltas go backwards and wrap;
+// 300 strings push table indexes past one byte; a few thousand events of
+// some hundred bytes cross every chunk size. The same holds again after
+// Reset, and at capacity, where the overflow is counted per event and
+// the sinks still see every event with its annotations.
+func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		shards, capacity int
+		events, strings  int
+	}{
+		{"one shard", 1, 0, 3000, 3},
+		{"eight shards, many strings", 8, 0, 4000, 300},
+		{"at capacity", 4, 1000, 1500, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector(tc.shards, tc.capacity)
+			sink := &recordingSink{}
+			c.AddTraceSink(sink)
+			perShard := c.TraceCapacity() / c.NumShards()
+			for round, seed := range []int64{11, 12} {
+				if round > 0 {
+					c.Reset()
+					sink.evs = nil
+				}
+				evs := randomDump(seed, tc.events, tc.strings).Events
+				kept := make([][]Event, c.NumShards())
+				var dropped uint64
+				for k, ev := range evs {
+					if ev.Timestamp == 0 {
+						ev.Timestamp = 1 // zero asks the collector for the wall clock
+						evs[k] = ev
+					}
+					key := ev.RequestID
+					if k%2 == 0 {
+						c.Emit(key, ev)
+					} else {
+						emitBeside(c, key, ev)
+					}
+					if sh := key & uint64(c.NumShards()-1); len(kept[sh]) < perShard {
+						kept[sh] = append(kept[sh], ev)
+					} else {
+						dropped++
+					}
+				}
+				var want []Event
+				for _, sh := range kept {
+					want = append(want, sh...)
+				}
+				sortEvents(want)
+				if tc.capacity > 0 && dropped == 0 {
+					t.Fatal("the capacity case dropped nothing")
+				}
+				if got := c.Dropped(); got != dropped {
+					t.Errorf("round %d: Dropped() = %d, want %d", round, got, dropped)
+				}
+				if got := c.TraceLen(); got != len(want) {
+					t.Errorf("round %d: TraceLen() = %d, want %d", round, got, len(want))
+				}
+				got := c.Events()
+				if len(got) != len(want) {
+					t.Fatalf("round %d: Events() returned %d events, want %d", round, len(got), len(want))
+				}
+				for k := range want {
+					if !reflect.DeepEqual(got[k], want[k]) {
+						t.Fatalf("round %d: event %d came back as\n %+v (pvars %+v, components %v)\nwant\n %+v (pvars %+v, components %v)",
+							round, k, got[k], got[k].PVars, got[k].Components, want[k], want[k].PVars, want[k].Components)
+					}
+				}
+				if !reflect.DeepEqual(sink.evs, evs) {
+					t.Errorf("round %d: the sink saw %d events, not the %d emitted with their annotations", round, len(sink.evs), len(evs))
+				}
+			}
+		})
+	}
+}
+
+// TestPackedTraceReadWhileWritten: Events decodes a snapshot outside the
+// shard locks while emitters keep appending to the same chunks; what it
+// returns is a prefix of each emitter's sequence, whole.
+func TestPackedTraceReadWhileWritten(t *testing.T) {
+	c := NewCollector(4, 0)
+	const emitters, each = 4, 5000
+	base, pv, comps := annotatedEvent()
+	var wg sync.WaitGroup
+	for e := 0; e < emitters; e++ {
+		wg.Add(1)
+		go func(e int) {
+			defer wg.Done()
+			ev, pv, comps := base, pv, comps
+			ev.Breadcrumb = uint64(e)
+			for k := 1; k <= each; k++ {
+				ev.RequestID, ev.Timestamp = uint64(k), base.Timestamp+int64(k)
+				pv.RPCsInvokedTotal, comps[CompOriginExec] = uint64(k), uint64(e)
+				c.EmitSampled(uint64(e), ev, &pv, &comps)
+			}
+		}(e)
+	}
+	check := func() int {
+		evs := c.Events()
+		next := [emitters]uint64{}
+		for _, ev := range evs {
+			e := ev.Breadcrumb
+			next[e]++
+			if ev.RequestID != next[e] || ev.PVars.RPCsInvokedTotal != next[e] || ev.Components[CompOriginExec] != e ||
+				ev.Entity != base.Entity || ev.Peer != base.Peer || ev.RPCName != base.RPCName {
+				t.Fatalf("emitter %d's event %d came back as %+v (pvars %+v)", e, next[e], ev, ev.PVars)
+			}
+		}
+		return len(evs)
+	}
+	for check() < emitters*each/2 {
+		runtime.Gosched()
+	}
+	wg.Wait()
+	if n := check(); n != emitters*each {
+		t.Fatalf("%d events after the emitters finished, want %d", n, emitters*each)
+	}
+}
+
+// TestDumpTraceBytesUnchanged: the golden events, recorded through a
+// profiler and dumped, serialize to the bytes committed as the fuzz
+// corpus's golden seed before trace storage was packed — the dump file
+// does not know how the process held its events.
+func TestDumpTraceBytesUnchanged(t *testing.T) {
+	p := NewProfiler("n0/cli", StageFull)
+	for _, ev := range goldenEvents() {
+		emitBeside(p.coll.Load(), ev.RequestID, ev)
+	}
+	d := p.DumpTrace()
+	d.PID, d.Dropped = 4242, 3     // the seed's header
+	want := fuzzSeeds(t)["golden"] // TestFuzzSeedCorpusCurrent holds it equal to the committed file
+	if got := encodeTrace(t, d); !bytes.Equal(got, want) {
+		t.Errorf("WriteTrace(DumpTrace()) = %d bytes differing from the committed golden dump (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestPackedEmitSteadyStateCost pins what holding one fully annotated
+// event (PVAR sample and component breakdown) costs the heap once a
+// shard's chunks have reached full size: its record's bytes and a
+// six-hundredth of a chunk object. The Event, PVarSample and component
+// array it replaced were 336 B.
+func TestPackedEmitSteadyStateCost(t *testing.T) {
+	const warm, n = 4096, 50_000
+	c := NewCollector(8, 8*(warm+n))
+	ev, pv, comps := annotatedEvent()
+	emit := func(k int) {
+		for ; k > 0; k-- {
+			ev.RequestID++
+			ev.Order += 2
+			ev.Timestamp += 41_000
+			c.EmitSampled(7, ev, &pv, &comps)
+		}
+	}
+	emit(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	emit(n)
+	runtime.ReadMemStats(&after)
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / n
+	objsPer := float64(after.Mallocs-before.Mallocs) / n
+	if bytesPer > 64 || objsPer >= 0.01 {
+		t.Errorf("a fully annotated event costs %.1f B and %.4f objects, want <= 64 B and < 0.01", bytesPer, objsPer)
+	}
+	if c.Dropped() != 0 || c.TraceLen() != warm+n {
+		t.Fatalf("%d events held, %d dropped", c.TraceLen(), c.Dropped())
+	}
+}

@@ -126,89 +126,129 @@ func encodeTraceDump(d *TraceDump) []byte {
 	b = binary.AppendUvarint(b, ncomps)
 
 	var prev int64
+	var rec eventRecord
 	for i := range d.Events {
 		ev := &d.Events[i]
-		flags := uint64(uint8(ev.Kind)) << evFlagBits
-		set := func(bit uint64, on bool) {
-			if on {
-				flags |= bit
-			}
-		}
-		set(evFailed, ev.Failed)
-		set(evDuration, ev.Duration != 0)
-		set(evBatchID, ev.BatchID != 0)
-		set(evQueue, ev.QueueNanos != 0)
-		set(evWindow, ev.WindowNanos != 0)
-		set(evPoolRunnable, ev.Sys.PoolRunnable != 0)
-		set(evPoolBlocked, ev.Sys.PoolBlocked != 0)
-		set(evHeapBytes, ev.Sys.HeapBytes != 0)
-		set(evGoroutines, ev.Sys.Goroutines != 0)
-		set(evPVars, ev.PVars != nil)
-		set(evComponents, ev.Components != nil)
-
-		b = binary.AppendUvarint(b, flags)
-		b = binary.AppendUvarint(b, ev.RequestID)
-		b = binary.AppendUvarint(b, ev.Order)
-		b = binary.AppendUvarint(b, ev.Breadcrumb)
-		b = binary.AppendVarint(b, ev.Timestamp-prev) // wraps; the reader's sum wraps back
+		n := rec.encode(ev, ev.PVars, ev.Components, prev, index[ev.Entity], index[ev.Peer], index[ev.RPCName])
+		b = append(b, rec[:n]...)
 		prev = ev.Timestamp
-		b = binary.AppendUvarint(b, index[ev.Entity])
-		b = binary.AppendUvarint(b, index[ev.Peer])
-		b = binary.AppendUvarint(b, index[ev.RPCName])
-		if flags&evDuration != 0 {
-			b = binary.AppendVarint(b, ev.Duration)
-		}
-		if flags&evBatchID != 0 {
-			b = binary.AppendUvarint(b, ev.BatchID)
-		}
-		if flags&evQueue != 0 {
-			b = binary.AppendVarint(b, ev.QueueNanos)
-		}
-		if flags&evWindow != 0 {
-			b = binary.AppendVarint(b, ev.WindowNanos)
-		}
-		if flags&evPoolRunnable != 0 {
-			b = binary.AppendVarint(b, ev.Sys.PoolRunnable)
-		}
-		if flags&evPoolBlocked != 0 {
-			b = binary.AppendVarint(b, ev.Sys.PoolBlocked)
-		}
-		if flags&evHeapBytes != 0 {
-			b = binary.AppendUvarint(b, ev.Sys.HeapBytes)
-		}
-		if flags&evGoroutines != 0 {
-			b = binary.AppendVarint(b, int64(ev.Sys.Goroutines))
-		}
-		if ev.PVars != nil {
-			var vals [numPVarFields]uint64
-			for i, p := range ev.PVars.fields() {
-				vals[i] = *p
-			}
-			b = appendMasked(b, vals[:])
-		}
-		if ev.Components != nil {
-			b = appendMasked(b, ev.Components[:])
-		}
 	}
 	return b
 }
 
-// appendMasked writes counters as a presence mask followed by the
-// nonzero ones.
-func appendMasked(b []byte, vals []uint64) []byte {
+// eventRecord is room for the longest event record: the flags word,
+// three IDs, the timestamp delta, three string indexes, eight optional
+// fields and the two masked annotation blocks, every varint at its full
+// ten bytes. Records are built in one (on the stack) and then appended
+// to where they are kept, so the encoder writes by index and never
+// grows anything.
+type eventRecord [3 + (3+1+3+8)*binary.MaxVarintLen64 +
+	(2 + numPVarFields*binary.MaxVarintLen64) + (2 + int(NumComponents)*binary.MaxVarintLen64)]byte
+
+// uv writes v as a varint at r[n:] and returns the offset after it.
+func (r *eventRecord) uv(n int, v uint64) int {
+	for v >= 0x80 {
+		r[n] = byte(v) | 0x80
+		v >>= 7
+		n++
+	}
+	r[n] = byte(v)
+	return n + 1
+}
+
+// zz is uv for a signed value, zigzag-coded.
+func (r *eventRecord) zz(n int, v int64) int {
+	return r.uv(n, uint64(v<<1)^uint64(v>>63))
+}
+
+// masked writes counters as a presence mask followed by the nonzero
+// ones.
+func (r *eventRecord) masked(n int, vals []uint64) int {
 	var mask uint64
 	for i, v := range vals {
 		if v != 0 {
 			mask |= 1 << i
 		}
 	}
-	b = binary.AppendUvarint(b, mask)
+	n = r.uv(n, mask)
 	for _, v := range vals {
 		if v != 0 {
-			b = binary.AppendUvarint(b, v)
+			n = r.uv(n, v)
 		}
 	}
-	return b
+	return n
+}
+
+// encode writes one event record (the "event" production above) into r
+// and returns its length. It is the one event encoder: a dump file and a
+// Tracer's in-memory chunks hold the same bytes per event. pv and comps
+// are the event's annotations, passed beside it because the recording
+// path holds them apart from ev (ev.PVars and ev.Components are not
+// read); prev is the timestamp the delta is taken against, and entity,
+// peer and rpc are the indexes of ev's strings in whatever table the
+// record's reader will use.
+func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, prev int64, entity, peer, rpc uint64) int {
+	flags := uint64(uint8(ev.Kind)) << evFlagBits
+	set := func(bit uint64, on bool) {
+		if on {
+			flags |= bit
+		}
+	}
+	set(evFailed, ev.Failed)
+	set(evDuration, ev.Duration != 0)
+	set(evBatchID, ev.BatchID != 0)
+	set(evQueue, ev.QueueNanos != 0)
+	set(evWindow, ev.WindowNanos != 0)
+	set(evPoolRunnable, ev.Sys.PoolRunnable != 0)
+	set(evPoolBlocked, ev.Sys.PoolBlocked != 0)
+	set(evHeapBytes, ev.Sys.HeapBytes != 0)
+	set(evGoroutines, ev.Sys.Goroutines != 0)
+	set(evPVars, pv != nil)
+	set(evComponents, comps != nil)
+
+	n := r.uv(0, flags)
+	n = r.uv(n, ev.RequestID)
+	n = r.uv(n, ev.Order)
+	n = r.uv(n, ev.Breadcrumb)
+	n = r.zz(n, ev.Timestamp-prev) // wraps; the reader's sum wraps back
+	n = r.uv(n, entity)
+	n = r.uv(n, peer)
+	n = r.uv(n, rpc)
+	if flags&evDuration != 0 {
+		n = r.zz(n, ev.Duration)
+	}
+	if flags&evBatchID != 0 {
+		n = r.uv(n, ev.BatchID)
+	}
+	if flags&evQueue != 0 {
+		n = r.zz(n, ev.QueueNanos)
+	}
+	if flags&evWindow != 0 {
+		n = r.zz(n, ev.WindowNanos)
+	}
+	if flags&evPoolRunnable != 0 {
+		n = r.zz(n, ev.Sys.PoolRunnable)
+	}
+	if flags&evPoolBlocked != 0 {
+		n = r.zz(n, ev.Sys.PoolBlocked)
+	}
+	if flags&evHeapBytes != 0 {
+		n = r.uv(n, ev.Sys.HeapBytes)
+	}
+	if flags&evGoroutines != 0 {
+		n = r.zz(n, int64(ev.Sys.Goroutines))
+	}
+	if pv != nil {
+		var vals [numPVarFields]uint64
+		for i, p := range pv.fields() {
+			vals[i] = *p
+		}
+		n = r.masked(n, vals[:])
+	}
+	if comps != nil {
+		n = r.masked(n, comps[:])
+	}
+	return n
 }
 
 // ReadTrace parses one trace dump written by WriteTrace. The input is
@@ -271,6 +311,12 @@ type traceReader struct {
 
 	strs []string // the string table
 	used uint64   // how many of its entries the events have used so far
+
+	// Event decoding state: the timestamp the next delta adds to, and
+	// the storage the next PVAR sample and component array go into.
+	ts    int64
+	pvars []PVarSample
+	comps [][NumComponents]uint64
 }
 
 func (r *traceReader) fail(format string, args ...any) {
@@ -343,6 +389,74 @@ func (r *traceReader) str() string {
 	return r.strs[i]
 }
 
+// event reads one event record (what eventRecord.encode wrote) into *ev, which
+// the caller hands over zeroed, pointing its annotations at the next
+// free entries of r.pvars and r.comps.
+func (r *traceReader) event(ev *Event) {
+	flags := r.uv()
+	if flags>>(evFlagBits+8) != 0 {
+		r.fail("unknown event flag bits %#x", flags)
+	}
+	ev.Kind = EventKind(uint8(flags >> evFlagBits))
+	ev.RequestID = r.uv()
+	ev.Order = r.uv()
+	ev.Breadcrumb = r.uv()
+	r.ts += r.zz()
+	ev.Timestamp = r.ts
+	ev.Entity = r.str()
+	ev.Peer = r.str()
+	ev.RPCName = r.str()
+	ev.Failed = flags&evFailed != 0
+	if flags&evDuration != 0 {
+		ev.Duration = int64(r.nonzero(uint64(r.zz())))
+	}
+	if flags&evBatchID != 0 {
+		ev.BatchID = r.nonzero(r.uv())
+	}
+	if flags&evQueue != 0 {
+		ev.QueueNanos = int64(r.nonzero(uint64(r.zz())))
+	}
+	if flags&evWindow != 0 {
+		ev.WindowNanos = int64(r.nonzero(uint64(r.zz())))
+	}
+	if flags&evPoolRunnable != 0 {
+		ev.Sys.PoolRunnable = int64(r.nonzero(uint64(r.zz())))
+	}
+	if flags&evPoolBlocked != 0 {
+		ev.Sys.PoolBlocked = int64(r.nonzero(uint64(r.zz())))
+	}
+	if flags&evHeapBytes != 0 {
+		ev.Sys.HeapBytes = r.nonzero(r.uv())
+	}
+	if flags&evGoroutines != 0 {
+		g := int64(r.nonzero(uint64(r.zz())))
+		if int64(int(g)) != g {
+			r.fail("goroutine count %d overflows int", g)
+		}
+		ev.Sys.Goroutines = int(g)
+	}
+	if flags&evPVars != 0 {
+		if len(r.pvars) == 0 {
+			r.fail("more pvar samples than declared")
+			return
+		}
+		ev.PVars, r.pvars = &r.pvars[0], r.pvars[1:]
+		var vals [numPVarFields]uint64
+		r.masked(vals[:])
+		for i, p := range ev.PVars.fields() {
+			*p = vals[i]
+		}
+	}
+	if flags&evComponents != 0 {
+		if len(r.comps) == 0 {
+			r.fail("more component arrays than declared")
+			return
+		}
+		ev.Components, r.comps = &r.comps[0], r.comps[1:]
+		r.masked(ev.Components[:])
+	}
+}
+
 var errTraceMagic = errors.New("not a trace dump (bad magic)")
 
 func decodeTraceDump(data []byte) (*TraceDump, error) {
@@ -407,93 +521,23 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		r.fail("%d events, %d pvar samples, %d component arrays in %d bytes", nev, npv, ncomp, rem)
 		return nil, r.err
 	}
-	var (
-		pvars []PVarSample
-		comps [][NumComponents]uint64
-	)
 	if nev > 0 {
 		d.Events = make([]Event, nev)
 	}
 	if npv > 0 {
-		pvars = make([]PVarSample, npv)
+		r.pvars = make([]PVarSample, npv)
 	}
 	if ncomp > 0 {
-		comps = make([][NumComponents]uint64, ncomp)
+		r.comps = make([][NumComponents]uint64, ncomp)
 	}
-
-	var ts int64
 	for i := range d.Events {
-		ev := &d.Events[i]
-		flags := r.uv()
-		if flags>>(evFlagBits+8) != 0 {
-			r.fail("event %d: unknown flag bits %#x", i, flags)
-		}
-		ev.Kind = EventKind(uint8(flags >> evFlagBits))
-		ev.RequestID = r.uv()
-		ev.Order = r.uv()
-		ev.Breadcrumb = r.uv()
-		ts += r.zz()
-		ev.Timestamp = ts
-		ev.Entity = r.str()
-		ev.Peer = r.str()
-		ev.RPCName = r.str()
-		ev.Failed = flags&evFailed != 0
-		if flags&evDuration != 0 {
-			ev.Duration = int64(r.nonzero(uint64(r.zz())))
-		}
-		if flags&evBatchID != 0 {
-			ev.BatchID = r.nonzero(r.uv())
-		}
-		if flags&evQueue != 0 {
-			ev.QueueNanos = int64(r.nonzero(uint64(r.zz())))
-		}
-		if flags&evWindow != 0 {
-			ev.WindowNanos = int64(r.nonzero(uint64(r.zz())))
-		}
-		if flags&evPoolRunnable != 0 {
-			ev.Sys.PoolRunnable = int64(r.nonzero(uint64(r.zz())))
-		}
-		if flags&evPoolBlocked != 0 {
-			ev.Sys.PoolBlocked = int64(r.nonzero(uint64(r.zz())))
-		}
-		if flags&evHeapBytes != 0 {
-			ev.Sys.HeapBytes = r.nonzero(r.uv())
-		}
-		if flags&evGoroutines != 0 {
-			g := int64(r.nonzero(uint64(r.zz())))
-			if int64(int(g)) != g {
-				r.fail("event %d: goroutine count %d overflows int", i, g)
-			}
-			ev.Sys.Goroutines = int(g)
-		}
-		if flags&evPVars != 0 {
-			if len(pvars) == 0 {
-				r.fail("event %d: more pvar samples than the %d declared", i, npv)
-				break
-			}
-			ev.PVars, pvars = &pvars[0], pvars[1:]
-			var vals [numPVarFields]uint64
-			r.masked(vals[:])
-			for i, p := range ev.PVars.fields() {
-				*p = vals[i]
-			}
-		}
-		if flags&evComponents != 0 {
-			if len(comps) == 0 {
-				r.fail("event %d: more component arrays than the %d declared", i, ncomp)
-				break
-			}
-			ev.Components, comps = &comps[0], comps[1:]
-			r.masked(ev.Components[:])
-		}
-		if r.err != nil {
-			break
+		if r.event(&d.Events[i]); r.err != nil {
+			return nil, fmt.Errorf("event %d: %w", i, r.err)
 		}
 	}
 	switch {
-	case r.err != nil:
-	case len(pvars) != 0 || len(comps) != 0:
-		r.fail("%d pvar samples and %d component arrays declared but not used", len(pvars), len(comps))
+	case len(r.pvars) != 0 || len(r.comps) != 0:
+		r.fail("%d pvar samples and %d component arrays declared but not used", len(r.pvars), len(r.comps))
 	case r.used != nstr:
 		r.fail("%d of %d strings never used", nstr-r.used, nstr)
 	case r.off != len(r.b):

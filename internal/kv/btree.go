@@ -311,14 +311,19 @@ func (d *btreeDB) List(start []byte, max int) ([]Pair, error) {
 	if max <= 0 {
 		return nil, nil
 	}
-	out := make([]Pair, 0, max)
+	// Collect views of the stored pairs (stable under the read lock),
+	// then copy them all into one buffer.
+	out := make([]Pair, 0, min(max, d.t.size))
+	size := 0
 	d.t.scan(start, func(k, v []byte) bool {
-		out = append(out, Pair{
-			Key:   append([]byte(nil), k...),
-			Value: append([]byte(nil), v...),
-		})
+		out = append(out, Pair{Key: k, Value: v})
+		size += len(k) + len(v)
 		return len(out) < max
 	})
+	buf := make([]byte, 0, size)
+	for i := range out {
+		out[i] = Pair{Key: carve(&buf, out[i].Key), Value: carve(&buf, out[i].Value)}
+	}
 	return out, nil
 }
 

@@ -32,6 +32,16 @@ type Pair struct {
 	Value []byte
 }
 
+// carve appends a copy of src to *buf, which the caller sized for
+// everything it will carve, and returns the copy capacity-clipped: the
+// pairs of one List share a buffer without being able to grow into each
+// other.
+func carve[T ~string | ~[]byte](buf *[]byte, src T) []byte {
+	off := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[off:len(*buf):len(*buf)]
+}
+
 // DB is one key-value database instance.
 type DB interface {
 	// Name returns the database's instance name.
@@ -47,7 +57,12 @@ type DB interface {
 	// Delete removes key, reporting whether it was present.
 	Delete(key []byte) (bool, error)
 	// List returns up to max pairs with keys >= start, in key order for
-	// ordered engines (insertion-agnostic order for unordered ones).
+	// ordered engines (insertion-agnostic order for unordered ones). The
+	// pairs are copies, independent of the store like Get's value, but
+	// they share one backing buffer: each Key and Value is a
+	// capacity-clipped slice of it, so appending to one reallocates
+	// instead of running into its neighbour, and holding any of them
+	// keeps the whole listing alive.
 	List(start []byte, max int) ([]Pair, error)
 	// Len reports the number of stored pairs.
 	Len() int

@@ -393,3 +393,52 @@ func TestLSMSizeTieredCompaction(t *testing.T) {
 		t.Fatal("deleted key resurfaced after tiered compaction")
 	}
 }
+
+// TestListPairsShareOneBufferSafely: the map and shardedmap engines copy
+// a listing into one buffer, so a List costs a fixed number of
+// allocations however many pairs it returns, and the pairs are still
+// copies: a later Put does not change them, writing through one does not
+// reach the store, and appending to one reallocates instead of running
+// into its neighbour.
+func TestListPairsShareOneBufferSafely(t *testing.T) {
+	for _, backend := range []string{"map", "shardedmap"} {
+		db, err := Open(backend, "list")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 64
+		key := func(i int) []byte { return []byte(fmt.Sprintf("omap/object-%04d/a-key-longer-than-a-small-string", i)) }
+		for i := 0; i < n; i++ {
+			if err := db.Put(key(i), []byte(fmt.Sprintf("value-%04d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pairs, err := db.List(nil, n)
+		if err != nil || len(pairs) != n {
+			t.Fatalf("%s: List = %d pairs, %v", backend, len(pairs), err)
+		}
+		for i := 0; i < n; i++ {
+			db.Put(key(i), []byte("overwritten"))
+		}
+		first := append(pairs[0].Key, "-and-then-some"...)
+		_ = append(pairs[0].Value, "-and-then-some"...)
+		for i, p := range pairs {
+			if want := fmt.Sprintf("value-%04d", i); !bytes.Equal(p.Key, key(i)) || string(p.Value) != want {
+				t.Fatalf("%s: pair %d = %q=%q after overwriting the store and appending to pair 0", backend, i, p.Key, p.Value)
+			}
+			if cap(p.Key) != len(p.Key) || cap(p.Value) != len(p.Value) {
+				t.Fatalf("%s: pair %d is not capacity-clipped (%d/%d, %d/%d)", backend, i, len(p.Key), cap(p.Key), len(p.Value), cap(p.Value))
+			}
+		}
+		if !bytes.HasSuffix(first, []byte("-and-then-some")) {
+			t.Fatalf("%s: append lost its bytes", backend)
+		}
+		pairs[1].Value[0] = 'X'
+		if v, _, _ := db.Get(key(1)); string(v) != "overwritten" {
+			t.Fatalf("%s: writing through a listed value reached the store: %q", backend, v)
+		}
+		if got := testing.AllocsPerRun(50, func() { db.List(nil, n) }); got > 3 {
+			t.Errorf("%s: List of %d pairs allocates %.0f times, want <= 3", backend, n, got)
+		}
+	}
+}

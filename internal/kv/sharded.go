@@ -41,13 +41,16 @@ func (d *shardedDB) ConcurrentWrites() bool { return true }
 // on every Put/Get/Delete, and a hash.Hash32 allocated per call was the
 // dominant allocation of the hot path (pinned at zero allocs by
 // TestShardForZeroAlloc and the perfgate route_lookup scenario).
-func (d *shardedDB) shardFor(key []byte) *shard {
+func (d *shardedDB) shardFor(key []byte) *shard { return &d.shards[shardIndex(key)] }
+
+// shardIndex hashes a key held as bytes or, in List, as a map key.
+func shardIndex[T ~string | ~[]byte](key T) uint32 {
 	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &d.shards[h%numShards]
+	return h % numShards
 }
 
 func (d *shardedDB) isClosed() bool {
@@ -100,7 +103,7 @@ func (d *shardedDB) List(start []byte, max int) ([]Pair, error) {
 	if max <= 0 {
 		return nil, nil
 	}
-	keys := make([]string, 0)
+	keys := make([]string, 0, d.Len())
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.RLock()
@@ -115,15 +118,26 @@ func (d *shardedDB) List(start []byte, max int) ([]Pair, error) {
 	if len(keys) > max {
 		keys = keys[:max]
 	}
+	// Collect the stored values (a value is replaced, never written, so
+	// it stays readable after its shard lock is dropped), then copy keys
+	// and values into one buffer.
 	out := make([]Pair, 0, len(keys))
+	size, n := 0, 0
 	for _, k := range keys {
-		s := d.shardFor([]byte(k))
+		s := &d.shards[shardIndex(k)]
 		s.mu.RLock()
 		v, ok := s.m[k]
-		if ok {
-			out = append(out, Pair{Key: []byte(k), Value: append([]byte(nil), v...)})
-		}
 		s.mu.RUnlock()
+		if ok {
+			keys[n] = k // keys[i] stays the key of out[i] if one vanished meanwhile
+			n++
+			out = append(out, Pair{Value: v})
+			size += len(k) + len(v)
+		}
+	}
+	buf := make([]byte, 0, size)
+	for i := range out {
+		out[i] = Pair{Key: carve(&buf, keys[i]), Value: carve(&buf, out[i].Value)}
 	}
 	return out, nil
 }

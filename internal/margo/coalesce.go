@@ -367,16 +367,24 @@ func (i *Instance) sendBatch(fl *batchFlight, attempt int) {
 	var timerFired atomic.Bool
 	var tryTimer *time.Timer
 	if i.retry != nil && i.retry.pol.PerTryTimeout > 0 {
+		// The timer holds a handle reference until it is stopped in time
+		// or has fired, so a late timeout cancels this attempt's handle
+		// (a no-op by then), never a recycled one.
+		mh.Ref()
 		tryTimer = time.AfterFunc(i.retry.pol.PerTryTimeout, func() {
 			timerFired.Store(true)
 			mh.Cancel()
+			mh.Unref()
 		})
+	}
+	stopTimer := func() {
+		if tryTimer != nil && tryTimer.Stop() {
+			mh.Unref()
+		}
 	}
 	err = mh.ForwardBatch(fl.batchID, fl.builder, func(h *mercury.Handle, err error) {
 		// Runs at t14 in the progress ULT's Trigger pass.
-		if tryTimer != nil {
-			tryTimer.Stop()
-		}
+		stopTimer()
 		t14 := time.Now()
 		if err == nil {
 			if br != nil {
@@ -405,9 +413,7 @@ func (i *Instance) sendBatch(fl *batchFlight, attempt int) {
 		fl.complete(err, t14)
 	})
 	if err != nil {
-		if tryTimer != nil {
-			tryTimer.Stop()
-		}
+		stopTimer()
 		if br != nil && br.record(time.Now(), true, overloadClass(err, false)) {
 			i.breakerTripsTotal.Add(1)
 		}

@@ -36,13 +36,16 @@ type originCall struct {
 	err error
 	t14 time.Time
 
-	// mh is the handle the armed timer cancels. timerFired
-	// disambiguates this call's own deadline from an external
-	// cancellation: the store happens before Cancel enqueues the
-	// completion, so when the wait observes ErrCanceled caused by the
-	// timer, the flag is already visible. If a genuine response races
-	// the timer, completeForward's CAS lets exactly one of them win — a
-	// late timer then cancels an already-completed handle, a no-op.
+	// mh is the handle the armed timer cancels; the timer holds a
+	// reference to it from arm until a successful Stop or until it has
+	// fired, so a late timeout finds this call's handle, never the one
+	// its memory serves next. timerFired disambiguates this call's own
+	// deadline from an external cancellation: the store happens before
+	// Cancel enqueues the completion, so when the wait observes
+	// ErrCanceled caused by the timer, the flag is already visible. If a
+	// genuine response races the timer, completeForward's CAS lets
+	// exactly one of them win — a late timer then cancels an
+	// already-completed handle, a no-op.
 	mh         *mercury.Handle
 	timer      *time.Timer
 	onTimeout  func() // == timeout, bound once so arming never allocates
@@ -57,6 +60,7 @@ var callPool = sync.Pool{New: func() any {
 
 // arm starts the per-try timer against mh.
 func (c *originCall) arm(mh *mercury.Handle, d time.Duration) {
+	mh.Ref()
 	c.mh = mh
 	if c.timer == nil {
 		c.timer = time.AfterFunc(d, c.onTimeout)
@@ -68,16 +72,21 @@ func (c *originCall) arm(mh *mercury.Handle, d time.Duration) {
 func (c *originCall) timeout() {
 	c.timerFired.Store(true)
 	c.mh.Cancel()
+	c.mh.Unref()
 }
 
 // release returns the record to the pool once the issuing ULT is done
 // with it. A record whose timer was armed for this use (mh is set) is
 // reused only if Stop reports that the timer had not fired and now
-// never will; otherwise it is left to the GC, because a late timeout
-// must never Cancel a handle that belongs to another request.
+// never will, and the timer's handle reference is given back here;
+// otherwise the timer func gives it back itself and the record is left
+// to the GC, because the func may still be reading it.
 func (c *originCall) release() {
-	if c.mh != nil && !c.timer.Stop() {
-		return
+	if c.mh != nil {
+		if !c.timer.Stop() {
+			return
+		}
+		c.mh.Unref()
 	}
 	c.ev.Reset()
 	c.err, c.mh = nil, nil

@@ -80,13 +80,15 @@ func acquireContext() *Context {
 	return c
 }
 
-// unref drops one of the record's two users; the last one recycles it.
-// A request whose response could not be sent never sees its t13
-// callback, and its record is simply left to the GC.
+// unref drops one of the record's two users; the last one recycles it
+// and destroys the Mercury handle the Context owned. A request whose
+// response could not be sent never sees its t13 callback, and its record
+// and handle are simply left to the GC.
 func (c *Context) unref() {
 	if c.refs.Add(-1) != 0 {
 		return
 	}
+	c.mh.Destroy()
 	if c.scratch != nil {
 		mercury.PutArena(c.scratch, *c.scratch)
 		c.scratch = nil

@@ -139,6 +139,9 @@ func (i *Instance) rejectRequest(mh *mercury.Handle, rpcName string, verdict adm
 		i.shedTotal.Add(1)
 		_ = mh.RespondOverloaded(respMeta, nil)
 	}
+	// No handler will own the handle; the response send keeps it until
+	// it is on the wire.
+	mh.Destroy()
 }
 
 // Overload returns a copy of the active admission policy, or nil when

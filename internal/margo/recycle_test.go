@@ -12,12 +12,30 @@ import (
 	"symbiosys/internal/abt"
 	"symbiosys/internal/core"
 	"symbiosys/internal/mercury"
+	"symbiosys/internal/na"
 )
 
 // The tests in this file run the recycled per-request records (the
-// origin call record, the target Context, the handler ULT's data slot)
-// through the interleavings that could hand one request another's
-// state. Every request carries a nonce the reply must echo.
+// origin call record, the Mercury handles of both sides, the target
+// Context, the handler ULT's data slot) through the interleavings that
+// could hand one request another's state. Every request carries a nonce
+// the reply must echo.
+
+// readPVar samples one library-global Mercury PVAR of inst.
+func readPVar(t *testing.T, inst *Instance, name string) uint64 {
+	t.Helper()
+	sess := inst.Mercury().PVars().InitSession()
+	defer sess.Finalize()
+	h, err := sess.AllocHandleByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := sess.Read(h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 // registerNonceEcho installs an RPC that answers N with N.
 func registerNonceEcho(t *testing.T, srv, cli *Instance, rpc string) {
@@ -54,10 +72,12 @@ func runIssuers(t *testing.T, cli *Instance, n int, fn func(self *abt.ULT, issue
 
 // TestTimeoutRacingResponseKeepsCallsApart: with the per-try timeout
 // set to about one round trip, timers and responses race on nearly
-// every call. A call record recycled while its timer could still fire
-// would let a late timeout cancel a later request, and a record reused
-// while its callback was still running would leak one request's result
-// into another; either shows as a wrong nonce or a lost call.
+// every call. A call record or a handle recycled while its timer could
+// still fire would let a late timeout cancel a later request (which
+// then reads as an external cancellation, or as a timeout the caller
+// never asked for), and a record reused while its callback was still
+// running would leak one request's result into another; either shows as
+// a wrong nonce, a lost call or a count that does not add up.
 func TestTimeoutRacingResponseKeepsCallsApart(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
@@ -110,9 +130,34 @@ func TestTimeoutRacingResponseKeepsCallsApart(t *testing.T) {
 	if n := cli.RetryStats().Timeouts; n != uint64(timeouts.Load()) {
 		t.Errorf("instance counted %d timeouts, callers saw %d", n, timeouts.Load())
 	}
+	if n := cli.RetryStats().Cancels; n != 0 {
+		t.Errorf("%d calls were canceled by something other than their own timer", n)
+	}
 	t.Logf("timeout %v: %d successes, %d timeouts", timeout, successes.Load(), timeouts.Load())
 	if !cli.WaitIdle(5 * time.Second) {
 		t.Errorf("InFlight = %d after the last call returned", cli.InFlight())
+	}
+	// Every request was served once, and every response found either
+	// the handle of its own forward or, that forward having timed out,
+	// nothing: responses dropped as stale plus responses that completed
+	// a call account for every forward, with the calls whose response
+	// was matched but lost the race to the timer in between.
+	forwards := uint64(len(rtts) + issuers*perIssuer)
+	waitFor(t, func() bool {
+		return srv.HandlersInFlight() == 0 && readPVar(t, srv, mercury.PVarNumResponsesSent) == forwards &&
+			cli.Mercury().NetworkPending() == 0 && cli.Mercury().CompletionQueueLen() == 0
+	})
+	if n := readPVar(t, srv, mercury.PVarNumRPCsHandled); n != forwards {
+		t.Errorf("server handled %d requests for %d forwards", n, forwards)
+	}
+	stale := readPVar(t, cli, mercury.PVarNumStaleResponses)
+	completed := uint64(len(rtts)) + uint64(successes.Load())
+	if stale > uint64(timeouts.Load()) || stale+completed > forwards {
+		t.Errorf("%d stale responses + %d completed calls for %d forwards, %d of them timed out",
+			stale, completed, forwards, timeouts.Load())
+	}
+	if n := readPVar(t, cli, mercury.PVarNumPostedHandles); n != 0 {
+		t.Errorf("%d handles still posted", n)
 	}
 }
 
@@ -240,6 +285,137 @@ func TestCancelPostedRacingCompletions(t *testing.T) {
 	if cli.InFlight() != 0 {
 		t.Errorf("InFlight = %d after the last call returned", cli.InFlight())
 	}
+	// The sweep canceled handles, never calls: every cancellation a
+	// caller saw is one the instance attributed to an external cancel,
+	// and none was swept twice into a later life of its handle.
+	if st := cli.RetryStats(); st.Cancels != uint64(cancels.Load()) || st.Timeouts != 0 {
+		t.Errorf("instance counted %d cancels and %d timeouts, callers saw %d cancels", st.Cancels, st.Timeouts, cancels.Load())
+	}
+	if uint64(swept.Load()) < uint64(cancels.Load()) {
+		t.Errorf("%d calls canceled by %d sweeps", cancels.Load(), swept.Load())
+	}
+}
+
+// TestFaultyFabricNeverCrossesRequests recycles handles under a fault
+// plan that duplicates, drops and delays messages, toward one server
+// that stays up and a series of doomed ones: each is partitioned away,
+// healed, sent a burst of slow requests and closed while they are in
+// flight, so their sends fail with an EvError long after the forward
+// timed out and its handle was destroyed. Forwards to the live server
+// run beside them from the same handle pool. None of those may be
+// completed by another request's event: they end with their own nonce
+// or by their own timer, never with a doomed server's error, a stranger's
+// nonce or a cancellation nobody issued; and every forward, doomed or
+// not, completes exactly once.
+func TestFaultyFabricNeverCrossesRequests(t *testing.T) {
+	c := newCluster(t)
+	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
+	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli"})
+	registerNonceEcho(t, srv, cli, "nonce")
+
+	const rounds, burst = 30, 8
+	const doomedDelay = 2 * time.Millisecond
+	plan := func(doomed string, partitioned bool) *na.FaultPlan {
+		p := na.NewFaultPlan(7)
+		p.Default = na.FaultRule{DupProb: 0.05, DropProb: 0.02, DelayProb: 0.05, Delay: 300 * time.Microsecond}
+		if doomed != "" {
+			p.SetLink(cli.Addr(), doomed, na.FaultRule{DelayProb: 1, Delay: doomedDelay, Partition: partitioned})
+		}
+		return p
+	}
+	c.fabric.SetFaultPlan(plan("", false))
+
+	stop := make(chan struct{})
+	var live sync.WaitGroup
+	var liveOK, liveTimeouts atomic.Int64
+	for k := 0; k < 3; k++ {
+		live.Add(1)
+		issuer := k
+		u := cli.Run("live", func(self *abt.ULT) {
+			for n := uint64(1); ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				nonce := uint64(issuer+1)<<40 | n
+				in, out := seqArgs{N: nonce}, seqArgs{}
+				err := cli.ForwardTimeout(self, srv.Addr(), "nonce", &in, &out, 5*time.Millisecond)
+				switch {
+				case err == nil && out.N == nonce:
+					liveOK.Add(1)
+				case errors.Is(err, mercury.ErrCanceled):
+					liveTimeouts.Add(1) // a dropped request or response
+				default:
+					t.Errorf("live issuer %d call %d: err %v, reply %#x (nonce %#x)", issuer, n, err, out.N, nonce)
+					return
+				}
+			}
+		})
+		go func() { defer live.Done(); u.Join(nil) }()
+	}
+
+	var doomedTimeouts, doomedRefused atomic.Int64
+	for round := 0; round < rounds; round++ {
+		ep, err := c.fabric.NewEndpoint("n2", "doomed"+string(rune('A'+round)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Partitioned: refused at once. Healed: slow, and closed mid-flight.
+		c.fabric.SetFaultPlan(plan(ep.Addr(), true))
+		runIssuers(t, cli, 2, func(self *abt.ULT, issuer int) {
+			// Refused in Send itself; the timeout only bounds a bug.
+			err := cli.ForwardTimeout(self, ep.Addr(), "nonce", &seqArgs{N: 1}, nil, 5*time.Second)
+			if !errors.Is(err, na.ErrPartitioned) {
+				t.Errorf("round %d: forward across a partition: %v", round, err)
+			}
+			doomedRefused.Add(1)
+		})
+		c.fabric.SetFaultPlan(plan(ep.Addr(), false))
+		closed := make(chan struct{})
+		go func() {
+			time.Sleep(doomedDelay / 2)
+			ep.Close()
+			close(closed)
+		}()
+		runIssuers(t, cli, burst, func(self *abt.ULT, issuer int) {
+			// The timeout beats the slow link, so the handle is destroyed
+			// while its request is still on its way to a closing endpoint.
+			err := cli.ForwardTimeout(self, ep.Addr(), "nonce", &seqArgs{N: 2}, nil, doomedDelay/8)
+			switch {
+			case errors.Is(err, mercury.ErrCanceled):
+				doomedTimeouts.Add(1)
+			case errors.Is(err, na.ErrClosed):
+				// Issued after the close: refused at once.
+			default:
+				t.Errorf("round %d: forward to the doomed server: %v", round, err)
+			}
+		})
+		<-closed
+		// Let the late errors land among the live forwards.
+		time.Sleep(doomedDelay)
+	}
+	close(stop)
+	live.Wait()
+	c.fabric.SetFaultPlan(nil)
+
+	if liveOK.Load() == 0 {
+		t.Error("no forward to the live server succeeded")
+	}
+	st := cli.RetryStats()
+	if want := uint64(liveTimeouts.Load() + doomedTimeouts.Load()); st.Timeouts != want || st.Cancels != 0 {
+		t.Errorf("instance counted %d timeouts and %d cancels; callers saw %d timeouts and issued no cancel",
+			st.Timeouts, st.Cancels, want)
+	}
+	if n := readPVar(t, cli, mercury.PVarNumSendErrors); n <= uint64(doomedRefused.Load()) {
+		t.Errorf("%d send errors for %d refused forwards: no request was in flight when its server closed", n, doomedRefused.Load())
+	}
+	waitFor(t, func() bool { return readPVar(t, cli, mercury.PVarNumPostedHandles) == 0 })
+	if !cli.WaitIdle(5 * time.Second) {
+		t.Errorf("InFlight = %d after the last call returned", cli.InFlight())
+	}
+	t.Logf("live: %d ok, %d timed out; doomed: %d refused, %d timed out; faults %+v",
+		liveOK.Load(), liveTimeouts.Load(), doomedRefused.Load(), doomedTimeouts.Load(), c.fabric.FaultStats())
 }
 
 // TestNestedForwardInheritsIdentityAtDepth3: a request stamped with a

@@ -191,7 +191,9 @@ func (h *Handle) BatchEntryOrder(i int) uint64 { return h.batchEnts[i].order }
 // Handle per entry. Every sub-handle flows through the normal deliver
 // path — per-entry admission, deadline checks, handler ULTs — and
 // responds into the shared batchTarget, which sends one reply frame
-// when the last member finishes.
+// when the last member finishes. A sub-handle is an ordinary pooled
+// handle owned by its handler; the batchTarget is the context of the
+// reply send and never names its members, so it holds no reference.
 func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) {
 	count := int(hdr.Count)
 	if count <= 0 {
@@ -210,36 +212,32 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 	p := acquireDecoder(payload)
 	for i := 0; i < count; i++ {
 		var ent batchReqEntry
-		if err := ent.Proc(p); err != nil {
-			releaseProc(p)
-			return // malformed; drop whole frame before any delivery
+		err := ent.Proc(p)
+		var body []byte
+		if err == nil {
+			body, err = p.take(int(ent.Len))
 		}
-		body, err := p.take(int(ent.Len))
 		if err != nil {
+			// Malformed: drop the whole frame before any delivery.
 			releaseProc(p)
+			for _, sub := range subs {
+				sub.Destroy()
+			}
 			return
 		}
-		subs = append(subs, &Handle{
-			class:  c,
-			cookie: hdr.Cookie,
-			rpcID:  hdr.RPCID,
-			peer:   from,
-			target: c.Addr(),
-			isTgt:  true,
-			meta: Meta{
-				HasTrace:      ent.Flags&flagTrace != 0,
-				Breadcrumb:    ent.Breadcrumb,
-				RequestID:     ent.RequestID,
-				Order:         ent.Order,
-				DeadlineNanos: ent.DeadlineNanos,
-				Priority:      ent.Priority,
-				BatchID:       hdr.BatchID,
-			},
-			arrived:    arrived,
-			reqPayload: body,
-			batchTgt:   bt,
-			batchSlot:  i,
-		})
+		sub := c.acquireTarget(hdr.Cookie, hdr.RPCID, from, arrived)
+		sub.meta = Meta{
+			HasTrace:      ent.Flags&flagTrace != 0,
+			Breadcrumb:    ent.Breadcrumb,
+			RequestID:     ent.RequestID,
+			Order:         ent.Order,
+			DeadlineNanos: ent.DeadlineNanos,
+			Priority:      ent.Priority,
+			BatchID:       hdr.BatchID,
+		}
+		sub.reqPayload = body
+		sub.batchTgt, sub.batchSlot = bt, i
+		subs = append(subs, sub)
 	}
 	releaseProc(p)
 	c.batchesHandled.Inc()
@@ -269,6 +267,9 @@ type batchTarget struct {
 	batchID uint64
 	slots   []batchSlot
 	pending atomic.Int32
+	// ent is the scratch entry header send encodes from: a local passed
+	// through the Procable interface would heap-escape once per entry.
+	ent batchRespEntry
 }
 
 // record stores one sub-response; the member that brings the pending
@@ -309,8 +310,8 @@ func (bt *batchTarget) send() error {
 	var err error
 	for i := range bt.slots {
 		slot := &bt.slots[i]
-		ent := batchRespEntry{Status: slot.status, Flags: slot.flags, Order: slot.order, Len: uint32(len(slot.payload))}
-		if buf, err = AppendEncode(buf, &ent); err != nil {
+		bt.ent = batchRespEntry{Status: slot.status, Flags: slot.flags, Order: slot.order, Len: uint32(len(slot.payload))}
+		if buf, err = AppendEncode(buf, &bt.ent); err != nil {
 			PutArena(arena, buf)
 			return err
 		}

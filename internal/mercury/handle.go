@@ -2,6 +2,7 @@ package mercury
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +16,31 @@ import (
 // target receives a handle per incoming request and responds through it.
 // Handle-bound PVARs (the per-RPC timers of Table II) live here and go
 // out of scope with the handle, exactly as the paper describes.
+//
+// Lifetime. Handles are reference-counted and recycled, as Mercury's
+// are. A reference is held by everything that can still name the
+// handle:
+//
+//   - its owner: whoever Create returned it to, or the handler a request
+//     was delivered to. Destroy gives this one back;
+//   - the posted table, from Forward until a response, a send error or a
+//     Cancel takes the handle out of it;
+//   - every queued completion that concerns it, until Trigger has run it;
+//   - every fabric operation whose context it is (the request send, the
+//     response send, the internal RDMA fetch), until Progress has read
+//     that operation's completion event;
+//   - anyone else who took one with Ref, such as a timer that may still
+//     Cancel it.
+//
+// When the last reference goes, the handle is reset to its zero value —
+// timers, Data, payload views and batch entries included — and returned
+// to the pool for another request. So whatever arrives late meets the
+// request it was about or nothing at all: a late timer or EvError still
+// holds its reference and finds the old request, already completed (a
+// no-op); a duplicate or late response finds no posted cookie, cookies
+// being unique per life, and is counted stale. A handle whose owner
+// never calls Destroy, or whose completion event was lost with its
+// endpoint, is simply left to the garbage collector.
 type Handle struct {
 	class   *Class
 	cookie  uint64
@@ -56,6 +82,10 @@ type Handle struct {
 	batchTgt  *batchTarget
 	batchSlot int
 
+	// refs counts the references described above. destroyed is the
+	// owner's: set by the first Destroy of a life, and left set while the
+	// handle sits in the pool.
+	refs      atomic.Int32
 	destroyed atomic.Bool
 
 	// Handle-bound PVARs (paper Table II).
@@ -67,9 +97,50 @@ type Handle struct {
 	OriginCBTime    pvar.Timer // t12→t14: response CQ residence
 }
 
+var handlePool = sync.Pool{New: func() any { return new(Handle) }}
+
+// acquire starts a pooled handle's next life, holding its owner's
+// reference. Everything else is zero: the last Unref left it so.
+func (c *Class) acquire() *Handle {
+	h := handlePool.Get().(*Handle)
+	h.destroyed.Store(false)
+	h.refs.Store(1)
+	h.class = c
+	return h
+}
+
+// acquireTarget is acquire for the handle of an incoming request.
+func (c *Class) acquireTarget(cookie uint64, rpcID uint32, peer string, arrived time.Time) *Handle {
+	h := c.acquire()
+	h.cookie, h.rpcID = cookie, rpcID
+	h.peer, h.target, h.isTgt = peer, c.Addr(), true
+	h.arrived = arrived
+	return h
+}
+
+// Ref takes a reference to the handle on behalf of something that may
+// use it after its owner's Destroy. The caller must hold a reference
+// already (its own, or the owner's by arrangement).
+func (h *Handle) Ref() { h.refs.Add(1) }
+
+// Unref gives back a reference taken with Ref. Giving back the last one
+// resets the handle and recycles it; the caller must not touch it again.
+func (h *Handle) Unref() {
+	switch n := h.refs.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("mercury: handle reference given back twice")
+	}
+	*h = Handle{}
+	h.destroyed.Store(true)
+	handlePool.Put(h)
+}
+
 // Create prepares an origin-side handle for one invocation of the named
 // RPC at the target address. The RPC must have been registered locally
-// (a nil handler suffices on clients).
+// (a nil handler suffices on clients). The handle comes from the pool,
+// zeroed, with one reference: the caller's, which Destroy gives back.
 func (c *Class) Create(target, rpcName string) (*Handle, error) {
 	id := hashRPC(rpcName)
 	c.mu.Lock()
@@ -78,13 +149,11 @@ func (c *Class) Create(target, rpcName string) (*Handle, error) {
 	if def == nil || def.name != rpcName {
 		return nil, fmt.Errorf("%w: %q not registered locally", ErrUnknownRPC, rpcName)
 	}
-	return &Handle{
-		class:   c,
-		cookie:  c.cookieSeq.Add(1),
-		rpcID:   id,
-		rpcName: rpcName,
-		target:  target,
-	}, nil
+	h := c.acquire()
+	h.cookie = c.cookieSeq.Add(1)
+	h.rpcID, h.rpcName = id, rpcName
+	h.target = target
+	return h, nil
 }
 
 // SetData attaches the owner's per-request record to the handle, so a
@@ -180,10 +249,12 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 }
 
 // post registers the handle as awaiting a response and sends the
-// request frame; the handle is the send's context.
+// request frame; the handle is the send's context. The posted table and
+// the send each take a reference.
 func (h *Handle) post(frame []byte, cb ForwardCallback) {
 	c := h.class
 	h.cb = cb
+	h.refs.Add(2)
 	c.mu.Lock()
 	c.posted[h.cookie] = h
 	c.mu.Unlock()
@@ -232,7 +303,8 @@ func (h *Handle) statusErr(status uint8, payload []byte) error {
 }
 
 // Cancel aborts a posted Forward; the callback fires with ErrCanceled.
-// A response arriving later is dropped as stale.
+// A response arriving later is dropped as stale. Whoever calls Cancel
+// holds a reference: the owner before its Destroy, or one taken with Ref.
 func (h *Handle) Cancel() {
 	c := h.class
 	c.unpost(h)
@@ -330,14 +402,23 @@ func (h *Handle) respondStatus(status uint8, out Procable, meta Meta, cb func(er
 	}
 	c.responsesSent.Inc()
 	h.respCB = cb
+	h.Ref() // the send's, given back by dispatch
 	c.ep.Send(h.peer, h.cookie, frame, h)
 	return nil
 }
 
-// Destroy releases handle resources. Safe to call multiple times.
+// Destroy gives back the owner's reference: the owner is done with the
+// handle and with every view decoded from it. The handle is recycled
+// then, or as soon as the network and the completion queue are done with
+// it too. Only the first Destroy of a life counts; a repeat is ignored
+// rather than taken for someone else's reference.
 func (h *Handle) Destroy() {
-	if h.destroyed.CompareAndSwap(false, true) && h.memRegistered {
+	if !h.destroyed.CompareAndSwap(false, true) {
+		return
+	}
+	if h.memRegistered {
 		h.class.ep.DeregisterMemory(h.memH)
 		h.memRegistered = false
 	}
+	h.Unref()
 }

@@ -141,7 +141,8 @@ const (
 
 // completion is one typed completion-queue entry: the record it
 // concerns plus its enqueue instant. Entries carry no closure, so
-// queueing a completion allocates nothing.
+// queueing a completion allocates nothing. An entry that names a handle
+// holds a reference to it from enqueue until Trigger has run it.
 type completion struct {
 	kind compKind
 	h    *Handle
@@ -234,9 +235,13 @@ func (c *Class) RPCName(id uint32) (string, bool) {
 }
 
 // enqueue adds a completion to the internal queue, stamping its
-// enqueue instant.
+// enqueue instant and taking the queue's reference to the handle it
+// names; the caller holds one of its own across the call.
 func (c *Class) enqueue(comp completion) {
 	comp.enq = time.Now()
+	if comp.h != nil {
+		comp.h.Ref()
+	}
 	c.cmu.Lock()
 	if c.cqLen == len(c.cq) {
 		c.growCQLocked()
@@ -272,8 +277,8 @@ func (c *Class) Progress(timeout time.Duration) int {
 		c.evBuf = evs[:0]
 	}
 	c.ofiRead.Set(int64(len(evs)))
-	for _, ev := range evs {
-		c.dispatch(ev)
+	for i := range evs {
+		c.dispatch(&evs[i])
 	}
 	// Drop message and context references so the retained buffer does
 	// not pin payloads of already-dispatched events.
@@ -303,7 +308,8 @@ func (c *Class) Trigger(max int) int {
 	return ran
 }
 
-// run executes one dequeued completion.
+// run executes one dequeued completion, then gives back the queue's
+// reference to its handle.
 func (c *Class) run(comp completion) {
 	switch comp.kind {
 	case compResponse:
@@ -314,13 +320,19 @@ func (c *Class) run(comp completion) {
 	case compRequest:
 		comp.h.handler(comp.h)
 	case compUnknownRPC:
+		// No handler will ever own this handle: answer, then drop the
+		// owner's reference here.
 		comp.h.respondStatus(statusUnknownRPC, nil, Meta{}, nil)
+		comp.h.Destroy()
 	case compResponded:
 		comp.h.respCB(comp.err)
 	case compBatchReplied:
 		comp.bt.complete(comp.err)
 	case compBulk:
 		comp.op.finish(comp.err)
+	}
+	if comp.h != nil {
+		comp.h.Unref()
 	}
 }
 
@@ -340,14 +352,18 @@ func (c *Class) NetworkPending() int { return c.ep.Pending() }
 // context of every asynchronous network operation is the record it
 // belongs to: the *Handle of a request send, response send or internal
 // RDMA fetch, the *batchTarget of a vectored reply, the *bulkOp of a
-// bulk transfer.
-func (c *Class) dispatch(ev na.Event) {
+// bulk transfer. A handle was referenced when the operation was issued;
+// that reference comes back here, once the operation's one completion
+// event has been turned into whatever it causes. Until then the handle
+// cannot start another life, so an EvError arriving long after the
+// forward was canceled and destroyed still finds the request it is about.
+func (c *Class) dispatch(ev *na.Event) {
 	switch ev.Kind {
 	case na.EvRecv:
 		if ev.Msg.Tag == na.TagUnexpected {
-			c.handleRequest(ev.Msg)
+			c.handleRequest(&ev.Msg)
 		} else {
-			c.handleResponse(ev.Msg)
+			c.handleResponse(&ev.Msg)
 		}
 	case na.EvRDMADone:
 		switch ctx := ev.Ctx.(type) {
@@ -390,6 +406,9 @@ func (c *Class) dispatch(ev na.Event) {
 			c.enqueue(completion{kind: compBulk, op: ctx, err: ev.Err})
 		}
 	}
+	if h, ok := ev.Ctx.(*Handle); ok {
+		h.Unref()
+	}
 }
 
 // handleRequest processes an incoming unexpected message (a request).
@@ -403,22 +422,14 @@ func (c *Class) handleRequest(msg *na.Message) {
 		c.handleBatchRequest(msg.From, &hdr, eager)
 		return
 	}
-	h := &Handle{
-		class:  c,
-		cookie: hdr.Cookie,
-		rpcID:  hdr.RPCID,
-		peer:   msg.From,
-		target: c.Addr(),
-		isTgt:  true,
-		meta: Meta{
-			HasTrace:      hdr.Flags&flagTrace != 0,
-			Breadcrumb:    hdr.Breadcrumb,
-			RequestID:     hdr.RequestID,
-			Order:         hdr.Order,
-			DeadlineNanos: hdr.DeadlineNanos,
-			Priority:      hdr.Priority,
-		},
-		arrived: time.Now(),
+	h := c.acquireTarget(hdr.Cookie, hdr.RPCID, msg.From, time.Now())
+	h.meta = Meta{
+		HasTrace:      hdr.Flags&flagTrace != 0,
+		Breadcrumb:    hdr.Breadcrumb,
+		RequestID:     hdr.RequestID,
+		Order:         hdr.Order,
+		DeadlineNanos: hdr.DeadlineNanos,
+		Priority:      hdr.Priority,
 	}
 	if hdr.Flags&flagMore == 0 {
 		h.reqPayload = eager
@@ -431,6 +442,7 @@ func (c *Class) handleRequest(msg *na.Message) {
 	copy(buf, eager)
 	h.reqPayload = buf
 	h.RDMATime.Start()
+	h.Ref() // the transfer's, given back by dispatch
 	c.ep.Get(hdr.Mem, 0, buf[len(eager):], h)
 }
 
@@ -462,6 +474,9 @@ func (c *Class) handleResponse(msg *na.Message) {
 		return
 	}
 	c.postedLevel.Add(-1)
+	// The posted table's reference is ours now; it goes back once the
+	// completion holds its own.
+	defer h.Unref()
 	var hdr respHeader
 	payload, err := hdr.unpack(msg.Data)
 	if err == nil && hdr.Flags&flagBatch != 0 {
@@ -487,21 +502,32 @@ func (c *Class) CancelPosted(target string) int {
 	var victims []*Handle
 	for _, h := range c.posted {
 		if target == "" || h.target == target {
+			// Referenced under the lock, while the table still holds it:
+			// a response may complete and recycle the handle before the
+			// sweep gets to it.
+			h.Ref()
 			victims = append(victims, h)
 		}
 	}
 	c.mu.Unlock()
 	for _, h := range victims {
 		h.Cancel()
+		h.Unref()
 	}
 	return len(victims)
 }
 
+// unpost takes h out of the posted table, if it is still there, and
+// gives back the table's reference. The caller holds one of its own.
 func (c *Class) unpost(h *Handle) {
 	c.mu.Lock()
-	if _, ok := c.posted[h.cookie]; ok {
+	_, ok := c.posted[h.cookie]
+	if ok {
 		delete(c.posted, h.cookie)
 		c.postedLevel.Add(-1)
 	}
 	c.mu.Unlock()
+	if ok {
+		h.Unref()
+	}
 }

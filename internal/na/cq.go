@@ -7,10 +7,14 @@ import (
 )
 
 // completionQueue is a bounded FIFO of completion events with a
-// wait/notify facility for progress loops.
+// wait/notify facility for progress loops. The events sit in a
+// head-indexed ring of power-of-two length that doubles up to cap, so a
+// bounded read costs what it reads, whatever the backlog behind it.
 type completionQueue struct {
 	mu    sync.Mutex
 	q     []Event
+	head  int
+	n     int
 	cap   int
 	notif chan struct{}
 
@@ -34,13 +38,21 @@ func newCompletionQueue(capacity int) *completionQueue {
 func (c *completionQueue) post(ev Event) {
 	ev.Posted = time.Now()
 	c.mu.Lock()
-	if len(c.q) >= c.cap {
+	if c.n >= c.cap {
 		c.mu.Unlock()
 		c.overflows.Add(1)
 		return
 	}
-	c.q = append(c.q, ev)
-	if n := int64(len(c.q)); n > c.lenHWM.Load() {
+	if c.n == len(c.q) {
+		// Double the ring, unrolling it so the head is at 0.
+		next := make([]Event, max(16, 2*len(c.q)))
+		k := copy(next, c.q[c.head:])
+		copy(next[k:], c.q[:c.head])
+		c.q, c.head = next, 0
+	}
+	c.q[(c.head+c.n)&(len(c.q)-1)] = ev
+	c.n++
+	if n := int64(c.n); n > c.lenHWM.Load() {
 		c.lenHWM.Store(n)
 	}
 	c.mu.Unlock()
@@ -61,25 +73,23 @@ func (c *completionQueue) poll(max int) []Event {
 func (c *completionQueue) pollInto(buf []Event, max int) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.q) == 0 || max <= 0 {
+	if c.n == 0 || max <= 0 {
 		return nil
 	}
-	n := max
-	if n > len(c.q) {
-		n = len(c.q)
-	}
+	n := min(max, c.n)
 	var out []Event
 	if cap(buf) >= n {
 		out = buf[:n]
 	} else {
 		out = make([]Event, n)
 	}
-	copy(out, c.q[:n])
-	rest := copy(c.q, c.q[n:])
-	for i := rest; i < len(c.q); i++ {
-		c.q[i] = Event{}
+	for i := range out {
+		slot := &c.q[(c.head+i)&(len(c.q)-1)]
+		out[i] = *slot
+		*slot = Event{} // the ring must not pin a read event's frame or context
 	}
-	c.q = c.q[:rest]
+	c.head = (c.head + n) & (len(c.q) - 1)
+	c.n -= n
 	c.read.Add(uint64(n))
 	return out
 }
@@ -87,7 +97,7 @@ func (c *completionQueue) pollInto(buf []Event, max int) []Event {
 func (c *completionQueue) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.q)
+	return c.n
 }
 
 // wait blocks until an event is pending or timeout elapses. A zero

@@ -178,11 +178,14 @@ type Message struct {
 // TagUnexpected marks messages that start a new exchange (RPC requests).
 const TagUnexpected = 0
 
-// Event is a completion-queue entry.
+// Event is a completion-queue entry. It is a plain value all the way
+// from the sender's Send to the reader's PollInto buffer: a received
+// message rides inline, so delivering one allocates nothing, and the
+// only heap bytes of a transfer are the frame its Data points at.
 type Event struct {
 	Kind EventKind
-	// Msg is set for EvRecv.
-	Msg *Message
+	// Msg is the received message, for EvRecv.
+	Msg Message
 	// Ctx echoes the context value passed to Send/Get/Put for
 	// EvSendDone, EvRDMADone and EvError.
 	Ctx any
@@ -269,10 +272,9 @@ func (e *Endpoint) Send(to string, tag uint64, data []byte, ctx any) {
 		return
 	}
 	d := e.fabric.delay(e.node, dst.node, len(data)) + fault.delay
-	msg := &Message{From: e.addr, To: to, Tag: tag, Data: data}
 	e.chainFor(to, false).add(delivery{
 		dst:  dst,
-		msg:  msg,
+		msg:  Message{From: e.addr, To: to, Tag: tag, Data: data},
 		ctx:  ctx,
 		due:  time.Now().Add(d),
 		drop: fault.drop,
@@ -310,13 +312,14 @@ func (e *Endpoint) chainFor(to string, rdma bool) *sendChain {
 // modeled transfer delay.
 type delivery struct {
 	dst *Endpoint
-	msg *Message // nil for an RDMA transfer
+	msg Message // held by value; unused by an RDMA transfer
 	ctx any
 	due time.Time
 	// Message fault outcome.
 	drop bool
 	dup  bool
-	// RDMA transfer (msg == nil): local <-> region memID of dst at off.
+	// RDMA transfer: local <-> region memID of dst at off.
+	rdma  bool
 	memID uint64
 	off   int
 	local []byte
@@ -369,19 +372,19 @@ func (sc *sendChain) add(d delivery) {
 func (sc *sendChain) pump() {
 	sc.mu.Lock()
 	for sc.qhead < len(sc.q) {
-		d := sc.q[sc.qhead]
+		d := &sc.q[sc.qhead]
 		if wait := time.Until(d.due); wait > 0 {
 			sc.timer.Reset(wait)
 			sc.mu.Unlock()
 			return
 		}
-		sc.q[sc.qhead] = delivery{}
-		sc.qhead++
-		if d.msg != nil {
-			sc.src.deliver(d)
-		} else {
+		if d.rdma {
 			sc.src.completeRDMA(d)
+		} else {
+			sc.src.deliver(d)
 		}
+		*d = delivery{}
+		sc.qhead++
 	}
 	sc.q = sc.q[:0]
 	sc.qhead = 0
@@ -391,20 +394,20 @@ func (sc *sendChain) pump() {
 
 // deliver completes one chained send: receiver EvRecv (unless dropped
 // or the destination closed) and sender EvSendDone.
-func (e *Endpoint) deliver(d delivery) {
+func (e *Endpoint) deliver(d *delivery) {
 	if d.dst.closed.Load() {
 		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: fmt.Errorf("%w: %s", ErrClosed, d.msg.To)})
 		return
 	}
 	if !d.drop {
 		if d.dup {
-			// The duplicate is a message with bytes of its own, copied
-			// before the original can reach a reader: receivers decode
-			// views of Data, so two deliveries never share a buffer.
-			dup := *d.msg
+			// The duplicate is a value copy with frame bytes of its own,
+			// made before the original can reach a reader: receivers
+			// decode views of Data, so two deliveries never share a buffer.
+			dup := d.msg
 			dup.Data = append([]byte(nil), d.msg.Data...)
 			d.dst.recvs.Add(1)
-			d.dst.cq.post(Event{Kind: EvRecv, Msg: &dup})
+			d.dst.cq.post(Event{Kind: EvRecv, Msg: dup})
 		}
 		d.dst.recvs.Add(1)
 		d.dst.cq.post(Event{Kind: EvRecv, Msg: d.msg})
@@ -490,6 +493,7 @@ func (e *Endpoint) rdma(remote MemHandle, off int, local []byte, ctx any, put bo
 		dst:   dst,
 		ctx:   ctx,
 		due:   time.Now().Add(d),
+		rdma:  true,
 		memID: remote.ID,
 		off:   off,
 		local: local,
@@ -500,7 +504,7 @@ func (e *Endpoint) rdma(remote MemHandle, off int, local []byte, ctx any, put bo
 // completeRDMA performs one chained transfer against the region as it
 // is registered when the modeled delay has elapsed, and posts the
 // initiator's completion.
-func (e *Endpoint) completeRDMA(d delivery) {
+func (e *Endpoint) completeRDMA(d *delivery) {
 	if err := d.dst.transfer(d.memID, d.off, d.local, d.put); err != nil {
 		e.cq.post(Event{Kind: EvError, Ctx: d.ctx, Err: err})
 		return

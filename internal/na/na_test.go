@@ -3,6 +3,7 @@ package na
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -356,5 +357,91 @@ func TestCQAccessors(t *testing.T) {
 	}
 	if got := b.CQDepth(); got != 0 {
 		t.Fatalf("CQDepth after drain = %d, want 0", got)
+	}
+}
+
+// TestSendAndDeliverAllocateNothing pins a message's whole trip — Send,
+// the delivery chain, both completion queues, both bounded reads — at
+// zero allocations once the chain and the rings exist: the message
+// travels by value, and its frame is the caller's.
+func TestSendAndDeliverAllocateNothing(t *testing.T) {
+	_, a, b := newPair(t, Config{LatencyRemote: time.Microsecond})
+	frame := make([]byte, 64)
+	buf := make([]Event, 0, 16)
+	ctx := new(int) // a pointer context, as Mercury passes: boxing it allocates nothing
+	trip := func() {
+		a.Send(b.Addr(), TagUnexpected, frame, ctx)
+		for got := 0; got < 1; {
+			for _, ev := range b.PollInto(buf, 16) {
+				if ev.Kind != EvRecv || ev.Msg.From != a.Addr() || ev.Msg.To != b.Addr() || &ev.Msg.Data[0] != &frame[0] {
+					t.Fatalf("received %+v", ev)
+				}
+				got++
+			}
+			runtime.Gosched()
+		}
+		for got := 0; got < 1; {
+			for _, ev := range a.PollInto(buf, 16) {
+				if ev.Kind != EvSendDone || ev.Ctx != any(ctx) {
+					t.Fatalf("sender got %+v", ev)
+				}
+				got++
+			}
+			runtime.Gosched()
+		}
+	}
+	for k := 0; k < 64; k++ {
+		trip()
+	}
+	if n := testing.AllocsPerRun(1000, trip); n != 0 {
+		t.Errorf("one message allocates %.2f objects, want 0", n)
+	}
+}
+
+// TestCompletionQueueRingKeepsOrder reads a queue in small batches while
+// it grows through several ring sizes with its head mid-array: events
+// come out once each, in posting order, and a read slot no longer pins
+// what it held.
+func TestCompletionQueueRingKeepsOrder(t *testing.T) {
+	c := newCompletionQueue(1 << 10)
+	next, want := 0, 0
+	post := func(n int) {
+		for k := 0; k < n; k++ {
+			c.post(Event{Kind: EvSendDone, Ctx: next})
+			next++
+		}
+	}
+	read := func(max int) {
+		for _, ev := range c.pollInto(nil, max) {
+			if ev.Ctx != any(want) {
+				t.Fatalf("read event %v, want %d", ev.Ctx, want)
+			}
+			want++
+		}
+	}
+	post(12)
+	read(7)
+	post(11) // wraps the 16-slot ring
+	read(3)
+	post(100) // grows it, with the head mid-array
+	read(5)
+	post(400)
+	if got := c.len(); got != next-want {
+		t.Fatalf("len = %d, want %d", got, next-want)
+	}
+	for c.len() > 0 {
+		read(9)
+	}
+	if want != next {
+		t.Fatalf("read %d of %d events", want, next)
+	}
+	for i := range c.q {
+		if c.q[i].Ctx != nil {
+			t.Fatalf("slot %d still holds %v after being read", i, c.q[i].Ctx)
+		}
+	}
+	post(1<<10 + 5)
+	if c.len() != 1<<10 || c.overflows.Load() != 5 {
+		t.Fatalf("len %d, overflows %d at the bound", c.len(), c.overflows.Load())
 	}
 }

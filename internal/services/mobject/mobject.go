@@ -17,7 +17,8 @@
 package mobject
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"time"
 
 	"symbiosys/internal/abt"
@@ -162,12 +163,15 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 		ctx.RespondError("mobject: oid lookup: %v", err)
 		return
 	}
-	oid := fmt.Sprintf("%x", oidHash(in.Object))
 	_ = oidRaw
 	_ = found
+	// The oid and, below, the size are formatted into one small buffer,
+	// reused because Put copies what it is given.
+	var num [20]byte
+	oid := strconv.AppendUint(num[:0], oidHash(in.Object), 16)
 
 	// 2. sdskv_put_rpc: create or refresh the name-index entry.
-	if err := n.kvC.Put(ctx.Self, self, n.oidID, []byte(in.Object), []byte(oid)); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.oidID, []byte(in.Object), oid); err != nil {
 		ctx.RespondError("mobject: oid put: %v", err)
 		return
 	}
@@ -209,7 +213,7 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 
 	// 8. sdskv_put_rpc: record the object size.
 	if err := n.kvC.Put(ctx.Self, self, n.omapID, sizeKey(in.Object),
-		[]byte(fmt.Sprint(storedSize))); err != nil {
+		strconv.AppendUint(num[:0], storedSize, 10)); err != nil {
 		ctx.RespondError("mobject: omap size put: %v", err)
 		return
 	}
@@ -309,8 +313,9 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 	}
 	var ext extentMeta
 	foundExt := false
+	want := extentKey(in.Object)
 	for i, k := range keys {
-		if string(k) == string(extentKey(in.Object)) {
+		if bytes.Equal(k, want) {
 			if err := mercury.Decode(vals[i], &ext); err != nil {
 				ctx.RespondError("mobject: extent decode: %v", err)
 				return

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"symbiosys/internal/abt"
+	"symbiosys/internal/kv"
 	"symbiosys/internal/margo"
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
@@ -301,4 +302,33 @@ func FuzzPackedBatch(f *testing.F) {
 			t.Fatalf("re-encode = %x (encodedSize %d), %v; want a prefix of %x", wire, b.encodedSize(), err, data)
 		}
 	})
+}
+
+// TestListReplyIsListRespOnTheWire: the provider encodes a listing
+// straight from the backend's pairs; a client decodes the same bytes as
+// the listResp it always read.
+func TestListReplyIsListRespOnTheWire(t *testing.T) {
+	pairs := []kv.Pair{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("bb"), Value: nil}, {Key: []byte("ccc"), Value: []byte("333")}}
+	for _, n := range []int{0, 1, len(pairs)} {
+		reply := listReply(pairs[:n])
+		got, err := mercury.Encode(&reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := listResp{Keys: make([][]byte, n), Values: make([][]byte, n)}
+		for i, p := range pairs[:n] {
+			resp.Keys[i], resp.Values[i] = p.Key, p.Value
+		}
+		want, err := mercury.Encode(&resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%d pairs: listReply encodes to %x, listResp to %x", n, got, want)
+		}
+	}
+	var reply listReply
+	if err := mercury.Decode([]byte{0, 0, 0, 0, 0, 0, 0, 0}, &reply); err == nil {
+		t.Error("a listReply decoded")
+	}
 }

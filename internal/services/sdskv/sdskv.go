@@ -248,6 +248,27 @@ func (a *listResp) Proc(pr *mercury.Proc) error {
 	return pr.Err()
 }
 
+// listReply is listResp as the provider sends it: the same bytes,
+// encoded straight from the pairs the backend listed instead of from two
+// slices rebuilt out of them.
+type listReply []kv.Pair
+
+func (a *listReply) Proc(pr *mercury.Proc) error {
+	if pr.Op() != mercury.OpEncode {
+		return fmt.Errorf("sdskv: a list reply is decoded as a listResp")
+	}
+	n := uint32(len(*a))
+	pr.Uint32(&n)
+	for i := range *a {
+		pr.Bytes(&(*a)[i].Key)
+	}
+	pr.Uint32(&n)
+	for i := range *a {
+		pr.Bytes(&(*a)[i].Value)
+	}
+	return pr.Err()
+}
+
 type lengthResp struct{ N uint64 }
 
 func (a *lengthResp) Proc(pr *mercury.Proc) error { return pr.Uint64(&a.N) }
@@ -409,14 +430,7 @@ func (p *Provider) handleList(ctx *margo.Context) {
 		return
 	}
 	ctx.Compute(time.Duration(len(pairs)) * p.cfg.ListCostPerItem)
-	out := listResp{
-		Keys:   make([][]byte, len(pairs)),
-		Values: make([][]byte, len(pairs)),
-	}
-	for i, pr := range pairs {
-		out.Keys[i] = pr.Key
-		out.Values[i] = pr.Value
-	}
+	out := listReply(pairs)
 	ctx.Respond(&out)
 }
 
