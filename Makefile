@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check bench bench-json bench-gate bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke
+.PHONY: all build test race vet orphans check bench bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke
 
 all: check
 
@@ -13,12 +13,21 @@ test:
 vet:
 	$(GO) vet ./...
 
+# orphans fails when a package under internal/ is imported by no
+# non-test file outside itself, in the root module or in benchmark/: code
+# only its own tests (or nothing) reach is deleted, not carried.
+orphans:
+	@imported=$$( { $(GO) list -f '{{join .Imports "\n"}}' ./... && \
+		cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
+	orphans=$$($(GO) list ./internal/... | grep -vxF "$$imported"); \
+	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
+
 # Race-detector pass over the concurrency-heavy packages: the sharded
 # measurement collector, the Margo instrumentation that records into it
 # from many execution streams, the telemetry sampler/exposer that reads
-# it live, the policy engine fed by the sampler, the fabric's
-# completion-queue accessors, per-destination delivery chains, and
-# fault-injection plane, Mercury's cancel-vs-response completion race,
+# it live, the fabric's completion-queue accessors, per-destination
+# delivery chains, and fault-injection plane, Mercury's
+# cancel-vs-response completion race,
 # the work-stealing abt scheduler (SPMC ring deques, the evsem
 # park/unpark handshake, ULT free-list recycling, and the lock-free
 # pool-depth mirrors feeding admission control — stressed directly by
@@ -34,8 +43,7 @@ race:
 	$(GO) test -race -count=3 ./internal/na/... ./internal/mercury/... \
 		./internal/margo/... ./internal/core/...
 	$(GO) test -race \
-		./internal/telemetry/... ./internal/policy/... \
-		./internal/abt/... ./internal/batch/... \
+		./internal/telemetry/... ./internal/abt/... ./internal/batch/... \
 		./internal/ssg/... ./internal/kv/... ./internal/services/... \
 		./internal/analysis/...
 
@@ -43,9 +51,9 @@ race:
 # measurement pipeline, the fault-path, overload-path, and analysis-
 # plane smoke runs, ten seconds of fuzzing the trace dump reader, the
 # full tier-1 build + test sweep, then the benchmark harness's own vet
-# + tests, then the perf-regression gate against the committed
-# BENCH_*.json baseline.
-check: vet race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build bench-gate
+# + tests. Performance is judged by benchmark/ alone (`bash
+# benchmark/run.sh -all`, `-compare`), not here.
+check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
 # fuzz-smoke fuzzes core.ReadTrace, the one parser in the repository
 # that takes files from other processes: whatever the bytes, it returns
@@ -87,22 +95,6 @@ alloc-sites:
 	$(GO) test -run '^$$' -bench '^$(ALLOC_SITES_BENCH)$$' -benchtime=1x \
 		-memprofile mem.out -memprofilerate=1 -outputdir $(ALLOC_SITES_DIR) -o $(ALLOC_SITES_DIR)/root.test .
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(ALLOC_SITES_DIR)/root.test $(ALLOC_SITES_DIR)/mem.out
-
-# bench-json measures the RPC hot path (proc codec, batch building,
-# scheduler quantum switches and contended pool handoffs, unbatched vs
-# coalesced forwards) and writes BENCH_<date>.json — the
-# machine-readable baseline the gate compares against. Regenerate and
-# commit it when a deliberate perf change shifts the numbers.
-bench-json:
-	$(GO) run ./cmd/perfgate -write
-
-# bench-gate re-measures the same scenarios and fails on >10% time
-# regression or allocs/op growth vs the newest committed BENCH_*.json.
-# The gate takes more reps than -write (5 vs 3): keeping the fastest of
-# more runs biases the measurement *down*, so shared-container noise
-# spikes cannot manufacture a regression against a calm baseline.
-bench-gate:
-	$(GO) run ./cmd/perfgate -gate -runs 5
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

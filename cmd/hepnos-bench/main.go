@@ -13,19 +13,15 @@
 //	hepnos-bench -scale 4              # divide event counts by 4
 //	hepnos-bench -config C1 -metrics :9100   # live /metrics + /snapshot
 //	hepnos-bench -chaos                # C2 under the seeded fault plan
-//	hepnos-bench -chaos -chaos-drop 0.05 -chaos-delay 10ms -metrics :9100
+//	hepnos-bench -chaos -config C3 -metrics :9100
 //	hepnos-bench -overload             # overload storm + recovery scenario
-//	hepnos-bench -overload -overload-clients 8 -overload-deadline 3ms
 //	hepnos-bench -batch                # batch-window sweep (C4 effect)
-//	hepnos-bench -batch -batch-issuers 4 -batch-ops 1024
 //	hepnos-bench -elastic              # elastic scale-out 4 -> 16 -> 8
-//	hepnos-bench -elastic -elastic-peak 12 -elastic-ops 200 -metrics :9100
 //
-// With -elastic, the run scales an elastic KV service from
-// -elastic-start to -elastic-peak nodes and back down to -elastic-end
-// under a sustained client load, streaming the moving shards live, and
-// reports per-phase p99, migration volume, and the acked-op audit
-// (zero lost is the bar; a loss is a non-zero exit).
+// With -elastic, the run scales an elastic KV service from 4 to 16
+// nodes and back down to 8 under a sustained client load, streaming the
+// moving shards live, and reports per-phase p99, migration volume, and
+// the acked-op audit (zero lost is the bar; a loss is a non-zero exit).
 //
 // With -batch, the run drives the same multi-op workload through the
 // margo coalescer at windows {1, 8, 64} (window 1 is the unbatched
@@ -34,9 +30,10 @@
 // flush-reason histogram.
 //
 // With -chaos, the run replays the configuration (default C2) under a
-// deterministic fault plan (drop/dup/delay probabilities, seeded) with
-// the margo retry policy absorbing failures, and reports goodput,
-// retry amplification, and p99 inflation against a clean baseline.
+// deterministic fault plan (1% drop, 5ms delay on 5% of messages, seed
+// 42) with the margo retry policy absorbing failures, and reports
+// goodput, retry amplification, and p99 inflation against a clean
+// baseline.
 //
 // With -overload, the run drives an undersized provider past saturation
 // with deadline-stamped requests, then lets it recover, and reports the
@@ -71,25 +68,9 @@ func main() {
 	out := flag.String("out", "", "directory to write per-process dumps into")
 	metrics := flag.String("metrics", "", "serve live /metrics + /snapshot on this address during runs (e.g. :9100)")
 	chaos := flag.Bool("chaos", false, "replay the configuration (default C2) under a fault plan with retries")
-	chaosDrop := flag.Float64("chaos-drop", 0.01, "per-message drop probability of the fault plan")
-	chaosDup := flag.Float64("chaos-dup", 0, "per-message duplication probability")
-	chaosDelayProb := flag.Float64("chaos-delay-prob", 0.05, "probability a message draws the injected delay")
-	chaosDelay := flag.Duration("chaos-delay", 5*time.Millisecond, "injected per-message delay")
-	chaosSeed := flag.Uint64("chaos-seed", 42, "seed of the deterministic fault schedule")
 	batchSweep := flag.Bool("batch", false, "run the batch-window sweep (paper C4 effect) and report coalescer stats")
-	batchIssuers := flag.Int("batch-issuers", 0, "concurrent issuer ULTs for -batch (0 = scenario default)")
-	batchOps := flag.Int("batch-ops", 0, "operations per issuer for -batch (0 = scenario default)")
 	overload := flag.Bool("overload", false, "run the overload storm + recovery scenario")
-	overloadClients := flag.Int("overload-clients", 0, "storming client processes (0 = scenario default)")
-	overloadIssuers := flag.Int("overload-issuers", 0, "issuer ULTs per client (0 = scenario default)")
-	overloadOps := flag.Int("overload-ops", 0, "storm operations per issuer (0 = scenario default)")
-	overloadDeadline := flag.Duration("overload-deadline", 0, "absolute per-op deadline stamped on storm requests (0 = scenario default)")
 	elastic := flag.Bool("elastic", false, "run the elastic scale-out/scale-in scenario with live shard migration")
-	elasticStart := flag.Int("elastic-start", 0, "starting KV node count for -elastic (0 = scenario default)")
-	elasticPeak := flag.Int("elastic-peak", 0, "peak KV node count for -elastic (0 = scenario default)")
-	elasticEnd := flag.Int("elastic-end", 0, "final KV node count for -elastic (0 = scenario default)")
-	elasticClients := flag.Int("elastic-clients", 0, "client processes for -elastic (0 = scenario default)")
-	elasticOps := flag.Int("elastic-ops", 0, "operations per issuer per phase for -elastic (0 = scenario default)")
 	reportDir := flag.String("report", "", "directory for automatic critical-path reports from -chaos/-overload/-batch runs")
 	reportFmt := flag.String("report-format", "html", "report output mode: cli, tui, or html")
 	flag.Parse()
@@ -113,26 +94,17 @@ func main() {
 
 	switch {
 	case *elastic:
-		runElastic(elasticKnobs{
-			start: *elasticStart, peak: *elasticPeak, end: *elasticEnd,
-			clients: *elasticClients, ops: *elasticOps,
-		})
+		runElastic()
 	case *batchSweep:
-		runBatchSweep(*batchIssuers, *batchOps)
+		runBatchSweep()
 	case *overload:
-		runOverload(overloadKnobs{
-			clients: *overloadClients, issuers: *overloadIssuers,
-			stormOps: *overloadOps, deadline: *overloadDeadline,
-		})
+		runOverload()
 	case *chaos:
 		name := *configName
 		if name == "" {
 			name = "C2"
 		}
-		runChaos(lookup(name), *scale, chaosKnobs{
-			drop: *chaosDrop, dup: *chaosDup,
-			delayProb: *chaosDelayProb, delay: *chaosDelay, seed: *chaosSeed,
-		})
+		runChaos(lookup(name), *scale)
 	case *configName != "":
 		runOne(*configName, *scale, *out)
 	case *figure != 0:
@@ -229,24 +201,12 @@ func report(res *experiments.HEPnOSResult) {
 	}
 }
 
-// chaosKnobs carries the -chaos-* flag values.
-type chaosKnobs struct {
-	drop, dup, delayProb float64
-	delay                time.Duration
-	seed                 uint64
-}
-
-func runChaos(base experiments.HEPnOSConfig, scale int, k chaosKnobs) {
+func runChaos(base experiments.HEPnOSConfig, scale int) {
 	if metricsAddr != "" {
 		base.MetricsAddr = metricsAddr
 	}
 	res, err := experiments.RunChaos(experiments.ChaosConfig{
 		Base:         base,
-		DropProb:     k.drop,
-		DupProb:      k.dup,
-		DelayProb:    k.delayProb,
-		Delay:        k.delay,
-		Seed:         k.seed,
 		Scale:        scale,
 		CompareClean: true,
 		Report:       reportCfg,
@@ -255,9 +215,9 @@ func runChaos(base experiments.HEPnOSConfig, scale int, k chaosKnobs) {
 		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
 		os.Exit(1)
 	}
-	f := res.Faulted
-	fmt.Printf("\n=== chaos %s (drop %.2f%%, dup %.2f%%, delay %v@%.0f%%, seed %d)\n",
-		base.Name, 100*k.drop, 100*k.dup, k.delay, 100*k.delayProb, k.seed)
+	f, cfg := res.Faulted, res.Config
+	fmt.Printf("\n=== chaos %s (drop %.2f%%, delay %v@%.0f%%, seed %d)\n",
+		base.Name, 100*cfg.DropProb, cfg.Delay, 100*cfg.DelayProb, cfg.Seed)
 	fmt.Printf("  injected: drops %d  dups %d  delays %d  refusals %d\n",
 		f.Faults.Drops, f.Faults.Dups, f.Faults.Delays, f.Faults.Refusals)
 	fmt.Printf("  client resilience: retries %d  timeouts %d  exhausted %d  cancels %d\n",
@@ -280,12 +240,8 @@ func runChaos(base experiments.HEPnOSConfig, scale int, k chaosKnobs) {
 	}
 }
 
-func runBatchSweep(issuers, ops int) {
-	res, err := experiments.RunBatchSweep(experiments.BatchSweepConfig{
-		Issuers:      issuers,
-		OpsPerIssuer: ops,
-		Report:       reportCfg,
-	})
+func runBatchSweep() {
+	res, err := experiments.RunBatchSweep(experiments.BatchSweepConfig{Report: reportCfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
 		os.Exit(1)
@@ -331,20 +287,10 @@ func reasonSummary(reasons map[string]uint64) string {
 	return b.String()
 }
 
-// overloadKnobs carries the -overload-* flag values.
-type overloadKnobs struct {
-	clients, issuers, stormOps int
-	deadline                   time.Duration
-}
-
-func runOverload(k overloadKnobs) {
+func runOverload() {
 	res, err := experiments.RunOverload(experiments.OverloadConfig{
-		Clients:          k.clients,
-		IssuersPerClient: k.issuers,
-		StormOps:         k.stormOps,
-		StormDeadline:    k.deadline,
-		MetricsAddr:      metricsAddr,
-		Report:           reportCfg,
+		MetricsAddr: metricsAddr,
+		Report:      reportCfg,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
@@ -352,7 +298,7 @@ func runOverload(k overloadKnobs) {
 	}
 	cfg := res.Config
 	fmt.Printf("\n=== overload storm (%d clients x %d issuers, %d ops each, deadline %v; server %d streams, %v/op, max in-flight %d)\n",
-		cfg.Clients, cfg.IssuersPerClient, cfg.StormOps, cfg.StormDeadline,
+		cfg.Clients, cfg.IssuersPerClient, cfg.StormOps, experiments.StormDeadline,
 		cfg.HandlerStreams, cfg.HandlerCost, cfg.Overload.MaxInFlight)
 	fmt.Printf("  storm:    %d/%d acked (%.1f%%)  p99 %v\n",
 		res.StormAcked, res.StormOps, 100*res.StormSuccessRate(),
@@ -381,18 +327,8 @@ func runOverload(k overloadKnobs) {
 	}
 }
 
-// elasticKnobs carries the -elastic-* flag values.
-type elasticKnobs struct {
-	start, peak, end, clients, ops int
-}
-
-func runElastic(k elasticKnobs) {
+func runElastic() {
 	res, err := experiments.RunElastic(experiments.ElasticConfig{
-		StartNodes:  k.start,
-		PeakNodes:   k.peak,
-		EndNodes:    k.end,
-		Clients:     k.clients,
-		OpsPerPhase: k.ops,
 		MetricsAddr: metricsAddr,
 		Report:      reportCfg,
 	})

@@ -1,6 +1,9 @@
 package abt
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // BenchmarkULTSpawnJoin measures the full create→run→join cycle.
 func BenchmarkULTSpawnJoin(b *testing.B) {
@@ -68,5 +71,46 @@ func BenchmarkPoolSnapshot(b *testing.B) {
 	p := NewPool("m")
 	for i := 0; i < b.N; i++ {
 		_ = p.Snapshot()
+	}
+}
+
+// BenchmarkPoolContention measures the shared-pool handoff under
+// contention: four goroutines push detached ULTs into one pool drained
+// by four execution streams, exercising the inject queue, wake
+// propagation, steals, and park/unpark — the server-side dispatch path
+// of a busy handler pool. One op is one ULT, in rounds of 256.
+func BenchmarkPoolContention(b *testing.B) {
+	rt := NewRuntime()
+	p := rt.AddPool("main")
+	rt.AddXStreams("es", 4, p)
+	defer rt.Shutdown()
+
+	const batch, pushers = 256, 4
+	done := make(chan struct{}, batch)
+	body := func(self *ULT) {
+		self.Yield()
+		done <- struct{}{}
+	}
+	round := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < pushers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < batch/pushers; i++ {
+					p.CreateDetached("c", body)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < batch; i++ {
+			<-done
+		}
+	}
+	round() // warm the free list and worker goroutines
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += batch {
+		round()
 	}
 }

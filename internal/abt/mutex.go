@@ -67,10 +67,3 @@ func (m *Mutex) Unlock() {
 	// The lock stays held; w now owns it.
 	w.ready()
 }
-
-// Waiters reports how many ULTs are parked waiting for the lock.
-func (m *Mutex) Waiters() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.waiters)
-}

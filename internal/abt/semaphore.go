@@ -38,17 +38,6 @@ func (s *Semaphore) Acquire(self *ULT) {
 	// The releasing side transferred a permit directly to us.
 }
 
-// TryAcquire takes a permit without blocking, reporting success.
-func (s *Semaphore) TryAcquire() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.permits == 0 {
-		return false
-	}
-	s.permits--
-	return true
-}
-
 // Release returns a permit, waking the oldest waiter if any.
 func (s *Semaphore) Release() {
 	s.mu.Lock()
@@ -63,11 +52,4 @@ func (s *Semaphore) Release() {
 	s.waiters = s.waiters[:len(s.waiters)-1]
 	s.mu.Unlock()
 	w.ready()
-}
-
-// Available reports the current number of free permits.
-func (s *Semaphore) Available() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.permits
 }

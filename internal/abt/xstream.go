@@ -43,12 +43,10 @@ type XStream struct {
 
 	grabBuf [grabBatch]*ULT
 
-	idle    atomic.Bool
-	quanta  atomic.Uint64 // scheduling quanta executed
-	steals  atomic.Uint64 // ULTs taken from sibling rings
-	parks   atomic.Uint64 // times the stream actually slept
-	wakes   atomic.Uint64 // single-waker tokens aimed at this stream
-	current atomic.Pointer[ULT]
+	quanta atomic.Uint64 // scheduling quanta executed
+	steals atomic.Uint64 // ULTs taken from sibling rings
+	parks  atomic.Uint64 // times the stream actually slept
+	wakes  atomic.Uint64 // single-waker tokens aimed at this stream
 }
 
 var xstreamIDs atomic.Int64
@@ -83,9 +81,6 @@ func (x *XStream) ID() int { return x.id }
 // Name returns the stream's debug name.
 func (x *XStream) Name() string { return x.name }
 
-// Idle reports whether the stream is currently waiting for work.
-func (x *XStream) Idle() bool { return x.idle.Load() }
-
 // Quanta reports the number of scheduling quanta the stream has run.
 func (x *XStream) Quanta() uint64 { return x.quanta.Load() }
 
@@ -97,9 +92,6 @@ func (x *XStream) Parks() uint64 { return x.parks.Load() }
 
 // Wakes reports single-waker tokens delivered to this stream.
 func (x *XStream) Wakes() uint64 { return x.wakes.Load() }
-
-// Current returns the ULT occupying the stream, or nil when idle.
-func (x *XStream) Current() *ULT { return x.current.Load() }
 
 // Stop asks the stream to exit once its current quantum ends and waits
 // for it. Ready ULTs still in its local rings are flushed back to their
@@ -226,10 +218,8 @@ func (x *XStream) parkForWork() bool {
 		x.parkSem.wait()
 		return !x.quitting.Load()
 	}
-	x.idle.Store(true)
 	x.parks.Add(1)
 	x.parkSem.wait()
-	x.idle.Store(false)
 	return !x.quitting.Load()
 }
 
@@ -274,7 +264,6 @@ func (x *XStream) exit() {
 // exactly one waiter performs it — and token/disposition counts always
 // balance: every run-token grant is followed by exactly one disposition.
 func (x *XStream) runQuantum(u *ULT) {
-	x.current.Store(u)
 	x.quanta.Add(1)
 	if u.started.CompareAndSwap(false, true) {
 		if u.detached {
@@ -285,7 +274,6 @@ func (x *XStream) runQuantum(u *ULT) {
 	}
 	u.runGate.set()
 	u.dispGate.wait()
-	x.current.Store(nil)
 	if u.claimYield() {
 		x.requeue(u)
 	}

@@ -438,8 +438,6 @@ func TestPathFromSpansEmpty(t *testing.T) {
 
 var benchSinkPaths []CriticalPath
 
-// BenchmarkExtractPaths is mirrored by the perfgate critical-path
-// scenario; keep the workload shapes in sync.
 func BenchmarkExtractPaths(b *testing.B) {
 	var dumps []*core.TraceDump
 	for i := 0; i < 64; i++ {

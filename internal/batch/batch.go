@@ -121,9 +121,6 @@ func (w *Window) Ops() int { return w.ops }
 // Bytes reports the accumulated encoded payload size.
 func (w *Window) Bytes() int { return w.bytes }
 
-// OpenedAt reports when the first member arrived (unix nanos).
-func (w *Window) OpenedAt() int64 { return w.openedAt }
-
 // MinDeadline reports the earliest member deadline (zero for none).
 func (w *Window) MinDeadline() int64 { return w.minDeadline }
 

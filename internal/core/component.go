@@ -61,19 +61,18 @@ type componentInfo struct {
 	start    string
 	end      string
 	strategy Strategy
-	origin   bool // measured on the origin process
 }
 
 var componentTable = [NumComponents]componentInfo{
-	CompOriginExec: {"Origin Execution Time", "t1", "t14", StrategyULTLocal, true},
-	CompInputSer:   {"Input Serialization Time", "t2", "t3", StrategyPVar, true},
-	CompRDMA:       {"Target Internal RDMA Transfer Time", "t3", "t4", StrategyPVar, false},
-	CompHandler:    {"Target ULT Handler Time", "t4", "t5", StrategyULTLocal, false},
-	CompInputDeser: {"Input Deserialization Time", "t6", "t7", StrategyPVar, false},
-	CompTargetExec: {"Target ULT Execution Time (exclusive)", "t5", "t8", StrategyULTLocal, false},
-	CompOutputSer:  {"Output Serialization Time", "t9", "t10", StrategyPVar, false},
-	CompTargetCB:   {"Target ULT Completion Callback Time", "t8", "t13", StrategyULTLocal, false},
-	CompOriginCB:   {"Origin Completion Callback Time", "t12", "t14", StrategyPVar, true},
+	CompOriginExec: {"Origin Execution Time", "t1", "t14", StrategyULTLocal},
+	CompInputSer:   {"Input Serialization Time", "t2", "t3", StrategyPVar},
+	CompRDMA:       {"Target Internal RDMA Transfer Time", "t3", "t4", StrategyPVar},
+	CompHandler:    {"Target ULT Handler Time", "t4", "t5", StrategyULTLocal},
+	CompInputDeser: {"Input Deserialization Time", "t6", "t7", StrategyPVar},
+	CompTargetExec: {"Target ULT Execution Time (exclusive)", "t5", "t8", StrategyULTLocal},
+	CompOutputSer:  {"Output Serialization Time", "t9", "t10", StrategyPVar},
+	CompTargetCB:   {"Target ULT Completion Callback Time", "t8", "t13", StrategyULTLocal},
+	CompOriginCB:   {"Origin Completion Callback Time", "t12", "t14", StrategyPVar},
 }
 
 // Name returns the Table III interval name.
@@ -86,9 +85,6 @@ func (c Component) Interval() (string, string) {
 
 // Strategy returns the instrumentation mechanism for the component.
 func (c Component) Strategy() Strategy { return componentTable[c].strategy }
-
-// OriginSide reports whether the component is measured on the origin.
-func (c Component) OriginSide() bool { return componentTable[c].origin }
 
 // Components lists all components in Table III order.
 func Components() []Component {

@@ -27,9 +27,6 @@ func NewSysSampler(refresh time.Duration) *SysSampler {
 	return &SysSampler{refresh: refresh}
 }
 
-// RefreshInterval reports the configured minimum refresh interval.
-func (s *SysSampler) RefreshInterval() time.Duration { return s.refresh }
-
 // Refreshes reports how many times the cached sample has actually been
 // recomputed — the telemetry plane exposes it so the cost of system
 // sampling is itself observable (and tests assert the caching bound).

@@ -18,9 +18,8 @@ type ChaosConfig struct {
 
 	// Fault plan knobs, applied as the plan's default rule so every link
 	// of the deployment takes them. Defaults: 1% drop, 5ms delay on 5% of
-	// messages, no duplication.
+	// messages.
 	DropProb  float64
-	DupProb   float64
 	DelayProb float64
 	Delay     time.Duration
 	// Seed drives the plan's deterministic fault schedule. Default 42.
@@ -76,7 +75,6 @@ func (c ChaosConfig) Plan() *na.FaultPlan {
 	p := na.NewFaultPlan(c.Seed)
 	p.Default = na.FaultRule{
 		DropProb:  c.DropProb,
-		DupProb:   c.DupProb,
 		DelayProb: c.DelayProb,
 		Delay:     c.Delay,
 	}
@@ -145,7 +143,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	base := cfg.Base.withDefaults()
 	if cfg.Scale > 1 {
-		base.EventsPerClient = maxInt(base.EventsPerClient/cfg.Scale, 64)
+		base.EventsPerClient = max(base.EventsPerClient/cfg.Scale, 64)
 	}
 
 	res := &ChaosResult{Config: cfg}

@@ -58,7 +58,7 @@ type ProcessOptions struct {
 	// (margo.Options.Overload); nil admits unconditionally.
 	Overload *margo.OverloadPolicy
 	// Batch installs the client-side coalescer (margo.Options.Batch);
-	// nil makes ForwardBatched/ForwardMany degrade to plain Forwards.
+	// nil makes ForwardMany degrade to plain Forwards.
 	Batch *batch.Policy
 }
 

@@ -14,7 +14,7 @@ import (
 
 // scaled shrinks a Table IV configuration for test runtime.
 func scaled(cfg HEPnOSConfig, div int) HEPnOSConfig {
-	cfg.EventsPerClient = maxInt(cfg.withDefaults().EventsPerClient/div, 64)
+	cfg.EventsPerClient = max(cfg.withDefaults().EventsPerClient/div, 64)
 	if cfg.TotalClients > 8 {
 		cfg.TotalClients = 8
 		cfg.ClientsPerNode = 4

@@ -264,7 +264,7 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 	var infos []hepnos.ServerInfo
 	var servers []*hepnos.Server
 	for i := 0; i < cfg.TotalServers; i++ {
-		node := fmt.Sprintf("server-node%d", i/maxInt(cfg.ServersPerNode, 1))
+		node := fmt.Sprintf("server-node%d", i/max(cfg.ServersPerNode, 1))
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeServer, Node: node,
 			Name:           fmt.Sprintf("hepnos%d", i),
@@ -287,7 +287,7 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 	// Clients, ClientsPerNode per virtual node.
 	var clients []*margo.Instance
 	for i := 0; i < cfg.TotalClients; i++ {
-		node := fmt.Sprintf("client-node%d", i/maxInt(cfg.ClientsPerNode, 1))
+		node := fmt.Sprintf("client-node%d", i/max(cfg.ClientsPerNode, 1))
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeClient, Node: node,
 			Name:                fmt.Sprintf("loader%d", i),
@@ -371,13 +371,6 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 	res.BlockedSeries = traces.BlockedULTSeries(sdskv.RPCPutPacked)
 	res.OFISeries = traces.OFIEventsReadSeries("")
 	return res, profiles, traceDumps, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // serverOFI picks the server-side progress read budget.

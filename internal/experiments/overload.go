@@ -18,6 +18,10 @@ import (
 // configurable backend cost on the handler's execution stream.
 const RPCStormPut = "storm_put"
 
+// StormDeadline is the absolute per-op deadline stamped on storm
+// requests (ForwardEx).
+const StormDeadline = 5 * time.Millisecond
+
 // OverloadConfig shapes one overload-storm run: a deliberately
 // undersized provider (few execution streams, slow handler) driven past
 // saturation by an unpaced client storm, with the full overload-control
@@ -52,9 +56,6 @@ type OverloadConfig struct {
 	// the run is deterministic.
 	Retry *margo.RetryPolicy
 
-	// StormDeadline is the absolute per-op deadline stamped on storm
-	// requests (ForwardEx). Default 5ms.
-	StormDeadline time.Duration
 	// RecoveryPace is the inter-op sleep during recovery. Default 10ms
 	// (24 issuers at 10ms ≈ 2.4k ops/s, well under the default ~6.7k
 	// ops/s capacity, so recovery demand is genuinely sustainable).
@@ -114,9 +115,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 				Cooldown:  20 * time.Millisecond,
 			},
 		}
-	}
-	if c.StormDeadline == 0 {
-		c.StormDeadline = 5 * time.Millisecond
 	}
 	if c.RecoveryPace == 0 {
 		c.RecoveryPace = 10 * time.Millisecond
@@ -324,7 +322,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			t0 := time.Now()
 			err := inst.ForwardEx(self, target, RPCStormPut,
 				&stormArgs{Key: key, Val: []byte("v")}, nil,
-				margo.ForwardOpts{Deadline: t0.Add(cfg.StormDeadline)})
+				margo.ForwardOpts{Deadline: t0.Add(StormDeadline)})
 			storm.record(key, err == nil, time.Since(t0))
 		}
 	})

@@ -44,8 +44,6 @@ func benchGet(b *testing.B, backend string) {
 
 func BenchmarkMapPut(b *testing.B)     { benchPut(b, "map") }
 func BenchmarkMapGet(b *testing.B)     { benchGet(b, "map") }
-func BenchmarkLevelDBPut(b *testing.B) { benchPut(b, "leveldb") }
-func BenchmarkLevelDBGet(b *testing.B) { benchGet(b, "leveldb") }
 func BenchmarkShardedPut(b *testing.B) { benchPut(b, "shardedmap") }
 func BenchmarkShardedGet(b *testing.B) { benchGet(b, "shardedmap") }
 
@@ -60,6 +58,22 @@ func BenchmarkMapList(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := db.List([]byte("key-000005"), 64); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRingOwner measures the elastic routing hot path: one
+// rendezvous Ring.Owner resolution per op over a 16-member ring with
+// realistic keys. Every client put/get and every migration sweep pays
+// this cost per key.
+func BenchmarkRingOwner(b *testing.B) {
+	ring := NewRing(1, ringMembers(16))
+	keys := ringKeys(512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ring.Owner(keys[i%len(keys)]) == "" {
+			b.Fatal("empty owner")
 		}
 	}
 }

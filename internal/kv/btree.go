@@ -255,19 +255,18 @@ func (t *btree) scanNode(n *bnode, start []byte, fn func(k, v []byte) bool) bool
 // writer makes progress at a time), which the service layer enforces
 // with a ULT mutex so the serialization is visible to the tasking layer.
 type btreeDB struct {
-	name    string
-	backend string
-	mu      sync.RWMutex
-	t       *btree
-	closed  bool
+	name   string
+	mu     sync.RWMutex
+	t      *btree
+	closed bool
 }
 
-func newBTreeDB(name, backend string) *btreeDB {
-	return &btreeDB{name: name, backend: backend, t: newBTree()}
+func newBTreeDB(name string) *btreeDB {
+	return &btreeDB{name: name, t: newBTree()}
 }
 
 func (d *btreeDB) Name() string           { return d.name }
-func (d *btreeDB) Backend() string        { return d.backend }
+func (d *btreeDB) Backend() string        { return "map" }
 func (d *btreeDB) ConcurrentWrites() bool { return false }
 
 func (d *btreeDB) Put(key, value []byte) error {

@@ -1,15 +1,13 @@
 // Package kv provides the key-value storage backends used by the SDSKV
-// microservice, standing in for the LevelDB / BerkeleyDB / std::map
-// backends of the paper (§V-C). Three engines with different concurrency
-// and ordering properties are provided:
+// microservice, standing in for the std::map backend of the paper
+// (§V-C). Two engines with different concurrency and ordering properties
+// are provided:
 //
 //   - "map": an ordered in-memory store backed by a B-tree, like the
 //     paper's std::map backend. It does not support concurrent writers —
 //     the property behind the write-serialization pathology of the
 //     paper's Figure 10 — so the service layer guards it with a single
 //     ULT mutex.
-//   - "leveldb": an LSM-flavored store (sorted memtable plus immutable
-//     frozen runs merged on read), also single-writer.
 //   - "shardedmap": a hash map sharded across independently locked
 //     buckets, supporting parallel insertion; unordered listing. Used by
 //     the ablation benchmarks to show the Figure 10 pathology vanish.
@@ -46,7 +44,7 @@ func carve[T ~string | ~[]byte](buf *[]byte, src T) []byte {
 type DB interface {
 	// Name returns the database's instance name.
 	Name() string
-	// Backend returns the engine identifier ("map", "leveldb", ...).
+	// Backend returns the engine identifier ("map", "shardedmap").
 	Backend() string
 	// Put stores copies of key and value, replacing any previous value;
 	// the caller may reuse both buffers as soon as it returns.
@@ -77,9 +75,7 @@ type DB interface {
 func Open(backend, name string) (DB, error) {
 	switch backend {
 	case "map":
-		return newBTreeDB(name, "map"), nil
-	case "leveldb":
-		return newLSMDB(name), nil
+		return newBTreeDB(name), nil
 	case "shardedmap":
 		return newShardedDB(name), nil
 	default:
@@ -88,4 +84,4 @@ func Open(backend, name string) (DB, error) {
 }
 
 // Backends lists the available engine identifiers.
-func Backends() []string { return []string{"map", "leveldb", "shardedmap"} }
+func Backends() []string { return []string{"map", "shardedmap"} }

@@ -281,43 +281,6 @@ func TestBTreePropertyAgainstMap(t *testing.T) {
 	}
 }
 
-func TestLSMFreezeAndCompact(t *testing.T) {
-	db := newLSMDB("lsm")
-	// Push far past the memtable limit to force freezes and compaction.
-	const n = 20_000
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("%06d", i))
-		if err := db.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(db.runs) == 0 {
-		t.Fatal("no runs frozen")
-	}
-	if db.Len() != n {
-		t.Fatalf("Len = %d, want %d", db.Len(), n)
-	}
-	// Values visible across runs.
-	for i := 0; i < n; i += 1313 {
-		k := []byte(fmt.Sprintf("%06d", i))
-		v, ok, _ := db.Get(k)
-		if !ok || !bytes.Equal(v, k) {
-			t.Fatalf("Get(%s) = %q %v", k, v, ok)
-		}
-	}
-	// Delete a key that lives in an old run; tombstone must shadow it.
-	victim := []byte("000000")
-	if was, _ := db.Delete(victim); !was {
-		t.Fatal("delete of frozen key reported absent")
-	}
-	if _, ok, _ := db.Get(victim); ok {
-		t.Fatal("tombstone did not shadow old run")
-	}
-	if db.Len() != n-1 {
-		t.Fatalf("Len after delete = %d", db.Len())
-	}
-}
-
 func TestShardedConcurrentWriters(t *testing.T) {
 	db := newShardedDB("conc")
 	if !db.ConcurrentWrites() {
@@ -345,52 +308,12 @@ func TestShardedConcurrentWriters(t *testing.T) {
 }
 
 func TestSerialBackendsDeclareIt(t *testing.T) {
-	for _, b := range []string{"map", "leveldb"} {
+	for _, b := range []string{"map"} {
 		db, _ := Open(b, "x")
 		if db.ConcurrentWrites() {
 			t.Fatalf("%s claims concurrent writes", b)
 		}
 		db.Close()
-	}
-}
-
-func TestLSMSizeTieredCompaction(t *testing.T) {
-	db := newLSMDB("tiers")
-	// Insert well past several freeze cycles; size-tiered compaction
-	// must keep the run count bounded (tiers of geometrically growing
-	// size: O(maxRuns * log(n/memLimit)) runs).
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("%07d", i))
-		if err := db.Put(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bound := db.maxRuns * 20 // generous log bound
-	if len(db.runs) > bound {
-		t.Fatalf("runs = %d, want <= %d (compaction not bounding tiers)", len(db.runs), bound)
-	}
-	if db.Len() != n {
-		t.Fatalf("Len = %d, want %d", db.Len(), n)
-	}
-	// Runs grow roughly oldest-largest.
-	for i := 0; i+1 < len(db.runs); i++ {
-		if len(db.runs[i].keys) < len(db.runs[i+1].keys)/4 {
-			t.Fatalf("run %d (%d keys) far smaller than newer run %d (%d keys)",
-				i, len(db.runs[i].keys), i+1, len(db.runs[i+1].keys))
-		}
-	}
-	// Tombstones survive intermediate merges and shadow correctly.
-	victim := []byte("0000000")
-	if was, _ := db.Delete(victim); !was {
-		t.Fatal("delete reported absent")
-	}
-	for i := 0; i < 3000; i++ { // force more freezes/compactions
-		k := []byte(fmt.Sprintf("x%06d", i))
-		db.Put(k, k)
-	}
-	if _, ok, _ := db.Get(victim); ok {
-		t.Fatal("deleted key resurfaced after tiered compaction")
 	}
 }
 

@@ -143,7 +143,7 @@ func isqrt(n int) int {
 }
 
 // TestRingOwnerZeroAlloc pins the routing hot path at zero allocations
-// per lookup, alongside the shardFor pin, so bench-gate regressions on
+// per lookup, alongside the shardFor pin, so allocation regressions on
 // either path fail loudly.
 func TestRingOwnerZeroAlloc(t *testing.T) {
 	r := NewRing(1, ringMembers(16))

@@ -40,7 +40,7 @@ func (d *shardedDB) ConcurrentWrites() bool { return true }
 // shardFor maps a key to its shard with an inlined FNV-1a loop: this is
 // on every Put/Get/Delete, and a hash.Hash32 allocated per call was the
 // dominant allocation of the hot path (pinned at zero allocs by
-// TestShardForZeroAlloc and the perfgate route_lookup scenario).
+// TestShardForZeroAlloc).
 func (d *shardedDB) shardFor(key []byte) *shard { return &d.shards[shardIndex(key)] }
 
 // shardIndex hashes a key held as bytes or, in List, as a map key.

@@ -55,8 +55,8 @@ type batchOp struct {
 
 var batchOpPool = sync.Pool{New: func() any { return new(batchOp) }}
 
-// opGroup completes one ForwardBatched/ForwardMany call: the issuing
-// ULT parks on ev until every member op has fanned back in.
+// opGroup completes one ForwardMany call: the issuing ULT parks on ev
+// until every member op has fanned back in.
 type opGroup struct {
 	ev        abt.Eventual
 	remaining atomic.Int32
@@ -106,36 +106,6 @@ func (i *Instance) coalescerFor(target, rpcName string) *coalescer {
 		i.coals[key] = co
 	}
 	return co
-}
-
-// Batching reports whether the instance coalesces batched forwards
-// (Options.Batch was set).
-func (i *Instance) Batching() bool { return i.batchPol != nil }
-
-// ForwardBatched issues one RPC through the coalescer: the call blocks
-// like Forward, but the request travels inside a vectored frame with
-// whatever companions share its window. Without Options.Batch it
-// degrades to a plain Forward.
-func (i *Instance) ForwardBatched(self *abt.ULT, target, rpcName string, in, out mercury.Procable) error {
-	if self == nil {
-		return fmt.Errorf("margo: ForwardBatched requires the calling ULT")
-	}
-	if i.batchPol == nil {
-		return i.Forward(self, target, rpcName, in, out)
-	}
-	// Like forward(), the issuer holds the op's in-flight slot until it
-	// is running again: Drain must not find the instance idle, and stop
-	// its streams, while a woken issuer still waits for one.
-	i.rpcsInFlight.Add(1)
-	defer i.rpcDone(1)
-	group := new(opGroup)
-	group.remaining.Store(1)
-	var err error
-	if eerr := i.coalescerFor(target, rpcName).enqueue(self, in, out, &err, group); eerr != nil {
-		return eerr
-	}
-	group.ev.Wait(self)
-	return err
 }
 
 // ForwardMany issues a multi-op workload through the coalescer and
@@ -616,14 +586,4 @@ func (i *Instance) BatchStats() BatchStats {
 		}
 	}
 	return s
-}
-
-// BatchPolicy returns a copy of the active coalescer policy, or nil
-// when batching is disabled.
-func (i *Instance) BatchPolicy() *batch.Policy {
-	if i.batchPol == nil {
-		return nil
-	}
-	pol := *i.batchPol
-	return &pol
 }

@@ -14,6 +14,13 @@ import (
 	"symbiosys/internal/na"
 )
 
+// forwardOne issues a single logical RPC through the coalescer: a
+// ForwardMany of one op, so it shares a window with whatever other
+// callers target the same (target, RPC) pair.
+func forwardOne(i *Instance, self *abt.ULT, target, rpc string, in, out mercury.Procable) error {
+	return i.ForwardMany(self, target, rpc, []mercury.Procable{in}, []mercury.Procable{out})[0]
+}
+
 // registerBatchEcho installs an echo handler for the coalescer tests:
 // the response mirrors the request so entry cross-wiring is detectable.
 func registerBatchEcho(t *testing.T, srv, cli *Instance, rpc string) {
@@ -53,7 +60,7 @@ func TestForwardBatchedConcurrentULTs(t *testing.T) {
 		k := k
 		ults[k] = cli.Run("issuer", func(self *abt.ULT) {
 			in := kvArgs{Key: fmt.Sprintf("k%02d", k), Value: []byte(fmt.Sprintf("v%02d", k))}
-			errs[k] = cli.ForwardBatched(self, srv.Addr(), "batch_echo", &in, &outs[k])
+			errs[k] = forwardOne(cli, self, srv.Addr(), "batch_echo", &in, &outs[k])
 		})
 	}
 	for k, u := range ults {
@@ -123,7 +130,7 @@ func TestBatchFlushOnDrain(t *testing.T) {
 	for k := 0; k < ops; k++ {
 		k := k
 		ults[k] = cli.Run("issuer", func(self *abt.ULT) {
-			errs[k] = cli.ForwardBatched(self, srv.Addr(), "drain_echo",
+			errs[k] = forwardOne(cli, self, srv.Addr(), "drain_echo",
 				&kvArgs{Key: "k", Value: []byte("v")}, nil)
 		})
 	}
@@ -243,7 +250,7 @@ func TestBatchDeadlineExpiredMember(t *testing.T) {
 
 	var healthyErr, expiredErr error
 	healthy := cli.Run("healthy", func(self *abt.ULT) {
-		healthyErr = cli.ForwardBatched(self, srv.Addr(), "dl_echo",
+		healthyErr = forwardOne(cli, self, srv.Addr(), "dl_echo",
 			&kvArgs{Key: "h", Value: []byte("v")}, nil)
 	})
 	time.Sleep(5 * time.Millisecond) // the healthy op opens the window
@@ -252,7 +259,7 @@ func TestBatchDeadlineExpiredMember(t *testing.T) {
 		// The ULT stands in for a handler servicing a deadline-stamped
 		// request: batched forwards inherit the deadline from its slot.
 		self.SetData(&Context{dlNanos: time.Now().Add(20 * time.Millisecond).UnixNano()})
-		expiredErr = cli.ForwardBatched(self, srv.Addr(), "dl_echo",
+		expiredErr = forwardOne(cli, self, srv.Addr(), "dl_echo",
 			&kvArgs{Key: "e", Value: []byte("v")}, nil)
 	})
 	healthy.Join(nil)
@@ -373,7 +380,8 @@ func (a *rawKV) Proc(p *mercury.Proc) error {
 // TestCoalescerEnqueueSteadyStateAllocs pins the coalesced-forward
 // enqueue path at measurement-off stage to zero allocations once the
 // pools are warm (ISSUE 6 satellite c). The flush/fan-out halves are
-// covered as an amortized bound by the perfgate scenarios.
+// covered as an amortized bound by the benchmark's sdskv_multi workload
+// (allocs_per_op).
 func TestCoalescerEnqueueSteadyStateAllocs(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", Stage: core.StageOff})

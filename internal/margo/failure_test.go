@@ -68,7 +68,7 @@ func TestForwardTimeoutFiresOnSilentServer(t *testing.T) {
 
 	start := time.Now()
 	err := call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardTimeout(self, srv.Addr(), "stuck_rpc", &mercury.Void{}, nil, 30*time.Millisecond)
+		return cli.ForwardEx(self, srv.Addr(), "stuck_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 30 * time.Millisecond})
 	})
 	if !errors.Is(err, mercury.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -90,7 +90,7 @@ func TestForwardTimeoutNotFiredOnFastServer(t *testing.T) {
 	srv.Register("fast_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	cli.RegisterClient("fast_rpc")
 	if err := call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardTimeout(self, srv.Addr(), "fast_rpc", &mercury.Void{}, nil, 5*time.Second)
+		return cli.ForwardEx(self, srv.Addr(), "fast_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 5 * time.Second})
 	}); err != nil {
 		t.Fatalf("err = %v", err)
 	}

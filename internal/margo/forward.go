@@ -124,19 +124,13 @@ func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercur
 	return i.forward(self, target, rpcName, in, out, ForwardOpts{})
 }
 
-// ForwardTimeout is Forward with a deadline: if no response arrives
-// within d the handle is canceled and the call returns
-// mercury.ErrCanceled. Use it against services that may have failed
-// after receiving the request (a send failure is already reported
-// without a timeout). The timeout stays client-side: nothing extra is
-// stamped on the wire (use ForwardEx to propagate a deadline).
-func (i *Instance) ForwardTimeout(self *abt.ULT, target, rpcName string, in, out mercury.Procable, d time.Duration) error {
-	return i.forward(self, target, rpcName, in, out, ForwardOpts{Timeout: d})
-}
-
 // ForwardOpts carries the per-call options of ForwardEx.
 type ForwardOpts struct {
-	// Timeout bounds the whole call client-side (like ForwardTimeout).
+	// Timeout bounds the whole call client-side: if no response arrives
+	// within it the handle is canceled and the call returns
+	// mercury.ErrCanceled. Use it against services that may have failed
+	// after receiving the request (a send failure is already reported
+	// without a timeout). Nothing extra is stamped on the wire.
 	Timeout time.Duration
 	// Deadline, when non-zero, is stamped into the wire header as the
 	// request's absolute deadline: the target rejects the request with
@@ -150,8 +144,8 @@ type ForwardOpts struct {
 	Priority uint8
 }
 
-// ForwardEx is Forward with explicit overload-control options: a
-// propagated absolute deadline and an admission priority. A handler
+// ForwardEx is Forward with per-call options: a client-side timeout,
+// a propagated absolute deadline and an admission priority. A handler
 // issuing nested forwards inherits its own request's deadline and
 // priority automatically even through plain Forward; ForwardEx is how
 // the first hop stamps them.
@@ -210,8 +204,8 @@ func (i *Instance) forward(self *abt.ULT, target, rpcName string, in, out mercur
 
 	var deadline time.Time
 	if timeout > 0 {
-		// Under a retry policy a ForwardTimeout deadline bounds the whole
-		// attempt sequence; PerTryTimeout bounds each attempt within it.
+		// Under a retry policy ForwardOpts.Timeout bounds the whole attempt
+		// sequence; PerTryTimeout bounds each attempt within it.
 		deadline = time.Now().Add(timeout)
 	}
 	br := i.breakerFor(target, rpcName)

@@ -115,7 +115,7 @@ type Options struct {
 	Telemetry *telemetry.Options
 
 	// Retry, when non-nil, applies client-side resilience to every
-	// Forward/ForwardTimeout: failed sends are re-issued under the
+	// Forward/ForwardEx: failed sends are re-issued under the
 	// policy's backoff, and per-try timeouts are retried for RPCs opted
 	// in via MarkIdempotent. Nil (the default) keeps the historical
 	// single-attempt semantics.
@@ -129,9 +129,9 @@ type Options struct {
 	Overload *OverloadPolicy
 
 	// Batch, when non-nil, enables the client-side coalescer:
-	// ForwardBatched/ForwardMany calls sharing a (target, RPC) pair
-	// merge into vectored forwards under the policy's window. Nil (the
-	// default) makes those calls degrade to plain Forwards.
+	// ForwardMany calls sharing a (target, RPC) pair merge into
+	// vectored forwards under the policy's window. Nil (the default)
+	// makes those calls degrade to plain Forwards.
 	Batch *batch.Policy
 }
 
@@ -195,10 +195,6 @@ type Instance struct {
 	timeoutsTotal  atomic.Uint64
 	exhaustedTotal atomic.Uint64
 	cancelsTotal   atomic.Uint64
-
-	// handlerStreams is read by monitors while AddHandlerStreams grows
-	// it from policy goroutines, so it lives outside opts.
-	handlerStreams atomic.Int64
 
 	// Server-side overload-control state (Options.Overload): the
 	// admission policy, the draining flag Drain raises, the
@@ -277,7 +273,6 @@ func New(opts Options) (*Instance, error) {
 		inst.rt.AddXStreams("handler-es", opts.HandlerStreams, inst.handlerPool)
 	}
 
-	inst.handlerStreams.Store(int64(opts.HandlerStreams))
 	if opts.Retry != nil {
 		inst.retry = newRetryState(*opts.Retry)
 	}
@@ -426,30 +421,6 @@ func (i *Instance) progressLoop(self *abt.ULT) {
 func (i *Instance) Run(name string, fn func(self *abt.ULT)) *abt.ULT {
 	return i.mainPool.Create(name, fn)
 }
-
-// AddHandlerStreams grows the server's handler pool by n execution
-// streams at runtime — the remediation of the paper's C1→C2 move,
-// applied live by the policy engine (paper §VII future work).
-func (i *Instance) AddHandlerStreams(n int) error {
-	if i.opts.Mode != ModeServer {
-		return fmt.Errorf("margo: AddHandlerStreams requires ModeServer")
-	}
-	if n <= 0 {
-		return fmt.Errorf("margo: AddHandlerStreams(%d)", n)
-	}
-	i.rt.AddXStreams("handler-es-extra", n, i.handlerPool)
-	i.handlerStreams.Add(int64(n))
-	return nil
-}
-
-// HandlerStreams reports the current handler execution stream count.
-func (i *Instance) HandlerStreams() int { return int(i.handlerStreams.Load()) }
-
-// OFIMaxEvents reports the progress loop's completion read budget.
-func (i *Instance) OFIMaxEvents() int { return i.hg.Config().OFIMaxEvents }
-
-// SetOFIMaxEvents adjusts the read budget at runtime (the C5→C6 move).
-func (i *Instance) SetOFIMaxEvents(n int) { i.hg.SetOFIMaxEvents(n) }
 
 // InFlight reports RPCs this instance has forwarded but not completed.
 func (i *Instance) InFlight() int64 { return i.rpcsInFlight.Load() }

@@ -48,11 +48,6 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	return p
 }
 
-// DefaultOverloadPolicy is the policy the overload experiments install.
-func DefaultOverloadPolicy() OverloadPolicy {
-	return OverloadPolicy{}.withDefaults()
-}
-
 // admission is the dispatch-time verdict for one incoming request.
 type admission int
 

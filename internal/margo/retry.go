@@ -20,7 +20,7 @@ var ErrDeadlineExceeded = errors.New("margo: forward deadline exceeded")
 var ErrRetryBudgetExhausted = errors.New("margo: retry budget exhausted")
 
 // RetryPolicy is the client-side resilience configuration applied to
-// every Forward/ForwardTimeout of an instance (Options.Retry). Send
+// every Forward/ForwardEx of an instance (Options.Retry). Send
 // failures the fabric reports before delivery (unreachable, closed,
 // partitioned links) are always retried; per-try timeouts are retried
 // only for RPCs opted in as idempotent (MarkIdempotent), because a
@@ -38,9 +38,9 @@ type RetryPolicy struct {
 	// backoff, drawn from the seeded generator. Default 0.2.
 	Jitter float64
 	// PerTryTimeout cancels each attempt that has not completed within
-	// it, also for plain Forward calls (a ForwardTimeout deadline
+	// it, also for plain Forward calls (ForwardOpts.Timeout
 	// additionally bounds the whole sequence). Zero means attempts only
-	// time out under a ForwardTimeout deadline.
+	// time out under a ForwardOpts.Timeout.
 	PerTryTimeout time.Duration
 	// Budget is the token bucket protecting against retry storms: each
 	// retry spends one token, each success refills BudgetRefill tokens

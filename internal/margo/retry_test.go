@@ -169,9 +169,9 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestForwardTimeoutRTTHammer hammers ForwardTimeout with the deadline
-// set at ≈RTT, so the cancel timer and genuine response delivery race on
-// nearly every call. The regression bar: no double completion (panic),
+// TestForwardTimeoutRTTHammer hammers ForwardOpts.Timeout with the
+// deadline set at ≈RTT, so the cancel timer and genuine response
+// delivery race on nearly every call. The regression bar: no double completion (panic),
 // no lost in-flight decrement, and every call resolves to success or
 // ErrCanceled — nothing else.
 func TestForwardTimeoutRTTHammer(t *testing.T) {
@@ -196,7 +196,7 @@ func TestForwardTimeoutRTTHammer(t *testing.T) {
 	for k := 0; k < calls; k++ {
 		idx := k
 		ults[k] = cli.Run("hammer", func(self *abt.ULT) {
-			errs[idx] = cli.ForwardTimeout(self, srv.Addr(), "echo_rpc", &mercury.Void{}, nil, rtt)
+			errs[idx] = cli.ForwardEx(self, srv.Addr(), "echo_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: rtt})
 		})
 	}
 	var canceled, succeeded int
@@ -308,7 +308,7 @@ func TestStaleResponseAfterCancel(t *testing.T) {
 	}
 
 	err = call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardTimeout(self, srv.Addr(), "late_rpc", &mercury.Void{}, nil, 20*time.Millisecond)
+		return cli.ForwardEx(self, srv.Addr(), "late_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 20 * time.Millisecond})
 	})
 	if !errors.Is(err, mercury.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -413,7 +413,7 @@ func TestCanceledForwardReachesSinksOnce(t *testing.T) {
 		TraceSinks: []core.TraceSink{failSink{err: boom}}})
 	cli2.RegisterClient("sink_rpc")
 	errRPC := call(t, cli2, func(self *abt.ULT) error {
-		return cli2.ForwardTimeout(self, srv.Addr(), "sink_rpc", &mercury.Void{}, nil, 10*time.Millisecond)
+		return cli2.ForwardEx(self, srv.Addr(), "sink_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 10 * time.Millisecond})
 	})
 	if !errors.Is(errRPC, mercury.ErrCanceled) {
 		t.Fatalf("err = %v", errRPC)

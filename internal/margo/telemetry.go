@@ -25,8 +25,8 @@ func (i *Instance) TelemetrySample() telemetry.Sample {
 		EventsRead:     i.ep.EventsRead(),
 		EventsPosted:   i.ep.EventsPosted(),
 		CQOverflows:    i.ep.Overflows(),
-		OFIMaxEvents:   i.hg.OFIMaxEvents(),
-		HandlerStreams: i.HandlerStreams(),
+		OFIMaxEvents:   i.hg.Config().OFIMaxEvents,
+		HandlerStreams: i.opts.HandlerStreams,
 		RPCsInFlight:   i.rpcsInFlight.Load(),
 		SysRefreshes:   i.sys.Refreshes(),
 		RPCRetries:     i.retriesTotal.Load(),

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file implements the vectored wire frame (ISSUE 6 tentpole, layer
@@ -199,7 +198,6 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 	if count <= 0 {
 		return // malformed; drop
 	}
-	arrived := time.Now()
 	subs := make([]*Handle, 0, count)
 	bt := &batchTarget{
 		class:   c,
@@ -225,7 +223,7 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 			}
 			return
 		}
-		sub := c.acquireTarget(hdr.Cookie, hdr.RPCID, from, arrived)
+		sub := c.acquireTarget(hdr.Cookie, hdr.RPCID, from)
 		sub.meta = Meta{
 			HasTrace:      ent.Flags&flagTrace != 0,
 			Breadcrumb:    ent.Breadcrumb,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"symbiosys/internal/na"
 
@@ -71,7 +70,6 @@ type Handle struct {
 	// Target-side state.
 	reqPayload []byte
 	meta       Meta
-	arrived    time.Time
 	// handler is the registered RPC handler the request is delivered to.
 	handler HandlerFunc
 	// respCB is the caller's response-sent callback (t13). The handle
@@ -110,11 +108,10 @@ func (c *Class) acquire() *Handle {
 }
 
 // acquireTarget is acquire for the handle of an incoming request.
-func (c *Class) acquireTarget(cookie uint64, rpcID uint32, peer string, arrived time.Time) *Handle {
+func (c *Class) acquireTarget(cookie uint64, rpcID uint32, peer string) *Handle {
 	h := c.acquire()
 	h.cookie, h.rpcID = cookie, rpcID
 	h.peer, h.target, h.isTgt = peer, c.Addr(), true
-	h.arrived = arrived
 	return h
 }
 
@@ -180,9 +177,6 @@ func (h *Handle) Meta() Meta { return h.meta }
 
 // RespMeta returns the metadata carried by the response (origin side).
 func (h *Handle) RespMeta() Meta { return h.respMeta }
-
-// Arrived returns when the request arrived at the target (t3).
-func (h *Handle) Arrived() time.Time { return h.arrived }
 
 // Forward serializes in, posts the handle, and sends the request. cb is
 // invoked from Trigger when the response (or a failure) arrives. meta is

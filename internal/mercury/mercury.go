@@ -81,11 +81,6 @@ type Class struct {
 	ep  *na.Endpoint
 	cfg Config
 
-	// ofiMax is the live OFI_max_events bound. It lives outside cfg
-	// because SetOFIMaxEvents retunes it from policy/monitor goroutines
-	// while the progress loop reads it every iteration.
-	ofiMax atomic.Int64
-
 	mu     sync.Mutex
 	rpcs   map[uint32]*rpcDef
 	posted map[uint64]*Handle
@@ -162,7 +157,6 @@ func NewClass(ep *na.Endpoint, cfg Config) *Class {
 		posted: make(map[uint64]*Handle),
 		pvars:  pvar.NewRegistry(),
 	}
-	c.ofiMax.Store(int64(cfg.OFIMaxEvents))
 	c.registerPVars()
 	return c
 }
@@ -170,27 +164,11 @@ func NewClass(ep *na.Endpoint, cfg Config) *Class {
 // Addr returns the instance's fabric address.
 func (c *Class) Addr() string { return c.ep.Addr() }
 
-// Config returns the instance configuration, with OFIMaxEvents
-// reflecting any runtime retuning via SetOFIMaxEvents.
-func (c *Class) Config() Config {
-	cfg := c.cfg
-	cfg.OFIMaxEvents = int(c.ofiMax.Load())
-	return cfg
-}
+// Config returns the instance configuration.
+func (c *Class) Config() Config { return c.cfg }
 
 // PVars returns the instance's performance-variable registry.
 func (c *Class) PVars() *pvar.Registry { return c.pvars }
-
-// SetOFIMaxEvents adjusts the per-progress completion read bound at
-// runtime (used by the paper's C5→C6 remediation).
-func (c *Class) SetOFIMaxEvents(n int) {
-	if n > 0 {
-		c.ofiMax.Store(int64(n))
-	}
-}
-
-// OFIMaxEvents reports the live per-progress completion read bound.
-func (c *Class) OFIMaxEvents() int { return int(c.ofiMax.Load()) }
 
 // hashRPC derives the stable 32-bit identifier of an RPC name.
 func hashRPC(name string) uint32 {
@@ -266,7 +244,7 @@ func (c *Class) growCQLocked() {
 // available it waits up to timeout for one. It returns the number of
 // events read — the value of the num_ofi_events_read PVAR.
 func (c *Class) Progress(timeout time.Duration) int {
-	max := int(c.ofiMax.Load())
+	max := c.cfg.OFIMaxEvents
 	c.progMu.Lock()
 	defer c.progMu.Unlock()
 	evs := c.ep.PollInto(c.evBuf, max)
@@ -422,7 +400,7 @@ func (c *Class) handleRequest(msg *na.Message) {
 		c.handleBatchRequest(msg.From, &hdr, eager)
 		return
 	}
-	h := c.acquireTarget(hdr.Cookie, hdr.RPCID, msg.From, time.Now())
+	h := c.acquireTarget(hdr.Cookie, hdr.RPCID, msg.From)
 	h.meta = Meta{
 		HasTrace:      hdr.Flags&flagTrace != 0,
 		Breadcrumb:    hdr.Breadcrumb,

@@ -457,18 +457,6 @@ func TestRPCNameLookup(t *testing.T) {
 	}
 }
 
-func TestSetOFIMaxEvents(t *testing.T) {
-	p := newRPCPair(t, Config{OFIMaxEvents: 16})
-	p.client.SetOFIMaxEvents(64)
-	if p.client.Config().OFIMaxEvents != 64 {
-		t.Fatal("SetOFIMaxEvents did not apply")
-	}
-	p.client.SetOFIMaxEvents(0) // ignored
-	if p.client.Config().OFIMaxEvents != 64 {
-		t.Fatal("zero value overwrote setting")
-	}
-}
-
 func TestForwardOnTargetHandleRejected(t *testing.T) {
 	p := newRPCPair(t, Config{})
 	errCh := make(chan error, 1)

@@ -166,13 +166,6 @@ func (r *Registry) register(info Info, v *variable) {
 	r.byName[info.Name] = info.Index
 }
 
-// NumVars reports how many PVARs are exported.
-func (r *Registry) NumVars() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.vars)
-}
-
 // ActiveSessions reports how many sessions are currently initialized.
 func (r *Registry) ActiveSessions() int64 { return r.sessions.Load() }
 

@@ -221,7 +221,6 @@ type Endpoint struct {
 
 	sends atomic.Uint64
 	recvs atomic.Uint64
-	rdmas atomic.Uint64
 
 	// Injected-fault counters, sender side (see fault.go accessors).
 	faultDrops    atomic.Uint64
@@ -248,9 +247,6 @@ func (e *Endpoint) Sends() uint64 { return e.sends.Load() }
 
 // Recvs reports the lifetime number of messages delivered.
 func (e *Endpoint) Recvs() uint64 { return e.recvs.Load() }
-
-// RDMAs reports the lifetime number of RDMA operations initiated.
-func (e *Endpoint) RDMAs() uint64 { return e.rdmas.Load() }
 
 // Send transmits data to the destination address. Delivery is
 // asynchronous: after the modeled transfer delay the receiver gets an
@@ -476,7 +472,6 @@ func (e *Endpoint) Put(remote MemHandle, off int, local []byte, ctx any) {
 }
 
 func (e *Endpoint) rdma(remote MemHandle, off int, local []byte, ctx any, put bool) {
-	e.rdmas.Add(1)
 	dst, err := e.fabric.lookup(remote.Addr)
 	if err != nil {
 		e.cq.post(Event{Kind: EvError, Ctx: ctx, Err: err})

@@ -3,6 +3,7 @@ package ekv
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/kv"
@@ -33,25 +34,7 @@ type Client struct {
 	mu   sync.Mutex
 	ring *kv.Ring
 
-	redirects atomic64
-}
-
-// atomic64 is a tiny counter alias to keep the struct flat.
-type atomic64 struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-func (a *atomic64) add() {
-	a.mu.Lock()
-	a.v++
-	a.mu.Unlock()
-}
-
-func (a *atomic64) load() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	redirects atomic.Uint64
 }
 
 // NewClient wires the elastic KV client RPCs into a Margo instance.
@@ -129,7 +112,7 @@ func (c *Client) snapshot() *kv.Ring {
 
 // Redirects reports how many ops were re-routed after a stale-view
 // redirect or an unreachable owner.
-func (c *Client) Redirects() uint64 { return c.redirects.load() }
+func (c *Client) Redirects() uint64 { return c.redirects.Load() }
 
 // Put stores one pair at the key's owner, chasing membership churn as
 // needed. An acked Put is durable at the owner (or dual-written to it).
@@ -149,12 +132,12 @@ func (c *Client) Put(self *abt.ULT, key, value []byte) error {
 			// Owner unreachable (departed, drained, partitioned): pick
 			// up the newest view and re-route through the margo
 			// breaker machinery.
-			c.redirects.add()
+			c.redirects.Add(1)
 			_ = c.Refresh(self)
 			continue
 		}
 		if out.Status == statusWrongOwner {
-			c.redirects.add()
+			c.redirects.Add(1)
 			_ = c.Refresh(self)
 			continue
 		}
@@ -177,12 +160,12 @@ func (c *Client) Get(self *abt.ULT, key []byte) ([]byte, bool, error) {
 		var out getResp
 		err := c.inst.Forward(self, owner, RPCGet, &getArgs{Key: key, Version: r.Version()}, &out)
 		if err != nil {
-			c.redirects.add()
+			c.redirects.Add(1)
 			_ = c.Refresh(self)
 			continue
 		}
 		if out.Status == statusWrongOwner {
-			c.redirects.add()
+			c.redirects.Add(1)
 			_ = c.Refresh(self)
 			continue
 		}

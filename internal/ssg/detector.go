@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"symbiosys/internal/abt"
+	"symbiosys/internal/margo"
 	"symbiosys/internal/mercury"
 )
 
@@ -98,7 +99,7 @@ func (d *Detector) loop(self *abt.ULT) {
 			if m.Addr == selfAddr {
 				continue
 			}
-			err := h.inst.ForwardTimeout(self, m.Addr, RPCPing, mercury.Void{}, nil, d.cfg.PingTimeout)
+			err := h.inst.ForwardEx(self, m.Addr, RPCPing, mercury.Void{}, nil, margo.ForwardOpts{Timeout: d.cfg.PingTimeout})
 			if err == nil {
 				d.misses[m.Addr] = 0
 				continue

@@ -420,7 +420,7 @@ func (h *Host) notifyLoop(self *abt.ULT) {
 			// Best-effort push: a recipient that cannot be reached will
 			// catch up from a later event or an explicit Observe. The
 			// timeout keeps one dead observer from stalling the queue.
-			_ = h.inst.ForwardTimeout(self, addr, RPCNotify, &args, nil, notifyTimeout)
+			_ = h.inst.ForwardEx(self, addr, RPCNotify, &args, nil, margo.ForwardOpts{Timeout: notifyTimeout})
 		}
 	}
 }

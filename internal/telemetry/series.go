@@ -91,14 +91,6 @@ func (s *Series) Last() (Point, bool) {
 	return s.buf[(s.head+s.n-1)%len(s.buf)], true
 }
 
-// First returns the oldest buffered point, if any.
-func (s *Series) First() (Point, bool) {
-	if s.n == 0 {
-		return Point{}, false
-	}
-	return s.buf[s.head], true
-}
-
 // Delta returns newest minus previous value — the per-tick increment
 // for counters (zero until two points exist).
 func (s *Series) Delta() float64 {
