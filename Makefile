@@ -35,10 +35,13 @@ orphans:
 # the batch window/coalescer state machine, plus the elastic plane:
 # the SSG membership host/agent churned from many ULTs, the rendezvous
 # ring, and the ekv migration engine's dual-write/dirty-set machinery.
-# The four packages a recycled Mercury handle crosses (na, mercury,
-# margo, core) run three times: their recycle tests race timers,
-# cancellation sweeps, late fabric errors and the last reference on
-# every request, and which side wins differs from run to run.
+# The four packages a recycled Mercury handle or frame crosses (na,
+# mercury, margo, core) run three times: their recycle tests race timers,
+# cancellation sweeps, late fabric errors, duplicated and delayed
+# deliveries and the last reference on every request, and which side
+# wins differs from run to run. Under the race detector a recycled frame
+# or arena is overwritten before it re-enters its pool, so these runs are
+# also where a decoded view that outlived its rule fails its read-back.
 race:
 	$(GO) test -race -count=3 ./internal/na/... ./internal/mercury/... \
 		./internal/margo/... ./internal/core/...
@@ -55,14 +58,17 @@ race:
 # benchmark/run.sh -all`, `-compare`), not here.
 check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
-# fuzz-smoke fuzzes core.ReadTrace, the one parser in the repository
-# that takes files from other processes: whatever the bytes, it returns
-# an error or a dump that re-encodes to exactly those bytes, without a
-# panic and without allocating more than a small multiple of the input.
-# The seed corpus under internal/core/testdata/fuzz/ is replayed by
-# plain `go test` as well; this target mutates it.
+# fuzz-smoke fuzzes the two parsers that take bytes from other
+# processes: core.ReadTrace (whatever the bytes, it returns an error or a
+# dump that re-encodes to exactly those bytes, without a panic and
+# without allocating more than a small multiple of the input) and
+# mercury's frame headers (request, response and vectored frames parse
+# without reading past the frame and pack again, in place, to the same
+# bytes). The seed corpora under internal/*/testdata/fuzz/ are replayed
+# by plain `go test` as well; this target mutates them.
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s
+	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
 
 # bench-build vets and tests the benchmark harness. It is a module of
 # its own (benchmark/go.mod), so `go build ./... && go test ./...` at
@@ -87,14 +93,16 @@ bench-allocs:
 # of Table IV (C1..C7), regenerates the per-site table a payload-path
 # change is argued from; ALLOC_SITES_BENCH=BenchmarkFig05MobjectWriteTrace
 # does the same over a per-RPC shape (one composed mobject write: a dozen
-# nested forwards). Neither touches benchmark/.
+# nested forwards), and ALLOC_SITES_INDEX=alloc_objects ranks the sites
+# by objects instead of bytes. Neither touches benchmark/.
 ALLOC_SITES_DIR ?= .bench_build/alloc-sites
 ALLOC_SITES_BENCH ?= BenchmarkTableIVConfigs
+ALLOC_SITES_INDEX ?= alloc_space
 alloc-sites:
 	@mkdir -p $(ALLOC_SITES_DIR)
 	$(GO) test -run '^$$' -bench '^$(ALLOC_SITES_BENCH)$$' -benchtime=1x \
 		-memprofile mem.out -memprofilerate=1 -outputdir $(ALLOC_SITES_DIR) -o $(ALLOC_SITES_DIR)/root.test .
-	$(GO) tool pprof -sample_index=alloc_space -top -nodecount=20 $(ALLOC_SITES_DIR)/root.test $(ALLOC_SITES_DIR)/mem.out
+	$(GO) tool pprof -sample_index=$(ALLOC_SITES_INDEX) -top -nodecount=20 $(ALLOC_SITES_DIR)/root.test $(ALLOC_SITES_DIR)/mem.out
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

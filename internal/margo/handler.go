@@ -140,8 +140,9 @@ func (c *Context) Priority() uint8 { return c.prio }
 
 // GetInput decodes the request arguments (charging the
 // input_deserialization_time PVAR, t6→t7). v's byte slices are read-only
-// views of the received frame; they outlive the Context and pin the
-// frame for as long as the handler's service keeps them.
+// views of the received frame, under the rule of the Context itself and
+// of Scratch: valid until the handler returns. A service that keeps
+// input bytes copies them.
 func (c *Context) GetInput(v mercury.Procable) error { return c.mh.GetInput(v) }
 
 // InputSize reports the serialized request payload size.

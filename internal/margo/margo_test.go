@@ -77,7 +77,7 @@ func TestForwardEndToEnd(t *testing.T) {
 			return
 		}
 		mu.Lock(ctx.Self)
-		store[in.Key] = in.Value
+		store[in.Key] = append([]byte(nil), in.Value...) // views end with the handler
 		mu.Unlock()
 		ctx.Respond(mercury.Void{})
 	}); err != nil {

@@ -21,24 +21,22 @@ func nonceValue(nonce uint64, n int) []byte {
 
 // TestDecodedInputIsPrivateToItsRequest holds the payload ownership
 // rule to its two consequences. GetInput hands a handler views of the
-// received frame, so (1) a slice a handler keeps after Respond must
-// still read as it was sent when another ULT looks at it later, and (2)
-// a handler that scribbles over its own input must not be seen by any
-// other request — including the twin the fault plane's dup makes of
-// every message here, which is the one case where two handlers decode
-// the same bytes. Run under -race: a shared frame is also a data race
-// between the scribbler and its twin.
+// received frame, which is recycled once the handler has returned, so
+// (1) a view must still read as it was sent for as long as the handler
+// runs — after Respond, after the origin has moved on and a thousand
+// other frames have been recycled around it — and (2) a handler that
+// scribbles over its own input must not be seen by any other request,
+// including the twin the fault plane's dup makes of every message here,
+// which is the one case where two handlers decode the same bytes. Run
+// under -race: a shared frame is also a data race between the scribbler
+// and its twin, and a recycled frame reads 0xDB.
 func TestDecodedInputIsPrivateToItsRequest(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", HandlerStreams: 4})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli"})
 
-	type kept struct {
-		nonce string
-		value []byte
-	}
 	var mu sync.Mutex
-	var keeps []kept
+	kept := 0
 	// Every message is delivered twice, so every request runs two
 	// handlers; only the first one's response reaches the origin.
 	const issuers, perIssuer = 4, 500
@@ -62,8 +60,14 @@ func TestDecodedInputIsPrivateToItsRequest(t *testing.T) {
 		}
 		check("keep", &in)
 		ctx.Respond(&in)
+		// Linger past the response: the origin issues its next requests
+		// while this handler still holds its views.
+		for k := 0; k < 8; k++ {
+			ctx.Self.Yield()
+		}
+		check("kept", &in)
 		mu.Lock()
-		keeps = append(keeps, kept{in.Key, in.Value})
+		kept++
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
@@ -118,19 +122,9 @@ func TestDecodedInputIsPrivateToItsRequest(t *testing.T) {
 	}
 	handlers.Wait()
 
-	// Long after every response: the kept slices, read from a ULT that
-	// never saw the requests.
-	reader := srv.Run("reader", func(*abt.ULT) {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(keeps) != issuers*perIssuer { // every keep ran twice
-			t.Errorf("%d inputs kept, want %d", len(keeps), issuers*perIssuer)
-		}
-		for _, k := range keeps {
-			check("kept", &kvArgs{Key: k.nonce, Value: k.value})
-		}
-	})
-	if err := reader.Join(nil); err != nil {
-		t.Fatal(err)
+	mu.Lock()
+	defer mu.Unlock()
+	if kept != issuers*perIssuer { // every keep ran twice
+		t.Errorf("%d inputs kept, want %d", kept, issuers*perIssuer)
 	}
 }

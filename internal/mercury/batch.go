@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"symbiosys/internal/na"
 )
 
 // This file implements the vectored wire frame (ISSUE 6 tentpole, layer
@@ -95,10 +97,10 @@ func (b *BatchBuilder) Add(in Procable, meta Meta) error {
 // ForwardBatch posts the handle and sends the builder's sub-requests as
 // one vectored frame. The per-entry results surface through the
 // BatchEntry* accessors when cb fires. Batch frames skip the eager/RDMA
-// split: the coalescer's byte budget bounds them, and keeping the whole
-// frame eager means pooled arenas are never exposed as registered
-// memory. The caller keeps ownership of the builder (for retries) and
-// releases it after completion.
+// split: the coalescer's byte budget bounds them. The caller keeps
+// ownership of the builder and releases it after completion: a retry
+// sends its bytes again, in a frame of its own, because the frame sent
+// here is the receiver's.
 func (h *Handle) ForwardBatch(batchID uint64, b *BatchBuilder, cb ForwardCallback) error {
 	if h.destroyed.Load() {
 		return ErrDestroyed
@@ -121,11 +123,7 @@ func (h *Handle) ForwardBatch(batchID uint64, b *BatchBuilder, cb ForwardCallbac
 		BatchID: batchID,
 		Count:   uint32(b.count),
 	}
-	frame, err := hdr.pack(b.buf)
-	if err != nil {
-		return err
-	}
-	h.post(frame, cb)
+	h.post(hdr.pack(b.buf), cb)
 	return nil
 }
 
@@ -140,15 +138,16 @@ type batchRespView struct {
 
 // parseBatchResp splits a vectored response payload into entry views.
 func parseBatchResp(payload []byte, count int) ([]batchRespView, error) {
+	// An entry is at least its status, flags and length: a count the
+	// payload cannot hold fails before anything is allocated for it.
+	if count > len(payload)/6 {
+		return nil, fmt.Errorf("%w: %d batch entries in %d bytes", ErrProcShort, count, len(payload))
+	}
 	ents := make([]batchRespView, count)
 	p := acquireDecoder(payload)
 	for i := 0; i < count; i++ {
 		var ent batchRespEntry
-		if err := ent.Proc(p); err != nil {
-			releaseProc(p)
-			return nil, err
-		}
-		body, err := p.take(int(ent.Len))
+		body, err := ent.next(p)
 		if err != nil {
 			releaseProc(p)
 			return nil, err
@@ -171,11 +170,13 @@ func (h *Handle) BatchEntryErr(i int) error {
 }
 
 // BatchEntryOutput decodes entry i's response payload into v, charging
-// the handle's output-deserialization timer.
+// the handle's output-deserialization timer. As with GetOutput, a
+// non-empty view in v makes the response frame the caller's.
 func (h *Handle) BatchEntryOutput(i int, v Procable) error {
 	h.OutputDeserTime.Start()
-	err := Decode(h.batchEnts[i].payload, v)
+	views, err := decode(h.batchEnts[i].payload, v)
 	h.OutputDeserTime.Stop()
+	h.pinned = h.pinned || views
 	if err != nil {
 		return fmt.Errorf("mercury: decode batch output %d for %s: %w", i, h.rpcName, err)
 	}
@@ -193,10 +194,14 @@ func (h *Handle) BatchEntryOrder(i int) uint64 { return h.batchEnts[i].order }
 // when the last member finishes. A sub-handle is an ordinary pooled
 // handle owned by its handler; the batchTarget is the context of the
 // reply send and never names its members, so it holds no reference.
-func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) {
+// The members' payloads are views of the one request frame, which the
+// batchTarget keeps until the last of them has been reset.
+func (c *Class) handleBatchRequest(msg *na.Message, hdr *reqHeader, payload []byte) {
+	from := msg.From
 	count := int(hdr.Count)
-	if count <= 0 {
-		return // malformed; drop
+	if count <= 0 || count > len(payload)/5 { // an entry is at least its flags and length
+		putFrame(msg.Data) // malformed; drop
+		return
 	}
 	subs := make([]*Handle, 0, count)
 	bt := &batchTarget{
@@ -204,22 +209,24 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 		cookie:  hdr.Cookie,
 		peer:    from,
 		batchID: hdr.BatchID,
+		frame:   msg.Data,
 		slots:   make([]batchSlot, count),
 	}
 	bt.pending.Store(int32(count))
+	bt.members.Store(int32(count))
 	p := acquireDecoder(payload)
 	for i := 0; i < count; i++ {
 		var ent batchReqEntry
-		err := ent.Proc(p)
-		var body []byte
-		if err == nil {
-			body, err = p.take(int(ent.Len))
-		}
+		body, err := ent.next(p)
 		if err != nil {
 			// Malformed: drop the whole frame before any delivery.
 			releaseProc(p)
+			bt.members.Store(int32(len(subs)))
 			for _, sub := range subs {
 				sub.Destroy()
+			}
+			if len(subs) == 0 {
+				putFrame(bt.frame)
 			}
 			return
 		}
@@ -249,10 +256,13 @@ func (c *Class) handleBatchRequest(from string, hdr *reqHeader, payload []byte) 
 // written by exactly one handler ULT; visibility to the sender is
 // provided by the pending counter's atomic decrement.
 type batchSlot struct {
-	status  uint8
-	flags   uint8
-	order   uint64
+	status uint8
+	flags  uint8
+	order  uint64
+	// payload is the encoded sub-response, in a pooled arena held from
+	// record until send has copied it into the reply frame.
 	payload []byte
+	arena   *[]byte
 	cb      func(error)
 }
 
@@ -265,9 +275,19 @@ type batchTarget struct {
 	batchID uint64
 	slots   []batchSlot
 	pending atomic.Int32
-	// ent is the scratch entry header send encodes from: a local passed
-	// through the Procable interface would heap-escape once per entry.
-	ent batchRespEntry
+	// frame is the vectored request frame; members counts the sub-handles
+	// whose payload views still point into it.
+	frame   []byte
+	members atomic.Int32
+}
+
+// unrefFrame is called by each member as it is reset; the last one
+// recycles the request frame.
+func (bt *batchTarget) unrefFrame() {
+	if bt.members.Add(-1) == 0 {
+		putFrame(bt.frame)
+		bt.frame = nil
+	}
 }
 
 // record stores one sub-response; the member that brings the pending
@@ -275,15 +295,16 @@ type batchTarget struct {
 func (bt *batchTarget) record(h *Handle, status uint8, out Procable, meta Meta, cb func(error)) error {
 	slot := &bt.slots[h.batchSlot]
 	if out != nil {
+		slot.arena = GetArena(0)
 		h.OutputSerTime.Start()
-		payload, err := Encode(out)
+		payload, err := AppendEncode(*slot.arena, out)
 		h.OutputSerTime.Stop()
 		if err != nil {
 			// Surface the encode failure to the origin as a handler
 			// error rather than stalling the whole batch.
 			status = statusHandlerError
 			raw := RawBytes(err.Error())
-			payload, _ = Encode(&raw)
+			payload, _ = AppendEncode(payload[:0], &raw)
 		}
 		slot.payload = payload
 	}
@@ -303,26 +324,27 @@ func (bt *batchTarget) record(h *Handle, status uint8, out Procable, meta Meta, 
 // member callbacks share the batch reply's send completion (t13).
 func (bt *batchTarget) send() error {
 	c := bt.class
-	arena := GetArena(0)
-	buf := *arena
-	var err error
+	size := 4 + respHeaderMax
 	for i := range bt.slots {
-		slot := &bt.slots[i]
-		bt.ent = batchRespEntry{Status: slot.status, Flags: slot.flags, Order: slot.order, Len: uint32(len(slot.payload))}
-		if buf, err = AppendEncode(buf, &bt.ent); err != nil {
-			PutArena(arena, buf)
-			return err
-		}
-		buf = append(buf, slot.payload...)
+		// An entry header is no larger than a response header.
+		size += respHeaderMax + len(bt.slots[i].payload)
 	}
 	hdr := respHeader{Status: statusOK, Flags: flagBatch, Count: uint32(len(bt.slots))}
-	frame, err := hdr.pack(buf)
-	PutArena(arena, buf)
-	if err != nil {
-		return err
+	p := beginFrame(size)
+	hdr.Proc(p)
+	p.endHeader()
+	for i := range bt.slots {
+		slot := &bt.slots[i]
+		ent := batchRespEntry{Status: slot.status, Flags: slot.flags, Order: slot.order, Len: uint32(len(slot.payload))}
+		ent.Proc(p)
+		p.raw(slot.payload)
+		if slot.arena != nil {
+			PutArena(slot.arena, slot.payload)
+			slot.arena, slot.payload = nil, nil
+		}
 	}
 	c.responsesSent.Inc()
-	c.ep.Send(bt.peer, bt.cookie, frame, bt)
+	c.ep.Send(bt.peer, bt.cookie, p.endFrame(), bt)
 	return nil
 }
 

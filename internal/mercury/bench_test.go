@@ -94,8 +94,6 @@ func BenchmarkFramePack(b *testing.B) {
 	payload := make([]byte, 512)
 	b.SetBytes(512)
 	for i := 0; i < b.N; i++ {
-		if _, err := hdr.pack(payload); err != nil {
-			b.Fatal(err)
-		}
+		putFrame(hdr.pack(payload))
 	}
 }

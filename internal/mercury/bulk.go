@@ -17,7 +17,7 @@ type Bulk struct {
 
 // Proc implements Procable so bulk descriptors can ride in RPC args.
 func (b *Bulk) Proc(p *Proc) error {
-	p.String(&b.Mem.Addr)
+	p.addr(&b.Mem.Addr)
 	p.Uint64(&b.Mem.ID)
 	p.Int(&b.Mem.Len)
 	return p.Err()

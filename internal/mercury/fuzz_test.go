@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"symbiosys/internal/na"
 )
 
 // fuzzArgs has one field of every kind that decodes to a view or to a
@@ -110,7 +112,7 @@ func TestCorruptCountFailsBeforeAllocating(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrProcShort", name, err)
 		}
 		// The error value itself is the only thing a rejection may cost.
-		if !raceEnabled && allocs > 4 {
+		if !RaceEnabled && allocs > 4 {
 			t.Errorf("%s: rejecting a corrupt count allocated %.0f objects", name, allocs)
 		}
 	}
@@ -150,5 +152,110 @@ func TestDecodeHandsOutViews(t *testing.T) {
 	wire[bytes.Index(wire, []byte("key"))] = 'K'
 	if string(out.Key) != "Key" {
 		t.Fatalf("Key = %q: not an alias of the buffer", out.Key)
+	}
+}
+
+// FuzzFrameHeaders feeds arbitrary bytes to the three frame parsers —
+// request header, response header, and the entries of a vectored frame
+// of either kind — and to a live target. Whatever a parser accepts must
+// pack again, through the same reserve-and-patch path Forward and
+// Respond use, into a frame that parses to the same header and payload,
+// and into the very same bytes when the input had no slack in it;
+// whatever it rejects must not panic or read past the frame (the input
+// is clipped to its length, so an overrun is a bounds failure). The
+// committed corpus holds the golden frames of TestGoldenFramesStable
+// and one vectored frame of each kind with real entries.
+func FuzzFrameHeaders(f *testing.F) {
+	fab := na.NewFabric(na.DefaultConfig())
+	ep, err := fab.NewEndpoint("fuzz", "target")
+	if err != nil {
+		f.Fatal(err)
+	}
+	target := NewClass(ep, Config{})
+	if err := target.Register("fuzz_rpc", func(h *Handle) {
+		var in fuzzArgs
+		if h.GetInput(&in) == nil {
+			h.Respond(&in, Meta{}, nil)
+		} else {
+			h.RespondError("decode", Meta{}, nil)
+		}
+		h.Destroy()
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frame := append(make([]byte, 0, len(data)), data...)
+
+		var rq reqHeader
+		if payload, err := rq.unpack(frame); err == nil {
+			again := rq.pack(payload)
+			var got reqHeader
+			rest, err := got.unpack(again)
+			if err != nil || got != rq || !bytes.Equal(rest, payload) {
+				t.Fatalf("request header %+v repacks to %+v, %v", rq, got, err)
+			}
+			if len(again) == len(frame) && !bytes.Equal(again, frame) {
+				t.Fatalf("request frame %x repacks to %x", frame, again)
+			}
+			putFrame(again)
+			if rq.Flags&flagBatch != 0 {
+				var ent batchReqEntry
+				repackEntries(t, payload, int(rq.Count), func(p *Proc) ([]byte, error) { return ent.next(p) }, &ent)
+			}
+		}
+		var rs respHeader
+		if payload, err := rs.unpack(frame); err == nil {
+			again := rs.pack(payload)
+			var got respHeader
+			rest, err := got.unpack(again)
+			if err != nil || got != rs || !bytes.Equal(rest, payload) {
+				t.Fatalf("response header %+v repacks to %+v, %v", rs, got, err)
+			}
+			if len(again) == len(frame) && !bytes.Equal(again, frame) {
+				t.Fatalf("response frame %x repacks to %x", frame, again)
+			}
+			putFrame(again)
+			if rs.Flags&flagBatch != 0 {
+				var ent batchRespEntry
+				repackEntries(t, payload, int(rs.Count), func(p *Proc) ([]byte, error) { return ent.next(p) }, &ent)
+				if ents, err := parseBatchResp(payload, int(rs.Count)); err == nil && len(ents) != int(rs.Count) {
+					t.Fatalf("%d entries parsed, header says %d", len(ents), rs.Count)
+				}
+			}
+		}
+
+		// The same bytes as a request arriving at a target, which owns
+		// (and recycles) the frame it is given. An overflowing request
+		// allocates what its header claims, so those stay small here.
+		if rq.Flags&flagMore != 0 && rq.TotalLen > 1<<16 {
+			return
+		}
+		target.handleRequest(&na.Message{From: "fuzz/origin", Data: append([]byte(nil), data...)})
+		for target.Progress(0)+target.Trigger(64) > 0 {
+		}
+	})
+}
+
+// repackEntries walks count vectored-frame entries with next and checks
+// that each entry header and body encode back to the bytes they came
+// from.
+func repackEntries(t *testing.T, payload []byte, count int, next func(*Proc) ([]byte, error), ent Procable) {
+	t.Helper()
+	p := acquireDecoder(payload)
+	defer releaseProc(p)
+	for i := 0; i < count; i++ {
+		start := len(payload) - p.Remaining()
+		body, err := next(p)
+		if err != nil {
+			return
+		}
+		wire, err := AppendEncode(nil, ent)
+		if err != nil {
+			t.Fatalf("entry %d: re-encode: %v", i, err)
+		}
+		wire = append(wire, body...)
+		if end := len(payload) - p.Remaining(); !bytes.Equal(wire, payload[start:end]) {
+			t.Fatalf("entry %d: %x re-encodes to %x", i, payload[start:end], wire)
+		}
 	}
 }

@@ -33,13 +33,30 @@ import (
 //
 // When the last reference goes, the handle is reset to its zero value —
 // timers, Data, payload views and batch entries included — and returned
-// to the pool for another request. So whatever arrives late meets the
-// request it was about or nothing at all: a late timer or EvError still
-// holds its reference and finds the old request, already completed (a
-// no-op); a duplicate or late response finds no posted cookie, cookies
-// being unique per life, and is counted stale. A handle whose owner
-// never calls Destroy, or whose completion event was lost with its
-// endpoint, is simply left to the garbage collector.
+// to the pool for another request; the frame it received goes back to
+// the frame pool with it (see the table below). So whatever arrives late
+// meets the request it was about or nothing at all: a late timer or
+// EvError still holds its reference and finds the old request, already
+// completed (a no-op); a duplicate or late response finds no posted
+// cookie, cookies being unique per life, and is counted stale. A handle
+// whose owner never calls Destroy, or whose completion event was lost
+// with its endpoint, is simply left to the garbage collector.
+//
+// Frames. A wire frame has one holder at a time:
+//
+//	sender, Forward/Respond → Send    encodes into it; gone at Send
+//	fabric, Send → delivery           a dropped message or failed send
+//	                                  leaves it to the garbage collector;
+//	                                  a duplicate is a private copy
+//	target handle (request frame)     until its last Unref; the members
+//	                                  of a vectored frame share it until
+//	                                  the last of them goes. Input views
+//	                                  are valid until the handler returns
+//	origin handle (response frame)    until its last Unref, then recycled
+//	                                  unless GetOutput handed out a view
+//	                                  of it: that frame is the caller's
+//	no handle (stale, duplicate or    recycled at once
+//	malformed message)
 type Handle struct {
 	class   *Class
 	cookie  uint64
@@ -54,6 +71,13 @@ type Handle struct {
 
 	// data is the owner's per-request record (see SetData).
 	data any
+
+	// frame is the received frame the payload views below point into: the
+	// request at the target, the response at the origin (a member of a
+	// vectored request shares batchTgt's instead). pinned records that
+	// GetOutput gave the caller a view of it.
+	frame  []byte
+	pinned bool
 
 	// Origin-side state.
 	cb            ForwardCallback
@@ -129,6 +153,12 @@ func (h *Handle) Unref() {
 	case n < 0:
 		panic("mercury: handle reference given back twice")
 	}
+	switch {
+	case h.batchTgt != nil:
+		h.batchTgt.unrefFrame()
+	case h.frame != nil && !h.pinned:
+		putFrame(h.frame)
+	}
 	*h = Handle{}
 	h.destroyed.Store(true)
 	handlePool.Put(h)
@@ -192,18 +222,6 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 	c := h.class
 	c.rpcsInvoked.Inc()
 
-	// Serialize into a pooled arena: the cursor and scratch buffer are
-	// recycled, so the only allocation left on this path is the frame
-	// handed to the fabric (see finishFrame).
-	h.InputSerTime.Start()
-	arena := GetArena(0)
-	payload, err := AppendEncode(*arena, in)
-	h.InputSerTime.Stop()
-	if err != nil {
-		PutArena(arena, payload)
-		return fmt.Errorf("mercury: encode input for %s: %w", h.rpcName, err)
-	}
-
 	hdr := reqHeader{RPCID: h.rpcID, Cookie: h.cookie}
 	if meta.HasTrace {
 		hdr.Flags |= flagTrace
@@ -216,35 +234,53 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 		hdr.DeadlineNanos = meta.DeadlineNanos
 		hdr.Priority = meta.Priority
 	}
-	eager := payload
-	if len(payload) > c.cfg.EagerLimit {
-		// Eager overflow: expose the tail for the target's internal
-		// RDMA fetch and send only the head eagerly. The tail must be
-		// copied out of the pooled arena first — registered memory is
-		// held until the RDMA completes, long after the arena has been
-		// recycled for another request.
-		c.eagerOverflows.Inc()
-		hdr.Flags |= flagMore
-		hdr.TotalLen = uint32(len(payload))
-		tail := make([]byte, len(payload)-c.cfg.EagerLimit)
-		copy(tail, payload[c.cfg.EagerLimit:])
-		h.memH = c.ep.RegisterMemory(tail)
-		h.memRegistered = true
-		hdr.Mem = h.memH
-		eager = payload[:c.cfg.EagerLimit]
+
+	// Header, then input, encoded once into the frame the fabric carries.
+	p := beginFrame(0)
+	hdr.Proc(p)
+	p.endHeader()
+	body := len(p.buf)
+	h.InputSerTime.Start()
+	err := in.Proc(p)
+	if err == nil {
+		err = p.Err()
 	}
-	frame, err := hdr.pack(eager)
-	PutArena(arena, payload)
+	h.InputSerTime.Stop()
 	if err != nil {
-		return err
+		p.dropFrame()
+		return fmt.Errorf("mercury: encode input for %s: %w", h.rpcName, err)
+	}
+	frame := p.endFrame()
+	if len(frame)-body > c.cfg.EagerLimit {
+		frame = h.spill(&hdr, frame, frame[body:])
 	}
 	h.post(frame, cb)
 	return nil
 }
 
+// spill handles an input that overflowed the eager buffer: the tail is
+// exposed for the target's internal RDMA fetch and only the head goes
+// out eagerly, behind a header that says so. The tail is copied out of
+// the frame because registered memory is held until the fetch completes,
+// long after the frame has been recycled for another request.
+func (h *Handle) spill(hdr *reqHeader, frame, payload []byte) []byte {
+	c := h.class
+	c.eagerOverflows.Inc()
+	tail := make([]byte, len(payload)-c.cfg.EagerLimit)
+	copy(tail, payload[c.cfg.EagerLimit:])
+	h.memH = c.ep.RegisterMemory(tail)
+	h.memRegistered = true
+	hdr.Flags |= flagMore
+	hdr.TotalLen = uint32(len(payload))
+	hdr.Mem = h.memH
+	eager := hdr.pack(payload[:c.cfg.EagerLimit])
+	putFrame(frame)
+	return eager
+}
+
 // post registers the handle as awaiting a response and sends the
-// request frame; the handle is the send's context. The posted table and
-// the send each take a reference.
+// request frame, which is the receiver's from here on; the handle is the
+// send's context. The posted table and the send each take a reference.
 func (h *Handle) post(frame []byte, cb ForwardCallback) {
 	c := h.class
 	h.cb = cb
@@ -307,7 +343,9 @@ func (h *Handle) Cancel() {
 
 // GetInput deserializes the request payload into v (target side),
 // charging the input_deserialization_time PVAR (t6→t7). v's byte slices
-// are read-only views of the received frame and pin it while held.
+// are read-only views of the received frame: valid until the handler
+// returns (the frame is recycled with the handle), so a service that
+// keeps input bytes copies them.
 func (h *Handle) GetInput(v Procable) error {
 	h.InputDeserTime.Start()
 	err := Decode(h.reqPayload, v)
@@ -319,12 +357,13 @@ func (h *Handle) GetInput(v Procable) error {
 }
 
 // GetOutput deserializes the response payload into v (origin side). v's
-// byte slices are views of the response frame, which only the caller
-// references from then on.
+// byte slices are views of the response frame; if any is non-empty the
+// frame is the caller's from then on and is never recycled.
 func (h *Handle) GetOutput(v Procable) error {
 	h.OutputDeserTime.Start()
-	err := Decode(h.respPayload, v)
+	views, err := decode(h.respPayload, v)
 	h.OutputDeserTime.Stop()
+	h.pinned = h.pinned || views
 	if err != nil {
 		return fmt.Errorf("mercury: decode output for %s: %w", h.rpcName, err)
 	}
@@ -372,28 +411,27 @@ func (h *Handle) respondStatus(status uint8, out Procable, meta Meta, cb func(er
 		return h.batchTgt.record(h, status, out, meta, cb)
 	}
 	c := h.class
-	arena := GetArena(0)
-	payload := *arena
-	var err error
-	if out != nil {
-		h.OutputSerTime.Start()
-		payload, err = AppendEncode(payload, out)
-		h.OutputSerTime.Stop()
-		if err != nil {
-			PutArena(arena, payload)
-			return fmt.Errorf("mercury: encode output for rpc %#x: %w", h.rpcID, err)
-		}
-	}
 	hdr := respHeader{Status: status}
 	if meta.HasTrace {
 		hdr.Flags |= flagTrace
 		hdr.Order = meta.Order
 	}
-	frame, err := hdr.pack(payload)
-	PutArena(arena, payload)
-	if err != nil {
-		return err
+	p := beginFrame(0)
+	hdr.Proc(p)
+	p.endHeader()
+	if out != nil {
+		h.OutputSerTime.Start()
+		err := out.Proc(p)
+		if err == nil {
+			err = p.Err()
+		}
+		h.OutputSerTime.Stop()
+		if err != nil {
+			p.dropFrame()
+			return fmt.Errorf("mercury: encode output for rpc %#x: %w", h.rpcID, err)
+		}
 	}
+	frame := p.endFrame()
 	c.responsesSent.Inc()
 	h.respCB = cb
 	h.Ref() // the send's, given back by dispatch

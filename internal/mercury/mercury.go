@@ -259,7 +259,7 @@ func (c *Class) Progress(timeout time.Duration) int {
 		c.dispatch(&evs[i])
 	}
 	// Drop message and context references so the retained buffer does
-	// not pin payloads of already-dispatched events.
+	// not pin the frames and handles of already-dispatched events.
 	clear(evs)
 	return len(evs)
 }
@@ -394,10 +394,11 @@ func (c *Class) handleRequest(msg *na.Message) {
 	var hdr reqHeader
 	eager, err := hdr.unpack(msg.Data)
 	if err != nil {
-		return // malformed; drop
+		putFrame(msg.Data) // malformed; drop
+		return
 	}
 	if hdr.Flags&flagBatch != 0 {
-		c.handleBatchRequest(msg.From, &hdr, eager)
+		c.handleBatchRequest(msg, &hdr, eager)
 		return
 	}
 	h := c.acquireTarget(hdr.Cookie, hdr.RPCID, msg.From)
@@ -410,14 +411,21 @@ func (c *Class) handleRequest(msg *na.Message) {
 		Priority:      hdr.Priority,
 	}
 	if hdr.Flags&flagMore == 0 {
-		h.reqPayload = eager
+		h.frame, h.reqPayload = msg.Data, eager
 		c.deliver(h)
 		return
 	}
 	// Metadata overflowed the eager buffer: pull the remainder with an
-	// internal RDMA get before the request is delivered (t3→t4).
+	// internal RDMA get before the request is delivered (t3→t4). The
+	// payload is assembled in a buffer of its own, so the frame is done.
+	if int(hdr.TotalLen) < len(eager) || hdr.TotalLen > maxBlob {
+		h.Destroy()
+		putFrame(msg.Data) // malformed; drop
+		return
+	}
 	buf := make([]byte, int(hdr.TotalLen))
 	copy(buf, eager)
+	putFrame(msg.Data)
 	h.reqPayload = buf
 	h.RDMATime.Start()
 	h.Ref() // the transfer's, given back by dispatch
@@ -449,12 +457,14 @@ func (c *Class) handleResponse(msg *na.Message) {
 	c.mu.Unlock()
 	if !ok {
 		c.staleResponses.Inc()
+		putFrame(msg.Data)
 		return
 	}
 	c.postedLevel.Add(-1)
 	// The posted table's reference is ours now; it goes back once the
-	// completion holds its own.
+	// completion holds its own. The frame is the handle's either way.
 	defer h.Unref()
+	h.frame = msg.Data
 	var hdr respHeader
 	payload, err := hdr.unpack(msg.Data)
 	if err == nil && hdr.Flags&flagBatch != 0 {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Op selects the direction of a Proc pass.
@@ -31,10 +33,33 @@ var (
 // direction decides whether the field is written or read.
 //
 // Byte-slice fields of a decoded value are views of the buffer that was
-// decoded: read-only, valid for as long as they are held, and pinning
-// that whole buffer until they are dropped. Copy what must be modified.
+// decoded: read-only, and valid for as long as that buffer is (for a wire
+// frame, see Handle.GetInput and Handle.GetOutput). Copy what must be
+// modified or kept longer.
 type Procable interface {
 	Proc(p *Proc) error
+}
+
+// Records pools the per-call argument or reply records of one type. A
+// record passed to Forward, GetInput or Respond travels as a Procable
+// interface, so one declared on the stack escapes to the heap on every
+// call; a service takes it from here instead and puts it back when the
+// call is over. The zero value is ready to use.
+type Records[T any] struct{ pool sync.Pool }
+
+// Get returns a zeroed record.
+func (r *Records[T]) Get() *T {
+	if v, ok := r.pool.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
+// Put zeroes v, dropping whatever views it held, and recycles it.
+func (r *Records[T]) Put(v *T) {
+	var zero T
+	*v = zero
+	r.pool.Put(v)
 }
 
 // Proc is a serialization cursor over a wire buffer.
@@ -43,6 +68,11 @@ type Proc struct {
 	buf []byte
 	off int
 	err error
+	// framed marks an encoder whose buffer is a pooled wire frame: it
+	// grows by moving to the next frame class, never by append.
+	framed bool
+	// views records that a decode handed out a non-empty view of buf.
+	views bool
 }
 
 // NewEncoder returns a Proc that appends encoded fields to an internal
@@ -63,14 +93,14 @@ var procPool = sync.Pool{New: func() any { return new(Proc) }}
 // (which may be nil or a recycled arena).
 func acquireEncoder(dst []byte) *Proc {
 	p := procPool.Get().(*Proc)
-	p.op, p.buf, p.off, p.err = OpEncode, dst, 0, nil
+	p.op, p.buf = OpEncode, dst
 	return p
 }
 
 // acquireDecoder returns a pooled Proc decoding from buf.
 func acquireDecoder(buf []byte) *Proc {
 	p := procPool.Get().(*Proc)
-	p.op, p.buf, p.off, p.err = OpDecode, buf, 0, nil
+	p.op, p.buf = OpDecode, buf
 	return p
 }
 
@@ -78,7 +108,7 @@ func acquireDecoder(buf []byte) *Proc {
 // release; its buffer reference is cleared so pooled cursors never pin
 // wire frames or arenas.
 func releaseProc(p *Proc) {
-	p.buf, p.off, p.err = nil, 0, nil
+	*p = Proc{}
 	procPool.Put(p)
 }
 
@@ -121,8 +151,12 @@ func GetArena(n int) *[]byte {
 
 // PutArena resets and recycles a scratch buffer. Pass the (possibly
 // reallocated) slice back so grown capacity is retained for the next
-// user. Must not be called while any live data aliases the buffer.
+// user. Must not be called while any live data aliases the buffer: in
+// race builds what it held is overwritten, as a recycled frame is.
 func PutArena(a *[]byte, b []byte) {
+	if RaceEnabled {
+		poison(b)
+	}
 	if cap(b) > arenaMaxRetain {
 		return
 	}
@@ -161,12 +195,32 @@ func (p *Proc) take(n int) ([]byte, error) {
 	return b, nil
 }
 
+// reserve makes sure the next n bytes can be appended in place.
+func (p *Proc) reserve(n int) {
+	if cap(p.buf)-len(p.buf) < n {
+		p.grow(n)
+	}
+}
+
+// grow makes room for n more bytes. A framed encoder moves what it has
+// into a frame of the next class and recycles the one it outgrew.
+func (p *Proc) grow(n int) {
+	if !p.framed {
+		p.buf = slices.Grow(p.buf, n)
+		return
+	}
+	next := append(getFrame(len(p.buf)+n), p.buf...)
+	putFrame(p.buf)
+	p.buf = next
+}
+
 // Uint64 processes a fixed-width 64-bit unsigned field.
 func (p *Proc) Uint64(v *uint64) error {
 	if p.op == OpEncode {
 		if p.err != nil {
 			return p.err
 		}
+		p.reserve(8)
 		p.buf = binary.LittleEndian.AppendUint64(p.buf, *v)
 		return nil
 	}
@@ -184,6 +238,7 @@ func (p *Proc) Uint32(v *uint32) error {
 		if p.err != nil {
 			return p.err
 		}
+		p.reserve(4)
 		p.buf = binary.LittleEndian.AppendUint32(p.buf, *v)
 		return nil
 	}
@@ -201,6 +256,7 @@ func (p *Proc) Uint16(v *uint16) error {
 		if p.err != nil {
 			return p.err
 		}
+		p.reserve(2)
 		p.buf = binary.LittleEndian.AppendUint16(p.buf, *v)
 		return nil
 	}
@@ -218,6 +274,7 @@ func (p *Proc) Uint8(v *uint8) error {
 		if p.err != nil {
 			return p.err
 		}
+		p.reserve(1)
 		p.buf = append(p.buf, *v)
 		return nil
 	}
@@ -289,6 +346,9 @@ func (p *Proc) Bytes(v *[]byte) error {
 		return err
 	}
 	*v = b[:len(b):len(b)]
+	if len(b) > 0 {
+		p.views = true
+	}
 	return nil
 }
 
@@ -298,6 +358,7 @@ func putBlob[T ~string | ~[]byte](p *Proc, v T) error {
 	if err := p.Uint32(&n); err != nil {
 		return err
 	}
+	p.reserve(len(v))
 	p.buf = append(p.buf, v...)
 	return nil
 }
@@ -326,6 +387,57 @@ func (p *Proc) String(v *string) error {
 	}
 	*v = string(b)
 	return nil
+}
+
+// addr processes a fabric address. Decoding interns it: a process talks
+// to a handful of peers, so the memory handle of every request naming
+// one of them shares a single string instead of allocating its own.
+func (p *Proc) addr(v *string) error {
+	if p.op == OpEncode {
+		return putBlob(p, *v)
+	}
+	b, err := p.blob()
+	if err != nil {
+		return err
+	}
+	*v = internAddr(b)
+	return nil
+}
+
+// maxInternedAddrs bounds the intern table, so addresses made up by a
+// corrupt or hostile peer cannot grow it without limit; past the bound
+// an unknown address is an ordinary string.
+const maxInternedAddrs = 1024
+
+// internedAddrs is read on every decoded memory handle and written once
+// per new peer, so readers load an immutable map and writers replace it.
+var (
+	internedAddrs atomic.Pointer[map[string]string]
+	internMu      sync.Mutex
+)
+
+func internAddr(b []byte) string {
+	if m := internedAddrs.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	s := string(b)
+	internMu.Lock()
+	defer internMu.Unlock()
+	var old map[string]string
+	if m := internedAddrs.Load(); m != nil {
+		old = *m
+	}
+	if _, ok := old[s]; !ok && len(old) < maxInternedAddrs {
+		next := make(map[string]string, len(old)+1)
+		for k, v := range old {
+			next[k] = v
+		}
+		next[s] = s
+		internedAddrs.Store(&next)
+	}
+	return s
 }
 
 // count decodes an element count and bounds it by what the rest of the
@@ -436,13 +548,21 @@ func AppendEncode(dst []byte, v Procable) ([]byte, error) {
 
 // Decode parses a Procable from bytes using a pooled cursor.
 func Decode(buf []byte, v Procable) error {
+	_, err := decode(buf, v)
+	return err
+}
+
+// decode is Decode that also reports whether v now holds a non-empty
+// view of buf.
+func decode(buf []byte, v Procable) (views bool, err error) {
 	p := acquireDecoder(buf)
-	err := v.Proc(p)
+	err = v.Proc(p)
 	if err == nil {
 		err = p.Err()
 	}
+	views = p.views
 	releaseProc(p)
-	return err
+	return views, err
 }
 
 // RawBytes adapts a plain byte payload to Procable.

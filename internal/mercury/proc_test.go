@@ -165,10 +165,7 @@ func TestFramePackUnpack(t *testing.T) {
 	hdr.Mem.ID = 5
 	hdr.Mem.Len = 60
 	payload := []byte("payload-bytes")
-	frame, err := hdr.pack(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := hdr.pack(payload)
 	var got reqHeader
 	rest, err := got.unpack(frame)
 	if err != nil {
@@ -253,10 +250,7 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			hdr.RequestID = reqID
 			hdr.Order = order
 		}
-		frame, err := hdr.pack(payload)
-		if err != nil {
-			return false
-		}
+		frame := hdr.pack(payload)
 		var got reqHeader
 		rest, err := got.unpack(frame)
 		if err != nil {
@@ -302,9 +296,8 @@ var goldenRespFrames = []struct {
 func TestGoldenFramesStable(t *testing.T) {
 	for i, g := range goldenReqFrames {
 		want, _ := hex.DecodeString(g.frame)
-		frame, err := g.hdr.pack([]byte("payload"))
-		if err != nil || !bytes.Equal(frame, want) {
-			t.Errorf("request %d: pack = %x, %v; want %s", i, frame, err, g.frame)
+		if frame := g.hdr.pack([]byte("payload")); !bytes.Equal(frame, want) {
+			t.Errorf("request %d: pack = %x; want %s", i, frame, g.frame)
 		}
 		var got reqHeader
 		rest, err := got.unpack(want)
@@ -314,9 +307,8 @@ func TestGoldenFramesStable(t *testing.T) {
 	}
 	for i, g := range goldenRespFrames {
 		want, _ := hex.DecodeString(g.frame)
-		frame, err := g.hdr.pack([]byte("out"))
-		if err != nil || !bytes.Equal(frame, want) {
-			t.Errorf("response %d: pack = %x, %v; want %s", i, frame, err, g.frame)
+		if frame := g.hdr.pack([]byte("out")); !bytes.Equal(frame, want) {
+			t.Errorf("response %d: pack = %x; want %s", i, frame, g.frame)
 		}
 		var got respHeader
 		rest, err := got.unpack(want)
@@ -327,26 +319,22 @@ func TestGoldenFramesStable(t *testing.T) {
 }
 
 // TestHeaderCodecAllocFree pins what the per-type pack/unpack buys: the
-// header stays on the stack, so a frame costs its one exact-size buffer
-// and parsing one costs nothing.
+// header stays on the stack and the frame comes from its pool, so
+// building a frame that is recycled after use, and parsing one, cost
+// nothing.
 func TestHeaderCodecAllocFree(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("pooled cursors are dropped at random under the race detector")
 	}
 	hdr := reqHeader{RPCID: 42, Cookie: 99, Flags: flagTrace | flagDeadline, Breadcrumb: 1, RequestID: 2, Order: 3, DeadlineNanos: 4, Priority: 1}
 	payload := make([]byte, 256)
-	frame, err := hdr.pack(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := hdr.pack(payload)
 	if n := testing.AllocsPerRun(200, func() {
 		h := hdr
 		h.Cookie++
-		if _, err := h.pack(payload); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Errorf("reqHeader.pack allocates %.1f objects, want 1 (the frame)", n)
+		putFrame(h.pack(payload))
+	}); n != 0 {
+		t.Errorf("reqHeader.pack allocates %.1f objects, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		var got reqHeader
@@ -357,18 +345,16 @@ func TestHeaderCodecAllocFree(t *testing.T) {
 		t.Errorf("reqHeader.unpack allocates %.1f objects, want 0", n)
 	}
 	resp := respHeader{Status: statusOK, Flags: flagTrace, Order: 5}
-	rframe, _ := resp.pack(payload)
+	rframe := resp.pack(payload)
 	if n := testing.AllocsPerRun(200, func() {
 		r := resp
 		r.Order++
 		var got respHeader
-		if _, err := r.pack(payload); err != nil {
-			t.Fatal(err)
-		}
+		putFrame(r.pack(payload))
 		if _, err := got.unpack(rframe); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 1 {
-		t.Errorf("respHeader pack+unpack allocates %.1f objects, want 1 (the frame)", n)
+	}); n != 0 {
+		t.Errorf("respHeader pack+unpack allocates %.1f objects, want 0", n)
 	}
 }

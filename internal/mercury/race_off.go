@@ -2,4 +2,4 @@
 
 package mercury
 
-const raceEnabled = false
+const RaceEnabled = false

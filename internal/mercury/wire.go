@@ -23,9 +23,8 @@ const (
 	// flagBatch marks a vectored frame: the payload carries Count
 	// sub-requests (or, on a response, Count per-entry statuses), each
 	// preceded by a batchReqEntry/batchRespEntry header. Batch frames
-	// never set flagMore — the coalescer's byte budget keeps them under
-	// the eager limit, so the RDMA overflow path and the arena pools
-	// never alias the same memory.
+	// never set flagMore: the coalescer's byte budget bounds them, and
+	// the whole window travels in one frame.
 	flagBatch
 )
 
@@ -102,7 +101,7 @@ func (r *reqHeader) Proc(p *Proc) error {
 	}
 	if r.Flags&flagMore != 0 {
 		p.Uint32(&r.TotalLen)
-		p.String(&r.Mem.Addr)
+		p.addr(&r.Mem.Addr)
 		p.Uint64(&r.Mem.ID)
 		p.Int(&r.Mem.Len)
 	}
@@ -165,6 +164,15 @@ func (e *batchReqEntry) Proc(p *Proc) error {
 	return p.Err()
 }
 
+// next decodes the entry header p stands at and returns the sub-request
+// payload behind it, a view of the frame.
+func (e *batchReqEntry) next(p *Proc) ([]byte, error) {
+	if err := e.Proc(p); err != nil {
+		return nil, err
+	}
+	return p.take(int(e.Len))
+}
+
 // batchRespEntry precedes each sub-response payload inside a vectored
 // response frame: per-entry status plus the target-side Lamport order.
 type batchRespEntry struct {
@@ -185,44 +193,49 @@ func (e *batchRespEntry) Proc(p *Proc) error {
 	return p.Err()
 }
 
+// next decodes the entry header p stands at and returns the sub-response
+// payload behind it, a view of the frame.
+func (e *batchRespEntry) next(p *Proc) ([]byte, error) {
+	if err := e.Proc(p); err != nil {
+		return nil, err
+	}
+	return p.take(int(e.Len))
+}
+
 // pack and unpack exist once per header type, each calling the type's
 // own Proc on a pooled cursor: a header passed as a Procable interface
 // would escape to the heap on every frame.
 
-// pack builds the request frame [u32 hdrLen][header][payload].
-func (r *reqHeader) pack(payload []byte) ([]byte, error) {
-	arena := GetArena(0)
-	p := acquireEncoder(*arena)
-	return finishFrame(arena, p, r.Proc(p), payload)
+// pack builds the request frame [u32 hdrLen][header][payload] in a
+// pooled frame, copying a payload that was encoded elsewhere: a batch
+// builder's, which must outlive the send for retries, or the eager head
+// of an overflowing request. A single request's payload is encoded in
+// place instead (see Handle.Forward).
+func (r *reqHeader) pack(payload []byte) []byte {
+	p := beginFrame(4 + reqHeaderMax + len(payload))
+	r.Proc(p)
+	p.endHeader()
+	p.raw(payload)
+	return p.endFrame()
 }
 
 // pack builds the response frame [u32 hdrLen][header][payload].
-func (r *respHeader) pack(payload []byte) ([]byte, error) {
-	arena := GetArena(0)
-	p := acquireEncoder(*arena)
-	return finishFrame(arena, p, r.Proc(p), payload)
+func (r *respHeader) pack(payload []byte) []byte {
+	p := beginFrame(4 + respHeaderMax + len(payload))
+	r.Proc(p)
+	p.endHeader()
+	p.raw(payload)
+	return p.endFrame()
 }
 
-// finishFrame prefixes the header p encoded into the pooled arena with
-// its length and appends the payload, then releases both. The only
-// allocation is the exact-size frame itself, which must be fresh
-// because na.Endpoint.Send captures the slice (the in-process receiver
-// aliases it), so sent frames can never come from a pool. One
-// allocation per frame is therefore the steady-state floor — batching
-// amortizes it across the sub-requests a frame carries.
-func finishFrame(arena *[]byte, p *Proc, err error, payload []byte) ([]byte, error) {
-	hb := p.buf
-	releaseProc(p)
-	var frame []byte
-	if err == nil {
-		frame = make([]byte, 0, 4+len(hb)+len(payload))
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(hb)))
-		frame = append(frame, hb...)
-		frame = append(frame, payload...)
-	}
-	PutArena(arena, hb)
-	return frame, err
-}
+// Largest encoded headers, for sizing a frame whose payload length is
+// known: every optional request field present with a fabric address of
+// ordinary length; every optional response field present. An
+// underestimate costs one move to the next frame class, nothing else.
+const (
+	reqHeaderMax  = 13 + 24 + 9 + (4 + 4 + 64 + 16) + 12
+	respHeaderMax = 2 + 8 + 4
+)
 
 // unpack decodes a request frame's header and returns the payload view.
 func (r *reqHeader) unpack(frame []byte) (payload []byte, err error) {

@@ -180,8 +180,8 @@ const TagUnexpected = 0
 
 // Event is a completion-queue entry. It is a plain value all the way
 // from the sender's Send to the reader's PollInto buffer: a received
-// message rides inline, so delivering one allocates nothing, and the
-// only heap bytes of a transfer are the frame its Data points at.
+// message rides inline, so delivering one allocates nothing: its Data
+// is the very slice the sender passed to Send.
 type Event struct {
 	Kind EventKind
 	// Msg is the received message, for EvRecv.

@@ -132,9 +132,23 @@ type sizeResp struct{ Size uint64 }
 
 func (a *sizeResp) Proc(pr *mercury.Proc) error { return pr.Uint64(&a.Size) }
 
+// call is the pooled per-call record of every BAKE RPC, on either side:
+// arguments and replies travel as mercury.Procable interfaces and would
+// otherwise escape from the stack on each call.
+type call struct {
+	create createArgs
+	region regionResp
+	window writeArgs
+	size   sizeResp
+}
+
+var calls mercury.Records[call]
+
 func (p *Provider) handleCreate(ctx *margo.Context) {
-	var in createArgs
-	if err := ctx.GetInput(&in); err != nil {
+	c := calls.Get()
+	defer calls.Put(c)
+	in := &c.create
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("bake: %v", err)
 		return
 	}
@@ -143,12 +157,15 @@ func (p *Provider) handleCreate(ctx *margo.Context) {
 	id := p.nextID
 	p.regions[id] = &region{data: make([]byte, in.Size)}
 	p.mu.Unlock()
-	ctx.Respond(&regionResp{RID: id})
+	c.region.RID = id
+	ctx.Respond(&c.region)
 }
 
 func (p *Provider) handleWrite(ctx *margo.Context) {
-	var in writeArgs
-	if err := ctx.GetInput(&in); err != nil {
+	c := calls.Get()
+	defer calls.Put(c)
+	in := &c.window
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("bake: %v", err)
 		return
 	}
@@ -171,8 +188,10 @@ func (p *Provider) handleWrite(ctx *margo.Context) {
 }
 
 func (p *Provider) handlePersist(ctx *margo.Context) {
-	var in regionResp
-	if err := ctx.GetInput(&in); err != nil {
+	c := calls.Get()
+	defer calls.Put(c)
+	in := &c.region
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("bake: %v", err)
 		return
 	}
@@ -189,8 +208,10 @@ func (p *Provider) handlePersist(ctx *margo.Context) {
 }
 
 func (p *Provider) handleRead(ctx *margo.Context) {
-	var in writeArgs // same shape: region window + client bulk window
-	if err := ctx.GetInput(&in); err != nil {
+	c := calls.Get()
+	defer calls.Put(c)
+	in := &c.window // same shape: region window + client bulk window
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("bake: %v", err)
 		return
 	}
@@ -211,8 +232,10 @@ func (p *Provider) handleRead(ctx *margo.Context) {
 }
 
 func (p *Provider) handleGetSize(ctx *margo.Context) {
-	var in regionResp
-	if err := ctx.GetInput(&in); err != nil {
+	c := calls.Get()
+	defer calls.Put(c)
+	in := &c.region
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("bake: %v", err)
 		return
 	}
@@ -221,12 +244,15 @@ func (p *Provider) handleGetSize(ctx *margo.Context) {
 		ctx.RespondError("bake: unknown region %d", in.RID)
 		return
 	}
-	ctx.Respond(&sizeResp{Size: uint64(len(r.data))})
+	c.size.Size = uint64(len(r.data))
+	ctx.Respond(&c.size)
 }
 
 func (p *Provider) handleRemove(ctx *margo.Context) {
-	var in regionResp
-	if err := ctx.GetInput(&in); err != nil {
+	c := calls.Get()
+	defer calls.Put(c)
+	in := &c.region
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("bake: %v", err)
 		return
 	}
@@ -262,46 +288,73 @@ func NewClient(inst *margo.Instance) (*Client, error) {
 
 // Create allocates a region of the given size at the target.
 func (c *Client) Create(self *abt.ULT, target string, size uint64) (uint64, error) {
-	var out regionResp
-	if err := c.inst.Forward(self, target, RPCCreate, &createArgs{Size: size}, &out); err != nil {
+	r := calls.Get()
+	defer calls.Put(r)
+	r.create.Size = size
+	if err := c.inst.Forward(self, target, RPCCreate, &r.create, &r.region); err != nil {
 		return 0, err
 	}
-	return out.RID, nil
+	return r.region.RID, nil
 }
 
 // Write transfers data into the region at off via target-side bulk pull.
 func (c *Client) Write(self *abt.ULT, target string, rid, off uint64, data []byte) error {
 	bulk := c.inst.BulkCreate(data)
 	defer c.inst.BulkFree(bulk)
-	args := writeArgs{RID: rid, RegionOff: off, Bulk: bulk, Size: uint64(len(data))}
-	return c.inst.Forward(self, target, RPCWrite, &args, nil)
+	return c.WriteFrom(self, target, rid, off, bulk, uint64(len(data)))
+}
+
+// WriteFrom is Write from a memory window someone else exposed: a
+// composing service hands its own client's bulk descriptor on, and BAKE
+// pulls straight from that client.
+func (c *Client) WriteFrom(self *abt.ULT, target string, rid, off uint64, bulk mercury.Bulk, size uint64) error {
+	return c.transfer(self, target, RPCWrite, rid, off, bulk, size)
+}
+
+func (c *Client) transfer(self *abt.ULT, target, rpc string, rid, off uint64, bulk mercury.Bulk, size uint64) error {
+	r := calls.Get()
+	defer calls.Put(r)
+	r.window = writeArgs{RID: rid, RegionOff: off, Bulk: bulk, Size: size}
+	return c.inst.Forward(self, target, rpc, &r.window, nil)
 }
 
 // Persist flushes the region to stable storage.
 func (c *Client) Persist(self *abt.ULT, target string, rid uint64) error {
-	return c.inst.Forward(self, target, RPCPersist, &regionResp{RID: rid}, nil)
+	r := calls.Get()
+	defer calls.Put(r)
+	r.region.RID = rid
+	return c.inst.Forward(self, target, RPCPersist, &r.region, nil)
 }
 
 // Read fills buf from the region at off via target-side bulk push.
 func (c *Client) Read(self *abt.ULT, target string, rid, off uint64, buf []byte) error {
 	bulk := c.inst.BulkCreate(buf)
 	defer c.inst.BulkFree(bulk)
-	args := writeArgs{RID: rid, RegionOff: off, Bulk: bulk, Size: uint64(len(buf))}
-	return c.inst.Forward(self, target, RPCRead, &args, nil)
+	return c.ReadInto(self, target, rid, off, bulk, uint64(len(buf)))
+}
+
+// ReadInto is Read into a memory window someone else exposed.
+func (c *Client) ReadInto(self *abt.ULT, target string, rid, off uint64, bulk mercury.Bulk, size uint64) error {
+	return c.transfer(self, target, RPCRead, rid, off, bulk, size)
 }
 
 // GetSize returns the region's allocated size.
 func (c *Client) GetSize(self *abt.ULT, target string, rid uint64) (uint64, error) {
-	var out sizeResp
-	if err := c.inst.Forward(self, target, RPCGetSize, &regionResp{RID: rid}, &out); err != nil {
+	r := calls.Get()
+	defer calls.Put(r)
+	r.region.RID = rid
+	if err := c.inst.Forward(self, target, RPCGetSize, &r.region, &r.size); err != nil {
 		return 0, err
 	}
-	return out.Size, nil
+	return r.size.Size, nil
 }
 
 // Remove deletes the region.
 func (c *Client) Remove(self *abt.ULT, target string, rid uint64) error {
-	if err := c.inst.Forward(self, target, RPCRemove, &regionResp{RID: rid}, nil); err != nil {
+	r := calls.Get()
+	defer calls.Put(r)
+	r.region.RID = rid
+	if err := c.inst.Forward(self, target, RPCRemove, &r.region, nil); err != nil {
 		return fmt.Errorf("bake: remove %d: %w", rid, err)
 	}
 	return nil

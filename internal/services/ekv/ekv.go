@@ -266,12 +266,15 @@ func (n *Node) pendingDonors(version uint64) []string {
 // Client-facing handlers.
 
 func (n *Node) handlePut(ctx *margo.Context) {
-	var in putArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := putCalls.Get()
+	defer putCalls.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("ekv: %v", err)
 		return
 	}
 	owner, version, unsettled := n.route(in.Key)
+	call.out = opResp{Status: statusOK, Version: version}
 	switch {
 	case owner == n.inst.Addr():
 		if err := n.db.Put(in.Key, in.Value); err != nil {
@@ -281,7 +284,6 @@ func (n *Node) handlePut(ctx *margo.Context) {
 		if unsettled {
 			n.markDirty(in.Key, version)
 		}
-		ctx.Respond(&opResp{Status: statusOK, Version: version})
 	case owner != "" && unsettled:
 		// Stale-routed write mid-migration: serve it rather than bounce
 		// the client — store locally (residual grace for readers still
@@ -291,25 +293,27 @@ func (n *Node) handlePut(ctx *margo.Context) {
 			ctx.RespondError("ekv: put: %v", err)
 			return
 		}
-		err := ctx.Forward(owner, RPCPeerPut, &putArgs{Key: in.Key, Value: in.Value, Version: version}, nil)
-		if err != nil {
+		in.Version = version
+		if err := ctx.Forward(owner, RPCPeerPut, in, nil); err != nil {
 			// Owner unreachable: do not ack a write we may not be able
 			// to hand off. Redirect; the client refreshes and retries.
 			n.wrongRoutes.Add(1)
-			ctx.Respond(&opResp{Status: statusWrongOwner, Version: version})
-			return
+			call.out.Status = statusWrongOwner
+		} else {
+			n.dualWrites.Add(1)
 		}
-		n.dualWrites.Add(1)
-		ctx.Respond(&opResp{Status: statusOK, Version: version})
 	default:
 		n.wrongRoutes.Add(1)
-		ctx.Respond(&opResp{Status: statusWrongOwner, Version: version})
+		call.out.Status = statusWrongOwner
 	}
+	ctx.Respond(&call.out)
 }
 
 func (n *Node) handleGet(ctx *margo.Context) {
-	var in getArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := getCalls.Get()
+	defer getCalls.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("ekv: %v", err)
 		return
 	}
@@ -322,37 +326,41 @@ func (n *Node) handleGet(ctx *margo.Context) {
 		return
 	}
 	owner, version, _ := n.route(in.Key)
-	if found {
-		ctx.Respond(&getResp{Status: statusOK, Version: version, Found: true, Value: v})
-		return
-	}
-	if owner != n.inst.Addr() {
+	call.out = getResp{Status: statusOK, Version: version, Found: found, Value: v}
+	switch {
+	case found:
+	case owner != n.inst.Addr():
 		n.wrongRoutes.Add(1)
-		ctx.Respond(&getResp{Status: statusWrongOwner, Version: version})
-		return
-	}
-	// Owner-side miss while donors are still streaming: the pair may be
-	// in flight. Read through to every peer that has not settled this
-	// round yet; first hit wins.
-	for _, donor := range n.pendingDonors(version) {
-		var out peerGetResp
-		if err := ctx.Forward(donor, RPCPeerGet, &peerGetArgs{Key: in.Key}, &out); err != nil {
-			continue
+		call.out.Status = statusWrongOwner
+	default:
+		// Owner-side miss while donors are still streaming: the pair may
+		// be in flight. Read through to every peer that has not settled
+		// this round yet; first hit wins. The hit is a view of the peer's
+		// response frame, which GetOutput made this handler's.
+		peer := peerGetCalls.Get()
+		defer peerGetCalls.Put(peer)
+		peer.in.Key = in.Key
+		for _, donor := range n.pendingDonors(version) {
+			if err := ctx.Forward(donor, RPCPeerGet, &peer.in, &peer.out); err != nil {
+				continue
+			}
+			if peer.out.Found {
+				n.readThroughs.Add(1)
+				call.out.Found, call.out.Value = true, peer.out.Value
+				break
+			}
 		}
-		if out.Found {
-			n.readThroughs.Add(1)
-			ctx.Respond(&getResp{Status: statusOK, Version: version, Found: true, Value: out.Value})
-			return
-		}
 	}
-	ctx.Respond(&getResp{Status: statusOK, Version: version})
+	ctx.Respond(&call.out)
 }
 
 // Peer handlers (migration protocol).
 
 func (n *Node) handlePeerPut(ctx *margo.Context) {
-	var in putArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := putCalls.Get()
+	defer putCalls.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("ekv: %v", err)
 		return
 	}
@@ -381,17 +389,19 @@ func (n *Node) handlePeerPut(ctx *margo.Context) {
 }
 
 func (n *Node) handlePeerGet(ctx *margo.Context) {
-	var in peerGetArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := peerGetCalls.Get()
+	defer peerGetCalls.Put(call)
+	if err := ctx.GetInput(&call.in); err != nil {
 		ctx.RespondError("ekv: %v", err)
 		return
 	}
-	v, found, err := n.db.Get(in.Key)
+	v, found, err := n.db.Get(call.in.Key)
 	if err != nil {
 		ctx.RespondError("ekv: peer get: %v", err)
 		return
 	}
-	ctx.Respond(&peerGetResp{Found: found, Value: v})
+	call.out = peerGetResp{Found: found, Value: v}
+	ctx.Respond(&call.out)
 }
 
 func (n *Node) handleMigratePush(ctx *margo.Context) {

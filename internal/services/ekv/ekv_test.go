@@ -2,12 +2,15 @@ package ekv
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/margo"
+	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
 	"symbiosys/internal/ssg"
 )
@@ -19,6 +22,7 @@ type env struct {
 	fabric *na.Fabric
 	root   *margo.Instance
 	host   *ssg.Host
+	group  *ssg.Group
 	nodes  []*Node
 	insts  []*margo.Instance
 	cliIn  *margo.Instance
@@ -38,7 +42,7 @@ func newTestEnv(t *testing.T, nodes int) *env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.host.Create(testGroup, false); err != nil {
+	if e.group, err = e.host.Create(testGroup, false); err != nil {
 		t.Fatal(err)
 	}
 	// A snappier policy than the default: dropped messages under the
@@ -122,15 +126,21 @@ func (e *env) run(fn func(self *abt.ULT) error) {
 	e.runOn(e.cliIn, fn)
 }
 
-// settleAll waits until every live joined node has finished rebalancing
-// its newest ring.
+// settleAll waits until every live joined node has seen the group's
+// current view and finished rebalancing it. (Settled alone is relative
+// to the node's own newest ring: a node the last membership change has
+// not reached yet is settled at the ring before it.)
 func (e *env) settleAll(live []*Node) {
 	e.t.Helper()
+	current := e.group.View().Version
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		allDone := true
 		for _, n := range live {
-			if !n.Settled() {
+			n.mu.Lock()
+			behind := !n.retiring && !n.closed && (n.ring == nil || n.ring.Version() < current)
+			n.mu.Unlock()
+			if behind || !n.Settled() {
 				allDone = false
 				break
 			}
@@ -332,4 +342,58 @@ func TestLossyLinkMigrationNoAckedLost(t *testing.T) {
 		t.Error("fault plan injected no drops — test exercised nothing")
 	}
 	e.verifyAll(nkeys)
+}
+
+// TestRoutingEndsAtItsDeadline: with every owner unreachable and the
+// membership unchanged there is no newer view to route with, ever. The
+// op keeps routing — well past the eight attempts it used to be allowed
+// — until the deadline of the request it is issued under, and fails
+// with a deadline error that names the view it was left with.
+func TestRoutingEndsAtItsDeadline(t *testing.T) {
+	e := newTestEnv(t, 2)
+	e.joinAll(0, 2)
+	e.run(func(self *abt.ULT) error { return e.cli.Attach(self) })
+	plan := na.NewFaultPlan(1)
+	for _, in := range e.insts {
+		plan.PartitionOneWay(e.cliIn.Addr(), in.Addr())
+	}
+	e.fabric.SetFaultPlan(plan)
+
+	var putErr error
+	done := make(chan struct{})
+	if err := e.cliIn.Register("probe_put", func(ctx *margo.Context) {
+		putErr = e.cli.Put(ctx.Self, []byte("k"), []byte("v"))
+		ctx.Respond(mercury.Void{})
+		close(done)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.root.RegisterClient("probe_put"); err != nil {
+		t.Fatal(err)
+	}
+	before := e.cli.Redirects()
+	start := time.Now()
+	u := e.root.Run("probe", func(self *abt.ULT) {
+		// The caller's own wait ends at the same deadline; what the
+		// handler's Put returned is read once the handler is done.
+		_ = e.root.ForwardEx(self, e.cliIn.Addr(), "probe_put", mercury.Void{}, nil,
+			margo.ForwardOpts{Deadline: start.Add(1500 * time.Millisecond)})
+	})
+	if err := u.Join(nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Put still routing 5s after its 1.5s deadline")
+	}
+	if !errors.Is(putErr, margo.ErrDeadlineExceeded) || !strings.Contains(putErr.Error(), "last view version") {
+		t.Fatalf("Put = %v, want a deadline error naming the last view version", putErr)
+	}
+	if took := time.Since(start); took < time.Second || took > 4*time.Second {
+		t.Errorf("Put gave up after %v, want about its 1.5s deadline", took)
+	}
+	if n := e.cli.Redirects() - before; n <= 8 {
+		t.Errorf("%d routing attempts before the deadline, want more than the old cap of 8", n)
+	}
 }

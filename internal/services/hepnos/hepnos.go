@@ -157,8 +157,19 @@ type Client struct {
 	batchSize int
 	totalDBs  int
 
-	pending []batch
+	// pending holds the open batch of each destination database, nil
+	// until its first event. keyBuf is where a key is formatted to be
+	// hashed, before it is known which batch's arena it belongs in.
+	pending []*batch
+	keyBuf  []byte
 	stored  uint64
+
+	// free holds the batches not in use: a flushed batch comes back here,
+	// from the flusher ULT in async mode, and the next event for a
+	// database without an open batch takes one. Nothing is allocated per
+	// flush once totalDBs + maxInflight batches exist.
+	freeMu sync.Mutex
+	free   []*batch
 
 	issueCost time.Duration
 	// issueDebt accumulates modeled issue cost and is paid in coarse
@@ -175,9 +186,65 @@ type Client struct {
 	asyncErr    error
 }
 
+// batch is the events queued for one database: the values as the
+// caller gave them, the keys as views of the batch's own arena. In async
+// mode it is also the flusher ULT's record, so it names its owner and
+// destination.
 type batch struct {
+	c    *Client
+	addr string
+	dbID uint32
 	keys [][]byte
 	vals [][]byte
+	// The key arena is a list of segments filled in turn, each twice the
+	// size of the one before (256 B to 16 KiB): growing it neither moves
+	// the keys already queued nor abandons a buffer, so a batch of any
+	// size allocates about what its keys occupy, once.
+	segs [][]byte
+	seg  int
+}
+
+// appendKey copies k into the arena and returns the copy.
+func (b *batch) appendKey(k []byte) []byte {
+	for ; ; b.seg++ {
+		if b.seg == len(b.segs) {
+			size := max(256<<min(len(b.segs), 6), len(k))
+			b.segs = append(b.segs, make([]byte, 0, size))
+		}
+		if s := b.segs[b.seg]; cap(s)-len(s) >= len(k) {
+			off := len(s)
+			s = append(s, k...)
+			b.segs[b.seg] = s
+			return s[off:len(s):len(s)]
+		}
+	}
+}
+
+// takeBatch returns an empty batch.
+func (c *Client) takeBatch() *batch {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	if n := len(c.free); n > 0 {
+		b := c.free[n-1]
+		c.free = c.free[:n-1]
+		return b
+	}
+	return &batch{c: c}
+}
+
+// recycle empties a flushed batch, keeping its capacity, and frees it.
+func (b *batch) recycle() {
+	clear(b.keys)
+	clear(b.vals)
+	b.keys, b.vals = b.keys[:0], b.vals[:0]
+	for i := range b.segs {
+		b.segs[i] = b.segs[i][:0]
+	}
+	b.seg = 0
+	c := b.c
+	c.freeMu.Lock()
+	c.free = append(c.free, b)
+	c.freeMu.Unlock()
 }
 
 // Options tunes a loader client.
@@ -220,7 +287,7 @@ func NewClient(inst *margo.Instance, servers []ServerInfo, opts Options) (*Clien
 		servers:     servers,
 		batchSize:   opts.BatchSize,
 		totalDBs:    total,
-		pending:     make([]batch, total),
+		pending:     make([]*batch, total),
 		maxInflight: opts.MaxInflight,
 		issueCost:   opts.IssueCost,
 	}
@@ -264,10 +331,14 @@ func (c *Client) locate(global int) (string, uint32) {
 // reaches BatchSize the batch is flushed with a single sdskv_put_packed
 // RPC from the calling ULT.
 func (c *Client) StoreEvent(self *abt.ULT, key EventKey, data []byte) error {
-	kb := key.Bytes()
-	idx := c.dbFor(kb)
-	b := &c.pending[idx]
-	b.keys = append(b.keys, kb)
+	c.keyBuf = key.AppendTo(c.keyBuf[:0])
+	idx := c.dbFor(c.keyBuf)
+	b := c.pending[idx]
+	if b == nil {
+		b = c.takeBatch()
+		c.pending[idx] = b
+	}
+	b.keys = append(b.keys, b.appendKey(c.keyBuf))
 	b.vals = append(b.vals, data)
 	if len(b.keys) >= c.batchSize {
 		return c.flushDB(self, idx)
@@ -278,8 +349,8 @@ func (c *Client) StoreEvent(self *abt.ULT, key EventKey, data []byte) error {
 // Flush ships every non-empty batch and, in async mode, waits for all
 // outstanding flushes to complete.
 func (c *Client) Flush(self *abt.ULT) error {
-	for idx := range c.pending {
-		if len(c.pending[idx].keys) > 0 {
+	for idx, b := range c.pending {
+		if b != nil && len(b.keys) > 0 {
 			if err := c.flushDB(self, idx); err != nil {
 				return err
 			}
@@ -289,18 +360,10 @@ func (c *Client) Flush(self *abt.ULT) error {
 }
 
 func (c *Client) flushDB(self *abt.ULT, idx int) error {
-	b := &c.pending[idx]
-	addr, dbID := c.locate(idx)
-	keys, vals := b.keys, b.vals
-	n := len(keys)
-	b.keys, b.vals = nil, nil
-	if n >= c.batchSize {
-		// This database fills its batches, so size the next one up
-		// front. One flushed part-full by Flush keeps growing by append:
-		// many databases sharing few events never reach BatchSize.
-		b.keys = make([][]byte, 0, n)
-		b.vals = make([][]byte, 0, n)
-	}
+	b := c.pending[idx]
+	c.pending[idx] = nil
+	b.addr, b.dbID = c.locate(idx)
+	n := len(b.keys)
 	if c.issueCost > 0 {
 		// Modeled request-preparation CPU: holds the stream, as the
 		// real packing work would. Paid in coarse slices (see issueDebt).
@@ -311,28 +374,46 @@ func (c *Client) flushDB(self *abt.ULT, idx int) error {
 		}
 	}
 	if c.window == nil {
-		if err := c.kv.PutPacked(self, addr, dbID, keys, vals); err != nil {
-			return fmt.Errorf("hepnos: put_packed to %s db %d: %w", addr, dbID, err)
+		err := b.put(self)
+		b.recycle()
+		if err != nil {
+			return err
 		}
 		c.stored += uint64(n)
 		return nil
 	}
 	// Async engine: issue from a detached ULT, bounded by the window.
 	// Nothing joins the flusher — the window permit it returns is the
-	// join — so the scheduler recycles its struct and goroutine.
+	// join — so the scheduler recycles its struct and goroutine, and the
+	// batch it is handed is its whole record.
 	c.window.Acquire(self)
-	c.inst.MainPool().CreateDetached("hepnos-flush", func(flusher *abt.ULT) {
-		defer c.window.Release()
-		if err := c.kv.PutPacked(flusher, addr, dbID, keys, vals); err != nil {
-			c.asyncErrMu.Lock()
-			if c.asyncErr == nil {
-				c.asyncErr = fmt.Errorf("hepnos: put_packed to %s db %d: %w", addr, dbID, err)
-			}
-			c.asyncErrMu.Unlock()
-		}
-	})
+	c.inst.MainPool().CreateDetachedWith("hepnos-flush", runFlush, b)
 	c.stored += uint64(n)
 	return c.takeAsyncErr()
+}
+
+// put ships the batch with one sdskv_put_packed RPC.
+func (b *batch) put(self *abt.ULT) error {
+	if err := b.c.kv.PutPacked(self, b.addr, b.dbID, b.keys, b.vals); err != nil {
+		return fmt.Errorf("hepnos: put_packed to %s db %d: %w", b.addr, b.dbID, err)
+	}
+	return nil
+}
+
+// runFlush is the body of an async flusher ULT; its data slot holds the
+// batch to ship.
+func runFlush(flusher *abt.ULT) {
+	b := flusher.Data().(*batch)
+	c := b.c
+	if err := b.put(flusher); err != nil {
+		c.asyncErrMu.Lock()
+		if c.asyncErr == nil {
+			c.asyncErr = err
+		}
+		c.asyncErrMu.Unlock()
+	}
+	b.recycle()
+	c.window.Release()
 }
 
 // waitOutstanding waits for every in-flight async flush by taking the

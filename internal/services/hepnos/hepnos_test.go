@@ -298,3 +298,57 @@ func TestDiscoverViaSSG(t *testing.T) {
 		t.Fatalf("stored %d events via discovered deployment", total)
 	}
 }
+
+// TestStoreEventAllocs pins the loader's hot path. Between flushes a
+// StoreEvent appends a key to its batch's arena and two slice headers,
+// nothing else. A flush hands the batch to sdskv (through a recycled
+// flusher ULT in async mode) and takes it back afterwards, so a
+// batch-of-one StoreEvent costs the whole process what its put_packed
+// round trip costs — under one object, the store's and the trace's
+// amortised chunks — with or without the async engine.
+func TestStoreEventAllocs(t *testing.T) {
+	if mercury.RaceEnabled {
+		t.Skip("pooled records are dropped at random under the race detector")
+	}
+	e := newEnv(t, 1, 1)
+	data := make([]byte, 512)
+	cases := []struct {
+		name string
+		opts Options
+		runs int
+	}{
+		// 1 + 1000 runs after a 1024-event warm-up: none of them flushes.
+		{"batch 1024 between flushes", Options{BatchSize: 1024}, 1000},
+		{"batch 1 synchronous", Options{BatchSize: 1}, 2000},
+		{"batch 1 async engine", Options{BatchSize: 1, MaxInflight: 64}, 2000},
+	}
+	for _, tc := range cases {
+		if err := e.run(t, func(self *abt.ULT) error {
+			c, err := NewClient(e.cli, e.infos, tc.opts)
+			if err != nil {
+				return err
+			}
+			var n uint64
+			var ferr error
+			store := func() {
+				n++
+				// 64 distinct keys, so the store overwrites in place.
+				if err := c.StoreEvent(self, EventKey{DataSet: "pin", Run: 1, Event: n % 64}, data); err != nil && ferr == nil {
+					ferr = err
+				}
+			}
+			for k := 0; k < 1024; k++ {
+				store()
+			}
+			if a := testing.AllocsPerRun(tc.runs, store); a != 0 {
+				t.Errorf("%s: StoreEvent allocates %.2f objects, want 0", tc.name, a)
+			}
+			if err := c.Flush(self); err != nil {
+				return err
+			}
+			return ferr
+		}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}

@@ -18,6 +18,8 @@ package mobject
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"strconv"
 	"time"
 
@@ -134,44 +136,89 @@ type extentMeta struct {
 	Size uint64
 }
 
-func (e *extentMeta) Proc(pr *mercury.Proc) error {
-	pr.Uint64(&e.RID)
-	pr.Uint64(&e.Size)
-	return pr.Err()
+// The omap value is the two fields as fixed-width little-endian words,
+// 16 bytes (what their mercury encoding has always been).
+func (e extentMeta) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, e.RID)
+	return binary.LittleEndian.AppendUint64(dst, e.Size)
 }
 
-// omap key helpers.
-func extentKey(obj string) []byte  { return []byte("omap/" + obj + "/extent/0") }
-func sizeKey(obj string) []byte    { return []byte("omap/" + obj + "/size") }
-func mtimeKey(obj string) []byte   { return []byte("omap/" + obj + "/mtime") }
-func versionKey(obj string) []byte { return []byte("omap/" + obj + "/version") }
-func omapPrefix(obj string) []byte { return []byte("omap/" + obj + "/") }
+func (e *extentMeta) parse(b []byte) error {
+	if len(b) != 16 {
+		return fmt.Errorf("mobject: extent record of %d bytes", len(b))
+	}
+	e.RID, e.Size = binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+	return nil
+}
+
+// Per-call records: arguments and replies travel as mercury.Procable
+// interfaces and would otherwise escape from the stack on each call.
+var (
+	writeOps mercury.Records[writeOpArgs]
+	readOps  mercury.Records[readOpCall]
+)
+
+type readOpCall struct {
+	in  readOpArgs
+	out readOpResp
+}
+
+// omap key suffixes; a key is "omap/<object>" + suffix.
+const (
+	extentSuffix  = "/extent/0"
+	sizeSuffix    = "/size"
+	mtimeSuffix   = "/mtime"
+	versionSuffix = "/version"
+	prefixSuffix  = "/"
+	// longestSuffix sizes the scratch buffer keys are built in.
+	longestSuffix = len(extentSuffix)
+)
+
+var mtimeValue = []byte("mtime")
+
+// omapKeys builds the omap keys of one object in the request's scratch
+// buffer, one at a time: each is handed to an sdskv call that has copied
+// or sent it by the time it returns, so the next may overwrite it.
+type omapKeys struct {
+	buf  []byte
+	base int // length of "omap/<object>"
+}
+
+func newOmapKeys(ctx *margo.Context, obj string) omapKeys {
+	buf := ctx.Scratch(len("omap/") + len(obj) + longestSuffix)[:0]
+	buf = append(append(buf, "omap/"...), obj...)
+	return omapKeys{buf: buf, base: len(buf)}
+}
+
+func (k omapKeys) with(suffix string) []byte { return append(k.buf[:k.base], suffix...) }
+
+// object returns the object name itself, the key of the oid index.
+func (k omapKeys) object() []byte { return k.buf[len("omap/"):k.base] }
 
 // handleWriteOp services one RADOS-like write: the 12-step sequence the
 // paper's trace study discovers. Step numbering is in the comments.
 func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
-	var in writeOpArgs
-	if err := ctx.GetInput(&in); err != nil {
+	in := writeOps.Get()
+	defer writeOps.Put(in)
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("mobject: %v", err)
 		return
 	}
 	self := n.inst.Addr()
+	keys := newOmapKeys(ctx, in.Object)
 
 	// 1. sdskv_get_rpc: resolve the object's oid in the name index.
-	oidRaw, found, err := n.kvC.Get(ctx.Self, self, n.oidID, []byte(in.Object))
-	if err != nil {
+	if _, _, err := n.kvC.Get(ctx.Self, self, n.oidID, keys.object()); err != nil {
 		ctx.RespondError("mobject: oid lookup: %v", err)
 		return
 	}
-	_ = oidRaw
-	_ = found
-	// The oid and, below, the size are formatted into one small buffer,
-	// reused because Put copies what it is given.
+	// The oid and, below, the extent and the size are formatted into one
+	// small buffer, reused because Put copies what it is given.
 	var num [20]byte
 	oid := strconv.AppendUint(num[:0], oidHash(in.Object), 16)
 
 	// 2. sdskv_put_rpc: create or refresh the name-index entry.
-	if err := n.kvC.Put(ctx.Self, self, n.oidID, []byte(in.Object), oid); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.oidID, keys.object(), oid); err != nil {
 		ctx.RespondError("mobject: oid put: %v", err)
 		return
 	}
@@ -183,9 +230,10 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 		return
 	}
 
-	// 4. bake_write_rpc: BAKE pulls the data straight from client
-	//    memory (RDMA between BAKE and the end-client, paper §V-A1).
-	if err := n.writeFromClient(ctx, rid, in); err != nil {
+	// 4. bake_write_rpc: the client's bulk descriptor is forwarded to the
+	//    colocated BAKE provider, which pulls the data straight from
+	//    client memory (RDMA between BAKE and the end-client, paper §V-A1).
+	if err := n.bakeC.WriteFrom(ctx.Self, self, rid, 0, in.Bulk, in.Size); err != nil {
 		ctx.RespondError("mobject: bake write: %v", err)
 		return
 	}
@@ -205,28 +253,26 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 
 	// 7. sdskv_put_rpc: record the extent mapping in the omap.
 	ext := extentMeta{RID: rid, Size: storedSize}
-	extBuf, _ := mercury.Encode(&ext)
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, extentKey(in.Object), extBuf); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(extentSuffix), ext.appendTo(num[:0])); err != nil {
 		ctx.RespondError("mobject: omap extent put: %v", err)
 		return
 	}
 
 	// 8. sdskv_put_rpc: record the object size.
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, sizeKey(in.Object),
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(sizeSuffix),
 		strconv.AppendUint(num[:0], storedSize, 10)); err != nil {
 		ctx.RespondError("mobject: omap size put: %v", err)
 		return
 	}
 
 	// 9. sdskv_put_rpc: record the modification time.
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, mtimeKey(in.Object),
-		[]byte("mtime")); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(mtimeSuffix), mtimeValue); err != nil {
 		ctx.RespondError("mobject: omap mtime put: %v", err)
 		return
 	}
 
 	// 10. sdskv_get_rpc: read the object version.
-	verRaw, _, err := n.kvC.Get(ctx.Self, self, n.omapID, versionKey(in.Object))
+	verRaw, _, err := n.kvC.Get(ctx.Self, self, n.omapID, keys.with(versionSuffix))
 	if err != nil {
 		ctx.RespondError("mobject: version get: %v", err)
 		return
@@ -234,7 +280,7 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 	version := len(verRaw) + 1 // monotonically growing marker
 
 	// 11. sdskv_put_rpc: bump the version.
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, versionKey(in.Object),
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(versionSuffix),
 		make([]byte, version)); err != nil {
 		ctx.RespondError("mobject: version put: %v", err)
 		return
@@ -242,7 +288,7 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 
 	// 12. sdskv_list_keyvals_rpc: scan the object's omap entries to
 	//     refresh the sequencer's view (the index-verification step).
-	if _, _, err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, omapPrefix(in.Object), 16); err != nil {
+	if _, _, err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, keys.with(prefixSuffix), 16); err != nil {
 		ctx.RespondError("mobject: omap scan: %v", err)
 		return
 	}
@@ -250,53 +296,21 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 	ctx.Respond(mercury.Void{})
 }
 
-// writeFromClient performs the real step-4 transfer: BAKE pulls in.Size
-// bytes from the client's bulk window into the region.
-func (n *ProviderNode) writeFromClient(ctx *margo.Context, rid uint64, in writeOpArgs) error {
-	// Forward the client's bulk descriptor to the colocated BAKE
-	// provider; BAKE's handler pulls from client memory one-sidedly.
-	args := struct {
-		RID       uint64
-		RegionOff uint64
-		Bulk      mercury.Bulk
-		BulkOff   uint64
-		Size      uint64
-	}{RID: rid, Bulk: in.Bulk, Size: in.Size}
-	wire := bakeWriteArgs(args)
-	return ctx.Forward(n.inst.Addr(), bake.RPCWrite, &wire, nil)
-}
-
-// bakeWriteArgs mirrors bake's write wire format (the descriptor shape
-// is part of BAKE's public protocol).
-type bakeWriteArgs struct {
-	RID       uint64
-	RegionOff uint64
-	Bulk      mercury.Bulk
-	BulkOff   uint64
-	Size      uint64
-}
-
-func (a *bakeWriteArgs) Proc(pr *mercury.Proc) error {
-	pr.Uint64(&a.RID)
-	pr.Uint64(&a.RegionOff)
-	a.Bulk.Proc(pr)
-	pr.Uint64(&a.BulkOff)
-	pr.Uint64(&a.Size)
-	return pr.Err()
-}
-
 // handleReadOp services one RADOS-like read: 4 discrete calls with the
 // omap listing dominant (paper Figure 6).
 func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
-	var in readOpArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := readOps.Get()
+	defer readOps.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("mobject: %v", err)
 		return
 	}
 	self := n.inst.Addr()
+	keys := newOmapKeys(ctx, in.Object)
 
 	// 1. sdskv_get_rpc: resolve the oid.
-	if _, found, err := n.kvC.Get(ctx.Self, self, n.oidID, []byte(in.Object)); err != nil {
+	if _, found, err := n.kvC.Get(ctx.Self, self, n.oidID, keys.object()); err != nil {
 		ctx.RespondError("mobject: oid lookup: %v", err)
 		return
 	} else if !found {
@@ -306,17 +320,17 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 
 	// 2. sdskv_list_keyvals_rpc: list the object's omap entries to find
 	//    its extents — the dominant step of mobject_read_op.
-	keys, vals, err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, omapPrefix(in.Object), 64)
+	ks, vals, err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, keys.with(prefixSuffix), 64)
 	if err != nil {
 		ctx.RespondError("mobject: omap list: %v", err)
 		return
 	}
 	var ext extentMeta
 	foundExt := false
-	want := extentKey(in.Object)
-	for i, k := range keys {
+	want := keys.with(extentSuffix)
+	for i, k := range ks {
 		if bytes.Equal(k, want) {
-			if err := mercury.Decode(vals[i], &ext); err != nil {
+			if err := ext.parse(vals[i]); err != nil {
 				ctx.RespondError("mobject: extent decode: %v", err)
 				return
 			}
@@ -334,19 +348,19 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 	if in.Size < size {
 		size = in.Size
 	}
-	rargs := bakeWriteArgs{RID: ext.RID, Bulk: in.Bulk, Size: size}
-	if err := ctx.Forward(self, bake.RPCRead, &rargs, nil); err != nil {
+	if err := n.bakeC.ReadInto(ctx.Self, self, ext.RID, 0, in.Bulk, size); err != nil {
 		ctx.RespondError("mobject: bake read: %v", err)
 		return
 	}
 
 	// 4. sdskv_get_rpc: fetch the object size for the reply.
-	if _, _, err := n.kvC.Get(ctx.Self, self, n.omapID, sizeKey(in.Object)); err != nil {
+	if _, _, err := n.kvC.Get(ctx.Self, self, n.omapID, keys.with(sizeSuffix)); err != nil {
 		ctx.RespondError("mobject: size get: %v", err)
 		return
 	}
 
-	ctx.Respond(&readOpResp{Size: size})
+	call.out.Size = size
+	ctx.Respond(&call.out)
 }
 
 func oidHash(name string) uint64 {
@@ -375,18 +389,21 @@ func NewClient(inst *margo.Instance) (*Client, error) {
 func (c *Client) WriteOp(self *abt.ULT, target, object string, data []byte) error {
 	bulk := c.inst.BulkCreate(data)
 	defer c.inst.BulkFree(bulk)
-	args := writeOpArgs{Object: object, Bulk: bulk, Size: uint64(len(data))}
-	return c.inst.Forward(self, target, RPCWriteOp, &args, nil)
+	args := writeOps.Get()
+	defer writeOps.Put(args)
+	*args = writeOpArgs{Object: object, Bulk: bulk, Size: uint64(len(data))}
+	return c.inst.Forward(self, target, RPCWriteOp, args, nil)
 }
 
 // ReadOp reads an object into buf, returning the bytes filled.
 func (c *Client) ReadOp(self *abt.ULT, target, object string, buf []byte) (uint64, error) {
 	bulk := c.inst.BulkCreate(buf)
 	defer c.inst.BulkFree(bulk)
-	args := readOpArgs{Object: object, Bulk: bulk, Size: uint64(len(buf))}
-	var out readOpResp
-	if err := c.inst.Forward(self, target, RPCReadOp, &args, &out); err != nil {
+	call := readOps.Get()
+	defer readOps.Put(call)
+	call.in = readOpArgs{Object: object, Bulk: bulk, Size: uint64(len(buf))}
+	if err := c.inst.Forward(self, target, RPCReadOp, &call.in, &call.out); err != nil {
 		return 0, err
 	}
-	return out.Size, nil
+	return call.out.Size, nil
 }

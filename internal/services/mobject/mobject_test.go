@@ -11,6 +11,7 @@ import (
 	"symbiosys/internal/abt"
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
+	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
 )
 
@@ -270,5 +271,45 @@ func TestWriteOpCallpathGolden(t *testing.T) {
 	}
 	if len(ids) != 1 || ids[0] != 0 {
 		t.Errorf("request IDs = %v, want one non-zero ID on all events", ids)
+	}
+}
+
+// TestWriteOpAllocs pins one composed write — thirteen RPCs on one
+// process, a bulk pull, three stores — at what its data costs: the BAKE
+// region and its record, the values two Gets and a listing copy out of
+// the store and the response frames those pin, the object name, the
+// version marker, and the stores' amortised growth. The RPC path itself
+// (frames, handles, call records, keys) adds nothing.
+func TestWriteOpAllocs(t *testing.T) {
+	if mercury.RaceEnabled {
+		t.Skip("pooled records are dropped at random under the race detector")
+	}
+	e := newEnv(t)
+	target := e.srv.Addr()
+	data := make([]byte, 4096)
+	if err := e.run(t, func(self *abt.ULT) error {
+		var n int
+		var ferr error
+		names := make([]string, 64)
+		for k := range names {
+			names[k] = fmt.Sprintf("pin.%08d", k)
+		}
+		write := func() {
+			n++
+			if err := e.client.WriteOp(self, target, names[n%len(names)], data); err != nil && ferr == nil {
+				ferr = err
+			}
+		}
+		for k := 0; k < 256; k++ {
+			write()
+		}
+		a := testing.AllocsPerRun(500, write)
+		t.Logf("WriteOp: %.0f objects", a)
+		if a > 20 {
+			t.Errorf("WriteOp allocates %.0f objects, want <= 20", a)
+		}
+		return ferr
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -34,16 +34,23 @@ func (c *Client) Open(self *abt.ULT, target, name, backend string) (uint32, erro
 
 // Put stores one key-value pair.
 func (c *Client) Put(self *abt.ULT, target string, db uint32, key, value []byte) error {
-	return c.inst.Forward(self, target, RPCPut, &putArgs{DBID: db, Key: key, Value: value}, nil)
+	in := putCalls.Get()
+	*in = putArgs{DBID: db, Key: key, Value: value}
+	err := c.inst.Forward(self, target, RPCPut, in, nil)
+	putCalls.Put(in)
+	return err
 }
 
-// Get retrieves the value stored under key.
+// Get retrieves the value stored under key. The value is a view of the
+// response frame, which is the caller's from then on.
 func (c *Client) Get(self *abt.ULT, target string, db uint32, key []byte) ([]byte, bool, error) {
-	var out getResp
-	if err := c.inst.Forward(self, target, RPCGet, &getArgs{DBID: db, Key: key}, &out); err != nil {
+	call := getCalls.Get()
+	defer getCalls.Put(call)
+	call.in = getArgs{DBID: db, Key: key}
+	if err := c.inst.Forward(self, target, RPCGet, &call.in, &call.out); err != nil {
 		return nil, false, err
 	}
-	return out.Value, out.Found, nil
+	return call.out.Value, call.out.Found, nil
 }
 
 // PutMulti stores n pairs, one logical RPC each, through the margo
@@ -99,19 +106,21 @@ func (c *Client) GetMulti(self *abt.ULT, target string, db uint32, keys [][]byte
 // after which no pull (of this try or a timed-out earlier one) can read
 // it, so it goes back to the pool.
 func (c *Client) PutPacked(self *abt.ULT, target string, db uint32, keys, values [][]byte) error {
-	batch := packedBatch{Keys: keys, Values: values}
-	size := batch.encodedSize()
+	call := packedCalls.Get()
+	defer packedCalls.Put(call)
+	call.batch = packedBatch{Keys: keys, Values: values}
+	size := call.batch.encodedSize()
 	arena := mercury.GetArena(size)
-	buf, err := mercury.AppendEncode(slices.Grow(*arena, size), &batch)
+	buf, err := mercury.AppendEncode(slices.Grow(*arena, size), &call.batch)
 	if err == nil {
 		bulk := c.inst.BulkCreate(buf)
-		args := putPackedArgs{
+		call.args = putPackedArgs{
 			DBID:    db,
 			NumKeys: uint32(len(keys)),
 			Bulk:    bulk,
 			Size:    uint64(len(buf)),
 		}
-		err = c.inst.Forward(self, target, RPCPutPacked, &args, nil)
+		err = c.inst.Forward(self, target, RPCPutPacked, &call.args, nil)
 		c.inst.BulkFree(bulk)
 	}
 	mercury.PutArena(arena, buf)
@@ -120,12 +129,13 @@ func (c *Client) PutPacked(self *abt.ULT, target string, db uint32, keys, values
 
 // ListKeyvals returns up to max pairs with keys >= start.
 func (c *Client) ListKeyvals(self *abt.ULT, target string, db uint32, start []byte, max int) ([][]byte, [][]byte, error) {
-	var out listResp
-	args := listArgs{DBID: db, StartKey: start, MaxKeys: uint32(max)}
-	if err := c.inst.Forward(self, target, RPCListKeyvals, &args, &out); err != nil {
+	call := listCalls.Get()
+	defer listCalls.Put(call)
+	call.in = listArgs{DBID: db, StartKey: start, MaxKeys: uint32(max)}
+	if err := c.inst.Forward(self, target, RPCListKeyvals, &call.in, &call.out); err != nil {
 		return nil, nil, err
 	}
-	return out.Keys, out.Values, nil
+	return call.out.Keys, call.out.Values, nil
 }
 
 // Length reports the number of pairs in the database.
@@ -152,5 +162,8 @@ func (c *Client) ListDatabases(self *abt.ULT, target string) (ids []uint32, name
 
 // Erase removes a key.
 func (c *Client) Erase(self *abt.ULT, target string, db uint32, key []byte) error {
-	return c.inst.Forward(self, target, RPCErase, &getArgs{DBID: db, Key: key}, nil)
+	call := getCalls.Get()
+	defer getCalls.Put(call)
+	call.in = getArgs{DBID: db, Key: key}
+	return c.inst.Forward(self, target, RPCErase, &call.in, nil)
 }

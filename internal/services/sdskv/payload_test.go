@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"unsafe"
 
 	"symbiosys/internal/abt"
+	"symbiosys/internal/core"
 	"symbiosys/internal/kv"
 	"symbiosys/internal/margo"
 	"symbiosys/internal/mercury"
@@ -210,43 +212,83 @@ func TestPutPackedRetriesNeverExposeARecycledBuffer(t *testing.T) {
 	}
 }
 
-// TestPutPackedRoundTripAllocs pins a whole single-pair packed put —
-// origin and target, the bulk pull and the backend insert included —
-// against the plain Forward round trip margo pins at 10 objects: the
-// payload path around it may add the store's amortised share (slab
-// chunk, tree nodes) and the target's two decoded slice headers, no
-// per-request buffer on either side.
-func TestPutPackedRoundTripAllocs(t *testing.T) {
-	if raceEnabled {
+// roundTripAllocs runs call on a client ULT of a StageFull deployment
+// until pools are warm, then reports what one call costs the whole
+// process: origin and target, progress ULTs, trace events included.
+func roundTripAllocs(t *testing.T, backend string, call func(e *env, self *abt.ULT, db uint32, n uint64) error) float64 {
+	t.Helper()
+	if mercury.RaceEnabled {
 		t.Skip("pooled records are dropped at random under the race detector")
 	}
 	e := newEnv(t, fastCfg)
-	db, err := e.prov.OpenLocal("pin", "map")
+	e.srv.SetStage(core.StageFull)
+	e.cli.SetStage(core.StageFull)
+	db, err := e.prov.OpenLocal("pin", backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, vals := [][]byte{make([]byte, 48)}, [][]byte{make([]byte, 512)}
+	var a float64
 	if err := e.run(t, func(self *abt.ULT) error {
 		var n uint64
 		var ferr error
-		put := func() {
+		one := func() {
 			n++
-			binary.BigEndian.PutUint64(keys[0], n)
-			if err := e.client.PutPacked(self, e.srv.Addr(), db, keys, vals); err != nil && ferr == nil {
+			if err := call(e, self, db, n); err != nil && ferr == nil {
 				ferr = err
 			}
 		}
 		for k := 0; k < 512; k++ {
-			put()
+			one()
 		}
-		a := testing.AllocsPerRun(2000, put)
-		t.Logf("PutPacked round trip: %.2f objects", a)
-		if a > 14 {
-			t.Errorf("PutPacked round trip allocates %.2f objects, want <= 14", a)
-		}
+		a = testing.AllocsPerRun(2000, one)
 		return ferr
 	}); err != nil {
 		t.Fatal(err)
+	}
+	return a
+}
+
+// TestPutPackedRoundTripAllocs pins a whole single-pair packed put —
+// origin and target, the bulk pull and the backend insert included: the
+// frames, handles, call records and the decoded batch are all recycled,
+// so what is left is the store's amortised share (slab chunk, tree
+// nodes, trace chunk), under one object per put.
+func TestPutPackedRoundTripAllocs(t *testing.T) {
+	keys, vals := [][]byte{make([]byte, 48)}, [][]byte{make([]byte, 512)}
+	a := roundTripAllocs(t, "map", func(e *env, self *abt.ULT, db uint32, n uint64) error {
+		binary.BigEndian.PutUint64(keys[0], n)
+		return e.client.PutPacked(self, e.srv.Addr(), db, keys, vals)
+	})
+	if a > 1 {
+		t.Errorf("PutPacked round trip allocates %.2f objects, want <= 1", a)
+	}
+}
+
+// TestPutGetRoundTripAllocs pins the single-pair calls the same way. A
+// Put leaves the store's share; a Get leaves the backend's copy of the
+// value and the response frame the caller's view of it pins.
+func TestPutGetRoundTripAllocs(t *testing.T) {
+	key, val := make([]byte, 48), make([]byte, 256)
+	put := func(e *env, self *abt.ULT, db uint32, n uint64) error {
+		binary.BigEndian.PutUint64(key, n%64)
+		return e.client.Put(self, e.srv.Addr(), db, key, val)
+	}
+	if a := roundTripAllocs(t, "map", put); a > 1 {
+		t.Errorf("Put round trip allocates %.2f objects, want <= 1", a)
+	}
+	a := roundTripAllocs(t, "map", func(e *env, self *abt.ULT, db uint32, n uint64) error {
+		if n <= 64 {
+			return put(e, self, db, n)
+		}
+		binary.BigEndian.PutUint64(key, n%64)
+		got, found, err := e.client.Get(self, e.srv.Addr(), db, key)
+		if err == nil && (!found || len(got) != len(val)) {
+			err = fmt.Errorf("get = %d bytes, found %v", len(got), found)
+		}
+		return err
+	})
+	if a > 2 {
+		t.Errorf("Get round trip allocates %.2f objects, want <= 2", a)
 	}
 }
 
@@ -272,7 +314,7 @@ func TestPackedBatchDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !raceEnabled && a > 2 {
+	if !mercury.RaceEnabled && a > 2 {
 		t.Errorf("Decode of a 64-pair batch allocates %.1f objects, want <= 2", a)
 	}
 	if len(out.Keys) != 64 || !bytes.Equal(out.Values[63], in.Values[63]) {

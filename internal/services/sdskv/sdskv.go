@@ -298,6 +298,46 @@ func (b *packedBatch) encodedSize() int {
 	return n
 }
 
+// Per-call records. Arguments and replies travel as mercury.Procable
+// interfaces, so each call's live in a pooled record instead of escaping
+// from the stack: the client and the handler of an RPC draw from the
+// same pool, each using the half it needs.
+type (
+	getCall struct {
+		in  getArgs
+		out getResp
+	}
+	listCall struct {
+		in    listArgs
+		out   listResp
+		reply listReply
+	}
+	packedCall struct {
+		args  putPackedArgs
+		batch packedBatch
+	}
+)
+
+var (
+	putCalls    mercury.Records[putArgs]
+	getCalls    mercury.Records[getCall]
+	listCalls   mercury.Records[listCall]
+	packedCalls mercury.Records[packedCall]
+)
+
+// unpackedBatches recycles the target's decoded batches with their
+// Keys/Values header arrays, which BytesSlice decodes into when they are
+// large enough: a thousand-pair put_packed allocates no headers.
+var unpackedBatches = sync.Pool{New: func() any { return new(packedBatch) }}
+
+// release drops the batch's views, keeps its capacity, and recycles it.
+func (b *packedBatch) release() {
+	clear(b.Keys)
+	clear(b.Values)
+	b.Keys, b.Values = b.Keys[:0], b.Values[:0]
+	unpackedBatches.Put(b)
+}
+
 // Handlers.
 
 func (p *Provider) handleOpen(ctx *margo.Context) {
@@ -326,8 +366,9 @@ func (d *database) withWriteLock(self *abt.ULT, fn func()) {
 }
 
 func (p *Provider) handlePut(ctx *margo.Context) {
-	var in putArgs
-	if err := ctx.GetInput(&in); err != nil {
+	in := putCalls.Get()
+	defer putCalls.Put(in)
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("sdskv: %v", err)
 		return
 	}
@@ -349,8 +390,10 @@ func (p *Provider) handlePut(ctx *margo.Context) {
 }
 
 func (p *Provider) handleGet(ctx *margo.Context) {
-	var in getArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := getCalls.Get()
+	defer getCalls.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("sdskv: %v", err)
 		return
 	}
@@ -365,12 +408,15 @@ func (p *Provider) handleGet(ctx *margo.Context) {
 		ctx.RespondError("sdskv: get: %v", err)
 		return
 	}
-	ctx.Respond(&getResp{Found: found, Value: v})
+	call.out = getResp{Found: found, Value: v}
+	ctx.Respond(&call.out)
 }
 
 func (p *Provider) handlePutPacked(ctx *margo.Context) {
-	var in putPackedArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := packedCalls.Get()
+	defer packedCalls.Put(call)
+	in := &call.args
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("sdskv: %v", err)
 		return
 	}
@@ -388,8 +434,9 @@ func (p *Provider) handlePutPacked(ctx *margo.Context) {
 		ctx.RespondError("sdskv: bulk pull: %v", err)
 		return
 	}
-	var batch packedBatch
-	if err := mercury.Decode(buf, &batch); err != nil {
+	batch := unpackedBatches.Get().(*packedBatch)
+	defer batch.release()
+	if err := mercury.Decode(buf, batch); err != nil {
 		ctx.RespondError("sdskv: unpack: %v", err)
 		return
 	}
@@ -414,8 +461,10 @@ func (p *Provider) handlePutPacked(ctx *margo.Context) {
 }
 
 func (p *Provider) handleList(ctx *margo.Context) {
-	var in listArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := listCalls.Get()
+	defer listCalls.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("sdskv: %v", err)
 		return
 	}
@@ -430,8 +479,8 @@ func (p *Provider) handleList(ctx *margo.Context) {
 		return
 	}
 	ctx.Compute(time.Duration(len(pairs)) * p.cfg.ListCostPerItem)
-	out := listReply(pairs)
-	ctx.Respond(&out)
+	call.reply = pairs
+	ctx.Respond(&call.reply)
 }
 
 func (p *Provider) handleLength(ctx *margo.Context) {
@@ -480,8 +529,10 @@ func (p *Provider) handleListDBs(ctx *margo.Context) {
 }
 
 func (p *Provider) handleErase(ctx *margo.Context) {
-	var in getArgs
-	if err := ctx.GetInput(&in); err != nil {
+	call := getCalls.Get()
+	defer getCalls.Put(call)
+	in := &call.in
+	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("sdskv: %v", err)
 		return
 	}

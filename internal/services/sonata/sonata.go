@@ -214,10 +214,22 @@ func (p *Provider) handleStoreMulti(ctx *margo.Context) {
 		ctx.RespondError("sonata: unknown collection %q", in.Coll)
 		return
 	}
+	// The documents are views of the request frame, which is recycled
+	// when the handler returns: the batch is copied once into a slab the
+	// collection owns.
+	size := 0
+	for _, d := range in.Docs {
+		size += len(d)
+	}
+	slab := make([]byte, 0, size)
 	var first uint64
 	c.wlock.Lock(ctx.Self)
 	first = uint64(len(c.docs))
-	c.docs = append(c.docs, in.Docs...)
+	for _, d := range in.Docs {
+		off := len(slab)
+		slab = append(slab, d...)
+		c.docs = append(c.docs, slab[off:len(slab):len(slab)])
+	}
 	c.parsed = append(c.parsed, in.Parsed...)
 	c.wlock.Unlock()
 	ctx.Compute(time.Duration(len(in.Docs)) * p.cfg.StoreCostPerDoc)

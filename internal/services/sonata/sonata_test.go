@@ -305,3 +305,51 @@ func TestCompileNeverPanicsProperty(t *testing.T) {
 		}()
 	}
 }
+
+// TestStoredDocsSurviveFrameReuse: sonata is the service that keeps
+// what its inputs carried. Small batches arrive as views of their
+// request frames, which are recycled (and, under the race detector,
+// overwritten) as soon as each handler returns; a thousand more
+// requests then pass through the same pool. Every document must fetch
+// back byte for byte, and each fetched view must outlive the fetches
+// that follow it.
+func TestStoredDocsSurviveFrameReuse(t *testing.T) {
+	e := newEnv(t)
+	const batches, perBatch = 200, 3
+	want := make([][]byte, 0, batches*perBatch)
+	err := e.run(t, func(self *abt.ULT) error {
+		if err := e.client.CreateCollection(self, e.srv.Addr(), "reuse"); err != nil {
+			return err
+		}
+		for b := 0; b < batches; b++ {
+			docs := make([][]byte, perBatch)
+			for k := range docs {
+				docs[k] = GenerateRecord(b*perBatch+k, 130+7*(b%9))
+			}
+			if _, err := e.client.StoreMultiJSON(self, e.srv.Addr(), "reuse", docs); err != nil {
+				return err
+			}
+			want = append(want, docs...)
+			if _, err := e.client.CollectionSize(self, e.srv.Addr(), "reuse"); err != nil {
+				return err
+			}
+		}
+		got := make([][]byte, len(want))
+		for id := range want {
+			d, found, err := e.client.Fetch(self, e.srv.Addr(), "reuse", uint64(id))
+			if err != nil || !found {
+				return fmt.Errorf("fetch %d: found %v, %v", id, found, err)
+			}
+			got[id] = d
+		}
+		for id := range want {
+			if string(got[id]) != string(want[id]) {
+				return fmt.Errorf("document %d read back as %q, stored %q", id, got[id], want[id])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
