@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet orphans check bench bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke
+.PHONY: all build test race vet orphans surface check bench bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke
 
 all: check
 
@@ -21,6 +21,20 @@ orphans:
 		cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
 	orphans=$$($(GO) list ./internal/... | grep -vxF "$$imported"); \
 	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
+
+# surface prints the size numbers a re-anchor quotes: Go lines of the
+# root module (benchmark/ is a module of its own) outside and inside
+# tests, the same per package, the binaries under cmd/, and DESIGN.md.
+# It counts tracked files, so `git add` new ones first.
+surface:
+	@files=$$(git ls-files '*.go' | grep -v '^benchmark/'); \
+	echo "non-test Go lines: $$(echo "$$files" | grep -v _test.go | xargs cat | wc -l)"; \
+	echo "test Go lines:     $$(echo "$$files" | grep _test.go | xargs cat | wc -l)"; \
+	echo "cmd/ binaries:     $$(git ls-files 'cmd/*/main.go' | wc -l)"; \
+	echo "DESIGN.md bytes:   $$(wc -c < DESIGN.md)"; \
+	echo "non-test lines per package:"; \
+	echo "$$files" | grep -v _test.go | while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \
+		awk '{n[$$1] += $$2} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2
 
 # Race-detector pass over the concurrency-heavy packages: the sharded
 # measurement collector, the Margo instrumentation that records into it

@@ -113,8 +113,8 @@ func printStats(dir string, capEvents uint64, mode, out string) {
 		}
 		if ts.Dropped > 0 {
 			fmt.Printf("\nWARNING: %d trace events were dropped at the capacity bound;\n"+
-				"the summary above undercounts. Raise the trace capacity (margo\n"+
-				"Options.TraceCapacity) or attach a streaming JSONL sink.\n", ts.Dropped)
+				"the summary above undercounts. Attach a streaming JSONL sink (margo\n"+
+				"Options.TraceSinks): it sees every event, also those the buffer drops.\n", ts.Dropped)
 		}
 		return
 	}

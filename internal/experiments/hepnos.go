@@ -30,10 +30,6 @@ type HEPnOSConfig struct {
 	Databases            int // databases per server process
 	ClientProgressThread bool
 	OFIMaxEvents         int
-	// ServerOFIMaxEvents overrides the servers' progress read budget
-	// when non-zero (isolation experiments); the paper's knob is the
-	// client-side budget.
-	ServerOFIMaxEvents int
 
 	// Workload shape (scaled for the simulated platform).
 	EventsPerClient  int
@@ -270,7 +266,7 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 			Name:           fmt.Sprintf("hepnos%d", i),
 			HandlerStreams: cfg.Threads,
 			Stage:          cfg.Stage,
-			OFIMaxEvents:   serverOFI(cfg),
+			OFIMaxEvents:   cfg.OFIMaxEvents,
 		})
 		if err != nil {
 			return nil, nil, nil, err
@@ -371,12 +367,4 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 	res.BlockedSeries = traces.BlockedULTSeries(sdskv.RPCPutPacked)
 	res.OFISeries = traces.OFIEventsReadSeries("")
 	return res, profiles, traceDumps, nil
-}
-
-// serverOFI picks the server-side progress read budget.
-func serverOFI(cfg HEPnOSConfig) int {
-	if cfg.ServerOFIMaxEvents > 0 {
-		return cfg.ServerOFIMaxEvents
-	}
-	return cfg.OFIMaxEvents
 }

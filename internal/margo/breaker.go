@@ -23,8 +23,8 @@ var ErrCircuitOpen = errors.New("margo: circuit breaker open")
 // trips after Threshold consecutive overload-class failures —
 // ErrOverloaded sheds, deadline rejections, per-try timeouts, and
 // fabric partition errors — then fast-fails locally for Cooldown before
-// letting a single probe through (half-open). ProbeSuccesses successive
-// probe completions close it again; a failed probe re-opens it.
+// letting a single probe through (half-open). A probe that succeeds
+// closes it again; one that fails re-opens it.
 type BreakerPolicy struct {
 	// Threshold is the consecutive overload-class failure count that
 	// trips the breaker. Default 5.
@@ -32,9 +32,6 @@ type BreakerPolicy struct {
 	// Cooldown is how long an open breaker fast-fails before admitting
 	// a half-open probe. Default 50ms.
 	Cooldown time.Duration
-	// ProbeSuccesses is how many consecutive half-open probes must
-	// succeed to close the breaker. Default 1.
-	ProbeSuccesses int
 }
 
 func (p BreakerPolicy) withDefaults() BreakerPolicy {
@@ -43,9 +40,6 @@ func (p BreakerPolicy) withDefaults() BreakerPolicy {
 	}
 	if p.Cooldown <= 0 {
 		p.Cooldown = 50 * time.Millisecond
-	}
-	if p.ProbeSuccesses <= 0 {
-		p.ProbeSuccesses = 1
 	}
 	return p
 }
@@ -81,13 +75,12 @@ type breakerKey struct {
 // the forward path takes it twice per attempt (allow + record), which
 // is cheap next to an RPC round trip.
 type breaker struct {
-	mu        sync.Mutex
-	pol       BreakerPolicy
-	state     breakerState
-	failures  int       // consecutive overload-class failures (closed)
-	successes int       // consecutive probe successes (half-open)
-	openedAt  time.Time // when the circuit last opened
-	probing   bool      // a half-open probe is in flight
+	mu       sync.Mutex
+	pol      BreakerPolicy
+	state    breakerState
+	failures int       // consecutive overload-class failures (closed)
+	openedAt time.Time // when the circuit last opened
+	probing  bool      // a half-open probe is in flight
 }
 
 // allow reports whether an attempt may proceed. In the open state it
@@ -105,7 +98,6 @@ func (b *breaker) allow(now time.Time) bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.successes = 0
 		b.probing = true
 		return true
 	default: // half-open: one probe at a time
@@ -143,15 +135,11 @@ func (b *breaker) record(now time.Time, failed, overloadClass bool) (tripped boo
 		if failed && overloadClass {
 			b.state = breakerOpen
 			b.openedAt = now
-			b.successes = 0
 			return true
 		}
 		if !failed {
-			b.successes++
-			if b.successes >= b.pol.ProbeSuccesses {
-				b.state = breakerClosed
-				b.failures = 0
-			}
+			b.state = breakerClosed
+			b.failures = 0
 		}
 	case breakerOpen:
 		// A straggler attempt admitted before the trip completed; its

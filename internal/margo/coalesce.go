@@ -1,7 +1,6 @@
 package margo
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -13,44 +12,28 @@ import (
 	"symbiosys/internal/mercury"
 )
 
-// This file is the client-side coalescer (ISSUE 6 tentpole, layer 2):
-// same-(target, RPC) forwards accumulate in an adaptive batch window
-// and leave as one vectored mercury.ForwardBatch; the per-entry reply
-// statuses fan back out to the waiting ULTs. The window flushes when it
-// fills (ops or bytes), when its adaptive delay elapses, when a
-// member's propagated deadline makes waiting dangerous, or when the
-// instance drains. Retry semantics are batch-aware: failures the fabric
-// reported before delivery retry the whole batch, ambiguous failures
-// (per-try timeouts) retry only when the RPC is idempotent — a window
-// only ever holds one RPC name, so "retry the idempotent members"
-// reduces to a per-window decision — and per-entry verdicts from the
-// target (shed, expired, handler error) are final. The breaker is
-// consulted once per flush: an open circuit fast-fails the entire
-// window, and one outcome per attempt feeds the circuit.
+// This file is the client-side coalescer: same-(target, RPC) forwards
+// accumulate in an adaptive batch window and leave as one vectored
+// mercury.ForwardBatch; the per-entry reply statuses fan back out to the
+// waiting ULTs. The window flushes when it fills (ops or bytes), when its
+// adaptive delay elapses, when a member's propagated deadline makes
+// waiting dangerous, or when the instance drains. Each member is one
+// originOp and each flush attempt gets the verdict of a single forward's
+// attempt (forward.go): one breaker consultation and one outcome per
+// attempt, whole-window retries of failures the fabric reported before
+// delivery and, for an idempotent RPC, of per-try timeouts — a window
+// holds one RPC name, so "retry the idempotent members" is a per-window
+// decision. Per-entry verdicts from the target (shed, expired, handler
+// error) arrive inside a successful exchange and are final.
 
-// Batch-coalescer PVAR names, exported like the resilience counters.
-const (
-	PVarNumBatchesFlushed = "num_batches_flushed"
-	PVarNumBatchedOps     = "num_batched_ops"
-	PVarNumBatchRetries   = "num_batch_retries"
-	PVarBatchOccupancy    = "batch_window_occupancy"
-)
-
-// batchOp is one coalesced forward waiting for its window to complete.
-// Ops are pooled; everything here is overwritten on acquire.
+// batchOp is one coalesced forward waiting for its window to complete:
+// one t1–t14 chain per logical op. Ops are pooled; everything here is
+// overwritten on acquire.
 type batchOp struct {
+	originOp
 	out   mercury.Procable
 	res   *error   // caller's per-op error slot
 	group *opGroup // completion group of the issuing call
-
-	// Per-op trace identity (one t1–t14 chain per logical op).
-	ultID   uint64
-	reqID   uint64
-	bc      core.Breadcrumb
-	order   uint64
-	t1      time.Time
-	dlNanos int64
-	prio    uint8
 }
 
 var batchOpPool = sync.Pool{New: func() any { return new(batchOp) }}
@@ -87,8 +70,7 @@ type coalescer struct {
 	ops     []*batchOp
 	opsBox  *[]*batchOp
 	timer   *time.Timer
-	timerAt int64  // unix nanos the armed timer fires at (0 = unarmed)
-	gen     uint64 // window generation, invalidates stale timer fires
+	timerAt int64 // unix nanos the armed timer fires at (0 = unarmed)
 }
 
 // coalescerFor returns (lazily creating) the window for one (target,
@@ -169,46 +151,19 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 	i := co.i
 	stage := i.prof.Stage()
 
-	// Resolve the per-op identity exactly like forward(): breadcrumb
-	// ancestry, request ID, and the inherited deadline/priority.
-	bc, reqID, dlNanos, prio := i.inherit(self, co.rpc, stage)
-	if dlNanos != 0 && time.Now().UnixNano() > dlNanos {
-		// Already expired: fail without occupying a window slot.
-		i.exhaustedTotal.Add(1)
-		return fmt.Errorf("%w: %s", mercury.ErrDeadlineExpired, co.rpc)
-	}
-
 	op := batchOpPool.Get().(*batchOp)
+	// An op that arrives already expired fails here, without occupying a
+	// window slot. The deadline does not bound the wait client-side as it
+	// does for a single forward: it pulls the window's flush forward.
+	if _, err := i.beginOp(&op.originOp, self, stage, co.target, co.rpc, ForwardOpts{}); err != nil {
+		batchOpPool.Put(op)
+		return err
+	}
 	op.out, op.res, op.group = out, res, group
-	op.ultID, op.reqID, op.bc = self.ID(), reqID, bc
-	op.dlNanos, op.prio = dlNanos, prio
-
-	meta := mercury.Meta{DeadlineNanos: dlNanos, Priority: prio}
-	if stage.Injects() {
-		meta.HasTrace = true
-		meta.Breadcrumb = uint64(bc)
-		meta.RequestID = reqID
-		meta.Order = i.prof.Clock.Tick()
-	}
-	op.order = meta.Order
-
-	op.t1 = time.Now()
-	if stage.Measures() {
-		// t1 for this logical op: it enters the coalescer window. The
-		// matching EvOriginEnd (stamped with the batch ID at fan-out)
-		// closes the chain.
-		i.prof.EmitAt(self.ID(), core.Event{
-			RequestID:  reqID,
-			Order:      meta.Order,
-			Kind:       core.EvOriginStart,
-			Timestamp:  i.prof.StampNanos(op.t1),
-			Entity:     i.Addr(),
-			Peer:       co.target,
-			RPCName:    co.rpc,
-			Breadcrumb: uint64(bc),
-			Sys:        i.sysSample(i.mainPool),
-		})
-	}
+	// t1 for this logical op: it enters the coalescer window. The
+	// matching EvOriginEnd (stamped with the batch ID at fan-out) closes
+	// the chain.
+	meta := i.originStart(&op.originOp, stage, co.target, co.rpc, false)
 
 	pol := *i.batchPol
 	co.mu.Lock()
@@ -226,12 +181,12 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 		return fmt.Errorf("margo: encode batched input for %s: %w", co.rpc, err)
 	}
 	co.ops = append(co.ops, op)
-	co.win.Add(co.builder.Bytes()-preBytes, dlNanos)
+	co.win.Add(co.builder.Bytes()-preBytes, op.dlNanos)
 
 	if reason := pol.Due(&co.win); reason != batch.ReasonNone {
 		fl := co.takeLocked(reason)
 		co.mu.Unlock()
-		i.sendBatch(fl, 0)
+		i.sendBatch(fl)
 		return nil
 	}
 	co.armTimerLocked(pol)
@@ -259,8 +214,8 @@ func (co *coalescer) armTimerLocked(pol batch.Policy) {
 	co.timerAt = at
 }
 
-// onTimer flushes the window whose arming generation is still current.
-// It runs on a runtime timer goroutine, outside any ULT.
+// onTimer flushes the window that is open when it fires, if any. It
+// runs on a runtime timer goroutine, outside any ULT.
 func (co *coalescer) onTimer() {
 	co.mu.Lock()
 	if co.builder == nil || co.builder.Count() == 0 {
@@ -271,7 +226,7 @@ func (co *coalescer) onTimer() {
 	_, reason := (*co.i.batchPol).FlushAt(&co.win)
 	fl := co.takeLocked(reason)
 	co.mu.Unlock()
-	co.i.sendBatch(fl, 0)
+	co.i.sendBatch(fl)
 }
 
 // batchFlight is one in-flight vectored forward: the frozen window
@@ -283,11 +238,15 @@ type batchFlight struct {
 	ops     []*batchOp
 	opsBox  *[]*batchOp
 	batchID uint64
-	reason  batch.Reason
 	// sentNanos is when the frame first left the process (or was
 	// fast-failed by an open breaker): the end of the members'
 	// batch-window wait, stamped as WindowNanos on their t14 events.
 	sentNanos int64
+	// The attempt in flight: its number, the circuit it reports to and
+	// the call record whose per-try timer guards it.
+	attempt int
+	br      *breaker
+	call    *originCall
 }
 
 // takeLocked freezes the open window into a flight and resets the
@@ -299,10 +258,8 @@ func (co *coalescer) takeLocked(reason batch.Reason) *batchFlight {
 		ops:     co.ops,
 		opsBox:  co.opsBox,
 		batchID: co.i.batchSeq.Add(1),
-		reason:  reason,
 	}
 	co.builder, co.ops, co.opsBox = nil, nil, nil
-	co.gen++
 	co.timerAt = 0
 	if co.timer != nil {
 		co.timer.Stop()
@@ -311,121 +268,73 @@ func (co *coalescer) takeLocked(reason batch.Reason) *batchFlight {
 	return fl
 }
 
-// sendBatch issues one attempt of a flight. It may be called from an
-// application ULT (inline size flush), a timer goroutine (window
-// flush), or the progress ULT (retry); none of them block.
-func (i *Instance) sendBatch(fl *batchFlight, attempt int) {
-	now := time.Now()
+// sendBatch issues the next attempt of a flight. It may be called from
+// an application ULT (inline size flush), a timer goroutine (window
+// flush or retry backoff) or a drain; none of them block.
+func (i *Instance) sendBatch(fl *batchFlight) {
+	co := fl.co
 	if fl.sentNanos == 0 {
-		fl.sentNanos = now.UnixNano()
+		fl.sentNanos = time.Now().UnixNano()
 	}
-	br := i.breakerFor(fl.co.target, fl.co.rpc)
-	if br != nil && !br.allow(now) {
-		// Open circuit: the entire window fast-fails locally. The error
-		// is final for these members — unlike the forward() loop there
-		// is no ULT here to park through a cooldown backoff, and the
-		// members' issuers are already parked expecting one verdict.
-		i.breakerFastFailsTotal.Add(1)
-		fl.complete(fmt.Errorf("%w: %s to %s", ErrCircuitOpen, fl.co.rpc, fl.co.target), now)
-		return
-	}
-	mh, err := i.hg.Create(fl.co.target, fl.co.rpc)
-	if err != nil {
+	fl.br = i.breakerFor(co.target, co.rpc)
+	if err := i.admit(fl.br, co.target, co.rpc); err != nil {
+		// To a window an open circuit is final: there is no ULT here to
+		// park through a cooldown backoff, and the members' issuers are
+		// already parked expecting one verdict.
 		fl.complete(err, time.Now())
 		return
 	}
-	var timerFired atomic.Bool
-	var tryTimer *time.Timer
-	if i.retry != nil && i.retry.pol.PerTryTimeout > 0 {
-		// The timer holds a handle reference until it is stopped in time
-		// or has fired, so a late timeout cancels this attempt's handle
-		// (a no-op by then), never a recycled one.
-		mh.Ref()
-		tryTimer = time.AfterFunc(i.retry.pol.PerTryTimeout, func() {
-			timerFired.Store(true)
-			mh.Cancel()
-			mh.Unref()
-		})
-	}
-	stopTimer := func() {
-		if tryTimer != nil && tryTimer.Stop() {
-			mh.Unref()
+	fl.call = callPool.Get().(*originCall)
+	mh, err := i.hg.Create(co.target, co.rpc)
+	if err == nil {
+		mh.SetData(fl)
+		// Armed before the send: the completion may run, and release the
+		// record, on another stream before ForwardBatch returns here.
+		if d := i.retry.tryTimeout(0); d > 0 {
+			fl.call.arm(mh, d)
 		}
-	}
-	err = mh.ForwardBatch(fl.batchID, fl.builder, func(h *mercury.Handle, err error) {
-		// Runs at t14 in the progress ULT's Trigger pass.
-		stopTimer()
-		t14 := time.Now()
-		if err == nil {
-			if br != nil {
-				br.record(t14, false, false)
-			}
-			if i.retry != nil {
-				i.retry.success()
-			}
-			fl.fanOut(h, t14)
-			h.Destroy()
+		if err = mh.ForwardBatch(fl.batchID, fl.builder, batchDone); err == nil {
 			return
 		}
-		timedOut := timerFired.Load() && errors.Is(err, mercury.ErrCanceled)
-		if timedOut {
-			i.timeoutsTotal.Add(1)
-		} else if errors.Is(err, mercury.ErrCanceled) {
-			i.cancelsTotal.Add(1)
-		}
-		if br != nil && br.record(t14, true, overloadClass(err, timedOut)) {
-			i.breakerTripsTotal.Add(1)
-		}
-		h.Destroy()
-		if i.retryBatch(fl, attempt, err, timedOut) {
-			return
-		}
-		fl.complete(err, t14)
-	})
-	if err != nil {
-		stopTimer()
-		if br != nil && br.record(time.Now(), true, overloadClass(err, false)) {
-			i.breakerTripsTotal.Add(1)
-		}
-		mh.Destroy()
-		if i.retryBatch(fl, attempt, err, false) {
-			return
-		}
-		fl.complete(err, time.Now())
 	}
+	fl.attemptDone(mh, err)
 }
 
-// retryBatch decides whether a failed attempt re-sends the flight and,
-// if so, schedules it after the policy backoff. Ambiguous failures
-// (timeouts: the batch may have executed) retry only when the window's
-// RPC is idempotent; a window holds exactly one RPC name, so the
-// ISSUE's "retry only the idempotent members" is a whole-window
-// decision. Per-entry target verdicts never reach here — they arrive
-// inside a successful exchange.
-func (i *Instance) retryBatch(fl *batchFlight, attempt int, err error, timedOut bool) bool {
-	rs := i.retry
-	if rs == nil {
-		return false
+// batchDone is forwardDone for a window's vectored forward: it runs at
+// t14 in the progress ULT's Trigger pass, and the handle carries the
+// flight.
+func batchDone(h *mercury.Handle, err error) {
+	h.Data().(*batchFlight).attemptDone(h, err)
+}
+
+// attemptDone takes the verdict on the flight's attempt and acts on it:
+// fan the replies out, re-send the window after the policy's backoff, or
+// fail every member with the final error. Nothing here blocks, so the
+// backoff rides a timer where a single forward's ULT sleeps it. h is nil
+// when no handle could be created.
+func (fl *batchFlight) attemptDone(h *mercury.Handle, err error) {
+	t14 := time.Now()
+	i, co := fl.co.i, fl.co
+	timerFired := fl.call.timerFired.Load()
+	fl.call.release()
+	fl.call = nil
+	timedOut := i.attemptDone(fl.br, err, timerFired)
+	if err == nil {
+		fl.fanOut(h, t14)
+		h.Destroy()
+		return
 	}
-	if !i.retryable(err, timedOut, fl.co.rpc) {
-		return false
+	if h != nil {
+		h.Destroy()
 	}
-	if attempt+1 >= rs.pol.MaxAttempts {
-		i.exhaustedTotal.Add(1)
-		return false
+	backoff, final := i.retryVerdict(co.target, co.rpc, fl.attempt, err, timedOut)
+	if final != nil {
+		fl.complete(final, t14)
+		return
 	}
-	if !rs.allow() {
-		i.exhaustedTotal.Add(1)
-		return false
-	}
-	i.retriesTotal.Add(1)
+	fl.attempt++
 	i.batchStats.RecordRetry()
-	backoff := rs.backoff(attempt)
-	if backoff <= 0 {
-		backoff = time.Microsecond
-	}
-	time.AfterFunc(backoff, func() { i.sendBatch(fl, attempt+1) })
-	return true
+	time.AfterFunc(max(backoff, time.Microsecond), func() { i.sendBatch(fl) })
 }
 
 // fanOut distributes a successful exchange's per-entry verdicts to the
@@ -456,51 +365,20 @@ func (fl *batchFlight) fanOut(h *mercury.Handle, t14 time.Time) {
 
 // complete fails every member with the same transport-level error.
 func (fl *batchFlight) complete(err error, t14 time.Time) {
-	i := fl.co.i
-	stage := i.prof.Stage()
+	stage := fl.co.i.prof.Stage()
 	for _, op := range fl.ops {
-		operr := err
-		fl.completeOp(op, operr, t14, stage)
+		fl.completeOp(op, err, t14, stage)
 	}
 	fl.release()
 }
 
 // completeOp finishes one member: trace end event (carrying the batch
-// ID), callpath attribution, the caller's error slot, and the group
-// countdown. The op returns to its pool.
+// ID and the op's wait in the window), callpath attribution, the
+// caller's error slot, and the group countdown. The op returns to its
+// pool.
 func (fl *batchFlight) completeOp(op *batchOp, err error, t14 time.Time, stage core.Stage) {
-	i := fl.co.i
-	if stage.Measures() {
-		originExec := t14.Sub(op.t1)
-		var comps [core.NumComponents]uint64
-		comps[core.CompOriginExec] = uint64(originExec)
-		i.prof.RecordOriginAt(op.ultID, op.bc, fl.co.target, originExec, &comps)
-		endOrder := op.order
-		if stage.Injects() {
-			endOrder = i.prof.Clock.Tick()
-		}
-		var window int64
-		if fl.sentNanos > 0 {
-			if w := fl.sentNanos - op.t1.UnixNano(); w > 0 {
-				window = w
-			}
-		}
-		i.prof.EmitSampled(op.ultID, core.Event{
-			RequestID:   op.reqID,
-			Order:       endOrder,
-			Kind:        core.EvOriginEnd,
-			Timestamp:   i.prof.StampNanos(t14),
-			Entity:      i.Addr(),
-			Peer:        fl.co.target,
-			RPCName:     fl.co.rpc,
-			Breadcrumb:  uint64(op.bc),
-			Duration:    int64(originExec),
-			Failed:      err != nil,
-			BatchID:     fl.batchID,
-			WindowNanos: window,
-			Sys:         i.sysSample(i.mainPool),
-		}, nil, &comps)
-	}
+	window := max(fl.sentNanos-op.t1.UnixNano(), 0)
+	fl.co.i.originEnd(&op.originOp, stage, fl.co.target, fl.co.rpc, t14, err != nil, nil, fl.batchID, window)
 	*op.res = err
 	group := op.group
 	op.out, op.res, op.group = nil, nil, nil
@@ -543,7 +421,7 @@ func (i *Instance) flushAll(reason batch.Reason) int {
 		}
 		fl := co.takeLocked(reason)
 		co.mu.Unlock()
-		i.sendBatch(fl, 0)
+		i.sendBatch(fl)
 		flushed++
 	}
 	return flushed

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -361,6 +363,143 @@ func TestBatchFaultInjectedNoAckedThenLost(t *testing.T) {
 		}
 	}
 	t.Logf("acked %d/%d ops, %d batch retries", len(ackedKeys), rounds*perRound, cli.BatchStats().Retries)
+}
+
+// originOutcome is what a caller can tell about a failed forward: which
+// sentinels the error matches, the text that names the failed call, and
+// what the failure added to the instance's resilience counters.
+type originOutcome struct {
+	is    []error // sentinels the error matches; it matches no other
+	names string  // what the message must contain, srv's address for %s
+	stats RetryStats
+}
+
+// TestOriginParity: one logical RPC fails the same way whether it goes
+// out as a single Forward or as the only member of a coalescer window —
+// the same error identities, the same message naming RPC, target and
+// attempt count, the same counter deltas. The open circuit is the one
+// row where the two differ by design: a parked ULT retries it after a
+// backoff (and so exhausts its attempts), a window takes it as final.
+func TestOriginParity(t *testing.T) {
+	sentinels := []error{ErrDeadlineExceeded, ErrRetryBudgetExhausted, ErrCircuitOpen,
+		mercury.ErrCanceled, mercury.ErrDeadlineExpired, mercury.ErrOverloaded, mercury.ErrHandlerFail,
+		na.ErrClosed, na.ErrPartitioned, na.ErrUnreachable}
+	partition := func(c *cluster, srv, cli *Instance) {
+		c.fabric.SetFaultPlan(na.NewFaultPlan(1).PartitionOneWay(cli.Addr(), srv.Addr()))
+	}
+	cases := []struct {
+		name    string
+		retry   RetryPolicy
+		arrange func(c *cluster, srv, cli *Instance)
+		prime   int   // unmeasured calls issued first, through the same path
+		dlNanos int64 // deadline the issuing ULT inherited, when non-zero
+		single  originOutcome
+		window  *originOutcome // nil: exactly what single gets
+	}{
+		{
+			name:    "closed target, two attempts",
+			retry:   RetryPolicy{MaxAttempts: 2, InitialBackoff: time.Millisecond},
+			arrange: func(c *cluster, srv, cli *Instance) { srv.Shutdown() },
+			single: originOutcome{is: []error{ErrDeadlineExceeded, na.ErrClosed},
+				names: "parity_rpc to %s after 2 attempt(s)", stats: RetryStats{Retries: 1, Exhausted: 1}},
+		},
+		{
+			name:    "retry budget of one token",
+			retry:   RetryPolicy{MaxAttempts: 5, Budget: 1, BudgetRefill: 0.1, InitialBackoff: time.Millisecond},
+			arrange: partition,
+			single: originOutcome{is: []error{ErrRetryBudgetExhausted, na.ErrPartitioned},
+				names: "parity_rpc to %s after 2 attempt(s)", stats: RetryStats{Retries: 1, Exhausted: 1}},
+		},
+		{
+			name:    "inherited deadline in the past",
+			retry:   RetryPolicy{MaxAttempts: 2},
+			dlNanos: time.Now().Add(-time.Second).UnixNano(),
+			single: originOutcome{is: []error{ErrDeadlineExceeded, mercury.ErrDeadlineExpired},
+				names: "parity_rpc to %s after 0 attempt(s)", stats: RetryStats{Exhausted: 1}},
+		},
+		{
+			name:  "per-try timeout, RPC not idempotent",
+			retry: RetryPolicy{MaxAttempts: 3, PerTryTimeout: 20 * time.Millisecond},
+			single: originOutcome{is: []error{mercury.ErrCanceled},
+				names: "canceled", stats: RetryStats{Timeouts: 1}},
+		},
+		{
+			name: "open breaker",
+			retry: RetryPolicy{MaxAttempts: 1,
+				Breaker: &BreakerPolicy{Threshold: 1, Cooldown: time.Minute}},
+			arrange: partition,
+			prime:   1, // the call that trips the circuit
+			single: originOutcome{is: []error{ErrDeadlineExceeded, ErrCircuitOpen},
+				names: "parity_rpc to %s after 1 attempt(s)", stats: RetryStats{Exhausted: 1}},
+			window: &originOutcome{is: []error{ErrCircuitOpen}, names: "parity_rpc to %s"},
+		},
+	}
+	for _, tc := range cases {
+		for _, path := range []string{"single", "window"} {
+			t.Run(tc.name+"/"+path, func(t *testing.T) {
+				c := newCluster(t)
+				srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
+				cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
+					Retry: noJitter(tc.retry), Batch: &batch.Policy{MaxOps: 4, MaxDelay: time.Millisecond}})
+				release := make(chan struct{})
+				defer close(release)
+				if err := srv.Register("parity_rpc", func(ctx *Context) {
+					<-release // answers only once the case is over
+					ctx.Respond(mercury.Void{})
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := cli.RegisterClient("parity_rpc"); err != nil {
+					t.Fatal(err)
+				}
+				if tc.arrange != nil {
+					tc.arrange(c, srv, cli)
+				}
+				issue := func() error {
+					return call(t, cli, func(self *abt.ULT) error {
+						if tc.dlNanos != 0 {
+							self.SetData(&Context{dlNanos: tc.dlNanos})
+						}
+						if path == "single" {
+							return cli.Forward(self, srv.Addr(), "parity_rpc", &mercury.Void{}, nil)
+						}
+						return forwardOne(cli, self, srv.Addr(), "parity_rpc", &mercury.Void{}, nil)
+					})
+				}
+				for k := 0; k < tc.prime; k++ {
+					issue()
+				}
+				before := cli.RetryStats()
+				err := issue()
+				after := cli.RetryStats()
+
+				want := tc.single
+				if path == "window" && tc.window != nil {
+					want = *tc.window
+				}
+				if err == nil {
+					t.Fatal("the call succeeded")
+				}
+				for _, s := range sentinels {
+					wantIs := slices.Contains(want.is, s)
+					if errors.Is(err, s) != wantIs {
+						t.Errorf("errors.Is(err, %q) = %v, want %v; err: %v", s, !wantIs, wantIs, err)
+					}
+				}
+				if names := strings.ReplaceAll(want.names, "%s", srv.Addr()); !strings.Contains(err.Error(), names) {
+					t.Errorf("err %q does not say %q", err, names)
+				}
+				delta := RetryStats{Retries: after.Retries - before.Retries, Timeouts: after.Timeouts - before.Timeouts,
+					Exhausted: after.Exhausted - before.Exhausted, Cancels: after.Cancels - before.Cancels}
+				if delta != want.stats {
+					t.Errorf("RetryStats moved by %+v, want %+v", delta, want.stats)
+				}
+				if !cli.WaitIdle(5 * time.Second) {
+					t.Errorf("InFlight stuck at %d", cli.InFlight())
+				}
+			})
+		}
+	}
 }
 
 // rawKV is the bytes-only twin of kvArgs for the zero-alloc pin:

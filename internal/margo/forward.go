@@ -28,9 +28,11 @@ func (i *Instance) RegisterClient(rpcNames ...string) error {
 
 // originCall is the origin-side record of one forward attempt or bulk
 // transfer in flight: the eventual the issuing ULT parks on, the result
-// the completion callback leaves for it, and the per-try timeout state.
-// Records are pooled; the Mercury handle (or bulk op) carries the
-// pointer, so completing a call takes no closure and boxes no value.
+// the completion callback leaves for it, and the per-try timeout state
+// (all a window's flight uses of it: nobody parks on a vectored
+// forward). Records are pooled; the Mercury handle (or bulk op, or the
+// flight) carries the pointer, so completing a call takes no closure and
+// boxes no value.
 type originCall struct {
 	ev  abt.Eventual
 	err error
@@ -75,8 +77,8 @@ func (c *originCall) timeout() {
 	c.mh.Unref()
 }
 
-// release returns the record to the pool once the issuing ULT is done
-// with it. A record whose timer was armed for this use (mh is set) is
+// release returns the record to the pool once its issuer is done with
+// it. A record whose timer was armed for this use (mh is set) is
 // reused only if Stop reports that the timer had not fired and now
 // never will, and the timer's handle reference is given back here;
 // otherwise the timer func gives it back itself and the record is left
@@ -121,7 +123,7 @@ func bulkDone(arg any, err error) {
 // delay) are sampled off the Mercury handle at t14 and fused into the
 // same profile entry (paper §IV-C).
 func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercury.Procable) error {
-	return i.forward(self, target, rpcName, in, out, ForwardOpts{})
+	return i.ForwardEx(self, target, rpcName, in, out, ForwardOpts{})
 }
 
 // ForwardOpts carries the per-call options of ForwardEx.
@@ -138,10 +140,187 @@ type ForwardOpts struct {
 	// and handlers propagate it onto their nested forwards. It also
 	// bounds the call client-side, like Timeout.
 	Deadline time.Time
-	// Priority is the request's admission class (see
-	// OverloadPolicy.HighPriority); zero inherits the servicing
+	// Priority is the request's admission class: 128 and above survives
+	// an OverloadPolicy's soft watermark. Zero inherits the servicing
 	// handler's priority, if any.
 	Priority uint8
+}
+
+// originOp is the origin half of one logical RPC, t1 to t14 of Figure 2,
+// whichever way it travels: the identity it carries on the wire and in
+// the trace, fixed once so that every attempt stitches into one request,
+// and the t1 of the span being measured. A single forward keeps one on
+// its stack and stamps a span per attempt; a window member embeds one in
+// its pooled batchOp and stamps a single span for the logical op.
+type originOp struct {
+	ult     uint64 // issuing ULT: the collector shard of t1 and t14
+	reqID   uint64
+	bc      core.Breadcrumb
+	order   uint64 // Lamport order stamped at t1
+	t1      time.Time
+	dlNanos int64
+	prio    uint8
+}
+
+// beginOp resolves, once per logical op, the identity a forward of
+// rpcName issued by self carries. When self is a handler ULT its data
+// slot holds the Context of the request it is servicing: the forward
+// extends that request's breadcrumb and keeps its request ID, deadline
+// and priority, so a multi-tier request carries one ID and one absolute
+// deadline across every hop (paper §IV-A1). Otherwise it is a root:
+// empty ancestry, and a fresh request ID when tracing. Explicit options
+// win over inherited values. It returns the client-side bound on the
+// whole call (zero for none; the deadline bounds it like a timeout,
+// since waiting past it can only return an expiry) and refuses an op
+// whose deadline has already passed.
+func (i *Instance) beginOp(op *originOp, self *abt.ULT, stage core.Stage, target, rpcName string, opts ForwardOpts) (time.Duration, error) {
+	*op = originOp{ult: self.ID(), prio: opts.Priority}
+	if !opts.Deadline.IsZero() {
+		op.dlNanos = opts.Deadline.UnixNano()
+	}
+	parent, _ := self.Data().(*Context)
+	if parent != nil {
+		if op.dlNanos == 0 {
+			op.dlNanos = parent.dlNanos
+		}
+		if op.prio == 0 {
+			op.prio = parent.prio
+		}
+	}
+	if parent != nil && parent.traced {
+		op.bc, op.reqID = parent.bc, parent.reqID
+	} else if stage.Injects() {
+		op.reqID = i.prof.NewRequestID()
+	}
+	op.bc = op.bc.Push(rpcName)
+
+	timeout := opts.Timeout
+	if op.dlNanos != 0 {
+		remaining := time.Until(time.Unix(0, op.dlNanos))
+		if timeout <= 0 || remaining < timeout {
+			timeout = remaining
+		}
+		if timeout <= 0 {
+			i.exhaustedTotal.Add(1)
+			return 0, exhausted(ErrDeadlineExceeded, rpcName, target, 0, mercury.ErrDeadlineExpired)
+		}
+	}
+	return timeout, nil
+}
+
+// originStart stamps t1 of op's next span: it ticks the Lamport clock,
+// builds the metadata the request carries and emits EvOriginStart into
+// the issuing ULT's collector shard, so concurrent application ULTs on
+// different execution streams take disjoint locks. sampled says whether
+// the global PVAR sample rides the event.
+func (i *Instance) originStart(op *originOp, stage core.Stage, target, rpcName string, sampled bool) mercury.Meta {
+	// Deadline and priority are control-plane state, stamped regardless
+	// of the measurement stage.
+	meta := mercury.Meta{DeadlineNanos: op.dlNanos, Priority: op.prio}
+	if stage.Injects() {
+		meta.HasTrace = true
+		meta.Breadcrumb = uint64(op.bc)
+		meta.RequestID = op.reqID
+		meta.Order = i.prof.Clock.Tick()
+	}
+	op.order = meta.Order
+	op.t1 = time.Now()
+	if stage.Measures() {
+		var pvs core.PVarSample
+		var pv *core.PVarSample
+		if sampled {
+			pv = i.samplePVars(stage, &pvs, nil)
+		}
+		i.prof.EmitSampled(op.ult, i.stamp(core.EvOriginStart, op.t1, op.reqID, op.order, target, rpcName, op.bc, i.mainPool), pv, nil)
+	}
+	return meta
+}
+
+// originEnd closes at t14 the span originStart opened: the origin
+// execution time goes to the callpath profile and EvOriginEnd to the
+// trace. mh, when non-nil, is the handle whose bound PVARs (input
+// serialization, origin callback delay) are fused into both; batchID
+// and window are zero for a single forward. Everything it builds stays
+// on this stack: the profile folds comps in and the collector copies
+// what the event carries.
+func (i *Instance) originEnd(op *originOp, stage core.Stage, target, rpcName string, t14 time.Time, failed bool, mh *mercury.Handle, batchID uint64, window int64) {
+	if !stage.Measures() {
+		return
+	}
+	originExec := t14.Sub(op.t1)
+	var comps [core.NumComponents]uint64
+	comps[core.CompOriginExec] = uint64(originExec)
+	var pvs core.PVarSample
+	var pv *core.PVarSample
+	if mh != nil {
+		if pv = i.samplePVars(stage, &pvs, mh); pv != nil {
+			comps[core.CompInputSer] = pv.InputSerNanos
+			comps[core.CompOriginCB] = pv.OriginCBNanos
+		}
+	}
+	i.prof.RecordOriginAt(op.ult, op.bc, target, originExec, &comps)
+	order := op.order
+	if stage.Injects() {
+		order = i.prof.Clock.Tick()
+	}
+	ev := i.stamp(core.EvOriginEnd, t14, op.reqID, order, target, rpcName, op.bc, i.mainPool)
+	ev.Duration, ev.Failed = int64(originExec), failed
+	ev.BatchID, ev.WindowNanos = batchID, window
+	i.prof.EmitSampled(op.ult, ev, pv, &comps)
+}
+
+// admit asks the circuit, before an attempt touches the network,
+// whether it may go. An open circuit refuses locally.
+func (i *Instance) admit(br *breaker, target, rpcName string) error {
+	if br == nil || br.allow(time.Now()) {
+		return nil
+	}
+	i.breakerFastFailsTotal.Add(1)
+	return fmt.Errorf("%w: %s to %s", ErrCircuitOpen, rpcName, target)
+}
+
+// attemptDone is the verdict on one finished attempt. timerFired says
+// the attempt's own per-try timer went off; with mercury.ErrCanceled
+// that makes it a timeout, without it an external CancelPosted — the
+// two surface as the same error and only the first may be retried. The
+// outcome is counted, fed to the circuit and, on success, refills the
+// retry budget.
+func (i *Instance) attemptDone(br *breaker, err error, timerFired bool) (timedOut bool) {
+	if canceled := errors.Is(err, mercury.ErrCanceled); canceled && timerFired {
+		timedOut = true
+		i.timeoutsTotal.Add(1)
+	} else if canceled {
+		i.cancelsTotal.Add(1)
+	}
+	if br != nil && br.record(time.Now(), err != nil, overloadClass(err, timedOut)) {
+		i.breakerTripsTotal.Add(1)
+	}
+	if err == nil && i.retry != nil {
+		i.retry.success()
+	}
+	return timedOut
+}
+
+// retryVerdict decides what follows attempt number attempt (0-based)
+// having failed with err: final is the error the caller returns — err
+// itself when it is not retryable or no policy is installed, the
+// exhausted marker wrapping it when attempts or retry budget ran out —
+// and nil when the attempt is to be re-issued after backoff.
+func (i *Instance) retryVerdict(target, rpcName string, attempt int, err error, timedOut bool) (backoff time.Duration, final error) {
+	rs := i.retry
+	if rs == nil || !i.retryable(err, timedOut, rpcName) {
+		return 0, err
+	}
+	kind := ErrDeadlineExceeded
+	if attempt+1 < rs.pol.MaxAttempts {
+		if rs.allow() {
+			i.retriesTotal.Add(1)
+			return rs.backoff(attempt), nil
+		}
+		kind = ErrRetryBudgetExhausted
+	}
+	i.exhaustedTotal.Add(1)
+	return 0, exhausted(kind, rpcName, target, attempt+1, err)
 }
 
 // ForwardEx is Forward with per-call options: a client-side timeout,
@@ -150,31 +329,14 @@ type ForwardOpts struct {
 // priority automatically even through plain Forward; ForwardEx is how
 // the first hop stamps them.
 func (i *Instance) ForwardEx(self *abt.ULT, target, rpcName string, in, out mercury.Procable, opts ForwardOpts) error {
-	return i.forward(self, target, rpcName, in, out, opts)
-}
-
-func (i *Instance) forward(self *abt.ULT, target, rpcName string, in, out mercury.Procable, opts ForwardOpts) error {
 	if self == nil {
 		return fmt.Errorf("margo: Forward requires the calling ULT")
 	}
 	stage := i.prof.Stage()
-
-	// Extend the callpath ancestry: the parent breadcrumb and request
-	// ID come from the request the calling ULT is servicing when this
-	// call is made from inside a handler (paper §IV-A1). Both are fixed
-	// before the attempt loop so every retry of this forward carries
-	// the same request ID — retried attempts stitch into one trace
-	// instead of appearing as unrelated requests. Deadline and priority
-	// resolve the same way: explicit options win, then the values the
-	// servicing handler inherited from its own request — so a
-	// multi-tier request carries one absolute deadline across every
-	// hop.
-	bc, reqID, dlNanos, prio := i.inherit(self, rpcName, stage)
-	if !opts.Deadline.IsZero() {
-		dlNanos = opts.Deadline.UnixNano()
-	}
-	if opts.Priority != 0 {
-		prio = opts.Priority
+	var op originOp
+	timeout, err := i.beginOp(&op, self, stage, target, rpcName, opts)
+	if err != nil {
+		return err
 	}
 
 	// One in-flight slot per logical forward, however many attempts it
@@ -182,152 +344,59 @@ func (i *Instance) forward(self *abt.ULT, target, rpcName string, in, out mercur
 	i.rpcsInFlight.Add(1)
 	defer i.rpcDone(1)
 
-	timeout := opts.Timeout
-	if dlNanos != 0 {
-		// The propagated deadline also bounds the call client-side:
-		// waiting past it can only return an expiry.
-		remaining := time.Until(time.Unix(0, dlNanos))
-		if timeout <= 0 || remaining < timeout {
-			timeout = remaining
-		}
-		if timeout <= 0 {
-			i.exhaustedTotal.Add(1)
-			return exhausted(ErrDeadlineExceeded, rpcName, target, 0, mercury.ErrDeadlineExpired)
-		}
-	}
-
-	rs := i.retry
-	if rs == nil {
-		err, _ := i.forwardOnce(self, target, rpcName, in, out, timeout, stage, bc, reqID, dlNanos, prio)
-		return err
-	}
-
+	// The bound is on the whole attempt sequence; under a retry policy
+	// PerTryTimeout bounds each attempt within it.
+	tryTimeout := i.retry.tryTimeout(timeout)
 	var deadline time.Time
 	if timeout > 0 {
-		// Under a retry policy ForwardOpts.Timeout bounds the whole attempt
-		// sequence; PerTryTimeout bounds each attempt within it.
 		deadline = time.Now().Add(timeout)
 	}
 	br := i.breakerFor(target, rpcName)
-	var lastErr error
 	for attempt := 0; ; attempt++ {
-		tryTimeout := rs.pol.PerTryTimeout
+		// An open circuit refuses without touching the network. To a
+		// parked ULT that is retryable: the backoff below waits out the
+		// cooldown and a later attempt becomes the half-open probe.
+		timedOut := false
+		if err = i.admit(br, target, rpcName); err == nil {
+			var fired bool
+			err, fired = i.forwardOnce(self, &op, target, rpcName, in, out, tryTimeout, stage)
+			timedOut = i.attemptDone(br, err, fired)
+			if err == nil {
+				return nil
+			}
+		}
+		backoff, final := i.retryVerdict(target, rpcName, attempt, err, timedOut)
+		if final != nil {
+			return final
+		}
 		if !deadline.IsZero() {
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				i.exhaustedTotal.Add(1)
-				return exhausted(ErrDeadlineExceeded, rpcName, target, attempt, lastErr)
-			}
-			if tryTimeout <= 0 || remaining < tryTimeout {
-				tryTimeout = remaining
-			}
-		}
-		var err error
-		var timedOut bool
-		if br != nil && !br.allow(time.Now()) {
-			// Open circuit: refuse locally without touching the network.
-			// The error is retryable, so the backoff below waits out the
-			// cooldown and a later attempt becomes the half-open probe.
-			i.breakerFastFailsTotal.Add(1)
-			err = fmt.Errorf("%w: %s to %s", ErrCircuitOpen, rpcName, target)
-		} else {
-			err, timedOut = i.forwardOnce(self, target, rpcName, in, out, tryTimeout, stage, bc, reqID, dlNanos, prio)
-			if br != nil && br.record(time.Now(), err != nil, overloadClass(err, timedOut)) {
-				i.breakerTripsTotal.Add(1)
-			}
-		}
-		if err == nil {
-			rs.success()
-			return nil
-		}
-		lastErr = err
-		if !i.retryable(err, timedOut, rpcName) {
-			return err
-		}
-		if attempt+1 >= rs.pol.MaxAttempts {
-			i.exhaustedTotal.Add(1)
-			return exhausted(ErrDeadlineExceeded, rpcName, target, attempt+1, lastErr)
-		}
-		if !rs.allow() {
-			i.exhaustedTotal.Add(1)
-			return exhausted(ErrRetryBudgetExhausted, rpcName, target, attempt+1, lastErr)
-		}
-		backoff := rs.backoff(attempt)
-		if !deadline.IsZero() {
-			if remaining := time.Until(deadline); backoff > remaining {
-				backoff = remaining
-			}
+			backoff = min(backoff, time.Until(deadline))
 		}
 		if backoff > 0 {
 			self.Sleep(backoff)
 		}
-		i.retriesTotal.Add(1)
+		if !deadline.IsZero() {
+			remaining := time.Until(deadline)
+			if remaining <= 0 {
+				i.exhaustedTotal.Add(1)
+				return exhausted(ErrDeadlineExceeded, rpcName, target, attempt+1, err)
+			}
+			tryTimeout = i.retry.tryTimeout(remaining)
+		}
 	}
 }
 
-// inherit resolves the identity a forward of rpcName issued by self
-// carries. When self is a handler ULT its data slot holds the Context of
-// the request it is servicing: the forward extends that request's
-// breadcrumb and keeps its request ID, deadline and priority. Otherwise
-// it is a root: empty ancestry, and a fresh request ID when tracing.
-func (i *Instance) inherit(self *abt.ULT, rpcName string, stage core.Stage) (bc core.Breadcrumb, reqID uint64, dlNanos int64, prio uint8) {
-	parent, _ := self.Data().(*Context)
-	if parent != nil {
-		dlNanos, prio = parent.dlNanos, parent.prio
-	}
-	if parent != nil && parent.traced {
-		bc, reqID = parent.bc, parent.reqID
-	} else if stage.Injects() {
-		reqID = i.prof.NewRequestID()
-	}
-	return bc.Push(rpcName), reqID, dlNanos, prio
-}
-
-// forwardOnce issues a single attempt of a forward. timedOut reports
-// that this attempt's own per-try timer (not an external CancelPosted)
-// canceled the handle — the disambiguation the retry classifier needs,
-// since both surface as mercury.ErrCanceled.
-func (i *Instance) forwardOnce(self *abt.ULT, target, rpcName string, in, out mercury.Procable, timeout time.Duration, stage core.Stage, bc core.Breadcrumb, reqID uint64, dlNanos int64, prio uint8) (error, bool) {
+// forwardOnce issues a single attempt of a forward and stamps its span.
+// timerFired reports that the attempt's own per-try timer went off (see
+// attemptDone).
+func (i *Instance) forwardOnce(self *abt.ULT, op *originOp, target, rpcName string, in, out mercury.Procable, timeout time.Duration, stage core.Stage) (err error, timerFired bool) {
 	mh, err := i.hg.Create(target, rpcName)
 	if err != nil {
 		return err, false
 	}
 	defer mh.Destroy()
 
-	meta := mercury.Meta{}
-	if stage.Injects() {
-		meta = mercury.Meta{
-			HasTrace:   true,
-			Breadcrumb: uint64(bc),
-			RequestID:  reqID,
-			Order:      i.prof.Clock.Tick(),
-		}
-	}
-	// Deadline and priority are control-plane state, stamped regardless
-	// of the measurement stage.
-	meta.DeadlineNanos = dlNanos
-	meta.Priority = prio
-
-	t1 := time.Now()
-	if stage.Measures() {
-		ev := core.Event{
-			RequestID:  reqID,
-			Order:      meta.Order,
-			Kind:       core.EvOriginStart,
-			Timestamp:  i.prof.StampNanos(t1),
-			Entity:     i.Addr(),
-			Peer:       target,
-			RPCName:    rpcName,
-			Breadcrumb: uint64(bc),
-			Sys:        i.sysSample(i.mainPool),
-		}
-		// Record into the calling ULT's collector shard: concurrent
-		// application ULTs on different execution streams take disjoint
-		// locks (t1).
-		var pv core.PVarSample
-		i.prof.EmitSampled(self.ID(), ev, i.samplePVars(stage, &pv, nil), nil)
-	}
-
+	meta := i.originStart(op, stage, target, rpcName, true)
 	c := callPool.Get().(*originCall)
 	mh.SetData(c)
 	if err = mh.Forward(in, meta, forwardDone); err != nil {
@@ -338,57 +407,19 @@ func (i *Instance) forwardOnce(self *abt.ULT, target, rpcName string, in, out me
 		c.arm(mh, timeout)
 	}
 	c.ev.Wait(self)
-	resErr, t14 := c.err, c.t14
-	timedOut := c.timerFired.Load() && errors.Is(resErr, mercury.ErrCanceled)
+	err, t14, timerFired := c.err, c.t14, c.timerFired.Load()
 	c.release()
-	if timedOut {
-		i.timeoutsTotal.Add(1)
-	} else if errors.Is(resErr, mercury.ErrCanceled) {
-		i.cancelsTotal.Add(1)
-	}
 
 	if stage.Injects() {
 		if rm := mh.RespMeta(); rm.HasTrace {
 			i.prof.Clock.Merge(rm.Order)
 		}
 	}
-
-	if resErr == nil && out != nil {
-		resErr = mh.GetOutput(out)
+	if err == nil && out != nil {
+		err = mh.GetOutput(out)
 	}
-
-	if stage.Measures() {
-		originExec := t14.Sub(t1)
-		// comps and pvs stay on this stack: the profile folds comps in
-		// and the collector copies what the event carries.
-		var comps [core.NumComponents]uint64
-		comps[core.CompOriginExec] = uint64(originExec)
-		var pvs core.PVarSample
-		pv := i.samplePVars(stage, &pvs, mh)
-		if pv != nil {
-			comps[core.CompInputSer] = pv.InputSerNanos
-			comps[core.CompOriginCB] = pv.OriginCBNanos
-		}
-		i.prof.RecordOriginAt(self.ID(), bc, target, originExec, &comps)
-		endOrder := meta.Order
-		if stage.Injects() {
-			endOrder = i.prof.Clock.Tick()
-		}
-		i.prof.EmitSampled(self.ID(), core.Event{
-			RequestID:  reqID,
-			Order:      endOrder,
-			Kind:       core.EvOriginEnd,
-			Timestamp:  i.prof.StampNanos(t14),
-			Entity:     i.Addr(),
-			Peer:       target,
-			RPCName:    rpcName,
-			Breadcrumb: uint64(bc),
-			Duration:   int64(originExec),
-			Failed:     resErr != nil,
-			Sys:        i.sysSample(i.mainPool),
-		}, pv, &comps)
-	}
-	return resErr, timedOut
+	i.originEnd(op, stage, target, rpcName, t14, err != nil, mh, 0, 0)
+	return err, timerFired
 }
 
 // BulkCreate exposes buf for one-sided transfers.

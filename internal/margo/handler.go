@@ -222,19 +222,9 @@ func (c *Context) finish(kind respondKind, out mercury.Procable, msg string) err
 	c.ult = c.Self.ID()
 
 	if c.stage.Measures() {
-		i.prof.EmitAt(c.ult, core.Event{
-			RequestID:  c.reqID,
-			Order:      meta.Order,
-			Kind:       core.EvTargetEnd,
-			Timestamp:  i.prof.StampNanos(c.t8),
-			Entity:     i.Addr(),
-			Peer:       c.mh.Peer(),
-			RPCName:    c.rpcName,
-			Breadcrumb: uint64(c.bc),
-			Duration:   int64(c.targetExec),
-			Failed:     kind != respondOK,
-			Sys:        i.sysSample(i.handlerPool),
-		})
+		ev := i.stamp(core.EvTargetEnd, c.t8, c.reqID, meta.Order, c.mh.Peer(), c.rpcName, c.bc, i.handlerPool)
+		ev.Duration, ev.Failed = int64(c.targetExec), kind != respondOK
+		i.prof.EmitAt(c.ult, ev)
 	}
 
 	// From here the t13 callback is the record's second user.
@@ -337,21 +327,11 @@ func runHandler(self *abt.ULT) {
 	}
 
 	if stage.Measures() {
-		ev := core.Event{
-			RequestID:  ctx.reqID,
-			Order:      i.prof.Clock.Now(),
-			Kind:       core.EvTargetStart,
-			Timestamp:  i.prof.StampNanos(ctx.t5),
-			Entity:     i.Addr(),
-			Peer:       mh.Peer(),
-			RPCName:    rpcName,
-			Breadcrumb: uint64(ctx.bc),
-			// The t4→t5 pool wait rides the t5 event so per-request
-			// analysis can attribute queueing (the critical-path
-			// "queue" segment) without the aggregate profile.
-			QueueNanos: int64(self.FirstRunTime().Sub(self.SpawnTime())),
-			Sys:        i.sysSample(i.handlerPool),
-		}
+		ev := i.stamp(core.EvTargetStart, ctx.t5, ctx.reqID, i.prof.Clock.Now(), mh.Peer(), rpcName, ctx.bc, i.handlerPool)
+		// The t4→t5 pool wait rides the t5 event so per-request analysis
+		// can attribute queueing (the critical-path "queue" segment)
+		// without the aggregate profile.
+		ev.QueueNanos = int64(self.FirstRunTime().Sub(self.SpawnTime()))
 		// The handler ULT's shard receives the t5 event and, in finish,
 		// the t8/t13 measurements — the PVAR sample fused here rides the
 		// same shard rather than a side channel.

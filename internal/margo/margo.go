@@ -30,8 +30,8 @@ import (
 	"symbiosys/internal/telemetry"
 )
 
-// Margo-level resilience PVARs, exported alongside the Mercury library
-// variables so the same session plumbing reaches them.
+// Margo's own PVARs, exported alongside the Mercury library variables
+// so the same session plumbing reaches them (see ownPVars).
 const (
 	PVarNumRPCRetries          = "num_rpc_retries"
 	PVarNumRPCTimeouts         = "num_rpc_timeouts"
@@ -39,11 +39,59 @@ const (
 	PVarNumRequestsShed        = "num_requests_shed"
 	PVarNumRequestsExpired     = "num_requests_expired"
 	PVarNumBreakerTrips        = "num_breaker_trips"
-	// Progress-engine transitions (spin-then-park adaptive loop), exposed
-	// so the policy engine can actuate the spin budget later.
+	// Progress-engine transitions (spin-then-park adaptive loop).
 	PVarNumProgressSpinPolls = "num_progress_spin_polls"
 	PVarNumProgressParks     = "num_progress_parks"
+	// Batch coalescer.
+	PVarNumBatchesFlushed = "num_batches_flushed"
+	PVarNumBatchedOps     = "num_batched_ops"
+	PVarNumBatchRetries   = "num_batch_retries"
+	PVarBatchOccupancy    = "batch_window_occupancy"
 )
+
+// ownPVar is one row of the table of margo's own performance variables.
+type ownPVar struct {
+	name, desc string
+	class      pvar.Class
+	read       func() uint64
+	// sampled: margo holds a session handle for it, so the telemetry
+	// sampler carries it to /metrics. dumped: profile dumps carry its
+	// total beside the callpath stats.
+	sampled, dumped bool
+}
+
+// ownPVars is that table: registration with the Mercury registry, the
+// session's handle list and the profile-dump snapshot are all read off
+// it. The readers load the instance's atomics directly, so a dump taken
+// after Shutdown finalized the session still sees the final values.
+func (i *Instance) ownPVars() []ownPVar {
+	return []ownPVar{
+		{PVarNumRPCRetries, "forward attempts re-issued by the margo retry policy",
+			pvar.ClassCounter, i.retriesTotal.Load, true, true},
+		{PVarNumRPCTimeouts, "forward attempts canceled by their per-try deadline",
+			pvar.ClassCounter, i.timeoutsTotal.Load, true, true},
+		{PVarNumRPCRetriesExhausted, "forwards abandoned after exhausting attempts, deadline, or retry budget",
+			pvar.ClassCounter, i.exhaustedTotal.Load, true, true},
+		{PVarNumRequestsShed, "incoming requests shed by admission control (watermarks or draining)",
+			pvar.ClassCounter, i.shedTotal.Load, true, true},
+		{PVarNumRequestsExpired, "incoming requests rejected because their propagated deadline passed",
+			pvar.ClassCounter, i.expiredTotal.Load, true, true},
+		{PVarNumBreakerTrips, "circuit breaker closed-to-open transitions on the client side",
+			pvar.ClassCounter, i.breakerTripsTotal.Load, true, true},
+		{PVarNumProgressSpinPolls, "empty non-blocking polls the adaptive progress loop spun through",
+			pvar.ClassCounter, i.progressSpinsTotal.Load, true, false},
+		{PVarNumProgressParks, "blocking completion-queue waits the progress loop parked in",
+			pvar.ClassCounter, i.progressParksTotal.Load, true, false},
+		{PVarNumBatchesFlushed, "coalescer windows flushed as vectored forwards",
+			pvar.ClassCounter, i.batchStats.Flushes, false, true},
+		{PVarNumBatchedOps, "forwards that traveled inside vectored frames",
+			pvar.ClassCounter, i.batchStats.Ops, false, true},
+		{PVarNumBatchRetries, "batch-level retry attempts of vectored forwards",
+			pvar.ClassCounter, i.batchStats.Retries, false, true},
+		{PVarBatchOccupancy, "member count of the most recently flushed batch window",
+			pvar.ClassLevel, i.batchStats.LastOccupancy, false, false},
+	}
+}
 
 // Mode selects client or server behaviour for an instance.
 type Mode int
@@ -78,25 +126,6 @@ type Options struct {
 	// Stage is the SYMBIOSYS measurement stage. Default StageFull.
 	Stage core.Stage
 
-	// ProgressTimeout bounds how long an idle progress pass blocks
-	// waiting for network events — the ceiling of the idle backoff.
-	// Default 500µs.
-	ProgressTimeout time.Duration
-
-	// ProgressSpin is how many consecutive empty poll-and-yield passes
-	// the progress loop spins through before it starts parking in
-	// blocking waits. Spinning keeps completion latency at poll
-	// granularity while traffic flows; the budget bounds the CPU an
-	// idle instance burns before backing off. Default 256.
-	ProgressSpin int
-
-	// TriggerBatch bounds callbacks executed per progress pass.
-	// Default 256.
-	TriggerBatch int
-
-	// TraceCapacity bounds the in-memory trace buffer. Default 1<<20.
-	TraceCapacity int
-
 	// MeasurementShards is the number of collector shards the
 	// measurement pipeline spreads concurrent recordings over (rounded
 	// up to a power of two). Default core.DefaultShards; raise it for
@@ -115,7 +144,7 @@ type Options struct {
 	Telemetry *telemetry.Options
 
 	// Retry, when non-nil, applies client-side resilience to every
-	// Forward/ForwardEx: failed sends are re-issued under the
+	// forward, single or coalesced: failed sends are re-issued under the
 	// policy's backoff, and per-try timeouts are retried for RPCs opted
 	// in via MarkIdempotent. Nil (the default) keeps the historical
 	// single-attempt semantics.
@@ -139,16 +168,21 @@ func (o *Options) fillDefaults() {
 	if o.HandlerStreams <= 0 {
 		o.HandlerStreams = 4
 	}
-	if o.ProgressTimeout <= 0 {
-		o.ProgressTimeout = 500 * time.Microsecond
-	}
-	if o.ProgressSpin <= 0 {
-		o.ProgressSpin = 256
-	}
-	if o.TriggerBatch <= 0 {
-		o.TriggerBatch = 256
-	}
 }
+
+// The progress engine's tuning (see progressLoop).
+const (
+	// progressTimeout bounds how long an idle progress pass blocks
+	// waiting for network events — the ceiling of the idle backoff.
+	progressTimeout = 500 * time.Microsecond
+	// progressSpin is how many consecutive empty poll-and-yield passes
+	// the loop spins through before it starts parking in blocking waits.
+	// Spinning keeps completion latency at poll granularity while traffic
+	// flows; the budget bounds the CPU an idle instance burns.
+	progressSpin = 256
+	// triggerBatch bounds callbacks executed per progress pass.
+	triggerBatch = 256
+)
 
 // Instance is one Margo-managed virtual process.
 type Instance struct {
@@ -168,6 +202,7 @@ type Instance struct {
 	// initialization with handles pre-allocated for every variable it
 	// fuses into profiles and traces.
 	session     *pvar.Session
+	pvars       []ownPVar
 	pvarMu      sync.Mutex // RegisterServicePVar mutates pvarGlobals while the sampler reads it
 	pvarGlobals map[string]*pvar.Handle
 	pvarBound   map[string]*pvar.Handle
@@ -251,9 +286,6 @@ func New(opts Options) (*Instance, error) {
 	if opts.MeasurementShards > 0 {
 		inst.prof.SetShards(opts.MeasurementShards)
 	}
-	if opts.TraceCapacity > 0 {
-		inst.prof.SetTraceCapacity(opts.TraceCapacity)
-	}
 	for _, s := range opts.TraceSinks {
 		inst.prof.AddTraceSink(s)
 	}
@@ -284,62 +316,19 @@ func New(opts Options) (*Instance, error) {
 		pol := opts.Batch.WithDefaults()
 		inst.batchPol = &pol
 	}
-	// Export margo's own resilience counters through the same PVAR
-	// registry as the Mercury library variables, so they reach tools via
-	// the session interface and the telemetry sampler alike.
-	inst.hg.PVars().RegisterGlobal(PVarNumRPCRetries,
-		"forward attempts re-issued by the margo retry policy",
-		pvar.ClassCounter, inst.retriesTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumRPCTimeouts,
-		"forward attempts canceled by their per-try deadline",
-		pvar.ClassCounter, inst.timeoutsTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumRPCRetriesExhausted,
-		"forwards abandoned after exhausting attempts, deadline, or retry budget",
-		pvar.ClassCounter, inst.exhaustedTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumRequestsShed,
-		"incoming requests shed by admission control (watermarks or draining)",
-		pvar.ClassCounter, inst.shedTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumRequestsExpired,
-		"incoming requests rejected because their propagated deadline passed",
-		pvar.ClassCounter, inst.expiredTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumBreakerTrips,
-		"circuit breaker closed-to-open transitions on the client side",
-		pvar.ClassCounter, inst.breakerTripsTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumProgressSpinPolls,
-		"empty non-blocking polls the adaptive progress loop spun through",
-		pvar.ClassCounter, inst.progressSpinsTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumProgressParks,
-		"blocking completion-queue waits the progress loop parked in",
-		pvar.ClassCounter, inst.progressParksTotal.Load)
-	inst.hg.PVars().RegisterGlobal(PVarNumBatchesFlushed,
-		"coalescer windows flushed as vectored forwards",
-		pvar.ClassCounter, inst.batchStats.Flushes)
-	inst.hg.PVars().RegisterGlobal(PVarNumBatchedOps,
-		"forwards that traveled inside vectored frames",
-		pvar.ClassCounter, inst.batchStats.Ops)
-	inst.hg.PVars().RegisterGlobal(PVarNumBatchRetries,
-		"batch-level retry attempts of vectored forwards",
-		pvar.ClassCounter, inst.batchStats.Retries)
-	inst.hg.PVars().RegisterGlobal(PVarBatchOccupancy,
-		"member count of the most recently flushed batch window",
-		pvar.ClassLevel, inst.batchStats.LastOccupancy)
+	inst.pvars = inst.ownPVars()
+	for _, v := range inst.pvars {
+		inst.hg.PVars().RegisterGlobal(v.name, v.desc, v.class, v.read)
+	}
 	inst.initPVarSession()
-	// Profile dumps carry the resilience/overload totals alongside the
-	// callpath stats. The closure reads the atomics directly (not the
-	// PVAR session) so dumps taken after Shutdown finalized the session
-	// still see the final values.
 	inst.prof.SetPVarSnapshot(func() map[string]uint64 {
-		return map[string]uint64{
-			PVarNumRPCRetries:          inst.retriesTotal.Load(),
-			PVarNumRPCTimeouts:         inst.timeoutsTotal.Load(),
-			PVarNumRPCRetriesExhausted: inst.exhaustedTotal.Load(),
-			PVarNumRequestsShed:        inst.shedTotal.Load(),
-			PVarNumRequestsExpired:     inst.expiredTotal.Load(),
-			PVarNumBreakerTrips:        inst.breakerTripsTotal.Load(),
-			PVarNumBatchesFlushed:      inst.batchStats.Flushes(),
-			PVarNumBatchedOps:          inst.batchStats.Ops(),
-			PVarNumBatchRetries:        inst.batchStats.Retries(),
+		snap := make(map[string]uint64, len(inst.pvars))
+		for _, v := range inst.pvars {
+			if v.dumped {
+				snap[v.name] = v.read()
+			}
 		}
+		return snap
 	})
 	inst.progressULT = inst.progressPool.Create("margo-progress", inst.progressLoop)
 	if opts.Telemetry != nil {
@@ -381,35 +370,34 @@ func (i *Instance) SetStage(s core.Stage) { i.prof.SetStage(s) }
 // The engine is adaptive, spin-then-park: while events flow (or other
 // ULTs wait for this stream) every pass is a non-blocking poll plus a
 // yield, which keeps completion latency at poll granularity instead of
-// timer granularity. Only after ProgressSpin consecutive empty passes
+// timer granularity. Only after progressSpin consecutive empty passes
 // does the loop start blocking inside the na completion-queue wait, with
-// the timeout backing off exponentially to ProgressTimeout so an idle
+// the timeout backing off exponentially to progressTimeout so an idle
 // instance releases the CPU. Any delivered event or runnable neighbor
 // snaps it back to spinning. The spin/park transitions are exported as
-// PVARs (num_progress_spin_polls, num_progress_parks) so the policy
-// engine can observe and later actuate the budget.
+// PVARs (num_progress_spin_polls, num_progress_parks).
 func (i *Instance) progressLoop(self *abt.ULT) {
 	spin := 0
-	backoff := i.opts.ProgressTimeout
+	backoff := progressTimeout
 	for !i.stopping.Load() {
 		shared := i.progressPool.Runnable() > 0
 		timeout := time.Duration(0)
-		if !shared && spin >= i.opts.ProgressSpin {
+		if !shared && spin >= progressSpin {
 			// Idle past the spin budget: park in the completion-queue
-			// wait, doubling toward the ProgressTimeout ceiling.
+			// wait, doubling toward the progressTimeout ceiling.
 			backoff *= 2
-			if backoff > i.opts.ProgressTimeout {
-				backoff = i.opts.ProgressTimeout
+			if backoff > progressTimeout {
+				backoff = progressTimeout
 			}
 			timeout = backoff
 			i.progressParksTotal.Add(1)
 		}
 		moved := i.hg.Progress(timeout)
-		moved += i.hg.Trigger(i.opts.TriggerBatch)
+		moved += i.hg.Trigger(triggerBatch)
 		if moved > 0 || shared {
 			spin = 0
-			backoff = i.opts.ProgressTimeout / 16
-		} else if spin < i.opts.ProgressSpin {
+			backoff = progressTimeout / 16
+		} else if spin < progressSpin {
 			spin++
 			i.progressSpinsTotal.Add(1)
 		}
@@ -507,21 +495,19 @@ func (i *Instance) initPVarSession() {
 	i.session = i.hg.PVars().InitSession()
 	i.pvarGlobals = make(map[string]*pvar.Handle)
 	i.pvarBound = make(map[string]*pvar.Handle)
-	for _, name := range []string{
+	globals := []string{
 		mercury.PVarNumOFIEventsRead,
 		mercury.PVarCompletionQueueSize,
 		mercury.PVarNumPostedHandles,
 		mercury.PVarNumRPCsInvoked,
 		mercury.PVarBulkBytesTransferred,
-		PVarNumRPCRetries,
-		PVarNumRPCTimeouts,
-		PVarNumRPCRetriesExhausted,
-		PVarNumRequestsShed,
-		PVarNumRequestsExpired,
-		PVarNumBreakerTrips,
-		PVarNumProgressSpinPolls,
-		PVarNumProgressParks,
-	} {
+	}
+	for _, v := range i.pvars {
+		if v.sampled {
+			globals = append(globals, v.name)
+		}
+	}
+	for _, name := range globals {
 		h, err := i.session.AllocHandleByName(name)
 		if err != nil {
 			panic(fmt.Sprintf("margo: alloc global pvar %s: %v", name, err))
@@ -620,6 +606,24 @@ func (i *Instance) samplePVars(stage core.Stage, s *core.PVarSample, mh *mercury
 		s.OriginCBNanos = i.readBoundPVar(mercury.PVarOriginCBTime, mh)
 	}
 	return s
+}
+
+// stamp builds the fields every trace event this instance emits has in
+// common, whichever of t1, t5, t8 or t14 it marks; the caller adds what
+// its kind of event carries on top (duration, failure, queue wait, batch
+// identity). pool is the one whose saturation matters at that point.
+func (i *Instance) stamp(kind core.EventKind, at time.Time, reqID, order uint64, peer, rpcName string, bc core.Breadcrumb, pool *abt.Pool) core.Event {
+	return core.Event{
+		RequestID:  reqID,
+		Order:      order,
+		Kind:       kind,
+		Timestamp:  i.prof.StampNanos(at),
+		Entity:     i.Addr(),
+		Peer:       peer,
+		RPCName:    rpcName,
+		Breadcrumb: uint64(bc),
+		Sys:        i.sysSample(pool),
+	}
 }
 
 // sysSample annotates a trace event with pool and runtime statistics.

@@ -20,7 +20,7 @@ import (
 // their execution streams and drain the backlog.
 type OverloadPolicy struct {
 	// SoftWatermark is the handler-pool runnable depth at which requests
-	// below HighPriority are shed. Default 64.
+	// of a priority below 128 are shed. Default 64.
 	SoftWatermark int
 	// HardWatermark is the depth at which all requests are shed
 	// regardless of priority. Default 2×SoftWatermark.
@@ -30,10 +30,11 @@ type OverloadPolicy struct {
 	// deterministic knob tests use: unlike queue depth it does not race
 	// with how fast execution streams drain.
 	MaxInFlight int
-	// HighPriority is the priority class that survives the soft
-	// watermark (only the hard watermark sheds it). Default 128.
-	HighPriority uint8
 }
+
+// highPriority is the priority class that survives the soft watermark:
+// only the hard watermark sheds it.
+const highPriority = 128
 
 func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	if p.SoftWatermark <= 0 {
@@ -41,9 +42,6 @@ func (p OverloadPolicy) withDefaults() OverloadPolicy {
 	}
 	if p.HardWatermark <= 0 {
 		p.HardWatermark = 2 * p.SoftWatermark
-	}
-	if p.HighPriority == 0 {
-		p.HighPriority = 128
 	}
 	return p
 }
@@ -79,7 +77,7 @@ func (i *Instance) admitVerdict(meta mercury.Meta) admission {
 	if depth >= ol.HardWatermark {
 		return admitShed
 	}
-	if depth >= ol.SoftWatermark && meta.Priority < ol.HighPriority {
+	if depth >= ol.SoftWatermark && meta.Priority < highPriority {
 		return admitShed
 	}
 	return admitOK
@@ -103,27 +101,13 @@ func (i *Instance) rejectRequest(mh *mercury.Handle, rpcName string, verdict adm
 	}
 
 	if stage.Measures() {
-		now := time.Now()
-		base := core.Event{
-			RequestID:  meta.RequestID,
-			Order:      respMeta.Order,
-			Kind:       core.EvTargetStart,
-			Timestamp:  i.prof.StampNanos(now),
-			Entity:     i.Addr(),
-			Peer:       mh.Peer(),
-			RPCName:    rpcName,
-			Breadcrumb: meta.Breadcrumb,
-			Sys:        i.sysSample(i.handlerPool),
-		}
 		// Both halves of the span are emitted here: SpansOf pairs a
 		// start with an end per (entity, breadcrumb, side), so a lone
 		// Failed end event would be dropped as unmatched.
-		i.prof.EmitAt(meta.RequestID, base)
-		end := base
-		end.Kind = core.EvTargetEnd
-		end.Duration = 0
-		end.Failed = true
-		i.prof.EmitAt(meta.RequestID, end)
+		ev := i.stamp(core.EvTargetStart, time.Now(), meta.RequestID, respMeta.Order, mh.Peer(), rpcName, core.Breadcrumb(meta.Breadcrumb), i.handlerPool)
+		i.prof.EmitAt(meta.RequestID, ev)
+		ev.Kind, ev.Failed = core.EvTargetEnd, true
+		i.prof.EmitAt(meta.RequestID, ev)
 	}
 
 	switch verdict {

@@ -20,7 +20,7 @@ var ErrDeadlineExceeded = errors.New("margo: forward deadline exceeded")
 var ErrRetryBudgetExhausted = errors.New("margo: retry budget exhausted")
 
 // RetryPolicy is the client-side resilience configuration applied to
-// every Forward/ForwardEx of an instance (Options.Retry). Send
+// every forward of an instance, single or coalesced (Options.Retry). Send
 // failures the fabric reports before delivery (unreachable, closed,
 // partitioned links) are always retried; per-try timeouts are retried
 // only for RPCs opted in as idempotent (MarkIdempotent), because a
@@ -109,6 +109,17 @@ type retryState struct {
 func newRetryState(pol RetryPolicy) *retryState {
 	pol = pol.withDefaults()
 	return &retryState{pol: pol, tokens: pol.Budget, rng: pol.Seed}
+}
+
+// tryTimeout is the bound on one attempt: the policy's PerTryTimeout,
+// capped by left, what remains of the bound on the whole call (zero:
+// none). Zero, also for an instance without a policy and a call without
+// a bound, means the attempt carries no timer.
+func (rs *retryState) tryTimeout(left time.Duration) time.Duration {
+	if rs == nil || rs.pol.PerTryTimeout <= 0 || (left > 0 && left < rs.pol.PerTryTimeout) {
+		return left
+	}
+	return rs.pol.PerTryTimeout
 }
 
 // allow spends one retry token, reporting whether the retry may go.
@@ -263,9 +274,7 @@ func (i *Instance) Retry() *RetryPolicy {
 	return &pol
 }
 
-// exhausted wraps the final retryable error once the loop gives up.
+// exhausted wraps the final retryable error once the origin gives up.
 func exhausted(kind error, rpcName, target string, attempts int, last error) error {
 	return fmt.Errorf("%w: %s to %s after %d attempt(s): %w", kind, rpcName, target, attempts, last)
 }
-
-var _ = mercury.ErrCanceled // see forward.go: timeouts surface as ErrCanceled

@@ -57,7 +57,7 @@ type Meta struct {
 	// already passed instead of burning an execution stream on them.
 	DeadlineNanos int64
 	// Priority is the request's admission class: higher values survive
-	// load shedding longer (see margo.OverloadPolicy.HighPriority).
+	// load shedding longer (see margo.OverloadPolicy).
 	Priority uint8
 	// BatchID groups the sub-requests of one vectored forward: every
 	// sub-request's t1–t14 chain carries the same BatchID so the

@@ -234,7 +234,7 @@ func (c *Client) Put(self *abt.ULT, key, value []byte) error {
 		if err != nil {
 			return err
 		}
-		call.in = putArgs{Key: key, Value: value, Version: r.Version()}
+		call.in = putArgs{Key: key, Value: value}
 		// An unreachable owner (departed, drained, partitioned) and a
 		// wrong-owner redirect are handled alike: route again.
 		err = c.inst.Forward(self, r.Owner(key), RPCPut, &call.in, &call.out)
@@ -259,7 +259,7 @@ func (c *Client) Get(self *abt.ULT, key []byte) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		call.in = getArgs{Key: key, Version: r.Version()}
+		call.in = getArgs{Key: key}
 		err = c.inst.Forward(self, r.Owner(key), RPCGet, &call.in, &call.out)
 		if err == nil && call.out.Status != statusWrongOwner {
 			return call.out.Value, call.out.Found, nil

@@ -274,7 +274,7 @@ func (n *Node) handlePut(ctx *margo.Context) {
 		return
 	}
 	owner, version, unsettled := n.route(in.Key)
-	call.out = opResp{Status: statusOK, Version: version}
+	call.out = opResp{Status: statusOK}
 	switch {
 	case owner == n.inst.Addr():
 		if err := n.db.Put(in.Key, in.Value); err != nil {
@@ -326,7 +326,7 @@ func (n *Node) handleGet(ctx *margo.Context) {
 		return
 	}
 	owner, version, _ := n.route(in.Key)
-	call.out = getResp{Status: statusOK, Version: version, Found: found, Value: v}
+	call.out = getResp{Status: statusOK, Found: found, Value: v}
 	switch {
 	case found:
 	case owner != n.inst.Addr():

@@ -2,9 +2,10 @@ package ekv
 
 import "symbiosys/internal/mercury"
 
-// RPC names exported by an elastic KV node. Client-facing ops carry the
-// caller's ring version so the node can detect stale routing; peer ops
-// implement the migration protocol (§DESIGN 11.3).
+// RPC names exported by an elastic KV node. A node judges every
+// client-facing op against its own ring and answers a stale-routed one
+// with statusWrongOwner (or serves it, mid-migration); peer ops implement
+// the migration protocol (§DESIGN 11.3).
 const (
 	RPCPut         = "ekv_put_rpc"
 	RPCGet         = "ekv_get_rpc"
@@ -32,7 +33,7 @@ const (
 type putArgs struct {
 	Key     []byte
 	Value   []byte
-	Version uint64 // ring version the caller routed with
+	Version uint64 // on a peer put: the forwarding node's ring version
 }
 
 func (a *putArgs) Proc(p *mercury.Proc) error {
@@ -43,37 +44,25 @@ func (a *putArgs) Proc(p *mercury.Proc) error {
 }
 
 type opResp struct {
-	Status  uint8
-	Version uint64 // responder's ring version (refresh hint on redirect)
+	Status uint8
 }
 
-func (a *opResp) Proc(p *mercury.Proc) error {
-	p.Uint8(&a.Status)
-	p.Uint64(&a.Version)
-	return p.Err()
-}
+func (a *opResp) Proc(p *mercury.Proc) error { return p.Uint8(&a.Status) }
 
 type getArgs struct {
-	Key     []byte
-	Version uint64
+	Key []byte
 }
 
-func (a *getArgs) Proc(p *mercury.Proc) error {
-	p.Bytes(&a.Key)
-	p.Uint64(&a.Version)
-	return p.Err()
-}
+func (a *getArgs) Proc(p *mercury.Proc) error { return p.Bytes(&a.Key) }
 
 type getResp struct {
-	Status  uint8
-	Version uint64
-	Found   bool
-	Value   []byte
+	Status uint8
+	Found  bool
+	Value  []byte
 }
 
 func (a *getResp) Proc(p *mercury.Proc) error {
 	p.Uint8(&a.Status)
-	p.Uint64(&a.Version)
 	p.Bool(&a.Found)
 	p.Bytes(&a.Value)
 	return p.Err()
