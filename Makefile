@@ -66,22 +66,27 @@ race:
 
 # check is the pre-commit gate: static analysis, race tests on the
 # measurement pipeline, the fault-path, overload-path, and analysis-
-# plane smoke runs, ten seconds of fuzzing the trace dump reader, the
-# full tier-1 build + test sweep, then the benchmark harness's own vet
+# plane smoke runs, ten seconds of fuzzing each parser of foreign bytes,
+# the full tier-1 build + test sweep, then the benchmark harness's own vet
 # + tests. Performance is judged by benchmark/ alone (`bash
 # benchmark/run.sh -all`, `-compare`), not here.
 check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
-# fuzz-smoke fuzzes the two parsers that take bytes from other
+# fuzz-smoke fuzzes the three parsers that take bytes from other
 # processes: core.ReadTrace (whatever the bytes, it returns an error or a
 # dump that re-encodes to exactly those bytes, without a panic and
-# without allocating more than a small multiple of the input) and
+# without allocating more than a small multiple of the input),
+# core.ReadEventsJSONL (an error, or events that a JSONL sink writes and
+# the reader reads back equal, under the same two bounds) and
 # mercury's frame headers (request, response and vectored frames parse
 # without reading past the frame and pack again, in place, to the same
-# bytes). The seed corpora under internal/*/testdata/fuzz/ are replayed
-# by plain `go test` as well; this target mutates them.
+# bytes). The seeds — files under internal/*/testdata/fuzz/, and for the
+# JSONL reader the streams jsonlSeeds builds — are replayed by plain
+# `go test` as well; this target mutates them. (Minimising a mutant of the
+# JSONL reader's 64 KiB seed would otherwise take the run's ten seconds.)
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
 
 # bench-build vets and tests the benchmark harness. It is a module of

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -206,6 +207,9 @@ func ingest(dir, jsonlDir string, extra []string) (*analysis.TraceSet, []string,
 		}
 		evs, truncated, err := core.ReadEventsJSONL(f)
 		f.Close()
+		if errors.Is(err, core.ErrTraceStreamVersion) {
+			return nil, nil, fmt.Errorf("%s is not a version 2 trace stream: re-export it with this build (core.NewJSONLTraceSink), older and newer streams are not read", path)
+		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
@@ -101,6 +102,21 @@ func main() {
 	defer f.Close()
 	if err := ts.WriteZipkin(f, reqID); err != nil {
 		log.Fatal(err)
+	}
+
+	// The provider's events in their two spellings: the stream its sink
+	// wrote on-line, and the binary dump of the same buffer.
+	if err := jsonlSink.Flush(); err != nil {
+		log.Fatal(err)
+	}
+	var dump bytes.Buffer
+	if err := core.WriteTrace(&dump, server.Profiler().DumpTrace()); err != nil {
+		log.Fatal(err)
+	}
+	n := server.Profiler().TraceLen()
+	if st, err := jsonlFile.Stat(); err == nil && n > 0 {
+		fmt.Printf("\nprovider trace, %d events: mobject.trace.jsonl %d B (%.1f B/event), binary dump %d B (%.1f B/event)\n",
+			n, st.Size(), float64(st.Size())/float64(n), dump.Len(), float64(dump.Len())/float64(n))
 	}
 	fmt.Printf("\nwrote Zipkin v2 trace to %s — load it into a Zipkin UI to see\n", out)
 	fmt.Println("the Figure 5 Gantt chart: 12 discrete SDSKV/BAKE calls under one write_op")

@@ -56,8 +56,10 @@ type CollectSink struct {
 	ts TraceSet
 }
 
-// WriteEvent implements core.TraceSink.
+// WriteEvent implements core.TraceSink. The event is lent, so what is
+// kept is a copy down to its annotations.
 func (s *CollectSink) WriteEvent(ev core.Event) error {
+	ev = ev.Clone()
 	s.mu.Lock()
 	s.ts.Events = append(s.ts.Events, ev)
 	s.mu.Unlock()

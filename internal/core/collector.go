@@ -149,24 +149,34 @@ func (c *Collector) EmitSampled(key uint64, ev Event, pv *PVarSample, comps *[Nu
 	if sinks == nil {
 		return
 	}
-	// The sinks' event carries copies of the annotations, made on this
-	// branch alone: the caller's values do not escape when no sink is
-	// attached, and a sink may keep what it is handed.
+	// Sinks borrow the event. Its annotations go through pooled scratch,
+	// filled on this branch alone, because a pointer handed to an
+	// interface method escapes: so the caller's values stay on its stack,
+	// sink or no sink, and the tee allocates nothing.
+	a := sinkScratch.Get().(*sinkAnnotations)
 	ev.PVars, ev.Components = nil, nil
 	if pv != nil {
-		cp := *pv
-		ev.PVars = &cp
+		a.pv, ev.PVars = *pv, &a.pv
 	}
 	if comps != nil {
-		cp := *comps
-		ev.Components = &cp
+		a.comps, ev.Components = *comps, &a.comps
 	}
 	for _, s := range *sinks {
 		if err := s.WriteEvent(ev); err != nil {
 			c.sinkErrs.Add(1)
 		}
 	}
+	sinkScratch.Put(a)
 }
+
+// sinkAnnotations is where an event's annotations live while the sinks
+// read them.
+type sinkAnnotations struct {
+	pv    PVarSample
+	comps [NumComponents]uint64
+}
+
+var sinkScratch = sync.Pool{New: func() any { return new(sinkAnnotations) }}
 
 // AddTraceSink attaches a sink that will observe every subsequently
 // emitted event. Attach sinks at setup time, before hot-path traffic.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,22 @@ func BenchmarkEmitSharded(b *testing.B) {
 // the collector, the shape of the RPC fast path at StageFull.
 func BenchmarkEmitAnnotated(b *testing.B) {
 	c := NewCollector(8, 8*(b.N+1)) // every event lands in one shard
+	ev, pv, comps := annotatedEvent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.RequestID++
+		ev.Order += 2
+		ev.Timestamp += 41_000
+		c.EmitSampled(7, ev, &pv, &comps)
+	}
+}
+
+// BenchmarkEmitJSONLSink is BenchmarkEmitAnnotated with a live JSONL
+// sink attached: what streaming the trace adds to each event.
+func BenchmarkEmitJSONLSink(b *testing.B) {
+	c := NewCollector(8, 8*(b.N+1))
+	c.AddTraceSink(NewJSONLTraceSink(io.Discard))
 	ev, pv, comps := annotatedEvent()
 	b.ReportAllocs()
 	b.ResetTimer()

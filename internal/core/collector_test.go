@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -311,11 +312,13 @@ func TestCollectorEventsOrdered(t *testing.T) {
 // while a malformed line with complete lines after it is corruption and
 // still fails.
 func TestReadEventsJSONLTruncatedTail(t *testing.T) {
+	// Every stream opens with the header and the definition of "r".
+	const head = `{"symbiosys_trace":2,"t0":0}` + "\n" + `{"s":1,"v":"r"}` + "\n"
 	line := func(id uint64) string {
-		return fmt.Sprintf(`{"request_id":%d,"kind":1,"rpc":"r"}`, id)
+		return fmt.Sprintf(`{"i":%d,"k":1,"r":1}`, id)
 	}
 	t.Run("truncated final line", func(t *testing.T) {
-		in := line(1) + "\n" + line(2) + "\n" + `{"request_id":3,"kind":1,"rp`
+		in := head + line(1) + "\n" + line(2) + "\n" + `{"i":3,"k":1,"r`
 		evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
@@ -327,22 +330,30 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 			t.Fatalf("events = %+v", evs)
 		}
 	})
+	t.Run("truncated definition or header", func(t *testing.T) {
+		for _, in := range []string{head + line(1) + "\n" + `{"s":2,"v":"sdskv_pu`, `{"symbiosys_trace":2,"t0":17`} {
+			evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
+			if err != nil || truncated != 1 || len(evs) != strings.Count(in, `"i":`) {
+				t.Fatalf("%q: evs=%d truncated=%d err=%v", in, len(evs), truncated, err)
+			}
+		}
+	})
 	t.Run("clean stream reports no truncation", func(t *testing.T) {
-		in := line(1) + "\n" + line(2) + "\n"
+		in := head + line(1) + "\n" + line(2) + "\n"
 		evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
 		if err != nil || truncated != 0 || len(evs) != 2 {
 			t.Fatalf("evs=%d truncated=%d err=%v", len(evs), truncated, err)
 		}
 	})
 	t.Run("trailing blank lines tolerated", func(t *testing.T) {
-		in := line(1) + "\n\n  \n"
+		in := head + line(1) + "\n\n  \n"
 		evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
 		if err != nil || truncated != 0 || len(evs) != 1 {
 			t.Fatalf("evs=%d truncated=%d err=%v", len(evs), truncated, err)
 		}
 	})
 	t.Run("mid-file corruption still fails", func(t *testing.T) {
-		in := line(1) + "\n" + `{"request_id":2,"garbage` + "\n" + line(3) + "\n"
+		in := `{"symbiosys_trace":2,"t0":0}` + "\n" + `{"i":2,"garbage` + "\n" + line(3) + "\n"
 		_, _, err := ReadEventsJSONL(strings.NewReader(in))
 		if err == nil {
 			t.Fatal("mid-file corruption not reported")
@@ -386,11 +397,12 @@ func goldenEvents() []Event {
 }
 
 // TestJSONLSinkOutputStable: the bytes a JSONL sink writes for a fixed
-// event sequence equal those written at commit 0b629fd
-// (testdata/trace_golden.jsonl), whichever way the annotations reach
-// the collector — inside the event, beside it (the RPC fast path), or
-// beside it with the ring already full, when the sinks' copy gets
-// annotations of its own.
+// event sequence equal testdata/trace_golden.jsonl (version 2 of the
+// stream; `go test ./internal/core -run TestJSONLSinkOutputStable
+// -update` rewrites it), whichever way the annotations reach the
+// collector — inside the event, beside it (the RPC fast path), or beside
+// it with the ring already full — every line is one JSON value, and the
+// stream reads back as the events written.
 func TestJSONLSinkOutputStable(t *testing.T) {
 	golden, err := os.ReadFile("testdata/trace_golden.jsonl")
 	if err != nil {
@@ -423,6 +435,12 @@ func TestJSONLSinkOutputStable(t *testing.T) {
 		if err := sink.Flush(); err != nil {
 			t.Fatal(err)
 		}
+		if *updateCorpus && !tc.beside {
+			if err := os.WriteFile("testdata/trace_golden.jsonl", buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			golden = bytes.Clone(buf.Bytes())
+		}
 		if !bytes.Equal(buf.Bytes(), golden) {
 			t.Errorf("%s: sink output differs from testdata/trace_golden.jsonl:\n%s", tc.name, buf.String())
 		}
@@ -442,5 +460,14 @@ func TestJSONLSinkOutputStable(t *testing.T) {
 				t.Errorf("%s: ring event %d = %+v, want %+v", tc.name, k, evs[k], kept[k])
 			}
 		}
+	}
+	for n, line := range bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n")) {
+		var v any
+		if err := json.Unmarshal(line, &v); err != nil {
+			t.Errorf("line %d is not one JSON value: %v\n%s", n+1, err, line)
+		}
+	}
+	if got, truncated, err := ReadEventsJSONL(bytes.NewReader(golden)); err != nil || truncated != 0 || !reflect.DeepEqual(got, goldenEvents()) {
+		t.Errorf("the golden stream reads back as %d events (truncated %d, err %v), not the %d written", len(got), truncated, err, len(goldenEvents()))
 	}
 }

@@ -109,6 +109,20 @@ type Event struct {
 	Components *[NumComponents]uint64 `json:"components,omitempty"`
 }
 
+// Clone returns ev with annotations of its own: what a TraceSink keeps of
+// an event it was lent.
+func (ev Event) Clone() Event {
+	if ev.PVars != nil {
+		pv := *ev.PVars
+		ev.PVars = &pv
+	}
+	if ev.Components != nil {
+		comps := *ev.Components
+		ev.Components = &comps
+	}
+	return ev
+}
+
 // A Tracer's chunks double from chunkMin bytes to chunkMax, so a shard
 // that records twenty events does not pay for a large chunk — a
 // deployment's first events land inside the run they measure, and 48
@@ -146,10 +160,15 @@ type Tracer struct {
 	cap     int
 	dropped uint64
 
-	// The shard's string table, in first-use order, with the index of
-	// each string and, per event field, the string resolved last: events
-	// of one shard repeat their entity, peer and RPC name, and the
-	// repeat is found by one comparison instead of three hashes.
+	stringTable // the shard's, in first-use order
+}
+
+// stringTable numbers the strings of a stream of events in first-use
+// order. Beside the index of each string it keeps, per event field, the
+// string resolved last: the events of one shard (or one sink) repeat
+// their entity, peer and RPC name, and the repeat is found by one
+// comparison instead of three hashes.
+type stringTable struct {
 	strs  []string
 	index map[string]uint32
 	last  [3]struct {
@@ -176,7 +195,7 @@ func (t *Tracer) Emit(ev Event) {
 
 // intern returns s's index in the string table, adding it on first use.
 // field says which of the event's three strings s is.
-func (t *Tracer) intern(field int, s string) uint64 {
+func (t *stringTable) intern(field int, s string) uint64 {
 	l := &t.last[field]
 	if l.i1 != 0 && l.s == s {
 		return uint64(l.i1 - 1)
@@ -312,8 +331,7 @@ func (t *Tracer) Events() []Event {
 // Reset clears the buffer (between experiment repetitions).
 func (t *Tracer) Reset() {
 	t.mu.Lock()
-	t.full, t.cur, t.strs, t.index = nil, nil, nil, nil
+	t.full, t.cur, t.stringTable = nil, nil, stringTable{}
 	t.n, t.npvars, t.ncomps, t.prev, t.dropped = 0, 0, 0, 0, 0
-	clear(t.last[:])
 	t.mu.Unlock()
 }

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// recordingSink keeps every event it is handed.
+// recordingSink keeps a copy of every event it is lent.
 type recordingSink struct {
 	mu  sync.Mutex
 	evs []Event
@@ -16,7 +16,7 @@ type recordingSink struct {
 
 func (s *recordingSink) WriteEvent(ev Event) error {
 	s.mu.Lock()
-	s.evs = append(s.evs, ev)
+	s.evs = append(s.evs, ev.Clone())
 	s.mu.Unlock()
 	return nil
 }

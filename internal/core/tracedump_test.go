@@ -25,6 +25,9 @@ func encodeTrace(t testing.TB, d *TraceDump) []byte {
 	return buf.Bytes()
 }
 
+// roundTrip takes a dump through both spellings of an event — the binary
+// dump (WriteTrace, ReadTrace) and the JSONL stream (JSONLTraceSink,
+// ReadEventsJSONL) — and wants back exactly what went in.
 func roundTrip(t *testing.T, d *TraceDump) {
 	t.Helper()
 	got, err := ReadTrace(bytes.NewReader(encodeTrace(t, d)))
@@ -32,8 +35,37 @@ func roundTrip(t *testing.T, d *TraceDump) {
 		t.Fatalf("ReadTrace: %v", err)
 	}
 	if !reflect.DeepEqual(got, d) {
-		t.Fatalf("round trip changed the dump:\n got %+v\nwant %+v", got, d)
+		t.Errorf("round trip changed the dump:\n got %+v\nwant %+v", got, d)
 	}
+	evs, truncated, err := ReadEventsJSONL(bytes.NewReader(encodeJSONL(t, d.Events)))
+	if err != nil || truncated != 0 {
+		t.Fatalf("ReadEventsJSONL: truncated %d, %v", truncated, err)
+	}
+	if len(evs) != len(d.Events) {
+		t.Fatalf("JSONL round trip returned %d events for %d", len(evs), len(d.Events))
+	}
+	for i := range evs {
+		if !reflect.DeepEqual(evs[i], d.Events[i]) {
+			t.Fatalf("JSONL round trip changed event %d:\n got %+v (pvars %+v, components %v)\nwant %+v (pvars %+v, components %v)",
+				i, evs[i], evs[i].PVars, evs[i].Components, d.Events[i], d.Events[i].PVars, d.Events[i].Components)
+		}
+	}
+}
+
+// encodeJSONL is what a JSONL sink writes for evs.
+func encodeJSONL(t testing.TB, evs []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := NewJSONLTraceSink(&buf)
+	for _, ev := range evs {
+		if err := sink.WriteEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // fillRandom sets every field of the struct v points to from rng, one
@@ -143,7 +175,7 @@ func TestTraceDumpRoundTripRandom(t *testing.T) {
 }
 
 // TestTraceCodecCoversEveryField fails when a field is added to a
-// struct the codec spells out by hand.
+// struct the two codecs spell out by hand.
 func TestTraceCodecCoversEveryField(t *testing.T) {
 	for _, c := range []struct {
 		v    any
@@ -152,7 +184,7 @@ func TestTraceCodecCoversEveryField(t *testing.T) {
 		{Event{}, 16}, {SysSample{}, 4}, {PVarSample{}, numPVarFields}, {TraceDump{}, 4},
 	} {
 		if got := reflect.TypeOf(c.v).NumField(); got != c.want {
-			t.Errorf("%T has %d fields, the trace dump codec encodes %d: extend the codec and bump traceVersion", c.v, got, c.want)
+			t.Errorf("%T has %d fields, the trace codecs encode %d: extend the dump codec (tracedump.go, bump traceVersion) and the JSONL codec (sink.go: jsonlLegend, jsonlLine, WriteEvent; bump jsonlVersion)", c.v, got, c.want)
 		}
 	}
 	if NumComponents > 64 {
@@ -347,45 +379,49 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	return seeds
 }
 
-var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzReadTrace from fuzzSeeds")
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/ from fuzzSeeds and jsonlSeeds, and testdata/trace_golden.jsonl")
 
-const fuzzCorpusDir = "testdata/fuzz/FuzzReadTrace"
-
-// TestFuzzSeedCorpusCurrent keeps the committed corpus equal to what
-// fuzzSeeds builds, so a format change cannot leave stale seeds behind.
-// `go test ./internal/core -run TestFuzzSeedCorpusCurrent -update`
-// rewrites it.
+// TestFuzzSeedCorpusCurrent keeps the committed corpora equal to what
+// fuzzSeeds and jsonlSeeds build, so a format change cannot leave stale
+// seeds behind. `go test ./internal/core -run TestFuzzSeedCorpusCurrent
+// -update` rewrites them.
 func TestFuzzSeedCorpusCurrent(t *testing.T) {
-	seeds := fuzzSeeds(t)
-	if *updateCorpus {
-		if err := os.RemoveAll(fuzzCorpusDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(fuzzCorpusDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, data := range seeds {
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		path := filepath.Join(fuzzCorpusDir, "seed-"+name)
+	for target, seeds := range map[string]map[string][]byte{
+		"FuzzReadTrace": fuzzSeeds(t), "FuzzReadEventsJSONL": jsonlSeeds(t),
+	} {
+		dir := filepath.Join("testdata/fuzz", target)
 		if *updateCorpus {
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+			if err := os.RemoveAll(dir); err != nil {
 				t.Fatal(err)
 			}
-			continue
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update)", err)
+		for name, data := range seeds {
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			path := filepath.Join(dir, "seed-"+name)
+			if *updateCorpus {
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update)", err)
+			}
+			if string(got) != want {
+				t.Errorf("%s is stale (run with -update)", path)
+			}
 		}
-		if string(got) != want {
-			t.Errorf("%s is stale (run with -update)", path)
-		}
-	}
-	if entries, err := os.ReadDir(fuzzCorpusDir); err == nil {
-		for _, e := range entries {
-			if name, ok := strings.CutPrefix(e.Name(), "seed-"); ok && seeds[name] == nil {
-				t.Errorf("%s has no entry in fuzzSeeds (run with -update)", e.Name())
+		if entries, err := os.ReadDir(dir); err == nil {
+			for _, e := range entries {
+				if name, ok := strings.CutPrefix(e.Name(), "seed-"); ok {
+					if _, ok := seeds[name]; !ok {
+						t.Errorf("%s/%s has no entry in the seeds (run with -update)", dir, e.Name())
+					}
+				}
 			}
 		}
 	}

@@ -3,13 +3,18 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"symbiosys/internal/analysis"
 	"symbiosys/internal/core"
+	"symbiosys/internal/margo"
+	"symbiosys/internal/services/hepnos"
 	"symbiosys/internal/services/mobject"
 	"symbiosys/internal/services/sdskv"
+	"symbiosys/internal/workload/dataloader"
 )
 
 // scaled shrinks a Table IV configuration for test runtime.
@@ -307,4 +312,60 @@ func TestTimeAnalyses(t *testing.T) {
 	if timings.ProfileSummary <= 0 || timings.TraceSummary < 0 || timings.SystemStats < 0 {
 		t.Fatalf("timings = %+v", timings)
 	}
+}
+
+// TestClusterExportRoundTrip streams a small HEPnOS run's traces out of
+// Cluster.Export, once as the JSONL stream and once into the analysis
+// plane's collecting sink, and wants both to hold exactly the events the
+// processes buffered, annotations included.
+func TestClusterExportRoundTrip(t *testing.T) {
+	cluster := NewCluster(DefaultFabric())
+	defer cluster.Shutdown()
+	server, err := cluster.Start(ProcessOptions{Mode: margo.ModeServer, Node: "server-node0", Name: "hepnos0", HandlerStreams: 2, Stage: core.StageFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := hepnos.NewServer(server, 2, "map", sdskv.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := cluster.Start(ProcessOptions{Mode: margo.ModeClient, Node: "client-node0", Name: "loader0", Stage: core.StageFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const events = 48
+	stored, err := dataloader.Run(client, dataloader.Config{Events: events, EventSize: 256, BatchSize: 1,
+		Servers: []hepnos.ServerInfo{{Addr: srv.Addr(), DBIDs: srv.DBIDs}}, Seed: 1})
+	if err != nil || stored != events {
+		t.Fatalf("stored %d of %d events: %v", stored, events, err)
+	}
+	cluster.WaitIdle(2 * time.Second)
+
+	var want []core.Event
+	for _, inst := range cluster.Instances() {
+		want = append(want, inst.Profiler().TraceEvents()...)
+	}
+	if len(want) < 4*events {
+		t.Fatalf("%d events buffered, want at least %d", len(want), 4*events)
+	}
+	var buf bytes.Buffer
+	var kept analysis.CollectSink
+	if err := cluster.Export(nil, core.NewJSONLTraceSink(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Export(nil, &kept); err != nil {
+		t.Fatal(err)
+	}
+	size := buf.Len()
+	got, truncated, err := core.ReadEventsJSONL(&buf)
+	if err != nil || truncated != 0 {
+		t.Fatalf("ReadEventsJSONL: truncated %d, %v", truncated, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the JSONL stream read back as %d events, not the %d exported", len(got), len(want))
+	}
+	if !reflect.DeepEqual(kept.TraceSet().Events, want) {
+		t.Errorf("the collecting sink holds %d events, not the %d exported", len(kept.TraceSet().Events), len(want))
+	}
+	t.Logf("%d events, %d B streamed, %.1f B/event", len(want), size, float64(size)/float64(len(want)))
 }
