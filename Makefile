@@ -13,25 +13,28 @@ test:
 vet:
 	$(GO) vet ./...
 
-# orphans fails when a package under internal/ is imported by no
-# non-test file outside itself, in the root module or in benchmark/: code
-# only its own tests (or nothing) reach is deleted, not carried.
+# orphans fails when the root module carries a function that no main
+# under cmd/ or examples/ and nothing under benchmark/ reaches (so also a
+# package without a non-test importer), an RPC with a handler and no
+# caller outside tests, or an option field no non-test file sets: code
+# only its own tests (or nothing) reach is deleted, not carried. The rule
+# and its allowlist are orphans_test.go; plain `go test ./...` runs it too.
 orphans:
-	@imported=$$( { $(GO) list -f '{{join .Imports "\n"}}' ./... && \
-		cd benchmark && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
-	orphans=$$($(GO) list ./internal/... | grep -vxF "$$imported"); \
-	if [ -n "$$orphans" ]; then echo "no non-test importer:"; echo "$$orphans"; exit 1; fi
+	$(GO) test -run '^TestNoOrphans$$' .
 
 # surface prints the size numbers a re-anchor quotes: Go lines of the
 # root module (benchmark/ is a module of its own) outside and inside
-# tests, the same per package, the binaries under cmd/, and DESIGN.md.
-# It counts tracked files, so `git add` new ones first.
+# tests, the same per package, the binaries under cmd/, DESIGN.md, and
+# what TestNoOrphans counts: the option fields of the exported
+# Config/Options/Policy/Plan/Opts structs under internal/ and the entries
+# of its allowlist. It counts tracked files, so `git add` new ones first.
 surface:
 	@files=$$(git ls-files '*.go' | grep -v '^benchmark/'); \
 	echo "non-test Go lines: $$(echo "$$files" | grep -v _test.go | xargs cat | wc -l)"; \
 	echo "test Go lines:     $$(echo "$$files" | grep _test.go | xargs cat | wc -l)"; \
 	echo "cmd/ binaries:     $$(git ls-files 'cmd/*/main.go' | wc -l)"; \
 	echo "DESIGN.md bytes:   $$(wc -c < DESIGN.md)"; \
+	$(GO) test -run '^TestNoOrphans$$' -v . | sed -n 's/.*\(option fields: [0-9]*\), \(allowlist entries: [0-9]*\)/\1\n\2/p'; \
 	echo "non-test lines per package:"; \
 	echo "$$files" | grep -v _test.go | while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \
 		awk '{n[$$1] += $$2} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2
@@ -72,15 +75,17 @@ race:
 # benchmark/run.sh -all`, `-compare`), not here.
 check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
-# fuzz-smoke fuzzes the three parsers that take bytes from other
+# fuzz-smoke fuzzes the four parsers that take bytes from other
 # processes: core.ReadTrace (whatever the bytes, it returns an error or a
 # dump that re-encodes to exactly those bytes, without a panic and
 # without allocating more than a small multiple of the input),
 # core.ReadEventsJSONL (an error, or events that a JSONL sink writes and
-# the reader reads back equal, under the same two bounds) and
+# the reader reads back equal, under the same two bounds),
 # mercury's frame headers (request, response and vectored frames parse
 # without reading past the frame and pack again, in place, to the same
-# bytes). The seeds — files under internal/*/testdata/fuzz/, and for the
+# bytes) and the nine messages of ekv/wire.go (each decodes to views
+# clipped inside the frame and encodes back to the bytes it consumed).
+# The seeds — files under internal/**/testdata/fuzz/, and for the
 # JSONL reader the streams jsonlSeeds builds — are replayed by plain
 # `go test` as well; this target mutates them. (Minimising a mutant of the
 # JSONL reader's 64 KiB seed would otherwise take the run's ten seconds.)
@@ -88,6 +93,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
+	$(GO) test ./internal/services/ekv -run '^$$' -fuzz '^FuzzEKVWire$$' -fuzztime 10s
 
 # bench-build vets and tests the benchmark harness. It is a module of
 # its own (benchmark/go.mod), so `go build ./... && go test ./...` at

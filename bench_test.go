@@ -268,7 +268,6 @@ func BenchmarkFig13OverheadsTelemetry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := scaledHEPnOS(experiments.C4, 1, 4)
 		cfg.MetricsAddr = "127.0.0.1:0"
-		cfg.MetricsInterval = 100 * time.Millisecond
 		res, err := experiments.RunOverheadStudy(experiments.OverheadConfig{
 			Base: cfg,
 			Reps: 3,
@@ -305,34 +304,6 @@ func BenchmarkTableIVConfigs(b *testing.B) {
 	for j, n := range names {
 		b.ReportMetric(walls[j], n)
 	}
-}
-
-// BenchmarkTableVAnalysis reproduces Table V: the time taken by the
-// three analysis scripts — profile summary, trace summary, and system
-// statistics summary — over a run's collected performance data. The
-// trace summary dominates, as in the paper.
-func BenchmarkTableVAnalysis(b *testing.B) {
-	// Generate one sizable dataset outside the timed region.
-	res, err := experiments.RunHEPnOS(scaledHEPnOS(experiments.C2, 1, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-	// Re-run to hold the dumps (RunHEPnOS tears its cluster down, so
-	// collect via a dedicated run preserving dumps).
-	profiles, traces, err := experiments.CollectHEPnOSDumps(scaledHEPnOS(experiments.C2, 1, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var t experiments.AnalysisTimings
-	for i := 0; i < b.N; i++ {
-		t = experiments.TimeAnalyses(profiles, traces, io.Discard)
-	}
-	b.ReportMetric(float64(t.ProfileSummary)/1e6, "profile_summary_ms") // paper: 35.1 s
-	b.ReportMetric(float64(t.TraceSummary)/1e6, "trace_summary_ms")     // paper: 481.1 s (dominant)
-	b.ReportMetric(float64(t.SystemStats)/1e6, "system_stats_ms")       // paper: 73.4 s
-	b.ReportMetric(float64(t.TraceEvents), "trace_events")
 }
 
 var _ = time.Now // keep time imported for future tuning

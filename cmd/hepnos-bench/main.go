@@ -207,6 +207,10 @@ func runChaos(base experiments.HEPnOSConfig, scale int) {
 	}
 	res, err := experiments.RunChaos(experiments.ChaosConfig{
 		Base:         base,
+		DropProb:     0.01,
+		DelayProb:    0.05,
+		Delay:        5 * time.Millisecond,
+		Seed:         42,
 		Scale:        scale,
 		CompareClean: true,
 		Report:       reportCfg,
@@ -241,14 +245,16 @@ func runChaos(base experiments.HEPnOSConfig, scale int) {
 }
 
 func runBatchSweep() {
-	res, err := experiments.RunBatchSweep(experiments.BatchSweepConfig{Report: reportCfg})
+	res, err := experiments.RunBatchSweep(experiments.BatchSweepConfig{
+		Windows: []int{1, 8, 64}, Issuers: 2, OpsPerIssuer: 512, Report: reportCfg,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
 		os.Exit(1)
 	}
 	cfg := res.Config
-	fmt.Printf("\n=== batch window sweep (%d issuers x %d ops, %d B values; paper C4 effect)\n",
-		cfg.Issuers, cfg.OpsPerIssuer, cfg.ValueSize)
+	fmt.Printf("\n=== batch window sweep (%d issuers x %d ops; paper C4 effect)\n",
+		cfg.Issuers, cfg.OpsPerIssuer)
 	for _, p := range res.Points {
 		line := fmt.Sprintf("  window %3d: %8.0f ops/s  wall %-10v", p.Window, p.OpsPerSec,
 			p.WallTime.Round(10*time.Microsecond))
@@ -289,6 +295,8 @@ func reasonSummary(reasons map[string]uint64) string {
 
 func runOverload() {
 	res, err := experiments.RunOverload(experiments.OverloadConfig{
+		StormOps:    40,
+		RecoveryOps: 20,
 		MetricsAddr: metricsAddr,
 		Report:      reportCfg,
 	})
@@ -298,8 +306,8 @@ func runOverload() {
 	}
 	cfg := res.Config
 	fmt.Printf("\n=== overload storm (%d clients x %d issuers, %d ops each, deadline %v; server %d streams, %v/op, max in-flight %d)\n",
-		cfg.Clients, cfg.IssuersPerClient, cfg.StormOps, experiments.StormDeadline,
-		cfg.HandlerStreams, cfg.HandlerCost, cfg.Overload.MaxInFlight)
+		experiments.StormClients, experiments.StormIssuersPerClient, cfg.StormOps, experiments.StormDeadline,
+		experiments.StormHandlerStreams, time.Duration(experiments.StormHandlerCost), experiments.StormMaxInFlight)
 	fmt.Printf("  storm:    %d/%d acked (%.1f%%)  p99 %v\n",
 		res.StormAcked, res.StormOps, 100*res.StormSuccessRate(),
 		res.StormP99.Round(time.Microsecond))
@@ -308,7 +316,7 @@ func runOverload() {
 	fmt.Printf("  breakers: %d trips, %d local fast-fails; retries %d, exhausted %d\n",
 		res.BreakerTrips, res.BreakerFastFails, res.Retries, res.Exhausted)
 	fmt.Printf("  handler queue high-watermark %d (cap %d)\n",
-		res.QueueHWM, cfg.Overload.MaxInFlight)
+		res.QueueHWM, experiments.StormMaxInFlight)
 	fmt.Printf("  recovery: %d/%d acked (%.1f%%)  p99 %v (storm p99 %v)\n",
 		res.RecoveryAcked, res.RecoveryOps, 100*res.RecoverySuccessRate(),
 		res.RecoveryP99.Round(time.Microsecond), res.StormP99.Round(time.Microsecond))
@@ -329,8 +337,11 @@ func runOverload() {
 
 func runElastic() {
 	res, err := experiments.RunElastic(experiments.ElasticConfig{
-		MetricsAddr: metricsAddr,
-		Report:      reportCfg,
+		StartNodes: 4, PeakNodes: 16, EndNodes: 8,
+		IssuersPerClient: 4,
+		OpsPerPhase:      60,
+		MetricsAddr:      metricsAddr,
+		Report:           reportCfg,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
@@ -339,7 +350,7 @@ func runElastic() {
 	cfg := res.Config
 	fmt.Printf("\n=== elastic scale-out %d -> %d -> %d nodes (%d clients x %d issuers, %d ops/phase)\n",
 		cfg.StartNodes, cfg.PeakNodes, cfg.EndNodes,
-		cfg.Clients, cfg.IssuersPerClient, cfg.OpsPerPhase)
+		experiments.ElasticClients, cfg.IssuersPerClient, cfg.OpsPerPhase)
 	for _, p := range res.Phases {
 		fmt.Printf("  %-12s %2d nodes: %4d/%d acked  p99 %v\n",
 			p.Name, p.Nodes, p.Acked, p.Ops, p.P99.Round(time.Microsecond))

@@ -3,7 +3,9 @@
 // separate nodes) in batches through sonata_store_multi_json, and the
 // tool prints how the cumulative RPC execution time on the target maps
 // to individual steps — input deserialization, internal RDMA transfer,
-// and execution proper.
+// and execution proper. Every run ends by auditing the store (the
+// collection's size, and a sample of documents fetched back byte-equal);
+// a failed audit is a non-zero exit.
 //
 // Usage:
 //

@@ -13,7 +13,7 @@
 //
 // Point it at anything serving the telemetry exposition: a
 // hepnos-bench run started with -metrics, or an experiments.Cluster
-// with ServeMetrics.
+// with ServeTelemetry.
 package main
 
 import (

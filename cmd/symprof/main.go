@@ -72,12 +72,6 @@ func main() {
 		analysis.RenderDiff(os.Stdout, deltas, *top)
 		return
 	}
-	// The legacy plain summary stays the cli default; -o tui/html (or
-	// -out) routes through the shared report renderer.
-	if *mode == "cli" && *out == "" {
-		merged.RenderSummary(os.Stdout, *top)
-		return
-	}
 	rm, err := report.ParseMode(*mode)
 	if err != nil {
 		fatal(err)

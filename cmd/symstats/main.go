@@ -104,20 +104,6 @@ func printStats(dir string, capEvents uint64, mode, out string) {
 	ts := analysis.MergeTraces(dumps)
 	stats := analysis.SystemStats(ts, capEvents)
 	incomplete := ts.IncompleteRequests()
-	// The legacy plain summary stays the cli default; -o tui/html (or
-	// -out) routes through the shared report renderer.
-	if mode == "cli" && out == "" {
-		analysis.RenderSystemStats(os.Stdout, stats)
-		if incomplete > 0 {
-			fmt.Printf("\nincomplete_requests: %d (origin events but no target view)\n", incomplete)
-		}
-		if ts.Dropped > 0 {
-			fmt.Printf("\nWARNING: %d trace events were dropped at the capacity bound;\n"+
-				"the summary above undercounts. Attach a streaming JSONL sink (margo\n"+
-				"Options.TraceSinks): it sees every event, also those the buffer drops.\n", ts.Dropped)
-		}
-		return
-	}
 	rm, err := report.ParseMode(mode)
 	if err != nil {
 		fatal(err)
@@ -126,7 +112,9 @@ func printStats(dir string, capEvents uint64, mode, out string) {
 	model.Generated = time.Now().Format(time.RFC3339)
 	if ts.Dropped > 0 {
 		model.Notes = append(model.Notes, fmt.Sprintf(
-			"%d trace events dropped at the capacity bound; the summary undercounts", ts.Dropped))
+			"%d trace events dropped at the capacity bound; the summary undercounts. "+
+				"A streaming JSONL sink (margo Options.TraceSinks) sees every event, also those the buffer drops",
+			ts.Dropped))
 	}
 	if out == "" {
 		if err := report.Render(os.Stdout, rm, model); err != nil {

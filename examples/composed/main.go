@@ -92,7 +92,7 @@ func main() {
 	// Compose: BAKE + SDSKV providers plus the photo provider, all on
 	// one process, talking through real RPCs.
 	svc := &photoService{inst: server}
-	if _, err := bake.RegisterProvider(server, bake.Config{}); err != nil {
+	if _, err := bake.RegisterProvider(server); err != nil {
 		log.Fatal(err)
 	}
 	kvP, err := sdskv.RegisterProvider(server, sdskv.Config{})

@@ -70,13 +70,6 @@ func (e *Eventual) TrySet(v any) bool {
 	return true
 }
 
-// IsSet reports whether the eventual has been set.
-func (e *Eventual) IsSet() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.isSet
-}
-
 // Wait blocks until the eventual is set and returns its value. When
 // called from a ULT, self must be that ULT so the wait parks
 // cooperatively; from a plain goroutine pass self == nil.

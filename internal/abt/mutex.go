@@ -36,17 +36,6 @@ func (m *Mutex) Lock(self *ULT) {
 	// Ownership was transferred to us by Unlock before we were woken.
 }
 
-// TryLock acquires the mutex without blocking, reporting success.
-func (m *Mutex) TryLock() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.locked {
-		return false
-	}
-	m.locked = true
-	return true
-}
-
 // Unlock releases the mutex, handing it to the oldest waiter if any.
 func (m *Mutex) Unlock() {
 	m.mu.Lock()

@@ -280,13 +280,6 @@ func (p *Pool) drainFree() {
 	}
 }
 
-// FreeListLen reports how many recycled detached ULTs are pooled.
-func (p *Pool) FreeListLen() int {
-	p.freeMu.Lock()
-	defer p.freeMu.Unlock()
-	return len(p.free)
-}
-
 // Len reports the number of runnable ULTs currently queued (inject queue
 // plus local rings), from the lock-free mirror.
 func (p *Pool) Len() int { return int(p.runnable.Load()) }

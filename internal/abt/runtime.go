@@ -64,13 +64,6 @@ func (r *Runtime) AddXStreams(name string, n int, pools ...*Pool) []*XStream {
 	return xs
 }
 
-// NumXStreams reports how many streams the runtime has started.
-func (r *Runtime) NumXStreams() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.xstreams)
-}
-
 // Shutdown stops all execution streams and releases the pooled detached
 // worker goroutines. Work still queued or parked is abandoned; callers
 // join their ULTs before shutting down.

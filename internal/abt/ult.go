@@ -86,9 +86,6 @@ func (u *ULT) Name() string { return u.name }
 // yields or is woken).
 func (u *ULT) Pool() *Pool { return u.pool }
 
-// State reports the current lifecycle state.
-func (u *ULT) State() State { return State(u.state.Load()) }
-
 // SpawnTime returns the instant the ULT was created into its pool (the
 // paper's t4 for RPC handler ULTs).
 func (u *ULT) SpawnTime() time.Time { return u.spawned }

@@ -60,20 +60,6 @@ func TestMergeAndDominantOrdering(t *testing.T) {
 	}
 }
 
-func TestRenderSummaryMentionsCallpaths(t *testing.T) {
-	bc := core.Breadcrumb(0).Push("a_rpc").Push("b_rpc")
-	m := Merge([]*core.ProfileDump{mkDump("p0", bc, "srv", 5, 10*time.Millisecond)})
-	var buf bytes.Buffer
-	m.RenderSummary(&buf, 5)
-	out := buf.String()
-	if !strings.Contains(out, "a_rpc => b_rpc") {
-		t.Fatalf("summary missing callpath name:\n%s", out)
-	}
-	if !strings.Contains(out, "origins: p0:5") {
-		t.Fatalf("summary missing origin distribution:\n%s", out)
-	}
-}
-
 func TestCumulativeTargetExecution(t *testing.T) {
 	bc := core.Breadcrumb(0).Push("a_rpc")
 	m := Merge([]*core.ProfileDump{mkDump("p0", bc, "c0", 4, 40*time.Millisecond)})
@@ -287,11 +273,6 @@ func TestSystemStats(t *testing.T) {
 	if byEnt["mid"].OFIAtCap != 1 {
 		t.Fatalf("mid at-cap = %d", byEnt["mid"].OFIAtCap)
 	}
-	var buf bytes.Buffer
-	RenderSystemStats(&buf, stats)
-	if !strings.Contains(buf.String(), "pool blocked : max 7") {
-		t.Fatalf("render missing data:\n%s", buf.String())
-	}
 }
 
 // TestSystemStatsBatching checks that origin-end events stamped with
@@ -317,11 +298,6 @@ func TestSystemStatsBatching(t *testing.T) {
 	}
 	if r := s.CoalesceRatio(); r != 1.5 {
 		t.Fatalf("coalesce ratio = %v", r)
-	}
-	var buf bytes.Buffer
-	RenderSystemStats(&buf, stats)
-	if !strings.Contains(buf.String(), "3 ops over 2 flushes") {
-		t.Fatalf("render missing batching line:\n%s", buf.String())
 	}
 }
 

@@ -172,13 +172,6 @@ func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
 	return paths, stats
 }
 
-// ExtractPath computes one request's critical path from its
-// Lamport-ordered events.
-func ExtractPath(requestID uint64, evs []core.Event) *CriticalPath {
-	var b pathBuilder
-	return b.pathOf(requestID, b.pair(requestID, evs))
-}
-
 // PathFromSpans computes the critical path from one request's
 // reconstructed spans (SpansOf output). Returns nil when the request
 // has no spans at all.

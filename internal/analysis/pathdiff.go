@@ -57,22 +57,6 @@ type PathDelta struct {
 	Gone bool
 }
 
-// DominantDelta returns the index of the segment contributing the
-// largest absolute mean movement (-1 when no aligned segments).
-func (d *PathDelta) DominantDelta() int {
-	best, bestAbs := -1, int64(-1)
-	for i := range d.Segments {
-		v := d.Segments[i].DeltaNanos
-		if v < 0 {
-			v = -v
-		}
-		if v > bestAbs {
-			best, bestAbs = i, v
-		}
-	}
-	return best
-}
-
 // FlameDiff is the full two-run comparison.
 type FlameDiff struct {
 	Before, After PathStats

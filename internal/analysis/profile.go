@@ -7,10 +7,7 @@
 package analysis
 
 import (
-	"fmt"
-	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"symbiosys/internal/core"
@@ -223,78 +220,4 @@ func (m *MergedProfile) CumulativeTargetExecution(bc core.Breadcrumb) (total tim
 	total = time.Duration(comps[core.CompRDMA] + comps[core.CompHandler] +
 		comps[core.CompTargetExec] + comps[core.CompTargetCB])
 	return total, comps
-}
-
-// RenderSummary writes the Figure 6-style dominant-callpath report.
-func (m *MergedProfile) RenderSummary(w io.Writer, topN int) {
-	rows := m.DominantCallpaths(topN)
-	fmt.Fprintf(w, "SYMBIOSYS profile summary — top %d callpaths by cumulative latency\n", len(rows))
-	if m.TraceDropped > 0 {
-		fmt.Fprintf(w, "warning: %d trace events dropped at capacity (trace view truncated)\n", m.TraceDropped)
-	}
-	for i, r := range rows {
-		fmt.Fprintf(w, "\n[%d] %s\n", i+1, r.Name)
-		fmt.Fprintf(w, "    calls %d  cum %v  mean %v  min %v  max %v\n",
-			r.Count, time.Duration(r.CumNanos), r.Mean(),
-			time.Duration(r.MinNanos), time.Duration(r.MaxNanos))
-		if r.Count > 1 {
-			fmt.Fprintf(w, "    latency: p50 %v  p95 %v  p99 %v\n",
-				r.Percentile(50), r.Percentile(95), r.Percentile(99))
-		}
-		fmt.Fprintf(w, "    breakdown:")
-		for _, c := range core.Components() {
-			v := r.Components[c]
-			if c == core.CompTargetExec {
-				v = r.TargetExecExclusive()
-			}
-			if v == 0 {
-				continue
-			}
-			fmt.Fprintf(w, " %s=%v", shortName(c), time.Duration(v))
-		}
-		fmt.Fprintln(w)
-		if len(r.OriginDist) > 0 {
-			fmt.Fprintf(w, "    origins: %s\n", distString(r.OriginDist))
-		}
-		if len(r.TargetDist) > 0 {
-			fmt.Fprintf(w, "    targets: %s\n", distString(r.TargetDist))
-		}
-	}
-}
-
-func shortName(c core.Component) string {
-	switch c {
-	case core.CompOriginExec:
-		return "origin_exec"
-	case core.CompInputSer:
-		return "input_ser"
-	case core.CompRDMA:
-		return "rdma"
-	case core.CompHandler:
-		return "handler"
-	case core.CompInputDeser:
-		return "input_deser"
-	case core.CompTargetExec:
-		return "target_exec"
-	case core.CompOutputSer:
-		return "output_ser"
-	case core.CompTargetCB:
-		return "target_cb"
-	case core.CompOriginCB:
-		return "origin_cb"
-	}
-	return "?"
-}
-
-func distString(dist map[string]uint64) string {
-	keys := make([]string, 0, len(dist))
-	for k := range dist {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s:%d", k, dist[k])
-	}
-	return strings.Join(parts, " ")
 }

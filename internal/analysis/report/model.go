@@ -9,7 +9,9 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"symbiosys/internal/analysis"
@@ -286,6 +288,10 @@ func diffVerdict(d *analysis.FlameDiff) string {
 // over the shared model.
 func FromProfile(title string, mp *analysis.MergedProfile, top int) *Model {
 	m := &Model{Title: title}
+	if mp.TraceDropped > 0 {
+		m.Notes = append(m.Notes, fmt.Sprintf(
+			"%d trace events dropped at capacity (trace view truncated)", mp.TraceDropped))
+	}
 	all := mp.DominantCallpaths(0)
 	var runCum uint64
 	for i := range all {
@@ -303,18 +309,28 @@ func FromProfile(title string, mp *analysis.MergedProfile, top int) *Model {
 		}
 		sec := Section{
 			Title: fmt.Sprintf("#%d  %s", i+1, r.Name),
-			Body: []string{fmt.Sprintf("calls %d  cum %v (%.1f%% of run)  mean %v  p50 %v  p99 %v",
+			Body: []string{fmt.Sprintf("calls %d  cum %v (%.1f%% of run)  mean %v  p50 %v  p95 %v  p99 %v",
 				r.Count, fmtNanos(int64(r.CumNanos)), 100*share, fmtDur(r.Mean()),
-				fmtDur(r.Percentile(50)), fmtDur(r.Percentile(99)))},
+				fmtDur(r.Percentile(50)), fmtDur(r.Percentile(95)), fmtDur(r.Percentile(99)))},
+		}
+		if len(r.OriginDist) > 0 {
+			sec.Body = append(sec.Body, distLine("origins:", r.OriginDist))
+		}
+		if len(r.TargetDist) > 0 {
+			sec.Body = append(sec.Body, distLine("targets:", r.TargetDist))
 		}
 		mean := int64(0)
 		if r.Count > 0 {
 			mean = int64(r.CumNanos / r.Count)
 		}
 		for c := 0; c < int(core.NumComponents); c++ {
+			v := r.Components[c]
+			if core.Component(c) == core.CompTargetExec {
+				v = r.TargetExecExclusive()
+			}
 			per := int64(0)
 			if r.Count > 0 {
-				per = int64(r.Components[c] / r.Count)
+				per = int64(v / r.Count)
 			}
 			if per == 0 {
 				continue
@@ -325,7 +341,7 @@ func FromProfile(title string, mp *analysis.MergedProfile, top int) *Model {
 			}
 			sec.Bars = append(sec.Bars, Bar{
 				Label:  core.Component(c).Name(),
-				Detail: fmt.Sprintf("%v/call", fmtNanos(per)),
+				Detail: fmtNanos(per) + "/call",
 				Frac:   frac,
 				Class:  "exec",
 			})
@@ -333,6 +349,24 @@ func FromProfile(title string, mp *analysis.MergedProfile, top int) *Model {
 		m.Sections = append(m.Sections, sec)
 	}
 	return m
+}
+
+// distLine renders a call-count distribution over entities, in entity
+// order: "origins: node0/c0:1024 node0/c1:1024".
+func distLine(label string, dist map[string]uint64) string {
+	keys := make([]string, 0, len(dist))
+	size := len(label)
+	for k := range dist {
+		keys = append(keys, k)
+		size += len(k) + 22 // " key:" and up to 20 digits
+	}
+	slices.Sort(keys)
+	line := append(make([]byte, 0, size), label...)
+	for _, k := range keys {
+		line = append(append(append(line, ' '), k...), ':')
+		line = strconv.AppendUint(line, dist[k], 10)
+	}
+	return string(line)
 }
 
 // FromSystemStats builds the per-entity saturation report (the symstats
@@ -345,7 +379,7 @@ func FromSystemStats(title string, stats []analysis.EntityStats, incomplete int)
 	}
 	t := &Table{Header: []string{
 		"entity", "events", "dropped", "blocked max/mean", "runnable max/mean",
-		"ofi max/mean", "ofi@cap", "batch ops/flushes",
+		"ofi max/mean", "ofi@cap", "cq max", "batch ops/flushes",
 	}}
 	sorted := make([]analysis.EntityStats, len(stats))
 	copy(sorted, stats)
@@ -360,6 +394,7 @@ func FromSystemStats(title string, stats []analysis.EntityStats, incomplete int)
 			fmt.Sprintf("%d/%.1f", s.MaxRunnable, s.MeanRunnable),
 			fmt.Sprintf("%d/%.1f", s.MaxOFIRead, s.MeanOFIRead),
 			fmt.Sprint(s.OFIAtCap),
+			fmt.Sprint(s.MaxCQ),
 			fmt.Sprintf("%d/%d", s.BatchedOps, s.BatchFlushes),
 		})
 	}

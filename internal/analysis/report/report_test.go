@@ -170,7 +170,18 @@ func TestWriteFileAndExt(t *testing.T) {
 }
 
 func TestSystemStatsModelSurfacesIncomplete(t *testing.T) {
-	m := FromSystemStats("stats", []analysis.EntityStats{{Entity: "e1", Events: 4}}, 3)
+	m := FromSystemStats("stats", []analysis.EntityStats{{
+		Entity: "e1", Events: 4, MaxBlocked: 7, MaxCQ: 9, BatchedOps: 3, BatchFlushes: 2,
+	}}, 3)
+	var buf strings.Builder
+	if err := WriteCLI(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"cq max", "7/0.0", "  9  ", "3/2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("entity table missing %q:\n%s", want, buf.String())
+		}
+	}
 	found := false
 	for _, n := range m.Notes {
 		if strings.Contains(n, "3 requests have incomplete span sets") {

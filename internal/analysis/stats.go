@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
 	"symbiosys/internal/core"
@@ -128,28 +126,4 @@ func SystemStats(ts *TraceSet, capEvents uint64) []EntityStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Entity < out[j].Entity })
 	return out
-}
-
-// RenderSystemStats writes the system statistics summary as text.
-func RenderSystemStats(w io.Writer, stats []EntityStats) {
-	fmt.Fprintln(w, "SYMBIOSYS system statistics summary")
-	for _, s := range stats {
-		fmt.Fprintf(w, "\n%s (%d samples)\n", s.Entity, s.Events)
-		fmt.Fprintf(w, "  pool blocked : max %d  mean %.2f\n", s.MaxBlocked, s.MeanBlocked)
-		fmt.Fprintf(w, "  pool runnable: max %d  mean %.2f\n", s.MaxRunnable, s.MeanRunnable)
-		if s.MaxOFIRead > 0 || s.MeanOFIRead > 0 {
-			fmt.Fprintf(w, "  ofi events   : max %d  mean %.2f  at-cap %d\n",
-				s.MaxOFIRead, s.MeanOFIRead, s.OFIAtCap)
-		}
-		if s.MaxCQ > 0 {
-			fmt.Fprintf(w, "  completion q : max %d\n", s.MaxCQ)
-		}
-		if s.BatchFlushes > 0 {
-			fmt.Fprintf(w, "  batching     : %d ops over %d flushes (coalesce %.1f ops/flush)\n",
-				s.BatchedOps, s.BatchFlushes, s.CoalesceRatio())
-		}
-		if s.Dropped > 0 {
-			fmt.Fprintf(w, "  trace dropped: %d (stats above undercount)\n", s.Dropped)
-		}
-	}
 }

@@ -32,8 +32,6 @@ const (
 	ReasonUrgent
 	// ReasonDrain: the instance is draining; windows flush immediately.
 	ReasonDrain
-	// ReasonExplicit: the application forced a flush.
-	ReasonExplicit
 	numReasons
 )
 
@@ -52,8 +50,6 @@ func (r Reason) String() string {
 		return "urgent"
 	case ReasonDrain:
 		return "drain"
-	case ReasonExplicit:
-		return "explicit"
 	default:
 		return "unknown"
 	}
@@ -120,9 +116,6 @@ func (w *Window) Ops() int { return w.ops }
 
 // Bytes reports the accumulated encoded payload size.
 func (w *Window) Bytes() int { return w.bytes }
-
-// MinDeadline reports the earliest member deadline (zero for none).
-func (w *Window) MinDeadline() int64 { return w.minDeadline }
 
 // Due reports whether the window must flush immediately after an Add,
 // based on size thresholds alone (time-based flushes come from FlushAt).
@@ -228,5 +221,5 @@ func (s *Stats) CoalesceRatio() float64 {
 
 // Reasons enumerates every flush reason with its label, for reports.
 func Reasons() []Reason {
-	return []Reason{ReasonFull, ReasonBytes, ReasonWindow, ReasonUrgent, ReasonDrain, ReasonExplicit}
+	return []Reason{ReasonFull, ReasonBytes, ReasonWindow, ReasonUrgent, ReasonDrain}
 }

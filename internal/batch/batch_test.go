@@ -87,8 +87,8 @@ func TestMinDeadlineTracksEarliest(t *testing.T) {
 	w.Add(1, 300)
 	w.Add(1, 0) // no deadline leaves the minimum alone
 	w.Add(1, 900)
-	if w.MinDeadline() != 300 {
-		t.Fatalf("MinDeadline = %d, want 300", w.MinDeadline())
+	if w.minDeadline != 300 {
+		t.Fatalf("MinDeadline = %d, want 300", w.minDeadline)
 	}
 }
 

@@ -64,9 +64,6 @@ func (b Breadcrumb) Hops() []uint16 {
 // Parent returns the breadcrumb with the leaf hop removed.
 func (b Breadcrumb) Parent() Breadcrumb { return b >> 16 }
 
-// Leaf returns the hash of the innermost hop.
-func (b Breadcrumb) Leaf() uint16 { return uint16(b) }
-
 // String formats the breadcrumb as hex.
 func (b Breadcrumb) String() string { return fmt.Sprintf("%#x", uint64(b)) }
 

@@ -86,12 +86,6 @@ func NewCollector(shards, traceCapacity int) *Collector {
 	return c
 }
 
-// NumShards reports the shard count (a power of two).
-func (c *Collector) NumShards() int { return len(c.shards) }
-
-// TraceCapacity reports the total trace-event capacity across shards.
-func (c *Collector) TraceCapacity() int { return c.traceCap }
-
 func (c *Collector) shard(key uint64) *collectorShard {
 	return &c.shards[key&c.mask]
 }
@@ -215,17 +209,6 @@ func (c *Collector) FlushSinks() error {
 // SinkErrors reports events a sink failed to consume plus flushes that
 // failed — the telemetry plane's sink_errors stat.
 func (c *Collector) SinkErrors() uint64 { return c.sinkErrs.Load() }
-
-// copySinksFrom carries sink attachments over from a prior collector
-// (used when the trace capacity or shard count is reconfigured).
-func (c *Collector) copySinksFrom(old *Collector) {
-	if old == nil {
-		return
-	}
-	if sinks := old.sinks.Load(); sinks != nil {
-		c.sinks.Store(sinks)
-	}
-}
 
 // OriginStats folds all shards into a merged copy of the origin-side
 // profile — the same StatKey → CallStats view a single-map profiler

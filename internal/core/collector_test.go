@@ -136,46 +136,11 @@ func TestCollectorConcurrentCountsPreserved(t *testing.T) {
 	}
 }
 
-// TestSetTraceCapacityConcurrent exercises the reconfiguration race the
-// old bare-pointer write had: swapping the collector while other
-// goroutines record must be safe (run under -race).
-func TestSetTraceCapacityConcurrent(t *testing.T) {
-	p := NewProfiler("race", StageFull)
-	bc := Breadcrumb(0).Push("race_rpc")
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(key uint64) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				p.RecordOriginAt(key, bc, "peer", time.Microsecond, nil)
-				p.EmitAt(key, Event{RequestID: key, Kind: EvOriginStart})
-				_ = p.TraceLen()
-			}
-		}(uint64(w))
-	}
-	for i := 0; i < 50; i++ {
-		p.SetTraceCapacity(1024 + i)
-		p.SetShards(1 << (i % 5))
-	}
-	close(stop)
-	wg.Wait()
-	if p.Collector().NumShards() != 16 {
-		t.Fatalf("final shards = %d", p.Collector().NumShards())
-	}
-}
-
 func TestCollectorShardRounding(t *testing.T) {
 	cases := map[int]int{-1: DefaultShards, 0: DefaultShards, 1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 9: 16, 1000: maxShards}
 	for in, want := range cases {
-		if got := NewCollector(in, 16).NumShards(); got != want {
-			t.Errorf("NewCollector(%d).NumShards() = %d, want %d", in, got, want)
+		if got := len(NewCollector(in, 16).shards); got != want {
+			t.Errorf("NewCollector(%d) has %d shards, want %d", in, got, want)
 		}
 	}
 }
@@ -203,7 +168,7 @@ func TestCollectorTraceCapacityBound(t *testing.T) {
 // silent trace truncation is visible in both dump kinds.
 func TestProfilerDumpSurfacesDropped(t *testing.T) {
 	p := NewProfiler("drop/p", StageFull)
-	p.SetTraceCapacity(4)
+	p.coll = NewCollector(DefaultShards, 4)
 	for i := 0; i < 20; i++ {
 		p.EmitAt(0, Event{RequestID: uint64(i)})
 	}
@@ -260,30 +225,6 @@ func TestTracerImplementsTraceSink(t *testing.T) {
 	}
 	if sink.(*Tracer).Len() != 1 {
 		t.Fatal("event not buffered")
-	}
-}
-
-// TestJSONLProfileSinkRoundTrip checks streamed profile dumps parse
-// back (one JSON object per line).
-func TestJSONLProfileSinkRoundTrip(t *testing.T) {
-	p := NewProfiler("jsonl/p", StageFull)
-	p.Names().Register("x_rpc")
-	p.RecordOrigin(Breadcrumb(0).Push("x_rpc"), "peer", time.Millisecond, nil)
-
-	var buf bytes.Buffer
-	sink := NewJSONLProfileSink(&buf)
-	if err := sink.WriteProfileDump(p.Dump()); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadProfile(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Entity != "jsonl/p" || len(got.Origin) != 1 {
-		t.Fatalf("round trip = %+v", got)
 	}
 }
 
@@ -420,14 +361,13 @@ func TestJSONLSinkOutputStable(t *testing.T) {
 		var buf bytes.Buffer
 		p := NewProfiler("n0/cli", StageFull)
 		if tc.capacity > 0 {
-			p.SetShards(1)
-			p.SetTraceCapacity(tc.capacity)
+			p.coll = NewCollector(1, tc.capacity)
 		}
 		sink := NewJSONLTraceSink(&buf)
 		p.AddTraceSink(sink)
 		for _, ev := range goldenEvents() {
 			if tc.beside {
-				emitBeside(p.coll.Load(), ev.RequestID, ev)
+				emitBeside(p.coll, ev.RequestID, ev)
 			} else {
 				p.EmitAt(ev.RequestID, ev)
 			}

@@ -35,44 +35,22 @@ const (
 	NumComponents
 )
 
-// Strategy is the instrumentation mechanism measuring a component
-// (Table III, "Instrumentation Strategy").
-type Strategy int
-
-// Instrumentation strategies.
-const (
-	// StrategyULTLocal marks intervals measured through ULT-local keys
-	// by Margo.
-	StrategyULTLocal Strategy = iota
-	// StrategyPVar marks intervals measured by Mercury PVARs.
-	StrategyPVar
-)
-
-// String names the strategy as in Table III.
-func (s Strategy) String() string {
-	if s == StrategyPVar {
-		return "Mercury PVAR"
-	}
-	return "ULT-local key"
-}
-
 type componentInfo struct {
-	name     string
-	start    string
-	end      string
-	strategy Strategy
+	name  string
+	start string
+	end   string
 }
 
 var componentTable = [NumComponents]componentInfo{
-	CompOriginExec: {"Origin Execution Time", "t1", "t14", StrategyULTLocal},
-	CompInputSer:   {"Input Serialization Time", "t2", "t3", StrategyPVar},
-	CompRDMA:       {"Target Internal RDMA Transfer Time", "t3", "t4", StrategyPVar},
-	CompHandler:    {"Target ULT Handler Time", "t4", "t5", StrategyULTLocal},
-	CompInputDeser: {"Input Deserialization Time", "t6", "t7", StrategyPVar},
-	CompTargetExec: {"Target ULT Execution Time (exclusive)", "t5", "t8", StrategyULTLocal},
-	CompOutputSer:  {"Output Serialization Time", "t9", "t10", StrategyPVar},
-	CompTargetCB:   {"Target ULT Completion Callback Time", "t8", "t13", StrategyULTLocal},
-	CompOriginCB:   {"Origin Completion Callback Time", "t12", "t14", StrategyPVar},
+	CompOriginExec: {"Origin Execution Time", "t1", "t14"},
+	CompInputSer:   {"Input Serialization Time", "t2", "t3"},
+	CompRDMA:       {"Target Internal RDMA Transfer Time", "t3", "t4"},
+	CompHandler:    {"Target ULT Handler Time", "t4", "t5"},
+	CompInputDeser: {"Input Deserialization Time", "t6", "t7"},
+	CompTargetExec: {"Target ULT Execution Time (exclusive)", "t5", "t8"},
+	CompOutputSer:  {"Output Serialization Time", "t9", "t10"},
+	CompTargetCB:   {"Target ULT Completion Callback Time", "t8", "t13"},
+	CompOriginCB:   {"Origin Completion Callback Time", "t12", "t14"},
 }
 
 // Name returns the Table III interval name.
@@ -82,9 +60,6 @@ func (c Component) Name() string { return componentTable[c].name }
 func (c Component) Interval() (string, string) {
 	return componentTable[c].start, componentTable[c].end
 }
-
-// Strategy returns the instrumentation mechanism for the component.
-func (c Component) Strategy() Strategy { return componentTable[c].strategy }
 
 // Components lists all components in Table III order.
 func Components() []Component {

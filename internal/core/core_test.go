@@ -29,7 +29,7 @@ func TestBreadcrumbPushDepthHops(t *testing.T) {
 	if b2.Parent() != b1 {
 		t.Fatal("Parent() != original")
 	}
-	if b2.Leaf() != Hash16("sdskv_put_rpc") {
+	if uint16(b2) != Hash16("sdskv_put_rpc") {
 		t.Fatal("Leaf() wrong")
 	}
 }
@@ -405,22 +405,21 @@ func TestStagePredicates(t *testing.T) {
 }
 
 func TestComponentTableMatchesPaperTableIII(t *testing.T) {
-	// Table III rows: interval, t-start, t-end, strategy.
+	// Table III rows: interval, t-start, t-end.
 	want := []struct {
-		c        Component
-		start    string
-		end      string
-		strategy Strategy
+		c     Component
+		start string
+		end   string
 	}{
-		{CompOriginExec, "t1", "t14", StrategyULTLocal},
-		{CompInputSer, "t2", "t3", StrategyPVar},
-		{CompRDMA, "t3", "t4", StrategyPVar},
-		{CompHandler, "t4", "t5", StrategyULTLocal},
-		{CompInputDeser, "t6", "t7", StrategyPVar},
-		{CompTargetExec, "t5", "t8", StrategyULTLocal},
-		{CompOutputSer, "t9", "t10", StrategyPVar},
-		{CompTargetCB, "t8", "t13", StrategyULTLocal},
-		{CompOriginCB, "t12", "t14", StrategyPVar},
+		{CompOriginExec, "t1", "t14"},
+		{CompInputSer, "t2", "t3"},
+		{CompRDMA, "t3", "t4"},
+		{CompHandler, "t4", "t5"},
+		{CompInputDeser, "t6", "t7"},
+		{CompTargetExec, "t5", "t8"},
+		{CompOutputSer, "t9", "t10"},
+		{CompTargetCB, "t8", "t13"},
+		{CompOriginCB, "t12", "t14"},
 	}
 	if len(want) != int(NumComponents) {
 		t.Fatal("test table incomplete")
@@ -429,9 +428,6 @@ func TestComponentTableMatchesPaperTableIII(t *testing.T) {
 		s, e := w.c.Interval()
 		if s != w.start || e != w.end {
 			t.Errorf("%s interval = %s→%s, want %s→%s", w.c.Name(), s, e, w.start, w.end)
-		}
-		if w.c.Strategy() != w.strategy {
-			t.Errorf("%s strategy = %v, want %v", w.c.Name(), w.c.Strategy(), w.strategy)
 		}
 	}
 	if len(Components()) != int(NumComponents) {

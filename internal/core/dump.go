@@ -70,7 +70,7 @@ type TraceDump struct {
 // DumpTrace captures a profiler's merged trace rings for offline
 // analysis; events come out ordered by timestamp then Lamport order.
 func (p *Profiler) DumpTrace() *TraceDump {
-	c := p.coll.Load()
+	c := p.coll
 	return &TraceDump{
 		Entity:  p.entity,
 		PID:     p.pid,

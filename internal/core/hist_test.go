@@ -169,13 +169,6 @@ func TestJSONLSinkStickyErrors(t *testing.T) {
 	if err := sink.Flush(); !errors.Is(err, boom) {
 		t.Fatalf("Flush after failure = %v, want sticky %v", err, boom)
 	}
-
-	ps := NewJSONLProfileSink(&failWriter{n: 0, err: boom})
-	big := &ProfileDump{Entity: "x"}
-	_ = ps.WriteProfileDump(big)
-	if err := ps.Flush(); !errors.Is(err, boom) {
-		t.Fatalf("profile Flush = %v, want %v", err, boom)
-	}
 }
 
 // TestSysSamplerCachesWithinInterval checks that samples inside the

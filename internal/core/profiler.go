@@ -232,10 +232,8 @@ type Profiler struct {
 	// than timestamps (paper §IV-A2).
 	skew atomic.Int64
 
-	// coll is the sharded measurement pipeline. It is replaced (not
-	// mutated) on reconfiguration, so hot-path readers load it once per
-	// operation without locking.
-	coll atomic.Pointer[Collector]
+	// coll is the sharded measurement pipeline, fixed at construction.
+	coll *Collector
 
 	// pvarSnap, when set (SetPVarSnapshot), is called at Dump time so
 	// profile dumps carry the owning layer's performance-variable
@@ -256,8 +254,8 @@ func NewProfiler(entity string, stage Stage) *Profiler {
 		pid:    pidSeq.Add(1),
 		names:  NewNameRegistry(),
 		start:  time.Now(),
+		coll:   NewCollector(DefaultShards, DefaultTraceCapacity),
 	}
-	p.coll.Store(NewCollector(DefaultShards, DefaultTraceCapacity))
 	p.stage.Store(int32(stage))
 	return p
 }
@@ -278,42 +276,17 @@ func (p *Profiler) SetStage(s Stage) { p.stage.Store(int32(s)) }
 func (p *Profiler) Names() *NameRegistry { return p.names }
 
 // Collector returns the process's sharded measurement pipeline.
-func (p *Profiler) Collector() *Collector { return p.coll.Load() }
-
-// SetTraceCapacity replaces the collector with one retaining up to n
-// trace events (shard count and attached sinks carry over). The swap is
-// atomic, so a late call is safe — but events already recorded are
-// discarded, so configure capacity before traffic.
-func (p *Profiler) SetTraceCapacity(n int) {
-	old := p.coll.Load()
-	nc := NewCollector(old.NumShards(), n)
-	nc.copySinksFrom(old)
-	p.coll.Store(nc)
-}
-
-// SetShards replaces the collector with one using n shards, rounded up
-// to a power of two (trace capacity and attached sinks carry over).
-// Like SetTraceCapacity, configure before traffic: recorded state is
-// discarded.
-func (p *Profiler) SetShards(n int) {
-	old := p.coll.Load()
-	nc := NewCollector(n, old.TraceCapacity())
-	nc.copySinksFrom(old)
-	p.coll.Store(nc)
-}
+func (p *Profiler) Collector() *Collector { return p.coll }
 
 // AddTraceSink attaches a streaming sink observing every subsequently
 // emitted trace event.
-func (p *Profiler) AddTraceSink(s TraceSink) { p.coll.Load().AddTraceSink(s) }
+func (p *Profiler) AddTraceSink(s TraceSink) { p.coll.AddTraceSink(s) }
 
 // FlushSinks flushes all attached trace sinks.
-func (p *Profiler) FlushSinks() error { return p.coll.Load().FlushSinks() }
+func (p *Profiler) FlushSinks() error { return p.coll.FlushSinks() }
 
 // SetClockSkew sets the simulated wall-clock offset of this process.
 func (p *Profiler) SetClockSkew(d time.Duration) { p.skew.Store(int64(d)) }
-
-// ClockSkew returns the simulated wall-clock offset.
-func (p *Profiler) ClockSkew() time.Duration { return time.Duration(p.skew.Load()) }
 
 // StampNanos converts a true instant into this process's (possibly
 // skewed) wall-clock nanoseconds for trace-event timestamps.
@@ -344,7 +317,7 @@ func (p *Profiler) RecordOriginAt(key uint64, bc Breadcrumb, target string, tota
 	if !p.Stage().Measures() {
 		return
 	}
-	p.coll.Load().RecordOrigin(key, bc, target, total, comps)
+	p.coll.RecordOrigin(key, bc, target, total, comps)
 }
 
 // RecordTarget folds one serviced RPC into the target-side profile.
@@ -359,7 +332,7 @@ func (p *Profiler) RecordTargetAt(key uint64, bc Breadcrumb, origin string, tota
 	if !p.Stage().Measures() {
 		return
 	}
-	p.coll.Load().RecordTarget(key, bc, origin, total, comps)
+	p.coll.RecordTarget(key, bc, origin, total, comps)
 }
 
 // Emit appends one trace event, sharded by its request ID. Hot paths
@@ -368,40 +341,40 @@ func (p *Profiler) Emit(ev Event) { p.EmitAt(ev.RequestID, ev) }
 
 // EmitAt appends one trace event into the shard selected by key (the
 // emitting ULT's id on the RPC fast path).
-func (p *Profiler) EmitAt(key uint64, ev Event) { p.coll.Load().Emit(key, ev) }
+func (p *Profiler) EmitAt(key uint64, ev Event) { p.coll.Emit(key, ev) }
 
 // EmitSampled is EmitAt with the event's PVAR sample and component
 // breakdown passed beside it (see Collector.EmitSampled): the collector
 // copies both, so the caller's values need not outlive the call.
 func (p *Profiler) EmitSampled(key uint64, ev Event, pv *PVarSample, comps *[NumComponents]uint64) {
-	p.coll.Load().EmitSampled(key, ev, pv, comps)
+	p.coll.EmitSampled(key, ev, pv, comps)
 }
 
 // TraceLen reports the number of buffered trace events.
-func (p *Profiler) TraceLen() int { return p.coll.Load().TraceLen() }
+func (p *Profiler) TraceLen() int { return p.coll.TraceLen() }
 
 // TraceDropped reports trace events discarded due to the capacity bound.
-func (p *Profiler) TraceDropped() uint64 { return p.coll.Load().Dropped() }
+func (p *Profiler) TraceDropped() uint64 { return p.coll.Dropped() }
 
 // TraceEvents returns a merged copy of the buffered trace events,
 // ordered by timestamp then Lamport order.
-func (p *Profiler) TraceEvents() []Event { return p.coll.Load().Events() }
+func (p *Profiler) TraceEvents() []Event { return p.coll.Events() }
 
 // ResetMeasurements clears the profile maps and trace rings (between
 // experiment repetitions).
-func (p *Profiler) ResetMeasurements() { p.coll.Load().Reset() }
+func (p *Profiler) ResetMeasurements() { p.coll.Reset() }
 
 // OriginStats returns a merged deep copy of the origin-side profile.
-func (p *Profiler) OriginStats() map[StatKey]CallStats { return p.coll.Load().OriginStats() }
+func (p *Profiler) OriginStats() map[StatKey]CallStats { return p.coll.OriginStats() }
 
 // TargetStats returns a merged deep copy of the target-side profile.
-func (p *Profiler) TargetStats() map[StatKey]CallStats { return p.coll.Load().TargetStats() }
+func (p *Profiler) TargetStats() map[StatKey]CallStats { return p.coll.TargetStats() }
 
 // Dump serializes the profiler state for offline analysis, folding all
 // collector shards into the single merged per-process view the analysis
 // tools ingest.
 func (p *Profiler) Dump() *ProfileDump {
-	c := p.coll.Load()
+	c := p.coll
 	d := &ProfileDump{
 		Entity:       p.entity,
 		PID:          p.pid,

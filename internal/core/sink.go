@@ -49,7 +49,7 @@ func (t *Tracer) WriteEvent(ev Event) error {
 // Flush implements TraceSink; the in-memory buffer needs no flushing.
 func (t *Tracer) Flush() error { return nil }
 
-// jsonlWriter is what the two JSONL sinks share: a buffered writer
+// jsonlWriter is the JSONL sink's output: a buffered writer
 // behind a mutex, whose first error sticks — it is retained and reported
 // by every later write and Flush, so an exporter that only checks the
 // final Flush (e.g. margo's Shutdown) still observes mid-run losses.
@@ -372,26 +372,4 @@ func unmask(key string, in, vals []uint64) error {
 		}
 	}
 	return nil
-}
-
-// JSONLProfileSink streams profile dumps as JSON Lines (one dump object
-// per line) to an io.Writer. Like JSONLTraceSink, write errors are
-// sticky and resurface from Flush.
-type JSONLProfileSink struct {
-	jsonlWriter
-	enc *json.Encoder
-}
-
-// NewJSONLProfileSink wraps w in a streaming JSONL profile sink.
-func NewJSONLProfileSink(w io.Writer) *JSONLProfileSink {
-	bw := bufio.NewWriter(w)
-	return &JSONLProfileSink{jsonlWriter: jsonlWriter{bw: bw}, enc: json.NewEncoder(bw)}
-}
-
-// WriteProfileDump appends one merged profile snapshot as a JSON line.
-func (s *JSONLProfileSink) WriteProfileDump(d *ProfileDump) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.check(0, s.enc.Encode(d))
-	return s.err
 }

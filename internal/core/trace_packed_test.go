@@ -65,14 +65,14 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 			c := NewCollector(tc.shards, tc.capacity)
 			sink := &recordingSink{}
 			c.AddTraceSink(sink)
-			perShard := c.TraceCapacity() / c.NumShards()
+			perShard := c.traceCap / len(c.shards)
 			for round, seed := range []int64{11, 12} {
 				if round > 0 {
 					c.Reset()
 					sink.evs = nil
 				}
 				evs := randomDump(seed, tc.events, tc.strings).Events
-				kept := make([][]Event, c.NumShards())
+				kept := make([][]Event, len(c.shards))
 				var dropped uint64
 				for k, ev := range evs {
 					if ev.Timestamp == 0 {
@@ -85,7 +85,7 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 					} else {
 						emitBeside(c, key, ev)
 					}
-					if sh := key & uint64(c.NumShards()-1); len(kept[sh]) < perShard {
+					if sh := key & uint64(len(c.shards)-1); len(kept[sh]) < perShard {
 						kept[sh] = append(kept[sh], ev)
 					} else {
 						dropped++
@@ -173,7 +173,7 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 func TestDumpTraceBytesUnchanged(t *testing.T) {
 	p := NewProfiler("n0/cli", StageFull)
 	for _, ev := range goldenEvents() {
-		emitBeside(p.coll.Load(), ev.RequestID, ev)
+		emitBeside(p.coll, ev.RequestID, ev)
 	}
 	d := p.DumpTrace()
 	d.PID, d.Dropped = 4242, 3     // the seed's header

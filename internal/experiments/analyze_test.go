@@ -142,7 +142,7 @@ func TestBatchSweepReports(t *testing.T) {
 		Windows:      []int{1, 8},
 		Issuers:      2,
 		OpsPerIssuer: 64,
-		Report:       ReportConfig{Dir: dir, Mode: "cli", Top: 5},
+		Report:       ReportConfig{Dir: dir, Mode: "cli"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,21 +22,15 @@ import (
 // BatchSweepConfig parameterizes one sweep.
 type BatchSweepConfig struct {
 	// Windows lists the coalescer windows to measure; window 1 runs
-	// without a batch policy (plain Forwards). Default {1, 8, 64}.
+	// without a batch policy (plain Forwards).
 	Windows []int
-	// Issuers is the number of concurrent client ULTs (default 2);
-	// OpsPerIssuer the operations each issues (default 512). The
-	// default keeps client concurrency low so the unbatched baseline
-	// pays the per-RPC wire cost serially, the regime where the
+	// Issuers is the number of concurrent client ULTs; OpsPerIssuer the
+	// operations each issues. A low issuer count makes the unbatched
+	// baseline pay the per-RPC wire cost serially, the regime where the
 	// paper's C4 batching knob matters; high issuer counts pipeline
 	// RPCs and hide it.
 	Issuers      int
 	OpsPerIssuer int
-	// ValueSize is the per-op payload in bytes (default 64).
-	ValueSize int
-	// MaxDelay bounds how long a non-full window may park (default
-	// 500µs).
-	MaxDelay time.Duration
 
 	// Report, when enabled, turns on full-stage measurement for the
 	// sweep (normally it runs unmeasured) and renders per-window
@@ -45,23 +39,12 @@ type BatchSweepConfig struct {
 	Report ReportConfig
 }
 
-func (c *BatchSweepConfig) fillDefaults() {
-	if len(c.Windows) == 0 {
-		c.Windows = []int{1, 8, 64}
-	}
-	if c.Issuers <= 0 {
-		c.Issuers = 2
-	}
-	if c.OpsPerIssuer <= 0 {
-		c.OpsPerIssuer = 512
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 64
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 500 * time.Microsecond
-	}
-}
+const (
+	// sweepValueSize is the per-op payload in bytes.
+	sweepValueSize = 64
+	// sweepMaxDelay bounds how long a non-full window may park.
+	sweepMaxDelay = 500 * time.Microsecond
+)
 
 // BatchSweepPoint is the measurement at one window.
 type BatchSweepPoint struct {
@@ -118,7 +101,6 @@ func (a *sweepArgs) Proc(p *mercury.Proc) error {
 
 // RunBatchSweep measures the same workload at every configured window.
 func RunBatchSweep(cfg BatchSweepConfig) (*BatchSweepResult, error) {
-	cfg.fillDefaults()
 	res := &BatchSweepResult{Config: cfg}
 	tracesByWindow := make(map[int][]*core.TraceDump)
 	for _, w := range cfg.Windows {
@@ -174,7 +156,7 @@ func runBatchSweepPoint(cfg BatchSweepConfig, window int) (BatchSweepPoint, []*c
 	}
 	var pol *batch.Policy
 	if window > 1 {
-		pol = &batch.Policy{MaxOps: window, MaxDelay: cfg.MaxDelay}
+		pol = &batch.Policy{MaxOps: window, MaxDelay: sweepMaxDelay}
 	}
 	cli, err := cluster.Start(ProcessOptions{Mode: margo.ModeClient, Node: "n0", Name: "loader", Batch: pol, Stage: stage})
 	if err != nil {
@@ -211,7 +193,7 @@ func runBatchSweepPoint(cfg BatchSweepConfig, window int) (BatchSweepPoint, []*c
 				for k := range ins {
 					ins[k] = &sweepArgs{
 						Key:   fmt.Sprintf("i%02d-op%04d", i, done+k),
-						Value: make([]byte, cfg.ValueSize),
+						Value: make([]byte, sweepValueSize),
 					}
 				}
 				errsByIssuer[i] = append(errsByIssuer[i], cli.ForwardMany(self, srv.Addr(), "sweep_put", ins, nil)...)
@@ -229,7 +211,7 @@ func runBatchSweepPoint(cfg BatchSweepConfig, window int) (BatchSweepPoint, []*c
 			}
 		}
 	}
-	if !cluster.WaitIdle(10 * time.Second) {
+	if !cluster.Settle() {
 		return BatchSweepPoint{}, nil, fmt.Errorf("experiments: sweep window %d did not quiesce", window)
 	}
 

@@ -13,21 +13,16 @@ import (
 // replayed under a seeded fault plan with the margo retry policy
 // absorbing the injected failures.
 type ChaosConfig struct {
-	// Base is the service configuration to stress. Default C2.
+	// Base is the service configuration to stress.
 	Base HEPnOSConfig
 
 	// Fault plan knobs, applied as the plan's default rule so every link
-	// of the deployment takes them. Defaults: 1% drop, 5ms delay on 5% of
-	// messages.
+	// of the deployment takes them.
 	DropProb  float64
 	DelayProb float64
 	Delay     time.Duration
-	// Seed drives the plan's deterministic fault schedule. Default 42.
+	// Seed drives the plan's deterministic fault schedule.
 	Seed uint64
-
-	// Retry is the client-side policy absorbing the faults. Default
-	// margo.DefaultRetryPolicy().
-	Retry *margo.RetryPolicy
 
 	// Scale divides EventsPerClient (floor 64) so smoke tests finish
 	// quickly; 1 (or 0) runs the full workload.
@@ -42,32 +37,6 @@ type ChaosConfig struct {
 	// with CompareClean — the clean-vs-chaos diff localizing the
 	// injected fault's segment.
 	Report ReportConfig
-}
-
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Base.Name == "" {
-		c.Base = C2
-	}
-	if c.DropProb == 0 {
-		c.DropProb = 0.01
-	}
-	if c.DelayProb == 0 {
-		c.DelayProb = 0.05
-	}
-	if c.Delay == 0 {
-		c.Delay = 5 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.Retry == nil {
-		pol := margo.DefaultRetryPolicy()
-		c.Retry = &pol
-	}
-	if c.Scale < 1 {
-		c.Scale = 1
-	}
-	return c
 }
 
 // Plan materializes the config's fault plan.
@@ -139,9 +108,7 @@ func putPackedOriginP99(res *HEPnOSResult) time.Duration {
 // RunChaos replays the configured HEPnOS workload under the fault plan
 // (and optionally clean) and derives the campaign report.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	cfg = cfg.withDefaults()
-
-	base := cfg.Base.withDefaults()
+	base := cfg.Base
 	if cfg.Scale > 1 {
 		base.EventsPerClient = max(base.EventsPerClient/cfg.Scale, 64)
 	}
@@ -162,7 +129,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	faulted := base
 	faulted.Faults = cfg.Plan()
-	faulted.Retry = cfg.Retry
+	// The client-side policy absorbing the faults.
+	retry := margo.DefaultRetryPolicy()
+	faulted.Retry = &retry
 	fr, _, chaosTraces, err := runHEPnOSInternal(faulted)
 	if err != nil {
 		return nil, err

@@ -194,7 +194,7 @@ func TestClusterDrainWithInflightUnderFaults(t *testing.T) {
 	}
 	// Drain while the forwards are mid-flight; the drain must wait for
 	// them rather than cutting the fabric out from under the retries.
-	for cli.InFlight() == 0 {
+	for cli.TelemetrySample().RPCsInFlight == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
 	if err := cluster.Drain(5 * time.Second); err != nil {

@@ -3,13 +3,14 @@
 // dominant-callpath and trace studies (Figures 5–6), the Sonata
 // serialization breakdown (Figure 7), the HEPnOS configuration studies
 // C1–C7 (Table IV, Figures 9–12), and the overhead evaluation
-// (Figure 13, Table V). Each runner returns a structured Result that
+// (Figure 13). Each runner returns a structured Result that
 // the cmd tools print and bench_test.go reports.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -28,7 +29,7 @@ type Cluster struct {
 	Fabric    *na.Fabric
 	instances []*margo.Instance
 
-	// telemetry, when set via EnableTelemetry, is applied to every
+	// telemetry, when set via ServeTelemetry, is applied to every
 	// subsequently started process; exposer aggregates their samplers.
 	telemetry *telemetry.Options
 	exposer   *telemetry.Exposer
@@ -91,28 +92,36 @@ func (c *Cluster) Start(opts ProcessOptions) (*margo.Instance, error) {
 	return inst, nil
 }
 
-// EnableTelemetry attaches a live sampler (with the given options) to
-// every process started after this call and aggregates them under the
-// cluster's exposer. Call before Start; then ServeMetrics to scrape.
-func (c *Cluster) EnableTelemetry(opts telemetry.Options) {
-	c.telemetry = &opts
-	if c.exposer == nil {
-		c.exposer = telemetry.NewExposer()
+// ServeTelemetry attaches a live sampler (with the given options) to
+// every process started after the call, aggregates them under the
+// cluster's exposer, and serves /metrics + /snapshot on addr (":0"
+// picks a free port), returning the bound address. An empty addr leaves
+// telemetry off and returns "". Call before Start.
+func (c *Cluster) ServeTelemetry(addr string, opts telemetry.Options) (string, error) {
+	if addr == "" {
+		return "", nil
 	}
+	c.telemetry = &opts
+	c.exposer = telemetry.NewExposer()
+	bound, err := c.exposer.Serve(addr)
+	if err != nil {
+		return "", fmt.Errorf("experiments: serve metrics: %w", err)
+	}
+	return bound, nil
 }
 
-// Exposer returns the cluster's telemetry exposer (nil until
-// EnableTelemetry).
-func (c *Cluster) Exposer() *telemetry.Exposer { return c.exposer }
-
-// ServeMetrics starts the cluster's /metrics + /snapshot endpoint on
-// addr (":0" picks a free port), returning the bound address. Requires
-// EnableTelemetry first.
-func (c *Cluster) ServeMetrics(addr string) (string, error) {
+// MetricsText forces a fresh sample on every process and renders the
+// /metrics exposition a scrape would see now ("" without telemetry).
+func (c *Cluster) MetricsText() string {
 	if c.exposer == nil {
-		return "", fmt.Errorf("experiments: ServeMetrics before EnableTelemetry")
+		return ""
 	}
-	return c.exposer.Serve(addr)
+	for _, s := range c.exposer.Samplers() {
+		s.SampleOnce()
+	}
+	var b strings.Builder
+	c.exposer.WriteMetrics(&b)
+	return b.String()
 }
 
 // Instances returns every process started on the cluster.
@@ -206,6 +215,16 @@ func DrainActive(timeout time.Duration) error {
 		}
 	}
 	return first
+}
+
+// Settle is where a run's measured part ends: it waits until no
+// process has RPCs in flight, then lets the target-side completion
+// callbacks of the last responses land, and reports whether the cluster
+// went idle in time.
+func (c *Cluster) Settle() bool {
+	idle := c.WaitIdle(10 * time.Second)
+	time.Sleep(20 * time.Millisecond)
+	return idle
 }
 
 // WaitIdle blocks until no process has RPCs in flight.

@@ -18,94 +18,44 @@ import (
 // elasticGroup is the SSG group name the elastic KV nodes join.
 const elasticGroup = "ekv"
 
+// The elastic run's fixed shape.
+const (
+	// ElasticClients is how many client processes carry the sustained
+	// load. They run in server mode so membership deltas are pushed to
+	// their routing tables.
+	ElasticClients = 2
+	// elasticStagger spaces the membership changes out so the load
+	// overlaps genuinely concurrent migration rounds.
+	elasticStagger = 3 * time.Millisecond
+	// elasticDrainTimeout bounds the graceful drain ending the run.
+	elasticDrainTimeout = 5 * time.Second
+)
+
 // ElasticConfig shapes one elastic scale-out run: an ekv cluster scaled
 // StartNodes → PeakNodes → EndNodes under a sustained client load, with
 // live shard migration streaming the moving ranges between phases and
 // the acked-op audit holding the zero-loss bar throughout.
 type ElasticConfig struct {
-	// StartNodes → PeakNodes → EndNodes is the churn schedule. Defaults
-	// 4 → 16 → 8 (the ISSUE 8 acceptance shape).
+	// StartNodes → PeakNodes → EndNodes is the churn schedule.
 	StartNodes int
 	PeakNodes  int
 	EndNodes   int
 
-	// Clients and IssuersPerClient set the sustained load's concurrency.
-	// Client processes run in server mode so membership deltas are
-	// pushed to their routing tables. Defaults 2 and 4.
-	Clients          int
+	// IssuersPerClient is the load's concurrency on each of the
+	// ElasticClients processes.
 	IssuersPerClient int
 	// OpsPerPhase is operations per issuer in each of the five phases
-	// (steady / scale-out / steady / scale-in / steady). Default 60.
+	// (steady / scale-out / steady / scale-in / steady).
 	OpsPerPhase int
-
-	// JoinStagger / RetireStagger space the membership changes out so
-	// the load overlaps genuinely concurrent migration rounds.
-	// Defaults 3ms.
-	JoinStagger   time.Duration
-	RetireStagger time.Duration
-
-	// Retry is the per-process resilience policy (clients and nodes
-	// alike: peer migration traffic rides the same machinery). The
-	// default uses short per-try timeouts so stale routes fail over
-	// quickly.
-	Retry *margo.RetryPolicy
-
-	Stage core.Stage
 
 	// MetricsAddr, when non-empty, serves live telemetry; the result
 	// carries a /metrics exposition rendered before the drain with the
 	// symbiosys_pvar_elastic_* families.
 	MetricsAddr string
 
-	// DrainTimeout bounds the graceful drain ending the run. Default 5s.
-	DrainTimeout time.Duration
-
 	// Report, when enabled, renders the run's dominant-critical-path
 	// flame (migration segments alongside the serving path).
 	Report ReportConfig
-}
-
-func (c ElasticConfig) withDefaults() ElasticConfig {
-	if c.StartNodes == 0 {
-		c.StartNodes = 4
-	}
-	if c.PeakNodes == 0 {
-		c.PeakNodes = 16
-	}
-	if c.EndNodes == 0 {
-		c.EndNodes = 8
-	}
-	if c.Clients == 0 {
-		c.Clients = 2
-	}
-	if c.IssuersPerClient == 0 {
-		c.IssuersPerClient = 4
-	}
-	if c.OpsPerPhase == 0 {
-		c.OpsPerPhase = 60
-	}
-	if c.JoinStagger == 0 {
-		c.JoinStagger = 3 * time.Millisecond
-	}
-	if c.RetireStagger == 0 {
-		c.RetireStagger = 3 * time.Millisecond
-	}
-	if c.Retry == nil {
-		c.Retry = &margo.RetryPolicy{
-			MaxAttempts:    6,
-			PerTryTimeout:  75 * time.Millisecond,
-			InitialBackoff: 2 * time.Millisecond,
-			MaxBackoff:     16 * time.Millisecond,
-			Budget:         -1,
-		}
-	}
-	if c.Stage == 0 {
-		c.Stage = core.StageFull
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	return c
 }
 
 // ElasticPhase is one load phase's outcome.
@@ -191,7 +141,6 @@ type ackedOp struct {
 // EndNodes under load, and audit that no acked op was lost and the
 // migration is visible in traces and metrics.
 func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
-	cfg = cfg.withDefaults()
 	if cfg.PeakNodes < cfg.StartNodes || cfg.EndNodes > cfg.PeakNodes || cfg.EndNodes < 1 {
 		return nil, fmt.Errorf("experiments: elastic schedule %d→%d→%d is not a scale-out/scale-in",
 			cfg.StartNodes, cfg.PeakNodes, cfg.EndNodes)
@@ -206,18 +155,24 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 
 	res := &ElasticResult{Config: cfg, FinalSpread: make(map[string]int)}
 
-	if cfg.MetricsAddr != "" {
-		cluster.EnableTelemetry(telemetry.Options{})
-		addr, err := cluster.ServeMetrics(cfg.MetricsAddr)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: serve metrics: %w", err)
-		}
-		res.MetricsAddr = addr
+	var err error
+	if res.MetricsAddr, err = cluster.ServeTelemetry(cfg.MetricsAddr, telemetry.Options{}); err != nil {
+		return nil, err
+	}
+	// The per-process resilience policy, clients and nodes alike (peer
+	// migration traffic rides the same machinery): short per-try timeouts
+	// so stale routes fail over quickly.
+	retry := &margo.RetryPolicy{
+		MaxAttempts:    6,
+		PerTryTimeout:  75 * time.Millisecond,
+		InitialBackoff: 2 * time.Millisecond,
+		MaxBackoff:     16 * time.Millisecond,
+		Budget:         -1,
 	}
 
 	// The SSG root hosting the service group.
 	rootInst, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeServer, Node: "elastic-root", Name: "root", Stage: cfg.Stage,
+		Mode: margo.ModeServer, Node: "elastic-root", Name: "root", Stage: core.StageFull,
 	})
 	if err != nil {
 		return nil, err
@@ -238,7 +193,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	for i := 0; i < cfg.PeakNodes; i++ {
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeServer, Node: fmt.Sprintf("elastic-kv%d", i),
-			Name: fmt.Sprintf("ekv%d", i), Stage: cfg.Stage, Retry: cfg.Retry,
+			Name: fmt.Sprintf("ekv%d", i), Stage: core.StageFull, Retry: retry,
 		})
 		if err != nil {
 			return nil, err
@@ -272,10 +227,10 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	// pushed membership deltas, falling back to Observe on redirects.
 	var clients []*margo.Instance
 	var ekvClients []*ekv.Client
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < ElasticClients; i++ {
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeServer, Node: fmt.Sprintf("elastic-client%d", i),
-			Name: "load", Stage: cfg.Stage, Retry: cfg.Retry,
+			Name: "load", Stage: core.StageFull, Retry: retry,
 		})
 		if err != nil {
 			return nil, err
@@ -380,7 +335,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 			if err := join(i); err != nil {
 				return fmt.Errorf("experiments: join node %d: %w", i, err)
 			}
-			time.Sleep(cfg.JoinStagger)
+			time.Sleep(elasticStagger)
 		}
 		return nil
 	}); err != nil {
@@ -400,7 +355,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 			if err := retire(i); err != nil {
 				return fmt.Errorf("experiments: retire node %d: %w", i, err)
 			}
-			time.Sleep(cfg.RetireStagger)
+			time.Sleep(elasticStagger)
 		}
 		return nil
 	}); err != nil {
@@ -414,8 +369,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 		return nil, err
 	}
 
-	cluster.WaitIdle(10 * time.Second)
-	time.Sleep(20 * time.Millisecond)
+	cluster.Settle()
 	res.WallTime = time.Since(start)
 
 	// Never-lie audit: every acked put must read back with its value
@@ -461,14 +415,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 		res.Redirects += c.Redirects()
 	}
 
-	if res.MetricsAddr != "" {
-		for _, s := range cluster.Exposer().Samplers() {
-			s.SampleOnce()
-		}
-		var b strings.Builder
-		cluster.Exposer().WriteMetrics(&b)
-		res.MetricsText = b.String()
-	}
+	res.MetricsText = cluster.MetricsText()
 
 	// Trace visibility: migration segments appear as ekv_migrate_* spans
 	// in the merged trace set.
@@ -497,7 +444,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 		n.Close()
 	}
 	host.Close()
-	res.DrainErr = cluster.Drain(cfg.DrainTimeout)
+	res.DrainErr = cluster.Drain(elasticDrainTimeout)
 	shutdown = false
 	return res, nil
 }

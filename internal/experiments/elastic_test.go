@@ -15,7 +15,6 @@ func TestElasticSmoke(t *testing.T) {
 		StartNodes:       3,
 		PeakNodes:        6,
 		EndNodes:         4,
-		Clients:          2,
 		IssuersPerClient: 2,
 		OpsPerPhase:      25,
 		MetricsAddr:      "127.0.0.1:0",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +18,7 @@ import (
 
 // scaled shrinks a Table IV configuration for test runtime.
 func scaled(cfg HEPnOSConfig, div int) HEPnOSConfig {
-	cfg.EventsPerClient = max(cfg.withDefaults().EventsPerClient/div, 64)
+	cfg.EventsPerClient = max(cfg.EventsPerClient/div, 64)
 	if cfg.TotalClients > 8 {
 		cfg.TotalClients = 8
 		cfg.ClientsPerNode = 4
@@ -295,22 +294,6 @@ func TestOverheadStudyStagesComparable(t *testing.T) {
 		if st.Stage == core.StageFull && st.TraceSamples == 0 {
 			t.Fatal("full support collected no samples")
 		}
-	}
-}
-
-func TestTimeAnalyses(t *testing.T) {
-	res, err := RunHEPnOS(scaled(C1, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res
-	// Re-run a small cluster to gather dumps directly.
-	cluster := NewCluster(DefaultFabric())
-	defer cluster.Shutdown()
-	profiles, traces := cluster.Collect()
-	timings := TimeAnalyses(profiles, traces, io.Discard)
-	if timings.ProfileSummary <= 0 || timings.TraceSummary < 0 || timings.SystemStats < 0 {
-		t.Fatalf("timings = %+v", timings)
 	}
 }
 

@@ -32,22 +32,12 @@ type HEPnOSConfig struct {
 	OFIMaxEvents         int
 
 	// Workload shape (scaled for the simulated platform).
-	EventsPerClient  int
-	EventSize        int
-	IssuersPerClient int
+	EventsPerClient int
 	// MaxInflight bounds the async flush engine's outstanding RPCs per
 	// issuer (the HEPnOS async engine window).
 	MaxInflight int
-	// PutCostPerKey is the modeled backend insert cost. The paper's
-	// batches hold ~1024 events; the scaled workload holds far fewer
-	// per batch, so the per-key cost is raised to keep per-RPC service
-	// times in the same regime.
-	PutCostPerKey time.Duration
-	// IssueCost is the modeled client-side request-preparation cost per
-	// put_packed RPC.
-	IssueCost time.Duration
 
-	Backend string
+	Backend string // kv engine of every event database
 	Stage   core.Stage
 
 	// MetricsAddr, when non-empty, enables live telemetry on every
@@ -66,30 +56,19 @@ type HEPnOSConfig struct {
 	Retry  *margo.RetryPolicy
 }
 
-func (c HEPnOSConfig) withDefaults() HEPnOSConfig {
-	if c.EventsPerClient == 0 {
-		c.EventsPerClient = 2048
-	}
-	if c.EventSize == 0 {
-		c.EventSize = 512
-	}
-	if c.IssuersPerClient == 0 {
-		c.IssuersPerClient = 1
-	}
-	if c.MaxInflight == 0 {
-		c.MaxInflight = 32
-	}
-	if c.PutCostPerKey == 0 {
-		c.PutCostPerKey = 10 * time.Microsecond
-	}
-	if c.IssueCost == 0 {
-		c.IssueCost = 25 * time.Microsecond
-	}
-	if c.Backend == "" {
-		c.Backend = "map"
-	}
-	return c
-}
+// The workload's fixed shape and modeled costs.
+const (
+	// hepnosEventSize is the payload of one stored event.
+	hepnosEventSize = 512
+	// hepnosPutCostPerKey is the modeled backend insert cost. The paper's
+	// batches hold ~1024 events; the scaled workload holds far fewer
+	// per batch, so the per-key cost is raised to keep per-RPC service
+	// times in the same regime.
+	hepnosPutCostPerKey = 10 * time.Microsecond
+	// hepnosIssueCost is the modeled client-side request-preparation
+	// cost per put_packed RPC.
+	hepnosIssueCost = 25 * time.Microsecond
+)
 
 // The seven service configurations of Table IV. Client/server counts
 // are the paper's; the workload is scaled so each run completes in
@@ -102,18 +81,18 @@ var (
 	C1 = HEPnOSConfig{Name: "C1", TotalClients: 32, ClientsPerNode: 16,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1024, Threads: 5,
 		Databases: 32, OFIMaxEvents: 16, EventsPerClient: 2048, MaxInflight: 64,
-		Stage: core.StageFull}
+		Backend: "map", Stage: core.StageFull}
 	// C2: C1 with 15 additional execution streams.
 	C2 = HEPnOSConfig{Name: "C2", TotalClients: 32, ClientsPerNode: 16,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1024, Threads: 20,
 		Databases: 32, OFIMaxEvents: 16, EventsPerClient: 2048, MaxInflight: 64,
-		Stage: core.StageFull}
+		Backend: "map", Stage: core.StageFull}
 	// C3: C2 with 8 databases instead of 32 — fewer, larger put_packed
 	// batches reach each server.
 	C3 = HEPnOSConfig{Name: "C3", TotalClients: 32, ClientsPerNode: 16,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1024, Threads: 20,
 		Databases: 8, OFIMaxEvents: 16, EventsPerClient: 2048, MaxInflight: 64,
-		Stage: core.StageFull}
+		Backend: "map", Stage: core.StageFull}
 	// C4: small deployment, healthy batch size. The batched loader has
 	// little reason to keep many RPCs in flight (each carries a large
 	// batch), so its async window stays shallow — which is also what
@@ -121,23 +100,23 @@ var (
 	C4 = HEPnOSConfig{Name: "C4", TotalClients: 2, ClientsPerNode: 1,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1024, Threads: 16,
 		Databases: 8, OFIMaxEvents: 16, EventsPerClient: 8192, MaxInflight: 6,
-		Stage: core.StageFull}
+		Backend: "map", Stage: core.StageFull}
 	// C5: batch size 1 — the pathological configuration: every event is
 	// its own put_packed RPC, flooding the client's shared progress ES.
 	C5 = HEPnOSConfig{Name: "C5", TotalClients: 2, ClientsPerNode: 1,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1, Threads: 16,
 		Databases: 8, OFIMaxEvents: 16, EventsPerClient: 8192, MaxInflight: 64,
-		Stage: core.StageFull}
+		Backend: "map", Stage: core.StageFull}
 	// C6: C5 with OFI_max_events raised to 64.
 	C6 = HEPnOSConfig{Name: "C6", TotalClients: 2, ClientsPerNode: 1,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1, Threads: 16,
 		Databases: 8, OFIMaxEvents: 64, EventsPerClient: 8192, MaxInflight: 64,
-		Stage: core.StageFull}
+		Backend: "map", Stage: core.StageFull}
 	// C7: C6 with a dedicated client progress execution stream.
 	C7 = HEPnOSConfig{Name: "C7", TotalClients: 2, ClientsPerNode: 1,
 		TotalServers: 4, ServersPerNode: 2, BatchSize: 1, Threads: 16,
 		Databases: 8, ClientProgressThread: true, OFIMaxEvents: 64,
-		EventsPerClient: 8192, MaxInflight: 64, Stage: core.StageFull}
+		EventsPerClient: 8192, MaxInflight: 64, Backend: "map", Stage: core.StageFull}
 )
 
 // TableIV lists the seven configurations in order.
@@ -232,28 +211,22 @@ func RunHEPnOS(cfg HEPnOSConfig) (*HEPnOSResult, error) {
 
 // CollectHEPnOSDumps runs one configuration and returns the raw
 // per-process profile and trace dumps — the inputs the analysis scripts
-// ingest (used by the Table V benchmark and the cmd tools).
+// ingest (used by hepnos-bench -out).
 func CollectHEPnOSDumps(cfg HEPnOSConfig) ([]*core.ProfileDump, []*core.TraceDump, error) {
 	_, profiles, traces, err := runHEPnOSInternal(cfg)
 	return profiles, traces, err
 }
 
 func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []*core.TraceDump, error) {
-	cfg = cfg.withDefaults()
 	cluster := NewCluster(DefaultFabric())
 	defer cluster.Shutdown()
 	if cfg.Faults != nil {
 		cluster.Fabric.SetFaultPlan(cfg.Faults)
 	}
 
-	var metricsAddr string
-	if cfg.MetricsAddr != "" {
-		cluster.EnableTelemetry(telemetry.Options{Interval: cfg.MetricsInterval})
-		addr, err := cluster.ServeMetrics(cfg.MetricsAddr)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("experiments: serve metrics: %w", err)
-		}
-		metricsAddr = addr
+	metricsAddr, err := cluster.ServeTelemetry(cfg.MetricsAddr, telemetry.Options{Interval: cfg.MetricsInterval})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
 	// Servers, ServersPerNode per virtual node.
@@ -272,7 +245,7 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 			return nil, nil, nil, err
 		}
 		srv, err := hepnos.NewServer(inst, cfg.Databases, cfg.Backend,
-			sdskv.Config{PutCostPerKey: cfg.PutCostPerKey})
+			sdskv.Config{PutCostPerKey: hepnosPutCostPerKey})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -314,11 +287,10 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 			defer wg.Done()
 			stored[i], errs[i] = dataloader.Run(inst, dataloader.Config{
 				Events:      cfg.EventsPerClient,
-				EventSize:   cfg.EventSize,
+				EventSize:   hepnosEventSize,
 				BatchSize:   cfg.BatchSize,
 				MaxInflight: cfg.MaxInflight,
-				IssueCost:   cfg.IssueCost,
-				Issuers:     cfg.IssuersPerClient,
+				IssueCost:   hepnosIssueCost,
 				Servers:     infos,
 				Seed:        uint64(i + 1),
 			})
@@ -331,9 +303,7 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 			return nil, nil, nil, fmt.Errorf("client %d: %w", i, err)
 		}
 	}
-	cluster.WaitIdle(10 * time.Second)
-	// Let target-side completion callbacks land.
-	time.Sleep(20 * time.Millisecond)
+	cluster.Settle()
 
 	res := &HEPnOSResult{Config: cfg, WallTime: wall, MetricsAddr: metricsAddr}
 	for _, s := range stored {

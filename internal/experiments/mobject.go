@@ -18,27 +18,6 @@ type MobjectConfig struct {
 	Clients      int // paper: 10
 	Segments     int // objects written+read per client
 	TransferSize int // bytes per object
-	Backend      string
-	Stage        core.Stage
-}
-
-func (c MobjectConfig) withDefaults() MobjectConfig {
-	if c.Clients == 0 {
-		c.Clients = 10
-	}
-	if c.Segments == 0 {
-		c.Segments = 8
-	}
-	if c.TransferSize == 0 {
-		c.TransferSize = 16 << 10
-	}
-	if c.Backend == "" {
-		c.Backend = "map"
-	}
-	if c.Stage == 0 {
-		c.Stage = core.StageFull
-	}
-	return c
 }
 
 // MobjectResult carries the Figure 5 and Figure 6 artifacts.
@@ -76,19 +55,18 @@ func (r *MobjectResult) NestedWriteCalls() int {
 
 // RunMobjectIOR reproduces the ior+Mobject study.
 func RunMobjectIOR(cfg MobjectConfig) (*MobjectResult, error) {
-	cfg = cfg.withDefaults()
 	cluster := NewCluster(DefaultFabric())
 	defer cluster.Shutdown()
 
 	// One provider node hosting the three colocated providers.
 	srv, err := cluster.Start(ProcessOptions{
 		Mode: margo.ModeServer, Node: "node0", Name: "mobject",
-		HandlerStreams: 16, Stage: cfg.Stage,
+		HandlerStreams: 16, Stage: core.StageFull,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := mobject.RegisterProviderNode(srv, cfg.Backend); err != nil {
+	if _, err := mobject.RegisterProviderNode(srv, "map"); err != nil {
 		return nil, err
 	}
 
@@ -97,7 +75,7 @@ func RunMobjectIOR(cfg MobjectConfig) (*MobjectResult, error) {
 	for i := range clients {
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeClient, Node: "node0",
-			Name: fmt.Sprintf("ior%d", i), Stage: cfg.Stage,
+			Name: fmt.Sprintf("ior%d", i), Stage: core.StageFull,
 		})
 		if err != nil {
 			return nil, err
@@ -128,8 +106,7 @@ func RunMobjectIOR(cfg MobjectConfig) (*MobjectResult, error) {
 			return nil, fmt.Errorf("ior client %d: %w", i, err)
 		}
 	}
-	cluster.WaitIdle(10 * time.Second)
-	time.Sleep(20 * time.Millisecond)
+	cluster.Settle()
 
 	profiles, traceDumps := cluster.Collect()
 	merged := analysis.Merge(profiles)

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"io"
 	"time"
 
-	"symbiosys/internal/analysis"
 	"symbiosys/internal/core"
 )
 
@@ -82,46 +80,4 @@ func RunOverheadStudy(cfg OverheadConfig) (*OverheadResult, error) {
 		out.Stages = append(out.Stages, st)
 	}
 	return out, nil
-}
-
-// AnalysisTimings is the Table V dataset: how long each analysis script
-// takes on a run's collected performance data.
-type AnalysisTimings struct {
-	ProfileSummary time.Duration
-	TraceSummary   time.Duration
-	SystemStats    time.Duration
-
-	Profiles    int
-	TraceEvents int
-	Requests    int
-	SpansBuilt  int
-}
-
-// TimeAnalyses runs the three analysis passes over collected dumps and
-// measures each (Table V). The trace summary — stitching every request
-// into spans — dominates, as in the paper.
-func TimeAnalyses(profiles []*core.ProfileDump, traces []*core.TraceDump, sink io.Writer) AnalysisTimings {
-	var t AnalysisTimings
-	t.Profiles = len(profiles)
-
-	start := time.Now()
-	merged := analysis.Merge(profiles)
-	merged.RenderSummary(sink, 10)
-	t.ProfileSummary = time.Since(start)
-
-	start = time.Now()
-	ts := analysis.MergeTraces(traces)
-	t.TraceEvents = len(ts.Events)
-	reqs := ts.Requests()
-	t.Requests = len(reqs)
-	for id, evs := range reqs {
-		t.SpansBuilt += len(analysis.SpansOf(id, evs))
-	}
-	t.TraceSummary = time.Since(start)
-
-	start = time.Now()
-	stats := analysis.SystemStats(ts, 16)
-	analysis.RenderSystemStats(sink, stats)
-	t.SystemStats = time.Since(start)
-	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -18,9 +17,31 @@ import (
 // configurable backend cost on the handler's execution stream.
 const RPCStormPut = "storm_put"
 
-// StormDeadline is the absolute per-op deadline stamped on storm
-// requests (ForwardEx).
-const StormDeadline = 5 * time.Millisecond
+// The storm's fixed shape.
+const (
+	// StormDeadline is the absolute per-op deadline stamped on storm
+	// requests (ForwardEx).
+	StormDeadline = 5 * time.Millisecond
+	// StormClients × StormIssuersPerClient unpaced issuers drive the
+	// storm.
+	StormClients          = 6
+	StormIssuersPerClient = 4
+	// StormHandlerStreams and StormHandlerCost size the provider:
+	// capacity is streams/cost ≈ 6.7k ops/sec, far under the storm's
+	// demand.
+	StormHandlerStreams = 2
+	StormHandlerCost    = 300 * time.Microsecond
+	// StormMaxInFlight is the server's admission cap (soft watermark at
+	// half of it, hard at it), so the handler queue is provably bounded
+	// regardless of drain speed.
+	StormMaxInFlight = 8
+	// recoveryPace is the inter-op sleep during recovery: 24 issuers at
+	// 10ms ≈ 2.4k ops/s, well under the provider's capacity, so recovery
+	// demand is genuinely sustainable.
+	recoveryPace = 10 * time.Millisecond
+	// overloadDrainTimeout bounds the graceful drain ending the run.
+	overloadDrainTimeout = 2 * time.Second
+)
 
 // OverloadConfig shapes one overload-storm run: a deliberately
 // undersized provider (few execution streams, slow handler) driven past
@@ -30,38 +51,9 @@ const StormDeadline = 5 * time.Millisecond
 // followed by a paced recovery phase that must see goodput return as
 // breakers half-open and close.
 type OverloadConfig struct {
-	// Clients and IssuersPerClient set the storm's concurrency:
-	// Clients×IssuersPerClient unpaced issuers. Defaults 6 and 4.
-	Clients          int
-	IssuersPerClient int
 	// StormOps / RecoveryOps are operations per issuer in each phase.
-	// Defaults 40 and 20.
 	StormOps    int
 	RecoveryOps int
-
-	// HandlerStreams and HandlerCost size the provider: capacity is
-	// HandlerStreams/HandlerCost ops/sec. Defaults 2 and 300µs — ~6.7k
-	// ops/sec, far under the storm's demand.
-	HandlerStreams int
-	HandlerCost    time.Duration
-
-	// Overload is the server's admission policy. The default uses
-	// MaxInFlight 8 (soft 4 / hard 8), so the handler queue is provably
-	// bounded regardless of drain speed.
-	Overload *margo.OverloadPolicy
-	// Retry is the clients' policy; the default enables the breaker
-	// (threshold 3, 20ms cooldown), 5 attempts with backoffs whose sum
-	// exceeds the cooldown (so recovery-phase retries ride out an open
-	// circuit instead of exhausting under it), and no budget bucket so
-	// the run is deterministic.
-	Retry *margo.RetryPolicy
-
-	// RecoveryPace is the inter-op sleep during recovery. Default 10ms
-	// (24 issuers at 10ms ≈ 2.4k ops/s, well under the default ~6.7k
-	// ops/s capacity, so recovery demand is genuinely sustainable).
-	RecoveryPace time.Duration
-
-	Stage core.Stage
 
 	// MetricsAddr, when non-empty, serves live telemetry for the run;
 	// the result carries a /metrics exposition rendered right before
@@ -69,63 +61,10 @@ type OverloadConfig struct {
 	// families.
 	MetricsAddr string
 
-	// DrainTimeout bounds the graceful drain ending the run. Default 2s.
-	DrainTimeout time.Duration
-
 	// Report, when enabled, renders the run's dominant-critical-path
 	// report (queue and backoff segments under saturation) as the storm
 	// ends.
 	Report ReportConfig
-}
-
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.Clients == 0 {
-		c.Clients = 6
-	}
-	if c.IssuersPerClient == 0 {
-		c.IssuersPerClient = 4
-	}
-	if c.StormOps == 0 {
-		c.StormOps = 40
-	}
-	if c.RecoveryOps == 0 {
-		c.RecoveryOps = 20
-	}
-	if c.HandlerStreams == 0 {
-		c.HandlerStreams = 2
-	}
-	if c.HandlerCost == 0 {
-		c.HandlerCost = 300 * time.Microsecond
-	}
-	if c.Overload == nil {
-		c.Overload = &margo.OverloadPolicy{
-			SoftWatermark: 4,
-			HardWatermark: 8,
-			MaxInFlight:   8,
-		}
-	}
-	if c.Retry == nil {
-		c.Retry = &margo.RetryPolicy{
-			MaxAttempts:    5,
-			InitialBackoff: 2 * time.Millisecond,
-			MaxBackoff:     16 * time.Millisecond,
-			Budget:         -1, // deterministic: no token bucket
-			Breaker: &margo.BreakerPolicy{
-				Threshold: 3,
-				Cooldown:  20 * time.Millisecond,
-			},
-		}
-	}
-	if c.RecoveryPace == 0 {
-		c.RecoveryPace = 10 * time.Millisecond
-	}
-	if c.Stage == 0 {
-		c.Stage = core.StageFull
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 2 * time.Second
-	}
-	return c
 }
 
 // stormArgs is the storm_put request payload.
@@ -220,7 +159,7 @@ type OverloadResult struct {
 	MetricsText string
 
 	// DrainErr is the graceful drain's outcome (nil means every
-	// in-flight handler finished inside Config.DrainTimeout).
+	// in-flight handler finished before the drain timed out).
 	DrainErr error
 
 	// ReportPaths lists the analysis reports written for the run (empty
@@ -245,10 +184,9 @@ func (r *OverloadResult) RecoverySuccessRate() float64 {
 }
 
 // RunOverload drives the storm scenario: saturate, shed, trip breakers,
-// recover, drain. See OverloadConfig for the knobs and OverloadResult
-// for the facts the smoke test asserts on.
+// recover, drain. See OverloadResult for the facts the smoke test
+// asserts on.
 func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
-	cfg = cfg.withDefaults()
 	cluster := NewCluster(DefaultFabric())
 	shutdown := true
 	defer func() {
@@ -258,22 +196,21 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	}()
 
 	res := &OverloadResult{Config: cfg}
-
-	if cfg.MetricsAddr != "" {
-		cluster.EnableTelemetry(telemetry.Options{})
-		addr, err := cluster.ServeMetrics(cfg.MetricsAddr)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: serve metrics: %w", err)
-		}
-		res.MetricsAddr = addr
+	var err error
+	if res.MetricsAddr, err = cluster.ServeTelemetry(cfg.MetricsAddr, telemetry.Options{}); err != nil {
+		return nil, err
 	}
 
 	// One deliberately undersized provider.
 	server, err := cluster.Start(ProcessOptions{
 		Mode: margo.ModeServer, Node: "overload-server", Name: "provider",
-		HandlerStreams: cfg.HandlerStreams,
-		Stage:          cfg.Stage,
-		Overload:       cfg.Overload,
+		HandlerStreams: StormHandlerStreams,
+		Stage:          core.StageFull,
+		Overload: &margo.OverloadPolicy{
+			SoftWatermark: StormMaxInFlight / 2,
+			HardWatermark: StormMaxInFlight,
+			MaxInFlight:   StormMaxInFlight,
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -285,20 +222,35 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			ctx.RespondError("storm_put: %v", err)
 			return
 		}
-		ctx.Compute(cfg.HandlerCost)
+		ctx.Compute(StormHandlerCost)
 		store.put(ctx.Self, args.Key)
 		ctx.Respond(mercury.Void{})
 	}); err != nil {
 		return nil, err
 	}
 
+	// The clients' policy enables the breaker (threshold 3, 20ms
+	// cooldown), 5 attempts with backoffs whose sum exceeds the cooldown
+	// (so recovery-phase retries ride out an open circuit instead of
+	// exhausting under it), and no budget bucket so the run is
+	// deterministic.
+	retry := &margo.RetryPolicy{
+		MaxAttempts:    5,
+		InitialBackoff: 2 * time.Millisecond,
+		MaxBackoff:     16 * time.Millisecond,
+		Budget:         -1,
+		Breaker: &margo.BreakerPolicy{
+			Threshold: 3,
+			Cooldown:  20 * time.Millisecond,
+		},
+	}
 	var clients []*margo.Instance
-	for i := 0; i < cfg.Clients; i++ {
+	for i := 0; i < StormClients; i++ {
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeClient,
 			Node: fmt.Sprintf("overload-client%d", i), Name: "storm",
-			Stage: cfg.Stage,
-			Retry: cfg.Retry,
+			Stage: core.StageFull,
+			Retry: retry,
 		})
 		if err != nil {
 			return nil, err
@@ -316,7 +268,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	// puts. Demand exceeds capacity several times over, so admission
 	// control must shed, deadlines must expire, and breakers must trip.
 	storm := &phaseStats{}
-	runPhase(clients, cfg.IssuersPerClient, "storm", func(self *abt.ULT, inst *margo.Instance, issuer int) {
+	runPhase(clients, StormIssuersPerClient, "storm", func(self *abt.ULT, inst *margo.Instance, issuer int) {
 		for op := 0; op < cfg.StormOps; op++ {
 			key := fmt.Sprintf("storm/%s/%d/%d", inst.Addr(), issuer, op)
 			t0 := time.Now()
@@ -335,22 +287,21 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	// half-open probes succeed against the now-idle provider, circuits
 	// close, and goodput returns.
 	recovery := &phaseStats{}
-	runPhase(clients, cfg.IssuersPerClient, "recovery", func(self *abt.ULT, inst *margo.Instance, issuer int) {
+	runPhase(clients, StormIssuersPerClient, "recovery", func(self *abt.ULT, inst *margo.Instance, issuer int) {
 		for op := 0; op < cfg.RecoveryOps; op++ {
 			key := fmt.Sprintf("recovery/%s/%d/%d", inst.Addr(), issuer, op)
 			t0 := time.Now()
 			err := inst.Forward(self, target, RPCStormPut,
 				&stormArgs{Key: key, Val: []byte("v")}, nil)
 			recovery.record(key, err == nil, time.Since(t0))
-			self.Sleep(cfg.RecoveryPace)
+			self.Sleep(recoveryPace)
 		}
 	})
 	res.RecoveryOps = recovery.ops
 	res.RecoveryAcked = uint64(len(recovery.acked))
 	res.RecoveryP99 = recovery.lat.Percentile(99)
 
-	cluster.WaitIdle(10 * time.Second)
-	time.Sleep(20 * time.Millisecond) // let target completion callbacks land
+	cluster.Settle()
 	res.WallTime = time.Since(start)
 
 	// Never-lie audit: every key a client saw acknowledged must be in
@@ -381,16 +332,8 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		res.Exhausted += rs.Exhausted
 	}
 
-	if res.MetricsAddr != "" {
-		// Force a fresh sample on every instance, then render the
-		// exposition so the scrape reflects the post-storm counters.
-		for _, s := range cluster.Exposer().Samplers() {
-			s.SampleOnce()
-		}
-		var b strings.Builder
-		cluster.Exposer().WriteMetrics(&b)
-		res.MetricsText = b.String()
-	}
+	// The exposition reflects the post-storm counters.
+	res.MetricsText = cluster.MetricsText()
 
 	// Profile and trace visibility of the decisions.
 	profiles, traceDumps := cluster.Collect()
@@ -419,7 +362,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	// Graceful drain ends the run: clients quiesce first, then the
 	// provider stops admitting, finishes in-flight handlers, flushes
 	// sinks, and tears down.
-	res.DrainErr = cluster.Drain(cfg.DrainTimeout)
+	res.DrainErr = cluster.Drain(overloadDrainTimeout)
 	shutdown = false
 	return res, nil
 }

@@ -22,9 +22,10 @@ type ReportConfig struct {
 	// Mode is the output mode: cli, tui, or html. Default html — the
 	// self-contained artifact to attach to a run.
 	Mode string
-	// Top bounds path shapes per report (default 10).
-	Top int
 }
+
+// reportTop bounds the path shapes per report.
+const reportTop = 10
 
 func (rc ReportConfig) enabled() bool { return rc.Dir != "" }
 
@@ -35,13 +36,6 @@ func (rc ReportConfig) mode() (report.Mode, error) {
 	return report.ParseMode(rc.Mode)
 }
 
-func (rc ReportConfig) top() int {
-	if rc.Top > 0 {
-		return rc.Top
-	}
-	return 10
-}
-
 // writeFlame renders the dominant-path report over one run's trace
 // dumps and returns the written path.
 func (rc ReportConfig) writeFlame(name, title string, dumps []*core.TraceDump) (string, error) {
@@ -50,7 +44,7 @@ func (rc ReportConfig) writeFlame(name, title string, dumps []*core.TraceDump) (
 		return "", err
 	}
 	f := analysis.BuildFlame(analysis.MergeTraces(dumps))
-	m := report.FromFlame(title, f, rc.top())
+	m := report.FromFlame(title, f, reportTop)
 	m.Generated = time.Now().Format(time.RFC3339)
 	return rc.write(name, mode, m)
 }
@@ -66,7 +60,7 @@ func (rc ReportConfig) writeDiff(name, title string, before, after []*core.Trace
 		analysis.BuildFlame(analysis.MergeTraces(before)),
 		analysis.BuildFlame(analysis.MergeTraces(after)),
 	)
-	m := report.FromFlameDiff(title, d, rc.top())
+	m := report.FromFlameDiff(title, d, reportTop)
 	m.Generated = time.Now().Format(time.RFC3339)
 	return rc.write(name, mode, m)
 }

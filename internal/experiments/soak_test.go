@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/analysis"
@@ -127,14 +126,14 @@ func TestMixedServiceSoak(t *testing.T) {
 					batch = batch[:0]
 				}
 			}
-			// Query the stored documents while other services run.
-			ids, _, err := sonClient.ExecQuery(self, sonSrv.Addr(), "soak", `energy >= 0`, 0)
+			// Read the store back while other services run.
+			n, err := sonClient.CollectionSize(self, sonSrv.Addr(), "soak")
 			if err != nil {
 				errs[2] = err
 				return
 			}
-			if len(ids) != 500 {
-				errs[2] = fmt.Errorf("query matched %d of 500", len(ids))
+			if n != 500 {
+				errs[2] = fmt.Errorf("collection holds %d of 500", n)
 			}
 		})
 		u.Join(nil)
@@ -145,10 +144,9 @@ func TestMixedServiceSoak(t *testing.T) {
 			t.Fatalf("workload %d: %v", i, err)
 		}
 	}
-	if !cluster.WaitIdle(10 * time.Second) {
+	if !cluster.Settle() {
 		t.Fatal("cluster did not go idle")
 	}
-	time.Sleep(20 * time.Millisecond)
 
 	merged, traces := cluster.Analyze()
 
@@ -160,7 +158,7 @@ func TestMixedServiceSoak(t *testing.T) {
 		"mobject_read_op":             false,
 		"sdskv_put_packed_rpc":        false,
 		"sonata_store_multi_json_rpc": false,
-		"sonata_exec_query_rpc":       false,
+		"sonata_collection_size_rpc":  false,
 	}
 	for _, r := range rows {
 		if _, tracked := want[r.Name]; tracked {

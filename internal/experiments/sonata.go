@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"time"
 
 	"symbiosys/internal/abt"
@@ -17,27 +20,7 @@ type SonataConfig struct {
 	Records    int // paper: 50,000
 	BatchSize  int // paper: 5,000
 	RecordSize int // bytes per JSON record
-	EagerLimit int // Mercury eager buffer
-	Stage      core.Stage
-}
-
-func (c SonataConfig) withDefaults() SonataConfig {
-	if c.Records == 0 {
-		c.Records = 50_000
-	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 5_000
-	}
-	if c.RecordSize == 0 {
-		c.RecordSize = 256
-	}
-	if c.EagerLimit == 0 {
-		c.EagerLimit = 4096
-	}
-	if c.Stage == 0 {
-		c.Stage = core.StageFull
-	}
-	return c
+	EagerLimit int // Mercury eager buffer; 0 is Mercury's default
 }
 
 // SonataResult carries the Figure 7 breakdown: how the cumulative RPC
@@ -77,27 +60,35 @@ func (r *SonataResult) RDMAFraction() float64 {
 	return float64(r.RDMA) / float64(total)
 }
 
-// RunSonata reproduces the batch-store benchmark.
+// RunSonata reproduces the batch-store benchmark, then audits the store:
+// the collection holds exactly the records stored, and a sample of them
+// reads back byte for byte. A failed audit is an error.
 func RunSonata(cfg SonataConfig) (*SonataResult, error) {
-	cfg = cfg.withDefaults()
+	return runSonata(cfg, func(srv *margo.Instance) error {
+		_, err := sonata.RegisterProvider(srv, sonata.Config{StoreCostPerDoc: 8 * time.Microsecond})
+		return err
+	})
+}
+
+// runSonata is RunSonata over whatever provider register installs on
+// the target (the audit's test plants a lossy one).
+func runSonata(cfg SonataConfig, register func(srv *margo.Instance) error) (*SonataResult, error) {
 	cluster := NewCluster(DefaultFabric())
 	defer cluster.Shutdown()
 
 	srv, err := cluster.Start(ProcessOptions{
 		Mode: margo.ModeServer, Node: "node1", Name: "sonata",
-		HandlerStreams: 4, Stage: cfg.Stage, EagerLimit: cfg.EagerLimit,
+		HandlerStreams: 4, Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sonata.RegisterProvider(srv, sonata.Config{
-		StoreCostPerDoc: 8 * time.Microsecond,
-	}); err != nil {
+	if err := register(srv); err != nil {
 		return nil, err
 	}
 	cli, err := cluster.Start(ProcessOptions{
 		Mode: margo.ModeClient, Node: "node0", Name: "bench",
-		Stage: cfg.Stage, EagerLimit: cfg.EagerLimit,
+		Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
 	})
 	if err != nil {
 		return nil, err
@@ -108,28 +99,24 @@ func RunSonata(cfg SonataConfig) (*SonataResult, error) {
 	}
 
 	start := time.Now()
+	var wall time.Duration
 	var runErr error
 	u := cli.Run("sonata-bench", func(self *abt.ULT) {
-		if err := client.CreateCollection(self, srv.Addr(), "records"); err != nil {
-			runErr = err
+		if runErr = client.CreateCollection(self, srv.Addr(), "records"); runErr != nil {
 			return
 		}
 		batch := make([][]byte, 0, cfg.BatchSize)
 		for i := 0; i < cfg.Records; i++ {
 			batch = append(batch, sonata.GenerateRecord(i, cfg.RecordSize))
-			if len(batch) == cfg.BatchSize {
-				if _, err := client.StoreMultiJSON(self, srv.Addr(), "records", batch); err != nil {
-					runErr = err
+			if len(batch) == cfg.BatchSize || i == cfg.Records-1 {
+				if _, runErr = client.StoreMultiJSON(self, srv.Addr(), "records", batch); runErr != nil {
 					return
 				}
 				batch = batch[:0]
 			}
 		}
-		if len(batch) > 0 {
-			if _, runErr = client.StoreMultiJSON(self, srv.Addr(), "records", batch); runErr != nil {
-				return
-			}
-		}
+		wall = time.Since(start)
+		runErr = auditSonata(self, client, srv.Addr(), cfg)
 	})
 	if err := u.Join(nil); err != nil {
 		return nil, err
@@ -137,9 +124,7 @@ func RunSonata(cfg SonataConfig) (*SonataResult, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	wall := time.Since(start)
-	cluster.WaitIdle(10 * time.Second)
-	time.Sleep(20 * time.Millisecond)
+	cluster.Settle()
 
 	merged, _ := cluster.Analyze()
 	res := &SonataResult{Config: cfg, WallTime: wall, Profile: merged}
@@ -159,4 +144,31 @@ func RunSonata(cfg SonataConfig) (*SonataResult, error) {
 		res.ExecExclusive = res.TargetExec - sub
 	}
 	return res, nil
+}
+
+// sonataAuditSample is how many stored documents the audit reads back.
+const sonataAuditSample = 64
+
+// auditSonata checks the store against what the run wrote: the
+// collection's size, and a seeded sample of documents fetched back
+// byte-equal to what GenerateRecord produced for their ids.
+func auditSonata(self *abt.ULT, client *sonata.Client, target string, cfg SonataConfig) error {
+	n, err := client.CollectionSize(self, target, "records")
+	if err != nil {
+		return fmt.Errorf("experiments: sonata audit: %w", err)
+	}
+	if n != uint64(cfg.Records) {
+		return fmt.Errorf("experiments: sonata audit: collection holds %d documents, stored %d", n, cfg.Records)
+	}
+	ids := rand.New(rand.NewSource(1)).Perm(cfg.Records)
+	for _, id := range ids[:min(sonataAuditSample, len(ids))] {
+		doc, found, err := client.Fetch(self, target, "records", uint64(id))
+		if err != nil {
+			return fmt.Errorf("experiments: sonata audit: fetch %d: %w", id, err)
+		}
+		if !found || !bytes.Equal(doc, sonata.GenerateRecord(id, cfg.RecordSize)) {
+			return fmt.Errorf("experiments: sonata audit: document %d read back wrong (found %v, %d bytes)", id, found, len(doc))
+		}
+	}
+	return nil
 }

@@ -186,15 +186,15 @@ func TestSmokeMetrics(t *testing.T) {
 	}
 }
 
-// TestClusterTelemetryLifecycle checks EnableTelemetry/ServeMetrics
-// ordering rules and that Shutdown closes the endpoint.
+// TestClusterTelemetryLifecycle checks that ServeTelemetry without an
+// address leaves telemetry off, that with one every later process is
+// sampled and scrapeable, and that Shutdown closes the endpoint.
 func TestClusterTelemetryLifecycle(t *testing.T) {
 	cl := NewCluster(DefaultFabric())
-	if _, err := cl.ServeMetrics("127.0.0.1:0"); err == nil {
-		t.Fatal("ServeMetrics before EnableTelemetry accepted")
+	if addr, err := cl.ServeTelemetry("", telemetry.Options{}); addr != "" || err != nil || cl.MetricsText() != "" {
+		t.Fatalf("ServeTelemetry without an address = %q, %v; metrics %q", addr, err, cl.MetricsText())
 	}
-	cl.EnableTelemetry(telemetry.Options{Interval: 5 * time.Millisecond})
-	addr, err := cl.ServeMetrics("127.0.0.1:0")
+	addr, err := cl.ServeTelemetry("127.0.0.1:0", telemetry.Options{Interval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +202,11 @@ func TestClusterTelemetryLifecycle(t *testing.T) {
 		Name: "c0", Stage: core.StageFull}); err != nil {
 		t.Fatal(err)
 	}
-	if len(cl.Exposer().Samplers()) != 1 {
-		t.Fatalf("samplers = %d, want 1", len(cl.Exposer().Samplers()))
+	if n := len(cl.exposer.Samplers()); n != 1 {
+		t.Fatalf("samplers = %d, want 1", n)
+	}
+	if !strings.Contains(cl.MetricsText(), "symbiosys_") {
+		t.Fatalf("MetricsText carries no family:\n%s", cl.MetricsText())
 	}
 	resp, err := http.Get("http://" + addr + "/snapshot")
 	if err != nil {

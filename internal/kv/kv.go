@@ -82,6 +82,3 @@ func Open(backend, name string) (DB, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownBackend, backend)
 	}
 }
-
-// Backends lists the available engine identifiers.
-func Backends() []string { return []string{"map", "shardedmap"} }

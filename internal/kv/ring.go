@@ -58,10 +58,8 @@ func (r *Ring) Owner(key []byte) string {
 	return r.members[i]
 }
 
-// OwnerIndex returns the owning member's index, or -1 for an empty
+// ownerIndex returns the owning member's index, or -1 for an empty
 // ring.
-func (r *Ring) OwnerIndex(key []byte) int { return r.ownerIndex(key) }
-
 func (r *Ring) ownerIndex(key []byte) int {
 	if len(r.members) == 0 {
 		return -1

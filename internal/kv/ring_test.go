@@ -54,7 +54,7 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 		}
 	}
 	empty := NewRing(0, nil)
-	if empty.Owner([]byte("x")) != "" || empty.OwnerIndex([]byte("x")) != -1 {
+	if empty.Owner([]byte("x")) != "" || empty.ownerIndex([]byte("x")) != -1 {
 		t.Fatal("empty ring returned an owner")
 	}
 }

@@ -187,18 +187,6 @@ func (i *Instance) openBreakers() int {
 	return n
 }
 
-// BreakerState reports one circuit's state as a string ("closed",
-// "open", "half-open"); "closed" for circuits that never saw traffic.
-func (i *Instance) BreakerState(target, rpcName string) string {
-	i.breakerMu.Lock()
-	b := i.breakers[breakerKey{target: target, rpc: rpcName}]
-	i.breakerMu.Unlock()
-	if b == nil {
-		return breakerClosed.String()
-	}
-	return b.currentState().String()
-}
-
 // overloadClass classifies a failed attempt for the breaker: provider
 // saturation (sheds, deadline rejections), per-try timeouts, and fabric
 // partition/unreachability (na EvError path) all count — each means the

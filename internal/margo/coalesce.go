@@ -397,11 +397,8 @@ func (fl *batchFlight) release() {
 	fl.builder, fl.ops, fl.opsBox = nil, nil, nil
 }
 
-// FlushBatches force-flushes every open window (reason "explicit").
-// Drain uses it (reason "drain" internally) so parked issuers get
-// verdicts instead of waiting out window timers.
-func (i *Instance) FlushBatches() int { return i.flushAll(batch.ReasonExplicit) }
-
+// flushAll force-flushes every open window. Drain uses it so parked
+// issuers get verdicts instead of waiting out window timers.
 func (i *Instance) flushAll(reason batch.Reason) int {
 	if i.batchPol == nil {
 		return 0
@@ -456,7 +453,7 @@ func (i *Instance) BatchStats() BatchStats {
 		CoalesceRatio: i.batchStats.CoalesceRatio(),
 		LastOccupancy: i.batchStats.LastOccupancy(),
 		OccupancyHWM:  i.batchStats.OccupancyHWM(),
-		FlushReasons:  make(map[string]uint64, 6),
+		FlushReasons:  make(map[string]uint64, 5),
 	}
 	for _, r := range batch.Reasons() {
 		if n := i.batchStats.ByReason(r); n > 0 {

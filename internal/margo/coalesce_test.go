@@ -177,7 +177,7 @@ func TestBreakerTripsMidBatch(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: noJitter(RetryPolicy{MaxAttempts: 1,
+		Retry: testRetry(RetryPolicy{MaxAttempts: 1,
 			Breaker: &BreakerPolicy{Threshold: 1, Cooldown: 50 * time.Millisecond}}),
 		Batch: &batch.Policy{MaxOps: 4, MaxDelay: time.Millisecond}})
 	registerBatchEcho(t, srv, cli, "trip_echo")
@@ -293,8 +293,8 @@ func TestBatchFaultInjectedNoAckedThenLost(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: noJitter(RetryPolicy{MaxAttempts: 6, PerTryTimeout: 50 * time.Millisecond,
-			InitialBackoff: 2 * time.Millisecond, Multiplier: 2}),
+		Retry: testRetry(RetryPolicy{MaxAttempts: 6, PerTryTimeout: 50 * time.Millisecond,
+			InitialBackoff: 2 * time.Millisecond}),
 		Batch: &batch.Policy{MaxOps: 16, MaxDelay: 2 * time.Millisecond}})
 
 	store := map[string]bool{}
@@ -440,7 +440,7 @@ func TestOriginParity(t *testing.T) {
 				c := newCluster(t)
 				srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 				cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-					Retry: noJitter(tc.retry), Batch: &batch.Policy{MaxOps: 4, MaxDelay: time.Millisecond}})
+					Retry: testRetry(tc.retry), Batch: &batch.Policy{MaxOps: 4, MaxDelay: time.Millisecond}})
 				release := make(chan struct{})
 				defer close(release)
 				if err := srv.Register("parity_rpc", func(ctx *Context) {
@@ -544,7 +544,7 @@ func TestCoalescerEnqueueSteadyStateAllocs(t *testing.T) {
 					return err
 				}
 			}
-			cli.FlushBatches()
+			cli.flushAll(batch.ReasonDrain)
 			g.ev.Wait(self)
 			for k, err := range errs {
 				if err != nil {
@@ -563,7 +563,7 @@ func TestCoalescerEnqueueSteadyStateAllocs(t *testing.T) {
 			}
 			k++
 		})
-		cli.FlushBatches()
+		cli.flushAll(batch.ReasonDrain)
 		g.ev.Wait(self)
 		if n != 0 {
 			t.Errorf("coalescer enqueue allocates %v/op on the steady path, want 0", n)

@@ -104,9 +104,6 @@ func TestClockSkewPreservesLamportOrder(t *testing.T) {
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", Stage: core.StageFull})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull})
 	cli.Profiler().SetClockSkew(-time.Hour)
-	if cli.Profiler().ClockSkew() != -time.Hour {
-		t.Fatal("skew not applied")
-	}
 	srv.Register("skewed_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	cli.RegisterClient("skewed_rpc")
 	if err := call(t, cli, func(self *abt.ULT) error {

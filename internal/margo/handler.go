@@ -145,9 +145,6 @@ func (c *Context) Priority() uint8 { return c.prio }
 // input bytes copies them.
 func (c *Context) GetInput(v mercury.Procable) error { return c.mh.GetInput(v) }
 
-// InputSize reports the serialized request payload size.
-func (c *Context) InputSize() int { return c.mh.InputSize() }
-
 // Compute models request execution work: it occupies the handler's
 // execution stream for d without consuming host CPU (see abt). Backend
 // costs in the service implementations are expressed through it.

@@ -126,12 +126,6 @@ type Options struct {
 	// Stage is the SYMBIOSYS measurement stage. Default StageFull.
 	Stage core.Stage
 
-	// MeasurementShards is the number of collector shards the
-	// measurement pipeline spreads concurrent recordings over (rounded
-	// up to a power of two). Default core.DefaultShards; raise it for
-	// servers with many handler streams.
-	MeasurementShards int
-
 	// TraceSinks are streaming consumers attached to the measurement
 	// pipeline at startup; each observes every trace event the instance
 	// emits (e.g. a core.JSONLTraceSink for on-line export).
@@ -283,9 +277,6 @@ func New(opts Options) (*Instance, error) {
 		sys:  core.NewSysSampler(0),
 	}
 	inst.prof = core.NewProfiler(ep.Addr(), opts.Stage)
-	if opts.MeasurementShards > 0 {
-		inst.prof.SetShards(opts.MeasurementShards)
-	}
 	for _, s := range opts.TraceSinks {
 		inst.prof.AddTraceSink(s)
 	}
@@ -410,9 +401,6 @@ func (i *Instance) Run(name string, fn func(self *abt.ULT)) *abt.ULT {
 	return i.mainPool.Create(name, fn)
 }
 
-// InFlight reports RPCs this instance has forwarded but not completed.
-func (i *Instance) InFlight() int64 { return i.rpcsInFlight.Load() }
-
 // WaitIdle blocks until no RPCs are in flight or the timeout expires,
 // reporting whether the instance went idle. The wait parks on the
 // in-flight-count event the completing forward signals — no polling, no
@@ -459,10 +447,6 @@ func (i *Instance) rpcDone(n int) {
 	}
 	i.idleMu.Unlock()
 }
-
-// AddTraceSink attaches a streaming consumer of this instance's trace
-// events at runtime (attached sinks also survive Shutdown's flush).
-func (i *Instance) AddTraceSink(s core.TraceSink) { i.prof.AddTraceSink(s) }
 
 // Sampler returns the instance's telemetry sampler, or nil when
 // Options.Telemetry was not set.

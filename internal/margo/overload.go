@@ -136,9 +136,6 @@ func (i *Instance) Overload() *OverloadPolicy {
 // Draining reports whether the instance has stopped admitting requests.
 func (i *Instance) Draining() bool { return i.draining.Load() }
 
-// HandlersInFlight reports admitted-but-unfinished handler ULTs.
-func (i *Instance) HandlersInFlight() int64 { return i.handlersInFlight.Load() }
-
 // OverloadStats is the instance's lifetime overload-control counters.
 type OverloadStats struct {
 	// Shed counts requests rejected by admission control (watermarks,

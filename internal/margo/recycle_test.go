@@ -145,7 +145,7 @@ func TestTimeoutRacingResponseKeepsCallsApart(t *testing.T) {
 	forwards := uint64(len(rtts) + issuers*perIssuer)
 	waitFor(t, func() bool {
 		return srv.HandlersInFlight() == 0 && readPVar(t, srv, mercury.PVarNumResponsesSent) == forwards &&
-			cli.Mercury().NetworkPending() == 0 && cli.Mercury().CompletionQueueLen() == 0
+			cli.Mercury().NetworkPending() == 0 && readPVar(t, cli, mercury.PVarCompletionQueueSize) == 0
 	})
 	if n := readPVar(t, srv, mercury.PVarNumRPCsHandled); n != forwards {
 		t.Errorf("server handled %d requests for %d forwards", n, forwards)

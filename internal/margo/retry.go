@@ -29,14 +29,10 @@ type RetryPolicy struct {
 	// MaxAttempts bounds total tries including the first. Default 4.
 	MaxAttempts int
 	// InitialBackoff is the sleep before the first retry; each further
-	// retry multiplies it by Multiplier, capped at MaxBackoff.
-	// Defaults: 1ms initial, 2.0 multiplier, 100ms cap.
+	// retry doubles it, capped at MaxBackoff. Defaults: 1ms initial,
+	// 100ms cap.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	Multiplier     float64
-	// Jitter is the uniform random fraction (0..1) added to each
-	// backoff, drawn from the seeded generator. Default 0.2.
-	Jitter float64
 	// PerTryTimeout cancels each attempt that has not completed within
 	// it, also for plain Forward calls (ForwardOpts.Timeout
 	// additionally bounds the whole sequence). Zero means attempts only
@@ -48,8 +44,6 @@ type RetryPolicy struct {
 	// Budget disables the bucket.
 	Budget       float64
 	BudgetRefill float64
-	// Seed drives the deterministic jitter stream. Default 1.
-	Seed uint64
 	// Breaker, when non-nil, adds a per-(target, RPC) circuit breaker
 	// in front of every attempt: consecutive overload-class failures
 	// (sheds, deadline rejections, timeouts, fabric partitions) trip it
@@ -68,26 +62,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 100 * time.Millisecond
 	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
-	}
 	if p.Budget == 0 {
 		p.Budget = 64
 	}
 	if p.BudgetRefill <= 0 {
 		p.BudgetRefill = 0.5
 	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	return p
 }
 
 // DefaultRetryPolicy is the policy the chaos experiments install:
-// 4 attempts, 1ms..100ms exponential backoff with 20% jitter, and a
+// 4 attempts, 1ms..100ms exponential backoff, and a
 // 1s per-try timeout to recover from silently dropped messages. The
 // timeout is deliberately generous: it only has to beat a silent drop,
 // and a value near genuine response latency would burn the retry
@@ -97,18 +82,17 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // retryState is the per-instance runtime of a RetryPolicy: the token
-// bucket and the seeded jitter stream.
+// bucket.
 type retryState struct {
 	pol RetryPolicy
 
 	mu     sync.Mutex
 	tokens float64
-	rng    uint64
 }
 
 func newRetryState(pol RetryPolicy) *retryState {
 	pol = pol.withDefaults()
-	return &retryState{pol: pol, tokens: pol.Budget, rng: pol.Seed}
+	return &retryState{pol: pol, tokens: pol.Budget}
 }
 
 // tryTimeout is the bound on one attempt: the policy's PerTryTimeout,
@@ -149,39 +133,14 @@ func (rs *retryState) success() {
 	rs.mu.Unlock()
 }
 
-// backoff returns the sleep before retry number `retry` (0-based),
-// capped exponential with seeded jitter.
+// backoff returns the sleep before retry number `retry` (0-based):
+// InitialBackoff doubled per retry, capped at MaxBackoff.
 func (rs *retryState) backoff(retry int) time.Duration {
-	d := float64(rs.pol.InitialBackoff)
-	for i := 0; i < retry; i++ {
-		d *= rs.pol.Multiplier
-		if d >= float64(rs.pol.MaxBackoff) {
-			d = float64(rs.pol.MaxBackoff)
-			break
-		}
+	d := rs.pol.InitialBackoff
+	for i := 0; i < retry && d < rs.pol.MaxBackoff; i++ {
+		d *= 2
 	}
-	if rs.pol.Jitter > 0 {
-		rs.mu.Lock()
-		rs.rng = splitmixMargo(rs.rng)
-		u := float64(rs.rng>>11) / float64(uint64(1)<<53)
-		rs.mu.Unlock()
-		d *= 1 + rs.pol.Jitter*u
-	}
-	if d > float64(rs.pol.MaxBackoff) {
-		d = float64(rs.pol.MaxBackoff)
-	}
-	return time.Duration(d)
-}
-
-// splitmixMargo is the SplitMix64 step used for jitter determinism.
-func splitmixMargo(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return min(d, rs.pol.MaxBackoff)
 }
 
 // MarkIdempotent opts RPC names into timeout retries: a per-try

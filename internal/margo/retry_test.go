@@ -13,10 +13,8 @@ import (
 	"symbiosys/internal/na"
 )
 
-// noJitter returns a deterministic test policy: zero jitter (an
-// explicit 0 survives withDefaults) and a short default backoff.
-func noJitter(p RetryPolicy) *RetryPolicy {
-	p.Jitter = 0
+// testRetry returns p with a short default backoff.
+func testRetry(p RetryPolicy) *RetryPolicy {
 	if p.InitialBackoff == 0 {
 		p.InitialBackoff = 5 * time.Millisecond
 	}
@@ -31,7 +29,7 @@ func TestRetryHealsAfterPartition(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", Stage: core.StageFull})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull,
-		Retry: noJitter(RetryPolicy{MaxAttempts: 6, InitialBackoff: 20 * time.Millisecond, Multiplier: 2})})
+		Retry: testRetry(RetryPolicy{MaxAttempts: 6, InitialBackoff: 20 * time.Millisecond})})
 
 	srv.Register("healed_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	cli.RegisterClient("healed_rpc")
@@ -97,7 +95,7 @@ func TestRetryTimeoutGatedOnIdempotency(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: noJitter(RetryPolicy{MaxAttempts: 3, PerTryTimeout: 30 * time.Millisecond,
+		Retry: testRetry(RetryPolicy{MaxAttempts: 3, PerTryTimeout: 30 * time.Millisecond,
 			InitialBackoff: time.Millisecond})})
 
 	release := make(chan struct{})
@@ -151,7 +149,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: noJitter(RetryPolicy{MaxAttempts: 10, Budget: 2, BudgetRefill: 0.1,
+		Retry: testRetry(RetryPolicy{MaxAttempts: 10, Budget: 2, BudgetRefill: 0.1,
 			InitialBackoff: time.Millisecond})})
 	srv.Register("never_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	cli.RegisterClient("never_rpc")
@@ -356,7 +354,7 @@ func TestCanceledForwardReachesSinksOnce(t *testing.T) {
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull,
 		TraceSinks: []core.TraceSink{sink},
-		Retry: noJitter(RetryPolicy{MaxAttempts: 2, PerTryTimeout: 25 * time.Millisecond,
+		Retry: testRetry(RetryPolicy{MaxAttempts: 2, PerTryTimeout: 25 * time.Millisecond,
 			InitialBackoff: time.Millisecond})})
 	release := make(chan struct{})
 	srv.Register("sink_rpc", func(ctx *Context) {
@@ -441,7 +439,7 @@ func TestBreakerTripsOnPartition(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: noJitter(RetryPolicy{
+		Retry: testRetry(RetryPolicy{
 			MaxAttempts: 1, // one attempt per Forward: each call is one breaker record
 			Breaker:     &BreakerPolicy{Threshold: 3, Cooldown: 40 * time.Millisecond},
 		})})
@@ -506,7 +504,7 @@ func TestRetryWhileBreakerHalfOpen(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: noJitter(RetryPolicy{
+		Retry: testRetry(RetryPolicy{
 			MaxAttempts:    8,
 			InitialBackoff: 10 * time.Millisecond,
 			MaxBackoff:     20 * time.Millisecond,

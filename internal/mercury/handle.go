@@ -370,9 +370,6 @@ func (h *Handle) GetOutput(v Procable) error {
 	return nil
 }
 
-// InputSize reports the serialized request payload size at the target.
-func (h *Handle) InputSize() int { return len(h.reqPayload) }
-
 // Respond serializes out and sends it back to the origin. cb (optional)
 // fires from Trigger when the response has been handed to the network —
 // the paper's t13, closing the target completion callback interval.

@@ -314,13 +314,6 @@ func (c *Class) run(comp completion) {
 	}
 }
 
-// CompletionQueueLen reports the instantaneous internal queue length.
-func (c *Class) CompletionQueueLen() int {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	return c.cqLen
-}
-
 // NetworkPending reports completion events still waiting in the network
 // layer (not yet read by Progress) — the paper's clogged-OFI-queue
 // signal.

@@ -587,13 +587,13 @@ func TestCompletionQueueIsFIFOAcrossGrowthAndWrap(t *testing.T) {
 	}
 	enqueue(11) // fills the 16-slot ring past its end
 	enqueue(40) // grows it, twice, with the head at 7
-	if got, want := c.CompletionQueueLen(), 12-7+11+40; got != want || c.cqLevel.Load() != int64(want) {
+	if got, want := c.cqLen, 12-7+11+40; got != want || c.cqLevel.Load() != int64(want) {
 		t.Fatalf("queue depth = %d (pvar %d), want %d", got, c.cqLevel.Load(), want)
 	}
 	for c.Trigger(5) > 0 {
 	}
-	if c.CompletionQueueLen() != 0 || c.cqLevel.Load() != 0 {
-		t.Fatalf("queue depth after drain = %d (pvar %d)", c.CompletionQueueLen(), c.cqLevel.Load())
+	if c.cqLen != 0 || c.cqLevel.Load() != 0 {
+		t.Fatalf("queue depth after drain = %d (pvar %d)", c.cqLen, c.cqLevel.Load())
 	}
 	if len(ran) != next {
 		t.Fatalf("ran %d completions, enqueued %d", len(ran), next)

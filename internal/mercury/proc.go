@@ -250,24 +250,6 @@ func (p *Proc) Uint32(v *uint32) error {
 	return nil
 }
 
-// Uint16 processes a fixed-width 16-bit unsigned field.
-func (p *Proc) Uint16(v *uint16) error {
-	if p.op == OpEncode {
-		if p.err != nil {
-			return p.err
-		}
-		p.reserve(2)
-		p.buf = binary.LittleEndian.AppendUint16(p.buf, *v)
-		return nil
-	}
-	b, err := p.take(2)
-	if err != nil {
-		return err
-	}
-	*v = binary.LittleEndian.Uint16(b)
-	return nil
-}
-
 // Uint8 processes a single byte field.
 func (p *Proc) Uint8(v *uint8) error {
 	if p.op == OpEncode {

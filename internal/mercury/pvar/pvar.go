@@ -166,9 +166,6 @@ func (r *Registry) register(info Info, v *variable) {
 	r.byName[info.Name] = info.Index
 }
 
-// ActiveSessions reports how many sessions are currently initialized.
-func (r *Registry) ActiveSessions() int64 { return r.sessions.Load() }
-
 // Session is a tool's connection to the PVAR interface, the analogue of
 // the paper's session_handle.
 type Session struct {
@@ -292,15 +289,6 @@ func (s *Session) Read(h *Handle, obj any) (uint64, error) {
 		return val, nil
 	default:
 		return 0, fmt.Errorf("pvar: bad binding %d", h.v.info.Binding)
-	}
-}
-
-// FreeHandle releases a handle. Reading a freed handle fails.
-func (s *Session) FreeHandle(h *Handle) {
-	if h.freed.CompareAndSwap(false, true) {
-		s.mu.Lock()
-		delete(s.handles, h)
-		s.mu.Unlock()
 	}
 }
 

@@ -83,12 +83,6 @@ func (w *Watermark) Record(v uint64) {
 	}
 }
 
-// High samples the highest recorded value.
-func (w *Watermark) High() uint64 { return w.hi.Load() }
-
-// Low samples the lowest recorded value.
-func (w *Watermark) Low() uint64 { return w.lo.Load() }
-
 // Timer backs a TIMER-class PVAR bound to a handle: one measured
 // interval, stored as nanoseconds. The zero Timer reads as zero.
 type Timer struct {

@@ -288,7 +288,6 @@ func TestRecycledHandleStartsClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sess.FreeHandle(ph)
 		v, err := sess.Read(ph, h)
 		if err != nil {
 			t.Fatal(err)
@@ -359,9 +358,9 @@ func TestRecycledHandleStartsClean(t *testing.T) {
 			if h.Data() != nil {
 				t.Errorf("recycled handle still carries the last owner's Data (%T)", h.Data())
 			}
-			if h.BatchLen() != 0 || h.InputSize() != 0 || h.RespMeta() != (Meta{}) || h.Meta() != (Meta{}) || h.Peer() != "" {
+			if h.BatchLen() != 0 || len(h.reqPayload) != 0 || h.RespMeta() != (Meta{}) || h.Meta() != (Meta{}) || h.Peer() != "" {
 				t.Errorf("recycled handle kept state of its last life: %d batch entries, %d input bytes, resp meta %+v, meta %+v, peer %q",
-					h.BatchLen(), h.InputSize(), h.RespMeta(), h.Meta(), h.Peer())
+					h.BatchLen(), len(h.reqPayload), h.RespMeta(), h.Meta(), h.Peer())
 			}
 		}
 		for _, h := range held {

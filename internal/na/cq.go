@@ -63,13 +63,10 @@ func (c *completionQueue) post(ev Event) {
 	}
 }
 
-func (c *completionQueue) poll(max int) []Event {
-	return c.pollInto(nil, max)
-}
-
-// pollInto is poll writing into the caller's buffer (reused across
-// progress iterations so the steady-state drain does not allocate).
-// A nil buf falls back to allocating.
+// pollInto drains up to max events, in arrival order, into the caller's
+// buffer (reused across progress iterations so the steady-state drain
+// does not allocate). A buf without the capacity falls back to
+// allocating.
 func (c *completionQueue) pollInto(buf []Event, max int) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -32,7 +32,7 @@ func drain(t *testing.T, ep *Endpoint, want int, d time.Duration) []Event {
 	var evs []Event
 	for len(evs) < want && time.Now().Before(deadline) {
 		ep.Wait(time.Millisecond)
-		evs = append(evs, ep.Poll(16)...)
+		evs = append(evs, ep.PollInto(nil, 16)...)
 	}
 	return evs
 }

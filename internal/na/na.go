@@ -239,15 +239,6 @@ func (e *Endpoint) Node() string { return e.node }
 // dropped and subsequent sends fail with an EvError completion.
 func (e *Endpoint) Close() { e.closed.Store(true) }
 
-// Closed reports whether Close has been called.
-func (e *Endpoint) Closed() bool { return e.closed.Load() }
-
-// Sends reports the lifetime number of messages sent.
-func (e *Endpoint) Sends() uint64 { return e.sends.Load() }
-
-// Recvs reports the lifetime number of messages delivered.
-func (e *Endpoint) Recvs() uint64 { return e.recvs.Load() }
-
 // Send transmits data to the destination address. Delivery is
 // asynchronous: after the modeled transfer delay the receiver gets an
 // EvRecv event and the sender an EvSendDone (or EvError) carrying ctx.
@@ -507,16 +498,11 @@ func (e *Endpoint) completeRDMA(d *delivery) {
 	e.cq.post(Event{Kind: EvRDMADone, Ctx: d.ctx})
 }
 
-// Poll drains up to max completion events without blocking, returning
-// them in arrival order. This is the bounded read that Mercury performs
-// per progress iteration; the batch size is the paper's OFI_max_events.
-func (e *Endpoint) Poll(max int) []Event {
-	return e.cq.poll(max)
-}
-
-// PollInto is Poll draining into the caller's reusable buffer; the
-// returned slice aliases buf when it has capacity. Mercury's progress
-// loop uses this so the per-iteration bounded read is allocation-free.
+// PollInto drains up to max completion events without blocking, in
+// arrival order, into the caller's reusable buffer; the returned slice
+// aliases buf when it has capacity. This is the bounded read that
+// Mercury performs per progress iteration, allocation-free; the batch
+// size is the paper's OFI_max_events.
 func (e *Endpoint) PollInto(buf []Event, max int) []Event {
 	return e.cq.pollInto(buf, max)
 }
@@ -541,9 +527,6 @@ func (e *Endpoint) EventsRead() uint64 { return e.cq.read.Load() }
 // EventsPosted reports the cumulative number of completion events
 // successfully enqueued (overflowed events are not counted here).
 func (e *Endpoint) EventsPosted() uint64 { return e.cq.posted.Load() }
-
-// CQDepthHWM reports the completion queue's length high-water mark.
-func (e *Endpoint) CQDepthHWM() int { return int(e.cq.lenHWM.Load()) }
 
 // Overflows reports how many events could not be queued because the
 // completion queue was at capacity.

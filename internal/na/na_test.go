@@ -32,7 +32,7 @@ func waitEvents(t *testing.T, ep *Endpoint, n int) []Event {
 		if !ep.Wait(time.Until(deadline)) {
 			t.Fatalf("timed out: got %d/%d events", len(out), n)
 		}
-		out = append(out, ep.Poll(n-len(out))...)
+		out = append(out, ep.PollInto(nil, n-len(out))...)
 	}
 	return out
 }
@@ -168,11 +168,11 @@ func TestPollBatchBounded(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	batch := b.Poll(16)
+	batch := b.PollInto(nil, 16)
 	if len(batch) != 16 {
 		t.Fatalf("poll(16) = %d events", len(batch))
 	}
-	rest := b.Poll(16)
+	rest := b.PollInto(nil, 16)
 	if len(rest) != 4 {
 		t.Fatalf("second poll = %d events", len(rest))
 	}
@@ -186,10 +186,10 @@ func TestPollBatchBounded(t *testing.T) {
 
 func TestPollZeroAndEmpty(t *testing.T) {
 	_, a, _ := newPair(t, DefaultConfig())
-	if evs := a.Poll(16); evs != nil {
+	if evs := a.PollInto(nil, 16); evs != nil {
 		t.Fatalf("poll on empty queue = %v", evs)
 	}
-	if evs := a.Poll(0); evs != nil {
+	if evs := a.PollInto(nil, 0); evs != nil {
 		t.Fatalf("poll(0) = %v", evs)
 	}
 }
@@ -279,7 +279,7 @@ func TestEventResidenceTimestamp(t *testing.T) {
 		}
 	}
 	time.Sleep(5 * time.Millisecond) // let it sit in the queue
-	ev := b.Poll(1)[0]
+	ev := b.PollInto(nil, 1)[0]
 	if res := time.Since(ev.Posted); res < 4*time.Millisecond {
 		t.Fatalf("residence = %v, want >= 4ms", res)
 	}

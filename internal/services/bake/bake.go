@@ -11,7 +11,6 @@
 package bake
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -27,36 +26,24 @@ const (
 	RPCPersist = "bake_persist_rpc"
 	RPCRead    = "bake_read_rpc"
 	RPCGetSize = "bake_get_size_rpc"
-	RPCRemove  = "bake_remove_rpc"
 )
 
 // RPCNames lists every BAKE RPC (for client registration).
 func RPCNames() []string {
-	return []string{RPCCreate, RPCWrite, RPCPersist, RPCRead, RPCGetSize, RPCRemove}
+	return []string{RPCCreate, RPCWrite, RPCPersist, RPCRead, RPCGetSize}
 }
 
-// Config models the provider's storage costs.
-type Config struct {
-	// PersistCostPerKB is the modeled flush-to-NVM time charged by
-	// bake_persist per KiB of region data. Default 2µs.
-	PersistCostPerKB time.Duration
-	// WriteCostPerKB is the modeled media write time per KiB. Default 1µs.
-	WriteCostPerKB time.Duration
-}
-
-func (c *Config) fillDefaults() {
-	if c.PersistCostPerKB <= 0 {
-		c.PersistCostPerKB = 2 * time.Microsecond
-	}
-	if c.WriteCostPerKB <= 0 {
-		c.WriteCostPerKB = time.Microsecond
-	}
-}
+// The provider's modeled storage costs.
+const (
+	// persistCostPerKB is the flush-to-NVM time bake_persist charges per
+	// KiB of region data.
+	persistCostPerKB = 2 * time.Microsecond
+	// writeCostPerKB is the media write time per KiB.
+	writeCostPerKB = time.Microsecond
+)
 
 // Provider is a BAKE target: a set of in-memory regions.
 type Provider struct {
-	cfg Config
-
 	mu      sync.Mutex
 	regions map[uint64]*region
 	nextID  uint64
@@ -68,16 +55,14 @@ type region struct {
 }
 
 // RegisterProvider installs a BAKE provider on a Margo server.
-func RegisterProvider(inst *margo.Instance, cfg Config) (*Provider, error) {
-	cfg.fillDefaults()
-	p := &Provider{cfg: cfg, regions: make(map[uint64]*region)}
+func RegisterProvider(inst *margo.Instance) (*Provider, error) {
+	p := &Provider{regions: make(map[uint64]*region)}
 	handlers := map[string]margo.HandlerFunc{
 		RPCCreate:  p.handleCreate,
 		RPCWrite:   p.handleWrite,
 		RPCPersist: p.handlePersist,
 		RPCRead:    p.handleRead,
 		RPCGetSize: p.handleGetSize,
-		RPCRemove:  p.handleRemove,
 	}
 	for name, fn := range handlers {
 		if err := inst.Register(name, fn); err != nil {
@@ -85,13 +70,6 @@ func RegisterProvider(inst *margo.Instance, cfg Config) (*Provider, error) {
 		}
 	}
 	return p, nil
-}
-
-// NumRegions reports how many regions the provider holds.
-func (p *Provider) NumRegions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.regions)
 }
 
 func (p *Provider) region(id uint64) (*region, bool) {
@@ -183,7 +161,7 @@ func (p *Provider) handleWrite(ctx *margo.Context) {
 		ctx.RespondError("bake: bulk pull: %v", err)
 		return
 	}
-	ctx.Compute(time.Duration(in.Size) * p.cfg.WriteCostPerKB / 1024)
+	ctx.Compute(time.Duration(in.Size) * writeCostPerKB / 1024)
 	ctx.Respond(mercury.Void{})
 }
 
@@ -200,7 +178,7 @@ func (p *Provider) handlePersist(ctx *margo.Context) {
 		ctx.RespondError("bake: unknown region %d", in.RID)
 		return
 	}
-	ctx.Compute(time.Duration(len(r.data)) * p.cfg.PersistCostPerKB / 1024)
+	ctx.Compute(time.Duration(len(r.data)) * persistCostPerKB / 1024)
 	p.mu.Lock()
 	r.persisted = true
 	p.mu.Unlock()
@@ -246,31 +224,6 @@ func (p *Provider) handleGetSize(ctx *margo.Context) {
 	}
 	c.size.Size = uint64(len(r.data))
 	ctx.Respond(&c.size)
-}
-
-func (p *Provider) handleRemove(ctx *margo.Context) {
-	c := calls.Get()
-	defer calls.Put(c)
-	in := &c.region
-	if err := ctx.GetInput(in); err != nil {
-		ctx.RespondError("bake: %v", err)
-		return
-	}
-	p.mu.Lock()
-	_, ok := p.regions[in.RID]
-	delete(p.regions, in.RID)
-	p.mu.Unlock()
-	if !ok {
-		ctx.RespondError("bake: unknown region %d", in.RID)
-		return
-	}
-	ctx.Respond(mercury.Void{})
-}
-
-// Persisted reports whether a region has been persisted (tests).
-func (p *Provider) Persisted(rid uint64) bool {
-	r, ok := p.region(rid)
-	return ok && r.persisted
 }
 
 // Client is the origin-side BAKE API.
@@ -347,15 +300,4 @@ func (c *Client) GetSize(self *abt.ULT, target string, rid uint64) (uint64, erro
 		return 0, err
 	}
 	return r.size.Size, nil
-}
-
-// Remove deletes the region.
-func (c *Client) Remove(self *abt.ULT, target string, rid uint64) error {
-	r := calls.Get()
-	defer calls.Put(r)
-	r.region.RID = rid
-	if err := c.inst.Forward(self, target, RPCRemove, &r.region, nil); err != nil {
-		return fmt.Errorf("bake: remove %d: %w", rid, err)
-	}
-	return nil
 }

@@ -28,7 +28,7 @@ func newEnv(t *testing.T) *env {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cli.Shutdown(); srv.Shutdown() })
-	prov, err := RegisterProvider(srv, Config{})
+	prov, err := RegisterProvider(srv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,32 +132,6 @@ func TestErrorsOutOfBoundsAndUnknownRegion(t *testing.T) {
 		}
 		if _, err := e.client.GetSize(self, e.srv.Addr(), 999); err == nil {
 			t.Error("unknown region get_size accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	e := newEnv(t)
-	err := e.run(t, func(self *abt.ULT) error {
-		rid, err := e.client.Create(self, e.srv.Addr(), 8)
-		if err != nil {
-			return err
-		}
-		if e.prov.NumRegions() != 1 {
-			t.Errorf("regions = %d", e.prov.NumRegions())
-		}
-		if err := e.client.Remove(self, e.srv.Addr(), rid); err != nil {
-			return err
-		}
-		if e.prov.NumRegions() != 0 {
-			t.Errorf("regions after remove = %d", e.prov.NumRegions())
-		}
-		if err := e.client.Remove(self, e.srv.Addr(), rid); err == nil {
-			t.Error("double remove accepted")
 		}
 		return nil
 	})

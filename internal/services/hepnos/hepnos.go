@@ -78,7 +78,7 @@ type Server struct {
 func NewServer(inst *margo.Instance, databases int, backend string, kvCfg sdskv.Config) (*Server, error) {
 	s := &Server{Inst: inst}
 	var err error
-	if s.Bake, err = bake.RegisterProvider(inst, bake.Config{}); err != nil {
+	if s.Bake, err = bake.RegisterProvider(inst); err != nil {
 		return nil, err
 	}
 	if s.Sdskv, err = sdskv.RegisterProvider(inst, kvCfg); err != nil {
@@ -113,25 +113,6 @@ func (s *Server) dbLen(id uint32) int {
 		return 0
 	}
 	return n
-}
-
-// Discover builds the client's view of a HEPnOS deployment from a list
-// of server addresses (typically obtained by observing an SSG group):
-// each server is asked to enumerate its event databases.
-func Discover(inst *margo.Instance, self *abt.ULT, addrs []string) ([]ServerInfo, error) {
-	kvc, err := sdskv.NewClient(inst)
-	if err != nil {
-		return nil, err
-	}
-	infos := make([]ServerInfo, 0, len(addrs))
-	for _, addr := range addrs {
-		ids, _, err := kvc.ListDatabases(self, addr)
-		if err != nil {
-			return nil, fmt.Errorf("hepnos: discover %s: %w", addr, err)
-		}
-		infos = append(infos, ServerInfo{Addr: addr, DBIDs: ids})
-	}
-	return infos, nil
 }
 
 // ServerInfo is a client's view of one HEPnOS server.
@@ -296,9 +277,6 @@ func NewClient(inst *margo.Instance, servers []ServerInfo, opts Options) (*Clien
 	}
 	return c, nil
 }
-
-// TotalDatabases reports the number of databases across all servers.
-func (c *Client) TotalDatabases() int { return c.totalDBs }
 
 // Stored reports how many events this client has flushed so far.
 func (c *Client) Stored() uint64 { return c.stored }

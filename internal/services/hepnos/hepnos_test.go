@@ -11,7 +11,6 @@ import (
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
 	"symbiosys/internal/services/sdskv"
-	"symbiosys/internal/ssg"
 )
 
 type env struct {
@@ -106,8 +105,8 @@ func TestStoreAndLoadEvents(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if c.TotalDatabases() != 8 {
-			t.Errorf("TotalDatabases = %d", c.TotalDatabases())
+		if c.totalDBs != 8 {
+			t.Errorf("totalDBs = %d", c.totalDBs)
 		}
 		for i := 0; i < events; i++ {
 			k := EventKey{DataSet: "nova", Run: 1, SubRun: uint64(i / 10), Event: uint64(i)}
@@ -224,79 +223,6 @@ func TestClientRequiresDatabases(t *testing.T) {
 		t.Fatal("client with no servers accepted")
 	}
 	_ = mercury.Void{}
-}
-
-func TestDiscoverViaSSG(t *testing.T) {
-	// Bootstrap a client from an SSG group instead of hand-wired
-	// ServerInfo: servers join the group, the client observes it and
-	// asks each member to enumerate its databases.
-	e := newEnv(t, 2, 3)
-
-	// Host the group on the first server and have both servers join.
-	host, err := ssg.NewHost(e.servers[0].Inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := host.Create("hepnos", true); err != nil {
-		t.Fatal(err)
-	}
-	joiner, err := ssg.NewClient(e.servers[1].Inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ju := e.servers[1].Inst.Run("join", func(self *abt.ULT) {
-		if _, _, err := joiner.Join(self, e.servers[0].Addr(), "hepnos", ""); err != nil {
-			t.Errorf("join: %v", err)
-		}
-	})
-	ju.Join(nil)
-
-	// Client: observe the group, discover databases, store events.
-	obsClient, err := ssg.NewClient(e.cli)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = e.run(t, func(self *abt.ULT) error {
-		view, err := obsClient.Observe(self, e.servers[0].Addr(), "hepnos")
-		if err != nil {
-			return err
-		}
-		if view.Size() != 2 {
-			t.Errorf("view size = %d", view.Size())
-		}
-		infos, err := Discover(e.cli, self, view.Addrs())
-		if err != nil {
-			return err
-		}
-		total := 0
-		for _, info := range infos {
-			total += len(info.DBIDs)
-		}
-		if total != 6 {
-			t.Errorf("discovered %d databases, want 6", total)
-		}
-		c, err := NewClient(e.cli, infos, Options{BatchSize: 8})
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 40; i++ {
-			k := EventKey{DataSet: "disc", Event: uint64(i)}
-			if err := c.StoreEvent(self, k, []byte("v")); err != nil {
-				return err
-			}
-		}
-		return c.Flush(self)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range e.servers {
-		total += s.StoredEvents()
-	}
-	if total != 40 {
-		t.Fatalf("stored %d events via discovered deployment", total)
-	}
 }
 
 // TestStoreEventAllocs pins the loader's hot path. Between flushes a

@@ -65,7 +65,7 @@ type ProviderNode struct {
 func RegisterProviderNode(inst *margo.Instance, backend string) (*ProviderNode, error) {
 	n := &ProviderNode{inst: inst}
 	var err error
-	if n.bakeP, err = bake.RegisterProvider(inst, bake.Config{}); err != nil {
+	if n.bakeP, err = bake.RegisterProvider(inst); err != nil {
 		return nil, err
 	}
 	// The omap listing cost models RADOS-style iteration over object

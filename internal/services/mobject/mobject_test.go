@@ -112,7 +112,7 @@ func TestWriteOpProduces12DiscreteSubCalls(t *testing.T) {
 	for k, s := range e.srv.Profiler().OriginStats() {
 		if k.BC.Parent() == parent {
 			calls += s.Count
-			if n, ok := names.Name(k.BC.Leaf()); ok {
+			if n, ok := names.Name(uint16(k.BC)); ok {
 				perRPC[n] += s.Count
 			}
 		}

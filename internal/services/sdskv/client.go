@@ -137,33 +137,3 @@ func (c *Client) ListKeyvals(self *abt.ULT, target string, db uint32, start []by
 	}
 	return call.out.Keys, call.out.Values, nil
 }
-
-// Length reports the number of pairs in the database.
-func (c *Client) Length(self *abt.ULT, target string, db uint32) (uint64, error) {
-	var out lengthResp
-	if err := c.inst.Forward(self, target, RPCLength, &openResp{DBID: db}, &out); err != nil {
-		return 0, err
-	}
-	return out.N, nil
-}
-
-// ListDatabases enumerates the databases a provider hosts, in id order.
-func (c *Client) ListDatabases(self *abt.ULT, target string) (ids []uint32, names []string, err error) {
-	var out listDBsResp
-	if err := c.inst.Forward(self, target, RPCListDBs, &mercury.Void{}, &out); err != nil {
-		return nil, nil, err
-	}
-	ids = make([]uint32, len(out.IDs))
-	for i, id := range out.IDs {
-		ids[i] = uint32(id)
-	}
-	return ids, out.Names, nil
-}
-
-// Erase removes a key.
-func (c *Client) Erase(self *abt.ULT, target string, db uint32, key []byte) error {
-	call := getCalls.Get()
-	defer getCalls.Put(call)
-	call.in = getArgs{DBID: db, Key: key}
-	return c.inst.Forward(self, target, RPCErase, &call.in, nil)
-}

@@ -30,14 +30,11 @@ const (
 	RPCGet         = "sdskv_get_rpc"
 	RPCPutPacked   = "sdskv_put_packed_rpc"
 	RPCListKeyvals = "sdskv_list_keyvals_rpc"
-	RPCLength      = "sdskv_length_rpc"
-	RPCErase       = "sdskv_erase_rpc"
-	RPCListDBs     = "sdskv_list_databases_rpc"
 )
 
 // RPCNames lists every SDSKV RPC (for client registration).
 func RPCNames() []string {
-	return []string{RPCOpen, RPCPut, RPCGet, RPCPutPacked, RPCListKeyvals, RPCLength, RPCErase, RPCListDBs}
+	return []string{RPCOpen, RPCPut, RPCGet, RPCPutPacked, RPCListKeyvals}
 }
 
 // Config models backend insertion costs.
@@ -97,9 +94,6 @@ func RegisterProvider(inst *margo.Instance, cfg Config) (*Provider, error) {
 		RPCGet:         p.handleGet,
 		RPCPutPacked:   p.handlePutPacked,
 		RPCListKeyvals: p.handleList,
-		RPCLength:      p.handleLength,
-		RPCErase:       p.handleErase,
-		RPCListDBs:     p.handleListDBs,
 	}
 	for name, fn := range handlers {
 		if err := inst.Register(name, fn); err != nil {
@@ -141,13 +135,6 @@ func (p *Provider) LocalLength(id uint32) (int, error) {
 		return 0, fmt.Errorf("sdskv: unknown database %d", id)
 	}
 	return d.db.Len(), nil
-}
-
-// NumDatabases reports how many databases the provider hosts.
-func (p *Provider) NumDatabases() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.dbs)
 }
 
 func (p *Provider) database(id uint32) (*database, bool) {
@@ -268,10 +255,6 @@ func (a *listReply) Proc(pr *mercury.Proc) error {
 	}
 	return pr.Err()
 }
-
-type lengthResp struct{ N uint64 }
-
-func (a *lengthResp) Proc(pr *mercury.Proc) error { return pr.Uint64(&a.N) }
 
 // packedBatch is the packed put payload pulled over bulk.
 type packedBatch struct {
@@ -481,73 +464,4 @@ func (p *Provider) handleList(ctx *margo.Context) {
 	ctx.Compute(time.Duration(len(pairs)) * p.cfg.ListCostPerItem)
 	call.reply = pairs
 	ctx.Respond(&call.reply)
-}
-
-func (p *Provider) handleLength(ctx *margo.Context) {
-	var in openResp // just the db id
-	if err := ctx.GetInput(&in); err != nil {
-		ctx.RespondError("sdskv: %v", err)
-		return
-	}
-	d, ok := p.database(in.DBID)
-	if !ok {
-		ctx.RespondError("sdskv: unknown database %d", in.DBID)
-		return
-	}
-	ctx.Respond(&lengthResp{N: uint64(d.db.Len())})
-}
-
-type listDBsResp struct {
-	IDs   []uint64
-	Names []string
-}
-
-func (a *listDBsResp) Proc(pr *mercury.Proc) error {
-	pr.Uint64Slice(&a.IDs)
-	pr.StringSlice(&a.Names)
-	return pr.Err()
-}
-
-// handleListDBs enumerates the provider's databases — the discovery
-// path HEPnOS clients use after resolving a server through SSG.
-func (p *Provider) handleListDBs(ctx *margo.Context) {
-	p.mu.Lock()
-	out := listDBsResp{}
-	for name, id := range p.byName {
-		out.IDs = append(out.IDs, uint64(id))
-		out.Names = append(out.Names, name)
-	}
-	p.mu.Unlock()
-	// Sort by id for a stable view.
-	for i := 1; i < len(out.IDs); i++ {
-		for j := i; j > 0 && out.IDs[j-1] > out.IDs[j]; j-- {
-			out.IDs[j-1], out.IDs[j] = out.IDs[j], out.IDs[j-1]
-			out.Names[j-1], out.Names[j] = out.Names[j], out.Names[j-1]
-		}
-	}
-	ctx.Respond(&out)
-}
-
-func (p *Provider) handleErase(ctx *margo.Context) {
-	call := getCalls.Get()
-	defer getCalls.Put(call)
-	in := &call.in
-	if err := ctx.GetInput(in); err != nil {
-		ctx.RespondError("sdskv: %v", err)
-		return
-	}
-	d, ok := p.database(in.DBID)
-	if !ok {
-		ctx.RespondError("sdskv: unknown database %d", in.DBID)
-		return
-	}
-	var err error
-	d.withWriteLock(ctx.Self, func() {
-		_, err = d.db.Delete(in.Key)
-	})
-	if err != nil {
-		ctx.RespondError("sdskv: erase: %v", err)
-		return
-	}
-	ctx.Respond(mercury.Void{})
 }

@@ -1,8 +1,7 @@
 // Package sonata reimplements Sonata, the Mochi microservice for
-// remotely storing and querying JSON documents (paper §V-B). Unlike BAKE
-// and SDSKV, Sonata is optimized for document storage with in-place
-// queries; its UnQLite/Jx9 engine is substituted by an in-memory
-// collection store plus the filter-expression engine in query.go.
+// remotely storing JSON documents (paper §V-B). Its UnQLite engine is
+// substituted by an in-memory collection store; the paper's experiment
+// only stores, so there is no query engine.
 //
 // Crucially for the paper's Figure 7 experiment, sonata_store_multi_json
 // transfers the document array as RPC *metadata*, not as a bulk region:
@@ -27,13 +26,12 @@ const (
 	RPCCreateCollection = "sonata_create_collection_rpc"
 	RPCStoreMultiJSON   = "sonata_store_multi_json_rpc"
 	RPCFetch            = "sonata_fetch_rpc"
-	RPCExecQuery        = "sonata_exec_query_rpc"
 	RPCCollectionSize   = "sonata_collection_size_rpc"
 )
 
 // RPCNames lists every Sonata RPC (for client registration).
 func RPCNames() []string {
-	return []string{RPCCreateCollection, RPCStoreMultiJSON, RPCFetch, RPCExecQuery, RPCCollectionSize}
+	return []string{RPCCreateCollection, RPCStoreMultiJSON, RPCFetch, RPCCollectionSize}
 }
 
 // Config models document-store costs.
@@ -41,17 +39,11 @@ type Config struct {
 	// StoreCostPerDoc is the modeled UnQLite insert time per document.
 	// Default 2µs.
 	StoreCostPerDoc time.Duration
-	// QueryCostPerDoc is the modeled Jx9 evaluation time per scanned
-	// document. Default 500ns.
-	QueryCostPerDoc time.Duration
 }
 
 func (c *Config) fillDefaults() {
 	if c.StoreCostPerDoc <= 0 {
 		c.StoreCostPerDoc = 2 * time.Microsecond
-	}
-	if c.QueryCostPerDoc <= 0 {
-		c.QueryCostPerDoc = 500 * time.Nanosecond
 	}
 }
 
@@ -65,11 +57,8 @@ type Provider struct {
 
 type collection struct {
 	// raw documents in insertion order; ids are indices.
-	docs [][]byte
-	// parsed holds the document objects reconstructed during input
-	// deserialization, ready for querying.
-	parsed []map[string]any
-	wlock  *abt.Mutex
+	docs  [][]byte
+	wlock *abt.Mutex
 }
 
 // RegisterProvider installs a Sonata provider on a Margo server.
@@ -80,7 +69,6 @@ func RegisterProvider(inst *margo.Instance, cfg Config) (*Provider, error) {
 		RPCCreateCollection: p.handleCreate,
 		RPCStoreMultiJSON:   p.handleStoreMulti,
 		RPCFetch:            p.handleFetch,
-		RPCExecQuery:        p.handleQuery,
 		RPCCollectionSize:   p.handleSize,
 	}
 	for name, fn := range handlers {
@@ -107,22 +95,20 @@ func (a *collArgs) Proc(pr *mercury.Proc) error { return pr.String(&a.Name) }
 type storeMultiArgs struct {
 	Coll string
 	Docs [][]byte // JSON documents as RPC metadata (deliberately)
-
-	// Parsed is populated on the decode side: deserializing the input
-	// reconstructs the document objects, as Mercury proc callbacks do
-	// for the serialized objects of real Mochi services. The cost is
-	// therefore charged to input_deserialization_time, the quantity the
-	// paper's Figure 7 examines.
-	Parsed []map[string]any
 }
 
+// Proc reconstructs every document object on the decode side, as
+// Mercury proc callbacks do for the serialized objects of real Mochi
+// services, and refuses a batch holding a record that is not one. The
+// cost is therefore charged to input_deserialization_time, the quantity
+// the paper's Figure 7 examines.
 func (a *storeMultiArgs) Proc(pr *mercury.Proc) error {
 	pr.String(&a.Coll)
 	pr.BytesSlice(&a.Docs)
 	if pr.Op() == mercury.OpDecode && pr.Err() == nil {
-		a.Parsed = make([]map[string]any, len(a.Docs))
 		for i, d := range a.Docs {
-			if err := json.Unmarshal(d, &a.Parsed[i]); err != nil {
+			var obj map[string]any
+			if err := json.Unmarshal(d, &obj); err != nil {
 				return fmt.Errorf("sonata: record %d: %w", i, err)
 			}
 		}
@@ -153,30 +139,6 @@ type fetchResp struct {
 func (a *fetchResp) Proc(pr *mercury.Proc) error {
 	pr.Bool(&a.Found)
 	pr.Bytes(&a.Doc)
-	return pr.Err()
-}
-
-type queryArgs struct {
-	Coll string
-	Expr string
-	Max  uint32
-}
-
-func (a *queryArgs) Proc(pr *mercury.Proc) error {
-	pr.String(&a.Coll)
-	pr.String(&a.Expr)
-	pr.Uint32(&a.Max)
-	return pr.Err()
-}
-
-type queryResp struct {
-	IDs  []uint64
-	Docs [][]byte
-}
-
-func (a *queryResp) Proc(pr *mercury.Proc) error {
-	pr.Uint64Slice(&a.IDs)
-	pr.BytesSlice(&a.Docs)
 	return pr.Err()
 }
 
@@ -230,7 +192,6 @@ func (p *Provider) handleStoreMulti(ctx *margo.Context) {
 		slab = append(slab, d...)
 		c.docs = append(c.docs, slab[off:len(slab):len(slab)])
 	}
-	c.parsed = append(c.parsed, in.Parsed...)
 	c.wlock.Unlock()
 	ctx.Compute(time.Duration(len(in.Docs)) * p.cfg.StoreCostPerDoc)
 	ctx.Respond(&storeMultiResp{FirstID: first})
@@ -255,41 +216,6 @@ func (p *Provider) handleFetch(ctx *margo.Context) {
 	}
 	c.wlock.Unlock()
 	ctx.Respond(&fetchResp{Found: found, Doc: doc})
-}
-
-func (p *Provider) handleQuery(ctx *margo.Context) {
-	var in queryArgs
-	if err := ctx.GetInput(&in); err != nil {
-		ctx.RespondError("sonata: %v", err)
-		return
-	}
-	expr, err := Compile(in.Expr)
-	if err != nil {
-		ctx.RespondError("%v", err)
-		return
-	}
-	c, ok := p.collection(in.Coll)
-	if !ok {
-		ctx.RespondError("sonata: unknown collection %q", in.Coll)
-		return
-	}
-	c.wlock.Lock(ctx.Self)
-	docs := c.parsed
-	raws := c.docs
-	c.wlock.Unlock()
-
-	ctx.Compute(time.Duration(len(docs)) * p.cfg.QueryCostPerDoc)
-	out := queryResp{}
-	for i, d := range docs {
-		if expr.Eval(d) {
-			out.IDs = append(out.IDs, uint64(i))
-			out.Docs = append(out.Docs, raws[i])
-			if in.Max > 0 && uint32(len(out.IDs)) >= in.Max {
-				break
-			}
-		}
-	}
-	ctx.Respond(&out)
 }
 
 func (p *Provider) handleSize(ctx *margo.Context) {
@@ -346,17 +272,6 @@ func (c *Client) Fetch(self *abt.ULT, target, coll string, id uint64) ([]byte, b
 		return nil, false, err
 	}
 	return out.Doc, out.Found, nil
-}
-
-// ExecQuery runs a filter expression remotely, returning matching ids
-// and documents (max 0 = unlimited).
-func (c *Client) ExecQuery(self *abt.ULT, target, coll, expr string, max int) ([]uint64, [][]byte, error) {
-	var out queryResp
-	args := queryArgs{Coll: coll, Expr: expr, Max: uint32(max)}
-	if err := c.inst.Forward(self, target, RPCExecQuery, &args, &out); err != nil {
-		return nil, nil, err
-	}
-	return out.IDs, out.Docs, nil
 }
 
 // CollectionSize reports the number of stored documents.

@@ -3,10 +3,7 @@ package sonata
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"symbiosys/internal/abt"
@@ -15,76 +12,6 @@ import (
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
 )
-
-func doc(s string) map[string]any {
-	var m map[string]any
-	if err := json.Unmarshal([]byte(s), &m); err != nil {
-		panic(err)
-	}
-	return m
-}
-
-func TestQueryCompileAndEval(t *testing.T) {
-	d := doc(`{"energy": 42.5, "detector": {"name": "endcap", "layer": 3},
-	            "valid": true, "tag": null}`)
-	cases := []struct {
-		expr string
-		want bool
-	}{
-		{`energy > 40`, true},
-		{`energy > 42.5`, false},
-		{`energy >= 42.5`, true},
-		{`energy < 100 && detector.name == "endcap"`, true},
-		{`energy < 100 && detector.name == "barrel"`, false},
-		{`detector.layer == 3`, true},
-		{`detector.layer != 3`, false},
-		{`valid == true`, true},
-		{`valid != true`, false},
-		{`tag == null`, true},
-		{`tag != null`, false},
-		{`missing > 1`, false},
-		{`missing.deeper == 1`, false},
-		{`!(energy > 100)`, true},
-		{`energy > 100 || detector.name == "endcap"`, true},
-		{`(energy > 100 || energy < 50) && valid == true`, true},
-		{`detector.name >= "e"`, true},
-		{`detector.name < "e"`, false},
-		{`energy == 42.5 && detector.layer < 4 && valid == true`, true},
-	}
-	for _, c := range cases {
-		e, err := Compile(c.expr)
-		if err != nil {
-			t.Fatalf("Compile(%q): %v", c.expr, err)
-		}
-		if got := e.Eval(d); got != c.want {
-			t.Errorf("Eval(%q) = %v, want %v", c.expr, got, c.want)
-		}
-		if e.String() != c.expr {
-			t.Errorf("String() = %q", e.String())
-		}
-	}
-}
-
-func TestQueryCompileErrors(t *testing.T) {
-	for _, expr := range []string{
-		``, `energy >`, `energy > > 1`, `> 5`, `energy ~ 5`,
-		`(energy > 5`, `energy > 5 extra`, `energy == "unterminated`,
-		`energy == notaliteral`, `energy > 1 &&`, `#`,
-	} {
-		if _, err := Compile(expr); err == nil {
-			t.Errorf("Compile(%q) accepted", expr)
-		}
-	}
-}
-
-func TestQueryTypeMismatchIsFalse(t *testing.T) {
-	d := doc(`{"s": "x", "n": 5, "b": true}`)
-	for _, expr := range []string{`s > 3`, `n == "x"`, `b > 1`, `b == "true"`, `s == true`} {
-		if MustCompile(expr).Eval(d) {
-			t.Errorf("%q matched across types", expr)
-		}
-	}
-}
 
 type env struct {
 	srv, cli *margo.Instance
@@ -129,7 +56,7 @@ func (e *env) run(t *testing.T, fn func(self *abt.ULT) error) error {
 	return err
 }
 
-func TestStoreFetchQueryOverRPC(t *testing.T) {
+func TestStoreFetchOverRPC(t *testing.T) {
 	e := newEnv(t)
 	err := e.run(t, func(self *abt.ULT) error {
 		if err := e.client.CreateCollection(self, e.srv.Addr(), "events"); err != nil {
@@ -158,18 +85,6 @@ func TestStoreFetchQueryOverRPC(t *testing.T) {
 		if _, found, _ := e.client.Fetch(self, e.srv.Addr(), "events", 99); found {
 			t.Error("out-of-range fetch found")
 		}
-		ids, matched, err := e.client.ExecQuery(self, e.srv.Addr(), "events", `energy > 50`, 0)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 || len(matched) != 2 {
-			t.Errorf("query = %v", ids)
-		}
-		// Max limits results.
-		ids, _, _ = e.client.ExecQuery(self, e.srv.Addr(), "events", `energy > 50`, 1)
-		if len(ids) != 1 {
-			t.Errorf("limited query = %v", ids)
-		}
 		return nil
 	})
 	if err != nil {
@@ -191,9 +106,6 @@ func TestStoreMultiErrors(t *testing.T) {
 		}
 		if _, err := e.client.StoreMultiJSON(self, e.srv.Addr(), "c", [][]byte{[]byte(`{bad json`)}); err == nil {
 			t.Error("malformed JSON accepted")
-		}
-		if _, _, err := e.client.ExecQuery(self, e.srv.Addr(), "c", `>>>`, 0); err == nil {
-			t.Error("malformed query accepted")
 		}
 		return nil
 	})
@@ -258,51 +170,6 @@ func TestGenerateRecordShape(t *testing.T) {
 	// Deterministic for the same inputs.
 	if string(GenerateRecord(3, 300)) != string(GenerateRecord(3, 300)) {
 		t.Fatal("GenerateRecord not deterministic")
-	}
-	_ = fmt.Sprintf
-}
-
-func TestCompileNeverPanicsProperty(t *testing.T) {
-	// Arbitrary input must produce either a compiled expression or an
-	// error — never a panic — and compiled expressions must evaluate
-	// against arbitrary documents without panicking.
-	doc := map[string]any{"a": 1.0, "b": "x", "c": map[string]any{"d": true}}
-	prop := func(src string) (ok bool) {
-		defer func() {
-			if recover() != nil {
-				ok = false
-			}
-		}()
-		e, err := Compile(src)
-		if err == nil {
-			e.Eval(doc)
-			e.Eval(nil)
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-	// Also fuzz near-valid inputs built from grammar fragments.
-	frag := []string{"a", "b.c", "==", "!=", "<", ">=", "&&", "||", "!",
-		"(", ")", `"s"`, "1.5", "true", "null", " "}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 2000; i++ {
-		var sb strings.Builder
-		for j := 0; j < rng.Intn(8); j++ {
-			sb.WriteString(frag[rng.Intn(len(frag))])
-		}
-		src := sb.String()
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("Compile(%q) panicked: %v", src, r)
-				}
-			}()
-			if e, err := Compile(src); err == nil {
-				e.Eval(doc)
-			}
-		}()
 	}
 }
 

@@ -107,23 +107,6 @@ type View struct {
 // Size returns the member count.
 func (v *View) Size() int { return len(v.Members) }
 
-// MemberFor deterministically maps a key onto a member (consistent
-// addressing for clients that shard by key). An empty view has no
-// member to return, so ok is false — callers must check it before
-// using the member (routing against a drained-out group).
-func (v *View) MemberFor(key []byte) (Member, bool) {
-	if len(v.Members) == 0 {
-		return Member{}, false
-	}
-	var h uint64 = 1469598103934665603
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	return v.Members[h%uint64(len(v.Members))], true
-}
-
 // Addrs lists member addresses in rank order.
 func (v *View) Addrs() []string {
 	out := make([]string, len(v.Members))

@@ -141,17 +141,15 @@ type Source interface {
 type Options struct {
 	// Interval is the sampling tick. Default 100ms.
 	Interval time.Duration
-	// WindowPoints bounds each series ring. Default 600 (one minute of
-	// history at the default tick).
-	WindowPoints int
 }
+
+// windowPoints bounds each series ring: one minute of history at the
+// default tick.
+const windowPoints = 600
 
 func (o *Options) fillDefaults() {
 	if o.Interval <= 0 {
 		o.Interval = 100 * time.Millisecond
-	}
-	if o.WindowPoints <= 0 {
-		o.WindowPoints = 600
 	}
 }
 
@@ -313,7 +311,7 @@ func (s *Sampler) SampleOnce() Sample {
 func (s *Sampler) push(t int64, name string, kind Kind, v float64) {
 	sr := s.series[name]
 	if sr == nil {
-		sr = NewSeries(kind, s.opts.WindowPoints)
+		sr = NewSeries(kind, windowPoints)
 		s.series[name] = sr
 		s.order = append(s.order, name)
 	}
@@ -353,27 +351,6 @@ func (s *Sampler) SeriesSnapshot(name string) (kind Kind, pts []Point, ok bool) 
 		return 0, nil, false
 	}
 	return sr.kind, sr.Points(), true
-}
-
-// Delta returns the newest per-tick increment of a series (zero if the
-// series is unknown or has fewer than two points).
-func (s *Sampler) Delta(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sr := s.series[name]; sr != nil {
-		return sr.Delta()
-	}
-	return 0
-}
-
-// Rate returns the newest per-second rate of a series.
-func (s *Sampler) Rate(name string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sr := s.series[name]; sr != nil {
-		return sr.Rate()
-	}
-	return 0
 }
 
 // Callpaths fetches the per-callpath latency statistics from the

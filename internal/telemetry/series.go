@@ -49,7 +49,8 @@ type Series struct {
 }
 
 // NewSeries creates a ring holding up to capacity points (minimum 2, so
-// deltas and rates are always derivable once two ticks have elapsed).
+// a reader of Points can always derive a delta or a rate once two ticks
+// have elapsed).
 func NewSeries(kind Kind, capacity int) *Series {
 	if capacity < 2 {
 		capacity = 2
@@ -89,45 +90,4 @@ func (s *Series) Last() (Point, bool) {
 		return Point{}, false
 	}
 	return s.buf[(s.head+s.n-1)%len(s.buf)], true
-}
-
-// Delta returns newest minus previous value — the per-tick increment
-// for counters (zero until two points exist).
-func (s *Series) Delta() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	last := s.buf[(s.head+s.n-1)%len(s.buf)]
-	prev := s.buf[(s.head+s.n-2)%len(s.buf)]
-	return last.Value - prev.Value
-}
-
-// Rate returns the per-second rate of change between the two newest
-// points (zero until two points exist or if time stood still).
-func (s *Series) Rate() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	last := s.buf[(s.head+s.n-1)%len(s.buf)]
-	prev := s.buf[(s.head+s.n-2)%len(s.buf)]
-	dt := float64(last.UnixNanos-prev.UnixNanos) / 1e9
-	if dt <= 0 {
-		return 0
-	}
-	return (last.Value - prev.Value) / dt
-}
-
-// WindowRate returns the per-second rate over the entire buffered
-// window — smoother than Rate for bursty counters.
-func (s *Series) WindowRate() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	first := s.buf[s.head]
-	last := s.buf[(s.head+s.n-1)%len(s.buf)]
-	dt := float64(last.UnixNanos-first.UnixNanos) / 1e9
-	if dt <= 0 {
-		return 0
-	}
-	return (last.Value - first.Value) / dt
 }

@@ -64,14 +64,9 @@ func TestSeriesRingAndRates(t *testing.T) {
 	if pts[0].Value != 30 || pts[3].Value != 60 {
 		t.Fatalf("window = %+v, want values 30..60", pts)
 	}
-	if d := s.Delta(); d != 10 {
-		t.Fatalf("delta = %v, want 10", d)
-	}
-	if r := s.Rate(); r != 10 {
-		t.Fatalf("rate = %v, want 10/s", r)
-	}
-	if wr := s.WindowRate(); wr != 10 {
-		t.Fatalf("window rate = %v, want 10/s", wr)
+	// A counter's rate is derivable from any two points of the window.
+	if r := (pts[3].Value - pts[0].Value) / (float64(pts[3].UnixNanos-pts[0].UnixNanos) / 1e9); r != 10 {
+		t.Fatalf("window rate = %v, want 10/s", r)
 	}
 	if last, ok := s.Last(); !ok || last.Value != 60 {
 		t.Fatalf("last = %+v %v", last, ok)
@@ -80,18 +75,18 @@ func TestSeriesRingAndRates(t *testing.T) {
 
 func TestSamplerSeriesDerivation(t *testing.T) {
 	src := &fakeSource{addr: "node0/s0", cps: []CallpathStat{makeCallpath()}}
-	sp := NewSampler(src, Options{WindowPoints: 16})
+	sp := NewSampler(src, Options{})
 	for i := 0; i < 3; i++ {
 		sp.SampleOnce()
 	}
 	if sp.Ticks() != 3 {
 		t.Fatalf("ticks = %d, want 3", sp.Ticks())
 	}
-	if r := sp.Rate("events_read"); r != 10 {
-		t.Fatalf("events_read rate = %v, want 10/s", r)
-	}
-	if d := sp.Delta("pvar/num_ofi_events_read"); d != 10 {
-		t.Fatalf("pvar delta = %v, want 10", d)
+	for _, name := range []string{"events_read", "pvar/num_ofi_events_read"} {
+		kind, pts, ok := sp.SeriesSnapshot(name)
+		if !ok || kind != Counter || len(pts) != 3 || pts[2].Value-pts[1].Value != 10 {
+			t.Fatalf("%s series = %v %v %v, want a counter stepping by 10", name, kind, pts, ok)
+		}
 	}
 	kind, pts, ok := sp.SeriesSnapshot("pool/handlers/blocked")
 	if !ok || kind != Gauge || len(pts) != 3 || pts[2].Value != 2 {
@@ -180,7 +175,7 @@ func checkExposition(t *testing.T, body string) map[string]string {
 
 func TestExposerMetricsAndSnapshot(t *testing.T) {
 	src := &fakeSource{addr: "node0/s0", cps: []CallpathStat{makeCallpath()}}
-	sp := NewSampler(src, Options{WindowPoints: 8})
+	sp := NewSampler(src, Options{})
 	sp.SampleOnce()
 	sp.SampleOnce()
 
@@ -299,7 +294,7 @@ func TestHistogramPercentileMatchesProfile(t *testing.T) {
 // leaking its server until process exit.
 func TestExposerCloseReleasesServer(t *testing.T) {
 	src := &fakeSource{addr: "node0/s0"}
-	sp := NewSampler(src, Options{WindowPoints: 4})
+	sp := NewSampler(src, Options{})
 	sp.SampleOnce()
 
 	ex := NewExposer()
