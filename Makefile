@@ -59,13 +59,17 @@ surface:
 # wins differs from run to run. Under the race detector a recycled frame
 # or arena is overwritten before it re-enters its pool, so these runs are
 # also where a decoded view that outlived its rule fails its read-back.
+# Every response frame is recycled with its handle, so the rule that a
+# reply keeping bytes copies them lives in the service reply types (and
+# the reads into caller buffers in kv): the services and kv run three
+# times too.
 race:
 	$(GO) test -race -count=3 ./internal/na/... ./internal/mercury/... \
-		./internal/margo/... ./internal/core/...
+		./internal/margo/... ./internal/core/... \
+		./internal/services/... ./internal/kv/...
 	$(GO) test -race \
 		./internal/telemetry/... ./internal/abt/... ./internal/batch/... \
-		./internal/ssg/... ./internal/kv/... ./internal/services/... \
-		./internal/analysis/...
+		./internal/ssg/... ./internal/analysis/...
 
 # check is the pre-commit gate: static analysis, race tests on the
 # measurement pipeline, the fault-path, overload-path, and analysis-
@@ -75,7 +79,7 @@ race:
 # benchmark/run.sh -all`, `-compare`), not here.
 check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
-# fuzz-smoke fuzzes the four parsers that take bytes from other
+# fuzz-smoke fuzzes the five parsers that take bytes from other
 # processes: core.ReadTrace (whatever the bytes, it returns an error or a
 # dump that re-encodes to exactly those bytes, without a panic and
 # without allocating more than a small multiple of the input),
@@ -83,8 +87,12 @@ check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke f
 # the reader reads back equal, under the same two bounds),
 # mercury's frame headers (request, response and vectored frames parse
 # without reading past the frame and pack again, in place, to the same
-# bytes) and the nine messages of ekv/wire.go (each decodes to views
-# clipped inside the frame and encodes back to the bytes it consumed).
+# bytes), the nine messages of ekv/wire.go (each decodes to views
+# clipped inside the frame, or for a reply to a copy outside it, and
+# encodes back to the bytes it consumed) and the sdskv list reply
+# decoded into a Listing (a count the input cannot hold fails before
+# anything is allocated, keys and values must pair up, every pair is a
+# slice of the Listing's own buffer, and it encodes back to the bytes).
 # The seeds — files under internal/**/testdata/fuzz/, and for the
 # JSONL reader the streams jsonlSeeds builds — are replayed by plain
 # `go test` as well; this target mutates them. (Minimising a mutant of the
@@ -94,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
 	$(GO) test ./internal/services/ekv -run '^$$' -fuzz '^FuzzEKVWire$$' -fuzztime 10s
+	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzListReply$$' -fuzztime 10s
 
 # bench-build vets and tests the benchmark harness. It is a module of
 # its own (benchmark/go.mod), so `go build ./... && go test ./...` at

@@ -54,9 +54,12 @@ func BenchmarkMapList(b *testing.B) {
 	for i := 0; i < 10_000; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%09d", i)), []byte("v"))
 	}
+	var pairs []Pair
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.List([]byte("key-000005"), 64); err != nil {
+		var err error
+		if pairs, buf, err = db.AppendList(pairs[:0], buf[:0], []byte("key-000005"), 64); err != nil {
 			b.Fatal(err)
 		}
 	}

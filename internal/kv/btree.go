@@ -279,17 +279,19 @@ func (d *btreeDB) Put(key, value []byte) error {
 	return nil
 }
 
-func (d *btreeDB) Get(key []byte) ([]byte, bool, error) {
+func (d *btreeDB) Get(key []byte) ([]byte, bool, error) { return d.AppendGet(nil, key) }
+
+func (d *btreeDB) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
-		return nil, false, ErrClosed
+		return dst, false, ErrClosed
 	}
 	v, ok := d.t.get(key)
 	if !ok {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	return append([]byte(nil), v...), true, nil
+	return append(dst, v...), true, nil
 }
 
 func (d *btreeDB) Delete(key []byte) (bool, error) {
@@ -301,29 +303,24 @@ func (d *btreeDB) Delete(key []byte) (bool, error) {
 	return d.t.delete(key), nil
 }
 
-func (d *btreeDB) List(start []byte, max int) ([]Pair, error) {
+func (d *btreeDB) AppendList(pairs []Pair, buf, start []byte, max int) ([]Pair, []byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if d.closed {
-		return nil, ErrClosed
-	}
-	if max <= 0 {
-		return nil, nil
+		return pairs, buf, ErrClosed
 	}
 	// Collect views of the stored pairs (stable under the read lock),
-	// then copy them all into one buffer.
-	out := make([]Pair, 0, min(max, d.t.size))
-	size := 0
+	// then copy them all into buf.
+	first, size := len(pairs), 0
 	d.t.scan(start, func(k, v []byte) bool {
-		out = append(out, Pair{Key: k, Value: v})
+		if len(pairs)-first >= max {
+			return false
+		}
+		pairs = append(pairs, Pair{Key: k, Value: v})
 		size += len(k) + len(v)
-		return len(out) < max
+		return true
 	})
-	buf := make([]byte, 0, size)
-	for i := range out {
-		out[i] = Pair{Key: carve(&buf, out[i].Key), Value: carve(&buf, out[i].Value)}
-	}
-	return out, nil
+	return pairs, carvePairs(pairs[first:], buf, size), nil
 }
 
 func (d *btreeDB) Len() int {

@@ -16,6 +16,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors returned by backends.
@@ -30,17 +31,32 @@ type Pair struct {
 	Value []byte
 }
 
-// carve appends a copy of src to *buf, which the caller sized for
-// everything it will carve, and returns the copy capacity-clipped: the
-// pairs of one List share a buffer without being able to grow into each
-// other.
+// carve appends a copy of src to *buf and returns the copy
+// capacity-clipped: the pairs of one listing share a buffer without being
+// able to grow into each other.
 func carve[T ~string | ~[]byte](buf *[]byte, src T) []byte {
 	off := len(*buf)
 	*buf = append(*buf, src...)
 	return (*buf)[off:len(*buf):len(*buf)]
 }
 
+// carvePairs replaces the views in pairs with copies carved from buf,
+// grown once to size (their total length) first, and returns buf.
+func carvePairs(pairs []Pair, buf []byte, size int) []byte {
+	buf = slices.Grow(buf, size)
+	for i := range pairs {
+		pairs[i] = Pair{Key: carve(&buf, pairs[i].Key), Value: carve(&buf, pairs[i].Value)}
+	}
+	return buf
+}
+
 // DB is one key-value database instance.
+//
+// Reads copy out of the store into memory the caller owns, under the
+// store's read lock: what they return is never changed by a later Put,
+// and writing through it never reaches the store. The Append forms copy
+// into buffers the caller passes in and may reuse, so a read into
+// buffers with room allocates nothing.
 type DB interface {
 	// Name returns the database's instance name.
 	Name() string
@@ -49,19 +65,21 @@ type DB interface {
 	// Put stores copies of key and value, replacing any previous value;
 	// the caller may reuse both buffers as soon as it returns.
 	Put(key, value []byte) error
-	// Get retrieves the value stored under key, as a copy the caller
-	// owns (List's pairs are copies too): a later Put never changes it.
+	// Get retrieves a copy of the value stored under key: AppendGet(nil, key).
 	Get(key []byte) (value []byte, found bool, err error)
+	// AppendGet appends the value stored under key to dst and returns the
+	// extended slice (dst unchanged when key is absent).
+	AppendGet(dst, key []byte) (value []byte, found bool, err error)
 	// Delete removes key, reporting whether it was present.
 	Delete(key []byte) (bool, error)
-	// List returns up to max pairs with keys >= start, in key order for
-	// ordered engines (insertion-agnostic order for unordered ones). The
-	// pairs are copies, independent of the store like Get's value, but
-	// they share one backing buffer: each Key and Value is a
-	// capacity-clipped slice of it, so appending to one reallocates
-	// instead of running into its neighbour, and holding any of them
-	// keeps the whole listing alive.
-	List(start []byte, max int) ([]Pair, error)
+	// AppendList appends up to max pairs with keys >= start to pairs, in
+	// key order for ordered engines (insertion-agnostic order for
+	// unordered ones), and returns both extended slices. The new pairs'
+	// bytes are copied into buf, grown at most once per call: each Key
+	// and Value is a capacity-clipped slice of it, so appending to one
+	// reallocates instead of running into its neighbour. Pairs carved by
+	// an earlier call keep the array they were carved from.
+	AppendList(pairs []Pair, buf, start []byte, max int) ([]Pair, []byte, error)
 	// Len reports the number of stored pairs.
 	Len() int
 	// ConcurrentWrites reports whether parallel Put calls are safe

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -70,18 +71,20 @@ func (d *shardedDB) Put(key, value []byte) error {
 	return nil
 }
 
-func (d *shardedDB) Get(key []byte) ([]byte, bool, error) {
+func (d *shardedDB) Get(key []byte) ([]byte, bool, error) { return d.AppendGet(nil, key) }
+
+func (d *shardedDB) AppendGet(dst, key []byte) ([]byte, bool, error) {
 	if d.isClosed() {
-		return nil, false, ErrClosed
+		return dst, false, ErrClosed
 	}
 	s := d.shardFor(key)
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	v, ok := s.m[string(key)]
-	s.mu.RUnlock()
 	if !ok {
-		return nil, false, nil
+		return dst, false, nil
 	}
-	return append([]byte(nil), v...), true, nil
+	return append(dst, v...), true, nil
 }
 
 func (d *shardedDB) Delete(key []byte) (bool, error) {
@@ -96,12 +99,12 @@ func (d *shardedDB) Delete(key []byte) (bool, error) {
 	return ok, nil
 }
 
-func (d *shardedDB) List(start []byte, max int) ([]Pair, error) {
+func (d *shardedDB) AppendList(pairs []Pair, buf, start []byte, max int) ([]Pair, []byte, error) {
 	if d.isClosed() {
-		return nil, ErrClosed
+		return pairs, buf, ErrClosed
 	}
 	if max <= 0 {
-		return nil, nil
+		return pairs, buf, nil
 	}
 	keys := make([]string, 0, d.Len())
 	for i := range d.shards {
@@ -120,26 +123,26 @@ func (d *shardedDB) List(start []byte, max int) ([]Pair, error) {
 	}
 	// Collect the stored values (a value is replaced, never written, so
 	// it stays readable after its shard lock is dropped), then copy keys
-	// and values into one buffer.
-	out := make([]Pair, 0, len(keys))
-	size, n := 0, 0
+	// and values into buf.
+	first, size, n := len(pairs), 0, 0
 	for _, k := range keys {
 		s := &d.shards[shardIndex(k)]
 		s.mu.RLock()
 		v, ok := s.m[k]
 		s.mu.RUnlock()
 		if ok {
-			keys[n] = k // keys[i] stays the key of out[i] if one vanished meanwhile
+			keys[n] = k // keys[i] stays the key of the i-th new pair if one vanished meanwhile
 			n++
-			out = append(out, Pair{Value: v})
+			pairs = append(pairs, Pair{Value: v})
 			size += len(k) + len(v)
 		}
 	}
-	buf := make([]byte, 0, size)
-	for i := range out {
-		out[i] = Pair{Key: carve(&buf, keys[i]), Value: carve(&buf, out[i].Value)}
+	buf = slices.Grow(buf, size)
+	for i := range pairs[first:] {
+		p := &pairs[first+i]
+		*p = Pair{Key: carve(&buf, keys[i]), Value: carve(&buf, p.Value)}
 	}
-	return out, nil
+	return pairs, buf, nil
 }
 
 func (d *shardedDB) Len() int {

@@ -47,7 +47,7 @@ func TestStoreOwnsItsBytes(t *testing.T) {
 					}
 					hand(v)
 				case 3: // list a window
-					pairs, err := db.List(kbuf, 5)
+					pairs, _, err := db.AppendList(nil, nil, kbuf, 5)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -85,7 +85,7 @@ func TestStoreOwnsItsBytes(t *testing.T) {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
-			pairs, err := db.List(nil, len(model)+1)
+			pairs, _, err := db.AppendList(nil, nil, nil, len(model)+1)
 			if err != nil || len(pairs) != len(model) || db.Len() != len(model) {
 				t.Fatalf("List = %d pairs, %v; Len %d; model %d", len(pairs), err, db.Len(), len(model))
 			}
@@ -139,6 +139,46 @@ func TestMapPutAllocs(t *testing.T) {
 	}
 	if v, ok, _ := db.Get(key); !ok || !bytes.Equal(v, val) {
 		t.Fatal("overwritten value differs")
+	}
+}
+
+// TestAppendReadsAllocateNothing pins the read half of the contract: a
+// Get or a 64-pair listing into caller buffers that have room costs the
+// store nothing — the copy out is the only work, and it lands in memory
+// the caller already owns. The unordered engine sorts a listing's keys
+// first, which is its one allocation.
+func TestAppendReadsAllocateNothing(t *testing.T) {
+	for _, db := range allBackends(t) {
+		const n = 64
+		key := make([]byte, 48)
+		for i := uint64(0); i < 4*n; i++ {
+			binary.BigEndian.PutUint64(key[40:], i)
+			if err := db.Put(key, make([]byte, 256)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst := make([]byte, 0, 256)
+		var i uint64
+		get := mallocsPerRun(2000, func() {
+			i++
+			binary.BigEndian.PutUint64(key[40:], i%(4*n))
+			if v, ok, err := db.AppendGet(dst[:0], key); err != nil || !ok || len(v) != 256 {
+				t.Fatalf("AppendGet = %d bytes, %v, %v", len(v), ok, err)
+			}
+		})
+		if get != 0 {
+			t.Errorf("%s: AppendGet into a buffer with room allocates %.3f objects, want 0", db.Backend(), get)
+		}
+		pairs, buf := make([]Pair, 0, n), make([]byte, 0, n*(48+256))
+		list := mallocsPerRun(200, func() {
+			got, _, err := db.AppendList(pairs[:0], buf[:0], nil, n)
+			if err != nil || len(got) != n {
+				t.Fatalf("AppendList = %d pairs, %v", len(got), err)
+			}
+		})
+		if want := map[string]float64{"map": 0, "shardedmap": 1}[db.Backend()]; list > want {
+			t.Errorf("%s: AppendList of %d pairs into sized buffers allocates %.3f objects, want <= %.0f", db.Backend(), n, list, want)
+		}
 	}
 }
 

@@ -52,6 +52,21 @@ func (a *kvArgs) Proc(p *mercury.Proc) error {
 	return p.Err()
 }
 
+// kvReply is kvArgs as a caller that keeps the reply decodes it: Value is
+// copied out of the response frame, which is recycled before Forward
+// returns.
+type kvReply struct{ kvArgs }
+
+func (a *kvReply) Proc(p *mercury.Proc) error {
+	if err := a.kvArgs.Proc(p); err != nil {
+		return err
+	}
+	if p.Op() == mercury.OpDecode {
+		a.Value = append([]byte(nil), a.Value...)
+	}
+	return nil
+}
+
 // call runs fn inside a fresh client ULT and waits for it.
 func call(t *testing.T, inst *Instance, fn func(self *abt.ULT) error) error {
 	t.Helper()
@@ -102,7 +117,7 @@ func TestForwardEndToEnd(t *testing.T) {
 		if err := cli.Forward(self, srv.Addr(), "kv_put", &kvArgs{Key: "k", Value: []byte("v1")}, nil); err != nil {
 			return err
 		}
-		var out kvArgs
+		var out kvReply
 		if err := cli.Forward(self, srv.Addr(), "kv_get", &kvArgs{Key: "k"}, &out); err != nil {
 			return err
 		}

@@ -104,7 +104,7 @@ func TestDecodedInputIsPrivateToItsRequest(t *testing.T) {
 				rpc = "scribble"
 			}
 			sent := nonceValue(nonce, 64+k%200)
-			in, out := kvArgs{Key: fmt.Sprint(nonce), Value: sent}, kvArgs{}
+			in, out := kvArgs{Key: fmt.Sprint(nonce), Value: sent}, kvReply{}
 			if err := cli.Forward(self, srv.Addr(), rpc, &in, &out); err != nil {
 				t.Errorf("%s %d: %v", rpc, nonce, err)
 				return

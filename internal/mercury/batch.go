@@ -170,13 +170,12 @@ func (h *Handle) BatchEntryErr(i int) error {
 }
 
 // BatchEntryOutput decodes entry i's response payload into v, charging
-// the handle's output-deserialization timer. As with GetOutput, a
-// non-empty view in v makes the response frame the caller's.
+// the handle's output-deserialization timer. As with GetOutput, v's views
+// of the response frame end with the handle.
 func (h *Handle) BatchEntryOutput(i int, v Procable) error {
 	h.OutputDeserTime.Start()
-	views, err := decode(h.batchEnts[i].payload, v)
+	err := Decode(h.batchEnts[i].payload, v)
 	h.OutputDeserTime.Stop()
-	h.pinned = h.pinned || views
 	if err != nil {
 		return fmt.Errorf("mercury: decode batch output %d for %s: %w", i, h.rpcName, err)
 	}

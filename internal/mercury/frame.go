@@ -15,10 +15,9 @@ import (
 // Frames come in power-of-two size classes so that a recycled one is
 // recognised by its capacity alone: the fabric carries a plain []byte,
 // and whatever arrives with a class capacity is poolable — a pooled
-// frame, or the private copy the fault plane made of one. A frame the
-// receiver keeps (see Handle.GetOutput) is at most twice its message, or
-// the smallest class. A message larger than the largest class gets an
-// exact-size buffer the garbage collector reclaims.
+// frame, or the private copy the fault plane made of one. A message
+// larger than the largest class gets an exact-size buffer the garbage
+// collector reclaims.
 const (
 	frameMinShift = 9  // 512 B: single-op requests and responses
 	frameMaxShift = 18 // 256 KiB: a coalescer window at its byte budget

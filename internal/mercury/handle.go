@@ -52,9 +52,10 @@ import (
 //	                                  of a vectored frame share it until
 //	                                  the last of them goes. Input views
 //	                                  are valid until the handler returns
-//	origin handle (response frame)    until its last Unref, then recycled
-//	                                  unless GetOutput handed out a view
-//	                                  of it: that frame is the caller's
+//	origin handle (response frame)    until its last Unref, then recycled:
+//	                                  output views end with the handle,
+//	                                  so a reply type that keeps bytes
+//	                                  copies them in its Proc
 //	no handle (stale, duplicate or    recycled at once
 //	malformed message)
 type Handle struct {
@@ -74,10 +75,8 @@ type Handle struct {
 
 	// frame is the received frame the payload views below point into: the
 	// request at the target, the response at the origin (a member of a
-	// vectored request shares batchTgt's instead). pinned records that
-	// GetOutput gave the caller a view of it.
-	frame  []byte
-	pinned bool
+	// vectored request shares batchTgt's instead).
+	frame []byte
 
 	// Origin-side state.
 	cb            ForwardCallback
@@ -156,7 +155,7 @@ func (h *Handle) Unref() {
 	switch {
 	case h.batchTgt != nil:
 		h.batchTgt.unrefFrame()
-	case h.frame != nil && !h.pinned:
+	case h.frame != nil:
 		putFrame(h.frame)
 	}
 	*h = Handle{}
@@ -357,13 +356,14 @@ func (h *Handle) GetInput(v Procable) error {
 }
 
 // GetOutput deserializes the response payload into v (origin side). v's
-// byte slices are views of the response frame; if any is non-empty the
-// frame is the caller's from then on and is never recycled.
+// byte slices are read-only views of the response frame, valid until the
+// handle's last Unref recycles it (margo's Forward destroys the handle
+// before it returns), so a reply type whose bytes must outlive the handle
+// copies them inside its own Proc.
 func (h *Handle) GetOutput(v Procable) error {
 	h.OutputDeserTime.Start()
-	views, err := decode(h.respPayload, v)
+	err := Decode(h.respPayload, v)
 	h.OutputDeserTime.Stop()
-	h.pinned = h.pinned || views
 	if err != nil {
 		return fmt.Errorf("mercury: decode output for %s: %w", h.rpcName, err)
 	}

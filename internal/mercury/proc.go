@@ -35,7 +35,8 @@ var (
 // Byte-slice fields of a decoded value are views of the buffer that was
 // decoded: read-only, and valid for as long as that buffer is (for a wire
 // frame, see Handle.GetInput and Handle.GetOutput). Copy what must be
-// modified or kept longer.
+// modified or kept longer: a reply type whose bytes outlive the call
+// copies them in its own Proc.
 type Procable interface {
 	Proc(p *Proc) error
 }
@@ -71,8 +72,6 @@ type Proc struct {
 	// framed marks an encoder whose buffer is a pooled wire frame: it
 	// grows by moving to the next frame class, never by append.
 	framed bool
-	// views records that a decode handed out a non-empty view of buf.
-	views bool
 }
 
 // NewEncoder returns a Proc that appends encoded fields to an internal
@@ -114,7 +113,7 @@ func releaseProc(p *Proc) {
 
 // arenaMaxRetain bounds the capacity of buffers returned to the arena
 // pools; occasional giant payloads are dropped to the GC rather than
-// pinned forever by a pool.
+// held forever by a pool.
 const arenaMaxRetain = 1 << 20
 
 // arenaSmall separates the two arena pools by capacity: header cursors
@@ -328,9 +327,6 @@ func (p *Proc) Bytes(v *[]byte) error {
 		return err
 	}
 	*v = b[:len(b):len(b)]
-	if len(b) > 0 {
-		p.views = true
-	}
 	return nil
 }
 
@@ -530,21 +526,13 @@ func AppendEncode(dst []byte, v Procable) ([]byte, error) {
 
 // Decode parses a Procable from bytes using a pooled cursor.
 func Decode(buf []byte, v Procable) error {
-	_, err := decode(buf, v)
-	return err
-}
-
-// decode is Decode that also reports whether v now holds a non-empty
-// view of buf.
-func decode(buf []byte, v Procable) (views bool, err error) {
 	p := acquireDecoder(buf)
-	err = v.Proc(p)
+	err := v.Proc(p)
 	if err == nil {
 		err = p.Err()
 	}
-	views = p.views
 	releaseProc(p)
-	return views, err
+	return err
 }
 
 // RawBytes adapts a plain byte payload to Procable.

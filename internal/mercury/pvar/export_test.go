@@ -12,9 +12,3 @@ func (s *Session) FreeHandle(h *Handle) {
 		s.mu.Unlock()
 	}
 }
-
-// High samples the highest recorded value.
-func (w *Watermark) High() uint64 { return w.hi.Load() }
-
-// Low samples the lowest recorded value.
-func (w *Watermark) Low() uint64 { return w.lo.Load() }

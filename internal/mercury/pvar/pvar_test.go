@@ -223,39 +223,6 @@ func TestLevelTracksHighWatermark(t *testing.T) {
 	}
 }
 
-func TestWatermark(t *testing.T) {
-	var w Watermark
-	for _, v := range []uint64{5, 2, 9, 7} {
-		w.Record(v)
-	}
-	if w.High() != 9 || w.Low() != 2 {
-		t.Fatalf("High/Low = %d/%d", w.High(), w.Low())
-	}
-}
-
-func TestWatermarkProperty(t *testing.T) {
-	prop := func(vals []uint64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		var w Watermark
-		hi, lo := vals[0], vals[0]
-		for _, v := range vals {
-			w.Record(v)
-			if v > hi {
-				hi = v
-			}
-			if v < lo {
-				lo = v
-			}
-		}
-		return w.High() == hi && w.Low() == lo
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLevelNeverExceedsHWMProperty(t *testing.T) {
 	prop := func(deltas []int8) bool {
 		var l Level

@@ -55,34 +55,6 @@ func (l *Level) Load() int64 { return l.v.Load() }
 // HighWatermark samples the largest value ever stored.
 func (l *Level) HighWatermark() int64 { return l.hwm.Load() }
 
-// Watermark backs HIGHWATERMARK/LOWWATERMARK-class PVARs.
-type Watermark struct {
-	init atomic.Bool
-	hi   atomic.Uint64
-	lo   atomic.Uint64
-}
-
-// Record folds a new observation into both watermarks.
-func (w *Watermark) Record(v uint64) {
-	if w.init.CompareAndSwap(false, true) {
-		w.hi.Store(v)
-		w.lo.Store(v)
-		return
-	}
-	for {
-		cur := w.hi.Load()
-		if v <= cur || w.hi.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := w.lo.Load()
-		if v >= cur || w.lo.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-}
-
 // Timer backs a TIMER-class PVAR bound to a handle: one measured
 // interval, stored as nanoseconds. The zero Timer reads as zero.
 type Timer struct {

@@ -490,6 +490,22 @@ func blobOf(n uint64) []byte {
 
 func (a *blobArg) intact() bool { return string(a.Data) == string(blobOf(a.N)) }
 
+// blobReply is blobArg as a caller that keeps the bytes decodes it: its
+// Proc copies Data out of the response frame, which is recycled at the
+// handle's last Unref — the rule for every reply type whose bytes
+// outlive the handle.
+type blobReply struct{ blobArg }
+
+func (a *blobReply) Proc(p *Proc) error {
+	if err := a.blobArg.Proc(p); err != nil {
+		return err
+	}
+	if p.Op() == OpDecode {
+		a.Data = append([]byte(nil), a.Data...)
+	}
+	return nil
+}
+
 // registerBlobEcho installs an RPC that checks its input against the
 // nonce and echoes it; the handler destroys its handle after responding.
 func registerBlobEcho(t *testing.T, client, server *Class, rpc string) {
@@ -511,15 +527,16 @@ func registerBlobEcho(t *testing.T, client, server *Class, rpc string) {
 	}
 }
 
-// keeper collects the outputs of completed forwards, to be checked once
-// all the traffic that could have recycled their frames is over.
+// keeper collects the outputs of completed forwards, decoded as copies,
+// to be checked once all the traffic that could have recycled their
+// frames — and, had a reply kept a view, poisoned it — is over.
 type keeper struct {
 	mu   sync.Mutex
-	kept []*blobArg
+	kept []*blobReply
 }
 
 func (k *keeper) keep(t *testing.T, h *Handle) {
-	out := new(blobArg)
+	out := new(blobReply)
 	if err := h.GetOutput(out); err != nil || !out.intact() {
 		t.Errorf("response %d: output is not what was sent (%v)", out.N, err)
 	}
@@ -537,7 +554,7 @@ func (k *keeper) check(t *testing.T, atLeast int) {
 	}
 	for _, out := range k.kept {
 		if !out.intact() {
-			t.Fatalf("output %d changed after its handle was destroyed: its frame was recycled under a live view", out.N)
+			t.Fatalf("output %d changed after its handle was destroyed: a kept reply shares memory with a recycled frame", out.N)
 		}
 	}
 }
@@ -708,7 +725,7 @@ func TestVectoredFrameMembersFinishOutOfOrder(t *testing.T) {
 				}
 				if round%50 == 0 {
 					for e := 0; e < h.BatchLen(); e++ {
-						out := new(blobArg)
+						out := new(blobReply)
 						if err := h.BatchEntryOutput(e, out); err != nil || !out.intact() {
 							t.Errorf("entry %d: output is not what was sent (%v)", e, err)
 						}
@@ -744,9 +761,10 @@ func TestVectoredFrameMembersFinishOutOfOrder(t *testing.T) {
 	k.check(t, 4*2*entries)
 }
 
-// TestOutputIntactAfterManyForwards: an output whose views the caller
-// keeps pins its frame for good. Ten thousand further round trips, all
-// through frames of the same class, must leave it as it was decoded.
+// TestOutputIntactAfterManyForwards: an output whose reply type copies
+// in its Proc is the caller's for good, though its frame went back to the
+// pool when the handle was destroyed. Ten thousand further round trips,
+// all through frames of the same class, must leave it as it was decoded.
 func TestOutputIntactAfterManyForwards(t *testing.T) {
 	f := na.NewFabric(na.DefaultConfig())
 	client := NewClass(newEndpoint(t, f, "node0", "client"), Config{})
@@ -778,4 +796,46 @@ func TestOutputIntactAfterManyForwards(t *testing.T) {
 		forward(n, n%2500 == 0)
 	}
 	k.check(t, 5)
+}
+
+// TestViewPastDestroyIsPoisoned: in a race build a view of a response
+// frame kept past its handle's Destroy reads 0xDB once the frame is
+// recycled — so the rule that output views end with the handle is
+// enforced by the poison the recycle tests run under, not left to luck.
+func TestViewPastDestroyIsPoisoned(t *testing.T) {
+	if !RaceEnabled {
+		t.Skip("recycled frames are overwritten only in race builds")
+	}
+	f := na.NewFabric(na.DefaultConfig())
+	client := NewClass(newEndpoint(t, f, "node0", "client"), Config{})
+	server := NewClass(newEndpoint(t, f, "node1", "server"), Config{})
+	registerBlobEcho(t, client, server, "blob")
+
+	h, err := client.Create(server.Addr(), "blob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view blobArg
+	done := false
+	if err := h.Forward(&blobArg{N: 7, Data: blobOf(7)}, Meta{}, func(h *Handle, err error) {
+		if err == nil {
+			err = h.GetOutput(&view)
+		}
+		if err != nil || !view.intact() {
+			t.Errorf("forward: %v (output intact: %v)", err, view.intact())
+		}
+		done = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spin(t, func() bool { return done }, client, server)
+	h.Destroy()
+	// The response frame goes back with the handle's last reference,
+	// which the request send's completion may still hold.
+	spin(t, func() bool { return len(view.Data) > 0 && view.Data[0] == 0xDB }, client, server)
+	for k, b := range view.Data {
+		if b != 0xDB {
+			t.Fatalf("byte %d of a view kept past Destroy reads %#x, want the 0xDB poison", k, b)
+		}
+	}
 }

@@ -248,8 +248,8 @@ func (c *Client) Put(self *abt.ULT, key, value []byte) error {
 	}
 }
 
-// Get fetches the value for key from its owner. The value is a view of
-// the response frame, which is the caller's from then on.
+// Get fetches the value for key from its owner, as a copy the caller
+// owns.
 func (c *Client) Get(self *abt.ULT, key []byte) ([]byte, bool, error) {
 	call := getCalls.Get()
 	defer getCalls.Put(call)
@@ -259,7 +259,7 @@ func (c *Client) Get(self *abt.ULT, key []byte) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		call.in = getArgs{Key: key}
+		call.in, call.out = getArgs{Key: key}, getResp{}
 		err = c.inst.Forward(self, r.Owner(key), RPCGet, &call.in, &call.out)
 		if err == nil && call.out.Status != statusWrongOwner {
 			return call.out.Value, call.out.Found, nil

@@ -319,8 +319,10 @@ func (n *Node) handleGet(ctx *margo.Context) {
 	}
 	// Residual grace: whatever the ring says, a locally held value is
 	// served — mid-migration the old owner keeps answering for keys it
-	// still holds, so stale-routed readers never stall on a handoff.
-	v, found, err := n.db.Get(in.Key)
+	// still holds, so stale-routed readers never stall on a handoff. The
+	// value is copied into the request's scratch, which Respond has
+	// encoded by the time it returns.
+	v, found, err := n.db.AppendGet(ctx.Scratch(0), in.Key)
 	if err != nil {
 		ctx.RespondError("ekv: get: %v", err)
 		return
@@ -335,12 +337,13 @@ func (n *Node) handleGet(ctx *margo.Context) {
 	default:
 		// Owner-side miss while donors are still streaming: the pair may
 		// be in flight. Read through to every peer that has not settled
-		// this round yet; first hit wins. The hit is a view of the peer's
-		// response frame, which GetOutput made this handler's.
+		// this round yet; first hit wins. The reply copies the hit out of
+		// the peer's response frame into the scratch the miss left empty.
 		peer := peerGetCalls.Get()
 		defer peerGetCalls.Put(peer)
 		peer.in.Key = in.Key
 		for _, donor := range n.pendingDonors(version) {
+			peer.out.Value = v[:0]
 			if err := ctx.Forward(donor, RPCPeerGet, &peer.in, &peer.out); err != nil {
 				continue
 			}
@@ -395,7 +398,7 @@ func (n *Node) handlePeerGet(ctx *margo.Context) {
 		ctx.RespondError("ekv: %v", err)
 		return
 	}
-	v, found, err := n.db.Get(call.in.Key)
+	v, found, err := n.db.AppendGet(ctx.Scratch(0), call.in.Key)
 	if err != nil {
 		ctx.RespondError("ekv: peer get: %v", err)
 		return
@@ -587,7 +590,7 @@ func (n *Node) runRound(self *abt.ULT, r *kv.Ring) bool {
 // pairs per destination, deleting local copies only after the
 // destination acked the chunk. Returns how many pairs moved.
 func (n *Node) sweepOnce(self *abt.ULT, r *kv.Ring) (int, error) {
-	pairs, err := n.db.List(nil, n.db.Len()+migrateChunk)
+	pairs, _, err := n.db.AppendList(nil, nil, nil, n.db.Len()+migrateChunk)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package ekv
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -395,5 +396,55 @@ func TestRoutingEndsAtItsDeadline(t *testing.T) {
 	}
 	if n := e.cli.Redirects() - before; n <= 8 {
 		t.Errorf("%d routing attempts before the deadline, want more than the old cap of 8", n)
+	}
+}
+
+// TestReadThroughHitOutlivesItsFrames: an owner-side miss is served by a
+// donor's peer_get hit — the pair sits at a peer that has not declared
+// the round settled — and the value the client gets back is its own. The
+// hit is copied out of the donor's response frame into the owner's
+// request scratch, and out of the owner's response frame into the
+// client's memory; it must stay byte-equal through a thousand further
+// forwards, which reuse (and in race builds poison) every frame it
+// travelled in.
+func TestReadThroughHitOutlivesItsFrames(t *testing.T) {
+	e := newTestEnv(t, 2)
+	e.joinAll(0, 2)
+	e.settleAll(e.nodes)
+	owner, donor := e.nodes[0], e.nodes[1]
+	var key []byte
+	for i := 0; key == nil; i++ {
+		if o, _, _ := owner.route(testKey(i)); o == owner.Addr() {
+			key = testKey(i)
+		}
+	}
+	want := bytes.Repeat([]byte("pair-still-at-its-donor/"), 12)
+	if err := donor.db.Put(key, want); err != nil {
+		t.Fatal(err)
+	}
+	owner.mu.Lock()
+	owner.doneFrom[donor.Addr()] = 0 // the donor has not settled this round
+	owner.mu.Unlock()
+
+	e.run(func(self *abt.ULT) error {
+		if err := e.cli.Attach(self); err != nil {
+			return err
+		}
+		got, found, err := e.cli.Get(self, key)
+		if err != nil || !found || !bytes.Equal(got, want) {
+			return fmt.Errorf("get = %q, found %v, %v; want %q", got, found, err, want)
+		}
+		for i := 0; i < 1000; i++ {
+			if _, _, err := e.cli.Get(self, testKey(1000+i)); err != nil {
+				return err
+			}
+		}
+		if !bytes.Equal(got, want) {
+			return fmt.Errorf("the read-through value changed over 1000 further forwards: %q", got)
+		}
+		return nil
+	})
+	if owner.Stats().ReadThroughs == 0 {
+		t.Fatal("the owner answered the miss without reading through to the donor")
 	}
 }

@@ -64,8 +64,23 @@ type getResp struct {
 func (a *getResp) Proc(p *mercury.Proc) error {
 	p.Uint8(&a.Status)
 	p.Bool(&a.Found)
-	p.Bytes(&a.Value)
-	return p.Err()
+	return procValue(p, &a.Value)
+}
+
+// procValue processes the value of a get reply. The sender encodes it as
+// it is; the receiver copies it out of the response frame, which is
+// recycled before Forward returns, appending it to *v — nil, or the
+// buffer the caller wants it in.
+func procValue(p *mercury.Proc, v *[]byte) error {
+	if p.Op() == mercury.OpEncode {
+		return p.Bytes(v)
+	}
+	var view []byte
+	if err := p.Bytes(&view); err != nil {
+		return err
+	}
+	*v = append(*v, view...)
+	return nil
 }
 
 type peerGetArgs struct {
@@ -84,8 +99,7 @@ type peerGetResp struct {
 
 func (a *peerGetResp) Proc(p *mercury.Proc) error {
 	p.Bool(&a.Found)
-	p.Bytes(&a.Value)
-	return p.Err()
+	return procValue(p, &a.Value)
 }
 
 // migratePushArgs ships one chunk of a moving range: the pairs are

@@ -11,21 +11,23 @@ import (
 
 // wireTypes are the nine messages of wire.go, each with the offset of
 // its Bool byte (-1 for none): the one field a decoder reads laxly (any
-// non-zero byte is true) and an encoder writes canonically (1).
+// non-zero byte is true) and an encoder writes canonically (1). The two
+// get replies copy their value out of the frame; the rest decode views.
 var wireTypes = []struct {
 	name   string
 	fresh  func() mercury.Procable
 	boolAt int
+	copies bool
 }{
-	{"putArgs", func() mercury.Procable { return new(putArgs) }, -1},
-	{"opResp", func() mercury.Procable { return new(opResp) }, -1},
-	{"getArgs", func() mercury.Procable { return new(getArgs) }, -1},
-	{"getResp", func() mercury.Procable { return new(getResp) }, 1},
-	{"peerGetArgs", func() mercury.Procable { return new(peerGetArgs) }, -1},
-	{"peerGetResp", func() mercury.Procable { return new(peerGetResp) }, 0},
-	{"migratePushArgs", func() mercury.Procable { return new(migratePushArgs) }, -1},
-	{"packedPairs", func() mercury.Procable { return new(packedPairs) }, -1},
-	{"migrateDoneArgs", func() mercury.Procable { return new(migrateDoneArgs) }, -1},
+	{"putArgs", func() mercury.Procable { return new(putArgs) }, -1, false},
+	{"opResp", func() mercury.Procable { return new(opResp) }, -1, false},
+	{"getArgs", func() mercury.Procable { return new(getArgs) }, -1, false},
+	{"getResp", func() mercury.Procable { return new(getResp) }, 1, true},
+	{"peerGetArgs", func() mercury.Procable { return new(peerGetArgs) }, -1, false},
+	{"peerGetResp", func() mercury.Procable { return new(peerGetResp) }, 0, true},
+	{"migratePushArgs", func() mercury.Procable { return new(migratePushArgs) }, -1, false},
+	{"packedPairs", func() mercury.Procable { return new(packedPairs) }, -1, false},
+	{"migrateDoneArgs", func() mercury.Procable { return new(migrateDoneArgs) }, -1, false},
 }
 
 // byteFields collects every []byte a decoded message holds.
@@ -51,8 +53,9 @@ func byteFields(v reflect.Value, out [][]byte) [][]byte {
 // FuzzEKVWire feeds arbitrary bytes to every message decoder of the
 // elastic KV service, whose frames arrive from clients and from peer
 // nodes: a decoder must not panic, what it accepts must be views clipped
-// inside the frame, and must encode back to the bytes it consumed (a lax
-// Bool byte aside) and decode again to the same message. Seeds:
+// inside the frame (for a reply, copies outside it: the frame is recycled
+// before Forward returns), and must encode back to the bytes it consumed
+// (a lax Bool byte aside) and decode again to the same message. Seeds:
 // testdata/fuzz/FuzzEKVWire.
 func FuzzEKVWire(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -64,7 +67,12 @@ func FuzzEKVWire(f *testing.F) {
 			}
 			for _, v := range byteFields(reflect.ValueOf(got), nil) {
 				p := uintptr(unsafe.Pointer(unsafe.SliceData(v)))
-				if len(v) > 0 && (cap(v) != len(v) || p < lo || p+uintptr(len(v)) > lo+uintptr(len(data))) {
+				inside := p >= lo && p+uintptr(len(v)) <= lo+uintptr(len(data))
+				switch {
+				case len(v) == 0:
+				case wt.copies && p < lo+uintptr(len(data)) && p+uintptr(len(v)) > lo:
+					t.Fatalf("%s: decoded field %q shares memory with the frame", wt.name, v)
+				case !wt.copies && (cap(v) != len(v) || !inside):
 					t.Fatalf("%s: decoded field %q is not a clipped view of the frame", wt.name, v)
 				}
 			}

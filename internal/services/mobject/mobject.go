@@ -20,7 +20,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"symbiosys/internal/abt"
@@ -100,14 +102,19 @@ func RegisterProviderNode(inst *margo.Instance, backend string) (*ProviderNode, 
 
 // Wire types.
 
+// The op arguments name the object as the client was given it, a
+// string; the target decodes the name as a view of the request frame
+// instead, valid until the handler returns, so naming the object costs
+// neither side an allocation.
 type writeOpArgs struct {
 	Object string
 	Bulk   mercury.Bulk // client memory window holding the object data
 	Size   uint64
+	name   []byte // Object as the target decodes it
 }
 
 func (a *writeOpArgs) Proc(pr *mercury.Proc) error {
-	pr.String(&a.Object)
+	procName(pr, &a.Object, &a.name)
 	a.Bulk.Proc(pr)
 	pr.Uint64(&a.Size)
 	return pr.Err()
@@ -117,13 +124,24 @@ type readOpArgs struct {
 	Object string
 	Bulk   mercury.Bulk // client memory window to push the data into
 	Size   uint64
+	name   []byte // Object as the target decodes it
 }
 
 func (a *readOpArgs) Proc(pr *mercury.Proc) error {
-	pr.String(&a.Object)
+	procName(pr, &a.Object, &a.name)
 	a.Bulk.Proc(pr)
 	pr.Uint64(&a.Size)
 	return pr.Err()
+}
+
+// procName encodes an object name from the string and decodes it into
+// the view; the wire bytes are the same.
+func procName(pr *mercury.Proc, object *string, name *[]byte) {
+	if pr.Op() == mercury.OpEncode {
+		pr.String(object)
+	} else {
+		pr.Bytes(name)
+	}
 }
 
 type readOpResp struct{ Size uint64 }
@@ -158,6 +176,9 @@ var (
 	readOps  mercury.Records[readOpCall]
 )
 
+// listings recycles the Listing each op lists its omap entries into.
+var listings = sync.Pool{New: func() any { return new(sdskv.Listing) }}
+
 type readOpCall struct {
 	in  readOpArgs
 	out readOpResp
@@ -174,26 +195,41 @@ const (
 	longestSuffix = len(extentSuffix)
 )
 
+// The rest of an op's scratch: room to format a number (or an extent
+// record) in, and room for the values the op reads back (an oid, a size,
+// the version marker).
+const (
+	numRoom = 24
+	valRoom = 64
+)
+
 var mtimeValue = []byte("mtime")
 
-// omapKeys builds the omap keys of one object in the request's scratch
-// buffer, one at a time: each is handed to an sdskv call that has copied
-// or sent it by the time it returns, so the next may overwrite it.
-type omapKeys struct {
-	buf  []byte
-	base int // length of "omap/<object>"
+// opMemory is one op's request memory, carved from the handler's
+// scratch. The omap keys of the object are built in it one at a time:
+// each is handed to an sdskv call that has copied or sent it by the time
+// it returns, so the next may overwrite it — and so may the numbers
+// formatted for Put and the values Get reads back.
+type opMemory struct {
+	key []byte // "omap/<object>", with room for the longest suffix
+	num []byte // empty, with numRoom bytes of room
+	val []byte // empty, with at least valRoom bytes of room
 }
 
-func newOmapKeys(ctx *margo.Context, obj string) omapKeys {
-	buf := ctx.Scratch(len("omap/") + len(obj) + longestSuffix)[:0]
-	buf = append(append(buf, "omap/"...), obj...)
-	return omapKeys{buf: buf, base: len(buf)}
+func newOpMemory(ctx *margo.Context, obj []byte) opMemory {
+	keyRoom := len("omap/") + len(obj) + longestSuffix
+	buf := ctx.Scratch(keyRoom + numRoom + valRoom)
+	return opMemory{
+		key: append(append(buf[:0:keyRoom], "omap/"...), obj...),
+		num: buf[keyRoom : keyRoom : keyRoom+numRoom],
+		val: buf[keyRoom+numRoom : keyRoom+numRoom],
+	}
 }
 
-func (k omapKeys) with(suffix string) []byte { return append(k.buf[:k.base], suffix...) }
+func (m opMemory) with(suffix string) []byte { return append(m.key, suffix...) }
 
 // object returns the object name itself, the key of the oid index.
-func (k omapKeys) object() []byte { return k.buf[len("omap/"):k.base] }
+func (m opMemory) object() []byte { return m.key[len("omap/"):] }
 
 // handleWriteOp services one RADOS-like write: the 12-step sequence the
 // paper's trace study discovers. Step numbering is in the comments.
@@ -205,20 +241,19 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 		return
 	}
 	self := n.inst.Addr()
-	keys := newOmapKeys(ctx, in.Object)
+	mem := newOpMemory(ctx, in.name)
 
 	// 1. sdskv_get_rpc: resolve the object's oid in the name index.
-	if _, _, err := n.kvC.Get(ctx.Self, self, n.oidID, keys.object()); err != nil {
+	if _, _, err := n.kvC.GetInto(ctx.Self, self, n.oidID, mem.object(), mem.val); err != nil {
 		ctx.RespondError("mobject: oid lookup: %v", err)
 		return
 	}
-	// The oid and, below, the extent and the size are formatted into one
-	// small buffer, reused because Put copies what it is given.
-	var num [20]byte
-	oid := strconv.AppendUint(num[:0], oidHash(in.Object), 16)
+	// The oid and, below, the extent and the size are formatted into the
+	// same room, reused because Put copies what it is given.
+	oid := strconv.AppendUint(mem.num, oidHash(in.name), 16)
 
 	// 2. sdskv_put_rpc: create or refresh the name-index entry.
-	if err := n.kvC.Put(ctx.Self, self, n.oidID, keys.object(), oid); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.oidID, mem.object(), oid); err != nil {
 		ctx.RespondError("mobject: oid put: %v", err)
 		return
 	}
@@ -253,42 +288,46 @@ func (n *ProviderNode) handleWriteOp(ctx *margo.Context) {
 
 	// 7. sdskv_put_rpc: record the extent mapping in the omap.
 	ext := extentMeta{RID: rid, Size: storedSize}
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(extentSuffix), ext.appendTo(num[:0])); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, mem.with(extentSuffix), ext.appendTo(mem.num)); err != nil {
 		ctx.RespondError("mobject: omap extent put: %v", err)
 		return
 	}
 
 	// 8. sdskv_put_rpc: record the object size.
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(sizeSuffix),
-		strconv.AppendUint(num[:0], storedSize, 10)); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, mem.with(sizeSuffix),
+		strconv.AppendUint(mem.num, storedSize, 10)); err != nil {
 		ctx.RespondError("mobject: omap size put: %v", err)
 		return
 	}
 
 	// 9. sdskv_put_rpc: record the modification time.
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(mtimeSuffix), mtimeValue); err != nil {
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, mem.with(mtimeSuffix), mtimeValue); err != nil {
 		ctx.RespondError("mobject: omap mtime put: %v", err)
 		return
 	}
 
 	// 10. sdskv_get_rpc: read the object version.
-	verRaw, _, err := n.kvC.Get(ctx.Self, self, n.omapID, keys.with(versionSuffix))
+	verRaw, _, err := n.kvC.GetInto(ctx.Self, self, n.omapID, mem.with(versionSuffix), mem.val)
 	if err != nil {
 		ctx.RespondError("mobject: version get: %v", err)
 		return
 	}
 	version := len(verRaw) + 1 // monotonically growing marker
 
-	// 11. sdskv_put_rpc: bump the version.
-	if err := n.kvC.Put(ctx.Self, self, n.omapID, keys.with(versionSuffix),
-		make([]byte, version)); err != nil {
+	// 11. sdskv_put_rpc: bump the version. The marker is zeros, in the
+	//     room the old one was read into.
+	marker := slices.Grow(mem.val, version)[:version]
+	clear(marker)
+	if err := n.kvC.Put(ctx.Self, self, n.omapID, mem.with(versionSuffix), marker); err != nil {
 		ctx.RespondError("mobject: version put: %v", err)
 		return
 	}
 
 	// 12. sdskv_list_keyvals_rpc: scan the object's omap entries to
 	//     refresh the sequencer's view (the index-verification step).
-	if _, _, err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, keys.with(prefixSuffix), 16); err != nil {
+	l := listings.Get().(*sdskv.Listing)
+	defer listings.Put(l)
+	if err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, mem.with(prefixSuffix), 16, l); err != nil {
 		ctx.RespondError("mobject: omap scan: %v", err)
 		return
 	}
@@ -307,30 +346,31 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 		return
 	}
 	self := n.inst.Addr()
-	keys := newOmapKeys(ctx, in.Object)
+	mem := newOpMemory(ctx, in.name)
 
 	// 1. sdskv_get_rpc: resolve the oid.
-	if _, found, err := n.kvC.Get(ctx.Self, self, n.oidID, keys.object()); err != nil {
+	if _, found, err := n.kvC.GetInto(ctx.Self, self, n.oidID, mem.object(), mem.val); err != nil {
 		ctx.RespondError("mobject: oid lookup: %v", err)
 		return
 	} else if !found {
-		ctx.RespondError("mobject: no such object %q", in.Object)
+		ctx.RespondError("mobject: no such object %q", in.name)
 		return
 	}
 
 	// 2. sdskv_list_keyvals_rpc: list the object's omap entries to find
 	//    its extents — the dominant step of mobject_read_op.
-	ks, vals, err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, keys.with(prefixSuffix), 64)
-	if err != nil {
+	l := listings.Get().(*sdskv.Listing)
+	defer listings.Put(l)
+	if err := n.kvC.ListKeyvals(ctx.Self, self, n.omapID, mem.with(prefixSuffix), 64, l); err != nil {
 		ctx.RespondError("mobject: omap list: %v", err)
 		return
 	}
 	var ext extentMeta
 	foundExt := false
-	want := keys.with(extentSuffix)
-	for i, k := range ks {
+	want := mem.with(extentSuffix)
+	for i, k := range l.Keys {
 		if bytes.Equal(k, want) {
-			if err := ext.parse(vals[i]); err != nil {
+			if err := ext.parse(l.Values[i]); err != nil {
 				ctx.RespondError("mobject: extent decode: %v", err)
 				return
 			}
@@ -339,7 +379,7 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 		}
 	}
 	if !foundExt {
-		ctx.RespondError("mobject: object %q has no extents", in.Object)
+		ctx.RespondError("mobject: object %q has no extents", in.name)
 		return
 	}
 
@@ -354,7 +394,7 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 	}
 
 	// 4. sdskv_get_rpc: fetch the object size for the reply.
-	if _, _, err := n.kvC.Get(ctx.Self, self, n.omapID, keys.with(sizeSuffix)); err != nil {
+	if _, _, err := n.kvC.GetInto(ctx.Self, self, n.omapID, mem.with(sizeSuffix), mem.val); err != nil {
 		ctx.RespondError("mobject: size get: %v", err)
 		return
 	}
@@ -363,7 +403,7 @@ func (n *ProviderNode) handleReadOp(ctx *margo.Context) {
 	ctx.Respond(&call.out)
 }
 
-func oidHash(name string) uint64 {
+func oidHash(name []byte) uint64 {
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(name); i++ {
 		h ^= uint64(name[i])

@@ -274,42 +274,74 @@ func TestWriteOpCallpathGolden(t *testing.T) {
 	}
 }
 
-// TestWriteOpAllocs pins one composed write — thirteen RPCs on one
-// process, a bulk pull, three stores — at what its data costs: the BAKE
-// region and its record, the values two Gets and a listing copy out of
-// the store and the response frames those pin, the object name, the
-// version marker, and the stores' amortised growth. The RPC path itself
-// (frames, handles, call records, keys) adds nothing.
-func TestWriteOpAllocs(t *testing.T) {
+// opAllocs writes 64 objects over and over, then runs op on them until
+// pools are warm and reports what one op costs the whole process.
+func opAllocs(t *testing.T, op func(c *Client, self *abt.ULT, target, object string, buf []byte) error) float64 {
+	t.Helper()
 	if mercury.RaceEnabled {
 		t.Skip("pooled records are dropped at random under the race detector")
 	}
 	e := newEnv(t)
 	target := e.srv.Addr()
 	data := make([]byte, 4096)
+	var a float64
 	if err := e.run(t, func(self *abt.ULT) error {
 		var n int
 		var ferr error
 		names := make([]string, 64)
 		for k := range names {
 			names[k] = fmt.Sprintf("pin.%08d", k)
+			if err := e.client.WriteOp(self, target, names[k], data); err != nil {
+				return err
+			}
 		}
-		write := func() {
+		one := func() {
 			n++
-			if err := e.client.WriteOp(self, target, names[n%len(names)], data); err != nil && ferr == nil {
+			if err := op(e.client, self, target, names[n%len(names)], data); err != nil && ferr == nil {
 				ferr = err
 			}
 		}
 		for k := 0; k < 256; k++ {
-			write()
+			one()
 		}
-		a := testing.AllocsPerRun(500, write)
-		t.Logf("WriteOp: %.0f objects", a)
-		if a > 20 {
-			t.Errorf("WriteOp allocates %.0f objects, want <= 20", a)
-		}
+		a = testing.AllocsPerRun(500, one)
 		return ferr
 	}); err != nil {
 		t.Fatal(err)
+	}
+	return a
+}
+
+// TestWriteOpAllocs pins one composed write — thirteen RPCs on one
+// process, a bulk pull, three stores — at what its data costs: the BAKE
+// region and its record, and the stores' amortised growth (the version
+// marker outgrows its stored value on every rewrite). The RPC path itself
+// (frames, handles, call records), the keys, the object name, the
+// numbers put, the values two Gets read back and the listing add nothing:
+// they live in the request's scratch, a pooled Listing and recycled
+// frames.
+func TestWriteOpAllocs(t *testing.T) {
+	a := opAllocs(t, func(c *Client, self *abt.ULT, target, object string, data []byte) error {
+		return c.WriteOp(self, target, object, data)
+	})
+	t.Logf("WriteOp: %.0f objects", a)
+	if a > 4 {
+		t.Errorf("WriteOp allocates %.0f objects, want <= 4", a)
+	}
+}
+
+// TestReadOpAllocs pins one composed read — five RPCs, a listing and a
+// bulk push — at no more than one object: nothing of the read is kept.
+func TestReadOpAllocs(t *testing.T) {
+	a := opAllocs(t, func(c *Client, self *abt.ULT, target, object string, buf []byte) error {
+		n, err := c.ReadOp(self, target, object, buf)
+		if err == nil && n != uint64(len(buf)) {
+			err = fmt.Errorf("read %d of %d bytes", n, len(buf))
+		}
+		return err
+	})
+	t.Logf("ReadOp: %.0f objects", a)
+	if a > 1 {
+		t.Errorf("ReadOp allocates %.0f objects, want <= 1", a)
 	}
 }

@@ -41,14 +41,23 @@ func (c *Client) Put(self *abt.ULT, target string, db uint32, key, value []byte)
 	return err
 }
 
-// Get retrieves the value stored under key. The value is a view of the
-// response frame, which is the caller's from then on.
+// Get retrieves the value stored under key, as a copy the caller owns:
+// GetInto with no buffer.
 func (c *Client) Get(self *abt.ULT, target string, db uint32, key []byte) ([]byte, bool, error) {
+	return c.GetInto(self, target, db, key, nil)
+}
+
+// GetInto appends the value stored under key to dst and returns the
+// extended slice (dst unchanged when the key is absent). The value is
+// copied out of the response frame once, straight into dst, so a dst with
+// room for it makes the call allocate nothing.
+func (c *Client) GetInto(self *abt.ULT, target string, db uint32, key, dst []byte) ([]byte, bool, error) {
 	call := getCalls.Get()
 	defer getCalls.Put(call)
 	call.in = getArgs{DBID: db, Key: key}
+	call.out.Value = dst
 	if err := c.inst.Forward(self, target, RPCGet, &call.in, &call.out); err != nil {
-		return nil, false, err
+		return dst, false, err
 	}
 	return call.out.Value, call.out.Found, nil
 }
@@ -76,24 +85,24 @@ func (c *Client) PutMulti(self *abt.ULT, target string, db uint32, keys, values 
 }
 
 // GetMulti retrieves n keys through the coalescer, one logical RPC
-// each. values[i]/found[i] are valid iff errs[i] is nil.
+// each. values[i]/found[i] are valid iff errs[i] is nil. The values are
+// the caller's: copies, capacity-clipped, sharing one buffer per call
+// when they are of one size.
 func (c *Client) GetMulti(self *abt.ULT, target string, db uint32, keys [][]byte) (values [][]byte, found []bool, errs []error) {
 	ins := make([]mercury.Procable, len(keys))
 	outs := make([]mercury.Procable, len(keys))
-	args := make([]getArgs, len(keys))
-	resps := make([]getResp, len(keys))
+	calls := make([]getCall, len(keys))
+	multi := &multiValues{due: len(keys)}
 	for i := range keys {
-		args[i] = getArgs{DBID: db, Key: keys[i]}
-		ins[i] = &args[i]
-		outs[i] = &resps[i]
+		calls[i] = getCall{in: getArgs{DBID: db, Key: keys[i]}, out: getResp{multi: multi}}
+		ins[i], outs[i] = &calls[i].in, &calls[i].out
 	}
 	errs = c.inst.ForwardMany(self, target, RPCGet, ins, outs)
 	values = make([][]byte, len(keys))
 	found = make([]bool, len(keys))
-	for i := range resps {
+	for i := range calls {
 		if errs[i] == nil {
-			values[i] = resps[i].Value
-			found[i] = resps[i].Found
+			values[i], found[i] = calls[i].out.Value, calls[i].out.Found
 		}
 	}
 	return values, found, errs
@@ -127,13 +136,31 @@ func (c *Client) PutPacked(self *abt.ULT, target string, db uint32, keys, values
 	return err
 }
 
-// ListKeyvals returns up to max pairs with keys >= start.
-func (c *Client) ListKeyvals(self *abt.ULT, target string, db uint32, start []byte, max int) ([][]byte, [][]byte, error) {
+// Listing is what ListKeyvals lists into: Keys[i] and Values[i] are the
+// i-th pair, copied out of the response frame into one buffer the
+// Listing owns, each a capacity-clipped slice of it. A Listing is meant
+// to be reused: every ListKeyvals into it replaces what it held and keeps
+// the capacity of its headers and buffer, so a listing no larger than
+// one before it allocates nothing. The zero value is ready to use.
+type Listing struct {
+	Keys, Values [][]byte
+	buf          []byte
+}
+
+// reset empties the listing, keeping its capacity.
+func (l *Listing) reset() {
+	clear(l.Keys)
+	clear(l.Values)
+	l.Keys, l.Values, l.buf = l.Keys[:0], l.Values[:0], l.buf[:0]
+}
+
+// ListKeyvals lists up to max pairs with keys >= start into l, replacing
+// what it held; on an error l is left empty.
+func (c *Client) ListKeyvals(self *abt.ULT, target string, db uint32, start []byte, max int, l *Listing) error {
 	call := listCalls.Get()
 	defer listCalls.Put(call)
 	call.in = listArgs{DBID: db, StartKey: start, MaxKeys: uint32(max)}
-	if err := c.inst.Forward(self, target, RPCListKeyvals, &call.in, &call.out); err != nil {
-		return nil, nil, err
-	}
-	return call.out.Keys, call.out.Values, nil
+	call.out.l = l
+	l.reset()
+	return c.inst.Forward(self, target, RPCListKeyvals, &call.in, &call.out)
 }

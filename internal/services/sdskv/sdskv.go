@@ -14,6 +14,7 @@ package sdskv
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -185,15 +186,64 @@ func (a *getArgs) Proc(pr *mercury.Proc) error {
 	return pr.Err()
 }
 
+// getResp is a Get's reply. The provider encodes Value from request
+// memory. The origin copies the decoded value out of the response frame,
+// which is recycled before Forward returns: it appends it to Value, the
+// caller's destination, or, for a member of a GetMulti call, to the
+// call's shared buffer.
 type getResp struct {
 	Found bool
 	Value []byte
+	multi *multiValues
 }
 
 func (a *getResp) Proc(pr *mercury.Proc) error {
 	pr.Bool(&a.Found)
-	pr.Bytes(&a.Value)
-	return pr.Err()
+	if pr.Op() == mercury.OpEncode {
+		pr.Bytes(&a.Value)
+		return pr.Err()
+	}
+	var v []byte
+	if err := pr.Bytes(&v); err != nil {
+		return err
+	}
+	if a.multi != nil {
+		a.Value = a.multi.add(v)
+	} else {
+		a.Value = append(a.Value, v...)
+	}
+	return nil
+}
+
+// multiValues is where the values of one GetMulti call land: one buffer
+// for all of them, sized at the first value for every value still due
+// (the values of one call are usually alike). Members of one call can
+// complete in different flights, each fanned out by whatever runs its
+// completion, so appends take the lock. A value that does not fit starts
+// a new buffer; the values before it keep the old one.
+type multiValues struct {
+	mu  sync.Mutex
+	buf []byte
+	due int // values not decoded yet
+}
+
+func (m *multiValues) add(v []byte) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if cap(m.buf)-len(m.buf) < len(v) {
+		m.buf = make([]byte, 0, len(v)*max(m.due, 1))
+	}
+	m.due--
+	return carve(&m.buf, v)
+}
+
+// carve appends a copy of src to *buf and returns the copy
+// capacity-clipped, so values sharing a buffer cannot grow into each
+// other.
+func carve(buf *[]byte, src []byte) []byte {
+	off := len(*buf)
+	*buf = append(*buf, src...)
+	return (*buf)[off:len(*buf):len(*buf)]
 }
 
 type putPackedArgs struct {
@@ -224,15 +274,36 @@ func (a *listArgs) Proc(pr *mercury.Proc) error {
 	return pr.Err()
 }
 
-type listResp struct {
-	Keys   [][]byte
-	Values [][]byte
-}
+// listResp is a listing as the origin decodes it: into the caller's
+// Listing, whose buffer the keys and values are copied to out of the
+// response frame, grown once. On the wire it is the keys, then the
+// values, as two byte-slice arrays of one length.
+type listResp struct{ l *Listing }
 
 func (a *listResp) Proc(pr *mercury.Proc) error {
-	pr.BytesSlice(&a.Keys)
-	pr.BytesSlice(&a.Values)
-	return pr.Err()
+	l := a.l
+	pr.BytesSlice(&l.Keys)
+	pr.BytesSlice(&l.Values)
+	if pr.Op() == mercury.OpEncode {
+		return pr.Err()
+	}
+	err := pr.Err()
+	if err == nil && len(l.Keys) != len(l.Values) {
+		err = fmt.Errorf("sdskv: a listing of %d keys and %d values", len(l.Keys), len(l.Values))
+	}
+	if err != nil {
+		l.reset()
+		return err
+	}
+	size := 0
+	for i := range l.Keys {
+		size += len(l.Keys[i]) + len(l.Values[i])
+	}
+	l.buf = slices.Grow(l.buf[:0], size)
+	for i := range l.Keys {
+		l.Keys[i], l.Values[i] = carve(&l.buf, l.Keys[i]), carve(&l.buf, l.Values[i])
+	}
+	return nil
 }
 
 // listReply is listResp as the provider sends it: the same bytes,
@@ -307,6 +378,10 @@ var (
 	listCalls   mercury.Records[listCall]
 	packedCalls mercury.Records[packedCall]
 )
+
+// listHeaders recycles the pair-header arrays the provider lists into,
+// with their capacity.
+var listHeaders = sync.Pool{New: func() any { return new([]kv.Pair) }}
 
 // unpackedBatches recycles the target's decoded batches with their
 // Keys/Values header arrays, which BytesSlice decodes into when they are
@@ -386,7 +461,9 @@ func (p *Provider) handleGet(ctx *margo.Context) {
 		return
 	}
 	ctx.Compute(p.cfg.GetCostPerKey)
-	v, found, err := d.db.Get(in.Key)
+	// The value is copied out of the store into the request's scratch,
+	// which Respond has encoded by the time it returns.
+	v, found, err := d.db.AppendGet(ctx.Scratch(0), in.Key)
 	if err != nil {
 		ctx.RespondError("sdskv: get: %v", err)
 		return
@@ -456,12 +533,19 @@ func (p *Provider) handleList(ctx *margo.Context) {
 		ctx.RespondError("sdskv: unknown database %d", in.DBID)
 		return
 	}
-	pairs, err := d.db.List(in.StartKey, int(in.MaxKeys))
+	// The pairs are copied out of the store into a pooled header array
+	// and a recycled arena, both given back once Respond has encoded them.
+	headers, arena := listHeaders.Get().(*[]kv.Pair), mercury.GetArena(0)
+	pairs, buf, err := d.db.AppendList((*headers)[:0], *arena, in.StartKey, int(in.MaxKeys))
 	if err != nil {
 		ctx.RespondError("sdskv: list: %v", err)
-		return
+	} else {
+		ctx.Compute(time.Duration(len(pairs)) * p.cfg.ListCostPerItem)
+		call.reply = pairs
+		ctx.Respond(&call.reply)
 	}
-	ctx.Compute(time.Duration(len(pairs)) * p.cfg.ListCostPerItem)
-	call.reply = pairs
-	ctx.Respond(&call.reply)
+	clear(pairs)
+	*headers = pairs[:0]
+	listHeaders.Put(headers)
+	mercury.PutArena(arena, buf)
 }

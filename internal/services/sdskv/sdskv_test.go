@@ -273,18 +273,25 @@ func TestListKeyvalsOrdered(t *testing.T) {
 				return err
 			}
 		}
-		keys, vals, err := e.client.ListKeyvals(self, e.srv.Addr(), db, []byte("b"), 3)
-		if err != nil {
+		var l Listing
+		if err := e.client.ListKeyvals(self, e.srv.Addr(), db, []byte("b"), 3, &l); err != nil {
 			return err
 		}
 		want := []string{"b", "c", "d"}
-		if len(keys) != 3 {
-			t.Fatalf("keys = %v", keys)
+		if len(l.Keys) != 3 || len(l.Values) != 3 {
+			t.Fatalf("keys = %q, values = %q", l.Keys, l.Values)
 		}
 		for i := range want {
-			if string(keys[i]) != want[i] || string(vals[i]) != "v"+want[i] {
-				t.Errorf("list[%d] = %s=%s", i, keys[i], vals[i])
+			if string(l.Keys[i]) != want[i] || string(l.Values[i]) != "v"+want[i] {
+				t.Errorf("list[%d] = %s=%s", i, l.Keys[i], l.Values[i])
 			}
+		}
+		// Reused for a shorter listing: replaced, not appended to.
+		if err := e.client.ListKeyvals(self, e.srv.Addr(), db, []byte("e"), 3, &l); err != nil {
+			return err
+		}
+		if len(l.Keys) != 1 || string(l.Keys[0]) != "e" || string(l.Values[0]) != "ve" {
+			t.Errorf("second listing = %q=%q", l.Keys, l.Values)
 		}
 		return nil
 	})

@@ -136,10 +136,19 @@ type fetchResp struct {
 	Doc   []byte
 }
 
+// Proc encodes the stored document as it is, and decodes a copy of it:
+// the response frame is recycled before Forward returns.
 func (a *fetchResp) Proc(pr *mercury.Proc) error {
 	pr.Bool(&a.Found)
-	pr.Bytes(&a.Doc)
-	return pr.Err()
+	if pr.Op() == mercury.OpEncode {
+		return pr.Bytes(&a.Doc)
+	}
+	var doc []byte
+	if err := pr.Bytes(&doc); err != nil {
+		return err
+	}
+	a.Doc = append([]byte(nil), doc...)
+	return nil
 }
 
 type sizeResp struct{ N uint64 }

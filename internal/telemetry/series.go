@@ -83,11 +83,3 @@ func (s *Series) Points() []Point {
 	}
 	return out
 }
-
-// Last returns the newest point, if any.
-func (s *Series) Last() (Point, bool) {
-	if s.n == 0 {
-		return Point{}, false
-	}
-	return s.buf[(s.head+s.n-1)%len(s.buf)], true
-}
