@@ -41,8 +41,10 @@ surface:
 
 # Race-detector pass over the concurrency-heavy packages: the sharded
 # measurement collector, the Margo instrumentation that records into it
-# from many execution streams, the telemetry sampler/exposer that reads
-# it live, the fabric's completion-queue accessors, per-destination
+# from many execution streams, the telemetry exposer that reads
+# it live (margo's scrape test reads a server and a client from eight
+# HTTP goroutines while forwards flow, through a drain and a shutdown),
+# the fabric's completion-queue accessors, per-destination
 # delivery chains, and fault-injection plane, Mercury's
 # cancel-vs-response completion race,
 # the work-stealing abt scheduler (SPMC ring deques, the evsem

@@ -258,37 +258,6 @@ func BenchmarkFig13Overheads(b *testing.B) {
 	b.ReportMetric(float64(samples), "trace_samples")
 }
 
-// BenchmarkFig13OverheadsTelemetry is the Figure 13 study with the live
-// telemetry plane enabled on every process (100 ms sampler tick plus a
-// scrapeable /metrics endpoint). Compare against BenchmarkFig13Overheads:
-// the stage means must stay within run-to-run variation — sampling is
-// periodic snapshot reads, never work on the RPC path.
-func BenchmarkFig13OverheadsTelemetry(b *testing.B) {
-	var base, full float64
-	for i := 0; i < b.N; i++ {
-		cfg := scaledHEPnOS(experiments.C4, 1, 4)
-		cfg.MetricsAddr = "127.0.0.1:0"
-		res, err := experiments.RunOverheadStudy(experiments.OverheadConfig{
-			Base: cfg,
-			Reps: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range res.Stages {
-			ms := float64(st.Mean) / 1e6
-			switch st.Stage {
-			case core.StageOff:
-				base = ms
-			case core.StageFull:
-				full = ms
-			}
-		}
-	}
-	b.ReportMetric(base, "baseline_ms")
-	b.ReportMetric(full, "full_support_ms")
-}
-
 // BenchmarkTableIVConfigs sweeps all seven Table IV configurations and
 // reports each one's wall time, for the configuration-comparison view
 // underlying Figures 9–12.

@@ -41,8 +41,9 @@
 // SIGTERM during any run triggers a graceful drain of the live cluster
 // before exiting.
 //
-// With -metrics, every process gets a live telemetry sampler and the
-// run serves Prometheus exposition while it executes:
+// With -metrics, the run serves Prometheus exposition over every
+// process while it executes; each scrape reads the processes at that
+// moment, and nothing runs between scrapes:
 //
 //	curl http://localhost:9100/metrics
 package main

@@ -3,13 +3,16 @@
 // renders a refreshing per-instance table of queue depths, pool
 // pressure, event rates, and per-callpath latency percentiles — the
 // watch-it-live complement to the post-mortem symprof/symtrace tools.
+// Each fetch reads the instances at that moment; event rates (EV/S) are
+// the difference of two fetches symmon made, over the time between
+// their reads.
 //
 // Usage:
 //
 //	symmon -addr localhost:9100              # refresh every second
 //	symmon -addr localhost:9100 -interval 250ms
 //	symmon -addr localhost:9100 -top 5       # callpaths per instance
-//	symmon -addr localhost:9100 -once        # one snapshot, no refresh
+//	symmon -addr localhost:9100 -once        # two fetches an interval apart, one table
 //
 // Point it at anything serving the telemetry exposition: a
 // hepnos-bench run started with -metrics, or an experiments.Cluster
@@ -49,7 +52,7 @@ func main() {
 	}()
 
 	client := &http.Client{Timeout: 5 * time.Second}
-	first := true
+	var prev *telemetry.Snapshot
 	for {
 		snap, err := fetch(client, *addr)
 		if err != nil {
@@ -60,16 +63,22 @@ func main() {
 			time.Sleep(*interval)
 			continue
 		}
-		out := render(snap, *top)
-		if !first && !*once {
+		if *once && prev == nil {
+			// One table still needs two reads for its rates.
+			prev = snap
+			time.Sleep(*interval)
+			continue
+		}
+		out := render(prev, snap, *top)
+		if prev != nil && !*once {
 			// Repaint in place: home the cursor and clear below.
 			fmt.Print("\033[H\033[J")
 		}
 		fmt.Print(out)
-		first = false
 		if *once {
 			return
 		}
+		prev = snap
 		time.Sleep(*interval)
 	}
 }
@@ -90,21 +99,29 @@ func fetch(c *http.Client, addr string) (*telemetry.Snapshot, error) {
 	return &snap, nil
 }
 
-// seriesRate derives the newest per-second rate from a dumped window.
-func seriesRate(d telemetry.SeriesDump) float64 {
-	n := len(d.Points)
-	if n < 2 {
+// eventRate is the per-second rate of events_read between an
+// instance's read in the previous fetch (nil without one) and its read
+// now; 0 when there is no earlier read or no time passed between them.
+func eventRate(prev *telemetry.Snapshot, inst telemetry.InstanceSnapshot) float64 {
+	if prev == nil {
 		return 0
 	}
-	a, b := d.Points[n-2], d.Points[n-1]
-	dt := float64(b.UnixNanos-a.UnixNanos) / 1e9
-	if dt <= 0 {
-		return 0
+	for _, p := range prev.Instances {
+		if p.Addr != inst.Addr {
+			continue
+		}
+		dt := float64(inst.Last.UnixNanos-p.Last.UnixNanos) / 1e9
+		if dt <= 0 {
+			return 0
+		}
+		return (float64(inst.Last.EventsRead) - float64(p.Last.EventsRead)) / dt
 	}
-	return (b.Value - a.Value) / dt
+	return 0
 }
 
-func render(snap *telemetry.Snapshot, top int) string {
+// render draws one table from snap; prev, the fetch before it (nil for
+// none), supplies the rates.
+func render(prev, snap *telemetry.Snapshot, top int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "symmon  %s  (%d instances)\n\n",
 		time.Unix(0, snap.UnixNanos).Format("15:04:05"), len(snap.Instances))
@@ -119,12 +136,8 @@ func render(snap *telemetry.Snapshot, top int) string {
 			run += p.Runnable
 			blk += p.Blocked
 		}
-		evRate := 0.0
-		if d, ok := inst.Series["events_read"]; ok {
-			evRate = seriesRate(d)
-		}
 		fmt.Fprintf(&b, "%-20s %8d %8d %10.0f %9d %9d %8d %8d\n",
-			inst.Addr, inst.Last.CQDepth, inst.Last.RPCsInFlight, evRate,
+			inst.Addr, inst.Last.CQDepth, inst.Last.RPCsInFlight, eventRate(prev, inst),
 			run, blk, inst.Last.TraceDropped, inst.Last.SinkErrors)
 	}
 

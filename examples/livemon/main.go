@@ -1,10 +1,11 @@
 // Livemon example: the telemetry plane end to end. One server and two
-// clients run a bursty RPC workload with per-instance samplers
-// attached; an Exposer serves /metrics and /snapshot on a loopback
-// port, and the example scrapes its own endpoint three times while the
-// workload runs, printing the between-scrape deltas an operator (or
-// Prometheus) would see — events read, RPCs serviced, pool pressure,
-// and the dominant callpath's latency percentiles.
+// clients run a bursty RPC workload; an Exposer over the three instances
+// serves /metrics and /snapshot on a loopback port, reading them when a
+// request arrives. The example takes the snapshot its endpoint serves
+// three times while the workload runs, printing the between-scrape
+// deltas an operator (or Prometheus) would see — events read, RPCs
+// serviced, pool pressure, and the dominant callpath's latency
+// percentiles.
 //
 // Run with:
 //
@@ -29,11 +30,10 @@ import (
 
 func main() {
 	fabric := na.NewFabric(na.DefaultConfig())
-	tele := &telemetry.Options{Interval: 20 * time.Millisecond}
 
 	server, err := margo.New(margo.Options{
 		Mode: margo.ModeServer, Node: "n1", Name: "svc", Fabric: fabric,
-		HandlerStreams: 4, Stage: core.StageFull, Telemetry: tele,
+		HandlerStreams: 4, Stage: core.StageFull,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -48,7 +48,7 @@ func main() {
 	for i := 0; i < 2; i++ {
 		cli, err := margo.New(margo.Options{
 			Mode: margo.ModeClient, Node: "n0", Name: fmt.Sprintf("app%d", i),
-			Fabric: fabric, Stage: core.StageFull, Telemetry: tele,
+			Fabric: fabric, Stage: core.StageFull,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -58,11 +58,11 @@ func main() {
 		clients = append(clients, cli)
 	}
 
-	// Aggregate every instance's sampler under one scrape endpoint.
+	// Serve every instance under one scrape endpoint.
 	exposer := telemetry.NewExposer()
-	exposer.Register(server.Sampler())
+	exposer.Register(server)
 	for _, cli := range clients {
-		exposer.Register(cli.Sampler())
+		exposer.Register(cli)
 	}
 	addr, err := exposer.Serve("127.0.0.1:0")
 	if err != nil {
@@ -97,18 +97,15 @@ func main() {
 		}
 	}()
 
-	// Three consecutive scrapes of our own endpoint, printing deltas.
-	srvSampler := server.Sampler()
+	// Three consecutive scrapes, printing the server's deltas between
+	// them. Registered first, the server is the snapshot's first entry.
 	var prev telemetry.Sample
 	havePrev := false
 	for scrapeN := 1; scrapeN <= 3; scrapeN++ {
 		time.Sleep(500 * time.Millisecond)
-		last, ok := srvSampler.Last()
-		if !ok {
-			continue
-		}
-		fmt.Printf("scrape %d (t=%s, %d sampler ticks)\n",
-			scrapeN, time.Unix(0, last.UnixNanos).Format("15:04:05.000"), srvSampler.Ticks())
+		srv := exposer.BuildSnapshot().Instances[0]
+		last := srv.Last
+		fmt.Printf("scrape %d (t=%s)\n", scrapeN, time.Unix(0, last.UnixNanos).Format("15:04:05.000"))
 		if havePrev {
 			dt := float64(last.UnixNanos-prev.UnixNanos) / 1e9
 			fmt.Printf("  Δevents_read   %8d (%.0f/s)\n",
@@ -129,8 +126,8 @@ func main() {
 					p.Runnable, p.Blocked, p.Executed)
 			}
 		}
-		if cps := srvSampler.Callpaths(); len(cps) > 0 {
-			cp := cps[0]
+		if len(srv.Callpaths) > 0 {
+			cp := srv.Callpaths[0]
 			fmt.Printf("  dominant callpath %s (%s): n=%d p50=%v p95=%v p99=%v\n",
 				cp.Path, cp.Side, cp.Stats.Count,
 				cp.Stats.Percentile(50).Round(time.Microsecond),

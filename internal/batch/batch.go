@@ -150,8 +150,8 @@ func (p Policy) FlushAt(w *Window) (int64, Reason) {
 }
 
 // Stats accumulates flush accounting across a coalescer's lifetime.
-// All fields are updated atomically so samplers read them without
-// coordinating with the flush path.
+// All fields are updated atomically so a telemetry scrape reads them
+// without coordinating with the flush path.
 type Stats struct {
 	flushes   atomic.Uint64
 	ops       atomic.Uint64

@@ -24,7 +24,6 @@ func TestChaosSmoke(t *testing.T) {
 	// plan reliably bites even in a short run.
 	base.BatchSize = 4
 	base.MetricsAddr = freePort(t)
-	base.MetricsInterval = 10 * time.Millisecond
 
 	cfg := ChaosConfig{
 		Base:      base,

@@ -29,10 +29,9 @@ type Cluster struct {
 	Fabric    *na.Fabric
 	instances []*margo.Instance
 
-	// telemetry, when set via ServeTelemetry, is applied to every
-	// subsequently started process; exposer aggregates their samplers.
-	telemetry *telemetry.Options
-	exposer   *telemetry.Exposer
+	// exposer, when ServeTelemetry was given an address, serves every
+	// process started after the call.
+	exposer *telemetry.Exposer
 }
 
 // NewCluster creates a cluster over a fabric with the given cost model.
@@ -77,7 +76,6 @@ func (c *Cluster) Start(opts ProcessOptions) (*margo.Instance, error) {
 		HandlerStreams:      opts.HandlerStreams,
 		DedicatedProgressES: opts.DedicatedProgressES,
 		Stage:               opts.Stage,
-		Telemetry:           c.telemetry,
 		Retry:               opts.Retry,
 		Overload:            opts.Overload,
 		Batch:               opts.Batch,
@@ -86,22 +84,20 @@ func (c *Cluster) Start(opts ProcessOptions) (*margo.Instance, error) {
 		return nil, fmt.Errorf("experiments: start %s/%s: %w", opts.Node, opts.Name, err)
 	}
 	c.instances = append(c.instances, inst)
-	if c.exposer != nil && inst.Sampler() != nil {
-		c.exposer.Register(inst.Sampler())
+	if c.exposer != nil {
+		c.exposer.Register(inst)
 	}
 	return inst, nil
 }
 
-// ServeTelemetry attaches a live sampler (with the given options) to
-// every process started after the call, aggregates them under the
-// cluster's exposer, and serves /metrics + /snapshot on addr (":0"
-// picks a free port), returning the bound address. An empty addr leaves
-// telemetry off and returns "". Call before Start.
-func (c *Cluster) ServeTelemetry(addr string, opts telemetry.Options) (string, error) {
+// ServeTelemetry serves /metrics + /snapshot on addr (":0" picks a free
+// port) over every process started after the call, returning the bound
+// address. Each request reads the processes at that moment. An empty
+// addr leaves telemetry off and returns "". Call before Start.
+func (c *Cluster) ServeTelemetry(addr string) (string, error) {
 	if addr == "" {
 		return "", nil
 	}
-	c.telemetry = &opts
 	c.exposer = telemetry.NewExposer()
 	bound, err := c.exposer.Serve(addr)
 	if err != nil {
@@ -110,14 +106,11 @@ func (c *Cluster) ServeTelemetry(addr string, opts telemetry.Options) (string, e
 	return bound, nil
 }
 
-// MetricsText forces a fresh sample on every process and renders the
-// /metrics exposition a scrape would see now ("" without telemetry).
+// MetricsText renders the /metrics exposition a scrape would see now
+// ("" without telemetry).
 func (c *Cluster) MetricsText() string {
 	if c.exposer == nil {
 		return ""
-	}
-	for _, s := range c.exposer.Samplers() {
-		s.SampleOnce()
 	}
 	var b strings.Builder
 	c.exposer.WriteMetrics(&b)

@@ -12,7 +12,6 @@ import (
 	"symbiosys/internal/margo"
 	"symbiosys/internal/services/ekv"
 	"symbiosys/internal/ssg"
-	"symbiosys/internal/telemetry"
 )
 
 // elasticGroup is the SSG group name the elastic KV nodes join.
@@ -156,7 +155,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	res := &ElasticResult{Config: cfg, FinalSpread: make(map[string]int)}
 
 	var err error
-	if res.MetricsAddr, err = cluster.ServeTelemetry(cfg.MetricsAddr, telemetry.Options{}); err != nil {
+	if res.MetricsAddr, err = cluster.ServeTelemetry(cfg.MetricsAddr); err != nil {
 		return nil, err
 	}
 	// The per-process resilience policy, clients and nodes alike (peer

@@ -11,7 +11,6 @@ import (
 	"symbiosys/internal/na"
 	"symbiosys/internal/services/hepnos"
 	"symbiosys/internal/services/sdskv"
-	"symbiosys/internal/telemetry"
 	"symbiosys/internal/workload/dataloader"
 )
 
@@ -40,13 +39,10 @@ type HEPnOSConfig struct {
 	Backend string // kv engine of every event database
 	Stage   core.Stage
 
-	// MetricsAddr, when non-empty, enables live telemetry on every
-	// process of the run and serves /metrics + /snapshot there for its
-	// duration (":0" picks a free port; see HEPnOSResult.MetricsAddr
-	// for the bound address). MetricsInterval overrides the default
-	// 100ms sampling tick.
-	MetricsAddr     string
-	MetricsInterval time.Duration
+	// MetricsAddr, when non-empty, serves /metrics + /snapshot over
+	// every process of the run for its duration (":0" picks a free port;
+	// see HEPnOSResult.MetricsAddr for the bound address).
+	MetricsAddr string
 
 	// Faults, when non-nil, is installed on the cluster fabric before the
 	// workload starts (chaos runs). Retry, when non-nil, is applied to
@@ -224,7 +220,7 @@ func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []
 		cluster.Fabric.SetFaultPlan(cfg.Faults)
 	}
 
-	metricsAddr, err := cluster.ServeTelemetry(cfg.MetricsAddr, telemetry.Options{Interval: cfg.MetricsInterval})
+	metricsAddr, err := cluster.ServeTelemetry(cfg.MetricsAddr)
 	if err != nil {
 		return nil, nil, nil, err
 	}

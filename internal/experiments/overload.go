@@ -10,7 +10,6 @@ import (
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
 	"symbiosys/internal/mercury"
-	"symbiosys/internal/telemetry"
 )
 
 // RPCStormPut is the storm scenario's RPC: store one key, burning a
@@ -197,7 +196,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 
 	res := &OverloadResult{Config: cfg}
 	var err error
-	if res.MetricsAddr, err = cluster.ServeTelemetry(cfg.MetricsAddr, telemetry.Options{}); err != nil {
+	if res.MetricsAddr, err = cluster.ServeTelemetry(cfg.MetricsAddr); err != nil {
 		return nil, err
 	}
 

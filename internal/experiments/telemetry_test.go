@@ -2,17 +2,20 @@ package experiments
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
-	"symbiosys/internal/telemetry"
 )
 
 // scrape fetches one /metrics exposition from addr ("" on error).
@@ -79,6 +82,53 @@ func assertWellFormedExposition(t *testing.T, body string) {
 	}
 }
 
+var updateFamilies = flag.Bool("update", false, "rewrite testdata/metric_families.txt from TestSmokeMetrics' scrape")
+
+// familiesGolden lists every /metrics family a C1 run exposes mid-run,
+// sorted, one per line.
+const familiesGolden = "testdata/metric_families.txt"
+
+// checkMetricFamilies compares the sorted set of `# TYPE` family names
+// in body with familiesGolden (or rewrites it under -update), failing on
+// any family that went missing or appeared.
+func checkMetricFamilies(t *testing.T, body string) {
+	t.Helper()
+	var fams []string
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			fams = append(fams, f[2])
+		}
+	}
+	sort.Strings(fams)
+	got := strings.Join(fams, "\n") + "\n"
+	if *updateFamilies {
+		if err := os.MkdirAll(filepath.Dir(familiesGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(familiesGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(familiesGolden)
+	if err != nil {
+		t.Fatalf("read %s (run `go test ./internal/experiments -run TestSmokeMetrics -update` to create): %v", familiesGolden, err)
+	}
+	want := make(map[string]bool)
+	for _, f := range strings.Fields(string(raw)) {
+		want[f] = true
+	}
+	for _, f := range fams {
+		if !want[f] {
+			t.Errorf("/metrics family %s is not in %s", f, familiesGolden)
+		}
+		delete(want, f)
+	}
+	for f := range want {
+		t.Errorf("/metrics family %s in %s is missing from the scrape", f, familiesGolden)
+	}
+}
+
 // freePort reserves then releases a loopback port for the run to bind.
 func freePort(t *testing.T) string {
 	t.Helper()
@@ -103,7 +153,6 @@ func TestSmokeMetrics(t *testing.T) {
 	cfg.TotalClients = 2
 	cfg.ClientsPerNode = 2
 	cfg.MetricsAddr = freePort(t)
-	cfg.MetricsInterval = 10 * time.Millisecond
 
 	type outcome struct {
 		res *HEPnOSResult
@@ -144,6 +193,7 @@ func TestSmokeMetrics(t *testing.T) {
 		t.Fatal("never scraped a live exposition")
 	}
 	assertWellFormedExposition(t, body)
+	checkMetricFamilies(t, body)
 	for _, want := range []string{
 		"symbiosys_pool_blocked{",
 		"symbiosys_pvar_num_ofi_events_read{",
@@ -188,25 +238,23 @@ func TestSmokeMetrics(t *testing.T) {
 
 // TestClusterTelemetryLifecycle checks that ServeTelemetry without an
 // address leaves telemetry off, that with one every later process is
-// sampled and scrapeable, and that Shutdown closes the endpoint.
+// read and scrapeable, and that Shutdown closes the endpoint.
 func TestClusterTelemetryLifecycle(t *testing.T) {
 	cl := NewCluster(DefaultFabric())
-	if addr, err := cl.ServeTelemetry("", telemetry.Options{}); addr != "" || err != nil || cl.MetricsText() != "" {
+	if addr, err := cl.ServeTelemetry(""); addr != "" || err != nil || cl.MetricsText() != "" {
 		t.Fatalf("ServeTelemetry without an address = %q, %v; metrics %q", addr, err, cl.MetricsText())
 	}
-	addr, err := cl.ServeTelemetry("127.0.0.1:0", telemetry.Options{Interval: 5 * time.Millisecond})
+	addr, err := cl.ServeTelemetry("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Start(ProcessOptions{Mode: margo.ModeClient, Node: "n0",
-		Name: "c0", Stage: core.StageFull}); err != nil {
+	inst, err := cl.Start(ProcessOptions{Mode: margo.ModeClient, Node: "n0",
+		Name: "c0", Stage: core.StageFull})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(cl.exposer.Samplers()); n != 1 {
-		t.Fatalf("samplers = %d, want 1", n)
-	}
-	if !strings.Contains(cl.MetricsText(), "symbiosys_") {
-		t.Fatalf("MetricsText carries no family:\n%s", cl.MetricsText())
+	if text := cl.MetricsText(); !strings.Contains(text, `symbiosys_cq_depth{instance="`+inst.Addr()+`"}`) {
+		t.Fatalf("MetricsText does not read the started process:\n%s", text)
 	}
 	resp, err := http.Get("http://" + addr + "/snapshot")
 	if err != nil {

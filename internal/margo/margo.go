@@ -27,7 +27,6 @@ import (
 	"symbiosys/internal/mercury"
 	"symbiosys/internal/mercury/pvar"
 	"symbiosys/internal/na"
-	"symbiosys/internal/telemetry"
 )
 
 // Margo's own PVARs, exported alongside the Mercury library variables
@@ -54,8 +53,8 @@ type ownPVar struct {
 	name, desc string
 	class      pvar.Class
 	read       func() uint64
-	// sampled: margo holds a session handle for it, so the telemetry
-	// sampler carries it to /metrics. dumped: profile dumps carry its
+	// sampled: margo holds a session handle for it, so a telemetry
+	// scrape carries it to /metrics. dumped: profile dumps carry its
 	// total beside the callpath stats.
 	sampled, dumped bool
 }
@@ -131,12 +130,6 @@ type Options struct {
 	// emits (e.g. a core.JSONLTraceSink for on-line export).
 	TraceSinks []core.TraceSink
 
-	// Telemetry, when non-nil, attaches a live telemetry sampler that
-	// snapshots PVARs, pool occupancy, completion-queue state, and
-	// collector health on the configured tick. Nil (the default) means
-	// no sampler goroutine and no per-tick cost.
-	Telemetry *telemetry.Options
-
 	// Retry, when non-nil, applies client-side resilience to every
 	// forward, single or coalesced: failed sends are re-issued under the
 	// policy's backoff, and per-try timeouts are retried for RPCs opted
@@ -197,7 +190,7 @@ type Instance struct {
 	// fuses into profiles and traces.
 	session     *pvar.Session
 	pvars       []ownPVar
-	pvarMu      sync.Mutex // RegisterServicePVar mutates pvarGlobals while the sampler reads it
+	pvarMu      sync.Mutex // RegisterServicePVar mutates pvarGlobals while a scrape reads it
 	pvarGlobals map[string]*pvar.Handle
 	pvarBound   map[string]*pvar.Handle
 
@@ -205,7 +198,7 @@ type Instance struct {
 	stopping    atomic.Bool
 
 	// Progress-engine state: lifetime spin-poll and park counters
-	// (exported as PVARs and telemetry series).
+	// (exported as PVARs and telemetry rows).
 	progressSpinsTotal atomic.Uint64
 	progressParksTotal atomic.Uint64
 
@@ -216,7 +209,7 @@ type Instance struct {
 	idleCh chan struct{}
 
 	// Client-side resilience state (Options.Retry) and its lifetime
-	// counters, also exported as PVARs and telemetry series.
+	// counters, also exported as PVARs and telemetry rows.
 	retry          *retryState
 	idemMu         sync.Mutex
 	idem           map[string]bool
@@ -228,7 +221,7 @@ type Instance struct {
 	// Server-side overload-control state (Options.Overload): the
 	// admission policy, the draining flag Drain raises, the
 	// admitted-but-unfinished handler count, and the shed/expired
-	// lifetime counters exported as PVARs and telemetry series.
+	// lifetime counters exported as PVARs and telemetry rows.
 	overload         *OverloadPolicy
 	draining         atomic.Bool
 	handlersInFlight atomic.Int64
@@ -254,8 +247,6 @@ type Instance struct {
 	coals      map[breakerKey]*coalescer
 	batchSeq   atomic.Uint64
 	batchStats batch.Stats
-
-	sampler *telemetry.Sampler
 }
 
 // New creates and starts an instance: endpoint, Mercury class, Argobots
@@ -322,10 +313,6 @@ func New(opts Options) (*Instance, error) {
 		return snap
 	})
 	inst.progressULT = inst.progressPool.Create("margo-progress", inst.progressLoop)
-	if opts.Telemetry != nil {
-		inst.sampler = telemetry.NewSampler(inst, *opts.Telemetry)
-		inst.sampler.Start()
-	}
 	return inst, nil
 }
 
@@ -448,19 +435,12 @@ func (i *Instance) rpcDone(n int) {
 	i.idleMu.Unlock()
 }
 
-// Sampler returns the instance's telemetry sampler, or nil when
-// Options.Telemetry was not set.
-func (i *Instance) Sampler() *telemetry.Sampler { return i.sampler }
-
-// Shutdown stops the telemetry sampler and progress loop, flushes any
+// Shutdown stops the progress loop, flushes any
 // attached trace sinks, and tears down the runtime. It returns the
 // first sink flush error, so exporters learn about lost events.
 func (i *Instance) Shutdown() error {
 	if !i.stopping.CompareAndSwap(false, true) {
 		return nil
-	}
-	if i.sampler != nil {
-		i.sampler.Stop()
 	}
 	i.progressULT.Join(nil)
 	err := i.prof.FlushSinks()

@@ -182,7 +182,7 @@ func (i *Instance) OnDrain(fn func(ctx context.Context) error) {
 // requests (incoming RPCs are shed with ErrOverloaded so origins fail
 // over), runs any OnDrain hooks, waits for in-flight handlers and
 // outbound forwards to finish, then runs the full Shutdown sequence —
-// sink flush, sampler stop, PVAR session finalize, endpoint close. If
+// sink flush, PVAR session finalize, endpoint close. If
 // ctx expires first the instance is torn down anyway (in-flight work is
 // abandoned) and ctx's error is returned so callers know the drain was
 // dirty.

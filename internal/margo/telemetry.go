@@ -9,14 +9,14 @@ import (
 	"symbiosys/internal/telemetry"
 )
 
-// margo.Instance implements telemetry.Source: the sampler pulls one
-// Sample per tick through the same PVAR session Margo opened at
-// initialization (paper Figure 3), so live monitoring reads exactly the
-// variables the measurement pipeline fuses into traces.
+// margo.Instance implements telemetry.Source: each scrape reads one
+// Sample through the same PVAR session Margo opened at initialization
+// (paper Figure 3), so live monitoring reads exactly the variables the
+// measurement pipeline fuses into traces.
 var _ telemetry.Source = (*Instance)(nil)
 
-// TelemetrySample snapshots the instance's live state for the
-// telemetry sampler: every library-global PVAR, per-pool occupancy,
+// TelemetrySample reads the instance's live state for a telemetry
+// scrape: every library-global PVAR, per-pool occupancy,
 // na-layer completion-queue counters, and collector health.
 func (i *Instance) TelemetrySample() telemetry.Sample {
 	s := telemetry.Sample{

@@ -18,36 +18,54 @@ import (
 // metricPrefix namespaces every exported family.
 const metricPrefix = "symbiosys_"
 
-// Exposer aggregates per-instance samplers into one HTTP surface:
-// Prometheus text exposition on GET /metrics and a JSON snapshot
-// (samples, series windows, callpath stats) on GET /snapshot.
+// Exposer aggregates instances into one HTTP surface: Prometheus text
+// exposition on GET /metrics and a JSON snapshot (samples, callpath
+// stats) on GET /snapshot. Every request reads each registered Source
+// at that moment; between requests the exposer does nothing.
 type Exposer struct {
-	mu       sync.Mutex
-	samplers []*Sampler
-	ln       net.Listener
-	srv      *http.Server
+	mu      sync.Mutex
+	sources []Source
+	ln      net.Listener
+	srv     *http.Server
 	// served closes when the serve goroutine exits, so Close can wait
 	// for it instead of leaking the goroutine past teardown.
 	served chan struct{}
 }
 
-// NewExposer returns an empty exposer; register samplers then Serve.
+// NewExposer returns an empty exposer; register sources then Serve.
 func NewExposer() *Exposer { return &Exposer{} }
 
-// Register adds a sampler to the scrape surface.
-func (e *Exposer) Register(s *Sampler) {
+// Register adds an instance to the scrape surface.
+func (e *Exposer) Register(src Source) {
 	e.mu.Lock()
-	e.samplers = append(e.samplers, s)
+	e.sources = append(e.sources, src)
 	e.mu.Unlock()
 }
 
-// Samplers returns the registered samplers.
-func (e *Exposer) Samplers() []*Sampler {
+// registered returns a copy of the registered sources.
+func (e *Exposer) registered() []Source {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*Sampler, len(e.samplers))
-	copy(out, e.samplers)
-	return out
+	return append([]Source(nil), e.sources...)
+}
+
+// callpaths reads src's per-callpath statistics, sorted by cumulative
+// time descending (dominant first).
+func callpaths(src Source) []CallpathStat {
+	cps := src.CallpathStats()
+	sort.Slice(cps, func(i, j int) bool {
+		if cps[i].Stats.CumNanos != cps[j].Stats.CumNanos {
+			return cps[i].Stats.CumNanos > cps[j].Stats.CumNanos
+		}
+		if cps[i].Side != cps[j].Side {
+			return cps[i].Side < cps[j].Side
+		}
+		if cps[i].Path != cps[j].Path {
+			return cps[i].Path < cps[j].Path
+		}
+		return cps[i].Peer < cps[j].Peer
+	})
+	return cps
 }
 
 // Handler returns the HTTP mux serving /metrics and /snapshot.
@@ -105,9 +123,9 @@ type family struct {
 	rows []string // fully rendered sample lines
 }
 
-// WriteMetrics renders the Prometheus text exposition: one family per
-// scalar series (latest value per instance) plus the per-callpath
-// latency histogram family.
+// WriteMetrics reads every registered instance and renders the
+// Prometheus text exposition: one family per sample row (one line per
+// instance) plus the per-callpath latency histogram family.
 func (e *Exposer) WriteMetrics(w io.Writer) {
 	fams := make(map[string]*family)
 	var order []string
@@ -122,18 +140,13 @@ func (e *Exposer) WriteMetrics(w io.Writer) {
 	}
 
 	var hist []string
-	for _, s := range e.Samplers() {
-		inst := s.Source().Addr()
-		for _, name := range s.SeriesNames() {
-			kind, pts, ok := s.SeriesSnapshot(name)
-			if !ok || len(pts) == 0 {
-				continue
-			}
-			last := pts[len(pts)-1]
-			fam, labels := familyFor(name, inst)
-			add(fam, kind, fmt.Sprintf("%s{%s} %s", fam, labels, formatFloat(last.Value)))
+	for _, src := range e.registered() {
+		inst := src.Addr()
+		for _, r := range sampleRows(src.TelemetrySample()) {
+			fam, labels := familyFor(r.name, inst)
+			add(fam, r.kind, fmt.Sprintf("%s{%s} %s", fam, labels, formatFloat(r.v)))
 		}
-		hist = append(hist, renderCallpathHistograms(inst, s.Callpaths())...)
+		hist = append(hist, renderCallpathHistograms(inst, callpaths(src))...)
 	}
 
 	sort.Strings(order)
@@ -156,7 +169,7 @@ func (e *Exposer) WriteMetrics(w io.Writer) {
 	}
 }
 
-// familyFor maps a series name to its metric family and label set.
+// familyFor maps a row name to its metric family and label set.
 // "pool/<name>/<stat>" becomes symbiosys_pool_<stat>{pool="<name>"},
 // "pvar/<name>" becomes symbiosys_pvar_<name>, everything else is
 // symbiosys_<series>.
@@ -214,20 +227,12 @@ func renderCallpathHistograms(instance string, cps []CallpathStat) []string {
 	return out
 }
 
-// SeriesDump is one series' window in the JSON snapshot.
-type SeriesDump struct {
-	Kind   string  `json:"kind"`
-	Points []Point `json:"points"`
-}
-
-// InstanceSnapshot is one instance's slice of the JSON snapshot.
+// InstanceSnapshot is one instance's slice of the JSON snapshot: the
+// sample read for this request and its callpath statistics.
 type InstanceSnapshot struct {
-	Addr      string                `json:"addr"`
-	Interval  time.Duration         `json:"interval_nanos"`
-	Ticks     uint64                `json:"ticks"`
-	Last      Sample                `json:"last"`
-	Series    map[string]SeriesDump `json:"series"`
-	Callpaths []CallpathStat        `json:"callpaths,omitempty"`
+	Addr      string         `json:"addr"`
+	Last      Sample         `json:"last"`
+	Callpaths []CallpathStat `json:"callpaths,omitempty"`
 }
 
 // Snapshot is the GET /snapshot payload.
@@ -236,24 +241,16 @@ type Snapshot struct {
 	Instances []InstanceSnapshot `json:"instances"`
 }
 
-// BuildSnapshot assembles the JSON snapshot view.
+// BuildSnapshot reads every registered instance into the JSON snapshot
+// view.
 func (e *Exposer) BuildSnapshot() Snapshot {
 	snap := Snapshot{UnixNanos: time.Now().UnixNano()}
-	for _, s := range e.Samplers() {
-		inst := InstanceSnapshot{
-			Addr:     s.Source().Addr(),
-			Interval: s.Interval(),
-			Ticks:    s.Ticks(),
-			Series:   make(map[string]SeriesDump),
-		}
-		inst.Last, _ = s.Last()
-		for _, name := range s.SeriesNames() {
-			if kind, pts, ok := s.SeriesSnapshot(name); ok {
-				inst.Series[name] = SeriesDump{Kind: kind.String(), Points: pts}
-			}
-		}
-		inst.Callpaths = s.Callpaths()
-		snap.Instances = append(snap.Instances, inst)
+	for _, src := range e.registered() {
+		snap.Instances = append(snap.Instances, InstanceSnapshot{
+			Addr:      src.Addr(),
+			Last:      src.TelemetrySample(),
+			Callpaths: callpaths(src),
+		})
 	}
 	return snap
 }

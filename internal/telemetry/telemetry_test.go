@@ -13,23 +13,24 @@ import (
 	"symbiosys/internal/core"
 )
 
-// fakeSource is a scripted Source for driving the sampler without a
-// full Margo stack.
+// fakeSource is a scripted Source: every read advances its counters,
+// so two scrapes see two different samples.
 type fakeSource struct {
 	addr  string
-	ticks atomic.Uint64
+	reads atomic.Uint64
 	cps   []CallpathStat
 }
 
 func (f *fakeSource) Addr() string { return f.addr }
 
 func (f *fakeSource) TelemetrySample() Sample {
-	n := f.ticks.Add(1)
+	n := f.reads.Add(1)
 	return Sample{
 		UnixNanos:  int64(n) * int64(time.Second),
 		CQDepth:    int(n % 7),
 		EventsRead: 10 * n,
 		TraceLen:   int(n),
+		Draining:   true,
 		PVars: []PVarValue{
 			{Name: "num_ofi_events_read", Counter: true, Value: 10 * n},
 			{Name: "completion_queue_size", Value: n % 7},
@@ -37,6 +38,7 @@ func (f *fakeSource) TelemetrySample() Sample {
 		Pools: []PoolStat{
 			{Name: "handlers", Runnable: int64(n), Blocked: 2, Executed: 5 * n},
 		},
+		BatchFlushReasons: map[string]uint64{"size": 3, "deadline": 1, "drain": n},
 	}
 }
 
@@ -52,73 +54,55 @@ func makeCallpath() CallpathStat {
 	return CallpathStat{Side: "target", Path: "put", Peer: "node0/c0", Stats: st}
 }
 
-func TestSeriesRingAndRates(t *testing.T) {
-	s := NewSeries(Counter, 4)
-	for i := 1; i <= 6; i++ {
-		s.Push(int64(i)*int64(time.Second), float64(10*i))
+// TestSampleRows checks the rows one read of a Source renders into: each
+// name once, with its kind and value, the pvar/ and pool/ families, and
+// the flush reasons in sorted order.
+func TestSampleRows(t *testing.T) {
+	src := &fakeSource{addr: "node0/s0"}
+	src.TelemetrySample()
+	rows := sampleRows(src.TelemetrySample()) // the second read: n = 2
+	type kv struct {
+		kind Kind
+		v    float64
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len = %d, want 4 (bounded ring)", s.Len())
-	}
-	pts := s.Points()
-	if pts[0].Value != 30 || pts[3].Value != 60 {
-		t.Fatalf("window = %+v, want values 30..60", pts)
-	}
-	// A counter's rate is derivable from any two points of the window.
-	if r := (pts[3].Value - pts[0].Value) / (float64(pts[3].UnixNanos-pts[0].UnixNanos) / 1e9); r != 10 {
-		t.Fatalf("window rate = %v, want 10/s", r)
-	}
-}
-
-func TestSamplerSeriesDerivation(t *testing.T) {
-	src := &fakeSource{addr: "node0/s0", cps: []CallpathStat{makeCallpath()}}
-	sp := NewSampler(src, Options{})
-	for i := 0; i < 3; i++ {
-		sp.SampleOnce()
-	}
-	if sp.Ticks() != 3 {
-		t.Fatalf("ticks = %d, want 3", sp.Ticks())
-	}
-	for _, name := range []string{"events_read", "pvar/num_ofi_events_read"} {
-		kind, pts, ok := sp.SeriesSnapshot(name)
-		if !ok || kind != Counter || len(pts) != 3 || pts[2].Value-pts[1].Value != 10 {
-			t.Fatalf("%s series = %v %v %v, want a counter stepping by 10", name, kind, pts, ok)
+	got := make(map[string]kv)
+	var reasons []string
+	for _, r := range rows {
+		if _, dup := got[r.name]; dup {
+			t.Fatalf("row %s rendered twice", r.name)
+		}
+		got[r.name] = kv{r.kind, r.v}
+		if strings.HasPrefix(r.name, "batch_flush_reason/") {
+			reasons = append(reasons, strings.TrimPrefix(r.name, "batch_flush_reason/"))
 		}
 	}
-	kind, pts, ok := sp.SeriesSnapshot("pool/handlers/blocked")
-	if !ok || kind != Gauge || len(pts) != 3 || pts[2].Value != 2 {
-		t.Fatalf("pool blocked series = %v %v %v", kind, pts, ok)
+	// 45 fixed rows, 3 flush reasons, 2 PVARs, 4 rows for the one pool.
+	if len(rows) != 54 {
+		t.Errorf("%d rows, want 54", len(rows))
 	}
-	if _, _, ok := sp.SeriesSnapshot("no_such"); ok {
-		t.Fatal("unknown series reported ok")
+	for name, want := range map[string]kv{
+		"cq_depth":                     {Gauge, 2},
+		"events_read":                  {Counter, 20},
+		"trace_len":                    {Gauge, 2},
+		"overload_draining":            {Gauge, 1},
+		"rpc_retries_total":            {Counter, 0},
+		"batch_flush_reason/drain":     {Counter, 2},
+		"pvar/num_ofi_events_read":     {Counter, 20},
+		"pvar/completion_queue_size":   {Gauge, 2},
+		"pool/handlers/runnable":       {Gauge, 2},
+		"pool/handlers/blocked":        {Gauge, 2},
+		"pool/handlers/created":        {Counter, 0},
+		"pool/handlers/executed":       {Counter, 10},
+		"batch_window_occupancy_hwm":   {Gauge, 0},
+		"overload_breaker_trips_total": {Counter, 0},
+	} {
+		if r, ok := got[name]; !ok || r != want {
+			t.Errorf("row %s = %+v (present %v), want %+v", name, r, ok, want)
+		}
 	}
-	last, ok := sp.Last()
-	if !ok || last.EventsRead != 30 {
-		t.Fatalf("last = %+v %v", last, ok)
+	if strings.Join(reasons, ",") != "deadline,drain,size" {
+		t.Errorf("flush reasons in order %v, want deadline,drain,size", reasons)
 	}
-}
-
-func TestSamplerStartStop(t *testing.T) {
-	src := &fakeSource{addr: "node0/s0"}
-	sp := NewSampler(src, Options{Interval: time.Millisecond})
-	sp.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for sp.Ticks() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	sp.Stop()
-	if sp.Ticks() < 3 {
-		t.Fatalf("ticks = %d, want >= 3", sp.Ticks())
-	}
-	n := sp.Ticks()
-	time.Sleep(5 * time.Millisecond)
-	if sp.Ticks() != n {
-		t.Fatal("sampler kept ticking after Stop")
-	}
-	// Stop without Start must not hang; double Stop must be safe.
-	sp2 := NewSampler(src, Options{})
-	sp2.Stop()
-	sp2.Stop()
 }
 
 // checkExposition parses Prometheus text exposition, asserting every
@@ -170,20 +154,9 @@ func checkExposition(t *testing.T, body string) map[string]string {
 	return samples
 }
 
-func TestExposerMetricsAndSnapshot(t *testing.T) {
-	src := &fakeSource{addr: "node0/s0", cps: []CallpathStat{makeCallpath()}}
-	sp := NewSampler(src, Options{})
-	sp.SampleOnce()
-	sp.SampleOnce()
-
-	ex := NewExposer()
-	ex.Register(sp)
-	addr, err := ex.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ex.Close()
-
+// getMetrics scrapes /metrics from addr.
+func getMetrics(t *testing.T, addr string) string {
+	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +169,20 @@ func TestExposerMetricsAndSnapshot(t *testing.T) {
 		sb.WriteString(sc.Text())
 		sb.WriteString("\n")
 	}
-	body := sb.String()
+	return sb.String()
+}
+
+func TestExposerMetricsAndSnapshot(t *testing.T) {
+	src := &fakeSource{addr: "node0/s0", cps: []CallpathStat{makeCallpath()}}
+	ex := NewExposer()
+	ex.Register(src)
+	addr, err := ex.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+
+	body := getMetrics(t, addr)
 	samples := checkExposition(t, body)
 
 	for _, want := range []string{
@@ -209,6 +195,20 @@ func TestExposerMetricsAndSnapshot(t *testing.T) {
 			t.Errorf("missing sample %q in exposition:\n%s", want, body)
 		}
 	}
+	// Each scrape reads the source afresh: the first saw one read, the
+	// next sees a second.
+	ev := `symbiosys_events_read{instance="node0/s0"}`
+	if samples[ev] != "10" {
+		t.Errorf("%s = %q on the first scrape, want 10", ev, samples[ev])
+	}
+	if again := checkExposition(t, getMetrics(t, addr)); again[ev] != "20" {
+		t.Errorf("%s = %q on the second scrape, want 20", ev, again[ev])
+	}
+	reason := `symbiosys_batch_flushes_by_reason_total{instance="node0/s0",reason="size"}`
+	if samples[reason] != "3" {
+		t.Errorf("%s = %q, want 3", reason, samples[reason])
+	}
+
 	// The +Inf bucket must equal the count.
 	inf := `symbiosys_callpath_latency_seconds_bucket{instance="node0/s0",side="target",path="put",peer="node0/c0",le="+Inf"}`
 	if samples[inf] != "100" {
@@ -240,14 +240,11 @@ func TestExposerMetricsAndSnapshot(t *testing.T) {
 	if len(snap.Instances) != 1 || snap.Instances[0].Addr != "node0/s0" {
 		t.Fatalf("snapshot instances = %+v", snap.Instances)
 	}
-	if snap.Instances[0].Ticks != 2 {
-		t.Fatalf("snapshot ticks = %d, want 2", snap.Instances[0].Ticks)
+	if last := snap.Instances[0].Last; last.EventsRead != 30 || last.Pools[0].Name != "handlers" {
+		t.Fatalf("snapshot sample = %+v, want the third read", last)
 	}
 	if len(snap.Instances[0].Callpaths) != 1 {
 		t.Fatalf("snapshot callpaths = %+v", snap.Instances[0].Callpaths)
-	}
-	if _, ok := snap.Instances[0].Series["events_read"]; !ok {
-		t.Fatal("snapshot missing events_read series")
 	}
 }
 
@@ -291,11 +288,8 @@ func TestHistogramPercentileMatchesProfile(t *testing.T) {
 // leaking its server until process exit.
 func TestExposerCloseReleasesServer(t *testing.T) {
 	src := &fakeSource{addr: "node0/s0"}
-	sp := NewSampler(src, Options{})
-	sp.SampleOnce()
-
 	ex := NewExposer()
-	ex.Register(sp)
+	ex.Register(src)
 	addr, err := ex.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +308,7 @@ func TestExposerCloseReleasesServer(t *testing.T) {
 	}
 	// The goroutine released the port: rebinding the same address works.
 	ex2 := NewExposer()
-	ex2.Register(sp)
+	ex2.Register(src)
 	if _, err := ex2.Serve(addr); err != nil {
 		t.Fatalf("rebind %s after close: %v", addr, err)
 	}

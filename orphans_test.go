@@ -16,13 +16,12 @@ import (
 // its reason: a function name, or an option as "pkg.Struct.Field" (or
 // "pkg.Struct" for every field of a struct).
 var orphanAllow = map[string]string{
-	"StartDetector":                            "SSG failure detection: started by no scenario yet, ROADMAP item 1 schedules it onto the clock",
-	"ssg.DetectorConfig":                       "configures StartDetector; its test shortens every interval",
-	"CancelPosted":                             "sweeps the handles posted to a target declared dead; nothing declares one until the detector runs, the cancel tests of mercury and margo drive it",
-	"SetClockSkew":                             "margo's Lamport-order test skews one process's wall clock, the only way to show ordering does not lean on timestamps",
-	"batch.Policy.MaxBytes":                    "every deployment keeps the 128 KiB default; the byte-trigger tests lower it to reach ReasonBytes",
-	"margo.RetryPolicy.BudgetRefill":           "the budget-exhaustion tests slow the refill so the bucket runs dry",
-	"experiments.HEPnOSConfig.MetricsInterval": "the smoke tests sample every 10 ms so that a short run is scraped mid-flight",
+	"StartDetector":                  "SSG failure detection: started by no scenario yet, ROADMAP item 1 schedules it onto the clock",
+	"ssg.DetectorConfig":             "configures StartDetector; its test shortens every interval",
+	"CancelPosted":                   "sweeps the handles posted to a target declared dead; nothing declares one until the detector runs, the cancel tests of mercury and margo drive it",
+	"SetClockSkew":                   "margo's Lamport-order test skews one process's wall clock, the only way to show ordering does not lean on timestamps",
+	"batch.Policy.MaxBytes":          "every deployment keeps the 128 KiB default; the byte-trigger tests lower it to reach ReasonBytes",
+	"margo.RetryPolicy.BudgetRefill": "the budget-exhaustion tests slow the refill so the bucket runs dry",
 }
 
 var (
