@@ -63,8 +63,9 @@ surface:
 # also where a decoded view that outlived its rule fails its read-back.
 # Every response frame is recycled with its handle, so the rule that a
 # reply keeping bytes copies them lives in the service reply types (and
-# the reads into caller buffers in kv): the services and kv run three
-# times too.
+# the reads into caller buffers in kv, taken while the map store grows,
+# replaces and clears chunk-table slots and rebuilds itself): the
+# services and kv run three times too.
 race:
 	$(GO) test -race -count=3 ./internal/na/... ./internal/mercury/... \
 		./internal/margo/... ./internal/core/... \
@@ -82,9 +83,10 @@ race:
 check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
 # fuzz-smoke fuzzes the five parsers that take bytes from other
-# processes: core.ReadTrace (whatever the bytes, it returns an error or a
-# dump that re-encodes to exactly those bytes, without a panic and
-# without allocating more than a small multiple of the input),
+# processes, then the "map" store: core.ReadTrace (whatever the bytes,
+# it returns an error or a dump that re-encodes to exactly those bytes,
+# without a panic and without allocating more than a small multiple of
+# the input),
 # core.ReadEventsJSONL (an error, or events that a JSONL sink writes and
 # the reader reads back equal, under the same two bounds),
 # mercury's frame headers (request, response and vectored frames parse
@@ -94,17 +96,22 @@ check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke f
 # encodes back to the bytes it consumed) and the sdskv list reply
 # decoded into a Listing (a count the input cannot hold fails before
 # anything is allocated, keys and values must pair up, every pair is a
-# slice of the Listing's own buffer, and it encodes back to the bytes).
+# slice of the Listing's own buffer, and it encodes back to the bytes);
+# then kv's FuzzMapBackend runs puts, deletes, gets and listings on the
+# "map" B-tree against a sorted model and checks the tree's key order,
+# separators and key abbreviations after each input.
 # The seeds — files under internal/**/testdata/fuzz/, and for the
 # JSONL reader the streams jsonlSeeds builds — are replayed by plain
 # `go test` as well; this target mutates them. (Minimising a mutant of the
-# JSONL reader's 64 KiB seed would otherwise take the run's ten seconds.)
+# JSONL reader's 64 KiB seed, or of the map store's 29,000-op height-3
+# seed, would otherwise take the run's ten seconds.)
 fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
 	$(GO) test ./internal/services/ekv -run '^$$' -fuzz '^FuzzEKVWire$$' -fuzztime 10s
 	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzListReply$$' -fuzztime 10s
+	$(GO) test ./internal/kv -run '^$$' -fuzz '^FuzzMapBackend$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # bench-build vets and tests the benchmark harness. It is a module of
 # its own (benchmark/go.mod), so `go build ./... && go test ./...` at

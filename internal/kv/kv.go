@@ -3,11 +3,14 @@
 // (§V-C). Two engines with different concurrency and ordering properties
 // are provided:
 //
-//   - "map": an ordered in-memory store backed by a B-tree, like the
+//   - "map": an ordered in-memory store backed by a B+-tree, like the
 //     paper's std::map backend. It does not support concurrent writers —
 //     the property behind the write-serialization pathology of the
 //     paper's Figure 10 — so the service layer guards it with a single
-//     ULT mutex.
+//     ULT mutex. That critical section is kept short: pairs live in a
+//     per-database chunk table, leaves hold no pointers (so the collector
+//     does not scan them), and a search compares the keys' first 8 bytes
+//     cached as integers, reading a stored key only on a tie.
 //   - "shardedmap": a hash map sharded across independently locked
 //     buckets, supporting parallel insertion; unordered listing. Used by
 //     the ablation benchmarks to show the Figure 10 pathology vanish.

@@ -407,6 +407,10 @@ func (n *Node) handlePeerGet(ctx *margo.Context) {
 	ctx.Respond(&call.out)
 }
 
+// probeAbove is the largest pull a receiver sizes its scratch for on the
+// strength of the request alone.
+const probeAbove = 1 << 20
+
 func (n *Node) handleMigratePush(ctx *margo.Context) {
 	var in migratePushArgs
 	if err := ctx.GetInput(&in); err != nil {
@@ -414,7 +418,21 @@ func (n *Node) handleMigratePush(ctx *margo.Context) {
 		return
 	}
 	// The chunk lands in the request's scratch buffer and decodes as
-	// views of it; db.Put copies each applied pair out.
+	// views of it; db.Put copies each applied pair out. Size and the
+	// region's length come off the wire: the chunk must fit the length the
+	// descriptor claims, and a pull over probeAbove first reads its last
+	// byte, so the fabric, which knows the region's real length, refuses
+	// it before the scratch is sized by it.
+	if in.Size > uint64(max(in.Bulk.Size(), 0)) {
+		ctx.RespondError("ekv: migrate chunk of %d bytes does not fit its %d-byte bulk region", in.Size, in.Bulk.Size())
+		return
+	}
+	if in.Size > probeAbove {
+		if err := ctx.BulkPull(in.Bulk, int(in.Size)-1, ctx.Scratch(1)); err != nil {
+			ctx.RespondError("ekv: migrate chunk of %d bytes: %v", in.Size, err)
+			return
+		}
+	}
 	buf := ctx.Scratch(int(in.Size))
 	if err := ctx.BulkPull(in.Bulk, 0, buf); err != nil {
 		ctx.RespondError("ekv: migrate pull: %v", err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -249,6 +250,48 @@ func TestScaleOutMigratesKeys(t *testing.T) {
 		t.Errorf("no migration recorded: out=%d in=%d", out, in)
 	}
 	e.verifyAll(nkeys)
+}
+
+// TestMigratePushSizeIsCheckedBeforeItIsAllocated: a migrate chunk's
+// Size and region length are the sender's word. One past its 64-byte
+// region, also when the descriptor claims the region is that long, must
+// be refused with its size named, and before the receiver sizes its
+// scratch by it: 64 MiB of Size was a 64 MiB allocation, and 2^63 a
+// panic in the handler.
+func TestMigratePushSizeIsCheckedBeforeItIsAllocated(t *testing.T) {
+	e := newTestEnv(t, 2)
+	sender := e.insts[1]
+	region := sender.BulkCreate(make([]byte, 64))
+	defer sender.BulkFree(region)
+	for _, c := range []struct {
+		size  uint64
+		claim int // the region length the descriptor names
+	}{
+		{64 << 20, 64},
+		{1 << 63, 64},
+		{64 << 20, 64 << 20},
+		{1 << 62, 1 << 62},
+	} {
+		size, bulk := c.size, region
+		bulk.Mem.Len = c.claim
+		args := migratePushArgs{Version: 1, NumPairs: 1, Bulk: bulk, Size: size}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var err error
+		u := sender.Run("push", func(self *abt.ULT) {
+			err = sender.Forward(self, e.insts[0].Addr(), RPCMigratePush, &args, nil)
+		})
+		if jerr := u.Join(nil); jerr != nil {
+			t.Fatal(jerr)
+		}
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d bytes", size)) {
+			t.Errorf("a %d-byte chunk in a 64-byte region: %v", size, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("refusing a %d-byte chunk allocated %d bytes", size, grew)
+		}
+	}
 }
 
 // TestDrainDuringRebalance is the satellite regression test: draining a

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,6 +106,45 @@ func TestPutPackedThroughRecycledScratch(t *testing.T) {
 			if want := stamped(key, 0, size(k/2+3*(k%2))); !found || !bytes.Equal(got, want) {
 				t.Fatalf("key %#x: stored %d bytes (found %v), differs from the %d sent", key, len(got), found, len(want))
 			}
+		}
+	}
+}
+
+// TestPutPackedSizeIsCheckedBeforeItIsAllocated: a put_packed request's
+// Size, NumKeys and region length are the client's word. A Size past its
+// 64-byte region, also when the descriptor claims the region is that
+// long, or a NumKeys its Size cannot hold, must be refused with the size
+// named, and before the target sizes its scratch by it: 64 MiB of Size
+// was a 64 MiB allocation, and 2^63 a panic in the handler.
+func TestPutPackedSizeIsCheckedBeforeItIsAllocated(t *testing.T) {
+	e := newEnv(t, fastCfg)
+	db, err := e.prov.OpenLocal("sized", "map")
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := e.cli.BulkCreate(make([]byte, 64))
+	defer e.cli.BulkFree(region)
+	claiming := func(n int) mercury.Bulk {
+		forged := region
+		forged.Mem.Len = n
+		return forged
+	}
+	for _, args := range []putPackedArgs{
+		{DBID: db, NumKeys: 1, Bulk: region, Size: 64 << 20},
+		{DBID: db, NumKeys: 1, Bulk: region, Size: 1 << 63},
+		{DBID: db, NumKeys: 1 << 20, Bulk: region, Size: 64},
+		{DBID: db, NumKeys: 1, Bulk: claiming(64 << 20), Size: 64 << 20},
+		{DBID: db, NumKeys: 1, Bulk: claiming(1 << 62), Size: 1 << 62},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := e.run(t, func(self *abt.ULT) error { return e.cli.Forward(self, e.srv.Addr(), RPCPutPacked, &args, nil) })
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d bytes", args.Size)) {
+			t.Errorf("%d keys in %d bytes of a 64-byte region: %v", args.NumKeys, args.Size, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("refusing %d keys in %d bytes allocated %d bytes", args.NumKeys, args.Size, grew)
 		}
 	}
 }
@@ -253,7 +294,7 @@ func roundTripAllocs(t *testing.T, e *env, backend string, runs int, call func(e
 // TestPutPackedRoundTripAllocs pins a whole single-pair packed put —
 // origin and target, the bulk pull and the backend insert included: the
 // frames, handles, call records and the decoded batch are all recycled,
-// so what is left is the store's amortised share (slab chunk, tree
+// so what is left is the store's amortised share (its chunk table, tree
 // nodes, trace chunk), under one object per put.
 func TestPutPackedRoundTripAllocs(t *testing.T) {
 	keys, vals := [][]byte{make([]byte, 48)}, [][]byte{make([]byte, 512)}

@@ -472,6 +472,10 @@ func (p *Provider) handleGet(ctx *margo.Context) {
 	ctx.Respond(&call.out)
 }
 
+// probeAbove is the largest pull a target sizes its scratch for on the
+// strength of the request alone.
+const probeAbove = 1 << 20
+
 func (p *Provider) handlePutPacked(ctx *margo.Context) {
 	call := packedCalls.Get()
 	defer packedCalls.Put(call)
@@ -484,6 +488,22 @@ func (p *Provider) handlePutPacked(ctx *margo.Context) {
 	if !ok {
 		ctx.RespondError("sdskv: unknown database %d", in.DBID)
 		return
+	}
+	// Size, NumKeys and the region's length all come off the wire. The
+	// batch must hold its count (each pair costs at least its two 4-byte
+	// length prefixes) and fit the length the descriptor claims, and a
+	// pull over probeAbove first reads its last byte, so the fabric, which
+	// knows the region's real length, refuses it before the scratch is
+	// sized by it.
+	if in.Size > uint64(max(in.Bulk.Size(), 0)) || uint64(in.NumKeys) > in.Size/8 {
+		ctx.RespondError("sdskv: put_packed of %d keys in %d bytes does not fit its %d-byte bulk region", in.NumKeys, in.Size, in.Bulk.Size())
+		return
+	}
+	if in.Size > probeAbove {
+		if err := ctx.BulkPull(in.Bulk, int(in.Size)-1, ctx.Scratch(1)); err != nil {
+			ctx.RespondError("sdskv: put_packed of %d bytes: %v", in.Size, err)
+			return
+		}
 	}
 	// Pull the packed key-value content from client memory (the bulk
 	// transfer of Figure 2's execution phase) into the request's scratch
