@@ -53,7 +53,8 @@ surface:
 # the sched_test.go steal/park and lost-wakeup property tests), and
 # the batch window/coalescer state machine, plus the elastic plane:
 # the SSG membership host/agent churned from many ULTs, the rendezvous
-# ring, and the ekv migration engine's dual-write/dirty-set machinery.
+# ring, and the elastic sdskv node's dual-write/dirty-set machinery (in
+# the services, which run three times below).
 # The four packages a recycled Mercury handle or frame crosses (na,
 # mercury, margo, core) run three times: their recycle tests race timers,
 # cancellation sweeps, late fabric errors, duplicated and delayed
@@ -91,9 +92,9 @@ check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke f
 # the reader reads back equal, under the same two bounds),
 # mercury's frame headers (request, response and vectored frames parse
 # without reading past the frame and pack again, in place, to the same
-# bytes), the nine messages of ekv/wire.go (each decodes to views
-# clipped inside the frame, or for a reply to a copy outside it, and
-# encodes back to the bytes it consumed) and the sdskv list reply
+# bytes), the five messages of sdskv's migration protocol (each decodes
+# to views clipped inside the frame, or for a reply to a copy outside
+# it, and encodes back to the bytes it consumed) and the sdskv list reply
 # decoded into a Listing (a count the input cannot hold fails before
 # anything is allocated, keys and values must pair up, every pair is a
 # slice of the Listing's own buffer, and it encodes back to the bytes);
@@ -109,7 +110,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
-	$(GO) test ./internal/services/ekv -run '^$$' -fuzz '^FuzzEKVWire$$' -fuzztime 10s
+	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzMigrateWire$$' -fuzztime 10s
 	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzListReply$$' -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz '^FuzzMapBackend$$' -fuzztime 10s -fuzzminimizetime 1s
 
@@ -175,7 +176,7 @@ chaos-smoke:
 analyze-smoke:
 	$(GO) test ./internal/experiments/ -run 'TestAnalyzeSmoke|TestBatchSweepReports' -count=1 -v
 
-# elastic-smoke scales an ekv cluster out and back in under sustained
+# elastic-smoke scales an elastic sdskv cluster out and back in under sustained
 # load and asserts the elasticity bar: zero acked-then-lost ops, live
 # shard migration visible in traces and /metrics, and a bounded
 # churn-phase p99.

@@ -18,7 +18,7 @@
 //	hepnos-bench -batch                # batch-window sweep (C4 effect)
 //	hepnos-bench -elastic              # elastic scale-out 4 -> 16 -> 8
 //
-// With -elastic, the run scales an elastic KV service from 4 to 16
+// With -elastic, the run scales an elastic sdskv store from 4 to 16
 // nodes and back down to 8 under a sustained client load, streaming the
 // moving shards live, and reports per-phase p99, migration volume, and
 // the acked-op audit (zero lost is the bar; a loss is a non-zero exit).
@@ -359,7 +359,7 @@ func runElastic() {
 	fmt.Printf("  migration: %d keys out, %d in; %d dual-writes, %d read-throughs, %d redirects, %d wrong routes\n",
 		res.KeysMigratedOut, res.KeysMigratedIn, res.DualWrites,
 		res.ReadThroughs, res.Redirects, res.WrongRoutes)
-	fmt.Printf("  p99 under migration %v vs steady %v; %d ekv_migrate_* trace spans\n",
+	fmt.Printf("  p99 under migration %v vs steady %v; %d sdskv_migrate_* trace spans\n",
 		res.MigrationP99().Round(time.Microsecond), res.SteadyP99().Round(time.Microsecond),
 		res.MigrateSpans)
 	fmt.Printf("  final spread over %d nodes:\n", len(res.FinalSpread))

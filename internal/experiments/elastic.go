@@ -10,12 +10,12 @@ import (
 	"symbiosys/internal/analysis"
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
-	"symbiosys/internal/services/ekv"
+	"symbiosys/internal/services/sdskv"
 	"symbiosys/internal/ssg"
 )
 
-// elasticGroup is the SSG group name the elastic KV nodes join.
-const elasticGroup = "ekv"
+// elasticGroup is the SSG group name the elastic nodes join.
+const elasticGroup = "elastic"
 
 // The elastic run's fixed shape.
 const (
@@ -30,7 +30,7 @@ const (
 	elasticDrainTimeout = 5 * time.Second
 )
 
-// ElasticConfig shapes one elastic scale-out run: an ekv cluster scaled
+// ElasticConfig shapes one elastic scale-out run: an elastic sdskv cluster scaled
 // StartNodes → PeakNodes → EndNodes under a sustained client load, with
 // live shard migration streaming the moving ranges between phases and
 // the acked-op audit holding the zero-loss bar throughout.
@@ -91,7 +91,7 @@ type ElasticResult struct {
 	// FinalSpread is pairs held per live node after the last settle.
 	FinalSpread map[string]int
 
-	// MigrateSpans counts ekv_migrate_* spans in the merged trace — the
+	// MigrateSpans counts sdskv_migrate_* spans in the merged trace — the
 	// migration segments as symtrace reconstructs them.
 	MigrateSpans int
 
@@ -135,7 +135,7 @@ type ackedOp struct {
 	key, value string
 }
 
-// RunElastic drives the elastic scale-out campaign: load an ekv cluster
+// RunElastic drives the elastic scale-out campaign: load an elastic cluster
 // at StartNodes, grow it to PeakNodes under sustained load, shrink to
 // EndNodes under load, and audit that no acked op was lost and the
 // migration is visible in traces and metrics.
@@ -187,17 +187,17 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 
 	// All PeakNodes processes exist from the start; membership (and
 	// therefore ownership) is what churns.
-	var nodes []*ekv.Node
+	var nodes []*sdskv.Node
 	var nodeInsts []*margo.Instance
 	for i := 0; i < cfg.PeakNodes; i++ {
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeServer, Node: fmt.Sprintf("elastic-kv%d", i),
-			Name: fmt.Sprintf("ekv%d", i), Stage: core.StageFull, Retry: retry,
+			Name: fmt.Sprintf("elastic%d", i), Stage: core.StageFull, Retry: retry,
 		})
 		if err != nil {
 			return nil, err
 		}
-		n, err := ekv.NewNode(inst, root, elasticGroup)
+		n, err := sdskv.NewNode(inst, root, elasticGroup)
 		if err != nil {
 			return nil, err
 		}
@@ -223,9 +223,9 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 	}
 
 	// Server-mode client processes: their routing tables refresh from
-	// pushed membership deltas, falling back to Observe on redirects.
+	// pushed membership deltas, falling back to Observe on refusals.
 	var clients []*margo.Instance
-	var ekvClients []*ekv.Client
+	var routers []*sdskv.Router
 	for i := 0; i < ElasticClients; i++ {
 		inst, err := cluster.Start(ProcessOptions{
 			Mode: margo.ModeServer, Node: fmt.Sprintf("elastic-client%d", i),
@@ -234,7 +234,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := ekv.NewClient(inst, root, elasticGroup)
+		c, err := sdskv.NewRouter(inst, root, elasticGroup)
 		if err != nil {
 			return nil, err
 		}
@@ -245,11 +245,11 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 			return nil, aerr
 		}
 		clients = append(clients, inst)
-		ekvClients = append(ekvClients, c)
+		routers = append(routers, c)
 	}
 
-	live := func(from, to int) []*ekv.Node { return nodes[from:to] }
-	settle := func(ns []*ekv.Node) error {
+	live := func(from, to int) []*sdskv.Node { return nodes[from:to] }
+	settle := func(ns []*sdskv.Node) error {
 		deadline := time.Now().Add(15 * time.Second)
 		for time.Now().Before(deadline) {
 			done := true
@@ -293,7 +293,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 					break
 				}
 			}
-			c := ekvClients[ci]
+			c := routers[ci]
 			for op := 0; op < cfg.OpsPerPhase; op++ {
 				key := fmt.Sprintf("elastic/%s/c%d/i%d/op%06d", name, ci, issuer, op)
 				val := fmt.Sprintf("v-%s-%d-%d", name, issuer, op)
@@ -373,7 +373,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 
 	// Never-lie audit: every acked put must read back with its value
 	// from the final cluster, through a freshly refreshed route.
-	auditClient := ekvClients[0]
+	auditClient := routers[0]
 	var auditErr error
 	u := clients[0].Run("audit", func(self *abt.ULT) {
 		if err := auditClient.Refresh(self); err != nil {
@@ -410,19 +410,19 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 			res.FinalSpread[n.Addr()] = n.Len()
 		}
 	}
-	for _, c := range ekvClients {
+	for _, c := range routers {
 		res.Redirects += c.Redirects()
 	}
 
 	res.MetricsText = cluster.MetricsText()
 
-	// Trace visibility: migration segments appear as ekv_migrate_* spans
+	// Trace visibility: migration segments appear as sdskv_migrate_* spans
 	// in the merged trace set.
 	_, traceDumps := cluster.Collect()
 	ts := analysis.MergeTraces(traceDumps)
 	for id, evs := range ts.Requests() {
 		for _, sp := range analysis.SpansOf(id, evs) {
-			if strings.HasPrefix(sp.RPCName, "ekv_migrate_") {
+			if strings.HasPrefix(sp.RPCName, "sdskv_migrate_") {
 				res.MigrateSpans++
 			}
 		}
@@ -436,7 +436,7 @@ func RunElastic(cfg ElasticConfig) (*ElasticResult, error) {
 		res.ReportPaths = append(res.ReportPaths, path)
 	}
 
-	// Stop the ekv machinery before the drain: the run's handoffs are
+	// Stop the elastic machinery before the drain: the run's handoffs are
 	// done (retired nodes already streamed out), so the drain hooks
 	// no-op and the teardown stays orderly.
 	for _, n := range nodes {

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// TestElasticSmoke scales an in-process ekv service 3 → 6 → 4 under a
+// TestElasticSmoke scales an in-process elastic sdskv service 3 → 6 → 4 under a
 // sustained write load and holds the acceptance bars from ISSUE 8:
 // zero acked-then-lost ops, migration visible in traces and metrics,
 // and a bounded churn-phase p99.
@@ -56,7 +56,7 @@ func TestElasticSmoke(t *testing.T) {
 	}
 	// Migration must be visible in the trace plane...
 	if res.MigrateSpans == 0 {
-		t.Error("no ekv_migrate_* spans in merged traces")
+		t.Error("no sdskv_migrate_* spans in merged traces")
 	}
 	// ...and on /metrics via the registered service pvars.
 	for _, family := range []string{

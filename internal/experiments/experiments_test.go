@@ -79,22 +79,30 @@ func TestRunHEPnOSStoresAllEvents(t *testing.T) {
 func TestFig9HandlerSaturationShape(t *testing.T) {
 	// C1 (5 streams) must show a larger handler-time share than C2 (20
 	// streams), and C2's cumulative target execution must be lower —
-	// the paper's Figure 9 result.
-	r1, err := RunHEPnOS(scaled(C1, 4))
-	if err != nil {
-		t.Fatal(err)
+	// the paper's Figure 9 result. Execution time is wall time, so a
+	// burst of load on the host inflates whichever run it lands on: the
+	// two configurations alternate over four pairs and their sums are
+	// compared. One pair alone came out the wrong way in about one in
+	// eleven with other tests busy on a 2-core host; the sums did not.
+	var cum1, cum2 time.Duration
+	for pair := 0; pair < 4; pair++ {
+		r1, err := RunHEPnOS(scaled(C1, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := RunHEPnOS(scaled(C2, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.HandlerFraction() <= r2.HandlerFraction() {
+			t.Fatalf("pair %d: handler fraction C1=%.3f <= C2=%.3f",
+				pair, r1.HandlerFraction(), r2.HandlerFraction())
+		}
+		cum1 += r1.CumTargetExec
+		cum2 += r2.CumTargetExec
 	}
-	r2, err := RunHEPnOS(scaled(C2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.HandlerFraction() <= r2.HandlerFraction() {
-		t.Fatalf("handler fraction C1=%.3f <= C2=%.3f",
-			r1.HandlerFraction(), r2.HandlerFraction())
-	}
-	if r2.CumTargetExec >= r1.CumTargetExec {
-		t.Fatalf("cumulative target exec C2=%v >= C1=%v",
-			r2.CumTargetExec, r1.CumTargetExec)
+	if cum2 >= cum1 {
+		t.Fatalf("cumulative target exec over four runs C2=%v >= C1=%v", cum2, cum1)
 	}
 }
 
@@ -221,8 +229,11 @@ func TestMobjectStudy(t *testing.T) {
 
 func TestMobjectReadListDominant(t *testing.T) {
 	// Figure 6: within mobject_read_op, the sdskv_list_keyvals_rpc hop
-	// carries the dominant share of nested time.
-	res, err := RunMobjectIOR(MobjectConfig{Clients: 4, Segments: 4, TransferSize: 2048})
+	// carries the dominant share of nested time. Sixteen reads per client
+	// rather than four, so that one preempted call of another hop cannot
+	// outweigh the lists: at four, a busy 2-core host put list below
+	// another hop in about one run in ten.
+	res, err := RunMobjectIOR(MobjectConfig{Clients: 4, Segments: 16, TransferSize: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +284,7 @@ func TestSonataStudy(t *testing.T) {
 
 func TestOverheadStudyStagesComparable(t *testing.T) {
 	base := scaled(C4, 16)
-	res, err := RunOverheadStudy(OverheadConfig{Base: base, Reps: 2})
+	res, err := RunOverheadStudy(OverheadConfig{Base: base, Reps: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,10 @@ func TestOverheadStudyStagesComparable(t *testing.T) {
 	}
 	// Full-support overhead must stay within run-to-run variation
 	// territory (paper: indistinguishable; we allow 2x headroom for the
-	// noisy test host).
+	// noisy test host). The paper's five repetitions, not two: each run
+	// is about 30 ms, and with two a single burst of load on a 2-core
+	// host put the Full mean past 2x the baseline in about one run in
+	// eight.
 	if ovh := res.OverheadVsBaseline(core.StageFull); ovh > 2.0 {
 		t.Fatalf("full-support overhead = %.2fx baseline", ovh)
 	}

@@ -54,10 +54,16 @@ func RunOverheadStudy(cfg OverheadConfig) (*OverheadResult, error) {
 	}
 	out := &OverheadResult{}
 	for _, stage := range []core.Stage{core.StageOff, core.StageInject, core.StageProfile, core.StageFull} {
-		st := StageTiming{Stage: stage}
-		for rep := 0; rep < cfg.Reps; rep++ {
+		out.Stages = append(out.Stages, StageTiming{Stage: stage})
+	}
+	// Each repetition runs every stage once, so that load which comes or
+	// goes during the study falls on all stages alike rather than on
+	// whichever ran last.
+	for rep := 0; rep < cfg.Reps; rep++ {
+		for i := range out.Stages {
+			st := &out.Stages[i]
 			c := cfg.Base
-			c.Stage = stage
+			c.Stage = st.Stage
 			res, err := RunHEPnOS(c)
 			if err != nil {
 				return nil, err
@@ -67,6 +73,9 @@ func RunOverheadStudy(cfg OverheadConfig) (*OverheadResult, error) {
 				st.TraceSamples = res.TraceSamples
 			}
 		}
+	}
+	for s := range out.Stages {
+		st := &out.Stages[s]
 		for i, t := range st.Times {
 			st.Mean += t
 			if i == 0 || t < st.Min {
@@ -77,7 +86,6 @@ func RunOverheadStudy(cfg OverheadConfig) (*OverheadResult, error) {
 			}
 		}
 		st.Mean /= time.Duration(len(st.Times))
-		out.Stages = append(out.Stages, st)
 	}
 	return out, nil
 }

@@ -180,8 +180,8 @@ func TestAppendReadsAllocateNothing(t *testing.T) {
 				t.Fatalf("AppendList = %d pairs, %v", len(got), err)
 			}
 		})
-		if want := map[string]float64{"map": 0, "shardedmap": 1}[db.Backend()]; list > want {
-			t.Errorf("%s: AppendList of %d pairs into sized buffers allocates %.3f objects, want <= %.0f", db.Backend(), n, list, want)
+		if list != 0 {
+			t.Errorf("%s: AppendList of %d pairs into sized buffers allocates %.3f objects, want 0", db.Backend(), n, list)
 		}
 	}
 }

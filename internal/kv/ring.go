@@ -9,7 +9,7 @@ import "sort"
 // around. Rendezvous hashing is minimally disruptive under churn: when
 // a node joins, only the keys it now wins move (≤ ~K/N of them); when a
 // node leaves, only its own keys redistribute — the property the
-// migration plane (services/ekv) and TestRingMinimalDisruption rely on.
+// elastic sdskv migration plane and TestRingMinimalDisruption rely on.
 //
 // A Ring is immutable once built; routing under churn swaps whole rings
 // (built from versioned ssg views), never mutates one in place.

@@ -17,6 +17,9 @@ type shardedDB struct {
 	closed sync.Once
 	dead   bool
 	mu     sync.RWMutex // guards dead only
+
+	listMu sync.Mutex
+	keys   []string // AppendList's scratch, reused under listMu
 }
 
 const numShards = 16
@@ -106,21 +109,25 @@ func (d *shardedDB) AppendList(pairs []Pair, buf, start []byte, max int) ([]Pair
 	if max <= 0 {
 		return pairs, buf, nil
 	}
-	keys := make([]string, 0, d.Len())
+	// The key scratch outlives the call, so a list into sized buffers
+	// allocates nothing; it is cleared on the way out so that it pins no
+	// deleted key.
+	d.listMu.Lock()
+	defer d.listMu.Unlock()
+	all := d.keys[:0]
 	for i := range d.shards {
 		s := &d.shards[i]
 		s.mu.RLock()
 		for k := range s.m {
 			if k >= string(start) {
-				keys = append(keys, k)
+				all = append(all, k)
 			}
 		}
 		s.mu.RUnlock()
 	}
-	sort.Strings(keys)
-	if len(keys) > max {
-		keys = keys[:max]
-	}
+	defer func() { clear(all); d.keys = all[:0] }()
+	sort.Strings(all)
+	keys := all[:min(len(all), max)]
 	// Collect the stored values (a value is replaced, never written, so
 	// it stays readable after its shard lock is dropped), then copy keys
 	// and values into buf.

@@ -110,27 +110,30 @@ func (c *Client) GetMulti(self *abt.ULT, target string, db uint32, keys [][]byte
 
 // PutPacked stores a batch of pairs with a single RPC: the pairs are
 // packed into one buffer exposed for the target's bulk pull — the
-// HEPnOS data-loader hot path (paper §V-C1). The buffer is a recycled
-// arena grown once to the batch's encoded size; BulkFree is the barrier
-// after which no pull (of this try or a timed-out earlier one) can read
-// it, so it goes back to the pool.
+// HEPnOS data-loader hot path (paper §V-C1).
 func (c *Client) PutPacked(self *abt.ULT, target string, db uint32, keys, values [][]byte) error {
 	call := packedCalls.Get()
 	defer packedCalls.Put(call)
+	call.args.DBID = db
+	return call.send(c.inst, self, target, RPCPutPacked, keys, values, &call.args.putPackedArgs)
+}
+
+// send packs keys and values into a recycled arena grown once to their
+// encoded size, describes it in call.args for the target's bulk pull,
+// and forwards in — call.args.putPackedArgs for a put_packed, call.args
+// for a migrate push. BulkFree is the barrier after which no pull (of
+// this try or a timed-out earlier one) can read the arena, so it goes
+// back to the pool.
+func (call *packedCall) send(inst *margo.Instance, self *abt.ULT, target, rpc string, keys, values [][]byte, in mercury.Procable) error {
 	call.batch = packedBatch{Keys: keys, Values: values}
 	size := call.batch.encodedSize()
 	arena := mercury.GetArena(size)
 	buf, err := mercury.AppendEncode(slices.Grow(*arena, size), &call.batch)
 	if err == nil {
-		bulk := c.inst.BulkCreate(buf)
-		call.args = putPackedArgs{
-			DBID:    db,
-			NumKeys: uint32(len(keys)),
-			Bulk:    bulk,
-			Size:    uint64(len(buf)),
-		}
-		err = c.inst.Forward(self, target, RPCPutPacked, &call.args, nil)
-		c.inst.BulkFree(bulk)
+		bulk := inst.BulkCreate(buf)
+		call.args.NumKeys, call.args.Bulk, call.args.Size = uint32(len(keys)), bulk, uint64(len(buf))
+		err = inst.Forward(self, target, rpc, in, nil)
+		inst.BulkFree(bulk)
 	}
 	mercury.PutArena(arena, buf)
 	return err

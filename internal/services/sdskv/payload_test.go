@@ -117,34 +117,48 @@ func TestPutPackedThroughRecycledScratch(t *testing.T) {
 // named, and before the target sizes its scratch by it: 64 MiB of Size
 // was a 64 MiB allocation, and 2^63 a panic in the handler.
 func TestPutPackedSizeIsCheckedBeforeItIsAllocated(t *testing.T) {
-	e := newEnv(t, fastCfg)
-	db, err := e.prov.OpenLocal("sized", "map")
-	if err != nil {
+	checkOversizedPacksRefused(t, RPCPutPacked, func(args putPackedArgs) mercury.Procable { return &args })
+}
+
+// checkOversizedPacksRefused forwards rpc, carrying each oversized
+// packed batch wrapped by wrap, from a client to an elastic node, and
+// wants every one refused with its size named and without the target
+// allocating by it. put_packed and a migrate push share the guard.
+func checkOversizedPacksRefused(t *testing.T, rpc string, wrap func(putPackedArgs) mercury.Procable) {
+	t.Helper()
+	e := newCluster(t, 1)
+	sender, target := e.cliIn, e.nodes[0].Addr()
+	if err := sender.RegisterClient(rpc); err != nil {
 		t.Fatal(err)
 	}
-	region := e.cli.BulkCreate(make([]byte, 64))
-	defer e.cli.BulkFree(region)
+	region := sender.BulkCreate(make([]byte, 64))
+	defer sender.BulkFree(region)
 	claiming := func(n int) mercury.Bulk {
 		forged := region
 		forged.Mem.Len = n
 		return forged
 	}
 	for _, args := range []putPackedArgs{
-		{DBID: db, NumKeys: 1, Bulk: region, Size: 64 << 20},
-		{DBID: db, NumKeys: 1, Bulk: region, Size: 1 << 63},
-		{DBID: db, NumKeys: 1 << 20, Bulk: region, Size: 64},
-		{DBID: db, NumKeys: 1, Bulk: claiming(64 << 20), Size: 64 << 20},
-		{DBID: db, NumKeys: 1, Bulk: claiming(1 << 62), Size: 1 << 62},
+		{DBID: nodeDB, NumKeys: 1, Bulk: region, Size: 64 << 20},
+		{DBID: nodeDB, NumKeys: 1, Bulk: region, Size: 1 << 63},
+		{DBID: nodeDB, NumKeys: 1 << 20, Bulk: region, Size: 64},
+		{DBID: nodeDB, NumKeys: 1, Bulk: claiming(64 << 20), Size: 64 << 20},
+		{DBID: nodeDB, NumKeys: 1, Bulk: claiming(1 << 62), Size: 1 << 62},
 	} {
+		in := wrap(args)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := e.run(t, func(self *abt.ULT) error { return e.cli.Forward(self, e.srv.Addr(), RPCPutPacked, &args, nil) })
+		var err error
+		e.run(func(self *abt.ULT) error {
+			err = sender.Forward(self, target, rpc, in, nil)
+			return nil
+		})
 		runtime.ReadMemStats(&after)
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(" %d bytes", args.Size)) {
-			t.Errorf("%d keys in %d bytes of a 64-byte region: %v", args.NumKeys, args.Size, err)
+			t.Errorf("%s of %d keys in %d bytes of a 64-byte region: %v", rpc, args.NumKeys, args.Size, err)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-			t.Errorf("refusing %d keys in %d bytes allocated %d bytes", args.NumKeys, args.Size, grew)
+			t.Errorf("%s refusing %d keys in %d bytes allocated %d bytes", rpc, args.NumKeys, args.Size, grew)
 		}
 	}
 }

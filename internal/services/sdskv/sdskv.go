@@ -10,6 +10,11 @@
 // sdskv_put_packed mirrors the HEPnOS hot path: the client packs a batch
 // of key-value pairs into one buffer, sends only its bulk descriptor,
 // and the target pulls the content one-sidedly before inserting.
+//
+// A provider can also be one node of an elastic store (elastic.go): its
+// one database holds the keys a rendezvous ring over the group's view
+// assigns it, and a Router (router.go) sends each put and get to the
+// key's owner.
 package sdskv
 
 import (
@@ -72,6 +77,10 @@ type Provider struct {
 	dbs    map[uint32]*database
 	byName map[string]uint32
 	nextID uint32
+
+	// elastic is set when the provider is an elastic node: puts and gets
+	// then follow the node's ownership rules. Nil for a plain provider.
+	elastic *Node
 }
 
 type database struct {
@@ -367,7 +376,7 @@ type (
 		reply listReply
 	}
 	packedCall struct {
-		args  putPackedArgs
+		args  migratePushArgs // a put_packed sends args.putPackedArgs
 		batch packedBatch
 	}
 )
@@ -436,10 +445,14 @@ func (p *Provider) handlePut(ctx *margo.Context) {
 		return
 	}
 	var err error
-	d.withWriteLock(ctx.Self, func() {
-		ctx.Compute(p.cfg.PutCostPerKey)
-		err = d.db.Put(in.Key, in.Value)
-	})
+	if p.elastic != nil {
+		err = p.elastic.put(ctx, d, in)
+	} else {
+		d.withWriteLock(ctx.Self, func() {
+			ctx.Compute(p.cfg.PutCostPerKey)
+			err = d.db.Put(in.Key, in.Value)
+		})
+	}
 	if err != nil {
 		ctx.RespondError("sdskv: put: %v", err)
 		return
@@ -447,7 +460,13 @@ func (p *Provider) handlePut(ctx *margo.Context) {
 	ctx.Respond(mercury.Void{})
 }
 
-func (p *Provider) handleGet(ctx *margo.Context) {
+func (p *Provider) handleGet(ctx *margo.Context) { p.get(ctx, p.elastic) }
+
+// get serves a get from the database the request names. A miss at an
+// elastic node n is then settled by n's ownership rules; n is nil for a
+// plain provider, and for a node's peer get, which stays local so that
+// a read-through cannot recurse between nodes whose rings disagree.
+func (p *Provider) get(ctx *margo.Context, n *Node) {
 	call := getCalls.Get()
 	defer getCalls.Put(call)
 	in := &call.in
@@ -469,6 +488,12 @@ func (p *Provider) handleGet(ctx *margo.Context) {
 		return
 	}
 	call.out = getResp{Found: found, Value: v}
+	if !found && n != nil {
+		if err := n.readThrough(ctx, in.Key, &call.out); err != nil {
+			ctx.RespondError("sdskv: get: %v", err)
+			return
+		}
+	}
 	ctx.Respond(&call.out)
 }
 
@@ -476,10 +501,45 @@ func (p *Provider) handleGet(ctx *margo.Context) {
 // strength of the request alone.
 const probeAbove = 1 << 20
 
+// pullPacked pulls and decodes the batch a put_packed or migrate push
+// describes, into views of the request's scratch buffer; release the
+// batch once its pairs are stored. Size, NumKeys and the region's length
+// all come off the wire. The batch must hold its count (each pair costs
+// at least its two 4-byte length prefixes) and fit the length the
+// descriptor claims, and a pull over probeAbove first reads its last
+// byte, so the fabric, which knows the region's real length, refuses it
+// before the scratch is sized by it.
+func pullPacked(ctx *margo.Context, in *putPackedArgs) (*packedBatch, error) {
+	if in.Size > uint64(max(in.Bulk.Size(), 0)) || uint64(in.NumKeys) > in.Size/8 {
+		return nil, fmt.Errorf("%d keys in %d bytes do not fit their %d-byte bulk region", in.NumKeys, in.Size, in.Bulk.Size())
+	}
+	if in.Size > probeAbove {
+		if err := ctx.BulkPull(in.Bulk, int(in.Size)-1, ctx.Scratch(1)); err != nil {
+			return nil, fmt.Errorf("a batch of %d bytes: %v", in.Size, err)
+		}
+	}
+	// Pull the packed key-value content from the sender's memory (the
+	// bulk transfer of Figure 2's execution phase).
+	buf := ctx.Scratch(int(in.Size))
+	if err := ctx.BulkPull(in.Bulk, 0, buf); err != nil {
+		return nil, fmt.Errorf("bulk pull: %v", err)
+	}
+	batch := unpackedBatches.Get().(*packedBatch)
+	err := mercury.Decode(buf, batch)
+	if err == nil && (len(batch.Keys) != len(batch.Values) || uint32(len(batch.Keys)) != in.NumKeys) {
+		err = fmt.Errorf("packed batch shape mismatch")
+	}
+	if err != nil {
+		batch.release()
+		return nil, fmt.Errorf("unpack: %v", err)
+	}
+	return batch, nil
+}
+
 func (p *Provider) handlePutPacked(ctx *margo.Context) {
 	call := packedCalls.Get()
 	defer packedCalls.Put(call)
-	in := &call.args
+	in := &call.args.putPackedArgs
 	if err := ctx.GetInput(in); err != nil {
 		ctx.RespondError("sdskv: %v", err)
 		return
@@ -489,42 +549,14 @@ func (p *Provider) handlePutPacked(ctx *margo.Context) {
 		ctx.RespondError("sdskv: unknown database %d", in.DBID)
 		return
 	}
-	// Size, NumKeys and the region's length all come off the wire. The
-	// batch must hold its count (each pair costs at least its two 4-byte
-	// length prefixes) and fit the length the descriptor claims, and a
-	// pull over probeAbove first reads its last byte, so the fabric, which
-	// knows the region's real length, refuses it before the scratch is
-	// sized by it.
-	if in.Size > uint64(max(in.Bulk.Size(), 0)) || uint64(in.NumKeys) > in.Size/8 {
-		ctx.RespondError("sdskv: put_packed of %d keys in %d bytes does not fit its %d-byte bulk region", in.NumKeys, in.Size, in.Bulk.Size())
+	// The backend's Put copies each pair out of the scratch the batch
+	// views before the handler returns.
+	batch, err := pullPacked(ctx, in)
+	if err != nil {
+		ctx.RespondError("sdskv: put_packed: %v", err)
 		return
 	}
-	if in.Size > probeAbove {
-		if err := ctx.BulkPull(in.Bulk, int(in.Size)-1, ctx.Scratch(1)); err != nil {
-			ctx.RespondError("sdskv: put_packed of %d bytes: %v", in.Size, err)
-			return
-		}
-	}
-	// Pull the packed key-value content from client memory (the bulk
-	// transfer of Figure 2's execution phase) into the request's scratch
-	// buffer: the batch decodes as views of it, and the backend's Put
-	// copies each pair out before the handler returns.
-	buf := ctx.Scratch(int(in.Size))
-	if err := ctx.BulkPull(in.Bulk, 0, buf); err != nil {
-		ctx.RespondError("sdskv: bulk pull: %v", err)
-		return
-	}
-	batch := unpackedBatches.Get().(*packedBatch)
 	defer batch.release()
-	if err := mercury.Decode(buf, batch); err != nil {
-		ctx.RespondError("sdskv: unpack: %v", err)
-		return
-	}
-	if len(batch.Keys) != len(batch.Values) || uint32(len(batch.Keys)) != in.NumKeys {
-		ctx.RespondError("sdskv: packed batch shape mismatch")
-		return
-	}
-	var err error
 	d.withWriteLock(ctx.Self, func() {
 		ctx.Compute(time.Duration(len(batch.Keys)) * p.cfg.PutCostPerKey)
 		for i := range batch.Keys {

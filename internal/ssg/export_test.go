@@ -2,8 +2,8 @@ package ssg
 
 // MemberFor deterministically maps a key onto a member. An empty view
 // has no member to return, so ok is false. No service shards by view
-// any more (ekv routes on its rendezvous ring); the view tests keep it
-// as their probe of a view's determinism and coverage.
+// any more (the elastic sdskv router uses its rendezvous ring); the view
+// tests keep it as their probe of a view's determinism and coverage.
 func (v *View) MemberFor(key []byte) (Member, bool) {
 	if len(v.Members) == 0 {
 		return Member{}, false
