@@ -170,11 +170,12 @@ chaos-smoke:
 # diff automatically, the diff localizes the injected fault, and the
 # same trace set renders in all three output modes (cli, tui, html)
 # with a non-empty dominant path; and the campaign's trace dumps,
-# written with experiments.WriteDumps and read back the way symtrace
-# reads them, yield the same flame and report text as the events in
-# memory did.
+# written with experiments.WriteDumps and read back the way `sym` reads
+# them, yield the same flame and report text as the events in memory
+# did. Then `sym` itself runs every subcommand over a dump directory.
 analyze-smoke:
 	$(GO) test ./internal/experiments/ -run 'TestAnalyzeSmoke|TestBatchSweepReports' -count=1 -v
+	$(GO) test ./cmd/sym -count=1
 
 # elastic-smoke scales an elastic sdskv cluster out and back in under sustained
 # load and asserts the elasticity bar: zero acked-then-lost ops, live

@@ -1,22 +1,30 @@
-// Command hepnos-bench runs the paper's HEPnOS configuration studies
-// (Table IV, Figures 9–13) on the simulated platform and prints the
-// series each figure plots. Optionally it persists the per-process
-// profile/trace dumps for the symprof/symtrace/symstats tools.
+// Command hepnos-bench runs the paper's case studies on the simulated
+// platform and prints the series each figure plots: the ior+Mobject
+// study (Figures 5 and 6), the Sonata batch store (Figure 7) and the
+// HEPnOS configurations (Table IV, Figures 9–13). With -out it persists
+// the run's per-process profile/trace dumps for the sym tool.
 //
 // Usage:
 //
 //	hepnos-bench                       # run all seven configurations
 //	hepnos-bench -config C2            # one configuration
+//	hepnos-bench -figure 5|6 [-out dumps/]  # ior+Mobject: 10 clients, 8 x 16 KiB
+//	hepnos-bench -figure 7             # Sonata: 50,000 records, batch 5,000
 //	hepnos-bench -figure 9             # the C1-vs-C2 study
 //	hepnos-bench -figure 10|11|12|13
 //	hepnos-bench -config C5 -out dumps/
-//	hepnos-bench -scale 4              # divide event counts by 4
+//	hepnos-bench -scale 4              # divide event counts by 4 (floor 64)
 //	hepnos-bench -config C1 -metrics :9100   # live /metrics + /snapshot
 //	hepnos-bench -chaos                # C2 under the seeded fault plan
 //	hepnos-bench -chaos -config C3 -metrics :9100
 //	hepnos-bench -overload             # overload storm + recovery scenario
 //	hepnos-bench -batch                # batch-window sweep (C4 effect)
 //	hepnos-bench -elastic              # elastic scale-out 4 -> 16 -> 8
+//
+// The -figure 5|6 run prints the write op's request ID; its Figure 5
+// trace is one `sym trace -dir <out> -req <id> -zipkin f.json` away. The
+// -figure 7 run audits its store (the collection's size, and a sample of
+// documents fetched back byte-equal); a failed audit is a non-zero exit.
 //
 // With -elastic, the run scales an elastic sdskv store from 4 to 16
 // nodes and back down to 8 under a sustained client load, streaming the
@@ -64,8 +72,8 @@ import (
 
 func main() {
 	configName := flag.String("config", "", "run one configuration (C1..C7)")
-	figure := flag.Int("figure", 0, "reproduce one figure (9, 10, 11, 12, or 13)")
-	scale := flag.Int("scale", 1, "divide per-client event counts by this factor")
+	figure := flag.Int("figure", 0, "reproduce one figure (5, 6, 7, 9, 10, 11, 12, or 13)")
+	scale := flag.Int("scale", 1, "divide per-client event counts by this factor (floor 64)")
 	out := flag.String("out", "", "directory to write per-process dumps into")
 	metrics := flag.String("metrics", "", "serve live /metrics + /snapshot on this address during runs (e.g. :9100)")
 	chaos := flag.Bool("chaos", false, "replay the configuration (default C2) under a fault plan with retries")
@@ -109,7 +117,7 @@ func main() {
 	case *configName != "":
 		runOne(*configName, *scale, *out)
 	case *figure != 0:
-		runFigure(*figure, *scale)
+		runFigure(*figure, *scale, *out)
 	default:
 		for _, cfg := range experiments.TableIV() {
 			report(run(cfg, *scale))
@@ -142,20 +150,25 @@ func lookup(name string) experiments.HEPnOSConfig {
 	panic("unreachable")
 }
 
-func run(cfg experiments.HEPnOSConfig, scale int) *experiments.HEPnOSResult {
-	if scale > 1 {
-		cfg.EventsPerClient /= scale
-		if cfg.EventsPerClient < 64 {
-			cfg.EventsPerClient = 64
-		}
-	}
+// configure applies -scale and -metrics to a configuration.
+func configure(cfg experiments.HEPnOSConfig, scale int) experiments.HEPnOSConfig {
+	cfg = cfg.Scaled(scale)
 	if metricsAddr != "" {
 		cfg.MetricsAddr = metricsAddr
 	}
+	return cfg
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
+	os.Exit(1)
+}
+
+func run(cfg experiments.HEPnOSConfig, scale int) *experiments.HEPnOSResult {
+	cfg = configure(cfg, scale)
 	res, err := experiments.RunHEPnOS(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if res.MetricsAddr != "" {
 		fmt.Printf("[%s] served live telemetry on http://%s/metrics\n", cfg.Name, res.MetricsAddr)
@@ -203,22 +216,17 @@ func report(res *experiments.HEPnOSResult) {
 }
 
 func runChaos(base experiments.HEPnOSConfig, scale int) {
-	if metricsAddr != "" {
-		base.MetricsAddr = metricsAddr
-	}
 	res, err := experiments.RunChaos(experiments.ChaosConfig{
-		Base:         base,
+		Base:         configure(base, scale),
 		DropProb:     0.01,
 		DelayProb:    0.05,
 		Delay:        5 * time.Millisecond,
 		Seed:         42,
-		Scale:        scale,
 		CompareClean: true,
 		Report:       reportCfg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	f, cfg := res.Faulted, res.Config
 	fmt.Printf("\n=== chaos %s (drop %.2f%%, delay %v@%.0f%%, seed %d)\n",
@@ -250,8 +258,7 @@ func runBatchSweep() {
 		Windows: []int{1, 8, 64}, Issuers: 2, OpsPerIssuer: 512, Report: reportCfg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	cfg := res.Config
 	fmt.Printf("\n=== batch window sweep (%d issuers x %d ops; paper C4 effect)\n",
@@ -302,8 +309,7 @@ func runOverload() {
 		Report:      reportCfg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	cfg := res.Config
 	fmt.Printf("\n=== overload storm (%d clients x %d issuers, %d ops each, deadline %v; server %d streams, %v/op, max in-flight %d)\n",
@@ -345,8 +351,7 @@ func runElastic() {
 		Report:           reportCfg,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	cfg := res.Config
 	fmt.Printf("\n=== elastic scale-out %d -> %d -> %d nodes (%d clients x %d issuers, %d ops/phase)\n",
@@ -392,23 +397,85 @@ func runOne(name string, scale int, out string) {
 		report(run(cfg, scale))
 		return
 	}
-	if scale > 1 {
-		cfg.EventsPerClient /= scale
-	}
-	profiles, traces, err := experiments.CollectHEPnOSDumps(cfg)
+	profiles, traces, err := experiments.CollectHEPnOSDumps(configure(cfg, scale))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
+	writeDumps(out, profiles, traces)
+}
+
+func writeDumps(out string, profiles []*core.ProfileDump, traces []*core.TraceDump) {
 	if err := experiments.WriteDumps(out, profiles, traces); err != nil {
-		fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("wrote %d profile and %d trace dumps to %s\n", len(profiles), len(traces), out)
 }
 
-func runFigure(fig, scale int) {
+// runMobject runs the ior+Mobject study at the paper's shape (§V-A2:
+// ten colocated clients) and prints Figure 6's callpaths and Figure 5's
+// write op.
+func runMobject(out string) {
+	cfg := experiments.MobjectConfig{Clients: 10, Segments: 8, TransferSize: 16 << 10}
+	res, err := experiments.RunMobjectIOR(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("ior+Mobject: %d clients x %d segments x %d B, wall %v\n",
+		cfg.Clients, cfg.Segments, cfg.TransferSize, res.WallTime.Round(time.Millisecond))
+	fmt.Println("\nTop 5 dominant callpaths by cumulative latency (Figure 6):")
+	for i, row := range res.Dominant {
+		fmt.Printf("  [%d] %-55s calls %4d  cum %10v  mean %v\n",
+			i+1, row.Name, row.Count,
+			time.Duration(row.CumNanos).Round(time.Microsecond), row.Mean().Round(time.Microsecond))
+	}
+	fmt.Printf("\nOne mobject_write_op request (%#x) decomposes into %d discrete "+
+		"microservice calls (Figure 5; paper: 12):\n",
+		res.WriteTraceRequestID, res.NestedWriteCalls())
+	for _, s := range res.WriteSpans {
+		if s.Kind == "SERVER" {
+			fmt.Printf("  %-28s on %-14s dur %v\n",
+				s.RPCName, s.Entity, time.Duration(s.DurNanos).Round(time.Microsecond))
+		}
+	}
+	if out != "" {
+		fmt.Println()
+		writeDumps(out, res.ProfileDumps, res.TraceDumps)
+		fmt.Printf("its Zipkin v2 trace: sym trace -dir %s -req %#x -zipkin write_op.json\n",
+			out, res.WriteTraceRequestID)
+	}
+}
+
+// runSonata runs the Sonata batch store at the paper's shape (§V-B) and
+// prints how the target's cumulative execution maps to steps (Figure 7).
+func runSonata() {
+	cfg := experiments.SonataConfig{Records: 50_000, BatchSize: 5_000, RecordSize: 256}
+	res, err := experiments.RunSonata(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("Sonata: %d records, batch %d, ~%d B/record, %d RPC calls, wall %v\n",
+		cfg.Records, cfg.BatchSize, cfg.RecordSize, res.RPCCalls, res.WallTime.Round(time.Millisecond))
+	fmt.Println("\nCumulative target execution breakdown (Figure 7):")
+	total := res.Handler + res.RDMA + res.TargetExec
+	row := func(name string, v uint64) {
+		fmt.Printf("  %-28s %12v  %5.1f%%\n",
+			name, time.Duration(v).Round(time.Microsecond), 100*float64(v)/float64(total))
+	}
+	row("target handler time", res.Handler)
+	row("internal RDMA transfer", res.RDMA)
+	row("input deserialization", res.InputDeser)
+	row("execution (exclusive)", res.ExecExclusive)
+	row("output serialization", res.OutputSer)
+	fmt.Printf("\ninput deserialization share: %.1f%% (paper: 27%%); internal RDMA: %.1f%% (paper: low)\n",
+		100*res.DeserFraction(), 100*res.RDMAFraction())
+}
+
+func runFigure(fig, scale int, out string) {
 	switch fig {
+	case 5, 6:
+		runMobject(out)
+	case 7:
+		runSonata()
 	case 9:
 		r1 := run(experiments.C1, scale)
 		r2 := run(experiments.C2, scale)
@@ -451,14 +518,9 @@ func runFigure(fig, scale int) {
 		fmt.Printf("Figure 12: at-cap fraction C4 %.2f, C5 %.2f (pinned), C6 %.2f, C7 %.2f (drained)\n",
 			r4.OFIAtCapFraction(), r5.OFIAtCapFraction(), r6.OFIAtCapFraction(), r7.OFIAtCapFraction())
 	case 13:
-		base := experiments.C4
-		if scale > 1 {
-			base.EventsPerClient /= scale
-		}
-		res, err := experiments.RunOverheadStudy(experiments.OverheadConfig{Base: base, Reps: 5})
+		res, err := experiments.RunOverheadStudy(experiments.OverheadConfig{Base: experiments.C4.Scaled(scale), Reps: 5})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hepnos-bench:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Println("Figure 13: data-loader execution time per measurement stage (5 reps):")
 		for _, st := range res.Stages {
@@ -470,7 +532,7 @@ func runFigure(fig, scale int) {
 		fmt.Printf("  full-support overhead vs baseline: %.2fx (paper: indistinguishable from variation)\n",
 			res.OverheadVsBaseline(core.StageFull))
 	default:
-		fmt.Fprintln(os.Stderr, "hepnos-bench: -figure must be 9, 10, 11, 12, or 13")
+		fmt.Fprintln(os.Stderr, "hepnos-bench: -figure must be 5, 6, 7, 9, 10, 11, 12, or 13")
 		os.Exit(2)
 	}
 }

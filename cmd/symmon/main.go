@@ -2,7 +2,7 @@
 // telemetry plane: it polls a running cluster's /snapshot endpoint and
 // renders a refreshing per-instance table of queue depths, pool
 // pressure, event rates, and per-callpath latency percentiles — the
-// watch-it-live complement to the post-mortem symprof/symtrace tools.
+// watch-it-live complement to the post-mortem sym tool.
 // Each fetch reads the instances at that moment; event rates (EV/S) are
 // the difference of two fetches symmon made, over the time between
 // their reads.

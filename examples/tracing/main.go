@@ -28,7 +28,7 @@ func main() {
 	fabric := na.NewFabric(na.DefaultConfig())
 
 	// Attach a streaming JSONL sink to the provider: every trace event
-	// it emits is exported on-line (ingest with `symtrace -jsonl .`),
+	// it emits is exported on-line (ingest with `sym trace -dir .`),
 	// independent of the bounded in-memory rings.
 	jsonlFile, err := os.Create("mobject.trace.jsonl")
 	if err != nil {

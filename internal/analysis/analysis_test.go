@@ -363,65 +363,6 @@ func TestRequestGaps(t *testing.T) {
 	}
 }
 
-func TestCompareProfiles(t *testing.T) {
-	bcA := core.Breadcrumb(0).Push("a_rpc")
-	bcB := core.Breadcrumb(0).Push("b_rpc")
-	before := Merge([]*core.ProfileDump{
-		mkDump("p0", bcA, "srv", 10, 100*time.Millisecond), // mean 10ms
-		mkDump("p0", bcB, "srv", 10, 10*time.Millisecond),  // gone after
-	})
-	after := Merge([]*core.ProfileDump{
-		mkDump("p0", bcA, "srv", 10, 200*time.Millisecond), // mean 20ms (2x)
-		mkDump("p0", core.Breadcrumb(0).Push("a_rpc").Push("b_rpc"), "srv",
-			5, 5*time.Millisecond), // new callpath
-	})
-	deltas := CompareProfiles(before, after)
-	if len(deltas) != 3 {
-		t.Fatalf("deltas = %d: %+v", len(deltas), deltas)
-	}
-	// Structural changes rank first.
-	var sawNew, sawGone bool
-	for _, d := range deltas[:2] {
-		if d.New {
-			sawNew = true
-			if d.Name != "a_rpc => b_rpc" {
-				t.Errorf("new = %q", d.Name)
-			}
-		}
-		if d.Gone {
-			sawGone = true
-			if d.Name != "b_rpc" {
-				t.Errorf("gone = %q", d.Name)
-			}
-		}
-	}
-	if !sawNew || !sawGone {
-		t.Fatalf("structural changes not ranked first: %+v", deltas)
-	}
-	reg := deltas[2]
-	if reg.Name != "a_rpc" || reg.MeanRatio < 1.9 || reg.MeanRatio > 2.1 {
-		t.Fatalf("regression row = %+v", reg)
-	}
-	if reg.ComponentDeltas[core.CompOriginExec] <= 0 {
-		t.Fatal("component delta missing")
-	}
-
-	var buf bytes.Buffer
-	RenderDiff(&buf, deltas, 0)
-	out := buf.String()
-	for _, want := range []string{"[NEW]", "[GONE]", "2.00x", "biggest mover"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("diff output missing %q:\n%s", want, out)
-		}
-	}
-	// topN limit.
-	buf.Reset()
-	RenderDiff(&buf, deltas, 1)
-	if strings.Count(buf.String(), "\n[") != 1 {
-		t.Fatalf("topN diff:\n%s", buf.String())
-	}
-}
-
 // TestCollectSinkKeepsItsOwnAnnotations: a sink is lent its events, and
 // the collector reuses the annotations' storage for the next one. What
 // CollectSink keeps of an event must not change when later events pass.

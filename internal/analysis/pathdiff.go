@@ -5,11 +5,10 @@ import (
 )
 
 // Run diffing over critical paths: align two runs' flames by path
-// shape and report per-segment deltas — the per-request generalization
-// of CompareProfiles. Where the profile diff says "this callpath got
-// slower", the path diff says "it got slower because the queue segment
-// of hop 2 grew", localizing a regression to a segment without manual
-// trace inspection.
+// shape and report per-segment deltas. Where a callpath's mean says
+// "this RPC got slower", the path diff says "it got slower because the
+// queue segment of hop 2 grew", localizing a regression to a segment
+// without manual trace inspection.
 
 // Significance thresholds (documented in DESIGN.md §10): a segment
 // delta is flagged when both sides have at least sigMinCount samples

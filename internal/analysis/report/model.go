@@ -1,6 +1,6 @@
 // Package report is the shared rendering layer of the SYMBIOSYS
 // analysis plane: one report model, three output modes (cli, tui,
-// html), consumed by symtrace, symprof, and symstats and emitted
+// html), consumed by the sym tool's subcommands and emitted
 // automatically by the experiment drivers. Analyses build a Model (a
 // sequence of sections holding free text, aligned tables, and
 // flame-style bars); the renderers share it, so every tool's -o flag
@@ -284,7 +284,7 @@ func diffVerdict(d *analysis.FlameDiff) string {
 		worst.RPC, worst.Kind, worst.Depth, fmtNanos(worst.DeltaNanos), worstShape)
 }
 
-// FromProfile builds the dominant-callpath report (the symprof view)
+// FromProfile builds the dominant-callpath report (the sym prof view)
 // over the shared model.
 func FromProfile(title string, mp *analysis.MergedProfile, top int) *Model {
 	m := &Model{Title: title}
@@ -369,7 +369,7 @@ func distLine(label string, dist map[string]uint64) string {
 	return string(line)
 }
 
-// FromSystemStats builds the per-entity saturation report (the symstats
+// FromSystemStats builds the per-entity saturation report (the sym stats
 // view) over the shared model.
 func FromSystemStats(title string, stats []analysis.EntityStats, incomplete int) *Model {
 	m := &Model{Title: title}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRenderSummaryMentionsCallpaths renders a merged profile the way
-// symprof does and looks for what an analyst reads off it: the callpath
+// sym prof does and looks for what an analyst reads off it: the callpath
 // by name, its latency percentiles, who called it, and a warning when
 // the trace behind it was truncated.
 func TestRenderSummaryMentionsCallpaths(t *testing.T) {

@@ -171,8 +171,8 @@ func appendMasked(b []byte, key string, vals []uint64) []byte {
 
 // JSONLTraceSink streams trace events as JSON Lines, in the version 2
 // grammar above, to an io.Writer — the on-line export format, ingestible
-// with ReadEventsJSONL (and symtrace -jsonl). An event is encoded by
-// hand on its emitter's stack; the sink's mutex covers the string
+// with ReadEventsJSONL (and by sym, from a dump directory). An event is
+// encoded by hand on its emitter's stack; the sink's mutex covers the string
 // table, the four keys that depend on the sink and the copy into the
 // buffer.
 type JSONLTraceSink struct {

@@ -85,14 +85,14 @@ func TestAnalyzeSmoke(t *testing.T) {
 	model.Generated = "smoke"
 
 	// The same run through the files the offline tools read: written
-	// with WriteDumps, read back the way symtrace and symstats do. The
+	// with WriteDumps, read back with ReadDumps, the way sym does. The
 	// trace dump format must carry everything the analysis uses, so the
 	// flame and its rendered text come out identical.
 	dumpDir := filepath.Join(dir, "dumps")
 	if err := WriteDumps(dumpDir, nil, traces); err != nil {
 		t.Fatal(err)
 	}
-	fromDisk, err := ReadTraceDumps(dumpDir)
+	_, fromDisk, _, err := ReadDumps(dumpDir)
 	if err != nil {
 		t.Fatal(err)
 	}

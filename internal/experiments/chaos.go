@@ -24,10 +24,6 @@ type ChaosConfig struct {
 	// Seed drives the plan's deterministic fault schedule.
 	Seed uint64
 
-	// Scale divides EventsPerClient (floor 64) so smoke tests finish
-	// quickly; 1 (or 0) runs the full workload.
-	Scale int
-
 	// CompareClean additionally runs the identical workload without the
 	// fault plan, for the p99-inflation baseline.
 	CompareClean bool
@@ -109,10 +105,6 @@ func putPackedOriginP99(res *HEPnOSResult) time.Duration {
 // (and optionally clean) and derives the campaign report.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	base := cfg.Base
-	if cfg.Scale > 1 {
-		base.EventsPerClient = max(base.EventsPerClient/cfg.Scale, 64)
-	}
-
 	res := &ChaosResult{Config: cfg}
 	res.ExpectedEvents = uint64(base.TotalClients) * uint64(base.EventsPerClient)
 

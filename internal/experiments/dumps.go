@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,26 +11,31 @@ import (
 	"symbiosys/internal/core"
 )
 
-// TraceDumpSuffix ends the names of the trace dumps WriteDumps writes. They are in
-// core's binary trace dump format, not JSON; readers go by content, the
-// suffix only tells a directory's trace dumps from its profile dumps.
-const TraceDumpSuffix = ".trace.bin"
+// The names of a run's dump files: WriteDumps's profile dumps (JSON) and
+// trace dumps (core's binary trace dump format, not JSON; readers go by
+// content, the suffix only tells the two apart), and the streams a
+// core.NewJSONLTraceSink writes.
+const (
+	profileDumpSuffix = ".profile.json"
+	traceDumpSuffix   = ".trace.bin"
+	traceStreamSuffix = ".trace.jsonl"
+)
 
 // WriteDumps persists per-process profile and trace dumps into dir as
 // <entity>.profile.json and <entity>.trace.bin — the on-disk layout
-// the symprof / symtrace / symstats tools ingest.
+// ReadDumps, and so the sym tool, reads.
 func WriteDumps(dir string, profiles []*core.ProfileDump, traces []*core.TraceDump) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	for _, p := range profiles {
-		path := filepath.Join(dir, sanitize(p.Entity)+".profile.json")
+		path := filepath.Join(dir, sanitize(p.Entity)+profileDumpSuffix)
 		if err := writeDump(path, func(f *os.File) error { return core.WriteProfile(f, p) }); err != nil {
 			return err
 		}
 	}
 	for _, t := range traces {
-		path := filepath.Join(dir, sanitize(t.Entity)+TraceDumpSuffix)
+		path := filepath.Join(dir, sanitize(t.Entity)+traceDumpSuffix)
 		if err := writeDump(path, func(f *os.File) error { return core.WriteTrace(f, t) }); err != nil {
 			return err
 		}
@@ -36,36 +43,68 @@ func WriteDumps(dir string, profiles []*core.ProfileDump, traces []*core.TraceDu
 	return nil
 }
 
-// ReadTraceDumps reads back every trace dump WriteDumps left in dir, in
-// file name order; a directory holding none yields none.
-func ReadTraceDumps(dir string) ([]*core.TraceDump, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+TraceDumpSuffix))
+// ReadDumps reads every dump a run left in dir, in file name order: the
+// <entity>.profile.json and <entity>.trace.bin files WriteDumps writes,
+// and the <entity>.trace.jsonl streams of JSONL sinks (a stream carries
+// no drop count: its sink saw every event). A stream cut off mid-line —
+// a writer killed by SIGINT or a crash — keeps the events before the cut
+// and adds a warning instead of failing the read. A directory holding
+// none of the three yields none.
+func ReadDumps(dir string) (profiles []*core.ProfileDump, traces []*core.TraceDump, warnings []string, err error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	dumps := make([]*core.TraceDump, 0, len(paths))
-	for _, path := range paths {
-		d, err := ReadTraceDump(path)
-		if err != nil {
-			return nil, err
+	for _, e := range entries {
+		name, path := e.Name(), filepath.Join(dir, e.Name())
+		switch {
+		case strings.HasSuffix(name, profileDumpSuffix):
+			p, err := readFile(path, core.ReadProfile)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			profiles = append(profiles, p)
+		case strings.HasSuffix(name, traceDumpSuffix):
+			t, err := readFile(path, core.ReadTrace)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			traces = append(traces, t)
+		case strings.HasSuffix(name, traceStreamSuffix):
+			var truncated int
+			evs, err := readFile(path, func(r io.Reader) (evs []core.Event, err error) {
+				evs, truncated, err = core.ReadEventsJSONL(r)
+				return evs, err
+			})
+			if errors.Is(err, core.ErrTraceStreamVersion) {
+				return nil, nil, nil, fmt.Errorf("%s is not a version 2 trace stream: re-export it with this build (core.NewJSONLTraceSink), older and newer streams are not read", path)
+			}
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			if truncated > 0 {
+				warnings = append(warnings, fmt.Sprintf(
+					"%s: discarded truncated final line (stream cut off mid-write); %d events kept", path, len(evs)))
+			}
+			traces = append(traces, &core.TraceDump{Entity: strings.TrimSuffix(name, traceStreamSuffix), Events: evs})
 		}
-		dumps = append(dumps, d)
 	}
-	return dumps, nil
+	return profiles, traces, warnings, nil
 }
 
-// ReadTraceDump reads one trace dump file, whatever its name.
-func ReadTraceDump(path string) (*core.TraceDump, error) {
+// readFile opens path and decodes it with read, naming the file in an error.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	d, err := core.ReadTrace(f)
+	v, err := read(f)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return v, fmt.Errorf("%s: %w", path, err)
 	}
-	return d, nil
+	return v, nil
 }
 
 func writeDump(path string, write func(*os.File) error) error {

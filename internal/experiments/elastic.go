@@ -92,7 +92,7 @@ type ElasticResult struct {
 	FinalSpread map[string]int
 
 	// MigrateSpans counts sdskv_migrate_* spans in the merged trace — the
-	// migration segments as symtrace reconstructs them.
+	// migration segments as sym trace reconstructs them.
 	MigrateSpans int
 
 	// MetricsAddr/MetricsText capture the live-telemetry surface when

@@ -18,7 +18,7 @@ import (
 
 // scaled shrinks a Table IV configuration for test runtime.
 func scaled(cfg HEPnOSConfig, div int) HEPnOSConfig {
-	cfg.EventsPerClient = max(cfg.EventsPerClient/div, 64)
+	cfg = cfg.Scaled(div)
 	if cfg.TotalClients > 8 {
 		cfg.TotalClients = 8
 		cfg.ClientsPerNode = 4
@@ -46,6 +46,36 @@ func TestTableIVHasSevenConfigs(t *testing.T) {
 	}
 	if !cfgs[6].ClientProgressThread || cfgs[5].ClientProgressThread {
 		t.Fatal("C6/C7 progress thread flags wrong")
+	}
+}
+
+// TestScaledFloor pins the one scaling rule every driver uses: events
+// per client are divided down to a floor of 64, a configuration already
+// below the floor keeps its count, and a divisor of 1 or less changes
+// nothing.
+func TestScaledFloor(t *testing.T) {
+	small := C1
+	small.EventsPerClient = 40
+	for _, tc := range []struct {
+		cfg       HEPnOSConfig
+		div, want int
+	}{
+		{C1, 8, 256},  // 2048 / 8
+		{C5, 256, 64}, // 8192 / 256 = 32, floored
+		{C1, 1 << 20, 64},
+		{small, 4, 40}, // never raised above the configured count
+		{C1, 1, 2048},
+		{C1, 0, 2048},
+		{C1, -3, 2048},
+	} {
+		got := tc.cfg.Scaled(tc.div)
+		if got.EventsPerClient != tc.want {
+			t.Errorf("%s (%d events).Scaled(%d): %d events, want %d",
+				tc.cfg.Name, tc.cfg.EventsPerClient, tc.div, got.EventsPerClient, tc.want)
+		}
+		if got.EventsPerClient = tc.cfg.EventsPerClient; !reflect.DeepEqual(got, tc.cfg) {
+			t.Errorf("%s.Scaled(%d) changed more than the event count", tc.cfg.Name, tc.div)
+		}
 	}
 }
 

@@ -115,6 +115,17 @@ var (
 		EventsPerClient: 8192, MaxInflight: 64, Backend: "map", Stage: core.StageFull}
 )
 
+// Scaled divides the events each client loads by div, but to no fewer
+// than 64 (or the configured count, where that is smaller): a scaled run
+// still fills the async window and the handler pools. A divisor of 1 or
+// less leaves the configuration unchanged.
+func (c HEPnOSConfig) Scaled(div int) HEPnOSConfig {
+	if div > 1 {
+		c.EventsPerClient = max(c.EventsPerClient/div, min(c.EventsPerClient, 64))
+	}
+	return c
+}
+
 // TableIV lists the seven configurations in order.
 func TableIV() []HEPnOSConfig {
 	return []HEPnOSConfig{C1, C2, C3, C4, C5, C6, C7}

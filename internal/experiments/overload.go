@@ -142,7 +142,7 @@ type OverloadResult struct {
 	Exhausted        uint64
 
 	// FailedServerSpans counts Failed target-side spans in the merged
-	// trace — shed and expired decisions as symtrace reconstructs them
+	// trace — shed and expired decisions as sym trace reconstructs them
 	// (each rejection must close as one Failed SERVER span, not dangle).
 	FailedServerSpans int
 

@@ -101,7 +101,7 @@ func runSonata(cfg SonataConfig, register func(srv *margo.Instance) error) (*Son
 	start := time.Now()
 	var wall time.Duration
 	var runErr error
-	u := cli.Run("sonata-bench", func(self *abt.ULT) {
+	u := cli.Run("sonata-origin", func(self *abt.ULT) {
 		if runErr = client.CreateCollection(self, srv.Addr(), "records"); runErr != nil {
 			return
 		}

@@ -278,7 +278,7 @@ func TestHandlerPanicDuringDrain(t *testing.T) {
 
 // TestShedRequestStitchesSingleFailedTrace: a shed decision must close
 // its trace span — exactly one Failed SERVER span per shed request, no
-// dangling EvTargetStart — so symtrace renders rejections instead of
+// dangling EvTargetStart — so sym trace renders rejections instead of
 // losing them.
 func TestShedRequestStitchesSingleFailedTrace(t *testing.T) {
 	c := newCluster(t)

@@ -86,7 +86,7 @@ func (i *Instance) admitVerdict(meta mercury.Meta) admission {
 // rejectRequest answers a request the admission check refused, without
 // spawning a handler ULT. It runs in the progress ULT's Trigger pass.
 // The decision is visible three ways: the shed/expired counter (PVAR +
-// telemetry), a start/end trace-event pair with Failed set (so symtrace
+// telemetry), a start/end trace-event pair with Failed set (so sym trace
 // spans show *why* the request died instead of dangling), and the typed
 // response status the origin maps back to ErrOverloaded /
 // ErrDeadlineExpired.
