@@ -211,6 +211,40 @@ func TestJSONLTraceSinkRoundTrip(t *testing.T) {
 	if c.Dropped() == 0 {
 		t.Fatal("expected ring drops with capacity 4")
 	}
+
+	// Few shapes and samples, heavily repeated and interleaved, from
+	// several emitters' keys: each is defined once and read back right.
+	for seed := int64(1); seed <= 10; seed++ {
+		var buf bytes.Buffer
+		c := NewCollector(4, 0)
+		c.AddTraceSink(NewJSONLTraceSink(&buf))
+		want := repeatingDump(seed, 500, 1+int(seed)%9, 1+int(seed)%4).Events
+		for k := range want {
+			if want[k].Timestamp == 0 {
+				want[k].Timestamp = 1 // zero asks the collector for the wall clock
+			}
+			c.Emit(uint64(k), want[k])
+		}
+		if err := c.FlushSinks(); err != nil {
+			t.Fatal(err)
+		}
+		shapes, samples := map[string]bool{}, map[sample]bool{}
+		for _, ev := range want {
+			shapes[fmt.Sprint(ev.Kind, ev.Breadcrumb, ev.Entity, "\x00", ev.Peer, "\x00", ev.RPCName)] = true
+			samples[sampleOf(&ev.Sys)] = true
+		}
+		// Each is defined at most once (the zero value never).
+		if got := bytes.Count(buf.Bytes(), []byte("\n"+jsonlShape)); got > len(shapes) {
+			t.Errorf("seed %d: %d shape definitions for %d shapes", seed, got, len(shapes))
+		}
+		if got := bytes.Count(buf.Bytes(), []byte("\n"+jsonlSample)); got > len(samples) {
+			t.Errorf("seed %d: %d sample definitions for %d samples", seed, got, len(samples))
+		}
+		evs, truncated, err := ReadEventsJSONL(&buf)
+		if err != nil || truncated != 0 || !reflect.DeepEqual(evs, want) {
+			t.Fatalf("seed %d: read back %d events (truncated %d, err %v), not the %d written", seed, len(evs), truncated, err, len(want))
+		}
+	}
 }
 
 // TestTracerImplementsTraceSink pins the default in-memory buffer as a
@@ -253,13 +287,14 @@ func TestCollectorEventsOrdered(t *testing.T) {
 // while a malformed line with complete lines after it is corruption and
 // still fails.
 func TestReadEventsJSONLTruncatedTail(t *testing.T) {
-	// Every stream opens with the header and the definition of "r".
-	const head = `{"symbiosys_trace":2,"t0":0}` + "\n" + `{"s":1,"v":"r"}` + "\n"
+	// Every stream opens with the header and the definitions of "r" and
+	// of a t5 shape that uses it.
+	const head = `{"symbiosys_trace":3,"t0":0}` + "\n" + `{"s":1,"v":"r"}` + "\n" + `{"x":1,"k":1,"r":1}` + "\n"
 	line := func(id uint64) string {
-		return fmt.Sprintf(`{"i":%d,"k":1,"r":1}`, id)
+		return fmt.Sprintf(`{"i":%d,"t":0,"x":1}`, id)
 	}
 	t.Run("truncated final line", func(t *testing.T) {
-		in := head + line(1) + "\n" + line(2) + "\n" + `{"i":3,"k":1,"r`
+		in := head + line(1) + "\n" + line(2) + "\n" + `{"i":3,"t":0,"x`
 		evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +307,7 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 		}
 	})
 	t.Run("truncated definition or header", func(t *testing.T) {
-		for _, in := range []string{head + line(1) + "\n" + `{"s":2,"v":"sdskv_pu`, `{"symbiosys_trace":2,"t0":17`} {
+		for _, in := range []string{head + line(1) + "\n" + `{"s":2,"v":"sdskv_pu`, `{"symbiosys_trace":3,"t0":17`} {
 			evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
 			if err != nil || truncated != 1 || len(evs) != strings.Count(in, `"i":`) {
 				t.Fatalf("%q: evs=%d truncated=%d err=%v", in, len(evs), truncated, err)
@@ -294,7 +329,7 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 		}
 	})
 	t.Run("mid-file corruption still fails", func(t *testing.T) {
-		in := `{"symbiosys_trace":2,"t0":0}` + "\n" + `{"i":2,"garbage` + "\n" + line(3) + "\n"
+		in := `{"symbiosys_trace":3,"t0":0}` + "\n" + `{"i":2,"garbage` + "\n" + line(3) + "\n"
 		_, _, err := ReadEventsJSONL(strings.NewReader(in))
 		if err == nil {
 			t.Fatal("mid-file corruption not reported")
@@ -306,8 +341,9 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 }
 
 // goldenEvents is the fixed event sequence behind
-// testdata/trace_golden.jsonl: three requests' t1/t5/t8/t14 with PVAR
-// samples, component breakdowns and every optional field in use.
+// testdata/trace_golden.jsonl: three requests of one callpath, their
+// t1/t5/t8/t14 with PVAR samples, component breakdowns and every
+// optional field in use; the heap grows before the third.
 func goldenEvents() []Event {
 	pv := func(k uint64) *PVarSample {
 		return &PVarSample{OFIEventsRead: k, CompletionQueue: k + 1, PostedHandles: k + 2, InputSerNanos: 100 * k,
@@ -322,8 +358,8 @@ func goldenEvents() []Event {
 	}
 	var evs []Event
 	for k := uint64(1); k <= 3; k++ {
-		base := Event{RequestID: 2<<32 | k, Entity: "n0/cli", Peer: "n1/srv", RPCName: "sdskv_put_packed", Breadcrumb: 0xed39 + k,
-			Sys: SysSample{PoolRunnable: int64(k), PoolBlocked: 1, HeapBytes: 1 << 20, Goroutines: 12}}
+		base := Event{RequestID: 2<<32 | k, Entity: "n0/cli", Peer: "n1/srv", RPCName: "sdskv_put_packed", Breadcrumb: 0xed3a,
+			Sys: SysSample{PoolRunnable: int64(k), PoolBlocked: 1, HeapBytes: (1 + k/3) << 20, Goroutines: 12}}
 		t1 := base
 		t1.Kind, t1.Order, t1.Timestamp, t1.PVars = EvOriginStart, 4*k, 1_000_000*int64(k), pv(k)
 		t5 := base
@@ -338,7 +374,7 @@ func goldenEvents() []Event {
 }
 
 // TestJSONLSinkOutputStable: the bytes a JSONL sink writes for a fixed
-// event sequence equal testdata/trace_golden.jsonl (version 2 of the
+// event sequence equal testdata/trace_golden.jsonl (version 3 of the
 // stream; `go test ./internal/core -run TestJSONLSinkOutputStable
 // -update` rewrites it), whichever way the annotations reach the
 // collector — inside the event, beside it (the RPC fast path), or beside

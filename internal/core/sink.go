@@ -82,33 +82,45 @@ func (w *jsonlWriter) Err() error {
 	return w.err
 }
 
-// The JSONL trace stream, version 2 (DESIGN.md §10 "Why JSONL stays").
+// The JSONL trace stream, version 3 (DESIGN.md §10 "Why JSONL stays").
 // Every line is one JSON object whose first key says what it is:
 //
-//	{"symbiosys_trace":2,"t0":<ns>,"keys":{...}}    header, first line
+//	{"symbiosys_trace":3,"t0":<ns>,"keys":{...}}    header, first line
 //	{"s":<n>,"v":"<string>"}                        definition of string n
-//	{"i":..,"o":..,...,"t":..,"e":..,"p":..,"r":..}  event
+//	{"x":<n>,"k":..,"b":..,"e":..,"p":..,"r":..}    definition of shape n
+//	{"y":<n>,"sh":..,"sg":..}                       definition of sample n
+//	{"i":..,"o":..,...,"t":..,"x":..,"y":..}        event
 //
-// An event line omits every zero: a missing key is 0, false or "". t is
-// the timestamp less the header's t0; e, p and r number definitions
-// above the line (from 1, in first-use order; 0 is the empty string), so
-// a line depends on the header and the definitions, never on its
-// neighbours. pv and c are the trace dump's masked counters: the
+// A shape is an event's kind, breadcrumb and the string numbers of its
+// entity, peer and RPC; a sample is the heap size and goroutine count
+// of its SysSample. Each table is numbered from 1 in first-use order,
+// and its number 0 is the zero value (the empty string, the shape of
+// all zeros, the zero sample), never defined. A definition is written
+// once, just above the first line that uses it. An event line omits
+// every zero but t (a missing key is 0, false or ""), so it never opens
+// with a definition's key; t is the timestamp less the header's t0.
+// A line depends on the header and the definitions above it, never on
+// its neighbours. pv and c are the trace dump's masked counters: the
 // presence mask, then the nonzero values.
 const (
-	jsonlVersion = 2
+	jsonlVersion = 3
 	jsonlHeader  = `{"symbiosys_trace":`
-	jsonlDef     = `{"s":`
+	jsonlString  = `{"s":`
+	jsonlShape   = `{"x":`
+	jsonlSample  = `{"y":`
 	// jsonlLegend is the header's "keys" object: the keys of an event
-	// line, in the order WriteEvent spells them.
-	jsonlLegend = `"i":"request_id","o":"order","k":"kind","b":"breadcrumb","d":"dur_ns","bi":"batch_id","f":"failed",` +
-		`"q":"queue_ns","w":"window_ns","sr":"sys.pool_runnable","sb":"sys.pool_blocked","sh":"sys.heap_bytes",` +
-		`"sg":"sys.goroutines","pv":"pvars: mask, nonzero values","c":"components: mask, nonzero values",` +
-		`"t":"ts_ns - t0","e":"entity, a string number","p":"peer, a string number","r":"rpc, a string number"`
+	// line, in the order WriteEvent spells them, then those of the shape
+	// and sample definitions.
+	jsonlLegend = `"i":"request_id","o":"order","d":"dur_ns","bi":"batch_id","f":"failed","q":"queue_ns","w":"window_ns",` +
+		`"sr":"sys.pool_runnable","sb":"sys.pool_blocked","pv":"pvars: mask, nonzero values",` +
+		`"c":"components: mask, nonzero values","t":"ts_ns - t0","x":"a shape number","y":"a sample number",` +
+		`"k":"kind","b":"breadcrumb","e":"entity, a string number","p":"peer, a string number",` +
+		`"r":"rpc, a string number","sh":"sys.heap_bytes","sg":"sys.goroutines"`
 )
 
-// jsonlLine is a line of any of the three kinds as ReadEventsJSONL
-// decodes it: the header's and the definition's keys, then the legend's.
+// jsonlLine is a line of any of the five kinds as ReadEventsJSONL
+// decodes it: the header's and the string definition's keys, then the
+// legend's.
 type jsonlLine struct {
 	Version uint64 `json:"symbiosys_trace"`
 	T0      int64  `json:"t0"`
@@ -117,8 +129,6 @@ type jsonlLine struct {
 
 	I  uint64    `json:"i"`
 	O  uint64    `json:"o"`
-	K  EventKind `json:"k"`
-	B  uint64    `json:"b"`
 	D  int64     `json:"d"`
 	BI uint64    `json:"bi"`
 	F  uint64    `json:"f"`
@@ -126,14 +136,18 @@ type jsonlLine struct {
 	W  int64     `json:"w"`
 	SR int64     `json:"sr"`
 	SB int64     `json:"sb"`
-	SH uint64    `json:"sh"`
-	SG int       `json:"sg"`
 	PV []uint64  `json:"pv"`
 	C  []uint64  `json:"c"`
 	T  int64     `json:"t"`
+	X  uint64    `json:"x"`
+	Y  uint64    `json:"y"`
+	K  EventKind `json:"k"`
+	B  uint64    `json:"b"`
 	E  uint64    `json:"e"`
 	P  uint64    `json:"p"`
 	R  uint64    `json:"r"`
+	SH uint64    `json:"sh"`
+	SG int       `json:"sg"`
 }
 
 // appendUint appends `"key":v,` for a nonzero v.
@@ -169,17 +183,17 @@ func appendMasked(b []byte, key string, vals []uint64) []byte {
 	return append(b, ']', ',')
 }
 
-// JSONLTraceSink streams trace events as JSON Lines, in the version 2
+// JSONLTraceSink streams trace events as JSON Lines, in the version 3
 // grammar above, to an io.Writer — the on-line export format, ingestible
 // with ReadEventsJSONL (and by sym, from a dump directory). An event is
-// encoded by hand on its emitter's stack; the sink's mutex covers the string
-// table, the four keys that depend on the sink and the copy into the
+// encoded by hand on its emitter's stack; the sink's mutex covers the
+// tables, the three keys that depend on the sink and the copy into the
 // buffer.
 type JSONLTraceSink struct {
 	jsonlWriter
-	strs    stringTable
-	t0      int64 // the first event's timestamp, as in the header
-	started bool  // the header is written
+	tab     traceTables // entry 0 of each table is its zero value
+	t0      int64       // the first event's timestamp, as in the header
+	started bool        // the header is written
 }
 
 // NewJSONLTraceSink wraps w in a streaming JSONL trace sink.
@@ -187,19 +201,24 @@ func NewJSONLTraceSink(w io.Writer) *JSONLTraceSink {
 	return &JSONLTraceSink{jsonlWriter: jsonlWriter{bw: bufio.NewWriter(w)}}
 }
 
+// zeroEntries numbers the zero values 0 in t, as the stream does.
+func (t *traceTables) zeroEntries() {
+	t.strs.number("")
+	t.shapes.number(shape{})
+	t.internSample(sample{})
+}
+
 // WriteEvent appends one event line, behind the header if it is the
-// sink's first and behind the definitions of the strings it is the
-// first to use.
+// sink's first and behind the definitions of the strings, shape and
+// sample it is the first to use.
 func (s *JSONLTraceSink) WriteEvent(ev Event) error {
-	// Room for the longest line: nineteen keys of up to five bytes and
-	// 17 + (1+numPVarFields) + (1+NumComponents) numbers of up to twenty
+	// Room for the longest line: fourteen keys of up to five bytes and
+	// 12 + (1+numPVarFields) + (1+NumComponents) numbers of up to twenty
 	// digits and a comma. It also fits the buffer's 4 KiB whole.
 	var line [1024]byte
 	b := append(line[:0], '{')
 	b = appendUint(b, `"i":`, ev.RequestID)
 	b = appendUint(b, `"o":`, ev.Order)
-	b = appendInt(b, `"k":`, int64(ev.Kind))
-	b = appendUint(b, `"b":`, ev.Breadcrumb)
 	b = appendInt(b, `"d":`, ev.Duration)
 	b = appendUint(b, `"bi":`, ev.BatchID)
 	if ev.Failed {
@@ -209,8 +228,6 @@ func (s *JSONLTraceSink) WriteEvent(ev Event) error {
 	b = appendInt(b, `"w":`, ev.WindowNanos)
 	b = appendInt(b, `"sr":`, ev.Sys.PoolRunnable)
 	b = appendInt(b, `"sb":`, ev.Sys.PoolBlocked)
-	b = appendUint(b, `"sh":`, ev.Sys.HeapBytes)
-	b = appendInt(b, `"sg":`, int64(ev.Sys.Goroutines))
 	if ev.PVars != nil {
 		var vals [numPVarFields]uint64
 		for i, p := range ev.PVars.fields() {
@@ -226,45 +243,88 @@ func (s *JSONLTraceSink) WriteEvent(ev Event) error {
 	defer s.mu.Unlock()
 	if !s.started {
 		s.started, s.t0 = true, ev.Timestamp
+		s.tab.zeroEntries()
 		s.check(fmt.Fprintf(s.bw, "%s%d,\"t0\":%d,\"keys\":{%s}}\n", jsonlHeader, jsonlVersion, s.t0, jsonlLegend))
 	}
-	b = appendInt(b, `"t":`, ev.Timestamp-s.t0) // wraps; the reader's sum wraps back
-	b = appendUint(b, `"e":`, s.ref(0, ev.Entity))
-	b = appendUint(b, `"p":`, s.ref(1, ev.Peer))
-	b = appendUint(b, `"r":`, s.ref(2, ev.RPCName))
+	b = append(strconv.AppendInt(append(b, `"t":`...), ev.Timestamp-s.t0, 10), ',') // wraps; the reader's sum wraps back
+	b = appendUint(b, `"x":`, s.shape(&ev))
+	b = appendUint(b, `"y":`, s.sample(&ev.Sys))
+	s.writeLine(b)
+	return s.err
+}
+
+// writeLine ends the line b holds (its last key with a trailing comma)
+// and copies it into the buffer's own spare room: handed a slice of the
+// caller's stack, bufio would move the line to the heap.
+func (s *JSONLTraceSink) writeLine(b []byte) {
 	if b[len(b)-1] == ',' {
 		b = b[:len(b)-1]
 	}
 	b = append(b, '}', '\n')
-	// Copy the line into the buffer's own spare room: handed a slice of
-	// this stack, bufio would move the line to the heap.
 	if s.bw.Available() < len(b) {
 		s.bw.Flush() // a failure sticks in bw and comes back from Write
 	}
 	s.check(s.bw.Write(append(s.bw.AvailableBuffer(), b...)))
-	return s.err
 }
 
 // ref returns the number of str in the stream's string table, writing
-// its definition line on first use. The empty string is 0, undefined.
-func (s *JSONLTraceSink) ref(field int, str string) uint64 {
-	if str == "" {
-		return 0
-	}
-	n := len(s.strs.strs)
-	i := s.strs.intern(field, str) + 1
-	if len(s.strs.strs) > n {
-		// Definitions are rare: encoding/json owns the string escaping.
+// its definition line on first use.
+func (s *JSONLTraceSink) ref(str string) uint32 {
+	n := len(s.tab.strs.vals)
+	i := s.tab.strs.number(str)
+	if len(s.tab.strs.vals) > n {
+		// Strings are rare: encoding/json owns the escaping.
 		q, _ := json.Marshal(str)
-		s.check(fmt.Fprintf(s.bw, "%s%d,\"v\":%s}\n", jsonlDef, i, q))
+		s.check(fmt.Fprintf(s.bw, "%s%d,\"v\":%s}\n", jsonlString, i, q))
+	}
+	return i
+}
+
+// shape returns the number of ev's shape in the stream, writing its
+// definition line, and those of its strings, on first use.
+func (s *JSONLTraceSink) shape(ev *Event) uint64 {
+	if i, ok := s.tab.memo.get(ev); ok {
+		return i
+	}
+	sh := shape{bc: ev.Breadcrumb, kind: ev.Kind,
+		strs: [3]uint32{s.ref(ev.Entity), s.ref(ev.Peer), s.ref(ev.RPCName)}}
+	n := len(s.tab.shapes.vals)
+	i := uint64(s.tab.shapes.number(sh))
+	if len(s.tab.shapes.vals) > n {
+		var line [128]byte
+		b := strconv.AppendUint(append(line[:0], jsonlShape...), i, 10)
+		b = append(b, ',')
+		b = appendInt(b, `"k":`, int64(sh.kind))
+		b = appendUint(b, `"b":`, sh.bc)
+		b = appendUint(b, `"e":`, uint64(sh.strs[0]))
+		b = appendUint(b, `"p":`, uint64(sh.strs[1]))
+		b = appendUint(b, `"r":`, uint64(sh.strs[2]))
+		s.writeLine(b)
+	}
+	s.tab.memo.put(ev, i)
+	return i
+}
+
+// sample returns the number of sys's sample in the stream, writing its
+// definition line on first use.
+func (s *JSONLTraceSink) sample(sys *SysSample) uint64 {
+	n := len(s.tab.samples.vals)
+	i := s.tab.internSample(sampleOf(sys))
+	if len(s.tab.samples.vals) > n {
+		var line [96]byte
+		b := strconv.AppendUint(append(line[:0], jsonlSample...), i, 10)
+		b = append(b, ',')
+		b = appendUint(b, `"sh":`, sys.HeapBytes)
+		b = appendInt(b, `"sg":`, int64(sys.Goroutines))
+		s.writeLine(b)
 	}
 	return i
 }
 
 // ErrTraceStreamVersion is ReadEventsJSONL's refusal of a stream that is
-// not in the version 2 grammar: one written before it (no header line)
-// or by a later build.
-var ErrTraceStreamVersion = errors.New("JSONL trace stream is not version 2")
+// not in the version 3 grammar: one written before it or by a later
+// build.
+var ErrTraceStreamVersion = errors.New("JSONL trace stream is not version 3")
 
 // ReadEventsJSONL parses a JSONL trace event stream (the JSONLTraceSink
 // format) back into the events written, a line at a time. A truncated
@@ -273,9 +333,12 @@ var ErrTraceStreamVersion = errors.New("JSONL trace stream is not version 2")
 // the parsed prefix is returned along with the count of discarded
 // trailing lines, so one interrupted stream does not abort a whole-run
 // analysis. A line that does not parse and is NOT the last of the stream
-// still fails, and so does a line anywhere that parses but names a string
-// no line above it defines: that is corruption, not truncation. As
-// encoding/json does, the reader skips a key it does not know.
+// still fails, and so does a line anywhere that parses but breaks the
+// grammar: a number no definition above it defines, a definition out of
+// turn, one that repeats an earlier entry or the zero value, or one no
+// line uses by the end of an uncut stream. That is corruption, not
+// truncation. As encoding/json does, the reader skips a key it does not
+// know.
 func ReadEventsJSONL(r io.Reader) (events []Event, truncated int, err error) {
 	fail := func(line int, err error) ([]Event, int, error) {
 		return nil, 0, fmt.Errorf("core: parse JSONL trace stream at line %d: %w", line, err)
@@ -283,9 +346,10 @@ func ReadEventsJSONL(r io.Reader) (events []Event, truncated int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 16<<20) // a definition runs as long as its string
 	var (
-		t0      int64    // the header's base timestamp
-		strs    []string // the definitions so far; strs[0] is "", nil before the header
-		cut     error    // why line cutLine did not parse, held until a line follows it
+		t0      int64 // the header's base timestamp
+		defs    jsonlDefs
+		started bool  // the header is read
+		cut     error // why line cutLine did not parse, held until a line follows it
 		cutLine int
 		ln      jsonlLine // one for all lines, so that a line costs the heap only its event
 	)
@@ -298,52 +362,120 @@ func ReadEventsJSONL(r io.Reader) (events []Event, truncated int, err error) {
 			return fail(cutLine, cut)
 		}
 		header := bytes.HasPrefix(raw, []byte(jsonlHeader))
-		if !header && strs == nil {
+		if !header && !started {
 			return fail(line, fmt.Errorf("%w: no header line, as in version 1", ErrTraceStreamVersion))
 		}
 		ln = jsonlLine{}
 		if cut, cutLine = json.Unmarshal(raw, &ln), line; cut != nil {
 			continue
 		}
+		var err error
 		switch {
 		case header && ln.Version != jsonlVersion:
 			return fail(line, fmt.Errorf("%w: it says version %d", ErrTraceStreamVersion, ln.Version))
-		case header && strs != nil:
+		case header && started:
 			return fail(line, errors.New("a second header line"))
 		case header:
-			t0, strs = ln.T0, []string{""}
-		case bytes.HasPrefix(raw, []byte(jsonlDef)):
-			if ln.S != uint64(len(strs)) {
-				return fail(line, fmt.Errorf("definition of string %d where %d is next", ln.S, len(strs)))
+			t0, started = ln.T0, true
+			defs.tab.zeroEntries()
+			defs.unused = [numTables][]int{{0}, {0}, {0}}
+		case bytes.HasPrefix(raw, []byte(jsonlString)):
+			if err = defs.inTurn(tabStrings, ln.S); err == nil {
+				err = defs.define(tabStrings, ln.S, uint64(defs.tab.strs.number(ln.V)), line)
 			}
-			strs = append(strs, ln.V)
+		case bytes.HasPrefix(raw, []byte(jsonlShape)):
+			if err = defs.inTurn(tabShapes, ln.X); err == nil {
+				err = defs.use(tabStrings, ln.E, ln.P, ln.R)
+			}
+			if err == nil {
+				sh := shape{bc: ln.B, kind: ln.K, strs: [3]uint32{uint32(ln.E), uint32(ln.P), uint32(ln.R)}}
+				err = defs.define(tabShapes, ln.X, uint64(defs.tab.shapes.number(sh)), line)
+			}
+		case bytes.HasPrefix(raw, []byte(jsonlSample)):
+			if err = defs.inTurn(tabSamples, ln.Y); err == nil {
+				err = defs.define(tabSamples, ln.Y, defs.tab.internSample(sample{ln.SH, ln.SG}), line)
+			}
 		default:
-			ev, err := ln.event(t0, strs)
-			if err != nil {
-				return fail(line, err)
+			var ev Event
+			if ev, err = ln.event(t0, &defs); err == nil {
+				events = append(events, ev)
 			}
-			events = append(events, ev)
+		}
+		if err != nil {
+			return fail(line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, 0, fmt.Errorf("core: read JSONL trace stream: %w", err)
 	}
 	if cut != nil {
-		truncated = 1
+		// The line cut off may be the one that used the last definitions.
+		return events, 1, nil
 	}
-	return events, truncated, nil
+	for table, lines := range defs.unused {
+		for n, line := range lines {
+			if line != 0 {
+				return fail(line, fmt.Errorf("%s %d is defined but never used", tableNames[table], n))
+			}
+		}
+	}
+	return events, 0, nil
+}
+
+// jsonlDefs is what a stream's reader knows of the definitions above a
+// line: the tables, numbered as the sink numbers them, and per entry the
+// line that defined it until a line uses it (0 once used).
+type jsonlDefs struct {
+	tab    traceTables
+	unused [numTables][]int
+}
+
+// inTurn checks that a definition of entry n of table comes in turn.
+func (d *jsonlDefs) inTurn(table int, n uint64) error {
+	if next := uint64(len(d.unused[table])); n != next {
+		return fmt.Errorf("definition of %s %d where %d is next", tableNames[table], n, next)
+	}
+	return nil
+}
+
+// define records the definition on line of entry n of table, which the
+// table numbered got when it was added: a definition that repeats an
+// entry, or the zero value 0, is an error.
+func (d *jsonlDefs) define(table int, n, got uint64, line int) error {
+	if got != n {
+		return fmt.Errorf("definition of %s %d repeats %s %d", tableNames[table], n, tableNames[table], got)
+	}
+	d.unused[table] = append(d.unused[table], line)
+	return nil
+}
+
+// use marks entries of table used, failing on one not defined yet.
+func (d *jsonlDefs) use(table int, ns ...uint64) error {
+	unused := d.unused[table]
+	for _, n := range ns {
+		if n >= uint64(len(unused)) {
+			return fmt.Errorf("%s %d used with %d defined", tableNames[table], n, len(unused)-1)
+		}
+		unused[n] = 0
+	}
+	return nil
 }
 
 // event is the Event an event line spells under the header's t0 and the
 // definitions above the line.
-func (ln *jsonlLine) event(t0 int64, strs []string) (Event, error) {
-	if n := uint64(len(strs)); ln.E >= n || ln.P >= n || ln.R >= n {
-		return Event{}, fmt.Errorf("strings %d, %d, %d used with %d defined", ln.E, ln.P, ln.R, n-1)
+func (ln *jsonlLine) event(t0 int64, defs *jsonlDefs) (Event, error) {
+	if err := defs.use(tabShapes, ln.X); err != nil {
+		return Event{}, err
 	}
-	ev := Event{RequestID: ln.I, Order: ln.O, Kind: ln.K, Timestamp: t0 + ln.T,
-		Entity: strs[ln.E], Peer: strs[ln.P], RPCName: strs[ln.R], Breadcrumb: ln.B, Duration: ln.D,
-		BatchID: ln.BI, Failed: ln.F != 0, QueueNanos: ln.Q, WindowNanos: ln.W,
-		Sys: SysSample{PoolRunnable: ln.SR, PoolBlocked: ln.SB, HeapBytes: ln.SH, Goroutines: ln.SG}}
+	if err := defs.use(tabSamples, ln.Y); err != nil {
+		return Event{}, err
+	}
+	strs := defs.tab.strs.vals
+	sh, sm := &defs.tab.shapes.vals[ln.X], &defs.tab.samples.vals[ln.Y]
+	ev := Event{RequestID: ln.I, Order: ln.O, Kind: sh.kind, Timestamp: t0 + ln.T,
+		Entity: strs[sh.strs[0]], Peer: strs[sh.strs[1]], RPCName: strs[sh.strs[2]],
+		Breadcrumb: sh.bc, Duration: ln.D, BatchID: ln.BI, Failed: ln.F != 0, QueueNanos: ln.Q, WindowNanos: ln.W,
+		Sys: SysSample{PoolRunnable: ln.SR, PoolBlocked: ln.SB, HeapBytes: sm.heap, Goroutines: sm.goroutines}}
 	var err error
 	if ln.PV != nil {
 		var vals [numPVarFields]uint64

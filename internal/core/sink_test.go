@@ -77,20 +77,22 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 		t.Fatalf("flush: %v, %d sink errors", err, c.SinkErrors())
 	}
 
-	defined := 0
+	defined := map[string]int{} // by the key that numbers a definition
 	for n, line := range bytes.Split(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n")) {
 		var obj map[string]any
 		if err := json.Unmarshal(line, &obj); err != nil {
 			t.Fatalf("line %d is not one JSON object: %v\n%s", n+1, err, line)
 		}
-		if s, ok := obj["s"]; ok {
-			if defined++; s != float64(defined) {
-				t.Fatalf("line %d defines string %v, want %d", n+1, s, defined)
+		for _, def := range []string{"s", "x", "y"} {
+			if bytes.HasPrefix(line, []byte(`{"`+def+`":`)) {
+				if defined[def]++; obj[def] != float64(defined[def]) {
+					t.Fatalf("line %d defines %s %v, want %d", n+1, def, obj[def], defined[def])
+				}
 			}
 		}
-		for _, k := range []string{"e", "p", "r"} {
-			if i, ok := obj[k].(float64); ok && int(i) > defined {
-				t.Fatalf("line %d uses string %v with %d defined above it", n+1, i, defined)
+		for key, def := range map[string]string{"e": "s", "p": "s", "r": "s", "x": "x", "y": "y"} {
+			if i, ok := obj[key].(float64); ok && int(i) > defined[def] {
+				t.Fatalf("line %d says %s %v with %d defined above it", n+1, key, i, defined[def])
 			}
 		}
 	}
@@ -122,29 +124,41 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 // stream and hand-made ones, what a reader of other people's files meets.
 func jsonlSeeds(t testing.TB) map[string][]byte {
 	golden := string(encodeJSONL(t, goldenEvents()))
-	lines := strings.SplitAfter(golden, "\n") // header, three definitions, twelve events
-	head, defs, first := lines[0], strings.Join(lines[1:4], ""), lines[4]
+	// The header, three strings, then each shape and sample just above
+	// the event that first uses it.
+	lines := strings.SplitAfter(golden, "\n")
+	head, strs, shape1, sample1, first := lines[0], strings.Join(lines[1:4], ""), lines[4], lines[5], lines[6]
+	defs := strs + shape1 + sample1 // what the first event uses
 	seeds := map[string][]byte{}
 	for name, stream := range map[string]string{
-		"golden":           golden,
-		"empty":            "",
-		"cut-event":        golden[:len(golden)-9],
-		"cut-definition":   head + lines[1] + lines[2][:9],
-		"cut-header":       head[:30],
-		"index-before-def": head + lines[1] + first,
-		"duplicate-def":    head + defs + lines[2] + first,
-		"unknown-key":      head + defs + `{"i":1,"zz":5}` + "\n" + first,
-		"wide-mask":        head + defs + `{"i":1,"pv":[2048,1]}` + "\n" + first,
-		"short-mask":       head + defs + `{"i":1,"c":[3,1]}` + "\n" + first,
-		"no-header":        defs + first,
-		"version-1":        `{"request_id":1,"order":1,"kind":0,"ts_ns":5,"entity":"e","rpc":"r","breadcrumb":7,"sys":{"pool_runnable":0,"pool_blocked":0}}` + "\n",
-		"future-version":   `{"symbiosys_trace":3,"t0":0}` + "\n" + defs + first,
-		"second-header":    golden + golden,
-		"null-version":     `{"symbiosys_trace":null}` + "\n" + defs + first,
-		"quoted-version":   `{"symbiosys_trace":"2","t0":0}` + "\n" + defs + first,
-		"escapes":          head + `{"s":1,"v":"a\"b\\cé😀<\n"}` + "\n" + `{"e":1,"r":1}` + "\n",
-		"zero-event":       head + "{}\n",
-		"long-line":        head + `{"s":1,"v":"` + strings.Repeat("x", 64<<10) + `"}` + "\n" + `{"i":1,"e":1}` + "\n",
+		"golden":            golden,
+		"empty":             "",
+		"cut-event":         golden[:len(golden)-9],
+		"cut-definition":    head + lines[1] + lines[2][:9],
+		"cut-header":        head[:30],
+		"index-before-def":  head + lines[1] + shape1,
+		"shape-before-def":  head + strs + sample1 + first,
+		"sample-before-def": head + strs + shape1 + first,
+		"duplicate-def":     head + strs + lines[2] + first,
+		"duplicate-shape":   head + defs + `{"x":2,"b":60730,"e":1,"p":2,"r":3}` + "\n" + first,
+		"skipped-shape":     head + strs + `{"x":2,"b":60730,"e":1,"p":2,"r":3}` + "\n",
+		"skipped-sample":    head + strs + shape1 + `{"y":2,"sh":1048576,"sg":12}` + "\n",
+		"empty-sample":      head + `{"y":1}` + "\n",
+		"empty-shape":       head + `{"x":1}` + "\n",
+		"unused-def":        head + defs + lines[7] + first,
+		"unknown-key":       head + defs + `{"i":1,"zz":5}` + "\n" + first,
+		"wide-mask":         head + defs + `{"i":1,"pv":[2048,1]}` + "\n" + first,
+		"short-mask":        head + defs + `{"i":1,"c":[3,1]}` + "\n" + first,
+		"no-header":         defs + first,
+		"version-1":         `{"request_id":1,"order":1,"kind":0,"ts_ns":5,"entity":"e","rpc":"r","breadcrumb":7,"sys":{"pool_runnable":0,"pool_blocked":0}}` + "\n",
+		"version-2":         `{"symbiosys_trace":2,"t0":5,"keys":{}}` + "\n" + `{"s":1,"v":"e"}` + "\n" + `{"i":1,"o":1,"b":7,"e":1}` + "\n",
+		"future-version":    `{"symbiosys_trace":4,"t0":0}` + "\n" + defs + first,
+		"second-header":     golden + golden,
+		"null-version":      `{"symbiosys_trace":null}` + "\n" + defs + first,
+		"quoted-version":    `{"symbiosys_trace":"3","t0":0}` + "\n" + defs + first,
+		"escapes":           head + `{"s":1,"v":"a\"b\\cé😀<\n"}` + "\n" + `{"x":1,"e":1,"r":1}` + "\n" + `{"t":0,"x":1}` + "\n",
+		"zero-event":        head + "{}\n",
+		"long-line":         head + `{"s":1,"v":"` + strings.Repeat("x", 64<<10) + `"}` + "\n" + `{"x":1,"e":1}` + "\n" + `{"i":1,"x":1}` + "\n",
 	} {
 		seeds[name] = []byte(stream)
 	}
@@ -162,16 +176,25 @@ func TestReadEventsJSONLSeeds(t *testing.T) {
 		"golden": {12, 0, ""}, "empty": {0, 0, ""}, "unknown-key": {2, 0, ""},
 		"cut-event": {11, 1, ""}, "cut-definition": {0, 1, ""}, "cut-header": {0, 1, ""},
 		"escapes": {1, 0, ""}, "zero-event": {1, 0, ""}, "long-line": {1, 0, ""},
-		"index-before-def": {0, 0, "line 3: strings 1, 2, 3 used with 1 defined"},
-		"duplicate-def":    {0, 0, "line 5: definition of string 2 where 4 is next"},
-		"wide-mask":        {0, 0, `line 5: key "pv" has 1 values behind a presence mask for 11 fields: [2048 1]`},
-		"short-mask":       {0, 0, `line 5: key "c" has 1 values behind a presence mask for 9 fields: [3 1]`},
-		"second-header":    {0, 0, "line 17: a second header line"},
-		"null-version":     {0, 0, "line 1: JSONL trace stream is not version 2: it says version 0"},
-		"quoted-version":   {0, 0, "line 1: json: cannot unmarshal string into Go struct field jsonlLine.symbiosys_trace of type uint64"},
-		"no-header":        {0, 0, "line 1: JSONL trace stream is not version 2: no header line, as in version 1"},
-		"version-1":        {0, 0, "line 1: JSONL trace stream is not version 2: no header line, as in version 1"},
-		"future-version":   {0, 0, "line 1: JSONL trace stream is not version 2: it says version 3"},
+		"index-before-def":  {0, 0, "line 3: string 2 used with 1 defined"},
+		"shape-before-def":  {0, 0, "line 6: shape 1 used with 0 defined"},
+		"sample-before-def": {0, 0, "line 6: sample 1 used with 0 defined"},
+		"duplicate-def":     {0, 0, "line 5: definition of string 2 where 4 is next"},
+		"duplicate-shape":   {0, 0, "line 7: definition of shape 2 repeats shape 1"},
+		"skipped-shape":     {0, 0, "line 5: definition of shape 2 where 1 is next"},
+		"skipped-sample":    {0, 0, "line 6: definition of sample 2 where 1 is next"},
+		"empty-sample":      {0, 0, "line 2: definition of sample 1 repeats sample 0"},
+		"empty-shape":       {0, 0, "line 2: definition of shape 1 repeats shape 0"},
+		"unused-def":        {0, 0, "line 7: shape 2 is defined but never used"},
+		"wide-mask":         {0, 0, `line 7: key "pv" has 1 values behind a presence mask for 11 fields: [2048 1]`},
+		"short-mask":        {0, 0, `line 7: key "c" has 1 values behind a presence mask for 9 fields: [3 1]`},
+		"second-header":     {0, 0, "line 23: a second header line"},
+		"null-version":      {0, 0, "line 1: JSONL trace stream is not version 3: it says version 0"},
+		"quoted-version":    {0, 0, "line 1: json: cannot unmarshal string into Go struct field jsonlLine.symbiosys_trace of type uint64"},
+		"no-header":         {0, 0, "line 1: JSONL trace stream is not version 3: no header line, as in version 1"},
+		"version-1":         {0, 0, "line 1: JSONL trace stream is not version 3: no header line, as in version 1"},
+		"version-2":         {0, 0, "line 1: JSONL trace stream is not version 3: it says version 2"},
+		"future-version":    {0, 0, "line 1: JSONL trace stream is not version 3: it says version 4"},
 	} {
 		evs, truncated, err := ReadEventsJSONL(bytes.NewReader(seeds[name]))
 		switch {

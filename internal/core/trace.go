@@ -137,18 +137,18 @@ const (
 
 // Tracer is a bounded per-process trace buffer. It stores each event as
 // the trace dump's event record (tracedump.go: flags word, varint IDs,
-// timestamp delta against the previous event, string-table indexes,
+// timestamp delta against the previous event, shape and sample numbers,
 // presence-masked annotations) appended to byte chunks, and expands the
-// records into Events only when they are read. A record is a fifth of
+// records into Events only when they are read. A record is a sixth of
 // the Event, PVarSample and component array it stands for, and a chunk
 // of bytes holds no pointers, so the garbage collector never scans the
 // trace however long it grows. Emitters hand over annotations that may
 // live on their stack; encoding them is the copy.
 //
 // Chunks are filled in place and never rewritten or reused, and the
-// string table only grows, so a snapshot of the slice headers taken
-// under the lock can be decoded outside it, across later emits and
-// across Reset.
+// tables' entries only grow between resets, so a snapshot of the slice
+// headers taken under the lock can be decoded outside it, across later
+// emits and across Reset.
 type Tracer struct {
 	mu      sync.Mutex
 	full    [][]byte // filled chunks, oldest first
@@ -160,21 +160,150 @@ type Tracer struct {
 	cap     int
 	dropped uint64
 
-	stringTable // the shard's, in first-use order
+	traceTables // the shard's, in first-use order
 }
 
-// stringTable numbers the strings of a stream of events in first-use
-// order. Beside the index of each string it keeps, per event field, the
-// string resolved last: the events of one shard (or one sink) repeat
-// their entity, peer and RPC name, and the repeat is found by one
-// comparison instead of three hashes.
-type stringTable struct {
-	strs  []string
-	index map[string]uint32
-	last  [3]struct {
-		s  string
+// shape is what the events of a run keep repeating: kind, callpath and
+// the numbers of the entity, peer and RPC strings in the table beside
+// it. A run has tens of shapes; its events have one each.
+type shape struct {
+	bc   uint64
+	strs [3]uint32
+	kind EventKind
+}
+
+// sample is the process-wide part of an event's SysSample. The pool
+// counters change from event to event and stay in the record; the heap
+// size and goroutine count move with the sampler's refresh, so
+// consecutive events share them.
+type sample struct {
+	heap       uint64
+	goroutines int
+}
+
+func sampleOf(s *SysSample) sample { return sample{s.HeapBytes, s.Goroutines} }
+
+// traceTables numbers the strings, shapes and samples of a stream of
+// events, each table in first-use order. Beside the tables it keeps, per
+// callpath, the event fields resolved to a shape last, and the sample
+// resolved last: the events of one shard (or one sink) repeat
+// themselves, and the repeat is found by a few comparisons instead of a
+// search.
+type traceTables struct {
+	strs    numbering[string]
+	shapes  numbering[shape]
+	samples numbering[sample]
+
+	memo       shapeMemo
+	lastSample struct {
+		s  sample
 		i1 uint32 // index + 1; 0 while nothing is cached
 	}
+}
+
+// numbering numbers distinct values in first-use order. A small table
+// is searched in place, and only one that outgrows smallTable entries
+// gets a map: a shard's tables are new with every deployment, and so
+// cost little more than their entries.
+type numbering[T comparable] struct {
+	vals  []T
+	index map[T]uint32 // nil while the table is small
+}
+
+const smallTable = 64
+
+// number returns v's number, adding it on first use.
+func (n *numbering[T]) number(v T) uint32 {
+	if n.index != nil {
+		if i, ok := n.index[v]; ok {
+			return i
+		}
+	} else {
+		for i := range n.vals {
+			if n.vals[i] == v {
+				return uint32(i)
+			}
+		}
+	}
+	i := n.add(v)
+	switch {
+	case n.index != nil:
+		n.index[v] = i
+	case len(n.vals) > smallTable:
+		n.index = make(map[T]uint32, 2*len(n.vals))
+		for k, w := range n.vals {
+			n.index[w] = uint32(k)
+		}
+	}
+	return i
+}
+
+// recent numbers v like number, but looks for it among the last few
+// values only, and never builds a map. A table numbered so may hold a
+// value twice, which its readers, who only look values up by number,
+// do not mind; a dump or stream numbers its own tables exactly.
+func (n *numbering[T]) recent(v T) uint32 {
+	for i := len(n.vals) - 1; i >= 0 && i >= len(n.vals)-4; i-- {
+		if n.vals[i] == v {
+			return uint32(i)
+		}
+	}
+	return n.add(v)
+}
+
+// add appends v and returns its number.
+func (n *numbering[T]) add(v T) uint32 {
+	if n.vals == nil {
+		n.vals = make([]T, 0, 16)
+	}
+	n.vals = append(n.vals, v)
+	return uint32(len(n.vals) - 1)
+}
+
+// reset empties the table. A map keeps its storage; the values are
+// dropped, not reused, because a snapshot may still be reading them.
+func (n *numbering[T]) reset() {
+	n.vals = nil
+	clear(n.index)
+}
+
+// shapeMemo remembers the event fields last resolved to a shape and the
+// number the table's user gave it, in a slot picked by kind and
+// breadcrumb: the callpaths a shard serves interleave, and each keeps
+// its slot.
+type shapeMemo [8]struct {
+	bc   uint64
+	strs [3]string
+	kind EventKind
+	n1   uint32 // number + 1; 0 while nothing is cached
+}
+
+func (m *shapeMemo) slot(ev *Event) int {
+	return int((ev.Breadcrumb*0x9e3779b97f4a7c15 + uint64(uint8(ev.Kind))) >> 61)
+}
+
+// get returns the number remembered for ev's shape, if ev repeats it.
+func (m *shapeMemo) get(ev *Event) (uint64, bool) {
+	e := &m[m.slot(ev)]
+	if e.n1 != 0 && e.kind == ev.Kind && e.bc == ev.Breadcrumb &&
+		e.strs[0] == ev.Entity && e.strs[1] == ev.Peer && e.strs[2] == ev.RPCName {
+		return uint64(e.n1 - 1), true
+	}
+	return 0, false
+}
+
+func (m *shapeMemo) put(ev *Event, n uint64) {
+	e := &m[m.slot(ev)]
+	e.bc, e.strs, e.kind, e.n1 = ev.Breadcrumb, [3]string{ev.Entity, ev.Peer, ev.RPCName}, ev.Kind, uint32(n+1)
+}
+
+// reset empties the tables for a new stream.
+func (t *traceTables) reset() {
+	t.strs.reset()
+	t.shapes.reset()
+	t.samples.reset()
+	t.memo = shapeMemo{}
+	t.lastSample.i1 = 0
 }
 
 // NewTracer returns a tracer that retains up to capacity events.
@@ -193,24 +322,37 @@ func (t *Tracer) Emit(ev Event) {
 	t.emit(&ev, ev.PVars, ev.Components)
 }
 
-// intern returns s's index in the string table, adding it on first use.
-// field says which of the event's three strings s is.
-func (t *stringTable) intern(field int, s string) uint64 {
-	l := &t.last[field]
-	if l.i1 != 0 && l.s == s {
-		return uint64(l.i1 - 1)
+// internSample returns s's index in the sample table, adding it on first
+// use.
+func (t *traceTables) internSample(s sample) uint64 {
+	l := &t.lastSample
+	if l.i1 == 0 || l.s != s {
+		l.s, l.i1 = s, t.samples.number(s)+1
 	}
-	i, ok := t.index[s]
-	if !ok {
-		if t.index == nil {
-			t.index = make(map[string]uint32)
-		}
-		i = uint32(len(t.strs))
-		t.strs = append(t.strs, s)
-		t.index[s] = i
+	return uint64(l.i1 - 1)
+}
+
+// shardSample is internSample for a shard's table, which a sampler fills
+// forward in time: it looks among the last few samples only, and so may
+// hold one twice.
+func (t *traceTables) shardSample(s sample) uint64 {
+	l := &t.lastSample
+	if l.i1 == 0 || l.s != s {
+		l.s, l.i1 = s, t.samples.recent(s)+1
 	}
-	l.s, l.i1 = s, i+1
-	return uint64(i)
+	return uint64(l.i1 - 1)
+}
+
+// shapeOf returns the index of ev's shape, adding it and its strings on
+// first use.
+func (t *traceTables) shapeOf(ev *Event) uint64 {
+	if i, ok := t.memo.get(ev); ok {
+		return i
+	}
+	i := uint64(t.shapes.number(shape{bc: ev.Breadcrumb, kind: ev.Kind,
+		strs: [3]uint32{t.strs.number(ev.Entity), t.strs.number(ev.Peer), t.strs.number(ev.RPCName)}}))
+	t.memo.put(ev, i)
+	return i
 }
 
 // emit appends *ev's record, annotated with *pv and *comps (either may
@@ -225,8 +367,7 @@ func (t *Tracer) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) b
 		t.mu.Unlock()
 		return false
 	}
-	n := rec.encode(ev, pv, comps, t.prev,
-		t.intern(0, ev.Entity), t.intern(1, ev.Peer), t.intern(2, ev.RPCName))
+	n := rec.encode(ev, pv, comps, t.prev, t.shapeOf(ev), t.shardSample(sampleOf(&ev.Sys)))
 	if len(t.cur)+n > cap(t.cur) {
 		if t.cur != nil {
 			t.full = append(t.full, t.cur)
@@ -266,6 +407,8 @@ type traceSnapshot struct {
 	full              [][]byte
 	cur               []byte
 	strs              []string
+	shapes            []shape
+	samples           []sample
 	n, npvars, ncomps int
 }
 
@@ -273,7 +416,8 @@ func (t *Tracer) snapshot() traceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return traceSnapshot{
-		full: t.full[:len(t.full):len(t.full)], cur: t.cur, strs: t.strs,
+		full: t.full[:len(t.full):len(t.full)], cur: t.cur,
+		strs: t.strs.vals, shapes: t.shapes.vals, samples: t.samples.vals,
 		n: t.n, npvars: t.npvars, ncomps: t.ncomps,
 	}
 }
@@ -301,16 +445,19 @@ func decodeSnapshots(snaps []traceSnapshot) []Event {
 		r.comps = make([][NumComponents]uint64, ncomps)
 	}
 	next := 0
+	var t recordTables
 	chunk := func(c []byte) {
 		for r.b, r.off = c, 0; r.off < len(c) && next < n; next++ {
-			r.event(&out[next])
+			r.event(&out[next], &t)
 		}
 	}
 	for i := range snaps {
 		s := &snaps[i]
-		// Every string counts as used already: a shard's table is in
+		// Every entry counts as used already: a shard's tables are in
 		// first-use order by construction, there is nothing to check.
-		r.strs, r.used, r.ts = s.strs, uint64(len(s.strs)), 0
+		t = recordTables{strs: s.strs, shapes: s.shapes, samples: s.samples,
+			used: [numTables]uint64{uint64(len(s.strs)), uint64(len(s.shapes)), uint64(len(s.samples))}}
+		r.ts = 0
 		for _, c := range s.full {
 			chunk(c)
 		}
@@ -331,7 +478,8 @@ func (t *Tracer) Events() []Event {
 // Reset clears the buffer (between experiment repetitions).
 func (t *Tracer) Reset() {
 	t.mu.Lock()
-	t.full, t.cur, t.stringTable = nil, nil, stringTable{}
+	t.full, t.cur = nil, nil
+	t.traceTables.reset()
 	t.n, t.npvars, t.ncomps, t.prev, t.dropped = 0, 0, 0, 0, 0
 	t.mu.Unlock()
 }

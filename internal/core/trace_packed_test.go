@@ -56,10 +56,12 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 		name             string
 		shards, capacity int
 		events, strings  int
+		repeated         bool // few shapes and samples, interleaved
 	}{
-		{"one shard", 1, 0, 3000, 3},
-		{"eight shards, many strings", 8, 0, 4000, 300},
-		{"at capacity", 4, 1000, 1500, 40},
+		{"one shard", 1, 0, 3000, 3, false},
+		{"eight shards, many strings", 8, 0, 4000, 300, false},
+		{"at capacity", 4, 1000, 1500, 40, false},
+		{"repeated shapes and samples", 2, 0, 3000, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCollector(tc.shards, tc.capacity)
@@ -72,6 +74,9 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 					sink.evs = nil
 				}
 				evs := randomDump(seed, tc.events, tc.strings).Events
+				if tc.repeated {
+					evs = repeatingDump(seed, tc.events, 7, 3).Events
+				}
 				kept := make([][]Event, len(c.shards))
 				var dropped uint64
 				for k, ev := range evs {
@@ -168,8 +173,9 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 
 // TestDumpTraceBytesUnchanged: the golden events, recorded through a
 // profiler and dumped, serialize to the bytes committed as the fuzz
-// corpus's golden seed before trace storage was packed — the dump file
-// does not know how the process held its events.
+// corpus's golden seed — the dump file does not know how the process
+// held its events. (The seed was last regenerated when the dump format
+// went to version 2 and folded its shapes and samples into tables.)
 func TestDumpTraceBytesUnchanged(t *testing.T) {
 	p := NewProfiler("n0/cli", StageFull)
 	for _, ev := range goldenEvents() {
@@ -185,9 +191,10 @@ func TestDumpTraceBytesUnchanged(t *testing.T) {
 
 // TestPackedEmitSteadyStateCost pins what holding one fully annotated
 // event (PVAR sample and component breakdown) costs the heap once a
-// shard's chunks have reached full size: its record's bytes and a
-// six-hundredth of a chunk object. The Event, PVarSample and component
-// array it replaced were 336 B.
+// shard's chunks have reached full size: its record's bytes (about 42,
+// its shape and sample being table numbers; 53 when the record spelled
+// them) and a seven-hundredth of a chunk object. The Event, PVarSample
+// and component array it replaced were 336 B.
 func TestPackedEmitSteadyStateCost(t *testing.T) {
 	const warm, n = 4096, 50_000
 	c := NewCollector(8, 8*(warm+n))
@@ -207,8 +214,8 @@ func TestPackedEmitSteadyStateCost(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / n
 	objsPer := float64(after.Mallocs-before.Mallocs) / n
-	if bytesPer > 64 || objsPer >= 0.01 {
-		t.Errorf("a fully annotated event costs %.1f B and %.4f objects, want <= 64 B and < 0.01", bytesPer, objsPer)
+	if bytesPer > 46 || objsPer >= 0.01 {
+		t.Errorf("a fully annotated event costs %.1f B and %.4f objects, want <= 46 B and < 0.01", bytesPer, objsPer)
 	}
 	if c.Dropped() != 0 || c.TraceLen() != warm+n {
 		t.Fatalf("%d events held, %d dropped", c.TraceLen(), c.Dropped())

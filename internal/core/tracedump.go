@@ -9,57 +9,72 @@ import (
 	"math"
 )
 
-// The trace dump format, version 1 (DESIGN.md §10 "Trace dump format").
+// The trace dump format, version 2 (DESIGN.md §10 "Trace dump format").
 // All integers are minimal-length varints: "uv" is an unsigned LEB128
 // varint, "zz" a zigzag-coded signed one.
 //
 //	"SYTD" version:u8
 //	pid:uv dropped:uv
 //	nstrings:uv { len:uv bytes }*         strings[0] is the dump's entity
+//	nshapes:uv { kind:uv breadcrumb:uv entity:uv peer:uv rpc:uv }*
+//	nsamples:uv { heap_bytes:uv goroutines:zz }*
 //	nevents:uv npvars:uv ncomponents:uv
 //	{ event }*
 //
 //	event:
-//	  flags:uv                            evFlag bits, Kind above them
-//	  request_id:uv order:uv breadcrumb:uv
+//	  flags:uv                            evFlag bits
+//	  request_id:uv order:uv
 //	  timestamp:zz                        delta against the previous event
-//	  entity:uv peer:uv rpc:uv            string-table indexes
-//	  [duration:zz] [batch_id:uv] [queue_ns:zz] [window_ns:zz]
-//	  [pool_runnable:zz] [pool_blocked:zz] [heap_bytes:uv] [goroutines:zz]
+//	  shape:uv sample:uv                  table indexes
+//	  [duration:zz] [queue_ns:zz] [pool_runnable:zz] [pool_blocked:zz]
 //	  [pvars: mask:uv { field:uv }*]      one value per set mask bit
 //	  [components: mask:uv { ns:uv }*]
+//	  [batch_id:uv] [window_ns:zz]
 //
-// A bracketed field is present when its flag bit is set, and is set only
-// for a nonzero value (a non-nil pointer, for pvars and components).
-// Strings appear in the table in the order the events first use them.
-// Together with the minimal varints this makes the encoding of a dump
-// unique: ReadTrace rejects every other spelling, so what it accepts
-// re-encodes to the same bytes.
+// A shape is an event's kind (as an unsigned byte), breadcrumb and the
+// string-table indexes of its entity, peer and RPC name; a sample is the
+// heap size and goroutine count of its SysSample. A bracketed field is
+// present when its flag bit is set, and is set only for a nonzero value
+// (a non-nil pointer, for pvars and components). Each table lists its
+// entries in the order they are first used — samples and shapes by the
+// events, strings by the shapes — and holds no entry twice and none
+// unused. Together with the minimal varints this makes the encoding of
+// a dump unique: ReadTrace rejects every other spelling, so what it
+// accepts re-encodes to the same bytes.
 //
 // The version byte changes whenever a reader of the old layout would
 // misread the new one: a field added to Event, SysSample or PVarSample,
 // a change of NumComponents, a new flag bit, a reordering.
 const (
 	traceMagic   = "SYTD"
-	traceVersion = 1
+	traceVersion = 2
 )
 
-// Event flag bits. Kind rides above them as an unsigned byte.
+// Event flag bits, the ones most events set first, so that the flags
+// word of most events is one byte.
 const (
-	evFailed = 1 << iota
-	evDuration
-	evBatchID
+	evDuration = 1 << iota
 	evQueue
-	evWindow
 	evPoolRunnable
 	evPoolBlocked
-	evHeapBytes
-	evGoroutines
 	evPVars
 	evComponents
+	evFailed
+	evBatchID
+	evWindow
 
 	evFlagBits = iota
 )
+
+// The tables of a dump, as traceReader.used counts them.
+const (
+	tabStrings = iota
+	tabShapes
+	tabSamples
+	numTables
+)
+
+var tableNames = [numTables]string{"string", "shape", "sample"}
 
 // numPVarFields is the number of PVarSample fields; their mask bits
 // follow declaration order.
@@ -75,9 +90,14 @@ func (p *PVarSample) fields() [numPVarFields]*uint64 {
 	}
 }
 
-// minEventBytes is the shortest encoded event: flags, three IDs, the
-// timestamp delta and three string indexes, one byte each.
-const minEventBytes = 8
+// minEventBytes is the shortest encoded event: flags, two IDs, the
+// timestamp delta and two table indexes, one byte each. A shape takes at
+// least five bytes and a sample two.
+const (
+	minEventBytes  = 6
+	minShapeBytes  = 5
+	minSampleBytes = 2
+)
 
 // WriteTrace serializes a trace dump in the binary trace dump format,
 // with one Write call.
@@ -87,22 +107,17 @@ func WriteTrace(w io.Writer, d *TraceDump) error {
 }
 
 func encodeTraceDump(d *TraceDump) []byte {
-	// First pass: define each string once, in first-use order, and count
-	// the annotations so the reader can size its storage up front.
-	index := map[string]uint64{d.Entity: 0}
-	strs := []string{d.Entity}
-	intern := func(s string) {
-		if _, ok := index[s]; !ok {
-			index[s] = uint64(len(strs))
-			strs = append(strs, s)
-		}
-	}
+	// First pass: define each sample and shape once, in the order the
+	// events first use them (and so each string in the order the shapes
+	// first use it), and count the annotations so the reader can size
+	// its storage up front.
+	var tab traceTables
+	tab.strs.number(d.Entity)
 	var npvars, ncomps uint64
 	for i := range d.Events {
 		ev := &d.Events[i]
-		intern(ev.Entity)
-		intern(ev.Peer)
-		intern(ev.RPCName)
+		tab.shapeOf(ev)
+		tab.internSample(sampleOf(&ev.Sys))
 		if ev.PVars != nil {
 			npvars++
 		}
@@ -111,7 +126,8 @@ func encodeTraceDump(d *TraceDump) []byte {
 		}
 	}
 
-	b := make([]byte, 0, 64+48*len(d.Events))
+	strs, shapes, samples := tab.strs.vals, tab.shapes.vals, tab.samples.vals
+	b := make([]byte, 0, 64+16*(len(strs)+len(shapes))+32*len(d.Events))
 	b = append(b, traceMagic...)
 	b = append(b, traceVersion)
 	b = binary.AppendUvarint(b, uint64(d.PID))
@@ -121,6 +137,19 @@ func encodeTraceDump(d *TraceDump) []byte {
 		b = binary.AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
+	b = binary.AppendUvarint(b, uint64(len(shapes)))
+	for _, sh := range shapes {
+		b = binary.AppendUvarint(b, uint64(uint8(sh.kind)))
+		b = binary.AppendUvarint(b, sh.bc)
+		for _, s := range sh.strs {
+			b = binary.AppendUvarint(b, uint64(s))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(samples)))
+	for _, s := range samples {
+		b = binary.AppendUvarint(b, s.heap)
+		b = binary.AppendVarint(b, int64(s.goroutines))
+	}
 	b = binary.AppendUvarint(b, uint64(len(d.Events)))
 	b = binary.AppendUvarint(b, npvars)
 	b = binary.AppendUvarint(b, ncomps)
@@ -129,20 +158,20 @@ func encodeTraceDump(d *TraceDump) []byte {
 	var rec eventRecord
 	for i := range d.Events {
 		ev := &d.Events[i]
-		n := rec.encode(ev, ev.PVars, ev.Components, prev, index[ev.Entity], index[ev.Peer], index[ev.RPCName])
+		n := rec.encode(ev, ev.PVars, ev.Components, prev, tab.shapeOf(ev), tab.internSample(sampleOf(&ev.Sys)))
 		b = append(b, rec[:n]...)
 		prev = ev.Timestamp
 	}
 	return b
 }
 
-// eventRecord is room for the longest event record: the flags word,
-// three IDs, the timestamp delta, three string indexes, eight optional
-// fields and the two masked annotation blocks, every varint at its full
-// ten bytes. Records are built in one (on the stack) and then appended
-// to where they are kept, so the encoder writes by index and never
-// grows anything.
-type eventRecord [3 + (3+1+3+8)*binary.MaxVarintLen64 +
+// eventRecord is room for the longest event record: the flags word, two
+// IDs, the timestamp delta, two table indexes, six optional fields and
+// the two masked annotation blocks, every varint at its full ten bytes.
+// Records are built in one (on the stack) and then appended to where
+// they are kept, so the encoder writes by index and never grows
+// anything.
+type eventRecord [(1+2+1+2+6)*binary.MaxVarintLen64 +
 	(2 + numPVarFields*binary.MaxVarintLen64) + (2 + int(NumComponents)*binary.MaxVarintLen64)]byte
 
 // uv writes v as a varint at r[n:] and returns the offset after it.
@@ -184,59 +213,43 @@ func (r *eventRecord) masked(n int, vals []uint64) int {
 // Tracer's in-memory chunks hold the same bytes per event. pv and comps
 // are the event's annotations, passed beside it because the recording
 // path holds them apart from ev (ev.PVars and ev.Components are not
-// read); prev is the timestamp the delta is taken against, and entity,
-// peer and rpc are the indexes of ev's strings in whatever table the
+// read); prev is the timestamp the delta is taken against, and shape and
+// sample are the indexes of ev's shape and sample in whatever tables the
 // record's reader will use.
-func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, prev int64, entity, peer, rpc uint64) int {
-	flags := uint64(uint8(ev.Kind)) << evFlagBits
+func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, prev int64, shape, sample uint64) int {
+	var flags uint64
 	set := func(bit uint64, on bool) {
 		if on {
 			flags |= bit
 		}
 	}
-	set(evFailed, ev.Failed)
 	set(evDuration, ev.Duration != 0)
-	set(evBatchID, ev.BatchID != 0)
 	set(evQueue, ev.QueueNanos != 0)
-	set(evWindow, ev.WindowNanos != 0)
 	set(evPoolRunnable, ev.Sys.PoolRunnable != 0)
 	set(evPoolBlocked, ev.Sys.PoolBlocked != 0)
-	set(evHeapBytes, ev.Sys.HeapBytes != 0)
-	set(evGoroutines, ev.Sys.Goroutines != 0)
 	set(evPVars, pv != nil)
 	set(evComponents, comps != nil)
+	set(evFailed, ev.Failed)
+	set(evBatchID, ev.BatchID != 0)
+	set(evWindow, ev.WindowNanos != 0)
 
 	n := r.uv(0, flags)
 	n = r.uv(n, ev.RequestID)
 	n = r.uv(n, ev.Order)
-	n = r.uv(n, ev.Breadcrumb)
 	n = r.zz(n, ev.Timestamp-prev) // wraps; the reader's sum wraps back
-	n = r.uv(n, entity)
-	n = r.uv(n, peer)
-	n = r.uv(n, rpc)
+	n = r.uv(n, shape)
+	n = r.uv(n, sample)
 	if flags&evDuration != 0 {
 		n = r.zz(n, ev.Duration)
 	}
-	if flags&evBatchID != 0 {
-		n = r.uv(n, ev.BatchID)
-	}
 	if flags&evQueue != 0 {
 		n = r.zz(n, ev.QueueNanos)
-	}
-	if flags&evWindow != 0 {
-		n = r.zz(n, ev.WindowNanos)
 	}
 	if flags&evPoolRunnable != 0 {
 		n = r.zz(n, ev.Sys.PoolRunnable)
 	}
 	if flags&evPoolBlocked != 0 {
 		n = r.zz(n, ev.Sys.PoolBlocked)
-	}
-	if flags&evHeapBytes != 0 {
-		n = r.uv(n, ev.Sys.HeapBytes)
-	}
-	if flags&evGoroutines != 0 {
-		n = r.zz(n, int64(ev.Sys.Goroutines))
 	}
 	if pv != nil {
 		var vals [numPVarFields]uint64
@@ -248,6 +261,12 @@ func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]ui
 	if comps != nil {
 		n = r.masked(n, comps[:])
 	}
+	if flags&evBatchID != 0 {
+		n = r.uv(n, ev.BatchID)
+	}
+	if flags&evWindow != 0 {
+		n = r.zz(n, ev.WindowNanos)
+	}
 	return n
 }
 
@@ -255,9 +274,9 @@ func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]ui
 // not trusted: malformed bytes are an error, never a panic, and no
 // count in them is believed beyond what the bytes that follow it could
 // encode. One dump costs a fixed number of allocations however many
-// events it holds: its bytes, its strings (one backing string), and one
-// array each of events, PVAR samples and component breakdowns that the
-// events' PVars and Components point into.
+// events it holds: its bytes, its tables (the strings share one backing
+// string), and one array each of events, PVAR samples and component
+// breakdowns that the events' PVars and Components point into.
 func ReadTrace(r io.Reader) (*TraceDump, error) {
 	data, err := readAllSized(r)
 	if err != nil {
@@ -309,14 +328,23 @@ type traceReader struct {
 	off int
 	err error
 
-	strs []string // the string table
-	used uint64   // how many of its entries the events have used so far
-
 	// Event decoding state: the timestamp the next delta adds to, and
 	// the storage the next PVAR sample and component array go into.
 	ts    int64
 	pvars []PVarSample
 	comps [][NumComponents]uint64
+}
+
+// recordTables are the tables event records index, and how many of each
+// one's entries have been used so far (by the shapes, for strings; by
+// the events, for the others). They are kept apart from the traceReader,
+// whose error escapes: escape analysis does not tell a struct's fields
+// apart, and a dump's tables may live on its decoder's stack.
+type recordTables struct {
+	strs    []string
+	shapes  []shape
+	samples []sample
+	used    [numTables]uint64
 }
 
 func (r *traceReader) fail(format string, args ...any) {
@@ -374,66 +402,54 @@ func (r *traceReader) masked(vals []uint64) {
 	}
 }
 
-// str reads a string-table index. The writer numbers strings in the
-// order events first use them, so an index may be at most one past the
-// highest seen so far.
-func (r *traceReader) str() string {
+// ref reads an index into one of t's tables, of size entries. The
+// writer numbers each table's entries in the order they are first used,
+// so an index may be at most one past the highest seen so far.
+func (r *traceReader) ref(t *recordTables, table int, size int) uint64 {
 	i := r.uv()
-	if i > r.used || i >= uint64(len(r.strs)) {
-		r.fail("string index %d out of first-use order (%d of %d used)", i, r.used, len(r.strs))
-		return ""
+	if used := t.used[table]; i > used || i >= uint64(size) {
+		r.fail("%s index %d out of first-use order (%d of %d used)", tableNames[table], i, used, size)
+		return 0
 	}
-	if i == r.used {
-		r.used++
+	if i == t.used[table] {
+		t.used[table]++
 	}
-	return r.strs[i]
+	return i
 }
 
-// event reads one event record (what eventRecord.encode wrote) into *ev, which
-// the caller hands over zeroed, pointing its annotations at the next
-// free entries of r.pvars and r.comps.
-func (r *traceReader) event(ev *Event) {
+// event reads one event record (what eventRecord.encode wrote) into *ev,
+// which the caller hands over zeroed, expanding its shape and sample
+// from t and pointing its annotations at the next free entries of
+// r.pvars and r.comps.
+func (r *traceReader) event(ev *Event, t *recordTables) {
 	flags := r.uv()
-	if flags>>(evFlagBits+8) != 0 {
+	if flags>>evFlagBits != 0 {
 		r.fail("unknown event flag bits %#x", flags)
 	}
-	ev.Kind = EventKind(uint8(flags >> evFlagBits))
 	ev.RequestID = r.uv()
 	ev.Order = r.uv()
-	ev.Breadcrumb = r.uv()
 	r.ts += r.zz()
 	ev.Timestamp = r.ts
-	ev.Entity = r.str()
-	ev.Peer = r.str()
-	ev.RPCName = r.str()
+	shi, smi := r.ref(t, tabShapes, len(t.shapes)), r.ref(t, tabSamples, len(t.samples))
+	if r.err != nil {
+		return
+	}
+	sh, sm := &t.shapes[shi], &t.samples[smi]
+	ev.Kind, ev.Breadcrumb = sh.kind, sh.bc
+	ev.Entity, ev.Peer, ev.RPCName = t.strs[sh.strs[0]], t.strs[sh.strs[1]], t.strs[sh.strs[2]]
+	ev.Sys.HeapBytes, ev.Sys.Goroutines = sm.heap, sm.goroutines
 	ev.Failed = flags&evFailed != 0
 	if flags&evDuration != 0 {
 		ev.Duration = int64(r.nonzero(uint64(r.zz())))
 	}
-	if flags&evBatchID != 0 {
-		ev.BatchID = r.nonzero(r.uv())
-	}
 	if flags&evQueue != 0 {
 		ev.QueueNanos = int64(r.nonzero(uint64(r.zz())))
-	}
-	if flags&evWindow != 0 {
-		ev.WindowNanos = int64(r.nonzero(uint64(r.zz())))
 	}
 	if flags&evPoolRunnable != 0 {
 		ev.Sys.PoolRunnable = int64(r.nonzero(uint64(r.zz())))
 	}
 	if flags&evPoolBlocked != 0 {
 		ev.Sys.PoolBlocked = int64(r.nonzero(uint64(r.zz())))
-	}
-	if flags&evHeapBytes != 0 {
-		ev.Sys.HeapBytes = r.nonzero(r.uv())
-	}
-	if flags&evGoroutines != 0 {
-		g := int64(r.nonzero(uint64(r.zz())))
-		if int64(int(g)) != g {
-			r.fail("goroutine count %d overflows int", g)
-		}
-		ev.Sys.Goroutines = int(g)
 	}
 	if flags&evPVars != 0 {
 		if len(r.pvars) == 0 {
@@ -455,6 +471,116 @@ func (r *traceReader) event(ev *Event) {
 		ev.Components, r.comps = &r.comps[0], r.comps[1:]
 		r.masked(ev.Components[:])
 	}
+	if flags&evBatchID != 0 {
+		ev.BatchID = r.nonzero(r.uv())
+	}
+	if flags&evWindow != 0 {
+		ev.WindowNanos = int64(r.nonzero(uint64(r.zz())))
+	}
+}
+
+// count reads the size of a table, believing it only as far as the bytes
+// left could hold that many entries of at least size bytes each.
+func (r *traceReader) count(what string, size uint64) uint64 {
+	n := r.uv()
+	if n > r.remaining()/size {
+		r.fail("%d %s in %d bytes", n, what, r.remaining())
+		return 0
+	}
+	return n
+}
+
+// tableRoom is room on the decoder's stack for the tables of a dump of
+// an ordinary run, so that reading one allocates for its tables only
+// the strings' bytes; larger tables are allocated.
+type tableRoom struct {
+	strs    [32]string
+	shapes  [64]shape
+	samples [256]sample
+}
+
+// table returns n entries of room, or of new memory if room is short.
+func table[T any](room []T, n uint64) []T {
+	if n <= uint64(len(room)) {
+		return room[:n]
+	}
+	return make([]T, n)
+}
+
+// firstRepeat returns the index of the first entry of tab equal to an
+// earlier one, or -1. Tables that fit a tableRoom are searched pairwise,
+// without allocating.
+func firstRepeat[T comparable](tab []T) int {
+	if len(tab) <= 256 {
+		for j := 1; j < len(tab); j++ {
+			for i := 0; i < j; i++ {
+				if tab[i] == tab[j] {
+					return j
+				}
+			}
+		}
+		return -1
+	}
+	seen := make(map[T]struct{}, len(tab))
+	for j, v := range tab {
+		if _, dup := seen[v]; dup {
+			return j
+		}
+		seen[v] = struct{}{}
+	}
+	return -1
+}
+
+// shapeTable reads the shape table, whose indexes into t's strings
+// follow their first-use order, into room.
+func (r *traceReader) shapeTable(t *recordTables, room []shape) []shape {
+	n := r.count("shapes", minShapeBytes)
+	if r.err != nil {
+		return nil
+	}
+	shapes := table(room, n)
+	for i := range shapes {
+		sh := &shapes[i]
+		kind := r.uv()
+		if kind > math.MaxUint8 {
+			r.fail("shape %d has kind %d", i, kind)
+		}
+		sh.kind, sh.bc = EventKind(uint8(kind)), r.uv()
+		for k := range sh.strs {
+			sh.strs[k] = uint32(r.ref(t, tabStrings, len(t.strs)))
+		}
+		if r.err != nil {
+			return nil
+		}
+	}
+	switch j := firstRepeat(shapes); {
+	case j >= 0:
+		r.fail("shape %d defined twice", j)
+	case t.used[tabStrings] != uint64(len(t.strs)):
+		r.fail("%d of %d strings never used", uint64(len(t.strs))-t.used[tabStrings], len(t.strs))
+	}
+	return shapes
+}
+
+// sampleTable reads the sample table into room.
+func (r *traceReader) sampleTable(room []sample) []sample {
+	n := r.count("samples", minSampleBytes)
+	if r.err != nil {
+		return nil
+	}
+	samples := table(room, n)
+	for i := range samples {
+		s := &samples[i]
+		s.heap = r.uv()
+		g := r.zz()
+		if s.goroutines = int(g); int64(s.goroutines) != g {
+			r.fail("goroutine count %d overflows int", g)
+		}
+	}
+	if j := firstRepeat(samples); j >= 0 {
+		r.fail("sample %d defined twice", j)
+	}
+	return samples
 }
 
 var errTraceMagic = errors.New("not a trace dump (bad magic)")
@@ -464,9 +590,11 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		return nil, errTraceMagic
 	}
 	if v := data[len(traceMagic)]; v != traceVersion {
-		return nil, fmt.Errorf("unsupported trace dump version %d (this reader knows %d)", v, traceVersion)
+		return nil, fmt.Errorf("trace dump version %d is not read by this build, which reads version %d only: dump the run again", v, traceVersion)
 	}
-	r := &traceReader{b: data, off: len(traceMagic) + 1}
+	r := traceReader{b: data, off: len(traceMagic) + 1}
+	var t recordTables
+	var room tableRoom // t's tables live only while the events are read
 
 	d := &TraceDump{}
 	pid := r.uv()
@@ -482,7 +610,7 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		r.fail("string table of %d entries in %d bytes", nstr, r.remaining())
 		return nil, r.err
 	}
-	strs := make([]string, nstr)
+	strs := table(room.strs[:], nstr)
 	tabStart := r.off
 	for i := range strs {
 		n := r.uv()
@@ -496,21 +624,22 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		return nil, r.err
 	}
 	blob := string(data[tabStart:r.off])
-	seen := make(map[string]struct{}, min(len(strs), 64))
 	r.off = tabStart
 	for i := range strs {
 		n := int(r.uv())
 		lo := r.off - tabStart
 		strs[i] = blob[lo : lo+n]
 		r.off += n
-		if _, dup := seen[strs[i]]; dup {
-			r.fail("string %q defined twice", strs[i])
-			return nil, r.err
-		}
-		seen[strs[i]] = struct{}{}
+	}
+	if j := firstRepeat(strs); j >= 0 {
+		r.fail("string %q defined twice", strs[j])
+		return nil, r.err
 	}
 	d.Entity = strs[0]
-	r.strs, r.used = strs, 1 // the entity is entry 0
+	t.strs, t.used[tabStrings] = strs, 1 // the entity is entry 0
+	if t.shapes = r.shapeTable(&t, room.shapes[:]); r.err == nil {
+		t.samples = r.sampleTable(room.samples[:])
+	}
 
 	nev, npv, ncomp := r.uv(), r.uv(), r.uv()
 	if r.err != nil {
@@ -531,15 +660,17 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		r.comps = make([][NumComponents]uint64, ncomp)
 	}
 	for i := range d.Events {
-		if r.event(&d.Events[i]); r.err != nil {
+		if r.event(&d.Events[i], &t); r.err != nil {
 			return nil, fmt.Errorf("event %d: %w", i, r.err)
 		}
 	}
 	switch {
 	case len(r.pvars) != 0 || len(r.comps) != 0:
 		r.fail("%d pvar samples and %d component arrays declared but not used", len(r.pvars), len(r.comps))
-	case r.used != nstr:
-		r.fail("%d of %d strings never used", nstr-r.used, nstr)
+	case t.used[tabShapes] != uint64(len(t.shapes)):
+		r.fail("%d of %d shapes never used", uint64(len(t.shapes))-t.used[tabShapes], len(t.shapes))
+	case t.used[tabSamples] != uint64(len(t.samples)):
+		r.fail("%d of %d samples never used", uint64(len(t.samples))-t.used[tabSamples], len(t.samples))
 	case r.off != len(r.b):
 		r.fail("%d bytes after the last event", len(r.b)-r.off)
 	}

@@ -137,6 +137,23 @@ func randomDump(seed int64, nEvents, nStrings int) *TraceDump {
 	return d
 }
 
+// repeatingDump is randomDump whose events take their shape (kind,
+// breadcrumb, entity, peer, RPC) from nShapes random prototypes and their
+// sample (heap size, goroutines) from nSamples, interleaved at random, as
+// a run's events do: what the folded tables and their memos must get
+// right.
+func repeatingDump(seed int64, nEvents, nShapes, nSamples int) *TraceDump {
+	d := randomDump(seed, nEvents, 6)
+	protos := randomDump(-seed, nShapes+nSamples, 6).Events
+	rng := rand.New(rand.NewSource(seed))
+	for i := range d.Events {
+		ev, sh, sm := &d.Events[i], &protos[rng.Intn(nShapes)], &protos[nShapes+rng.Intn(nSamples)]
+		ev.Kind, ev.Breadcrumb, ev.Entity, ev.Peer, ev.RPCName = sh.Kind, sh.Breadcrumb, sh.Entity, sh.Peer, sh.RPCName
+		ev.Sys.HeapBytes, ev.Sys.Goroutines = sm.Sys.HeapBytes, sm.Sys.Goroutines
+	}
+	return d
+}
+
 func TestTraceDumpRoundTripGolden(t *testing.T) {
 	roundTrip(t, &TraceDump{Entity: "n0/cli", PID: 4242, Dropped: 3, Events: goldenEvents()})
 	roundTrip(t, &TraceDump{})
@@ -154,6 +171,10 @@ func TestTraceDumpRoundTripRandom(t *testing.T) {
 			nStrings = 300
 		}
 		roundTrip(t, randomDump(seed, int(seed*7)%400, nStrings))
+	}
+	// Few shapes and samples, heavily repeated and interleaved.
+	for seed := int64(1); seed <= 30; seed++ {
+		roundTrip(t, repeatingDump(seed, 300, 1+int(seed)%9, 1+int(seed)%4))
 	}
 	// One event with every field at its extreme.
 	ev := Event{
@@ -198,6 +219,22 @@ func TestTraceDumpSize(t *testing.T) {
 	if per := len(b) / len(evs); per > 64 {
 		t.Fatalf("golden dump is %d B/event", per)
 	}
+	// A run repeats its shapes and samples: folded, a hundred requests of
+	// the golden callpath cost their IDs, timestamps and annotations only
+	// (26.9 B/event; 35.8 when every event spelled its own).
+	var run []Event
+	for k := uint64(0); k < 100; k++ {
+		for _, ev := range goldenEvents()[:4] {
+			ev.RequestID += k
+			ev.Order += 4 * k
+			ev.Timestamp += 41_000 * int64(k)
+			run = append(run, ev)
+		}
+	}
+	b = encodeTrace(t, &TraceDump{Entity: "n0/cli", Events: run})
+	if per := float64(len(b)) / float64(len(run)); per > 27.5 {
+		t.Fatalf("a run of repeated shapes dumps to %.1f B/event, want <= 27.5", per)
+	}
 }
 
 // allocatedBytes is the process's cumulative heap allocation.
@@ -212,57 +249,104 @@ func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 
 func cat(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 
-func TestReadTraceRejectsMalformed(t *testing.T) {
+// strTable is a hand-built string table.
+func strTable(ss ...string) []byte {
+	b := uv(uint64(len(ss)))
+	for _, s := range ss {
+		b = cat(b, uv(uint64(len(s))), []byte(s))
+	}
+	return b
+}
+
+// shapeDef is a hand-built shape: kind, breadcrumb and three string
+// indexes.
+func shapeDef(kind, bc, entity, peer, rpc uint64) []byte {
+	return cat(uv(kind), uv(bc), uv(entity), uv(peer), uv(rpc))
+}
+
+// malformedDumps are hand-built dumps ReadTrace must refuse, each broken
+// in one way; good is the minimal dump they are built from.
+func malformedDumps() (good []byte, cases map[string][]byte) {
 	head := cat([]byte(traceMagic), []byte{traceVersion})
 	// pid, dropped, one string "e".
-	pre := cat(head, uv(7), uv(0), uv(1), uv(1), []byte("e"))
-	// A minimal event: flags, ids, ts delta, three string indexes.
+	pre := cat(head, uv(7), uv(0), strTable("e"))
+	// One shape (kind 0, breadcrumb 0, "e" for all three strings) and one
+	// sample (heap 0, goroutines 0).
+	shape0, sample0 := shapeDef(0, 0, 0, 0, 0), cat(uv(0), uv(0))
+	tables := cat(uv(1), shape0, uv(1), sample0)
+	// A minimal event: flags, ids, ts delta, shape and sample indexes.
 	ev := func(flags uint64, rest ...[]byte) []byte {
-		return cat(uv(flags), uv(1), uv(1), uv(1), uv(0), uv(0), uv(0), uv(0), cat(rest...))
+		return cat(uv(flags), uv(1), uv(1), uv(0), uv(0), uv(0), cat(rest...))
 	}
 	one := func(npv, ncomp uint64, event []byte) []byte {
-		return cat(pre, uv(1), uv(npv), uv(ncomp), event)
+		return cat(pre, tables, uv(1), uv(npv), uv(ncomp), event)
 	}
-	good := one(0, 0, ev(0))
-	if _, err := ReadTrace(bytes.NewReader(good)); err != nil {
-		t.Fatalf("hand-built minimal dump rejected: %v", err)
+	// over is a one-event dump over the given tables.
+	over := func(strs, shapes, samples, event []byte) []byte {
+		return cat(head, uv(7), uv(0), strs, shapes, samples, uv(1), uv(0), uv(0), event)
 	}
+	good = one(0, 0, ev(0))
 	huge := uv(1 << 40)
-	cases := map[string][]byte{
+	v1 := cat([]byte(traceMagic), []byte{1}, uv(7), uv(0), strTable("e"), uv(1), uv(0), uv(0),
+		uv(0), uv(1), uv(1), uv(1), uv(0), uv(0), uv(0), uv(0)) // a minimal dump of version 1
+	return good, map[string][]byte{
 		"empty":                   nil,
 		"json":                    []byte(`{"entity":"e","pid":1,"dropped":0,"events":[]}`),
 		"bad magic":               cat([]byte("SYTX"), good[4:]),
 		"magic only":              []byte(traceMagic),
+		"version 1":               v1,
 		"future version":          cat([]byte(traceMagic), []byte{traceVersion + 1}, good[5:]),
 		"truncated varint":        cat(head, []byte{0x80}),
 		"overlong varint":         cat(head, bytes.Repeat([]byte{0xff}, 11)),
 		"non-minimal varint":      cat(head, []byte{0x87, 0x00}, good[6:]),
 		"pid overflow":            cat(head, uv(1<<32), good[6:]),
-		"no entity string":        cat(head, uv(7), uv(0), uv(0), uv(0), uv(0), uv(0)),
+		"no entity string":        cat(head, uv(7), uv(0), uv(0), uv(0), uv(0), uv(0), uv(0), uv(0)),
 		"2^40 strings":            cat(head, uv(7), uv(0), huge, uv(1), []byte("e")),
 		"string past the end":     cat(head, uv(7), uv(0), uv(1), uv(50), []byte("e")),
 		"2^40-byte string":        cat(head, uv(7), uv(0), uv(1), huge, []byte("e")),
-		"duplicate string":        cat(head, uv(7), uv(0), uv(2), uv(1), []byte("e"), uv(1), []byte("e"), uv(0), uv(0), uv(0)),
-		"unused string":           cat(head, uv(7), uv(0), uv(2), uv(1), []byte("e"), uv(1), []byte("f"), uv(1), uv(0), uv(0), ev(0)),
-		"2^40 events":             cat(pre, huge, uv(0), uv(0), ev(0)),
-		"2^40 events, 20 bytes":   cat(head, uv(7), uv(0), uv(1), uv(1), []byte("e"), huge, uv(0), uv(0)),
-		"more pvars than events":  cat(pre, uv(1), uv(2), uv(0), ev(0)),
-		"2^40 component arrays":   cat(pre, uv(1), uv(0), huge, ev(0)),
-		"missing event":           cat(pre, uv(2), uv(0), uv(0), ev(0)),
-		"truncated event":         good[:len(good)-2],
-		"trailing byte":           cat(good, []byte{0}),
-		"unknown flag bit":        one(0, 0, ev(1<<(evFlagBits+8))),
-		"string index too far":    one(0, 0, cat(uv(0), uv(1), uv(1), uv(1), uv(0), uv(1), uv(0), uv(0))),
-		"string index past table": one(0, 0, cat(uv(0), uv(1), uv(1), uv(1), uv(0), uv(0), uv(9), uv(0))),
-		"string index skips one": cat(head, uv(7), uv(0), uv(3), uv(1), []byte("e"), uv(1), []byte("f"), uv(1), []byte("g"),
-			uv(1), uv(0), uv(0), uv(0), uv(1), uv(1), uv(1), uv(0), uv(0), uv(2), uv(1)),
-		"zero optional field":   one(0, 0, ev(evDuration, uv(0))),
-		"undeclared pvars":      one(0, 0, ev(evPVars, uv(0))),
-		"unused pvars":          one(1, 0, ev(0)),
-		"undeclared components": one(0, 0, ev(evComponents, uv(0))),
-		"wide pvar mask":        one(1, 0, ev(evPVars, uv(1<<numPVarFields), uv(1))),
-		"wide component mask":   one(0, 1, ev(evComponents, uv(1<<NumComponents), uv(1))),
-		"zero masked value":     one(1, 0, ev(evPVars, uv(1), uv(0))),
+		"duplicate string":        over(strTable("e", "e"), cat(uv(1), shape0), cat(uv(1), sample0), ev(0)),
+		"unused string":           over(strTable("e", "f"), cat(uv(1), shape0), cat(uv(1), sample0), ev(0)),
+		"string index past table": over(strTable("e"), cat(uv(1), shapeDef(0, 0, 0, 0, 9)), cat(uv(1), sample0), ev(0)),
+		"string index skips one":  over(strTable("e", "f", "g"), cat(uv(1), shapeDef(0, 0, 0, 2, 1)), cat(uv(1), sample0), ev(0)),
+		"2^40 shapes":             cat(pre, huge, shape0, uv(1), sample0, uv(1), uv(0), uv(0), ev(0)),
+		"shape past the end":      cat(pre, uv(2), shape0),
+		"kind over a byte":        over(strTable("e"), cat(uv(1), shapeDef(256, 0, 0, 0, 0)), cat(uv(1), sample0), ev(0)),
+		"duplicate shape":         over(strTable("e"), cat(uv(2), shape0, shape0), cat(uv(1), sample0), ev(0)),
+		"unused shape":            over(strTable("e"), cat(uv(2), shape0, shapeDef(1, 0, 0, 0, 0)), cat(uv(1), sample0), ev(0)),
+		"shape index past table":  one(0, 0, cat(uv(0), uv(1), uv(1), uv(0), uv(1), uv(0))),
+		"shape index skips one": over(strTable("e"), cat(uv(2), shape0, shapeDef(1, 0, 0, 0, 0)), cat(uv(1), sample0),
+			cat(uv(0), uv(1), uv(1), uv(0), uv(1), uv(0))),
+		"2^40 samples":            cat(pre, uv(1), shape0, huge, sample0, uv(1), uv(0), uv(0), ev(0)),
+		"duplicate sample":        over(strTable("e"), cat(uv(1), shape0), cat(uv(2), sample0, sample0), ev(0)),
+		"unused sample":           over(strTable("e"), cat(uv(1), shape0), cat(uv(2), sample0, uv(5), uv(0)), ev(0)),
+		"sample index past table": one(0, 0, cat(uv(0), uv(1), uv(1), uv(0), uv(0), uv(1))),
+		"sample index skips one": over(strTable("e"), cat(uv(1), shape0), cat(uv(2), sample0, uv(5), uv(0)),
+			cat(uv(0), uv(1), uv(1), uv(0), uv(0), uv(1))),
+		"2^40 events":            cat(pre, tables, huge, uv(0), uv(0), ev(0)),
+		"2^40 events, 20 bytes":  cat(pre, tables, huge, uv(0), uv(0)),
+		"more pvars than events": cat(pre, tables, uv(1), uv(2), uv(0), ev(0)),
+		"2^40 component arrays":  cat(pre, tables, uv(1), uv(0), huge, ev(0)),
+		"missing event":          cat(pre, tables, uv(2), uv(0), uv(0), ev(0)),
+		"truncated event":        good[:len(good)-2],
+		"trailing byte":          cat(good, []byte{0}),
+		"unknown flag bit":       one(0, 0, ev(1<<evFlagBits)),
+		"zero optional field":    one(0, 0, ev(evDuration, uv(0))),
+		"undeclared pvars":       one(0, 0, ev(evPVars, uv(0))),
+		"unused pvars":           one(1, 0, ev(0)),
+		"undeclared components":  one(0, 0, ev(evComponents, uv(0))),
+		"wide pvar mask":         one(1, 0, ev(evPVars, uv(1<<numPVarFields), uv(1))),
+		"wide component mask":    one(0, 1, ev(evComponents, uv(1<<NumComponents), uv(1))),
+		"zero masked value":      one(1, 0, ev(evPVars, uv(1), uv(0))),
+	}
+}
+
+func TestReadTraceRejectsMalformed(t *testing.T) {
+	good, cases := malformedDumps()
+	if _, err := ReadTrace(bytes.NewReader(good)); err != nil {
+		t.Fatalf("hand-built minimal dump rejected: %v", err)
+	}
+	if _, err := ReadTrace(bytes.NewReader(cases["version 1"])); err == nil || !strings.Contains(err.Error(), "version 1 is not read") {
+		t.Errorf("a version 1 dump is refused with %v, which does not name its version", err)
 	}
 	for name, data := range cases {
 		d, err := ReadTrace(bytes.NewReader(data))
@@ -289,8 +373,10 @@ func TestReadTraceHostileCountsDoNotAllocate(t *testing.T) {
 	head := cat([]byte(traceMagic), []byte{traceVersion}, uv(7), uv(0))
 	huge := uv(1 << 40)
 	for name, data := range map[string][]byte{
-		"events":  cat(head, uv(1), uv(1), []byte("e"), huge, uv(0), uv(0)),
+		"events":  cat(head, strTable("e"), uv(0), uv(0), huge, uv(0), uv(0)),
 		"strings": cat(head, huge, uv(1), []byte("e")),
+		"shapes":  cat(head, strTable("e"), huge, shapeDef(0, 0, 0, 0, 0)),
+		"samples": cat(head, strTable("e"), uv(0), huge, uv(0), uv(0)),
 	} {
 		before := allocatedBytes()
 		if _, err := ReadTrace(bytes.NewReader(data)); err == nil {
@@ -361,20 +447,41 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	}
 
 	// Section boundaries of the golden dump: after the magic, the
-	// version, the pid/dropped pair, the string table, the counts, the
-	// first event, and one byte short of the end.
+	// version, the pid/dropped pair, the string, shape and sample tables,
+	// the counts, the first event, and one byte short of the end.
+	var tab traceTables
+	tab.strs.number("n0/cli")
+	for _, ev := range goldenEvents() {
+		tab.shapeOf(&ev)
+		tab.internSample(sampleOf(&ev.Sys))
+	}
 	header := len(traceMagic) + 1 + len(uv(4242)) + len(uv(3))
-	table := header + len(uv(3))
-	for _, s := range []string{"n0/cli", "n1/srv", "sdskv_put_packed"} {
+	table := header + len(uv(uint64(len(tab.strs.vals))))
+	for _, s := range tab.strs.vals {
 		table += len(uv(uint64(len(s)))) + len(s)
 	}
-	counts := table + len(uv(12)) + len(uv(9)) + len(uv(3))
+	shapes := table + len(uv(uint64(len(tab.shapes.vals))))
+	for _, sh := range tab.shapes.vals {
+		shapes += len(shapeDef(uint64(uint8(sh.kind)), sh.bc, uint64(sh.strs[0]), uint64(sh.strs[1]), uint64(sh.strs[2])))
+	}
+	samples := shapes + len(uv(uint64(len(tab.samples.vals))))
+	for _, s := range tab.samples.vals {
+		samples += len(uv(s.heap)) + len(binary.AppendVarint(nil, int64(s.goroutines)))
+	}
+	counts := samples + len(uv(12)) + len(uv(9)) + len(uv(3))
 	first := len(encodeTrace(t, &TraceDump{Entity: "n0/cli", PID: 4242, Dropped: 3, Events: goldenEvents()[:1]}))
 	for name, n := range map[string]int{
 		"magic": len(traceMagic), "version": len(traceMagic) + 1, "header": header,
-		"table": table, "counts": counts, "event1": first, "short": len(golden) - 1,
+		"table": table, "shapes": shapes, "samples": samples, "counts": counts, "event1": first, "short": len(golden) - 1,
 	} {
 		seeds["cut-"+name] = golden[:n]
+	}
+
+	// Tables out of order or out of turn, and a dump of the last version.
+	_, bad := malformedDumps()
+	for _, name := range []string{"version 1", "string index skips one", "duplicate shape", "unused shape",
+		"shape index skips one", "duplicate sample", "sample index skips one"} {
+		seeds["bad-"+strings.ReplaceAll(name, " ", "-")] = bad[name]
 	}
 	return seeds
 }

@@ -158,3 +158,24 @@ func TestBatchSweepReports(t *testing.T) {
 		t.Fatalf("window-8 report has no dominant path:\n%s", w8)
 	}
 }
+
+// TestReadDumpsRefusesOldFormats: a trace stream or trace dump of an
+// earlier format version in a run directory is refused, not misread,
+// with a message that names the file and the versions.
+func TestReadDumpsRefusesOldFormats(t *testing.T) {
+	for _, tc := range []struct{ file, data, want string }{
+		{"n0_cli.trace.jsonl", `{"symbiosys_trace":2,"t0":5,"keys":{}}` + "\n" + `{"s":1,"v":"e"}` + "\n" + `{"i":1,"e":1}` + "\n",
+			"is not version 3: it says version 2; re-export it"},
+		{"n0_cli.trace.bin", "SYTD\x01\x07\x00\x01\x01e\x01\x00\x00\x00\x01\x01\x01\x00\x00\x00\x00",
+			"trace dump version 1 is not read by this build, which reads version 2 only"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, _, err := ReadDumps(dir)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.file) {
+			t.Errorf("%s: ReadDumps error %v, want one naming the file and saying %q", tc.file, err, tc.want)
+		}
+	}
+}

@@ -77,7 +77,8 @@ func ReadDumps(dir string) (profiles []*core.ProfileDump, traces []*core.TraceDu
 				return evs, err
 			})
 			if errors.Is(err, core.ErrTraceStreamVersion) {
-				return nil, nil, nil, fmt.Errorf("%s is not a version 2 trace stream: re-export it with this build (core.NewJSONLTraceSink), older and newer streams are not read", path)
+				// err names the file, the version it holds and the one this build reads.
+				return nil, nil, nil, fmt.Errorf("%w; re-export it with this build (core.NewJSONLTraceSink), streams of other versions are not read", err)
 			}
 			if err != nil {
 				return nil, nil, nil, err

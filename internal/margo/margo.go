@@ -192,7 +192,10 @@ type Instance struct {
 	pvars       []ownPVar
 	pvarMu      sync.Mutex // RegisterServicePVar mutates pvarGlobals while a scrape reads it
 	pvarGlobals map[string]*pvar.Handle
-	pvarBound   map[string]*pvar.Handle
+	// The handles every trace event's PVAR sample reads, resolved once:
+	// in tracedGlobals and tracedBound order.
+	traceGlobals [len(tracedGlobals)]*pvar.Handle
+	traceBound   [len(tracedBound)]*pvar.Handle
 
 	progressULT *abt.ULT
 	stopping    atomic.Bool
@@ -452,44 +455,62 @@ func (i *Instance) Shutdown() error {
 	return err
 }
 
-// initPVarSession opens Margo's sampling session with Mercury and
-// allocates handles for every PVAR it fuses into measurements, mirroring
-// the initialization handshake of the paper's Figure 3.
-func (i *Instance) initPVarSession() {
-	i.session = i.hg.PVars().InitSession()
-	i.pvarGlobals = make(map[string]*pvar.Handle)
-	i.pvarBound = make(map[string]*pvar.Handle)
-	globals := []string{
+// The PVARs a trace event's PVarSample carries: library-global ones,
+// and ones bound to the event's Mercury handle.
+var (
+	tracedGlobals = [...]string{
 		mercury.PVarNumOFIEventsRead,
 		mercury.PVarCompletionQueueSize,
 		mercury.PVarNumPostedHandles,
 		mercury.PVarNumRPCsInvoked,
 		mercury.PVarBulkBytesTransferred,
 	}
-	for _, v := range i.pvars {
-		if v.sampled {
-			globals = append(globals, v.name)
-		}
-	}
-	for _, name := range globals {
-		h, err := i.session.AllocHandleByName(name)
-		if err != nil {
-			panic(fmt.Sprintf("margo: alloc global pvar %s: %v", name, err))
-		}
-		i.pvarGlobals[name] = h
-	}
-	for _, name := range []string{
+	tracedBound = [...]string{
 		mercury.PVarInputSerTime,
 		mercury.PVarInputDeserTime,
 		mercury.PVarOutputSerTime,
 		mercury.PVarInternalRDMATime,
 		mercury.PVarOriginCBTime,
-	} {
+	}
+	// fabricGlobals are scraped, not traced: the fabric's delivery
+	// lateness toward the instance.
+	fabricGlobals = [...]string{
+		mercury.PVarNumDeliveries,
+		mercury.PVarDeliveryLatenessNanos,
+		mercury.PVarNumDeliveriesLate10us,
+		mercury.PVarNumDeliveriesLate50us,
+	}
+)
+
+// initPVarSession opens Margo's sampling session with Mercury and
+// allocates handles for every PVAR it fuses into measurements, mirroring
+// the initialization handshake of the paper's Figure 3. The traced ones
+// are kept in fields, so that sampling one costs no lookup; every global
+// one is also in pvarGlobals, by name, for the telemetry scrape.
+func (i *Instance) initPVarSession() {
+	i.session = i.hg.PVars().InitSession()
+	i.pvarGlobals = make(map[string]*pvar.Handle)
+	alloc := func(name string) *pvar.Handle {
 		h, err := i.session.AllocHandleByName(name)
 		if err != nil {
-			panic(fmt.Sprintf("margo: alloc bound pvar %s: %v", name, err))
+			panic(fmt.Sprintf("margo: alloc pvar %s: %v", name, err))
 		}
-		i.pvarBound[name] = h
+		return h
+	}
+	for k, name := range tracedGlobals {
+		i.traceGlobals[k] = alloc(name)
+		i.pvarGlobals[name] = i.traceGlobals[k]
+	}
+	for _, v := range i.pvars {
+		if v.sampled {
+			i.pvarGlobals[v.name] = alloc(v.name)
+		}
+	}
+	for _, name := range fabricGlobals {
+		i.pvarGlobals[name] = alloc(name)
+	}
+	for k, name := range tracedBound {
+		i.traceBound[k] = alloc(name)
 	}
 }
 
@@ -519,26 +540,10 @@ func (i *Instance) globalPVarHandle(name string) *pvar.Handle {
 	return i.pvarGlobals[name]
 }
 
-// readGlobalPVar samples one library-global PVAR, returning 0 on error.
-func (i *Instance) readGlobalPVar(name string) uint64 {
-	h := i.globalPVarHandle(name)
-	if h == nil {
-		return 0
-	}
-	v, err := i.session.Read(h, nil)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// readBoundPVar samples one handle-bound PVAR off mh.
-func (i *Instance) readBoundPVar(name string, mh *mercury.Handle) uint64 {
-	h := i.pvarBound[name]
-	if h == nil {
-		return 0
-	}
-	v, err := i.session.Read(h, mh)
+// readPVar samples one PVAR through h, off obj when it is handle-bound,
+// returning 0 on error.
+func (i *Instance) readPVar(h *pvar.Handle, obj any) uint64 {
+	v, err := i.session.Read(h, obj)
 	if err != nil {
 		return 0
 	}
@@ -554,20 +559,22 @@ func (i *Instance) samplePVars(stage core.Stage, s *core.PVarSample, mh *mercury
 	if !stage.SamplesPVars() {
 		return nil
 	}
+	g := &i.traceGlobals
 	*s = core.PVarSample{
-		OFIEventsRead:    i.readGlobalPVar(mercury.PVarNumOFIEventsRead),
-		CompletionQueue:  i.readGlobalPVar(mercury.PVarCompletionQueueSize),
-		PostedHandles:    i.readGlobalPVar(mercury.PVarNumPostedHandles),
-		RPCsInvokedTotal: i.readGlobalPVar(mercury.PVarNumRPCsInvoked),
-		BulkBytesMoved:   i.readGlobalPVar(mercury.PVarBulkBytesTransferred),
+		OFIEventsRead:    i.readPVar(g[0], nil),
+		CompletionQueue:  i.readPVar(g[1], nil),
+		PostedHandles:    i.readPVar(g[2], nil),
+		RPCsInvokedTotal: i.readPVar(g[3], nil),
+		BulkBytesMoved:   i.readPVar(g[4], nil),
 		NetworkPending:   uint64(i.hg.NetworkPending()),
 	}
 	if mh != nil {
-		s.InputSerNanos = i.readBoundPVar(mercury.PVarInputSerTime, mh)
-		s.InputDeserNanos = i.readBoundPVar(mercury.PVarInputDeserTime, mh)
-		s.OutputSerNanos = i.readBoundPVar(mercury.PVarOutputSerTime, mh)
-		s.RDMANanos = i.readBoundPVar(mercury.PVarInternalRDMATime, mh)
-		s.OriginCBNanos = i.readBoundPVar(mercury.PVarOriginCBTime, mh)
+		b := &i.traceBound
+		s.InputSerNanos = i.readPVar(b[0], mh)
+		s.InputDeserNanos = i.readPVar(b[1], mh)
+		s.OutputSerNanos = i.readPVar(b[2], mh)
+		s.RDMANanos = i.readPVar(b[3], mh)
+		s.OriginCBNanos = i.readPVar(b[4], mh)
 	}
 	return s
 }

@@ -10,6 +10,7 @@ import (
 	"symbiosys/internal/abt"
 	"symbiosys/internal/core"
 	"symbiosys/internal/mercury"
+	"symbiosys/internal/mercury/pvar"
 	"symbiosys/internal/na"
 )
 
@@ -560,5 +561,62 @@ func TestMeasurementShardsAndTraceSink(t *testing.T) {
 	}
 	if total != calls {
 		t.Fatalf("merged target count = %d, want %d", total, calls)
+	}
+}
+
+// TestSamplePVarsMatchesByNameReads: a trace event's PVAR sample, read
+// through the handles the instance resolved once, equals what a session
+// reads by name, library-global counters and handle-bound timers alike.
+func TestSamplePVarsMatchesByNameReads(t *testing.T) {
+	c := newCluster(t)
+	inst := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "pv"})
+	hg := inst.Mercury()
+	if err := hg.Register("pv_rpc", nil); err != nil {
+		t.Fatal(err)
+	}
+	mh, err := hg.Create(inst.Addr(), "pv_rpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mh.Destroy()
+	for k, d := range []time.Duration{310, 420, 530, 640, 750} {
+		[]*pvar.Timer{&mh.InputSerTime, &mh.InputDeserTime, &mh.OutputSerTime, &mh.RDMATime, &mh.OriginCBTime}[k].SetDuration(d)
+	}
+	var got core.PVarSample
+	if inst.samplePVars(core.StageFull, &got, mh) == nil {
+		t.Fatal("StageFull sampled no PVARs")
+	}
+
+	s := hg.PVars().InitSession()
+	defer s.Finalize()
+	read := func(name string, obj any) uint64 {
+		h, err := s.AllocHandleByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := s.Read(h, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	want := core.PVarSample{
+		OFIEventsRead:    read(mercury.PVarNumOFIEventsRead, nil),
+		CompletionQueue:  read(mercury.PVarCompletionQueueSize, nil),
+		PostedHandles:    read(mercury.PVarNumPostedHandles, nil),
+		RPCsInvokedTotal: read(mercury.PVarNumRPCsInvoked, nil),
+		BulkBytesMoved:   read(mercury.PVarBulkBytesTransferred, nil),
+		NetworkPending:   uint64(hg.NetworkPending()),
+		InputSerNanos:    read(mercury.PVarInputSerTime, mh),
+		InputDeserNanos:  read(mercury.PVarInputDeserTime, mh),
+		OutputSerNanos:   read(mercury.PVarOutputSerTime, mh),
+		RDMANanos:        read(mercury.PVarInternalRDMATime, mh),
+		OriginCBNanos:    read(mercury.PVarOriginCBTime, mh),
+	}
+	if got != want {
+		t.Errorf("sampled %+v, read by name %+v", got, want)
+	}
+	if got.InputSerNanos != 310 || got.OriginCBNanos != 750 {
+		t.Errorf("bound timers sampled as %+v", got)
 	}
 }

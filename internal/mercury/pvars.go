@@ -27,6 +27,13 @@ const (
 	PVarOutputSerTime        = "output_serialization_time"
 	PVarOutputDeserTime      = "output_deserialization_time"
 	PVarOriginCBTime         = "origin_completion_callback_time"
+
+	// Delivery lateness of the simulated fabric toward this instance's
+	// endpoint (na.Endpoint.Lateness).
+	PVarNumDeliveries         = "num_fabric_deliveries"
+	PVarDeliveryLatenessNanos = "fabric_delivery_lateness_ns"
+	PVarNumDeliveriesLate10us = "num_fabric_deliveries_late_10us"
+	PVarNumDeliveriesLate50us = "num_fabric_deliveries_late_50us"
 )
 
 // registerPVars exports the instance's performance variables through the
@@ -83,6 +90,19 @@ func (c *Class) registerPVars() {
 	r.RegisterGlobal(PVarCompletionQueueHWM,
 		"Highest completion queue length observed",
 		pvar.ClassHighWatermark, func() uint64 { return uint64(c.cqLevel.HighWatermark()) })
+
+	r.RegisterGlobal(PVarNumDeliveries,
+		"Number of fabric deliveries (messages and RDMA) toward this instance",
+		pvar.ClassCounter, func() uint64 { return c.ep.Lateness().Count })
+	r.RegisterGlobal(PVarDeliveryLatenessNanos,
+		"Nanoseconds those deliveries came after their modeled arrival time, summed",
+		pvar.ClassCounter, func() uint64 { return c.ep.Lateness().SumNanos })
+	r.RegisterGlobal(PVarNumDeliveriesLate10us,
+		"Number of fabric deliveries more than 10 us late",
+		pvar.ClassCounter, func() uint64 { return c.ep.Lateness().Over10us })
+	r.RegisterGlobal(PVarNumDeliveriesLate50us,
+		"Number of fabric deliveries more than 50 us late",
+		pvar.ClassCounter, func() uint64 { return c.ep.Lateness().Over50us })
 
 	handleTimer := func(pick func(*Handle) *pvar.Timer) pvar.HandleReader {
 		return func(obj any) (uint64, bool) {

@@ -445,3 +445,29 @@ func TestCompletionQueueRingKeepsOrder(t *testing.T) {
 		t.Fatalf("len %d, overflows %d at the bound", c.len(), c.overflows.Load())
 	}
 }
+
+// TestLatenessCountsEveryDelivery: n sends on an idle fabric are n
+// deliveries on the receiving endpoint, none late by a negative time,
+// and the sender, which received nothing, counts none.
+func TestLatenessCountsEveryDelivery(t *testing.T) {
+	const n = 200
+	_, a, b := newPair(t, Config{LatencyRemote: 2 * time.Microsecond})
+	buf := make([]Event, 0, 16)
+	for k := 0; k < n; k++ {
+		a.Send(b.Addr(), TagUnexpected, []byte{byte(k)}, nil)
+	}
+	for got := 0; got < n; {
+		got += len(b.PollInto(buf, 16))
+		runtime.Gosched()
+	}
+	l := b.Lateness()
+	if l.Count != n || l.Over10us > l.Count || l.Over50us > l.Over10us || int64(l.SumNanos) < 0 {
+		t.Fatalf("%d deliveries counted as %+v", n, l)
+	}
+	if l.SumNanos/n > uint64(time.Second) {
+		t.Fatalf("mean lateness %v on an idle fabric", time.Duration(l.SumNanos/n))
+	}
+	if got := a.Lateness(); got != (Lateness{}) {
+		t.Fatalf("the sender counts %+v", got)
+	}
+}
