@@ -166,16 +166,18 @@ chaos-smoke:
 	$(GO) test ./internal/experiments/ -run TestChaosSmoke -count=1 -v
 
 # analyze-smoke runs the from-run-to-report pipeline end to end: a
-# small chaos campaign emits its dominant-path flame and clean-vs-chaos
-# diff automatically, the diff localizes the injected fault, and the
-# same trace set renders in all three output modes (cli, tui, html)
-# with a non-empty dominant path; and the campaign's trace dumps,
-# written with experiments.WriteDumps and read back the way `sym` reads
-# them, yield the same flame and report text as the events in memory
-# did. Then `sym` itself runs every subcommand over a dump directory.
+# small chaos campaign writes each run's dumps, and the reports come
+# from those dumps, rendered as sym renders them: the faulted run's
+# dominant-path flame, in all three output modes (cli, tui, html), and
+# the clean-vs-chaos diff, which must localize the injected fault; read
+# back, the dumps are the run's own and yield the same flame and report
+# text. A batch sweep's window-1-vs-8 diff must show the batch-window
+# segment. Then `sym` runs every subcommand over a dump directory, and
+# hepnos-bench's command lines run in-process (bad ones exit 2, -run
+# elastic passes its audit, -config C7 -out writes dumps sym reads).
 analyze-smoke:
 	$(GO) test ./internal/experiments/ -run 'TestAnalyzeSmoke|TestBatchSweepReports' -count=1 -v
-	$(GO) test ./cmd/sym -count=1
+	$(GO) test ./cmd/sym ./cmd/hepnos-bench -count=1
 
 # elastic-smoke scales an elastic sdskv cluster out and back in under sustained
 # load and asserts the elasticity bar: zero acked-then-lost ops, live

@@ -51,7 +51,7 @@ func BenchmarkAblationEagerLimit(b *testing.B) {
 		run := func(limit int) float64 {
 			res, err := experiments.RunSonata(experiments.SonataConfig{
 				Records: 2000, BatchSize: 200, RecordSize: 256, EagerLimit: limit,
-			})
+			}, "", "")
 			if err != nil {
 				b.Fatal(err)
 			}

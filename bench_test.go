@@ -39,7 +39,7 @@ func scaledHEPnOS(cfg experiments.HEPnOSConfig, clientDiv, eventDiv int) experim
 
 func runHEPnOS(b *testing.B, cfg experiments.HEPnOSConfig) *experiments.HEPnOSResult {
 	b.Helper()
-	res, err := experiments.RunHEPnOS(cfg)
+	res, err := experiments.RunHEPnOS(cfg, "", "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func BenchmarkFig05MobjectWriteTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunMobjectIOR(experiments.MobjectConfig{
 			Clients: 10, Segments: 4, TransferSize: 16 << 10,
-		})
+		}, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func BenchmarkFig06MobjectCallpaths(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunMobjectIOR(experiments.MobjectConfig{
 			Clients: 10, Segments: 4, TransferSize: 16 << 10,
-		})
+		}, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func BenchmarkFig07SonataBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunSonata(experiments.SonataConfig{
 			Records: 5000, BatchSize: 500, RecordSize: 256,
-		})
+		}, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func BenchmarkFig13Overheads(b *testing.B) {
 		res, err := experiments.RunOverheadStudy(experiments.OverheadConfig{
 			Base: scaledHEPnOS(experiments.C4, 1, 4),
 			Reps: 3,
-		})
+		}, "", "")
 		if err != nil {
 			b.Fatal(err)
 		}

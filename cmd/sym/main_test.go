@@ -19,21 +19,19 @@ var (
 	dumpsErr  error
 )
 
-// dumps is the directory WriteDumps left from one small HEPnOS run (C2
-// scaled down to two clients), written once for every test here.
+// dumps is the directory one small HEPnOS run (C2 scaled down to two
+// clients) wrote its dumps to, written once for every test here.
 func dumps(t *testing.T) string {
 	t.Helper()
 	dumpsOnce.Do(func() {
 		cfg := experiments.C2.Scaled(32)
 		cfg.TotalClients, cfg.ClientsPerNode, cfg.BatchSize = 2, 2, 8
-		profiles, traces, err := experiments.CollectHEPnOSDumps(cfg)
-		if err != nil {
-			dumpsErr = err
+		var root string
+		if root, dumpsErr = os.MkdirTemp("", "sym-test-dumps"); dumpsErr != nil {
 			return
 		}
-		if dumpsDir, dumpsErr = os.MkdirTemp("", "sym-test-dumps"); dumpsErr == nil {
-			dumpsErr = experiments.WriteDumps(dumpsDir, profiles, traces)
-		}
+		dumpsDir = filepath.Join(root, cfg.Name)
+		_, dumpsErr = experiments.RunHEPnOS(cfg, "", root)
 	})
 	if dumpsErr != nil {
 		t.Fatal(dumpsErr)
@@ -44,7 +42,7 @@ func dumps(t *testing.T) string {
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if dumpsDir != "" {
-		os.RemoveAll(dumpsDir)
+		os.RemoveAll(filepath.Dir(dumpsDir))
 	}
 	os.Exit(code)
 }

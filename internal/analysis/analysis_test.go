@@ -362,29 +362,3 @@ func TestRequestGaps(t *testing.T) {
 		t.Fatalf("overlapping coverage produced gaps: %+v", gaps)
 	}
 }
-
-// TestCollectSinkKeepsItsOwnAnnotations: a sink is lent its events, and
-// the collector reuses the annotations' storage for the next one. What
-// CollectSink keeps of an event must not change when later events pass.
-func TestCollectSinkKeepsItsOwnAnnotations(t *testing.T) {
-	var sink CollectSink
-	c := core.NewCollector(1, 64)
-	c.AddTraceSink(&sink)
-	const n = 8
-	for k := uint64(1); k <= n; k++ {
-		pv := core.PVarSample{OFIEventsRead: k, RPCsInvokedTotal: 100 + k}
-		comps := [core.NumComponents]uint64{core.CompOriginExec: 1000 * k}
-		c.EmitSampled(0, core.Event{RequestID: k, Kind: core.EvOriginEnd, Timestamp: int64(k)}, &pv, &comps)
-	}
-	evs := sink.TraceSet().Events
-	if len(evs) != n {
-		t.Fatalf("sink kept %d events, want %d", len(evs), n)
-	}
-	for i, ev := range evs {
-		k := uint64(i + 1)
-		if ev.PVars == nil || ev.Components == nil || ev.PVars.OFIEventsRead != k ||
-			ev.PVars.RPCsInvokedTotal != 100+k || ev.Components[core.CompOriginExec] != 1000*k {
-			t.Errorf("event %d kept as pvars %+v components %v after %d more passed", k, ev.PVars, ev.Components, n-i-1)
-		}
-	}
-}

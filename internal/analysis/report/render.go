@@ -44,15 +44,6 @@ func (m Mode) String() string {
 	return "cli"
 }
 
-// Ext returns the file extension reports of this mode conventionally
-// use.
-func (m Mode) Ext() string {
-	if m == ModeHTML {
-		return ".html"
-	}
-	return ".txt"
-}
-
 // Render writes the model in the given mode.
 func Render(w io.Writer, mode Mode, m *Model) error {
 	switch mode {

@@ -150,10 +150,10 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-func TestWriteFileAndExt(t *testing.T) {
+func TestWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	m := fixtureModel()
-	path := filepath.Join(dir, "r"+ModeHTML.Ext())
+	path := filepath.Join(dir, "r.html")
 	if err := WriteFile(path, ModeHTML, m); err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +163,6 @@ func TestWriteFileAndExt(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(data), "<!DOCTYPE html>") {
 		t.Fatalf("unexpected file head: %.40s", data)
-	}
-	if ModeCLI.Ext() != ".txt" || ModeTUI.Ext() != ".txt" {
-		t.Fatal("text modes must use .txt")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"sync"
 
 	"symbiosys/internal/core"
 )
@@ -43,39 +42,6 @@ func MergeTraces(dumps []*core.TraceDump) *TraceSet {
 		}
 	}
 	return ts
-}
-
-// CollectSink is a core.TraceSink accumulating a live event stream into
-// a TraceSet — the consumer side of the measurement pipeline's sink
-// interface. Attach it to an instance (margo Options.TraceSinks) to
-// build the analysis view on-line instead of from end-of-run dumps;
-// exporters like Zipkin then read the TraceSet they consumed rather
-// than reaching into the collector's buffers.
-type CollectSink struct {
-	mu sync.Mutex
-	ts TraceSet
-}
-
-// WriteEvent implements core.TraceSink. The event is lent, so what is
-// kept is a copy down to its annotations.
-func (s *CollectSink) WriteEvent(ev core.Event) error {
-	ev = ev.Clone()
-	s.mu.Lock()
-	s.ts.Events = append(s.ts.Events, ev)
-	s.mu.Unlock()
-	return nil
-}
-
-// Flush implements core.TraceSink.
-func (s *CollectSink) Flush() error { return nil }
-
-// TraceSet returns a snapshot of everything consumed so far.
-func (s *CollectSink) TraceSet() *TraceSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := &TraceSet{Events: make([]core.Event, len(s.ts.Events))}
-	copy(out.Events, s.ts.Events)
-	return out
 }
 
 // reqKey places one event in the request grouping.

@@ -12,14 +12,45 @@ import (
 
 	"symbiosys/internal/analysis"
 	"symbiosys/internal/analysis/report"
+	"symbiosys/internal/core"
 )
+
+// renderTop is how many path shapes sym's flame and diff list by
+// default.
+const renderTop = 10
+
+// readTraces reads one run's trace dumps back from dir, the way sym does.
+func readTraces(t *testing.T, dir string) []*core.TraceDump {
+	t.Helper()
+	_, traces, _, err := ReadDumps(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) == 0 {
+		t.Fatalf("no trace dumps in %s", dir)
+	}
+	return traces
+}
+
+// cliText renders a report model as sym's default output mode does.
+func cliText(t *testing.T, m *report.Model) string {
+	t.Helper()
+	m.Generated = "smoke"
+	var buf bytes.Buffer
+	if err := report.WriteCLI(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
 
 // TestAnalyzeSmoke is the `make analyze-smoke` target: the from-run-to-
 // report pipeline end to end. A small chaos campaign (clean baseline +
-// faulted run) emits its reports automatically; the dominant-path
-// report must carry a non-empty dominant path, and the same trace set
-// must render in all three output modes — and, written to dump files
-// and read back, must yield the same flame and the same report text.
+// faulted run) writes each run's dumps; rendered from them as sym
+// renders them, the faulted run's dominant-path report carries a
+// non-empty dominant path, the clean-vs-chaos diff localizes the
+// injected fault, and the same trace set renders in all three output
+// modes. Read back, the dumps are the run's own and yield the same flame
+// and the same report text.
 func TestAnalyzeSmoke(t *testing.T) {
 	dir := t.TempDir()
 	base := scaled(C2, 32)
@@ -34,90 +65,57 @@ func TestAnalyzeSmoke(t *testing.T) {
 		Delay:        5 * time.Millisecond,
 		Seed:         7,
 		CompareClean: true,
-		Report:       ReportConfig{Dir: dir, Mode: "cli"},
-	})
+	}, "", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ReportPaths) != 2 {
-		t.Fatalf("report paths = %v, want flame + diff", res.ReportPaths)
-	}
+	faulted := readTraces(t, filepath.Join(dir, "chaos-faulted"))
+	clean := readTraces(t, filepath.Join(dir, "chaos-clean"))
 
-	flamePath := filepath.Join(dir, "chaos-flame.txt")
-	flameTxt, err := os.ReadFile(flamePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Non-empty dominant path: the top shape section renders with at
-	// least one attributed segment bar.
-	if !strings.Contains(string(flameTxt), "#1 ") {
-		t.Fatalf("flame report has no dominant path:\n%s", flameTxt)
-	}
-	if !strings.Contains(string(flameTxt), ".exec") {
-		t.Fatalf("flame report has no exec segment:\n%s", flameTxt)
-	}
-
-	diffTxt, err := os.ReadFile(filepath.Join(dir, "chaos-diff.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The clean-vs-chaos diff must localize the injected faults: retry
-	// chains appear as structural NEW shapes carrying backoff or
-	// unmatched segments, or drift shows a dominant regression verdict.
-	diffStr := string(diffTxt)
-	if !strings.Contains(diffStr, "backoff") && !strings.Contains(diffStr, "unmatched") &&
-		!strings.Contains(diffStr, "dominant regression") {
-		t.Fatalf("diff report does not localize the fault:\n%s", diffStr)
-	}
-
-	// All three renderers over the faulted run's report model.
-	_, _, traces, err := runHEPnOSInternal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// In file name order, the order the dumps come back from disk in.
-	sort.Slice(traces, func(i, j int) bool { return sanitize(traces[i].Entity) < sanitize(traces[j].Entity) })
-	f := analysis.BuildFlame(analysis.MergeTraces(traces))
+	f := analysis.BuildFlame(analysis.MergeTraces(faulted))
 	if len(f.Paths) == 0 {
 		t.Fatal("no path shapes extracted from smoke run")
 	}
-	model := report.FromFlame("analyze smoke", f, 5)
-	model.Generated = "smoke"
+	flameTxt := cliText(t, report.FromFlame("SYMBIOSYS dominant critical paths", f, renderTop))
+	// Non-empty dominant path: the top shape section renders with at
+	// least one attributed segment bar.
+	if !strings.Contains(flameTxt, "#1 ") {
+		t.Fatalf("flame report has no dominant path:\n%s", flameTxt)
+	}
+	if !strings.Contains(flameTxt, ".exec") {
+		t.Fatalf("flame report has no exec segment:\n%s", flameTxt)
+	}
 
-	// The same run through the files the offline tools read: written
-	// with WriteDumps, read back with ReadDumps, the way sym does. The
-	// trace dump format must carry everything the analysis uses, so the
-	// flame and its rendered text come out identical.
-	dumpDir := filepath.Join(dir, "dumps")
-	if err := WriteDumps(dumpDir, nil, traces); err != nil {
-		t.Fatal(err)
+	// The clean-vs-chaos diff must localize the injected faults: retry
+	// chains appear as structural NEW shapes carrying backoff or
+	// unmatched segments, or drift shows a dominant regression verdict.
+	diffTxt := cliText(t, report.FromFlameDiff("SYMBIOSYS critical-path diff",
+		analysis.DiffFlames(analysis.BuildFlame(analysis.MergeTraces(clean)), f), renderTop))
+	if !strings.Contains(diffTxt, "backoff") && !strings.Contains(diffTxt, "unmatched") &&
+		!strings.Contains(diffTxt, "dominant regression") {
+		t.Fatalf("diff report does not localize the fault:\n%s", diffTxt)
 	}
-	_, fromDisk, _, err := ReadDumps(dumpDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromDisk) != len(traces) {
-		t.Fatalf("read %d trace dumps back, wrote %d", len(fromDisk), len(traces))
-	}
-	if !reflect.DeepEqual(fromDisk, traces) {
+
+	// The files the offline tools read carry everything the analysis
+	// uses: read back, they are the run's own dumps (in file name order,
+	// the order they come back from disk in), and the flame and its
+	// rendered text come out identical.
+	mem := res.Faulted.TraceDumps
+	sort.Slice(mem, func(i, j int) bool { return sanitize(mem[i].Entity) < sanitize(mem[j].Entity) })
+	if !reflect.DeepEqual(faulted, mem) {
 		t.Fatal("trace dumps changed on their way through the files")
 	}
-	diskFlame := analysis.BuildFlame(analysis.MergeTraces(fromDisk))
-	if !reflect.DeepEqual(diskFlame, f) {
+	memFlame := analysis.BuildFlame(analysis.MergeTraces(mem))
+	if !reflect.DeepEqual(f, memFlame) {
 		t.Fatal("flame built from the dump files differs from the in-memory one")
 	}
-	diskModel := report.FromFlame("analyze smoke", diskFlame, 5)
-	diskModel.Generated = "smoke"
-	var memTxt, diskTxt bytes.Buffer
-	if err := report.WriteCLI(&memTxt, model); err != nil {
-		t.Fatal(err)
+	if memTxt := cliText(t, report.FromFlame("SYMBIOSYS dominant critical paths", memFlame, renderTop)); memTxt != flameTxt {
+		t.Fatalf("report from the dump files differs:\n%s\nin memory:\n%s", flameTxt, memTxt)
 	}
-	if err := report.WriteCLI(&diskTxt, diskModel); err != nil {
-		t.Fatal(err)
-	}
-	if memTxt.String() != diskTxt.String() {
-		t.Fatalf("report from the dump files differs:\n%s\nin memory:\n%s", diskTxt.String(), memTxt.String())
-	}
+
+	// All three renderers over the faulted run's report model.
+	model := report.FromFlame("analyze smoke", f, 5)
+	model.Generated = "smoke"
 	for _, mode := range []report.Mode{report.ModeCLI, report.ModeTUI, report.ModeHTML} {
 		var buf bytes.Buffer
 		if err := report.Render(&buf, mode, model); err != nil {
@@ -132,30 +130,23 @@ func TestAnalyzeSmoke(t *testing.T) {
 	}
 }
 
-// TestBatchSweepReports exercises the sweep's automatic reporting: the
-// per-window flames plus the lo-vs-hi diff land on disk, and the large
-// window's paths are marked batched (the batch_window segment is the
-// C4 effect per request).
+// TestBatchSweepReports: a sweep that keeps its dumps traces at full
+// stage, so the largest window's flame has a dominant path and its diff
+// against the smallest window's shows the batch-window segment — the C4
+// effect, per request.
 func TestBatchSweepReports(t *testing.T) {
 	dir := t.TempDir()
-	res, err := RunBatchSweep(BatchSweepConfig{
-		Windows:      []int{1, 8},
-		Issuers:      2,
-		OpsPerIssuer: 64,
-		Report:       ReportConfig{Dir: dir, Mode: "cli"},
-	})
-	if err != nil {
+	if _, err := RunBatchSweep(BatchSweepConfig{Windows: []int{1, 8}, Issuers: 2, OpsPerIssuer: 64}, "", dir); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ReportPaths) != 3 {
-		t.Fatalf("report paths = %v, want w1 + w8 + diff", res.ReportPaths)
+	w1 := analysis.BuildFlame(analysis.MergeTraces(readTraces(t, filepath.Join(dir, "batch-w1"))))
+	w8 := analysis.BuildFlame(analysis.MergeTraces(readTraces(t, filepath.Join(dir, "batch-w8"))))
+	if txt := cliText(t, report.FromFlame("SYMBIOSYS dominant critical paths", w8, renderTop)); !strings.Contains(txt, "#1 ") {
+		t.Fatalf("window-8 report has no dominant path:\n%s", txt)
 	}
-	w8, err := os.ReadFile(filepath.Join(dir, "batchsweep-w8.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(w8), "#1 ") {
-		t.Fatalf("window-8 report has no dominant path:\n%s", w8)
+	diff := cliText(t, report.FromFlameDiff("SYMBIOSYS critical-path diff", analysis.DiffFlames(w1, w8), renderTop))
+	if !strings.Contains(diff, "batch_window") {
+		t.Fatalf("window 1 vs 8 diff shows no batch-window segment:\n%s", diff)
 	}
 }
 

@@ -31,12 +31,6 @@ type BatchSweepConfig struct {
 	// RPCs and hide it.
 	Issuers      int
 	OpsPerIssuer int
-
-	// Report, when enabled, turns on full-stage measurement for the
-	// sweep (normally it runs unmeasured) and renders per-window
-	// dominant-path reports plus a smallest-vs-largest-window diff —
-	// the batch-window segment appearing is the C4 effect, per request.
-	Report ReportConfig
 }
 
 const (
@@ -48,8 +42,8 @@ const (
 
 // BatchSweepPoint is the measurement at one window.
 type BatchSweepPoint struct {
-	Window    int
-	WallTime  time.Duration
+	Window int
+	*Run
 	Ops       int
 	OpsPerSec float64
 	// Coalescer accounting for the run (all zero at window 1, which
@@ -64,9 +58,6 @@ type BatchSweepPoint struct {
 type BatchSweepResult struct {
 	Config BatchSweepConfig
 	Points []BatchSweepPoint
-	// ReportPaths lists the analysis reports written for the sweep
-	// (empty unless Config.Report is enabled).
-	ReportPaths []string
 }
 
 // Speedup reports a window's throughput relative to the window-1
@@ -99,135 +90,105 @@ func (a *sweepArgs) Proc(p *mercury.Proc) error {
 	return p.Err()
 }
 
-// RunBatchSweep measures the same workload at every configured window.
-func RunBatchSweep(cfg BatchSweepConfig) (*BatchSweepResult, error) {
+// RunBatchSweep measures the same workload at every configured window,
+// one run batch-w<window> each. The sweep's numbers are throughput, so
+// it runs unmeasured (StageOff) unless its dumps are kept: with out set
+// every process traces at full stage, and the diff of the smallest and
+// largest window's dumps shows the batch-window segment — the C4
+// effect, per request.
+func RunBatchSweep(cfg BatchSweepConfig, metricsAddr, out string) (*BatchSweepResult, error) {
 	res := &BatchSweepResult{Config: cfg}
-	tracesByWindow := make(map[int][]*core.TraceDump)
 	for _, w := range cfg.Windows {
 		if w < 1 {
 			return nil, fmt.Errorf("experiments: batch window %d", w)
 		}
-		point, traces, err := runBatchSweepPoint(cfg, w)
+		point, err := runBatchSweepPoint(cfg, w, metricsAddr, out)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, point)
-		tracesByWindow[w] = traces
-	}
-	if cfg.Report.enabled() {
-		for _, w := range cfg.Windows {
-			path, err := cfg.Report.writeFlame(fmt.Sprintf("batchsweep-w%d", w),
-				fmt.Sprintf("Batch sweep: dominant critical paths at window %d", w),
-				tracesByWindow[w])
-			if err != nil {
-				return nil, err
-			}
-			res.ReportPaths = append(res.ReportPaths, path)
-		}
-		if len(cfg.Windows) >= 2 {
-			lo, hi := cfg.Windows[0], cfg.Windows[len(cfg.Windows)-1]
-			path, err := cfg.Report.writeDiff("batchsweep-diff",
-				fmt.Sprintf("Batch sweep: window %d vs window %d critical paths", lo, hi),
-				tracesByWindow[lo], tracesByWindow[hi])
-			if err != nil {
-				return nil, err
-			}
-			res.ReportPaths = append(res.ReportPaths, path)
-		}
 	}
 	return res, nil
 }
 
-func runBatchSweepPoint(cfg BatchSweepConfig, window int) (BatchSweepPoint, []*core.TraceDump, error) {
-	cluster := NewCluster(DefaultFabric())
-	defer cluster.Shutdown()
-
-	// The sweep normally runs unmeasured (StageOff): its numbers are
-	// throughput, and measurement would tax the hot path it studies.
-	// Reporting needs per-request traces, so it flips on full staging.
+func runBatchSweepPoint(cfg BatchSweepConfig, window int, metricsAddr, out string) (BatchSweepPoint, error) {
 	var stage core.Stage
-	if cfg.Report.enabled() {
+	if out != "" {
 		stage = core.StageFull
 	}
-
-	srv, err := cluster.Start(ProcessOptions{Mode: margo.ModeServer, Node: "n1", Name: "store", Stage: stage})
-	if err != nil {
-		return BatchSweepPoint{}, nil, err
-	}
-	var pol *batch.Policy
-	if window > 1 {
-		pol = &batch.Policy{MaxOps: window, MaxDelay: sweepMaxDelay}
-	}
-	cli, err := cluster.Start(ProcessOptions{Mode: margo.ModeClient, Node: "n0", Name: "loader", Batch: pol, Stage: stage})
-	if err != nil {
-		return BatchSweepPoint{}, nil, err
-	}
-
-	if err := srv.Register("sweep_put", func(ctx *margo.Context) {
-		var in sweepArgs
-		if err := ctx.GetInput(&in); err != nil {
-			ctx.RespondError("decode: %v", err)
-			return
+	var srv, cli *margo.Instance
+	s := Scenario{Name: fmt.Sprintf("batch-w%d", window)}
+	s.Build = func(c *Cluster) error {
+		var err error
+		if srv, err = c.Start(ProcessOptions{Mode: margo.ModeServer, Node: "n1", Name: "store", Stage: stage}); err != nil {
+			return err
 		}
-		ctx.Respond(mercury.Void{})
-	}); err != nil {
-		return BatchSweepPoint{}, nil, err
+		var pol *batch.Policy
+		if window > 1 {
+			pol = &batch.Policy{MaxOps: window, MaxDelay: sweepMaxDelay}
+		}
+		if cli, err = c.Start(ProcessOptions{Mode: margo.ModeClient, Node: "n0", Name: "loader", Batch: pol, Stage: stage}); err != nil {
+			return err
+		}
+		if err := srv.Register("sweep_put", func(ctx *margo.Context) {
+			var in sweepArgs
+			if err := ctx.GetInput(&in); err != nil {
+				ctx.RespondError("decode: %v", err)
+				return
+			}
+			ctx.Respond(mercury.Void{})
+		}); err != nil {
+			return err
+		}
+		return cli.RegisterClient("sweep_put")
 	}
-	if err := cli.RegisterClient("sweep_put"); err != nil {
-		return BatchSweepPoint{}, nil, err
-	}
-
-	total := cfg.Issuers * cfg.OpsPerIssuer
-	errsByIssuer := make([][]error, cfg.Issuers)
-	ults := make([]*abt.ULT, cfg.Issuers)
-	start := time.Now()
-	for i := 0; i < cfg.Issuers; i++ {
-		i := i
-		ults[i] = cli.Run("sweep-issuer", func(self *abt.ULT) {
-			for done := 0; done < cfg.OpsPerIssuer; done += window {
-				n := window
-				if rest := cfg.OpsPerIssuer - done; n > rest {
-					n = rest
-				}
-				ins := make([]mercury.Procable, n)
-				for k := range ins {
-					ins[k] = &sweepArgs{
-						Key:   fmt.Sprintf("i%02d-op%04d", i, done+k),
-						Value: make([]byte, sweepValueSize),
+	s.Drive = func(*Cluster, *Run) error {
+		errsByIssuer := make([][]error, cfg.Issuers)
+		ults := make([]*abt.ULT, cfg.Issuers)
+		for i := range ults {
+			ults[i] = cli.Run("sweep-issuer", func(self *abt.ULT) {
+				for done := 0; done < cfg.OpsPerIssuer; done += window {
+					ins := make([]mercury.Procable, min(window, cfg.OpsPerIssuer-done))
+					for k := range ins {
+						ins[k] = &sweepArgs{
+							Key:   fmt.Sprintf("i%02d-op%04d", i, done+k),
+							Value: make([]byte, sweepValueSize),
+						}
 					}
+					errsByIssuer[i] = append(errsByIssuer[i], cli.ForwardMany(self, srv.Addr(), "sweep_put", ins, nil)...)
 				}
-				errsByIssuer[i] = append(errsByIssuer[i], cli.ForwardMany(self, srv.Addr(), "sweep_put", ins, nil)...)
-			}
-		})
-	}
-	for _, u := range ults {
-		u.Join(nil)
-	}
-	wall := time.Since(start)
-	for i, errs := range errsByIssuer {
-		for k, err := range errs {
-			if err != nil {
-				return BatchSweepPoint{}, nil, fmt.Errorf("experiments: sweep window %d, issuer %d op %d: %w", window, i, k, err)
+			})
+		}
+		for _, u := range ults {
+			u.Join(nil)
+		}
+		for i, errs := range errsByIssuer {
+			for k, err := range errs {
+				if err != nil {
+					return fmt.Errorf("issuer %d op %d: %w", i, k, err)
+				}
 			}
 		}
+		return nil
 	}
-	if !cluster.Settle() {
-		return BatchSweepPoint{}, nil, fmt.Errorf("experiments: sweep window %d did not quiesce", window)
+	var bs margo.BatchStats
+	s.Audit = func(*Cluster, *Run) error {
+		bs = cli.BatchStats()
+		return nil
 	}
-
-	var traces []*core.TraceDump
-	if cfg.Report.enabled() {
-		_, traces = cluster.Collect()
+	run, err := Execute(s, metricsAddr, out)
+	if err != nil {
+		return BatchSweepPoint{}, err
 	}
-	bs := cli.BatchStats()
+	total := cfg.Issuers * cfg.OpsPerIssuer
 	return BatchSweepPoint{
 		Window:        window,
-		WallTime:      wall,
+		Run:           run,
 		Ops:           total,
-		OpsPerSec:     float64(total) / wall.Seconds(),
+		OpsPerSec:     float64(total) / run.WallTime.Seconds(),
 		Flushes:       bs.Flushes,
 		CoalesceRatio: bs.CoalesceRatio,
 		Retries:       bs.Retries,
 		FlushReasons:  bs.FlushReasons,
-	}, traces, nil
+	}, nil
 }

@@ -9,7 +9,7 @@ import "testing"
 // asserted: on a loaded two-core host it has measured anywhere from
 // 2.7x to 20x.
 func TestBatchSweepC4Effect(t *testing.T) {
-	res, err := RunBatchSweep(BatchSweepConfig{Windows: []int{1, 8, 64}, Issuers: 2, OpsPerIssuer: 512})
+	res, err := RunBatchSweep(BatchSweepConfig{Windows: []int{1, 8, 64}, Issuers: 2, OpsPerIssuer: 512}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

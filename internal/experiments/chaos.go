@@ -25,14 +25,9 @@ type ChaosConfig struct {
 	Seed uint64
 
 	// CompareClean additionally runs the identical workload without the
-	// fault plan, for the p99-inflation baseline.
+	// fault plan, for the p99-inflation baseline: the run "chaos-clean"
+	// beside "chaos-faulted", whose dumps sym diff compares.
 	CompareClean bool
-
-	// Report, when enabled, renders the run's critical-path reports as
-	// the campaign ends: the faulted run's dominant-path flame, and —
-	// with CompareClean — the clean-vs-chaos diff localizing the
-	// injected fault's segment.
-	Report ReportConfig
 }
 
 // Plan materializes the config's fault plan.
@@ -53,10 +48,8 @@ type ChaosResult struct {
 	// Clean is the no-fault baseline run (nil unless CompareClean).
 	Clean *HEPnOSResult
 
-	// ExpectedEvents is what the workload should have stored;
-	// LostEvents is the shortfall (the acceptance bar is zero).
+	// ExpectedEvents is what the workload should have stored.
 	ExpectedEvents uint64
-	LostEvents     int64
 
 	// RetryAmplification is attempts per logical request: total origin
 	// attempts divided by first attempts, 1.0 when nothing retried.
@@ -70,10 +63,6 @@ type ChaosResult struct {
 	// origin-side 99th percentiles; their ratio is the p99 inflation.
 	P99Chaos time.Duration
 	P99Clean time.Duration
-
-	// ReportPaths lists the analysis reports written for the run (empty
-	// unless Config.Report is enabled).
-	ReportPaths []string
 }
 
 // P99Inflation returns P99Chaos/P99Clean (0 without a clean baseline).
@@ -88,9 +77,6 @@ func (r *ChaosResult) P99Inflation() float64 {
 // and returns the 99th percentile latency. Retried attempts each record
 // their own profile entry, so the distribution includes failed tries.
 func putPackedOriginP99(res *HEPnOSResult) time.Duration {
-	if res.Profile == nil {
-		return 0
-	}
 	bc := core.Breadcrumb(0).Push(sdskv.RPCPutPacked)
 	var agg core.CallStats
 	for key, st := range res.Profile.Origin {
@@ -103,33 +89,33 @@ func putPackedOriginP99(res *HEPnOSResult) time.Duration {
 
 // RunChaos replays the configured HEPnOS workload under the fault plan
 // (and optionally clean) and derives the campaign report.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
+func RunChaos(cfg ChaosConfig, metricsAddr, out string) (*ChaosResult, error) {
 	base := cfg.Base
 	res := &ChaosResult{Config: cfg}
 	res.ExpectedEvents = uint64(base.TotalClients) * uint64(base.EventsPerClient)
 
-	var cleanTraces []*core.TraceDump
 	if cfg.CompareClean {
-		clean, _, traces, err := runHEPnOSInternal(base)
+		clean := base
+		clean.Name = "chaos-clean"
+		r, err := RunHEPnOS(clean, metricsAddr, out)
 		if err != nil {
 			return nil, err
 		}
-		res.Clean = clean
-		res.P99Clean = putPackedOriginP99(clean)
-		cleanTraces = traces
+		res.Clean = r
+		res.P99Clean = putPackedOriginP99(r)
 	}
 
 	faulted := base
+	faulted.Name = "chaos-faulted"
 	faulted.Faults = cfg.Plan()
 	// The client-side policy absorbing the faults.
 	retry := margo.DefaultRetryPolicy()
 	faulted.Retry = &retry
-	fr, _, chaosTraces, err := runHEPnOSInternal(faulted)
+	fr, err := RunHEPnOS(faulted, metricsAddr, out)
 	if err != nil {
 		return nil, err
 	}
 	res.Faulted = fr
-	res.LostEvents = int64(res.ExpectedEvents) - int64(fr.EventsStored)
 	res.P99Chaos = putPackedOriginP99(fr)
 	if fr.WallTime > 0 {
 		res.GoodputEventsPerSec = float64(fr.EventsStored) / fr.WallTime.Seconds()
@@ -140,37 +126,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// recorded retries.
 	bc := core.Breadcrumb(0).Push(sdskv.RPCPutPacked)
 	var attempts uint64
-	if fr.Profile != nil {
-		for key, st := range fr.Profile.Origin {
-			if key.BC == bc {
-				attempts += st.Count
-			}
+	for key, st := range fr.Profile.Origin {
+		if key.BC == bc {
+			attempts += st.Count
 		}
 	}
-	if first := attempts - fr.Retries; attempts > 0 && first > 0 && fr.Retries < attempts {
+	retries := fr.Counters.Retries
+	if first := attempts - retries; attempts > 0 && first > 0 && retries < attempts {
 		res.RetryAmplification = float64(attempts) / float64(first)
 	} else if attempts > 0 {
 		res.RetryAmplification = 1
-	}
-
-	if cfg.Report.enabled() {
-		path, err := cfg.Report.writeFlame("chaos-flame",
-			"Chaos campaign: dominant critical paths under faults", chaosTraces)
-		if err != nil {
-			return nil, err
-		}
-		res.ReportPaths = append(res.ReportPaths, path)
-		if cfg.CompareClean {
-			// The clean run is the baseline: the diff localizes the
-			// injected fault to its path segment (backoff/unmatched
-			// waits dominate the delta) without manual trace reading.
-			path, err := cfg.Report.writeDiff("chaos-diff",
-				"Chaos campaign: clean vs faulted critical paths", cleanTraces, chaosTraces)
-			if err != nil {
-				return nil, err
-			}
-			res.ReportPaths = append(res.ReportPaths, path)
-		}
 	}
 	return res, nil
 }

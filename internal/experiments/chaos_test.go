@@ -23,7 +23,7 @@ func TestChaosSmoke(t *testing.T) {
 	// Smaller batches mean more request/response messages, so the 1%
 	// plan reliably bites even in a short run.
 	base.BatchSize = 4
-	base.MetricsAddr = freePort(t)
+	addr := freePort(t)
 
 	cfg := ChaosConfig{
 		Base:      base,
@@ -39,7 +39,7 @@ func TestChaosSmoke(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := RunChaos(cfg)
+		res, err := RunChaos(cfg, addr, "")
 		done <- outcome{res, err}
 	}()
 
@@ -48,7 +48,7 @@ func TestChaosSmoke(t *testing.T) {
 	var body string
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if b, err := scrape(base.MetricsAddr); err == nil {
+		if b, err := scrape(addr); err == nil {
 			body = b
 			if strings.Contains(b, "symbiosys_rpc_retries_total") &&
 				strings.Contains(b, "symbiosys_fault_drops_total") {
@@ -82,18 +82,22 @@ func TestChaosSmoke(t *testing.T) {
 	}
 	res := out.res
 
-	if res.LostEvents != 0 {
-		t.Fatalf("lost %d of %d client operations under the fault plan",
-			res.LostEvents, res.ExpectedEvents)
+	if f := res.Faulted; f.EventsStored != res.ExpectedEvents || f.LostAcked != 0 {
+		t.Fatalf("stored %d of %d client operations under the fault plan, %d acked then lost",
+			f.EventsStored, res.ExpectedEvents, f.LostAcked)
 	}
-	if res.Faulted.Faults.Drops == 0 {
+	c := res.Faulted.Counters
+	if c.Faults.Drops == 0 {
 		t.Fatal("fault plan injected no drops; smoke run has no teeth (seed/workload changed?)")
 	}
-	if res.Faulted.Retries == 0 {
-		t.Fatalf("injected %d drops but recorded no retries", res.Faulted.Faults.Drops)
+	if c.Retries == 0 {
+		t.Fatalf("injected %d drops but recorded no retries", c.Faults.Drops)
 	}
-	if res.Faulted.Exhausted != 0 {
-		t.Fatalf("%d forwards exhausted their retries at 1%% drop", res.Faulted.Exhausted)
+	if c.Exhausted != 0 {
+		t.Fatalf("%d forwards exhausted their retries at 1%% drop", c.Exhausted)
+	}
+	if res.Faulted.DrainErr != nil {
+		t.Fatalf("drain: %v", res.Faulted.DrainErr)
 	}
 	if res.RetryAmplification <= 1 {
 		t.Errorf("retry amplification = %v, want > 1 with retries recorded", res.RetryAmplification)
@@ -121,18 +125,18 @@ func TestChaosCompareClean(t *testing.T) {
 		Delay:        5 * time.Millisecond,
 		Seed:         7,
 		CompareClean: true,
-	})
+	}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Clean == nil {
 		t.Fatal("CompareClean did not produce a baseline run")
 	}
-	if res.Clean.Retries != 0 || res.Clean.Faults.Drops != 0 {
-		t.Fatalf("clean baseline saw faults: %+v retries=%d", res.Clean.Faults, res.Clean.Retries)
+	if c := res.Clean.Counters; c.Retries != 0 || c.Faults.Drops != 0 {
+		t.Fatalf("clean baseline saw faults: %+v retries=%d", c.Faults, c.Retries)
 	}
-	if res.LostEvents != 0 {
-		t.Fatalf("lost %d events", res.LostEvents)
+	if f := res.Faulted; f.EventsStored != res.ExpectedEvents || f.LostAcked != 0 {
+		t.Fatalf("stored %d of %d events, %d acked then lost", f.EventsStored, res.ExpectedEvents, f.LostAcked)
 	}
 	if res.P99Clean <= 0 || res.P99Chaos <= 0 {
 		t.Fatalf("p99s not recorded: clean=%v chaos=%v", res.P99Clean, res.P99Chaos)

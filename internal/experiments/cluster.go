@@ -2,9 +2,11 @@
 // simulated platform and reruns every case study: the ior+Mobject
 // dominant-callpath and trace studies (Figures 5–6), the Sonata
 // serialization breakdown (Figure 7), the HEPnOS configuration studies
-// C1–C7 (Table IV, Figures 9–12), and the overhead evaluation
-// (Figure 13). Each runner returns a structured Result that
-// the cmd tools print and bench_test.go reports.
+// C1–C7 (Table IV, Figures 9–12), the overhead evaluation (Figure 13),
+// and the chaos, overload, elastic and batch-window scenarios. Every
+// study is one or more Scenarios run through Execute, which returns the
+// common Run (and, given a directory, writes the dumps sym reads); a
+// study's result keeps its figure's numbers and points at its Runs.
 package experiments
 
 import (
@@ -14,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"symbiosys/internal/analysis"
 	"symbiosys/internal/batch"
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
@@ -210,16 +211,6 @@ func DrainActive(timeout time.Duration) error {
 	return first
 }
 
-// Settle is where a run's measured part ends: it waits until no
-// process has RPCs in flight, then lets the target-side completion
-// callbacks of the last responses land, and reports whether the cluster
-// went idle in time.
-func (c *Cluster) Settle() bool {
-	idle := c.WaitIdle(10 * time.Second)
-	time.Sleep(20 * time.Millisecond)
-	return idle
-}
-
 // WaitIdle blocks until no process has RPCs in flight.
 func (c *Cluster) WaitIdle(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
@@ -272,12 +263,6 @@ func (c *Cluster) Export(ps core.ProfileSink, ts core.TraceSink) error {
 		return ts.Flush()
 	}
 	return nil
-}
-
-// Analyze merges the cluster's dumps into the offline analysis views.
-func (c *Cluster) Analyze() (*analysis.MergedProfile, *analysis.TraceSet) {
-	profiles, traces := c.Collect()
-	return analysis.Merge(profiles), analysis.MergeTraces(traces)
 }
 
 // DefaultFabric is the cost model used by all experiments: a scaled HPC

@@ -17,8 +17,7 @@ func TestElasticSmoke(t *testing.T) {
 		EndNodes:         4,
 		IssuersPerClient: 2,
 		OpsPerPhase:      25,
-		MetricsAddr:      "127.0.0.1:0",
-	})
+	}, "127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"symbiosys/internal/analysis"
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
 	"symbiosys/internal/services/hepnos"
@@ -81,7 +80,7 @@ func TestScaledFloor(t *testing.T) {
 
 func TestRunHEPnOSStoresAllEvents(t *testing.T) {
 	cfg := scaled(C1, 8)
-	res, err := RunHEPnOS(cfg)
+	res, err := RunHEPnOS(cfg, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,10 @@ func TestRunHEPnOSStoresAllEvents(t *testing.T) {
 	if res.CumTargetExec == 0 || res.CumOriginExec == 0 {
 		t.Fatal("no execution time recorded")
 	}
-	if res.TraceSamples == 0 {
+	if res.LostAcked != 0 {
+		t.Fatalf("servers are missing %d acknowledged events", res.LostAcked)
+	}
+	if len(res.Traces.Events) == 0 {
 		t.Fatal("no trace samples at Full stage")
 	}
 	if len(res.BlockedSeries) == 0 {
@@ -116,11 +118,11 @@ func TestFig9HandlerSaturationShape(t *testing.T) {
 	// eleven with other tests busy on a 2-core host; the sums did not.
 	var cum1, cum2 time.Duration
 	for pair := 0; pair < 4; pair++ {
-		r1, err := RunHEPnOS(scaled(C1, 4))
+		r1, err := RunHEPnOS(scaled(C1, 4), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := RunHEPnOS(scaled(C2, 4))
+		r2, err := RunHEPnOS(scaled(C2, 4), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,11 +142,11 @@ func TestFig10DatabaseSerializationShape(t *testing.T) {
 	// C2 (32 dbs/server) floods the service with more, smaller RPCs
 	// than C3 (8 dbs/server): C3 must be faster with fewer, larger
 	// put_packed calls (paper §V-C3).
-	r2, err := RunHEPnOS(scaled(C2, 4))
+	r2, err := RunHEPnOS(scaled(C2, 4), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := RunHEPnOS(scaled(C3, 4))
+	r3, err := RunHEPnOS(scaled(C3, 4), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +173,7 @@ func TestFig11BatchAndProgressShape(t *testing.T) {
 	// scheduler noise does not close: C5 takes longer than C4. The
 	// latency ratios the figure plots are logged.
 	run := func(cfg HEPnOSConfig) *HEPnOSResult {
-		r, err := RunHEPnOS(scaled(cfg, 8))
+		r, err := RunHEPnOS(scaled(cfg, 8), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +213,11 @@ func TestFig11BatchAndProgressShape(t *testing.T) {
 func TestFig12OFISeriesShape(t *testing.T) {
 	// C5's progress loop must hit its 16-event budget almost always;
 	// C7's must never (paper Figure 12).
-	r5, err := RunHEPnOS(scaled(C5, 8))
+	r5, err := RunHEPnOS(scaled(C5, 8), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r7, err := RunHEPnOS(scaled(C7, 8))
+	r7, err := RunHEPnOS(scaled(C7, 8), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestFig12OFISeriesShape(t *testing.T) {
 }
 
 func TestMobjectStudy(t *testing.T) {
-	res, err := RunMobjectIOR(MobjectConfig{Clients: 4, Segments: 3, TransferSize: 4096})
+	res, err := RunMobjectIOR(MobjectConfig{Clients: 4, Segments: 3, TransferSize: 4096}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestMobjectReadListDominant(t *testing.T) {
 	// rather than four, so that one preempted call of another hop cannot
 	// outweigh the lists: at four, a busy 2-core host put list below
 	// another hop in about one run in ten.
-	res, err := RunMobjectIOR(MobjectConfig{Clients: 4, Segments: 16, TransferSize: 2048})
+	res, err := RunMobjectIOR(MobjectConfig{Clients: 4, Segments: 16, TransferSize: 2048}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +292,7 @@ func TestMobjectReadListDominant(t *testing.T) {
 }
 
 func TestSonataStudy(t *testing.T) {
-	res, err := RunSonata(SonataConfig{Records: 5000, BatchSize: 500, RecordSize: 256})
+	res, err := RunSonata(SonataConfig{Records: 5000, BatchSize: 500, RecordSize: 256}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestSonataStudy(t *testing.T) {
 
 func TestOverheadStudyStagesComparable(t *testing.T) {
 	base := scaled(C4, 16)
-	res, err := RunOverheadStudy(OverheadConfig{Base: base, Reps: 5})
+	res, err := RunOverheadStudy(OverheadConfig{Base: base, Reps: 5}, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +379,24 @@ func smallHEPnOSRun(t *testing.T) (*Cluster, []core.Event) {
 	return cluster, want
 }
 
+// keepSink is a trace sink keeping a copy of every event it is lent.
+type keepSink struct{ evs []core.Event }
+
+func (s *keepSink) WriteEvent(ev core.Event) error {
+	s.evs = append(s.evs, ev.Clone())
+	return nil
+}
+
+func (s *keepSink) Flush() error { return nil }
+
 // TestClusterExportRoundTrip streams a small HEPnOS run's traces out of
-// Cluster.Export, once as the JSONL stream and once into the analysis
-// plane's collecting sink, and wants both to hold exactly the events the
+// Cluster.Export, once as the JSONL stream and once into a sink that
+// keeps what it is lent, and wants both to hold exactly the events the
 // processes buffered, annotations included.
 func TestClusterExportRoundTrip(t *testing.T) {
 	cluster, want := smallHEPnOSRun(t)
 	var buf bytes.Buffer
-	var kept analysis.CollectSink
+	var kept keepSink
 	if err := cluster.Export(nil, core.NewJSONLTraceSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +411,8 @@ func TestClusterExportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("the JSONL stream read back as %d events, not the %d exported", len(got), len(want))
 	}
-	if !reflect.DeepEqual(kept.TraceSet().Events, want) {
-		t.Errorf("the collecting sink holds %d events, not the %d exported", len(kept.TraceSet().Events), len(want))
+	if !reflect.DeepEqual(kept.evs, want) {
+		t.Errorf("the keeping sink holds %d events, not the %d exported", len(kept.evs), len(want))
 	}
 	t.Logf("%d events, %d B streamed, %.1f B/event", len(want), size, float64(size)/float64(len(want)))
 }

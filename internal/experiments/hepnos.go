@@ -39,11 +39,6 @@ type HEPnOSConfig struct {
 	Backend string // kv engine of every event database
 	Stage   core.Stage
 
-	// MetricsAddr, when non-empty, serves /metrics + /snapshot over
-	// every process of the run for its duration (":0" picks a free port;
-	// see HEPnOSResult.MetricsAddr for the bound address).
-	MetricsAddr string
-
 	// Faults, when non-nil, is installed on the cluster fabric before the
 	// workload starts (chaos runs). Retry, when non-nil, is applied to
 	// every client process and sdskv_put_packed is marked idempotent so
@@ -134,8 +129,8 @@ func TableIV() []HEPnOSConfig {
 // HEPnOSResult is everything the Figures 9–12 analyses need from one
 // configuration run.
 type HEPnOSResult struct {
-	Config       HEPnOSConfig
-	WallTime     time.Duration
+	Config HEPnOSConfig
+	*Run
 	EventsStored uint64
 
 	// CumTargetExec and Components aggregate the sdskv_put_packed
@@ -152,26 +147,6 @@ type HEPnOSResult struct {
 	// samples (client-side).
 	BlockedSeries []analysis.BlockedSample
 	OFISeries     []analysis.OFISample
-
-	// TraceSamples counts trace events collected across processes;
-	// TraceDropped counts events lost to per-process capacity bounds.
-	TraceSamples int
-	TraceDropped uint64
-
-	Profile *analysis.MergedProfile
-
-	// MetricsAddr is the bound live-telemetry address when the run was
-	// started with Config.MetricsAddr set (empty otherwise).
-	MetricsAddr string
-
-	// Resilience counters summed over every process, plus the fabric's
-	// injected-fault totals — nonzero only under a fault plan / retry
-	// policy (chaos runs).
-	Retries   uint64
-	Timeouts  uint64
-	Exhausted uint64
-	Cancels   uint64
-	Faults    na.FaultStats
 }
 
 // HandlerFraction returns the target-handler share of cumulative target
@@ -209,139 +184,119 @@ func (r *HEPnOSResult) OFIAtCapFraction() float64 {
 	return float64(atCap) / float64(len(r.OFISeries))
 }
 
-// RunHEPnOS deploys one Table IV configuration, runs the data-loader
-// workload, and returns the analyzed result.
-func RunHEPnOS(cfg HEPnOSConfig) (*HEPnOSResult, error) {
-	res, _, _, err := runHEPnOSInternal(cfg)
-	return res, err
-}
-
-// CollectHEPnOSDumps runs one configuration and returns the raw
-// per-process profile and trace dumps — the inputs the analysis scripts
-// ingest (used by hepnos-bench -out).
-func CollectHEPnOSDumps(cfg HEPnOSConfig) ([]*core.ProfileDump, []*core.TraceDump, error) {
-	_, profiles, traces, err := runHEPnOSInternal(cfg)
-	return profiles, traces, err
-}
-
-func runHEPnOSInternal(cfg HEPnOSConfig) (*HEPnOSResult, []*core.ProfileDump, []*core.TraceDump, error) {
-	cluster := NewCluster(DefaultFabric())
-	defer cluster.Shutdown()
-	if cfg.Faults != nil {
-		cluster.Fabric.SetFaultPlan(cfg.Faults)
-	}
-
-	metricsAddr, err := cluster.ServeTelemetry(cfg.MetricsAddr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Servers, ServersPerNode per virtual node.
-	var infos []hepnos.ServerInfo
-	var servers []*hepnos.Server
-	for i := 0; i < cfg.TotalServers; i++ {
-		node := fmt.Sprintf("server-node%d", i/max(cfg.ServersPerNode, 1))
-		inst, err := cluster.Start(ProcessOptions{
-			Mode: margo.ModeServer, Node: node,
-			Name:           fmt.Sprintf("hepnos%d", i),
-			HandlerStreams: cfg.Threads,
-			Stage:          cfg.Stage,
-			OFIMaxEvents:   cfg.OFIMaxEvents,
-		})
-		if err != nil {
-			return nil, nil, nil, err
+// RunHEPnOS deploys one Table IV configuration as the run cfg.Name,
+// loads it with the data-loader workload, audits that the servers hold
+// every event the loaders saw acknowledged, and derives the Figures
+// 9–12 numbers from the run.
+func RunHEPnOS(cfg HEPnOSConfig, metricsAddr, out string) (*HEPnOSResult, error) {
+	var (
+		servers []*hepnos.Server
+		infos   []hepnos.ServerInfo
+		clients []*margo.Instance
+		stored  []uint64
+	)
+	s := Scenario{Name: cfg.Name}
+	s.Build = func(c *Cluster) error {
+		if cfg.Faults != nil {
+			c.Fabric.SetFaultPlan(cfg.Faults)
 		}
-		srv, err := hepnos.NewServer(inst, cfg.Databases, cfg.Backend,
-			sdskv.Config{PutCostPerKey: hepnosPutCostPerKey})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		servers = append(servers, srv)
-		infos = append(infos, hepnos.ServerInfo{Addr: srv.Addr(), DBIDs: srv.DBIDs})
-	}
-
-	// Clients, ClientsPerNode per virtual node.
-	var clients []*margo.Instance
-	for i := 0; i < cfg.TotalClients; i++ {
-		node := fmt.Sprintf("client-node%d", i/max(cfg.ClientsPerNode, 1))
-		inst, err := cluster.Start(ProcessOptions{
-			Mode: margo.ModeClient, Node: node,
-			Name:                fmt.Sprintf("loader%d", i),
-			DedicatedProgressES: cfg.ClientProgressThread,
-			Stage:               cfg.Stage,
-			OFIMaxEvents:        cfg.OFIMaxEvents,
-			Retry:               cfg.Retry,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if cfg.Retry != nil {
-			// put_packed overwrites the same keys on re-execution, so a
-			// timed-out attempt is safe to re-issue.
-			inst.MarkIdempotent(sdskv.RPCPutPacked)
-		}
-		clients = append(clients, inst)
-	}
-
-	// Run every client's loader concurrently and wait.
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, len(clients))
-	stored := make([]uint64, len(clients))
-	for i, inst := range clients {
-		wg.Add(1)
-		go func(i int, inst *margo.Instance) {
-			defer wg.Done()
-			stored[i], errs[i] = dataloader.Run(inst, dataloader.Config{
-				Events:      cfg.EventsPerClient,
-				EventSize:   hepnosEventSize,
-				BatchSize:   cfg.BatchSize,
-				MaxInflight: cfg.MaxInflight,
-				IssueCost:   hepnosIssueCost,
-				Servers:     infos,
-				Seed:        uint64(i + 1),
+		// Servers, ServersPerNode per virtual node.
+		for i := 0; i < cfg.TotalServers; i++ {
+			inst, err := c.Start(ProcessOptions{
+				Mode: margo.ModeServer, Node: fmt.Sprintf("server-node%d", i/max(cfg.ServersPerNode, 1)),
+				Name:           fmt.Sprintf("hepnos%d", i),
+				HandlerStreams: cfg.Threads,
+				Stage:          cfg.Stage,
+				OFIMaxEvents:   cfg.OFIMaxEvents,
 			})
-		}(i, inst)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("client %d: %w", i, err)
+			if err != nil {
+				return err
+			}
+			srv, err := hepnos.NewServer(inst, cfg.Databases, cfg.Backend,
+				sdskv.Config{PutCostPerKey: hepnosPutCostPerKey})
+			if err != nil {
+				return err
+			}
+			servers = append(servers, srv)
+			infos = append(infos, hepnos.ServerInfo{Addr: srv.Addr(), DBIDs: srv.DBIDs})
 		}
+		// Clients, ClientsPerNode per virtual node.
+		for i := 0; i < cfg.TotalClients; i++ {
+			inst, err := c.Start(ProcessOptions{
+				Mode: margo.ModeClient, Node: fmt.Sprintf("client-node%d", i/max(cfg.ClientsPerNode, 1)),
+				Name:                fmt.Sprintf("loader%d", i),
+				DedicatedProgressES: cfg.ClientProgressThread,
+				Stage:               cfg.Stage,
+				OFIMaxEvents:        cfg.OFIMaxEvents,
+				Retry:               cfg.Retry,
+			})
+			if err != nil {
+				return err
+			}
+			if cfg.Retry != nil {
+				// put_packed overwrites the same keys on re-execution, so a
+				// timed-out attempt is safe to re-issue.
+				inst.MarkIdempotent(sdskv.RPCPutPacked)
+			}
+			clients = append(clients, inst)
+		}
+		return nil
 	}
-	cluster.Settle()
-
-	res := &HEPnOSResult{Config: cfg, WallTime: wall, MetricsAddr: metricsAddr}
-	for _, s := range stored {
-		res.EventsStored += s
+	// Every client's loader runs concurrently.
+	s.Drive = func(*Cluster, *Run) error {
+		var wg sync.WaitGroup
+		errs := make([]error, len(clients))
+		stored = make([]uint64, len(clients))
+		for i, inst := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stored[i], errs[i] = dataloader.Run(inst, dataloader.Config{
+					Events:      cfg.EventsPerClient,
+					EventSize:   hepnosEventSize,
+					BatchSize:   cfg.BatchSize,
+					MaxInflight: cfg.MaxInflight,
+					IssueCost:   hepnosIssueCost,
+					Servers:     infos,
+					Seed:        uint64(i + 1),
+				})
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				return fmt.Errorf("client %d: %w", i, err)
+			}
+		}
+		return nil
 	}
-	for _, inst := range cluster.Instances() {
-		rs := inst.RetryStats()
-		res.Retries += rs.Retries
-		res.Timeouts += rs.Timeouts
-		res.Exhausted += rs.Exhausted
-		res.Cancels += rs.Cancels
+	res := &HEPnOSResult{Config: cfg}
+	s.Audit = func(_ *Cluster, r *Run) error {
+		var held uint64
+		for _, srv := range servers {
+			held += uint64(srv.StoredEvents())
+		}
+		for _, n := range stored {
+			res.EventsStored += n
+		}
+		r.LostAcked = max(int64(res.EventsStored)-int64(held), 0)
+		return nil
 	}
-	res.Faults = cluster.Fabric.FaultStats()
-	profiles, traceDumps := cluster.Collect()
-	merged := analysis.Merge(profiles)
-	traces := analysis.MergeTraces(traceDumps)
-	res.Profile = merged
-	res.TraceSamples = len(traces.Events)
-	res.TraceDropped = traces.Dropped
+	run, err := Execute(s, metricsAddr, out)
+	if err != nil {
+		return nil, err
+	}
+	res.Run = run
 
 	bc := core.Breadcrumb(0).Push(sdskv.RPCPutPacked)
-	total, comps := merged.CumulativeTargetExecution(bc)
-	res.CumTargetExec = total
-	res.Components = comps
-	for key, s := range merged.Origin {
+	res.CumTargetExec, res.Components = run.Profile.CumulativeTargetExecution(bc)
+	for key, s := range run.Profile.Origin {
 		if key.BC == bc {
 			res.CumOriginExec += time.Duration(s.Components[core.CompOriginExec])
 		}
 	}
-	res.Unaccounted = merged.Unaccounted(bc, NominalRTT(cluster.Fabric.Config()))
-	res.BlockedSeries = traces.BlockedULTSeries(sdskv.RPCPutPacked)
-	res.OFISeries = traces.OFIEventsReadSeries("")
-	return res, profiles, traceDumps, nil
+	res.Unaccounted = run.Profile.Unaccounted(bc, NominalRTT(DefaultFabric()))
+	res.BlockedSeries = run.Traces.BlockedULTSeries(sdskv.RPCPutPacked)
+	res.OFISeries = run.Traces.OFIEventsReadSeries("")
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"symbiosys/internal/core"
@@ -14,10 +15,10 @@ type OverheadConfig struct {
 	Reps int          // paper: 5
 }
 
-// StageTiming is one stage's measured execution times.
+// StageTiming is one stage's runs and their execution times.
 type StageTiming struct {
 	Stage        core.Stage
-	Times        []time.Duration
+	Runs         []*Run
 	Mean         time.Duration
 	Min          time.Duration
 	Max          time.Duration
@@ -47,45 +48,43 @@ func (r *OverheadResult) OverheadVsBaseline(s core.Stage) float64 {
 	return float64(stage) / float64(base)
 }
 
-// RunOverheadStudy executes the workload at all four stages.
-func RunOverheadStudy(cfg OverheadConfig) (*OverheadResult, error) {
+// RunOverheadStudy executes the workload at all four stages, each run
+// named <config>-stage<N>-r<rep>.
+func RunOverheadStudy(cfg OverheadConfig, metricsAddr, out string) (*OverheadResult, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = 3
 	}
-	out := &OverheadResult{}
+	res := &OverheadResult{}
 	for _, stage := range []core.Stage{core.StageOff, core.StageInject, core.StageProfile, core.StageFull} {
-		out.Stages = append(out.Stages, StageTiming{Stage: stage})
+		res.Stages = append(res.Stages, StageTiming{Stage: stage})
 	}
 	// Each repetition runs every stage once, so that load which comes or
 	// goes during the study falls on all stages alike rather than on
 	// whichever ran last.
-	for rep := 0; rep < cfg.Reps; rep++ {
-		for i := range out.Stages {
-			st := &out.Stages[i]
+	for rep := 1; rep <= cfg.Reps; rep++ {
+		for i := range res.Stages {
+			st := &res.Stages[i]
 			c := cfg.Base
 			c.Stage = st.Stage
-			res, err := RunHEPnOS(c)
+			c.Name = fmt.Sprintf("%s-stage%d-r%d", cfg.Base.Name, st.Stage, rep)
+			r, err := RunHEPnOS(c, metricsAddr, out)
 			if err != nil {
 				return nil, err
 			}
-			st.Times = append(st.Times, res.WallTime)
-			if res.TraceSamples > st.TraceSamples {
-				st.TraceSamples = res.TraceSamples
-			}
+			st.Runs = append(st.Runs, r.Run)
+			st.TraceSamples = max(st.TraceSamples, len(r.Traces.Events))
 		}
 	}
-	for s := range out.Stages {
-		st := &out.Stages[s]
-		for i, t := range st.Times {
-			st.Mean += t
-			if i == 0 || t < st.Min {
-				st.Min = t
+	for s := range res.Stages {
+		st := &res.Stages[s]
+		for i, run := range st.Runs {
+			st.Mean += run.WallTime
+			if i == 0 || run.WallTime < st.Min {
+				st.Min = run.WallTime
 			}
-			if t > st.Max {
-				st.Max = t
-			}
+			st.Max = max(st.Max, run.WallTime)
 		}
-		st.Mean /= time.Duration(len(st.Times))
+		st.Mean /= time.Duration(len(st.Runs))
 	}
-	return out, nil
+	return res, nil
 }

@@ -13,12 +13,12 @@ import (
 // and heal during recovery, and the decisions must be visible on every
 // measurement surface (live /metrics, profile PVars, trace spans).
 func TestOverloadSmoke(t *testing.T) {
-	cfg := OverloadConfig{StormOps: 40, RecoveryOps: 20, MetricsAddr: "127.0.0.1:0"}
+	cfg := OverloadConfig{StormOps: 40, RecoveryOps: 20}
 	if testing.Short() {
 		cfg.StormOps = 12
 		cfg.RecoveryOps = 12
 	}
-	res, err := RunOverload(cfg)
+	res, err := RunOverload(cfg, "127.0.0.1:0", "")
 	if err != nil {
 		t.Fatalf("RunOverload: %v", err)
 	}
@@ -38,21 +38,22 @@ func TestOverloadSmoke(t *testing.T) {
 	// The storm must actually have overloaded the server and tripped
 	// client breakers; otherwise the scenario is not exercising the
 	// control plane.
-	if res.Shed == 0 {
+	if res.Counters.Shed == 0 {
 		t.Error("storm shed no requests; scenario not saturating")
 	}
-	if res.BreakerTrips == 0 {
+	if res.Counters.BreakerTrips == 0 {
 		t.Error("no breaker trips during the storm")
 	}
 
 	// Goodput must recover once the storm stops: half-open probes
 	// succeed against the idle provider and circuits close.
-	if got := res.RecoverySuccessRate(); got < 0.9 {
+	storm, recovery := res.Phases[0], res.Phases[1]
+	if got := recovery.SuccessRate(); got < 0.9 {
 		t.Errorf("recovery success rate %.3f, want >= 0.9", got)
 	}
-	if res.RecoverySuccessRate() <= res.StormSuccessRate() {
+	if recovery.SuccessRate() <= storm.SuccessRate() {
 		t.Errorf("recovery success rate %.3f not above storm rate %.3f",
-			res.RecoverySuccessRate(), res.StormSuccessRate())
+			recovery.SuccessRate(), storm.SuccessRate())
 	}
 
 	// The graceful drain must complete inside its timeout.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -24,131 +25,136 @@ import (
 // (b) the merged profile attributes callpaths to the right services
 // without cross-talk, and (c) the trace set stitches cleanly.
 func TestMixedServiceSoak(t *testing.T) {
-	cluster := NewCluster(DefaultFabric())
-	defer cluster.Shutdown()
-
-	// Mobject provider node + ior client.
-	mobSrv, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeServer, Node: "node0", Name: "mobject",
-		HandlerStreams: 8, Stage: core.StageFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mobject.RegisterProviderNode(mobSrv, "map"); err != nil {
-		t.Fatal(err)
-	}
-	iorCli, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeClient, Node: "node0", Name: "ior", Stage: core.StageFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// HEPnOS servers + loader client.
-	var infos []hepnos.ServerInfo
-	for i := 0; i < 2; i++ {
-		inst, err := cluster.Start(ProcessOptions{
-			Mode: margo.ModeServer, Node: fmt.Sprintf("node%d", i+1),
-			Name: "hepnos", HandlerStreams: 4, Stage: core.StageFull,
+	var (
+		mobSrv, iorCli, loaderCli, sonSrv, sonCli *margo.Instance
+		sonClient                                 *sonata.Client
+		infos                                     []hepnos.ServerInfo
+	)
+	s := Scenario{Name: "soak"}
+	s.Build = func(c *Cluster) error {
+		var err error
+		// Mobject provider node + ior client.
+		mobSrv, err = c.Start(ProcessOptions{
+			Mode: margo.ModeServer, Node: "node0", Name: "mobject",
+			HandlerStreams: 8, Stage: core.StageFull,
 		})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		srv, err := hepnos.NewServer(inst, 4, "map", sdskv.Config{})
+		if _, err := mobject.RegisterProviderNode(mobSrv, "map"); err != nil {
+			return err
+		}
+		iorCli, err = c.Start(ProcessOptions{
+			Mode: margo.ModeClient, Node: "node0", Name: "ior", Stage: core.StageFull,
+		})
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		infos = append(infos, hepnos.ServerInfo{Addr: srv.Addr(), DBIDs: srv.DBIDs})
-	}
-	loaderCli, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeClient, Node: "node3", Name: "loader", Stage: core.StageFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Sonata server + client.
-	sonSrv, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeServer, Node: "node4", Name: "sonata",
-		HandlerStreams: 2, Stage: core.StageFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sonata.RegisterProvider(sonSrv, sonata.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	sonCli, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeClient, Node: "node5", Name: "writer", Stage: core.StageFull,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sonClient, err := sonata.NewClient(sonCli)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Drive all three concurrently.
-	var wg sync.WaitGroup
-	errs := make([]error, 3)
-	wg.Add(3)
-	go func() {
-		defer wg.Done()
-		_, errs[0] = ior.Run(iorCli, ior.Config{
-			Target: mobSrv.Addr(), Rank: 0, Segments: 6,
-			TransferSize: 8 << 10, ReadBack: true,
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		_, errs[1] = dataloader.Run(loaderCli, dataloader.Config{
-			Events: 512, EventSize: 256, BatchSize: 16,
-			MaxInflight: 8, Issuers: 2, Servers: infos,
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		u := sonCli.Run("sonata-writer", func(self *abt.ULT) {
-			if err := sonClient.CreateCollection(self, sonSrv.Addr(), "soak"); err != nil {
-				errs[2] = err
-				return
-			}
-			batch := make([][]byte, 0, 100)
-			for i := 0; i < 500; i++ {
-				batch = append(batch, sonata.GenerateRecord(i, 128))
-				if len(batch) == 100 {
-					if _, err := sonClient.StoreMultiJSON(self, sonSrv.Addr(), "soak", batch); err != nil {
-						errs[2] = err
-						return
-					}
-					batch = batch[:0]
-				}
-			}
-			// Read the store back while other services run.
-			n, err := sonClient.CollectionSize(self, sonSrv.Addr(), "soak")
+		// HEPnOS servers + loader client.
+		for i := 0; i < 2; i++ {
+			inst, err := c.Start(ProcessOptions{
+				Mode: margo.ModeServer, Node: fmt.Sprintf("node%d", i+1),
+				Name: "hepnos", HandlerStreams: 4, Stage: core.StageFull,
+			})
 			if err != nil {
-				errs[2] = err
-				return
+				return err
 			}
-			if n != 500 {
-				errs[2] = fmt.Errorf("collection holds %d of 500", n)
+			srv, err := hepnos.NewServer(inst, 4, "map", sdskv.Config{})
+			if err != nil {
+				return err
 			}
-		})
-		u.Join(nil)
-	}()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("workload %d: %v", i, err)
+			infos = append(infos, hepnos.ServerInfo{Addr: srv.Addr(), DBIDs: srv.DBIDs})
 		}
+		loaderCli, err = c.Start(ProcessOptions{
+			Mode: margo.ModeClient, Node: "node3", Name: "loader", Stage: core.StageFull,
+		})
+		if err != nil {
+			return err
+		}
+
+		// Sonata server + client.
+		sonSrv, err = c.Start(ProcessOptions{
+			Mode: margo.ModeServer, Node: "node4", Name: "sonata",
+			HandlerStreams: 2, Stage: core.StageFull,
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := sonata.RegisterProvider(sonSrv, sonata.Config{}); err != nil {
+			return err
+		}
+		sonCli, err = c.Start(ProcessOptions{
+			Mode: margo.ModeClient, Node: "node5", Name: "writer", Stage: core.StageFull,
+		})
+		if err != nil {
+			return err
+		}
+		sonClient, err = sonata.NewClient(sonCli)
+		if err != nil {
+			return err
+		}
+
+		return nil
 	}
-	if !cluster.Settle() {
-		t.Fatal("cluster did not go idle")
+	s.Drive = func(*Cluster, *Run) error {
+		// Drive all three concurrently.
+		var wg sync.WaitGroup
+		errs := make([]error, 3)
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			_, errs[0] = ior.Run(iorCli, ior.Config{
+				Target: mobSrv.Addr(), Rank: 0, Segments: 6,
+				TransferSize: 8 << 10, ReadBack: true,
+			})
+		}()
+		go func() {
+			defer wg.Done()
+			_, errs[1] = dataloader.Run(loaderCli, dataloader.Config{
+				Events: 512, EventSize: 256, BatchSize: 16,
+				MaxInflight: 8, Issuers: 2, Servers: infos,
+			})
+		}()
+		go func() {
+			defer wg.Done()
+			u := sonCli.Run("sonata-writer", func(self *abt.ULT) {
+				if err := sonClient.CreateCollection(self, sonSrv.Addr(), "soak"); err != nil {
+					errs[2] = err
+					return
+				}
+				batch := make([][]byte, 0, 100)
+				for i := 0; i < 500; i++ {
+					batch = append(batch, sonata.GenerateRecord(i, 128))
+					if len(batch) == 100 {
+						if _, err := sonClient.StoreMultiJSON(self, sonSrv.Addr(), "soak", batch); err != nil {
+							errs[2] = err
+							return
+						}
+						batch = batch[:0]
+					}
+				}
+				// Read the store back while other services run.
+				n, err := sonClient.CollectionSize(self, sonSrv.Addr(), "soak")
+				if err != nil {
+					errs[2] = err
+					return
+				}
+				if n != 500 {
+					errs[2] = fmt.Errorf("collection holds %d of 500", n)
+				}
+			})
+			u.Join(nil)
+		}()
+		wg.Wait()
+		return errors.Join(errs...)
+	}
+	run, err := Execute(s, "", "")
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	merged, traces := cluster.Analyze()
+	merged, traces := run.Profile, run.Traces
 
 	// Every service's signature callpath must be present and correctly
 	// attributed — no cross-talk between services sharing the fabric.

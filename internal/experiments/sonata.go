@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"symbiosys/internal/abt"
-	"symbiosys/internal/analysis"
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
 	"symbiosys/internal/services/sonata"
@@ -26,8 +25,8 @@ type SonataConfig struct {
 // SonataResult carries the Figure 7 breakdown: how the cumulative RPC
 // execution time on the target maps to individual steps.
 type SonataResult struct {
-	Config   SonataConfig
-	WallTime time.Duration
+	Config SonataConfig
+	*Run
 	RPCCalls uint64
 
 	// Cumulative target-side nanoseconds per step.
@@ -37,8 +36,6 @@ type SonataResult struct {
 	RDMA          uint64
 	Handler       uint64
 	ExecExclusive uint64 // target exec minus (de)serialization
-
-	Profile *analysis.MergedProfile
 }
 
 // DeserFraction is the paper's headline number: input deserialization
@@ -60,76 +57,20 @@ func (r *SonataResult) RDMAFraction() float64 {
 	return float64(r.RDMA) / float64(total)
 }
 
-// RunSonata reproduces the batch-store benchmark, then audits the store:
-// the collection holds exactly the records stored, and a sample of them
-// reads back byte for byte. A failed audit is an error.
-func RunSonata(cfg SonataConfig) (*SonataResult, error) {
-	return runSonata(cfg, func(srv *margo.Instance) error {
+// RunSonata reproduces the batch-store benchmark as the run "sonata";
+// its audit is that the collection holds exactly the records stored and
+// a sample of them reads back byte for byte.
+func RunSonata(cfg SonataConfig, metricsAddr, out string) (*SonataResult, error) {
+	run, err := Execute(sonataScenario(cfg, func(srv *margo.Instance) error {
 		_, err := sonata.RegisterProvider(srv, sonata.Config{StoreCostPerDoc: 8 * time.Microsecond})
 		return err
-	})
-}
-
-// runSonata is RunSonata over whatever provider register installs on
-// the target (the audit's test plants a lossy one).
-func runSonata(cfg SonataConfig, register func(srv *margo.Instance) error) (*SonataResult, error) {
-	cluster := NewCluster(DefaultFabric())
-	defer cluster.Shutdown()
-
-	srv, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeServer, Node: "node1", Name: "sonata",
-		HandlerStreams: 4, Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
-	})
+	}), metricsAddr, out)
 	if err != nil {
 		return nil, err
 	}
-	if err := register(srv); err != nil {
-		return nil, err
-	}
-	cli, err := cluster.Start(ProcessOptions{
-		Mode: margo.ModeClient, Node: "node0", Name: "bench",
-		Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
-	})
-	if err != nil {
-		return nil, err
-	}
-	client, err := sonata.NewClient(cli)
-	if err != nil {
-		return nil, err
-	}
-
-	start := time.Now()
-	var wall time.Duration
-	var runErr error
-	u := cli.Run("sonata-origin", func(self *abt.ULT) {
-		if runErr = client.CreateCollection(self, srv.Addr(), "records"); runErr != nil {
-			return
-		}
-		batch := make([][]byte, 0, cfg.BatchSize)
-		for i := 0; i < cfg.Records; i++ {
-			batch = append(batch, sonata.GenerateRecord(i, cfg.RecordSize))
-			if len(batch) == cfg.BatchSize || i == cfg.Records-1 {
-				if _, runErr = client.StoreMultiJSON(self, srv.Addr(), "records", batch); runErr != nil {
-					return
-				}
-				batch = batch[:0]
-			}
-		}
-		wall = time.Since(start)
-		runErr = auditSonata(self, client, srv.Addr(), cfg)
-	})
-	if err := u.Join(nil); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	cluster.Settle()
-
-	merged, _ := cluster.Analyze()
-	res := &SonataResult{Config: cfg, WallTime: wall, Profile: merged}
+	res := &SonataResult{Config: cfg, Run: run}
 	bc := core.Breadcrumb(0).Push(sonata.RPCStoreMultiJSON)
-	for key, s := range merged.Target {
+	for key, s := range run.Profile.Target {
 		if key.BC != bc {
 			continue
 		}
@@ -146,6 +87,59 @@ func runSonata(cfg SonataConfig, register func(srv *margo.Instance) error) (*Son
 	return res, nil
 }
 
+// sonataScenario is the batch store over whatever provider register
+// installs on the target (the audit's test plants a lossy one).
+func sonataScenario(cfg SonataConfig, register func(srv *margo.Instance) error) Scenario {
+	var srv, cli *margo.Instance
+	var client *sonata.Client
+	return Scenario{
+		Name: "sonata",
+		Build: func(c *Cluster) error {
+			var err error
+			if srv, err = c.Start(ProcessOptions{
+				Mode: margo.ModeServer, Node: "node1", Name: "sonata",
+				HandlerStreams: 4, Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
+			}); err != nil {
+				return err
+			}
+			if err := register(srv); err != nil {
+				return err
+			}
+			if cli, err = c.Start(ProcessOptions{
+				Mode: margo.ModeClient, Node: "node0", Name: "bench",
+				Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
+			}); err != nil {
+				return err
+			}
+			client, err = sonata.NewClient(cli)
+			return err
+		},
+		Drive: func(*Cluster, *Run) error {
+			return onULT(cli, "sonata-origin", func(self *abt.ULT) error {
+				if err := client.CreateCollection(self, srv.Addr(), "records"); err != nil {
+					return err
+				}
+				batch := make([][]byte, 0, cfg.BatchSize)
+				for i := 0; i < cfg.Records; i++ {
+					batch = append(batch, sonata.GenerateRecord(i, cfg.RecordSize))
+					if len(batch) == cfg.BatchSize || i == cfg.Records-1 {
+						if _, err := client.StoreMultiJSON(self, srv.Addr(), "records", batch); err != nil {
+							return err
+						}
+						batch = batch[:0]
+					}
+				}
+				return nil
+			})
+		},
+		Audit: func(*Cluster, *Run) error {
+			return onULT(cli, "sonata-audit", func(self *abt.ULT) error {
+				return auditSonata(self, client, srv.Addr(), cfg)
+			})
+		},
+	}
+}
+
 // sonataAuditSample is how many stored documents the audit reads back.
 const sonataAuditSample = 64
 
@@ -155,19 +149,19 @@ const sonataAuditSample = 64
 func auditSonata(self *abt.ULT, client *sonata.Client, target string, cfg SonataConfig) error {
 	n, err := client.CollectionSize(self, target, "records")
 	if err != nil {
-		return fmt.Errorf("experiments: sonata audit: %w", err)
+		return fmt.Errorf("collection size: %w", err)
 	}
 	if n != uint64(cfg.Records) {
-		return fmt.Errorf("experiments: sonata audit: collection holds %d documents, stored %d", n, cfg.Records)
+		return fmt.Errorf("collection holds %d documents, stored %d", n, cfg.Records)
 	}
 	ids := rand.New(rand.NewSource(1)).Perm(cfg.Records)
 	for _, id := range ids[:min(sonataAuditSample, len(ids))] {
 		doc, found, err := client.Fetch(self, target, "records", uint64(id))
 		if err != nil {
-			return fmt.Errorf("experiments: sonata audit: fetch %d: %w", id, err)
+			return fmt.Errorf("fetch %d: %w", id, err)
 		}
 		if !found || !bytes.Equal(doc, sonata.GenerateRecord(id, cfg.RecordSize)) {
-			return fmt.Errorf("experiments: sonata audit: document %d read back wrong (found %v, %d bytes)", id, found, len(doc))
+			return fmt.Errorf("document %d read back wrong (found %v, %d bytes)", id, found, len(doc))
 		}
 	}
 	return nil

@@ -130,7 +130,7 @@ func TestSonataAuditCatchesALossyStore(t *testing.T) {
 		}, "read back wrong"},
 	} {
 		store := &lossyStore{fault: tc.fault}
-		_, err := runSonata(cfg, store.register)
+		_, err := Execute(sonataScenario(cfg, store.register), "", "")
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: audit failed: %v", tc.name, err)

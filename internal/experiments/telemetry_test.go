@@ -152,7 +152,7 @@ func TestSmokeMetrics(t *testing.T) {
 	cfg := scaled(C1, 16)
 	cfg.TotalClients = 2
 	cfg.ClientsPerNode = 2
-	cfg.MetricsAddr = freePort(t)
+	addr := freePort(t)
 
 	type outcome struct {
 		res *HEPnOSResult
@@ -160,7 +160,7 @@ func TestSmokeMetrics(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := RunHEPnOS(cfg)
+		res, err := RunHEPnOS(cfg, addr, "")
 		done <- outcome{res, err}
 	}()
 
@@ -169,7 +169,7 @@ func TestSmokeMetrics(t *testing.T) {
 	var body string
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		b, err := scrape(cfg.MetricsAddr)
+		b, err := scrape(addr)
 		if err == nil {
 			body = b
 			if strings.Contains(b, "symbiosys_callpath_latency_seconds_bucket") {
@@ -210,8 +210,8 @@ func TestSmokeMetrics(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if out.res.MetricsAddr != cfg.MetricsAddr {
-		t.Fatalf("result metrics addr = %q, want %q", out.res.MetricsAddr, cfg.MetricsAddr)
+	if out.res.MetricsAddr != addr {
+		t.Fatalf("result metrics addr = %q, want %q", out.res.MetricsAddr, addr)
 	}
 
 	// Percentile cross-check: the dominant callpath's percentiles from
