@@ -39,9 +39,9 @@ surface:
 	echo "$$files" | grep -v _test.go | while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \
 		awk '{n[$$1] += $$2} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2
 
-# Race-detector pass over the concurrency-heavy packages: the sharded
-# measurement collector, the Margo instrumentation that records into it
-# from many execution streams, the telemetry exposer that reads
+# Race-detector pass over the concurrency-heavy packages: the Profiler's
+# sharded measurement store, the Margo instrumentation that records into
+# it from many execution streams, the telemetry exposer that reads
 # it live (margo's scrape test reads a server and a client from eight
 # HTTP goroutines while forwards flow, through a drain and a shutdown),
 # the fabric's completion-queue accessors, per-destination
@@ -56,7 +56,9 @@ surface:
 # ring, and the elastic sdskv node's dual-write/dirty-set machinery (in
 # the services, which run three times below).
 # The four packages a recycled Mercury handle or frame crosses (na,
-# mercury, margo, core) run three times: their recycle tests race timers,
+# mercury, margo, core) run three times (core also because one lock per
+# shard guards both its callpath maps and its trace records, while
+# readers decode snapshots outside it): their recycle tests race timers,
 # cancellation sweeps, late fabric errors, duplicated and delayed
 # deliveries and the last reference on every request, and which side
 # wins differs from run to run. Under the race detector a recycled frame

@@ -26,16 +26,6 @@ func BenchmarkRecordOrigin(b *testing.B) {
 	}
 }
 
-// BenchmarkTracerEmit measures one trace-event append.
-func BenchmarkTracerEmit(b *testing.B) {
-	tr := NewTracer(b.N + 1)
-	ev := Event{RequestID: 1, Kind: EvOriginStart, RPCName: "x_rpc", Timestamp: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(ev)
-	}
-}
-
 // BenchmarkLamportTick measures the logical-clock advance.
 func BenchmarkLamportTick(b *testing.B) {
 	var l Lamport

@@ -1,7 +1,8 @@
 // Package core implements the SYMBIOSYS measurement model: distributed
-// callpath breadcrumbs, the callpath profiler, the distributed request
-// tracer with Lamport clocks, measurement stages, and the serialized
-// profile/trace formats consumed by the analysis tools. It is the
+// callpath breadcrumbs, the per-process measurement store (Profiler)
+// holding callpath profiles and request traces, Lamport clocks,
+// measurement stages, and the serialized profile/trace formats consumed
+// by the analysis tools. It is the
 // paper's primary contribution (§IV); the margo package hosts it at the
 // RPC instrumentation points t1…t14.
 package core

@@ -271,7 +271,7 @@ func TestProfilerDumpRoundTrip(t *testing.T) {
 	comps := [NumComponents]uint64{}
 	comps[CompTargetExec] = 42
 	p.RecordOrigin(Breadcrumb(0).Push("x_rpc"), "node1/s", time.Millisecond, &comps)
-	p.RecordTarget(Breadcrumb(0).Push("x_rpc"), "node2/c", 2*time.Millisecond, nil)
+	p.RecordTargetAt(0, Breadcrumb(0).Push("x_rpc"), "node2/c", 2*time.Millisecond, nil)
 
 	d := p.Dump()
 	var buf bytes.Buffer
@@ -294,48 +294,50 @@ func TestProfilerDumpRoundTrip(t *testing.T) {
 }
 
 func TestTracerBoundsAndReset(t *testing.T) {
-	tr := NewTracer(3)
+	p := newProfiler("bounds/p", StageFull, 1, 3)
 	for i := 0; i < 5; i++ {
-		tr.Emit(Event{RequestID: uint64(i)})
+		p.Emit(Event{RequestID: uint64(i)})
 	}
-	if tr.Len() != 3 || tr.Dropped() != 2 {
-		t.Fatalf("len = %d dropped = %d", tr.Len(), tr.Dropped())
+	if p.TraceLen() != 3 || p.TraceDropped() != 2 {
+		t.Fatalf("len = %d dropped = %d", p.TraceLen(), p.TraceDropped())
 	}
-	evs := tr.Events()
+	evs := p.TraceEvents()
 	if evs[0].RequestID != 0 || evs[2].RequestID != 2 {
 		t.Fatalf("events = %+v", evs)
 	}
 	if evs[0].Timestamp == 0 {
 		t.Fatal("timestamp not stamped")
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
+	p.ResetMeasurements()
+	if p.TraceLen() != 0 || p.TraceDropped() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
 
-// TestTracerChunksKeepOrderAndBounds fills a tracer across many chunk
-// boundaries (and up to a capacity that falls inside a chunk): events
-// come back complete and in emission order, the bound and the dropped
-// count hold, a copy from Events survives Reset, and the tracer starts
-// over small afterwards.
+// TestTracerChunksKeepOrderAndBounds fills one shard's trace buffer
+// across many chunk boundaries (and up to a capacity that falls inside a
+// chunk): events come back complete and in emission order, the bound and
+// the dropped count hold, a copy from TraceEvents survives a reset, and
+// the buffer starts over small afterwards.
 func TestTracerChunksKeepOrderAndBounds(t *testing.T) {
 	const capacity = 20000 + 17 // some 250 KB of records: the doubling chunks, then several of chunkMax
-	tr := NewTracer(capacity)
+	p := newProfiler("chunks/p", StageFull, 1, capacity)
+	tr := &p.shards[0].trace
 	pv := PVarSample{}
 	for i := 0; i < capacity+5; i++ {
 		pv.OFIEventsRead = uint64(i)
-		ev := Event{RequestID: uint64(i), Timestamp: 1}
-		if ok := tr.emit(&ev, &pv, nil); ok != (i < capacity) {
-			t.Fatalf("emit %d = %v", i, ok)
+		dropped := tr.dropped
+		p.EmitSampled(0, Event{RequestID: uint64(i), Timestamp: 1}, &pv, nil)
+		if kept := tr.dropped == dropped; kept != (i < capacity) {
+			t.Fatalf("emit %d kept = %v", i, kept)
 		}
 	}
-	if tr.Len() != capacity || tr.Dropped() != 5 {
-		t.Fatalf("len = %d dropped = %d, want %d and 5", tr.Len(), tr.Dropped(), capacity)
+	if p.TraceLen() != capacity || p.TraceDropped() != 5 {
+		t.Fatalf("len = %d dropped = %d, want %d and 5", p.TraceLen(), p.TraceDropped(), capacity)
 	}
-	evs := tr.Events()
+	evs := p.TraceEvents()
 	if len(evs) != capacity {
-		t.Fatalf("Events returned %d of %d", len(evs), capacity)
+		t.Fatalf("TraceEvents returned %d of %d", len(evs), capacity)
 	}
 	for i, ev := range evs {
 		if ev.RequestID != uint64(i) || ev.PVars == nil || ev.PVars.OFIEventsRead != uint64(i) {
@@ -351,12 +353,12 @@ func TestTracerChunksKeepOrderAndBounds(t *testing.T) {
 			t.Fatalf("chunk %d holds %d B after one of %d", i, c, cap(chunks[i-1]))
 		}
 	}
-	tr.Reset()
-	tr.Emit(Event{RequestID: 99})
+	p.ResetMeasurements()
+	p.Emit(Event{RequestID: 99})
 	if evs[0].RequestID != 0 || evs[capacity-1].PVars.OFIEventsRead != capacity-1 {
-		t.Fatal("a copy handed out by Events changed after Reset")
+		t.Fatal("a copy handed out by TraceEvents changed after a reset")
 	}
-	if got := tr.Events(); len(got) != 1 || got[0].RequestID != 99 || len(tr.full) != 0 || cap(tr.cur) != chunkMin {
+	if got := p.TraceEvents(); len(got) != 1 || got[0].RequestID != 99 || len(tr.full) != 0 || cap(tr.cur) != chunkMin {
 		t.Fatalf("after Reset: %+v in a chunk of %d", got, cap(tr.cur))
 	}
 }

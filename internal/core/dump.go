@@ -16,7 +16,7 @@ type ProfileDump struct {
 	Stage   string            `json:"stage"`
 	Started time.Time         `json:"started"`
 	Names   map[uint16]string `json:"names"`
-	// TraceDropped surfaces silent trace-ring truncation alongside the
+	// TraceDropped surfaces silent trace-buffer truncation alongside the
 	// profile so offline analysis can flag incomplete traces.
 	TraceDropped uint64 `json:"trace_dropped,omitempty"`
 	// PVars carries the process's library-global performance-variable
@@ -67,14 +67,13 @@ type TraceDump struct {
 	Events  []Event `json:"events"`
 }
 
-// DumpTrace captures a profiler's merged trace rings for offline
+// DumpTrace captures a profiler's merged trace buffers for offline
 // analysis; events come out ordered by timestamp then Lamport order.
 func (p *Profiler) DumpTrace() *TraceDump {
-	c := p.coll
 	return &TraceDump{
 		Entity:  p.entity,
 		PID:     p.pid,
-		Dropped: c.Dropped(),
-		Events:  c.Events(),
+		Dropped: p.TraceDropped(),
+		Events:  p.TraceEvents(),
 	}
 }

@@ -144,22 +144,22 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 // TestJSONLSinkStickyErrors checks that write failures surface from
-// Flush and are counted in the collector's sink_errors stat.
+// Flush and are counted in the Profiler's sink_errors stat.
 func TestJSONLSinkStickyErrors(t *testing.T) {
 	boom := errors.New("disk full")
 	sink := NewJSONLTraceSink(&failWriter{n: 0, err: boom})
-	c := NewCollector(1, 16)
-	c.AddTraceSink(sink)
+	p := newProfiler("sticky/p", StageFull, 1, 16)
+	p.AddTraceSink(sink)
 
 	// Small events flow into bufio's buffer without error; the failure
 	// must still surface at flush time and be counted.
 	for i := 0; i < 4; i++ {
-		c.Emit(0, Event{RequestID: uint64(i), Entity: "e"})
+		p.EmitSampled(0, Event{RequestID: uint64(i), Entity: "e"}, nil, nil)
 	}
-	if err := c.FlushSinks(); !errors.Is(err, boom) {
+	if err := p.FlushSinks(); !errors.Is(err, boom) {
 		t.Fatalf("FlushSinks = %v, want %v", err, boom)
 	}
-	if got := c.SinkErrors(); got == 0 {
+	if got := p.SinkErrors(); got == 0 {
 		t.Fatal("sink error not counted")
 	}
 	// The error is sticky: later writes and flushes keep reporting it.

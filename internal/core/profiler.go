@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -47,7 +48,7 @@ type StatKey struct {
 // nanoseconds), giving ≤±25% relative error on quantile estimates —
 // twice the resolution of plain log2 buckets for the same mergeability:
 // bucket counts add element-wise, so Merge stays associative and
-// order-independent (the shard-merge property of the collector).
+// order-independent (the shard-merge property of the Profiler).
 //
 // Bucket 0 is the underflow bucket [0, 2^histMinOctave); buckets
 // 1..HistBuckets-2 tile [2^histMinOctave, 2^(histMinOctave+20)) — about
@@ -129,7 +130,7 @@ func (s *CallStats) record(total time.Duration, comps *[NumComponents]uint64) {
 // Record folds one standalone observation into the stats (no component
 // breakdown). Scenario harnesses use it to build phase-local latency
 // distributions with the same histogram/percentile machinery the
-// collector uses for callpaths.
+// Profiler uses for callpaths.
 func (s *CallStats) Record(total time.Duration) {
 	s.record(total, nil)
 }
@@ -212,10 +213,34 @@ func (s *CallStats) Percentile(p float64) time.Duration {
 	return time.Duration(s.MaxNanos)
 }
 
-// Profiler is the per-process SYMBIOSYS measurement state: it owns the
-// process identity, the measurement stage, the Lamport clock, request ID
-// allocation, and the sharded measurement collector holding the callpath
-// profiles and the trace rings.
+// numShards is the number of measurement shards of a Profiler. Margo
+// keys its records by ULT id, so a fixed power of two spreads concurrent
+// execution streams across independent locks the way the paper's
+// per-thread TAU storage does (§IV-A): two ULTs on different execution
+// streams almost never touch the same shard, and the reads fold the
+// shards back into one per-process view.
+const numShards = 8
+
+// shard is one independently locked slice of a process's measurements:
+// its callpath maps and its trace records, all behind the one mutex.
+// The pad keeps adjacent shards on separate cache lines so per-shard
+// locking does not degenerate into false sharing.
+type shard struct {
+	mu     sync.Mutex
+	origin map[StatKey]*CallStats
+	target map[StatKey]*CallStats
+	trace  traceBuf
+	_      [64]byte
+}
+
+// Profiler is the per-process SYMBIOSYS measurement state: the process
+// identity, the measurement stage, the Lamport clock, request ID
+// allocation, and the one measurement store. Writers (RecordOriginAt,
+// RecordTargetAt, EmitSampled) take only the lock of the shard their key
+// maps to; readers (OriginStats, TraceEvents, Dump) fold all shards into
+// the merged view on demand. Attached TraceSinks observe every emitted
+// event besides the shards' buffers, so exporters consume the stream
+// rather than own the buffers.
 type Profiler struct {
 	entity string
 	pid    uint32
@@ -232,8 +257,11 @@ type Profiler struct {
 	// than timestamps (paper §IV-A2).
 	skew atomic.Int64
 
-	// coll is the sharded measurement pipeline, fixed at construction.
-	coll *Collector
+	shards []shard // a power of two, fixed at construction
+	mask   uint64
+
+	sinks    atomic.Pointer[[]TraceSink]
+	sinkErrs atomic.Uint64
 
 	// pvarSnap, when set (SetPVarSnapshot), is called at Dump time so
 	// profile dumps carry the owning layer's performance-variable
@@ -249,12 +277,29 @@ var pidSeq atomic.Uint32
 // NewProfiler creates the measurement state for one (virtual) process.
 // entity is the process's fabric address.
 func NewProfiler(entity string, stage Stage) *Profiler {
+	return newProfiler(entity, stage, numShards, DefaultTraceCapacity)
+}
+
+// newProfiler is NewProfiler with a given shard count (a power of two)
+// and total trace capacity, split evenly across the shards (<= 0 selects
+// DefaultTraceCapacity).
+func newProfiler(entity string, stage Stage, shards, capacity int) *Profiler {
+	if capacity <= 0 {
+		capacity = DefaultTraceCapacity
+	}
 	p := &Profiler{
 		entity: entity,
 		pid:    pidSeq.Add(1),
 		names:  NewNameRegistry(),
 		start:  time.Now(),
-		coll:   NewCollector(DefaultShards, DefaultTraceCapacity),
+		shards: make([]shard, shards),
+		mask:   uint64(shards - 1),
+	}
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.origin = make(map[StatKey]*CallStats)
+		sh.target = make(map[StatKey]*CallStats)
+		sh.trace.cap = (capacity + shards - 1) / shards
 	}
 	p.stage.Store(int32(stage))
 	return p
@@ -275,16 +320,6 @@ func (p *Profiler) SetStage(s Stage) { p.stage.Store(int32(s)) }
 // Names returns the process's hop-hash name registry.
 func (p *Profiler) Names() *NameRegistry { return p.names }
 
-// Collector returns the process's sharded measurement pipeline.
-func (p *Profiler) Collector() *Collector { return p.coll }
-
-// AddTraceSink attaches a streaming sink observing every subsequently
-// emitted trace event.
-func (p *Profiler) AddTraceSink(s TraceSink) { p.coll.AddTraceSink(s) }
-
-// FlushSinks flushes all attached trace sinks.
-func (p *Profiler) FlushSinks() error { return p.coll.FlushSinks() }
-
 // SetClockSkew sets the simulated wall-clock offset of this process.
 func (p *Profiler) SetClockSkew(d time.Duration) { p.skew.Store(int64(d)) }
 
@@ -303,92 +338,250 @@ func (p *Profiler) NewRequestID() uint64 {
 // RecordOrigin folds one completed RPC into the origin-side profile.
 // total is the origin execution time (t1→t14); comps carries whichever
 // components the origin measured. The recording shard is derived from
-// the callpath; hot paths that know their execution stream should use
+// the callpath; hot paths that know their execution stream use
 // RecordOriginAt.
 func (p *Profiler) RecordOrigin(bc Breadcrumb, target string, total time.Duration, comps *[NumComponents]uint64) {
 	p.RecordOriginAt(uint64(bc), bc, target, total, comps)
 }
 
 // RecordOriginAt is RecordOrigin recording into the shard selected by
-// key — callers on the RPC fast path pass their ULT/ES id so concurrent
+// key — callers on the RPC fast path pass their ULT id so concurrent
 // execution streams take disjoint locks (the per-thread storage of the
 // paper's TAU backend).
 func (p *Profiler) RecordOriginAt(key uint64, bc Breadcrumb, target string, total time.Duration, comps *[NumComponents]uint64) {
-	if !p.Stage().Measures() {
-		return
-	}
-	p.coll.RecordOrigin(key, bc, target, total, comps)
+	p.record(key, true, StatKey{BC: bc, Peer: target}, total, comps)
 }
 
-// RecordTarget folds one serviced RPC into the target-side profile.
+// RecordTargetAt folds one serviced RPC into the target-side profile of
+// the shard selected by key (the handler ULT's id on the RPC fast path).
 // total is the target ULT execution time (t5→t8).
-func (p *Profiler) RecordTarget(bc Breadcrumb, origin string, total time.Duration, comps *[NumComponents]uint64) {
-	p.RecordTargetAt(uint64(bc), bc, origin, total, comps)
+func (p *Profiler) RecordTargetAt(key uint64, bc Breadcrumb, origin string, total time.Duration, comps *[NumComponents]uint64) {
+	p.record(key, false, StatKey{BC: bc, Peer: origin}, total, comps)
 }
 
-// RecordTargetAt is RecordTarget recording into the shard selected by
-// key (the handler ULT's id on the RPC fast path).
-func (p *Profiler) RecordTargetAt(key uint64, bc Breadcrumb, origin string, total time.Duration, comps *[NumComponents]uint64) {
+func (p *Profiler) record(key uint64, origin bool, sk StatKey, total time.Duration, comps *[NumComponents]uint64) {
 	if !p.Stage().Measures() {
 		return
 	}
-	p.coll.RecordTarget(key, bc, origin, total, comps)
+	sh := &p.shards[key&p.mask]
+	sh.mu.Lock()
+	m := sh.target
+	if origin {
+		m = sh.origin
+	}
+	s := m[sk]
+	if s == nil {
+		s = &CallStats{}
+		m[sk] = s
+	}
+	s.record(total, comps)
+	sh.mu.Unlock()
 }
 
-// Emit appends one trace event, sharded by its request ID. Hot paths
-// that know their execution stream should use EmitAt.
-func (p *Profiler) Emit(ev Event) { p.EmitAt(ev.RequestID, ev) }
+// Emit appends one trace event, with the annotations it carries, to the
+// shard selected by its request ID.
+func (p *Profiler) Emit(ev Event) { p.EmitSampled(ev.RequestID, ev, ev.PVars, ev.Components) }
 
-// EmitAt appends one trace event into the shard selected by key (the
-// emitting ULT's id on the RPC fast path).
-func (p *Profiler) EmitAt(key uint64, ev Event) { p.coll.Emit(key, ev) }
-
-// EmitSampled is EmitAt with the event's PVAR sample and component
-// breakdown passed beside it (see Collector.EmitSampled): the collector
-// copies both, so the caller's values need not outlive the call.
+// EmitSampled appends one trace event to the shard selected by key (the
+// emitting ULT's id on the RPC fast path), stamping its time if unset,
+// and tees it to the attached sinks. The event's PVAR sample and
+// component breakdown arrive beside it (nil when absent; ev.PVars and
+// ev.Components are not read) and are copied, so they may live on the
+// caller's stack. Sinks observe every event, including the ones the
+// bounded buffer drops: a streaming sink has no capacity limit of ours
+// to respect.
 func (p *Profiler) EmitSampled(key uint64, ev Event, pv *PVarSample, comps *[NumComponents]uint64) {
-	p.coll.EmitSampled(key, ev, pv, comps)
+	if ev.Timestamp == 0 {
+		ev.Timestamp = p.StampNanos(time.Now())
+	}
+	sh := &p.shards[key&p.mask]
+	sh.mu.Lock()
+	sh.trace.emit(&ev, pv, comps)
+	sh.mu.Unlock()
+	sinks := p.sinks.Load()
+	if sinks == nil {
+		return
+	}
+	// Sinks borrow the event. Its annotations go through pooled scratch,
+	// filled on this branch alone, because a pointer handed to an
+	// interface method escapes: so the caller's values stay on its stack,
+	// sink or no sink, and the tee allocates nothing.
+	a := sinkScratch.Get().(*sinkAnnotations)
+	ev.PVars, ev.Components = nil, nil
+	if pv != nil {
+		a.pv, ev.PVars = *pv, &a.pv
+	}
+	if comps != nil {
+		a.comps, ev.Components = *comps, &a.comps
+	}
+	for _, s := range *sinks {
+		if err := s.WriteEvent(ev); err != nil {
+			p.sinkErrs.Add(1)
+		}
+	}
+	sinkScratch.Put(a)
 }
+
+// sinkAnnotations is where an event's annotations live while the sinks
+// read them.
+type sinkAnnotations struct {
+	pv    PVarSample
+	comps [NumComponents]uint64
+}
+
+var sinkScratch = sync.Pool{New: func() any { return new(sinkAnnotations) }}
+
+// AddTraceSink attaches a sink that will observe every subsequently
+// emitted event. Attach sinks at setup time, before hot-path traffic.
+func (p *Profiler) AddTraceSink(s TraceSink) {
+	for {
+		old := p.sinks.Load()
+		var next []TraceSink
+		if old != nil {
+			next = append(next, *old...)
+		}
+		next = append(next, s)
+		if p.sinks.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+// FlushSinks flushes every attached sink, returning the first error.
+// Flush failures count toward SinkErrors like per-event write failures,
+// so the telemetry sink_errors stat covers both loss modes.
+func (p *Profiler) FlushSinks() error {
+	var first error
+	if sinks := p.sinks.Load(); sinks != nil {
+		for _, s := range *sinks {
+			if err := s.Flush(); err != nil {
+				p.sinkErrs.Add(1)
+				if first == nil {
+					first = err
+				}
+			}
+		}
+	}
+	return first
+}
+
+// SinkErrors reports events a sink failed to consume plus flushes that
+// failed — the telemetry plane's sink_errors stat.
+func (p *Profiler) SinkErrors() uint64 { return p.sinkErrs.Load() }
 
 // TraceLen reports the number of buffered trace events.
-func (p *Profiler) TraceLen() int { return p.coll.TraceLen() }
+func (p *Profiler) TraceLen() int {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n += sh.trace.n
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // TraceDropped reports trace events discarded due to the capacity bound.
-func (p *Profiler) TraceDropped() uint64 { return p.coll.Dropped() }
+func (p *Profiler) TraceDropped() uint64 {
+	var n uint64
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n += sh.trace.dropped
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // TraceEvents returns a merged copy of the buffered trace events,
-// ordered by timestamp then Lamport order.
-func (p *Profiler) TraceEvents() []Event { return p.coll.Events() }
+// ordered by timestamp then Lamport order: each shard's emission order
+// is kept, and the cross-shard interleave is reconstructed the way the
+// offline analysis orders events. The records are decoded outside the
+// shard locks, while emitters keep appending.
+func (p *Profiler) TraceEvents() []Event {
+	snaps := make([]traceSnapshot, len(p.shards))
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		snaps[i] = sh.trace.snapshot()
+		sh.mu.Unlock()
+	}
+	out := decodeSnapshots(snaps)
+	sortEvents(out)
+	return out
+}
 
-// ResetMeasurements clears the profile maps and trace rings (between
+// sortEvents orders a merged event slice by timestamp, breaking ties by
+// Lamport order then request ID for determinism.
+func sortEvents(evs []Event) {
+	sort.SliceStable(evs, func(i, j int) bool {
+		if evs[i].Timestamp != evs[j].Timestamp {
+			return evs[i].Timestamp < evs[j].Timestamp
+		}
+		if evs[i].Order != evs[j].Order {
+			return evs[i].Order < evs[j].Order
+		}
+		return evs[i].RequestID < evs[j].RequestID
+	})
+}
+
+// ResetMeasurements clears the profile maps and trace buffers (between
 // experiment repetitions).
-func (p *Profiler) ResetMeasurements() { p.coll.Reset() }
+func (p *Profiler) ResetMeasurements() {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		sh.origin = make(map[StatKey]*CallStats)
+		sh.target = make(map[StatKey]*CallStats)
+		sh.trace.reset()
+		sh.mu.Unlock()
+	}
+}
 
-// OriginStats returns a merged deep copy of the origin-side profile.
-func (p *Profiler) OriginStats() map[StatKey]CallStats { return p.coll.OriginStats() }
+// OriginStats returns a merged deep copy of the origin-side profile:
+// the StatKey → CallStats view a single map would hold.
+func (p *Profiler) OriginStats() map[StatKey]CallStats { return p.mergeStats(true) }
 
 // TargetStats returns a merged deep copy of the target-side profile.
-func (p *Profiler) TargetStats() map[StatKey]CallStats { return p.coll.TargetStats() }
+func (p *Profiler) TargetStats() map[StatKey]CallStats { return p.mergeStats(false) }
+
+func (p *Profiler) mergeStats(origin bool) map[StatKey]CallStats {
+	out := make(map[StatKey]CallStats)
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		src := sh.target
+		if origin {
+			src = sh.origin
+		}
+		for k, v := range src {
+			merged := out[k]
+			merged.Merge(v)
+			out[k] = merged
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
 
 // Dump serializes the profiler state for offline analysis, folding all
-// collector shards into the single merged per-process view the analysis
-// tools ingest.
+// shards into the single merged per-process view the analysis tools
+// ingest.
 func (p *Profiler) Dump() *ProfileDump {
-	c := p.coll
 	d := &ProfileDump{
 		Entity:       p.entity,
 		PID:          p.pid,
 		Stage:        p.Stage().String(),
 		Started:      p.start,
 		Names:        p.names.Names(),
-		TraceDropped: c.Dropped(),
+		TraceDropped: p.TraceDropped(),
 		Origin:       make([]DumpEntry, 0),
 		Target:       make([]DumpEntry, 0),
 	}
-	for k, v := range c.OriginStats() {
+	for k, v := range p.OriginStats() {
 		d.Origin = append(d.Origin, DumpEntry{BC: uint64(k.BC), Peer: k.Peer, Stats: v})
 	}
-	for k, v := range c.TargetStats() {
+	for k, v := range p.TargetStats() {
 		d.Target = append(d.Target, DumpEntry{BC: uint64(k.BC), Peer: k.Peer, Stats: v})
 	}
 	sort.Slice(d.Origin, func(i, j int) bool { return d.Origin[i].less(&d.Origin[j]) })

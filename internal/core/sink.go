@@ -12,10 +12,10 @@ import (
 	"sync"
 )
 
-// TraceSink consumes trace events as the measurement pipeline emits
-// them. The collector's in-memory shard rings are the default buffer; a
-// sink attached via Collector.AddTraceSink additionally observes the
-// live stream, so exporters (JSONL files, Zipkin/OTLP adapters) consume
+// TraceSink consumes trace events as a Profiler records them. The
+// Profiler's shard buffers hold the run's events for end-of-run dumps; a
+// sink attached via Profiler.AddTraceSink additionally observes the live
+// stream, so exporters (JSONL files, Zipkin/OTLP adapters) consume
 // events instead of owning the buffers.
 type TraceSink interface {
 	// WriteEvent consumes one event. Implementations are called from
@@ -35,19 +35,6 @@ type ProfileSink interface {
 	// Flush forces any buffered output out.
 	Flush() error
 }
-
-// Tracer is the default in-memory TraceSink: events accumulate in its
-// bounded buffer for end-of-run snapshots.
-var _ TraceSink = (*Tracer)(nil)
-
-// WriteEvent implements TraceSink over the bounded in-memory buffer.
-func (t *Tracer) WriteEvent(ev Event) error {
-	t.Emit(ev)
-	return nil
-}
-
-// Flush implements TraceSink; the in-memory buffer needs no flushing.
-func (t *Tracer) Flush() error { return nil }
 
 // jsonlWriter is the JSONL sink's output: a buffered writer
 // behind a mutex, whose first error sticks — it is retained and reported

@@ -23,12 +23,12 @@ func TestEmitJSONLSinkAllocs(t *testing.T) {
 	if mercury.RaceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	c := NewCollector(8, 16) // the rings fill at once; the sink sees every event
-	c.AddTraceSink(NewJSONLTraceSink(io.Discard))
+	p := newProfiler("sink/p", StageFull, 8, 16) // the buffers fill at once; the sink sees every event
+	p.AddTraceSink(NewJSONLTraceSink(io.Discard))
 	ev, pv, comps := annotatedEvent()
 	for name, emit := range map[string]func(){
-		"annotated": func() { c.EmitSampled(7, ev, &pv, &comps) },
-		"bare":      func() { c.Emit(7, ev) },
+		"annotated": func() { p.EmitSampled(7, ev, &pv, &comps) },
+		"bare":      func() { emitAt(p, 7, ev) },
 	} {
 		emit() // header and definitions
 		if n := testing.AllocsPerRun(1000, func() {
@@ -39,8 +39,8 @@ func TestEmitJSONLSinkAllocs(t *testing.T) {
 			t.Errorf("%s event through a live JSONL sink: %v allocations, want 0", name, n)
 		}
 	}
-	if c.SinkErrors() != 0 {
-		t.Fatalf("%d sink errors", c.SinkErrors())
+	if p.SinkErrors() != 0 {
+		t.Fatalf("%d sink errors", p.SinkErrors())
 	}
 }
 
@@ -50,8 +50,8 @@ func TestEmitJSONLSinkAllocs(t *testing.T) {
 func TestJSONLSinkConcurrent(t *testing.T) {
 	const emitters, each = 8, 10_000
 	var buf bytes.Buffer
-	c := NewCollector(8, 16)
-	c.AddTraceSink(NewJSONLTraceSink(&buf))
+	p := newProfiler("sink/p", StageFull, 8, 16)
+	p.AddTraceSink(NewJSONLTraceSink(&buf))
 	base, pv, comps := annotatedEvent()
 	var wg sync.WaitGroup
 	for e := 0; e < emitters; e++ {
@@ -65,16 +65,16 @@ func TestJSONLSinkConcurrent(t *testing.T) {
 				ev.RPCName = fmt.Sprintf("rpc_%d_%d", e, k%7) // new strings keep arriving mid-stream
 				pv.RPCsInvokedTotal, comps[CompOriginExec] = uint64(k), uint64(e)
 				if k%2 == 0 {
-					c.EmitSampled(uint64(e), ev, &pv, &comps)
+					p.EmitSampled(uint64(e), ev, &pv, &comps)
 				} else {
-					c.Emit(uint64(e), ev)
+					emitAt(p, uint64(e), ev)
 				}
 			}
 		}(e)
 	}
 	wg.Wait()
-	if err := c.FlushSinks(); err != nil || c.SinkErrors() != 0 {
-		t.Fatalf("flush: %v, %d sink errors", err, c.SinkErrors())
+	if err := p.FlushSinks(); err != nil || p.SinkErrors() != 0 {
+		t.Fatalf("flush: %v, %d sink errors", err, p.SinkErrors())
 	}
 
 	defined := map[string]int{} // by the key that numbers a definition

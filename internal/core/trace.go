@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "fmt"
 
 // DefaultTraceCapacity bounds the per-process trace buffer; beyond it
 // events are counted as dropped rather than grown without bound.
@@ -123,7 +119,7 @@ func (ev Event) Clone() Event {
 	return ev
 }
 
-// A Tracer's chunks double from chunkMin bytes to chunkMax, so a shard
+// A shard's trace chunks double from chunkMin bytes to chunkMax, so a shard
 // that records twenty events does not pay for a large chunk — a
 // deployment's first events land inside the run they measure, and 48
 // shards times a full-size chunk of never-touched memory was a few
@@ -135,7 +131,7 @@ const (
 	chunkMax = 32 << 10
 )
 
-// Tracer is a bounded per-process trace buffer. It stores each event as
+// traceBuf is one shard's bounded trace buffer. It stores each event as
 // the trace dump's event record (tracedump.go: flags word, varint IDs,
 // timestamp delta against the previous event, shape and sample numbers,
 // presence-masked annotations) appended to byte chunks, and expands the
@@ -145,12 +141,11 @@ const (
 // trace however long it grows. Emitters hand over annotations that may
 // live on their stack; encoding them is the copy.
 //
-// Chunks are filled in place and never rewritten or reused, and the
-// tables' entries only grow between resets, so a snapshot of the slice
-// headers taken under the lock can be decoded outside it, across later
-// emits and across Reset.
-type Tracer struct {
-	mu      sync.Mutex
+// The shard's lock guards every field. Chunks are filled in place and
+// never rewritten or reused, and the tables' entries only grow between
+// resets, so a snapshot of the slice headers taken under the lock can be
+// decoded outside it, across later emits and across a reset.
+type traceBuf struct {
 	full    [][]byte // filled chunks, oldest first
 	cur     []byte   // the chunk being filled; a record never spans two
 	n       int      // events held
@@ -306,22 +301,6 @@ func (t *traceTables) reset() {
 	t.lastSample.i1 = 0
 }
 
-// NewTracer returns a tracer that retains up to capacity events.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{cap: capacity}
-}
-
-// Emit appends an event, stamping its wall-clock time if unset.
-func (t *Tracer) Emit(ev Event) {
-	if ev.Timestamp == 0 {
-		ev.Timestamp = time.Now().UnixNano()
-	}
-	t.emit(&ev, ev.PVars, ev.Components)
-}
-
 // internSample returns s's index in the sample table, adding it on first
 // use.
 func (t *traceTables) internSample(s sample) uint64 {
@@ -357,16 +336,14 @@ func (t *traceTables) shapeOf(ev *Event) uint64 {
 
 // emit appends *ev's record, annotated with *pv and *comps (either may
 // be nil; ev.PVars and ev.Components are not read). Nothing is retained
-// but the event's three strings. It reports false when the buffer is
-// full and the event was dropped.
-func (t *Tracer) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) bool {
-	var rec eventRecord
-	t.mu.Lock()
+// but the event's three strings. An event past the capacity is counted
+// as dropped.
+func (t *traceBuf) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) {
 	if t.n >= t.cap {
 		t.dropped++
-		t.mu.Unlock()
-		return false
+		return
 	}
+	var rec eventRecord
 	n := rec.encode(ev, pv, comps, t.prev, t.shapeOf(ev), t.shardSample(sampleOf(&ev.Sys)))
 	if len(t.cur)+n > cap(t.cur) {
 		if t.cur != nil {
@@ -383,26 +360,10 @@ func (t *Tracer) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) b
 	if comps != nil {
 		t.ncomps++
 	}
-	t.mu.Unlock()
-	return true
 }
 
-// Len reports the number of buffered events.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
-// Dropped reports events discarded due to the capacity bound.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// traceSnapshot is a Tracer's content at one instant: immutable, so it
-// is decoded without the tracer's lock.
+// traceSnapshot is a traceBuf's content at one instant: immutable, so it
+// is decoded without the shard's lock.
 type traceSnapshot struct {
 	full              [][]byte
 	cur               []byte
@@ -412,9 +373,7 @@ type traceSnapshot struct {
 	n, npvars, ncomps int
 }
 
-func (t *Tracer) snapshot() traceSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *traceBuf) snapshot() traceSnapshot {
 	return traceSnapshot{
 		full: t.full[:len(t.full):len(t.full)], cur: t.cur,
 		strs: t.strs.vals, shapes: t.shapes.vals, samples: t.samples.vals,
@@ -470,16 +429,9 @@ func decodeSnapshots(snaps []traceSnapshot) []Event {
 	return out
 }
 
-// Events returns the buffered events, expanded, in emission order.
-func (t *Tracer) Events() []Event {
-	return decodeSnapshots([]traceSnapshot{t.snapshot()})
-}
-
-// Reset clears the buffer (between experiment repetitions).
-func (t *Tracer) Reset() {
-	t.mu.Lock()
+// reset empties the buffer, keeping its capacity.
+func (t *traceBuf) reset() {
 	t.full, t.cur = nil, nil
 	t.traceTables.reset()
 	t.n, t.npvars, t.ncomps, t.prev, t.dropped = 0, 0, 0, 0, 0
-	t.mu.Unlock()
 }

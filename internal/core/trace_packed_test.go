@@ -23,9 +23,13 @@ func (s *recordingSink) WriteEvent(ev Event) error {
 
 func (s *recordingSink) Flush() error { return nil }
 
-// emitBeside hands ev to the collector the way margo does: annotations
+// emitAt hands ev to the shard selected by key with the annotations it
+// carries.
+func emitAt(p *Profiler, key uint64, ev Event) { p.EmitSampled(key, ev, ev.PVars, ev.Components) }
+
+// emitBeside hands ev to the Profiler the way margo does: annotations
 // in values on this stack, beside the event.
-func emitBeside(c *Collector, key uint64, ev Event) {
+func emitBeside(p *Profiler, key uint64, ev Event) {
 	var pv PVarSample
 	var comps [NumComponents]uint64
 	var pvp *PVarSample
@@ -37,14 +41,14 @@ func emitBeside(c *Collector, key uint64, ev Event) {
 		comps, cp = *ev.Components, &comps
 	}
 	ev.PVars, ev.Components = nil, nil
-	c.EmitSampled(key, ev, pvp, cp)
+	p.EmitSampled(key, ev, pvp, cp)
 }
 
 // TestPackedTraceReturnsWhatWasEmitted: events with every field filled
 // by reflection (so a field added to Event, SysSample or PVarSample is
 // covered the day it is added, and fails here until the record carries
-// it) go through the collector's shards and come back from Events
-// deep-equal to what went in, in the order the collector promises:
+// it) go through the Profiler's shards and come back from TraceEvents
+// deep-equal to what went in, in the order the Profiler promises:
 // per-shard emission order, merged by timestamp, Lamport order and
 // request ID. Timestamps are random, so deltas go backwards and wrap;
 // 300 strings push table indexes past one byte; a few thousand events of
@@ -64,33 +68,33 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 		{"repeated shapes and samples", 2, 0, 3000, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCollector(tc.shards, tc.capacity)
+			p := newProfiler("packed/p", StageFull, tc.shards, tc.capacity)
 			sink := &recordingSink{}
-			c.AddTraceSink(sink)
-			perShard := c.traceCap / len(c.shards)
+			p.AddTraceSink(sink)
+			perShard := p.shards[0].trace.cap
 			for round, seed := range []int64{11, 12} {
 				if round > 0 {
-					c.Reset()
+					p.ResetMeasurements()
 					sink.evs = nil
 				}
 				evs := randomDump(seed, tc.events, tc.strings).Events
 				if tc.repeated {
 					evs = repeatingDump(seed, tc.events, 7, 3).Events
 				}
-				kept := make([][]Event, len(c.shards))
+				kept := make([][]Event, len(p.shards))
 				var dropped uint64
 				for k, ev := range evs {
 					if ev.Timestamp == 0 {
-						ev.Timestamp = 1 // zero asks the collector for the wall clock
+						ev.Timestamp = 1 // zero asks the Profiler for the wall clock
 						evs[k] = ev
 					}
 					key := ev.RequestID
 					if k%2 == 0 {
-						c.Emit(key, ev)
+						emitAt(p, key, ev)
 					} else {
-						emitBeside(c, key, ev)
+						emitBeside(p, key, ev)
 					}
-					if sh := key & uint64(len(c.shards)-1); len(kept[sh]) < perShard {
+					if sh := key & uint64(len(p.shards)-1); len(kept[sh]) < perShard {
 						kept[sh] = append(kept[sh], ev)
 					} else {
 						dropped++
@@ -104,15 +108,15 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 				if tc.capacity > 0 && dropped == 0 {
 					t.Fatal("the capacity case dropped nothing")
 				}
-				if got := c.Dropped(); got != dropped {
-					t.Errorf("round %d: Dropped() = %d, want %d", round, got, dropped)
+				if got := p.TraceDropped(); got != dropped {
+					t.Errorf("round %d: TraceDropped() = %d, want %d", round, got, dropped)
 				}
-				if got := c.TraceLen(); got != len(want) {
+				if got := p.TraceLen(); got != len(want) {
 					t.Errorf("round %d: TraceLen() = %d, want %d", round, got, len(want))
 				}
-				got := c.Events()
+				got := p.TraceEvents()
 				if len(got) != len(want) {
-					t.Fatalf("round %d: Events() returned %d events, want %d", round, len(got), len(want))
+					t.Fatalf("round %d: TraceEvents() returned %d events, want %d", round, len(got), len(want))
 				}
 				for k := range want {
 					if !reflect.DeepEqual(got[k], want[k]) {
@@ -128,11 +132,11 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 	}
 }
 
-// TestPackedTraceReadWhileWritten: Events decodes a snapshot outside the
+// TestPackedTraceReadWhileWritten: TraceEvents decodes a snapshot outside the
 // shard locks while emitters keep appending to the same chunks; what it
 // returns is a prefix of each emitter's sequence, whole.
 func TestPackedTraceReadWhileWritten(t *testing.T) {
-	c := NewCollector(4, 0)
+	p := newProfiler("read/p", StageFull, 4, 0)
 	const emitters, each = 4, 5000
 	base, pv, comps := annotatedEvent()
 	var wg sync.WaitGroup
@@ -145,12 +149,12 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 			for k := 1; k <= each; k++ {
 				ev.RequestID, ev.Timestamp = uint64(k), base.Timestamp+int64(k)
 				pv.RPCsInvokedTotal, comps[CompOriginExec] = uint64(k), uint64(e)
-				c.EmitSampled(uint64(e), ev, &pv, &comps)
+				p.EmitSampled(uint64(e), ev, &pv, &comps)
 			}
 		}(e)
 	}
 	check := func() int {
-		evs := c.Events()
+		evs := p.TraceEvents()
 		next := [emitters]uint64{}
 		for _, ev := range evs {
 			e := ev.Breadcrumb
@@ -179,7 +183,7 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 func TestDumpTraceBytesUnchanged(t *testing.T) {
 	p := NewProfiler("n0/cli", StageFull)
 	for _, ev := range goldenEvents() {
-		emitBeside(p.coll, ev.RequestID, ev)
+		emitBeside(p, ev.RequestID, ev)
 	}
 	d := p.DumpTrace()
 	d.PID, d.Dropped = 4242, 3     // the seed's header
@@ -197,14 +201,14 @@ func TestDumpTraceBytesUnchanged(t *testing.T) {
 // and component array it replaced were 336 B.
 func TestPackedEmitSteadyStateCost(t *testing.T) {
 	const warm, n = 4096, 50_000
-	c := NewCollector(8, 8*(warm+n))
+	p := newProfiler("cost/p", StageFull, 8, 8*(warm+n))
 	ev, pv, comps := annotatedEvent()
 	emit := func(k int) {
 		for ; k > 0; k-- {
 			ev.RequestID++
 			ev.Order += 2
 			ev.Timestamp += 41_000
-			c.EmitSampled(7, ev, &pv, &comps)
+			p.EmitSampled(7, ev, &pv, &comps)
 		}
 	}
 	emit(warm)
@@ -217,7 +221,7 @@ func TestPackedEmitSteadyStateCost(t *testing.T) {
 	if bytesPer > 46 || objsPer >= 0.01 {
 		t.Errorf("a fully annotated event costs %.1f B and %.4f objects, want <= 46 B and < 0.01", bytesPer, objsPer)
 	}
-	if c.Dropped() != 0 || c.TraceLen() != warm+n {
-		t.Fatalf("%d events held, %d dropped", c.TraceLen(), c.Dropped())
+	if p.TraceDropped() != 0 || p.TraceLen() != warm+n {
+		t.Fatalf("%d events held, %d dropped", p.TraceLen(), p.TraceDropped())
 	}
 }

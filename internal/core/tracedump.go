@@ -209,13 +209,13 @@ func (r *eventRecord) masked(n int, vals []uint64) int {
 }
 
 // encode writes one event record (the "event" production above) into r
-// and returns its length. It is the one event encoder: a dump file and a
-// Tracer's in-memory chunks hold the same bytes per event. pv and comps
-// are the event's annotations, passed beside it because the recording
-// path holds them apart from ev (ev.PVars and ev.Components are not
-// read); prev is the timestamp the delta is taken against, and shape and
-// sample are the indexes of ev's shape and sample in whatever tables the
-// record's reader will use.
+// and returns its length. It is the one event encoder: a dump file and
+// a Profiler shard's in-memory chunks hold the same bytes per event. pv
+// and comps are the event's annotations, passed beside it because the
+// recording path holds them apart from ev (ev.PVars and ev.Components
+// are not read); prev is the timestamp the delta is taken against, and
+// shape and sample are the indexes of ev's shape and sample in whatever
+// tables the record's reader will use.
 func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, prev int64, shape, sample uint64) int {
 	var flags uint64
 	set := func(bit uint64, on bool) {

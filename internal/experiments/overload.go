@@ -18,7 +18,7 @@ const RPCStormPut = "storm_put"
 // The storm's fixed shape.
 const (
 	// StormDeadline is the absolute per-op deadline stamped on storm
-	// requests (ForwardEx).
+	// requests (the ForwardOpts of Forward).
 	StormDeadline = 5 * time.Millisecond
 	// StormClients × StormIssuersPerClient unpaced issuers drive the
 	// storm.
@@ -178,7 +178,7 @@ func RunOverload(cfg OverloadConfig, metricsAddr, out string) (*OverloadResult, 
 		r.drivePhase("storm", clients, StormIssuersPerClient, cfg.StormOps, 0,
 			func(self *abt.ULT, c, issuer, op int) (string, string, error) {
 				key := fmt.Sprintf("storm/%s/%d/%d", clients[c].Addr(), issuer, op)
-				return key, "", clients[c].ForwardEx(self, target, RPCStormPut,
+				return key, "", clients[c].Forward(self, target, RPCStormPut,
 					&stormArgs{Key: key, Val: []byte("v")}, nil,
 					margo.ForwardOpts{Deadline: time.Now().Add(StormDeadline)})
 			})

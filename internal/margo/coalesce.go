@@ -176,7 +176,9 @@ func (co *coalescer) enqueue(self *abt.ULT, in, out mercury.Procable, res *error
 	preBytes := co.builder.Bytes()
 	if err := co.builder.Add(in, meta); err != nil {
 		// Add rolled the builder back; the window keeps its other members.
+		// The op's t1 is stamped, so its span closes as a failed attempt.
 		co.mu.Unlock()
+		i.originEnd(&op.originOp, stage, co.target, co.rpc, time.Now(), true, nil, 0, 0)
 		batchOpPool.Put(op)
 		return fmt.Errorf("margo: encode batched input for %s: %w", co.rpc, err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/analysis"
+	"symbiosys/internal/batch"
 	"symbiosys/internal/core"
 	"symbiosys/internal/mercury"
 )
@@ -68,7 +69,7 @@ func TestForwardTimeoutFiresOnSilentServer(t *testing.T) {
 
 	start := time.Now()
 	err := call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardEx(self, srv.Addr(), "stuck_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 30 * time.Millisecond})
+		return cli.Forward(self, srv.Addr(), "stuck_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 30 * time.Millisecond})
 	})
 	if !errors.Is(err, mercury.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -90,7 +91,7 @@ func TestForwardTimeoutNotFiredOnFastServer(t *testing.T) {
 	srv.Register("fast_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	cli.RegisterClient("fast_rpc")
 	if err := call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardEx(self, srv.Addr(), "fast_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 5 * time.Second})
+		return cli.Forward(self, srv.Addr(), "fast_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 5 * time.Second})
 	}); err != nil {
 		t.Fatalf("err = %v", err)
 	}
@@ -367,5 +368,89 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 2s")
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// unencodable is an input whose Proc fails: the request never leaves
+// the origin.
+type unencodable struct{}
+
+func (unencodable) Proc(*mercury.Proc) error { return errors.New("unencodable input") }
+
+// TestEncodeFailureClosesOriginSpan: an input that fails to encode, on
+// the single-forward path and in the coalescer, still closes the t1 its
+// attempt stamped with a Failed t14, so the request is neither dangling
+// in the trace nor missing from the origin profile, and its critical
+// path is a failed attempt rather than a missing one. (IncompleteRequests
+// counts it either way: it has origin events and no t5/t8.)
+func TestEncodeFailureClosesOriginSpan(t *testing.T) {
+	c := newCluster(t)
+	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", Stage: core.StageFull})
+	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull,
+		Batch: &batch.Policy{MaxOps: 8, MaxDelay: time.Millisecond}})
+	registerBatchEcho(t, srv, cli, "enc_rpc")
+
+	if err := call(t, cli, func(self *abt.ULT) error {
+		if err := cli.Forward(self, srv.Addr(), "enc_rpc", unencodable{}, nil); err == nil {
+			t.Error("Forward of an unencodable input succeeded")
+		}
+		if err := forwardOne(cli, self, srv.Addr(), "enc_rpc", unencodable{}, nil); err == nil {
+			t.Error("ForwardMany of an unencodable input succeeded")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	evs := cli.Profiler().TraceEvents()
+	starts, ends := map[uint64]int{}, map[uint64]int{}
+	for _, ev := range evs {
+		switch ev.Kind {
+		case core.EvOriginStart:
+			starts[ev.RequestID]++
+		case core.EvOriginEnd:
+			if !ev.Failed {
+				t.Errorf("request %#x: origin_end not marked Failed", ev.RequestID)
+			}
+			ends[ev.RequestID]++
+		}
+	}
+	if len(starts) != 2 {
+		t.Fatalf("%d requests started, want 2 (one per path): %+v", len(starts), evs)
+	}
+	for id, n := range starts {
+		if ends[id] != n {
+			t.Errorf("request %#x: %d origin_start, %d origin_end", id, n, ends[id])
+		}
+	}
+	var calls uint64
+	for _, st := range cli.Profiler().OriginStats() {
+		calls += st.Count
+	}
+	if calls != 2 {
+		t.Errorf("origin profile holds %d calls, want the 2 failed attempts", calls)
+	}
+	ts := analysis.MergeTraces([]*core.TraceDump{cli.Profiler().DumpTrace(), srv.Profiler().DumpTrace()})
+	if _, st := analysis.ExtractPaths(ts); st.Extracted != 2 || st.Failed != 2 || st.Incomplete != 0 {
+		t.Errorf("paths: %+v, want 2 extracted, both failed, none incomplete", st)
+	}
+}
+
+// TestForwardRefusesTwoOpts: Forward takes at most one ForwardOpts, and
+// refuses more before anything is sent or counted in flight.
+func TestForwardRefusesTwoOpts(t *testing.T) {
+	c := newCluster(t)
+	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", Stage: core.StageFull})
+	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull})
+	srv.Register("two_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
+	cli.RegisterClient("two_rpc")
+	err := call(t, cli, func(self *abt.ULT) error {
+		return cli.Forward(self, srv.Addr(), "two_rpc", mercury.Void{}, nil, ForwardOpts{}, ForwardOpts{Timeout: time.Second})
+	})
+	if err == nil || !strings.Contains(err.Error(), "at most one ForwardOpts") {
+		t.Fatalf("Forward with two ForwardOpts = %v", err)
+	}
+	if n := cli.Profiler().TraceLen(); n != 0 || cli.InFlight() != 0 {
+		t.Fatalf("a refused Forward left %d trace events, %d in flight", n, cli.InFlight())
 	}
 }

@@ -111,22 +111,7 @@ func bulkDone(arg any, err error) {
 	c.ev.Set(nil)
 }
 
-// Forward issues one blocking RPC from the calling ULT: it serializes
-// in, sends the request, parks the ULT until the response callback
-// fires, and decodes the response into out (pass nil to skip decoding).
-//
-// This is the origin half of the paper's Figure 2 pipeline. Margo
-// records t1 before handing the request to Mercury and captures t14
-// inside the completion callback; the difference is the origin execution
-// time, attributed to the callpath breadcrumb. At Full stage the
-// origin-side PVARs (input serialization, origin completion callback
-// delay) are sampled off the Mercury handle at t14 and fused into the
-// same profile entry (paper §IV-C).
-func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercury.Procable) error {
-	return i.ForwardEx(self, target, rpcName, in, out, ForwardOpts{})
-}
-
-// ForwardOpts carries the per-call options of ForwardEx.
+// ForwardOpts carries the per-call options of Forward.
 type ForwardOpts struct {
 	// Timeout bounds the whole call client-side: if no response arrives
 	// within it the handle is canceled and the call returns
@@ -153,7 +138,7 @@ type ForwardOpts struct {
 // its stack and stamps a span per attempt; a window member embeds one in
 // its pooled batchOp and stamps a single span for the logical op.
 type originOp struct {
-	ult     uint64 // issuing ULT: the collector shard of t1 and t14
+	ult     uint64 // issuing ULT: the Profiler shard of t1 and t14
 	reqID   uint64
 	bc      core.Breadcrumb
 	order   uint64 // Lamport order stamped at t1
@@ -210,7 +195,7 @@ func (i *Instance) beginOp(op *originOp, self *abt.ULT, stage core.Stage, target
 
 // originStart stamps t1 of op's next span: it ticks the Lamport clock,
 // builds the metadata the request carries and emits EvOriginStart into
-// the issuing ULT's collector shard, so concurrent application ULTs on
+// the issuing ULT's Profiler shard, so concurrent application ULTs on
 // different execution streams take disjoint locks. sampled says whether
 // the global PVAR sample rides the event.
 func (i *Instance) originStart(op *originOp, stage core.Stage, target, rpcName string, sampled bool) mercury.Meta {
@@ -241,7 +226,7 @@ func (i *Instance) originStart(op *originOp, stage core.Stage, target, rpcName s
 // trace. mh, when non-nil, is the handle whose bound PVARs (input
 // serialization, origin callback delay) are fused into both; batchID
 // and window are zero for a single forward. Everything it builds stays
-// on this stack: the profile folds comps in and the collector copies
+// on this stack: the profile folds comps in and the Profiler copies
 // what the event carries.
 func (i *Instance) originEnd(op *originOp, stage core.Stage, target, rpcName string, t14 time.Time, failed bool, mh *mercury.Handle, batchID uint64, window int64) {
 	if !stage.Measures() {
@@ -323,18 +308,37 @@ func (i *Instance) retryVerdict(target, rpcName string, attempt int, err error, 
 	return 0, exhausted(kind, rpcName, target, attempt+1, err)
 }
 
-// ForwardEx is Forward with per-call options: a client-side timeout,
-// a propagated absolute deadline and an admission priority. A handler
-// issuing nested forwards inherits its own request's deadline and
-// priority automatically even through plain Forward; ForwardEx is how
-// the first hop stamps them.
-func (i *Instance) ForwardEx(self *abt.ULT, target, rpcName string, in, out mercury.Procable, opts ForwardOpts) error {
+// Forward issues one blocking RPC from the calling ULT: it serializes
+// in, sends the request, parks the ULT until the response callback
+// fires, and decodes the response into out (pass nil to skip decoding).
+//
+// This is the origin half of the paper's Figure 2 pipeline. Margo
+// records t1 before handing the request to Mercury and captures t14
+// inside the completion callback; the difference is the origin execution
+// time, attributed to the callpath breadcrumb. At Full stage the
+// origin-side PVARs (input serialization, origin completion callback
+// delay) are sampled off the Mercury handle at t14 and fused into the
+// same profile entry (paper §IV-C).
+//
+// opts, at most one, carries the per-call options: a client-side
+// timeout, a propagated absolute deadline and an admission priority. A
+// handler issuing nested forwards inherits its own request's deadline
+// and priority without them; opts is how the first hop stamps them.
+func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercury.Procable, opts ...ForwardOpts) error {
 	if self == nil {
 		return fmt.Errorf("margo: Forward requires the calling ULT")
 	}
+	var o ForwardOpts
+	switch len(opts) {
+	case 0:
+	case 1:
+		o = opts[0]
+	default:
+		return fmt.Errorf("margo: Forward takes at most one ForwardOpts, got %d", len(opts))
+	}
 	stage := i.prof.Stage()
 	var op originOp
-	timeout, err := i.beginOp(&op, self, stage, target, rpcName, opts)
+	timeout, err := i.beginOp(&op, self, stage, target, rpcName, o)
 	if err != nil {
 		return err
 	}
@@ -401,6 +405,8 @@ func (i *Instance) forwardOnce(self *abt.ULT, op *originOp, target, rpcName stri
 	mh.SetData(c)
 	if err = mh.Forward(in, meta, forwardDone); err != nil {
 		c.release()
+		// t1 is stamped: a request that never left still closes its span.
+		i.originEnd(op, stage, target, rpcName, time.Now(), true, mh, 0, 0)
 		return err, false
 	}
 	if timeout > 0 {

@@ -221,7 +221,7 @@ func (c *Context) finish(kind respondKind, out mercury.Procable, msg string) err
 	if c.stage.Measures() {
 		ev := i.stamp(core.EvTargetEnd, c.t8, c.reqID, meta.Order, c.mh.Peer(), c.rpcName, c.bc, i.handlerPool)
 		ev.Duration, ev.Failed = int64(c.targetExec), kind != respondOK
-		i.prof.EmitAt(c.ult, ev)
+		i.prof.EmitSampled(c.ult, ev, nil, nil)
 	}
 
 	// From here the t13 callback is the record's second user.

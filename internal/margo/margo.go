@@ -553,7 +553,7 @@ func (i *Instance) readPVar(h *pvar.Handle, obj any) uint64 {
 // samplePVars fills s, the PVAR annotation of a trace event, and
 // returns it — or returns nil, s untouched, when stage does not sample
 // PVARs. The handle-bound timers are read off mh when it is non-nil.
-// The caller owns s, typically on its stack: the collector copies what
+// The caller owns s, typically on its stack: the Profiler copies what
 // it records.
 func (i *Instance) samplePVars(stage core.Stage, s *core.PVarSample, mh *mercury.Handle) *core.PVarSample {
 	if !stage.SamplesPVars() {

@@ -514,7 +514,7 @@ func TestDedicatedProgressESOption(t *testing.T) {
 // TestMeasurementShardsAndTraceSink checks the sharded-pipeline wiring:
 // a streaming sink attached via Options observes every event the
 // instance emits, the merged snapshot matches what the sink consumed,
-// and the target profile merges across the collector's shards.
+// and the target profile merges across the Profiler's shards.
 func TestMeasurementShardsAndTraceSink(t *testing.T) {
 	var sinkBuf bytes.Buffer
 	sink := core.NewJSONLTraceSink(&sinkBuf)

@@ -105,9 +105,9 @@ func (i *Instance) rejectRequest(mh *mercury.Handle, rpcName string, verdict adm
 		// start with an end per (entity, breadcrumb, side), so a lone
 		// Failed end event would be dropped as unmatched.
 		ev := i.stamp(core.EvTargetStart, time.Now(), meta.RequestID, respMeta.Order, mh.Peer(), rpcName, core.Breadcrumb(meta.Breadcrumb), i.handlerPool)
-		i.prof.EmitAt(meta.RequestID, ev)
+		i.prof.EmitSampled(meta.RequestID, ev, nil, nil)
 		ev.Kind, ev.Failed = core.EvTargetEnd, true
-		i.prof.EmitAt(meta.RequestID, ev)
+		i.prof.EmitSampled(meta.RequestID, ev, nil, nil)
 	}
 
 	switch verdict {

@@ -109,7 +109,7 @@ func TestTimeoutRacingResponseKeepsCallsApart(t *testing.T) {
 		for k := 0; k < perIssuer; k++ {
 			nonce := uint64(issuer)<<32 | uint64(k+1)
 			in, out := seqArgs{N: nonce}, seqArgs{}
-			err := cli.ForwardEx(self, srv.Addr(), "nonce", &in, &out, ForwardOpts{Timeout: timeout})
+			err := cli.Forward(self, srv.Addr(), "nonce", &in, &out, ForwardOpts{Timeout: timeout})
 			switch {
 			case err == nil && out.N == nonce:
 				successes.Add(1)
@@ -340,7 +340,7 @@ func TestFaultyFabricNeverCrossesRequests(t *testing.T) {
 				}
 				nonce := uint64(issuer+1)<<40 | n
 				in, out := seqArgs{N: nonce}, seqArgs{}
-				err := cli.ForwardEx(self, srv.Addr(), "nonce", &in, &out, ForwardOpts{Timeout: 5 * time.Millisecond})
+				err := cli.Forward(self, srv.Addr(), "nonce", &in, &out, ForwardOpts{Timeout: 5 * time.Millisecond})
 				switch {
 				case err == nil && out.N == nonce:
 					liveOK.Add(1)
@@ -365,7 +365,7 @@ func TestFaultyFabricNeverCrossesRequests(t *testing.T) {
 		c.fabric.SetFaultPlan(plan(ep.Addr(), true))
 		runIssuers(t, cli, 2, func(self *abt.ULT, issuer int) {
 			// Refused in Send itself; the timeout only bounds a bug.
-			err := cli.ForwardEx(self, ep.Addr(), "nonce", &seqArgs{N: 1}, nil, ForwardOpts{Timeout: 5 * time.Second})
+			err := cli.Forward(self, ep.Addr(), "nonce", &seqArgs{N: 1}, nil, ForwardOpts{Timeout: 5 * time.Second})
 			if !errors.Is(err, na.ErrPartitioned) {
 				t.Errorf("round %d: forward across a partition: %v", round, err)
 			}
@@ -381,7 +381,7 @@ func TestFaultyFabricNeverCrossesRequests(t *testing.T) {
 		runIssuers(t, cli, burst, func(self *abt.ULT, issuer int) {
 			// The timeout beats the slow link, so the handle is destroyed
 			// while its request is still on its way to a closing endpoint.
-			err := cli.ForwardEx(self, ep.Addr(), "nonce", &seqArgs{N: 2}, nil, ForwardOpts{Timeout: doomedDelay / 8})
+			err := cli.Forward(self, ep.Addr(), "nonce", &seqArgs{N: 2}, nil, ForwardOpts{Timeout: doomedDelay / 8})
 			switch {
 			case errors.Is(err, mercury.ErrCanceled):
 				doomedTimeouts.Add(1)
@@ -458,7 +458,7 @@ func TestNestedForwardInheritsIdentityAtDepth3(t *testing.T) {
 
 	deadline := time.Now().Add(time.Minute)
 	if err := call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardEx(self, srvs[0].Addr(), hops[0], mercury.Void{}, nil,
+		return cli.Forward(self, srvs[0].Addr(), hops[0], mercury.Void{}, nil,
 			ForwardOpts{Deadline: deadline, Priority: 7})
 	}); err != nil {
 		t.Fatal(err)

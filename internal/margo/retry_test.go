@@ -194,7 +194,7 @@ func TestForwardTimeoutRTTHammer(t *testing.T) {
 	for k := 0; k < calls; k++ {
 		idx := k
 		ults[k] = cli.Run("hammer", func(self *abt.ULT) {
-			errs[idx] = cli.ForwardEx(self, srv.Addr(), "echo_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: rtt})
+			errs[idx] = cli.Forward(self, srv.Addr(), "echo_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: rtt})
 		})
 	}
 	var canceled, succeeded int
@@ -306,7 +306,7 @@ func TestStaleResponseAfterCancel(t *testing.T) {
 	}
 
 	err = call(t, cli, func(self *abt.ULT) error {
-		return cli.ForwardEx(self, srv.Addr(), "late_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 20 * time.Millisecond})
+		return cli.Forward(self, srv.Addr(), "late_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 20 * time.Millisecond})
 	})
 	if !errors.Is(err, mercury.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -405,18 +405,18 @@ func TestCanceledForwardReachesSinksOnce(t *testing.T) {
 	}
 
 	// Sticky sink-error path: a sink that fails keeps failing, the
-	// collector counts it, and Shutdown surfaces it.
+	// Profiler counts it, and Shutdown surfaces it.
 	boom := errors.New("sink full")
 	cli2 := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli2", Stage: core.StageFull,
 		TraceSinks: []core.TraceSink{failSink{err: boom}}})
 	cli2.RegisterClient("sink_rpc")
 	errRPC := call(t, cli2, func(self *abt.ULT) error {
-		return cli2.ForwardEx(self, srv.Addr(), "sink_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 10 * time.Millisecond})
+		return cli2.Forward(self, srv.Addr(), "sink_rpc", &mercury.Void{}, nil, ForwardOpts{Timeout: 10 * time.Millisecond})
 	})
 	if !errors.Is(errRPC, mercury.ErrCanceled) {
 		t.Fatalf("err = %v", errRPC)
 	}
-	if got := cli2.Profiler().Collector().SinkErrors(); got == 0 {
+	if got := cli2.Profiler().SinkErrors(); got == 0 {
 		t.Fatal("failing sink not counted")
 	}
 	if err := cli2.Shutdown(); !errors.Is(err, boom) {

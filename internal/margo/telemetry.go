@@ -17,7 +17,7 @@ var _ telemetry.Source = (*Instance)(nil)
 
 // TelemetrySample reads the instance's live state for a telemetry
 // scrape: every library-global PVAR, per-pool occupancy,
-// na-layer completion-queue counters, and collector health.
+// na-layer completion-queue counters, and measurement-store health.
 func (i *Instance) TelemetrySample() telemetry.Sample {
 	s := telemetry.Sample{
 		UnixNanos:      time.Now().UnixNano(),
@@ -71,15 +71,14 @@ func (i *Instance) TelemetrySample() telemetry.Sample {
 	s.HeapBytes = sys.HeapBytes
 	s.Goroutines = sys.Goroutines
 
-	coll := i.prof.Collector()
-	s.TraceLen = coll.TraceLen()
-	s.TraceDropped = coll.Dropped()
-	s.SinkErrors = coll.SinkErrors()
+	s.TraceLen = i.prof.TraceLen()
+	s.TraceDropped = i.prof.TraceDropped()
+	s.SinkErrors = i.prof.SinkErrors()
 	var handler, total uint64
-	for _, st := range coll.OriginStats() {
+	for _, st := range i.prof.OriginStats() {
 		s.OriginCalls += st.Count
 	}
-	for _, st := range coll.TargetStats() {
+	for _, st := range i.prof.TargetStats() {
 		s.TargetCalls += st.Count
 		handler += st.Components[core.CompHandler]
 		total += st.CumNanos
@@ -128,11 +127,10 @@ func (i *Instance) TelemetrySample() telemetry.Sample {
 // registry), both sides of the RPC.
 func (i *Instance) CallpathStats() []telemetry.CallpathStat {
 	names := i.prof.Names()
-	coll := i.prof.Collector()
 	var out []telemetry.CallpathStat
 	for side, stats := range map[string]map[core.StatKey]core.CallStats{
-		"origin": coll.OriginStats(),
-		"target": coll.TargetStats(),
+		"origin": i.prof.OriginStats(),
+		"target": i.prof.TargetStats(),
 	} {
 		for k, st := range stats {
 			out = append(out, telemetry.CallpathStat{

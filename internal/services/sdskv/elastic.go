@@ -559,7 +559,7 @@ func (n *Node) runRound(self *abt.ULT, r *kv.Ring) bool {
 		if m == n.inst.Addr() {
 			continue
 		}
-		if err := n.inst.ForwardEx(self, m, RPCMigrateDone, &done, nil, margo.ForwardOpts{Timeout: time.Second}); err != nil {
+		if err := n.inst.Forward(self, m, RPCMigrateDone, &done, nil, margo.ForwardOpts{Timeout: time.Second}); err != nil {
 			ok = false
 		}
 	}
@@ -711,7 +711,7 @@ func (n *Node) Retire(self *abt.ULT) error {
 	}
 	done := migrateDoneArgs{Version: shrunk.Version(), From: n.inst.Addr()}
 	for _, m := range shrunk.Members() {
-		_ = n.inst.ForwardEx(self, m, RPCMigrateDone, &done, nil, margo.ForwardOpts{Timeout: time.Second})
+		_ = n.inst.Forward(self, m, RPCMigrateDone, &done, nil, margo.ForwardOpts{Timeout: time.Second})
 	}
 	if err := n.agent.Leave(self, n.root, n.group); err != nil && lastErr == nil {
 		lastErr = err

@@ -413,7 +413,7 @@ func TestRoutingEndsAtItsDeadline(t *testing.T) {
 	u := e.root.Run("probe", func(self *abt.ULT) {
 		// The caller's own wait ends at the same deadline; what the
 		// handler's Put returned is read once the handler is done.
-		_ = e.root.ForwardEx(self, e.cliIn.Addr(), "probe_put", mercury.Void{}, nil,
+		_ = e.root.Forward(self, e.cliIn.Addr(), "probe_put", mercury.Void{}, nil,
 			margo.ForwardOpts{Deadline: start.Add(1500 * time.Millisecond)})
 	})
 	if err := u.Join(nil); err != nil {

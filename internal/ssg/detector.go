@@ -99,7 +99,7 @@ func (d *Detector) loop(self *abt.ULT) {
 			if m.Addr == selfAddr {
 				continue
 			}
-			err := h.inst.ForwardEx(self, m.Addr, RPCPing, mercury.Void{}, nil, margo.ForwardOpts{Timeout: d.cfg.PingTimeout})
+			err := h.inst.Forward(self, m.Addr, RPCPing, mercury.Void{}, nil, margo.ForwardOpts{Timeout: d.cfg.PingTimeout})
 			if err == nil {
 				d.misses[m.Addr] = 0
 				continue

@@ -403,7 +403,7 @@ func (h *Host) notifyLoop(self *abt.ULT) {
 			// Best-effort push: a recipient that cannot be reached will
 			// catch up from a later event or an explicit Observe. The
 			// timeout keeps one dead observer from stalling the queue.
-			_ = h.inst.ForwardEx(self, addr, RPCNotify, &args, nil, margo.ForwardOpts{Timeout: notifyTimeout})
+			_ = h.inst.Forward(self, addr, RPCNotify, &args, nil, margo.ForwardOpts{Timeout: notifyTimeout})
 		}
 	}
 }

@@ -58,7 +58,7 @@ type PoolStat struct {
 }
 
 // Sample is one read of an instance: PVARs, pool occupancy, na-layer
-// completion-queue state, collector health, and runtime stats.
+// completion-queue state, measurement-store health, and runtime stats.
 // Cumulative counters stay cumulative here; a reader derives deltas and
 // rates from two successive reads.
 type Sample struct {
@@ -73,7 +73,7 @@ type Sample struct {
 	EventsPosted uint64 `json:"events_posted"`
 	CQOverflows  uint64 `json:"cq_overflows"`
 
-	// Collector health.
+	// Measurement-store health: the Profiler's trace buffers and sinks.
 	TraceLen     int    `json:"trace_len"`
 	TraceDropped uint64 `json:"trace_dropped"`
 	SinkErrors   uint64 `json:"sink_errors"`
