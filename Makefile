@@ -105,7 +105,12 @@ check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke f
 # separators and key abbreviations after each input.
 # The seeds — files under internal/**/testdata/fuzz/, and for the
 # JSONL reader the streams jsonlSeeds builds — are replayed by plain
-# `go test` as well; this target mutates them. (Minimising a mutant of the
+# `go test` as well; this target mutates them. Both trace readers' seeds
+# include the folds the span memo does not make (one that refers back
+# past the first event, into an end, into a start already closed or
+# pushed out of the memo by other requests' starts, past a newer start of
+# its span, or across a ResetMeasurements), and the dump reader's a full
+# record of an end the memo folds, which a dump may not spell. (Minimising a mutant of the
 # JSONL reader's 64 KiB seed, or of the map store's 29,000-op height-3
 # seed, would otherwise take the run's ten seconds.)
 fuzz-smoke:

@@ -286,6 +286,39 @@ func TestDetachedDataPresetAndCleared(t *testing.T) {
 	}
 }
 
+// TestIdleWorkersOutliveRuntime checks that the workers a pool holds at
+// Shutdown are taken up by a later runtime's pool, which runs its
+// bodies on them and recycles them into its own free list.
+func TestIdleWorkersOutliveRuntime(t *testing.T) {
+	ran := make(chan *Pool, 1)
+	body := func(self *ULT) { ran <- self.Pool() }
+	rt := NewRuntime()
+	p := rt.AddPool("first")
+	rt.AddXStreams("es", 1, p)
+	p.CreateDetached("w", body)
+	<-ran
+	for p.FreeListLen() == 0 {
+		runtime.Gosched()
+	}
+	rt.Shutdown()
+	idle := IdleWorkers()
+	if idle == 0 {
+		t.Fatal("Shutdown parked no idle worker")
+	}
+
+	_, p2 := newTestRT(t, 1)
+	p2.CreateDetached("w", body)
+	if got := <-ran; got != p2 {
+		t.Fatalf("adopted worker ran in pool %q, want %q", got.Name(), p2.Name())
+	}
+	for p2.FreeListLen() == 0 {
+		runtime.Gosched()
+	}
+	if n := IdleWorkers(); n != idle-1 {
+		t.Fatalf("idle workers = %d after one adoption, want %d", n, idle-1)
+	}
+}
+
 func TestPanicIsCapturedAsError(t *testing.T) {
 	_, p := newTestRT(t, 1)
 	u := p.Create("boom", func(self *ULT) { panic("kaboom") })

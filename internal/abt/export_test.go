@@ -28,5 +28,13 @@ func (p *Pool) FreeListLen() int {
 	return len(p.free)
 }
 
+// IdleWorkers reports how many workers of shut-down runtimes are parked
+// for later pools to take up.
+func IdleWorkers() int {
+	idleWorkers.mu.Lock()
+	defer idleWorkers.mu.Unlock()
+	return len(idleWorkers.us)
+}
+
 // State reports the current lifecycle state.
 func (u *ULT) State() State { return State(u.state.Load()) }

@@ -7,9 +7,10 @@ import (
 )
 
 // freeListCap bounds the per-pool free list of recycled detached ULT
-// structs (each entry keeps a parked goroutine alive). Steady-state RPC
-// service reuses these, so handler dispatch allocates no scheduler
-// objects; overflow beyond the cap simply lets the goroutine exit.
+// structs (each entry keeps a parked goroutine alive), and the process's
+// list of idle ones (idleWorkers). Steady-state RPC service reuses
+// these, so handler dispatch allocates no scheduler objects; overflow
+// beyond the cap simply lets the goroutine exit.
 const freeListCap = 1024
 
 // Pool is a queue of ready ULTs, the analogue of an ABT_pool. ULTs are
@@ -239,19 +240,63 @@ func (p *Pool) victims() []*XStream {
 	return v
 }
 
-// takeFree pops a recycled detached ULT, or nil.
+// takeFree pops a recycled detached ULT, from the pool's free list or
+// else from the process's idle workers, or returns nil.
 func (p *Pool) takeFree() *ULT {
 	p.freeMu.Lock()
 	n := len(p.free)
 	if n == 0 {
 		p.freeMu.Unlock()
-		return nil
+		return idleWorkers.adopt(p)
 	}
 	u := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	p.freeMu.Unlock()
 	return u
+}
+
+// idleWorkers holds the parked workers of detached ULTs whose runtime
+// shut down, for the pools of later runtimes to take up. A process that
+// stands runtimes up and down (a test suite, one deployment per
+// benchmark rep) then spawns its handler workers once, instead of once
+// per runtime to whatever depth each one's load happens to reach. It
+// holds at most freeListCap workers; an idle one belongs to no pool.
+var idleWorkers workerList
+
+type workerList struct {
+	mu sync.Mutex
+	us []*ULT
+}
+
+// adopt hands the newest idle worker to p, or returns nil.
+func (l *workerList) adopt(p *Pool) *ULT {
+	l.mu.Lock()
+	n := len(l.us)
+	if n == 0 {
+		l.mu.Unlock()
+		return nil
+	}
+	u := l.us[n-1]
+	l.us[n-1] = nil
+	l.us = l.us[:n-1]
+	l.mu.Unlock()
+	u.pool = p
+	return u
+}
+
+// keep parks as many of us as there is room for and returns the rest.
+// Each one's last disposition has been consumed: its pool's streams
+// have stopped.
+func (l *workerList) keep(us []*ULT) []*ULT {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := min(len(us), freeListCap-len(l.us))
+	for _, u := range us[:n] {
+		u.pool = nil // an idle worker keeps no runtime alive
+	}
+	l.us = append(l.us, us[:n]...)
+	return us[n:]
 }
 
 // recycle returns a terminated detached ULT to the free list, or lets
@@ -268,15 +313,17 @@ func (p *Pool) recycle(u *ULT) {
 	p.freeMu.Unlock()
 }
 
-// drainFree releases every pooled worker goroutine (Runtime.Shutdown).
+// drainFree hands the pooled workers to the process's idle list and
+// releases those it has no room for (Runtime.Shutdown, once the
+// runtime's streams have stopped).
 func (p *Pool) drainFree() {
 	p.freeMu.Lock()
 	p.closed = true
 	free := p.free
 	p.free = nil
 	p.freeMu.Unlock()
-	for _, u := range free {
-		u.runGate.set()
+	for _, u := range idleWorkers.keep(free) {
+		u.runGate.set() // worker sees fn == nil and exits
 	}
 }
 

@@ -64,9 +64,10 @@ func (r *Runtime) AddXStreams(name string, n int, pools ...*Pool) []*XStream {
 	return xs
 }
 
-// Shutdown stops all execution streams and releases the pooled detached
-// worker goroutines. Work still queued or parked is abandoned; callers
-// join their ULTs before shutting down.
+// Shutdown stops all execution streams and hands the pooled detached
+// workers to the process's idle list, for later runtimes' pools to take
+// up; those beyond its bound exit. Work still queued or parked is
+// abandoned; callers join their ULTs before shutting down.
 func (r *Runtime) Shutdown() {
 	r.mu.Lock()
 	if r.stopped {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -195,5 +196,41 @@ func TestSysSamplerCachesWithinInterval(t *testing.T) {
 	fast.Sample()
 	if got := fast.Refreshes(); got != 2 {
 		t.Fatalf("refreshes = %d, want 2 (refresh-after-interval must recompute)", got)
+	}
+}
+
+// TestSysSamplerConcurrent: eight goroutines sampling at once share one
+// refresh per interval, all see the same sample, and a cached sample
+// costs the heap nothing.
+func TestSysSamplerConcurrent(t *testing.T) {
+	s := NewSysSampler(time.Hour)
+	const goroutines, each = 8, 10_000
+	var wg sync.WaitGroup
+	samples := make([]SysSample, goroutines)
+	for g := range samples {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				v := s.Sample()
+				if i > 0 && v != samples[g] {
+					t.Errorf("goroutine %d: sample %+v, then %+v within the interval", g, samples[g], v)
+					return
+				}
+				samples[g] = v
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Refreshes(); got != 1 {
+		t.Fatalf("refreshes = %d, want 1", got)
+	}
+	for g := range samples {
+		if samples[g] != samples[0] || samples[g].Goroutines == 0 {
+			t.Fatalf("goroutine %d sampled %+v, goroutine 0 %+v", g, samples[g], samples[0])
+		}
+	}
+	if n := testing.AllocsPerRun(1000, func() { s.Sample() }); n != 0 {
+		t.Errorf("a cached sample allocates %v times, want 0", n)
 	}
 }

@@ -265,7 +265,7 @@ func TestCollectorEventsOrdered(t *testing.T) {
 func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 	// Every stream opens with the header and the definitions of "r" and
 	// of a t5 shape that uses it.
-	const head = `{"symbiosys_trace":3,"t0":0}` + "\n" + `{"s":1,"v":"r"}` + "\n" + `{"x":1,"k":1,"r":1}` + "\n"
+	const head = `{"symbiosys_trace":4,"t0":0}` + "\n" + `{"s":1,"v":"r"}` + "\n" + `{"x":1,"k":1,"r":1}` + "\n"
 	line := func(id uint64) string {
 		return fmt.Sprintf(`{"i":%d,"t":0,"x":1}`, id)
 	}
@@ -283,7 +283,7 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 		}
 	})
 	t.Run("truncated definition or header", func(t *testing.T) {
-		for _, in := range []string{head + line(1) + "\n" + `{"s":2,"v":"sdskv_pu`, `{"symbiosys_trace":3,"t0":17`} {
+		for _, in := range []string{head + line(1) + "\n" + `{"s":2,"v":"sdskv_pu`, `{"symbiosys_trace":4,"t0":17`} {
 			evs, truncated, err := ReadEventsJSONL(strings.NewReader(in))
 			if err != nil || truncated != 1 || len(evs) != strings.Count(in, `"i":`) {
 				t.Fatalf("%q: evs=%d truncated=%d err=%v", in, len(evs), truncated, err)
@@ -305,7 +305,7 @@ func TestReadEventsJSONLTruncatedTail(t *testing.T) {
 		}
 	})
 	t.Run("mid-file corruption still fails", func(t *testing.T) {
-		in := `{"symbiosys_trace":3,"t0":0}` + "\n" + `{"i":2,"garbage` + "\n" + line(3) + "\n"
+		in := `{"symbiosys_trace":4,"t0":0}` + "\n" + `{"i":2,"garbage` + "\n" + line(3) + "\n"
 		_, _, err := ReadEventsJSONL(strings.NewReader(in))
 		if err == nil {
 			t.Fatal("mid-file corruption not reported")
@@ -350,7 +350,7 @@ func goldenEvents() []Event {
 }
 
 // TestJSONLSinkOutputStable: the bytes a JSONL sink writes for a fixed
-// event sequence equal testdata/trace_golden.jsonl (version 3 of the
+// event sequence equal testdata/trace_golden.jsonl (version 4 of the
 // stream; `go test ./internal/core -run TestJSONLSinkOutputStable
 // -update` rewrites it), whichever way the annotations reach the
 // Profiler — inside the event, beside it (the RPC fast path), or beside

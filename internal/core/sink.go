@@ -69,13 +69,14 @@ func (w *jsonlWriter) Err() error {
 	return w.err
 }
 
-// The JSONL trace stream, version 3 (DESIGN.md §10 "Why JSONL stays").
+// The JSONL trace stream, version 4 (DESIGN.md §10 "Why JSONL stays").
 // Every line is one JSON object whose first key says what it is:
 //
-//	{"symbiosys_trace":3,"t0":<ns>,"keys":{...}}    header, first line
+//	{"symbiosys_trace":4,"t0":<ns>,"keys":{...}}    header, first line
 //	{"s":<n>,"v":"<string>"}                        definition of string n
 //	{"x":<n>,"k":..,"b":..,"e":..,"p":..,"r":..}    definition of shape n
 //	{"y":<n>,"sh":..,"sg":..}                       definition of sample n
+//	{"z":<n>,...,"t":..,"o":..,"y":..}              fold: an end event
 //	{"i":..,"o":..,...,"t":..,"x":..,"y":..}        event
 //
 // A shape is an event's kind, breadcrumb and the string numbers of its
@@ -85,27 +86,38 @@ func (w *jsonlWriter) Err() error {
 // all zeros, the zero sample), never defined. A definition is written
 // once, just above the first line that uses it. An event line omits
 // every zero but t (a missing key is 0, false or ""), so it never opens
-// with a definition's key; t is the timestamp less the header's t0.
-// A line depends on the header and the definitions above it, never on
-// its neighbours. pv and c are the trace dump's masked counters: the
-// presence mask, then the nonzero values.
+// with a definition's key; t is the timestamp less the header's t0, and
+// o, an order, is read modulo 2^64 (one past 2^63 is spelled negative).
+// pv and c are the trace dump's masked counters: the presence mask, then
+// the nonzero values.
+//
+// A fold is an end event (t14, t8) that the span memo (spanMemo) folds
+// into its start, z event lines (folds included) above it. It spells the
+// event line's annotations, d to c; its request ID, breadcrumb and
+// strings are the start's, and its kind the start's partner. Its t is
+// the timestamp less the start's plus d, its o the order less the
+// start's plus one, and its y its sample number less the start's; each
+// is omitted when zero. A line depends on the header, the definitions
+// above it and, for a fold, the event lines between it and its start.
 const (
-	jsonlVersion = 3
+	jsonlVersion = 4
 	jsonlHeader  = `{"symbiosys_trace":`
 	jsonlString  = `{"s":`
 	jsonlShape   = `{"x":`
 	jsonlSample  = `{"y":`
+	jsonlFold    = `{"z":`
 	// jsonlLegend is the header's "keys" object: the keys of an event
-	// line, in the order WriteEvent spells them, then those of the shape
-	// and sample definitions.
+	// line, in the order WriteEvent spells them, then the fold's and
+	// those of the shape and sample definitions.
 	jsonlLegend = `"i":"request_id","o":"order","d":"dur_ns","bi":"batch_id","f":"failed","q":"queue_ns","w":"window_ns",` +
 		`"sr":"sys.pool_runnable","sb":"sys.pool_blocked","pv":"pvars: mask, nonzero values",` +
 		`"c":"components: mask, nonzero values","t":"ts_ns - t0","x":"a shape number","y":"a sample number",` +
+		`"z":"a fold: event lines back to its start; its t, o and y less the start's t + d, o + 1 and y",` +
 		`"k":"kind","b":"breadcrumb","e":"entity, a string number","p":"peer, a string number",` +
 		`"r":"rpc, a string number","sh":"sys.heap_bytes","sg":"sys.goroutines"`
 )
 
-// jsonlLine is a line of any of the five kinds as ReadEventsJSONL
+// jsonlLine is a line of any of the six kinds as ReadEventsJSONL
 // decodes it: the header's and the string definition's keys, then the
 // legend's.
 type jsonlLine struct {
@@ -115,7 +127,7 @@ type jsonlLine struct {
 	V       string `json:"v"`
 
 	I  uint64    `json:"i"`
-	O  uint64    `json:"o"`
+	O  int64     `json:"o"`
 	D  int64     `json:"d"`
 	BI uint64    `json:"bi"`
 	F  uint64    `json:"f"`
@@ -127,7 +139,8 @@ type jsonlLine struct {
 	C  []uint64  `json:"c"`
 	T  int64     `json:"t"`
 	X  uint64    `json:"x"`
-	Y  uint64    `json:"y"`
+	Y  int64     `json:"y"`
+	Z  uint64    `json:"z"`
 	K  EventKind `json:"k"`
 	B  uint64    `json:"b"`
 	E  uint64    `json:"e"`
@@ -170,16 +183,17 @@ func appendMasked(b []byte, key string, vals []uint64) []byte {
 	return append(b, ']', ',')
 }
 
-// JSONLTraceSink streams trace events as JSON Lines, in the version 3
+// JSONLTraceSink streams trace events as JSON Lines, in the version 4
 // grammar above, to an io.Writer — the on-line export format, ingestible
 // with ReadEventsJSONL (and by sym, from a dump directory). An event is
 // encoded by hand on its emitter's stack; the sink's mutex covers the
-// tables, the three keys that depend on the sink and the copy into the
-// buffer.
+// tables and the span memo, the keys that depend on them and the copy
+// into the buffer.
 type JSONLTraceSink struct {
 	jsonlWriter
 	tab     traceTables // entry 0 of each table is its zero value
 	t0      int64       // the first event's timestamp, as in the header
+	n       uint64      // event lines written: the next one's index
 	started bool        // the header is written
 }
 
@@ -195,17 +209,23 @@ func (t *traceTables) zeroEntries() {
 	t.internSample(sample{})
 }
 
-// WriteEvent appends one event line, behind the header if it is the
+// jsonlHead is room before a line's annotations for the longest head
+// that opens it: `{"i":` and `,"o":` with twenty digits each, and a
+// comma.
+const jsonlHead = 56
+
+// WriteEvent appends one event line, or a fold if the event ends a span
+// whose start the stream's memo holds, behind the header if it is the
 // sink's first and behind the definitions of the strings, shape and
 // sample it is the first to use.
 func (s *JSONLTraceSink) WriteEvent(ev Event) error {
 	// Room for the longest line: fourteen keys of up to five bytes and
 	// 12 + (1+numPVarFields) + (1+NumComponents) numbers of up to twenty
-	// digits and a comma. It also fits the buffer's 4 KiB whole.
+	// digits and a comma. It also fits the buffer's 4 KiB whole. The
+	// annotations go in first, behind room for the head, which depends
+	// on the memo.
 	var line [1024]byte
-	b := append(line[:0], '{')
-	b = appendUint(b, `"i":`, ev.RequestID)
-	b = appendUint(b, `"o":`, ev.Order)
+	b := line[:jsonlHead]
 	b = appendInt(b, `"d":`, ev.Duration)
 	b = appendUint(b, `"bi":`, ev.BatchID)
 	if ev.Failed {
@@ -233,10 +253,27 @@ func (s *JSONLTraceSink) WriteEvent(ev Event) error {
 		s.tab.zeroEntries()
 		s.check(fmt.Fprintf(s.bw, "%s%d,\"t0\":%d,\"keys\":{%s}}\n", jsonlHeader, jsonlVersion, s.t0, jsonlLegend))
 	}
-	b = append(strconv.AppendInt(append(b, `"t":`...), ev.Timestamp-s.t0, 10), ',') // wraps; the reader's sum wraps back
-	b = appendUint(b, `"x":`, s.shape(&ev))
-	b = appendUint(b, `"y":`, s.sample(&ev.Sys))
-	s.writeLine(b)
+	var head [jsonlHead]byte
+	h := head[:0]
+	pos := s.n
+	s.n++
+	if sp := s.tab.spans.close(&ev, s.tab.strs.vals, s.tab.shapes.vals); sp != nil {
+		h = append(strconv.AppendUint(append(h, jsonlFold...), pos-sp.pos, 10), ',')
+		b = appendInt(b, `"t":`, ev.Timestamp-(sp.ts+ev.Duration)) // all three wrap, as the reader's sums do
+		b = appendInt(b, `"o":`, int64(ev.Order-(sp.order+1)))
+		b = appendInt(b, `"y":`, int64(s.sample(&ev.Sys))-int64(sp.sample))
+	} else {
+		shape, sample := s.shape(&ev), s.sample(&ev.Sys)
+		s.tab.spans.open(&ev, pos, shape, sample)
+		h = appendUint(append(h, '{'), `"i":`, ev.RequestID)
+		h = appendInt(h, `"o":`, int64(ev.Order))
+		b = append(strconv.AppendInt(append(b, `"t":`...), ev.Timestamp-s.t0, 10), ',') // wraps; the reader's sum wraps back
+		b = appendUint(b, `"x":`, shape)
+		b = appendUint(b, `"y":`, sample)
+	}
+	from := jsonlHead - len(h)
+	copy(line[from:], h)
+	s.writeLine(b[from:])
 	return s.err
 }
 
@@ -309,9 +346,9 @@ func (s *JSONLTraceSink) sample(sys *SysSample) uint64 {
 }
 
 // ErrTraceStreamVersion is ReadEventsJSONL's refusal of a stream that is
-// not in the version 3 grammar: one written before it or by a later
+// not in the version 4 grammar: one written before it or by a later
 // build.
-var ErrTraceStreamVersion = errors.New("JSONL trace stream is not version 3")
+var ErrTraceStreamVersion = errors.New("JSONL trace stream is not version 4")
 
 // ReadEventsJSONL parses a JSONL trace event stream (the JSONLTraceSink
 // format) back into the events written, a line at a time. A truncated
@@ -323,9 +360,12 @@ var ErrTraceStreamVersion = errors.New("JSONL trace stream is not version 3")
 // still fails, and so does a line anywhere that parses but breaks the
 // grammar: a number no definition above it defines, a definition out of
 // turn, one that repeats an earlier entry or the zero value, or one no
-// line uses by the end of an uncut stream. That is corruption, not
+// line uses by the end of an uncut stream, and a fold whose start is not
+// the open start the span memo holds for it. That is corruption, not
 // truncation. As encoding/json does, the reader skips a key it does not
-// know.
+// know, and a key a line of its kind does not use. An event line of an
+// end the memo would fold is read as it is: the stream, unlike a dump,
+// may spell an event either way.
 func ReadEventsJSONL(r io.Reader) (events []Event, truncated int, err error) {
 	fail := func(line int, err error) ([]Event, int, error) {
 		return nil, 0, fmt.Errorf("core: parse JSONL trace stream at line %d: %w", line, err)
@@ -379,12 +419,20 @@ func ReadEventsJSONL(r io.Reader) (events []Event, truncated int, err error) {
 				err = defs.define(tabShapes, ln.X, uint64(defs.tab.shapes.number(sh)), line)
 			}
 		case bytes.HasPrefix(raw, []byte(jsonlSample)):
-			if err = defs.inTurn(tabSamples, ln.Y); err == nil {
-				err = defs.define(tabSamples, ln.Y, defs.tab.internSample(sample{ln.SH, ln.SG}), line)
+			if err = defs.inTurn(tabSamples, uint64(ln.Y)); err == nil {
+				err = defs.define(tabSamples, uint64(ln.Y), defs.tab.internSample(sample{ln.SH, ln.SG}), line)
+			}
+		case bytes.HasPrefix(raw, []byte(jsonlFold)):
+			var ev Event
+			if ev, err = ln.fold(events, &defs); err == nil {
+				events = append(events, ev)
 			}
 		default:
 			var ev Event
 			if ev, err = ln.event(t0, &defs); err == nil {
+				// An end in full closes its start as a fold would.
+				defs.tab.spans.close(&ev, defs.tab.strs.vals, defs.tab.shapes.vals)
+				defs.tab.spans.open(&ev, uint64(len(events)), ln.X, uint64(ln.Y))
 				events = append(events, ev)
 			}
 		}
@@ -454,15 +502,53 @@ func (ln *jsonlLine) event(t0 int64, defs *jsonlDefs) (Event, error) {
 	if err := defs.use(tabShapes, ln.X); err != nil {
 		return Event{}, err
 	}
-	if err := defs.use(tabSamples, ln.Y); err != nil {
+	if err := defs.use(tabSamples, uint64(ln.Y)); err != nil {
 		return Event{}, err
 	}
 	strs := defs.tab.strs.vals
 	sh, sm := &defs.tab.shapes.vals[ln.X], &defs.tab.samples.vals[ln.Y]
-	ev := Event{RequestID: ln.I, Order: ln.O, Kind: sh.kind, Timestamp: t0 + ln.T,
-		Entity: strs[sh.strs[0]], Peer: strs[sh.strs[1]], RPCName: strs[sh.strs[2]],
-		Breadcrumb: sh.bc, Duration: ln.D, BatchID: ln.BI, Failed: ln.F != 0, QueueNanos: ln.Q, WindowNanos: ln.W,
-		Sys: SysSample{PoolRunnable: ln.SR, PoolBlocked: ln.SB, HeapBytes: sm.heap, Goroutines: sm.goroutines}}
+	ev := Event{RequestID: ln.I, Order: uint64(ln.O), Kind: sh.kind, Timestamp: t0 + ln.T,
+		Entity: strs[sh.strs[0]], Peer: strs[sh.strs[1]], RPCName: strs[sh.strs[2]], Breadcrumb: sh.bc,
+		Sys: SysSample{HeapBytes: sm.heap, Goroutines: sm.goroutines}}
+	return ev, ln.annotate(&ev)
+}
+
+// fold is the Event a fold line spells after the events prior: the end
+// of the span whose start it refers back to, which must be the open
+// start the stream's memo holds for it.
+func (ln *jsonlLine) fold(prior []Event, defs *jsonlDefs) (Event, error) {
+	pos := uint64(len(prior))
+	if ln.Z == 0 || ln.Z > pos {
+		return Event{}, fmt.Errorf("a fold %d event lines back with %d above it", ln.Z, pos)
+	}
+	start := &prior[pos-ln.Z]
+	if !isSpanStart(start.Kind) {
+		return Event{}, fmt.Errorf("a fold %d event lines back into an event of kind %v", ln.Z, start.Kind)
+	}
+	ev := Event{RequestID: start.RequestID, Kind: spanPartner(start.Kind), Breadcrumb: start.Breadcrumb,
+		Entity: start.Entity, Peer: start.Peer, RPCName: start.RPCName}
+	sp := defs.tab.spans.close(&ev, defs.tab.strs.vals, defs.tab.shapes.vals)
+	if sp == nil || sp.pos != pos-ln.Z {
+		return Event{}, fmt.Errorf("a fold %d event lines back into a start the span memo does not hold open for it", ln.Z)
+	}
+	smp := sampleOf(&start.Sys)
+	if ln.Y != 0 {
+		n := uint64(int64(sp.sample) + ln.Y)
+		if err := defs.use(tabSamples, n); err != nil {
+			return Event{}, err
+		}
+		smp = defs.tab.samples.vals[n]
+	}
+	ev.Timestamp = sp.ts + ln.D + ln.T
+	ev.Order = sp.order + 1 + uint64(ln.O)
+	ev.Sys.HeapBytes, ev.Sys.Goroutines = smp.heap, smp.goroutines
+	return ev, ln.annotate(&ev)
+}
+
+// annotate sets what an event line and a fold spell alike.
+func (ln *jsonlLine) annotate(ev *Event) error {
+	ev.Duration, ev.BatchID, ev.Failed, ev.QueueNanos, ev.WindowNanos = ln.D, ln.BI, ln.F != 0, ln.Q, ln.W
+	ev.Sys.PoolRunnable, ev.Sys.PoolBlocked = ln.SR, ln.SB
 	var err error
 	if ln.PV != nil {
 		var vals [numPVarFields]uint64
@@ -476,7 +562,7 @@ func (ln *jsonlLine) event(t0 int64, defs *jsonlDefs) (Event, error) {
 		ev.Components = new([NumComponents]uint64)
 		err = unmask("c", ln.C, ev.Components[:])
 	}
-	return ev, err
+	return err
 }
 
 // unmask spreads what appendMasked wrote, the presence mask and the

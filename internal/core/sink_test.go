@@ -129,6 +129,14 @@ func jsonlSeeds(t testing.TB) map[string][]byte {
 	lines := strings.SplitAfter(golden, "\n")
 	head, strs, shape1, sample1, first := lines[0], strings.Join(lines[1:4], ""), lines[4], lines[5], lines[6]
 	defs := strs + shape1 + sample1 // what the first event uses
+	// Folds the span memo does not make: the first event is a t1 of
+	// request 8589934593; endShape defines the t14 of its callpath.
+	const endShape = `{"x":2,"k":3,"b":60730,"e":1,"p":2,"r":3}` + "\n"
+	pushedOut := head + defs + first
+	for id := 1; id <= memoSpans; id++ {
+		pushedOut += fmt.Sprintf(`{"i":%d,"t":0,"x":1,"y":1}`+"\n", id)
+	}
+	pushedOut += fmt.Sprintf(`{"z":%d}`+"\n", memoSpans+1)
 	seeds := map[string][]byte{}
 	for name, stream := range map[string]string{
 		"golden":            golden,
@@ -152,13 +160,24 @@ func jsonlSeeds(t testing.TB) map[string][]byte {
 		"no-header":         defs + first,
 		"version-1":         `{"request_id":1,"order":1,"kind":0,"ts_ns":5,"entity":"e","rpc":"r","breadcrumb":7,"sys":{"pool_runnable":0,"pool_blocked":0}}` + "\n",
 		"version-2":         `{"symbiosys_trace":2,"t0":5,"keys":{}}` + "\n" + `{"s":1,"v":"e"}` + "\n" + `{"i":1,"o":1,"b":7,"e":1}` + "\n",
-		"future-version":    `{"symbiosys_trace":4,"t0":0}` + "\n" + defs + first,
+		"version-3":         `{"symbiosys_trace":3,"t0":5,"keys":{}}` + "\n" + defs + first,
+		"future-version":    `{"symbiosys_trace":5,"t0":0}` + "\n" + defs + first,
 		"second-header":     golden + golden,
 		"null-version":      `{"symbiosys_trace":null}` + "\n" + defs + first,
-		"quoted-version":    `{"symbiosys_trace":"3","t0":0}` + "\n" + defs + first,
+		"quoted-version":    `{"symbiosys_trace":"4","t0":0}` + "\n" + defs + first,
 		"escapes":           head + `{"s":1,"v":"a\"b\\cé😀<\n"}` + "\n" + `{"x":1,"e":1,"r":1}` + "\n" + `{"t":0,"x":1}` + "\n",
 		"zero-event":        head + "{}\n",
 		"long-line":         head + `{"s":1,"v":"` + strings.Repeat("x", 64<<10) + `"}` + "\n" + `{"x":1,"e":1}` + "\n" + `{"i":1,"x":1}` + "\n",
+		"full-end":          head + defs + first + endShape + `{"i":8589934593,"o":7,"d":2500,"t":30,"x":2,"y":1}` + "\n",
+		"fold-before-first": head + `{"z":1,"d":5}` + "\n",
+		"fold-into-end":     head + defs + first + endShape + `{"i":7,"t":5,"x":2,"y":1}` + "\n" + `{"z":1,"d":5}` + "\n",
+		"fold-into-closed":  strings.Join(lines[:10], "") + `{"z":2,"d":900}` + "\n",
+		"fold-pushed-out":   pushedOut,
+		"fold-past-newer":   head + defs + first + first + `{"z":2}` + "\n",
+		// The t14 of the first request after ResetMeasurements dropped
+		// its t1, folded as if the memo had kept it.
+		"fold-across-reset": head + defs + `{"i":9,"t":0,"x":1,"y":1}` + "\n" + `{"z":2,"d":2500}` + "\n",
+		"fold-sample":       head + defs + first + `{"y":2,"sh":5}` + "\n" + `{"z":1,"d":3,"t":-1,"o":-2,"y":1}` + "\n",
 	} {
 		seeds[name] = []byte(stream)
 	}
@@ -173,7 +192,7 @@ func TestReadEventsJSONLSeeds(t *testing.T) {
 		events, truncated int
 		err               string // "" accepts
 	}{
-		"golden": {12, 0, ""}, "empty": {0, 0, ""}, "unknown-key": {2, 0, ""},
+		"golden": {12, 0, ""}, "empty": {0, 0, ""}, "unknown-key": {2, 0, ""}, "full-end": {2, 0, ""}, "fold-sample": {2, 0, ""},
 		"cut-event": {11, 1, ""}, "cut-definition": {0, 1, ""}, "cut-header": {0, 1, ""},
 		"escapes": {1, 0, ""}, "zero-event": {1, 0, ""}, "long-line": {1, 0, ""},
 		"index-before-def":  {0, 0, "line 3: string 2 used with 1 defined"},
@@ -188,13 +207,20 @@ func TestReadEventsJSONLSeeds(t *testing.T) {
 		"unused-def":        {0, 0, "line 7: shape 2 is defined but never used"},
 		"wide-mask":         {0, 0, `line 7: key "pv" has 1 values behind a presence mask for 11 fields: [2048 1]`},
 		"short-mask":        {0, 0, `line 7: key "c" has 1 values behind a presence mask for 9 fields: [3 1]`},
-		"second-header":     {0, 0, "line 23: a second header line"},
-		"null-version":      {0, 0, "line 1: JSONL trace stream is not version 3: it says version 0"},
+		"second-header":     {0, 0, "line 21: a second header line"},
+		"null-version":      {0, 0, "line 1: JSONL trace stream is not version 4: it says version 0"},
 		"quoted-version":    {0, 0, "line 1: json: cannot unmarshal string into Go struct field jsonlLine.symbiosys_trace of type uint64"},
-		"no-header":         {0, 0, "line 1: JSONL trace stream is not version 3: no header line, as in version 1"},
-		"version-1":         {0, 0, "line 1: JSONL trace stream is not version 3: no header line, as in version 1"},
-		"version-2":         {0, 0, "line 1: JSONL trace stream is not version 3: it says version 2"},
-		"future-version":    {0, 0, "line 1: JSONL trace stream is not version 3: it says version 4"},
+		"no-header":         {0, 0, "line 1: JSONL trace stream is not version 4: no header line, as in version 1"},
+		"version-1":         {0, 0, "line 1: JSONL trace stream is not version 4: no header line, as in version 1"},
+		"version-2":         {0, 0, "line 1: JSONL trace stream is not version 4: it says version 2"},
+		"version-3":         {0, 0, "line 1: JSONL trace stream is not version 4: it says version 3"},
+		"future-version":    {0, 0, "line 1: JSONL trace stream is not version 4: it says version 5"},
+		"fold-before-first": {0, 0, "line 2: a fold 1 event lines back with 0 above it"},
+		"fold-into-end":     {0, 0, "line 10: a fold 1 event lines back into an event of kind origin_end"},
+		"fold-into-closed":  {0, 0, "line 11: a fold 2 event lines back into a start the span memo does not hold open for it"},
+		"fold-pushed-out":   {0, 0, fmt.Sprintf("line %d: a fold %d event lines back into a start the span memo does not hold open for it", 8+memoSpans, memoSpans+1)},
+		"fold-past-newer":   {0, 0, "line 9: a fold 2 event lines back into a start the span memo does not hold open for it"},
+		"fold-across-reset": {0, 0, "line 8: a fold 2 event lines back with 1 above it"},
 	} {
 		evs, truncated, err := ReadEventsJSONL(bytes.NewReader(seeds[name]))
 		switch {
@@ -213,6 +239,24 @@ func TestReadEventsJSONLSeeds(t *testing.T) {
 	evs, _, _ := ReadEventsJSONL(bytes.NewReader(jsonlSeeds(t)["escapes"]))
 	if want := "a\"b\\cé\U0001F600<\n"; len(evs) != 1 || evs[0].Entity != want || evs[0].RPCName != want {
 		t.Errorf("escaped definition read back as %+v, want %q", evs, want)
+	}
+	// An end spelled in full where the memo folds reads as the t14 it
+	// spells, and a sink writes it back as a fold.
+	evs, _, _ = ReadEventsJSONL(bytes.NewReader(jsonlSeeds(t)["full-end"]))
+	want := goldenEvents()[0]
+	want.Kind, want.Order, want.Timestamp, want.Duration, want.Sys.PoolRunnable, want.Sys.PoolBlocked, want.PVars =
+		EvOriginEnd, 7, want.Timestamp+30, 2500, 0, 0, nil
+	if len(evs) != 2 || !reflect.DeepEqual(evs[1], want) {
+		t.Errorf("full end line read back as %+v, want %+v", evs, want)
+	} else if again := encodeJSONL(t, evs); !bytes.Contains(again, []byte("\n"+jsonlFold+"1,")) {
+		t.Errorf("a sink writes the end back in full:\n%s", again)
+	}
+	// A fold's t, o and y are residuals against its start, signed.
+	evs, _, _ = ReadEventsJSONL(bytes.NewReader(jsonlSeeds(t)["fold-sample"]))
+	want.Order, want.Timestamp, want.Duration, want.Sys.HeapBytes, want.Sys.Goroutines =
+		goldenEvents()[0].Order-1, goldenEvents()[0].Timestamp+2, 3, 5, 0
+	if len(evs) != 2 || !reflect.DeepEqual(evs[1], want) {
+		t.Errorf("fold read back as %+v, want %+v", evs, want)
 	}
 }
 

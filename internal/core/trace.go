@@ -132,13 +132,14 @@ const (
 )
 
 // traceBuf is one shard's bounded trace buffer. It stores each event as
-// the trace dump's event record (tracedump.go: flags word, varint IDs,
+// the trace dump's record (tracedump.go: flags word, varint IDs,
 // timestamp delta against the previous event, shape and sample numbers,
-// presence-masked annotations) appended to byte chunks, and expands the
-// records into Events only when they are read. A record is a sixth of
-// the Event, PVarSample and component array it stands for, and a chunk
-// of bytes holds no pointers, so the garbage collector never scans the
-// trace however long it grows. Emitters hand over annotations that may
+// presence-masked annotations; for an end whose start the shard's span
+// memo holds, a fold into that start) appended to byte chunks, and
+// expands the records into Events only when they are read. A record is
+// a sixth of the Event, PVarSample and component array it stands for,
+// and a chunk of bytes holds no pointers, so the garbage collector never
+// scans the trace however long it grows. Emitters hand over annotations that may
 // live on their stack; encoding them is the copy.
 //
 // The shard's lock guards every field. Chunks are filled in place and
@@ -183,7 +184,7 @@ func sampleOf(s *SysSample) sample { return sample{s.HeapBytes, s.Goroutines} }
 // callpath, the event fields resolved to a shape last, and the sample
 // resolved last: the events of one shard (or one sink) repeat
 // themselves, and the repeat is found by a few comparisons instead of a
-// search.
+// search. Its span memo decides which end events fold into their starts.
 type traceTables struct {
 	strs    numbering[string]
 	shapes  numbering[shape]
@@ -194,6 +195,88 @@ type traceTables struct {
 		s  sample
 		i1 uint32 // index + 1; 0 while nothing is cached
 	}
+	spans spanMemo
+}
+
+// memoSpans is how many span starts a spanMemo remembers. A process's
+// spans overlap: between a start and its end come the other requests in
+// flight (at most 64 per HEPnOS loader, a few hundred during a batched
+// sdskv run), and a start is folded into only while it is among the last
+// memoSpans. Every shard of every Profiler holds a memo, 5 KiB at this
+// size, so it is no larger than a HEPnOS run needs.
+const memoSpans = 128
+
+// spanMemo is the one fold rule of the trace formats. A span is a start
+// (t1, t5) and the end (t14, t8) that closes it; an end whose start is
+// still remembered open is written as a fold: how many events back its
+// start is, and what differs from it. The shard's records, the dump and
+// the JSONL stream each run a memo over their own event sequence, and
+// their readers replay it, so writer and reader agree on every fold.
+// It is a ring of the last memoSpans starts, open or closed, searched
+// newest first. It holds no pointers and allocates nothing: a start is
+// known by its request ID and the number its shape has in the tables of
+// the memo's user.
+type spanMemo struct {
+	ids   [memoSpans]uint64 // the starts' request IDs, apart for the search
+	spans [memoSpans]openSpan
+	n     uint64 // starts seen; the next goes to n % memoSpans
+}
+
+// openSpan is a remembered start: its shape and sample numbers, and what
+// its end's fold is taken against.
+type openSpan struct {
+	ts     int64
+	order  uint64
+	pos    uint64 // the start's index in its sequence
+	shape1 uint32 // shape number + 1; 0 once the span is closed
+	sample uint32
+}
+
+// spanPartner maps a start kind to the end kind that closes it and back:
+// t1 and t14, t5 and t8.
+func spanPartner(k EventKind) EventKind { return EvOriginEnd - k }
+
+func isSpanStart(k EventKind) bool { return k == EvOriginStart || k == EvTargetStart }
+func isSpanEnd(k EventKind) bool   { return k == EvTargetEnd || k == EvOriginEnd }
+
+// open remembers *ev, if it is a start, as the event at index pos of the
+// sequence, of the given shape and sample numbers.
+func (m *spanMemo) open(ev *Event, pos uint64, shape, sample uint64) {
+	if !isSpanStart(ev.Kind) {
+		return
+	}
+	i := m.n % memoSpans
+	m.n++
+	m.ids[i] = ev.RequestID
+	// Field by field: a struct literal is built on the stack and copied
+	// in wider moves than it was written with, which stalls the stores.
+	sp := &m.spans[i]
+	sp.ts, sp.order, sp.pos, sp.shape1, sp.sample = ev.Timestamp, ev.Order, pos, uint32(shape)+1, uint32(sample)
+}
+
+// close closes and returns the newest open start of the span *ev ends —
+// the same request ID and, in the shapes and strings the starts' numbers
+// index, the partner kind, breadcrumb, entity, peer and RPC — which the
+// end folds into. It returns nil if ev is no end or its start is not
+// remembered open.
+func (m *spanMemo) close(ev *Event, strs []string, shapes []shape) *openSpan {
+	if !isSpanEnd(ev.Kind) {
+		return nil
+	}
+	start := spanPartner(ev.Kind)
+	for i := m.n; i > 0 && i+memoSpans > m.n; i-- {
+		j := (i - 1) % memoSpans
+		if m.ids[j] != ev.RequestID || m.spans[j].shape1 == 0 {
+			continue
+		}
+		sp := &m.spans[j]
+		if sh := &shapes[sp.shape1-1]; sh.kind == start && sh.bc == ev.Breadcrumb &&
+			strs[sh.strs[0]] == ev.Entity && strs[sh.strs[1]] == ev.Peer && strs[sh.strs[2]] == ev.RPCName {
+			sp.shape1 = 0
+			return sp
+		}
+	}
+	return nil
 }
 
 // numbering numbers distinct values in first-use order. A small table
@@ -299,6 +382,7 @@ func (t *traceTables) reset() {
 	t.samples.reset()
 	t.memo = shapeMemo{}
 	t.lastSample.i1 = 0
+	t.spans = spanMemo{}
 }
 
 // internSample returns s's index in the sample table, adding it on first
@@ -343,15 +427,23 @@ func (t *traceBuf) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64)
 		t.dropped++
 		return
 	}
-	var rec eventRecord
-	n := rec.encode(ev, pv, comps, t.prev, t.shapeOf(ev), t.shardSample(sampleOf(&ev.Sys)))
-	if len(t.cur)+n > cap(t.cur) {
-		if t.cur != nil {
-			t.full = append(t.full, t.cur)
+	pos := uint64(t.n)
+	sp := t.spans.close(ev, t.strs.vals, t.shapes.vals)
+	if room := t.cur[len(t.cur):cap(t.cur)]; len(room) >= len(eventRecord{}) {
+		// The chunk has room for the longest record: write it in place.
+		n := t.record((*eventRecord)(room), ev, pv, comps, pos, sp)
+		t.cur = t.cur[:len(t.cur)+n]
+	} else {
+		var rec eventRecord
+		n := t.record(&rec, ev, pv, comps, pos, sp)
+		if len(t.cur)+n > cap(t.cur) {
+			if t.cur != nil {
+				t.full = append(t.full, t.cur)
+			}
+			t.cur = make([]byte, 0, min(max(2*cap(t.cur), chunkMin), chunkMax))
 		}
-		t.cur = make([]byte, 0, min(max(2*cap(t.cur), chunkMin), chunkMax))
+		t.cur = append(t.cur, rec[:n]...)
 	}
-	t.cur = append(t.cur, rec[:n]...)
 	t.prev = ev.Timestamp
 	t.n++
 	if pv != nil {
@@ -360,6 +452,25 @@ func (t *traceBuf) emit(ev *Event, pv *PVarSample, comps *[NumComponents]uint64)
 	if comps != nil {
 		t.ncomps++
 	}
+}
+
+// record writes into r the record of *ev, the event at index pos of the
+// shard, folded into sp if the span memo closed that start, and returns
+// its length.
+func (t *traceBuf) record(r *eventRecord, ev *Event, pv *PVarSample, comps *[NumComponents]uint64, pos uint64, sp *openSpan) int {
+	smp := sampleOf(&ev.Sys)
+	if sp == nil {
+		shape, sample := t.shapeOf(ev), t.shardSample(smp)
+		t.spans.open(ev, pos, shape, sample)
+		return r.full(ev, pv, comps, t.prev, shape, sample)
+	}
+	// The shard's sample table may hold a value twice: compare values.
+	var i uint64
+	differs := smp != t.samples.vals[sp.sample]
+	if differs {
+		i = t.shardSample(smp)
+	}
+	return r.fold(ev, pv, comps, pos-sp.pos, sp, i, differs)
 }
 
 // traceSnapshot is a traceBuf's content at one instant: immutable, so it
@@ -403,11 +514,11 @@ func decodeSnapshots(snaps []traceSnapshot) []Event {
 	if ncomps > 0 {
 		r.comps = make([][NumComponents]uint64, ncomps)
 	}
-	next := 0
+	next, first := 0, 0 // the next event, and the snapshot's first
 	var t recordTables
 	chunk := func(c []byte) {
 		for r.b, r.off = c, 0; r.off < len(c) && next < n; next++ {
-			r.event(&out[next], &t)
+			r.event(&out[next], &t, out[first:next])
 		}
 	}
 	for i := range snaps {
@@ -416,7 +527,7 @@ func decodeSnapshots(snaps []traceSnapshot) []Event {
 		// first-use order by construction, there is nothing to check.
 		t = recordTables{strs: s.strs, shapes: s.shapes, samples: s.samples,
 			used: [numTables]uint64{uint64(len(s.strs)), uint64(len(s.shapes)), uint64(len(s.samples))}}
-		r.ts = 0
+		r.ts, first = 0, next
 		for _, c := range s.full {
 			chunk(c)
 		}

@@ -134,7 +134,9 @@ func TestPackedTraceReturnsWhatWasEmitted(t *testing.T) {
 
 // TestPackedTraceReadWhileWritten: TraceEvents decodes a snapshot outside the
 // shard locks while emitters keep appending to the same chunks; what it
-// returns is a prefix of each emitter's sequence, whole.
+// returns is a prefix of each emitter's sequence, whole. Each emitter
+// opens a span and closes it, so every other record is a fold into the
+// one before it.
 func TestPackedTraceReadWhileWritten(t *testing.T) {
 	p := newProfiler("read/p", StageFull, 4, 0)
 	const emitters, each = 4, 5000
@@ -149,6 +151,9 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 			for k := 1; k <= each; k++ {
 				ev.RequestID, ev.Timestamp = uint64(k), base.Timestamp+int64(k)
 				pv.RPCsInvokedTotal, comps[CompOriginExec] = uint64(k), uint64(e)
+				start := ev
+				start.Kind, start.Duration = EvOriginStart, 0
+				p.EmitSampled(uint64(e), start, &pv, nil)
 				p.EmitSampled(uint64(e), ev, &pv, &comps)
 			}
 		}(e)
@@ -158,20 +163,23 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 		next := [emitters]uint64{}
 		for _, ev := range evs {
 			e := ev.Breadcrumb
+			end := next[e]%2 == 1
 			next[e]++
-			if ev.RequestID != next[e] || ev.PVars.RPCsInvokedTotal != next[e] || ev.Components[CompOriginExec] != e ||
+			k := (next[e] + 1) / 2
+			if ev.RequestID != k || ev.PVars.RPCsInvokedTotal != k || (ev.Kind == EvOriginEnd) != end ||
+				end && (ev.Components[CompOriginExec] != e || ev.Duration != base.Duration || ev.Order != base.Order) ||
 				ev.Entity != base.Entity || ev.Peer != base.Peer || ev.RPCName != base.RPCName {
 				t.Fatalf("emitter %d's event %d came back as %+v (pvars %+v)", e, next[e], ev, ev.PVars)
 			}
 		}
 		return len(evs)
 	}
-	for check() < emitters*each/2 {
+	for check() < emitters*each {
 		runtime.Gosched()
 	}
 	wg.Wait()
-	if n := check(); n != emitters*each {
-		t.Fatalf("%d events after the emitters finished, want %d", n, emitters*each)
+	if n := check(); n != 2*emitters*each {
+		t.Fatalf("%d events after the emitters finished, want %d", n, 2*emitters*each)
 	}
 }
 
@@ -179,7 +187,7 @@ func TestPackedTraceReadWhileWritten(t *testing.T) {
 // profiler and dumped, serialize to the bytes committed as the fuzz
 // corpus's golden seed — the dump file does not know how the process
 // held its events. (The seed was last regenerated when the dump format
-// went to version 2 and folded its shapes and samples into tables.)
+// went to version 3 and folded each span's end into its start.)
 func TestDumpTraceBytesUnchanged(t *testing.T) {
 	p := NewProfiler("n0/cli", StageFull)
 	for _, ev := range goldenEvents() {
@@ -195,10 +203,13 @@ func TestDumpTraceBytesUnchanged(t *testing.T) {
 
 // TestPackedEmitSteadyStateCost pins what holding one fully annotated
 // event (PVAR sample and component breakdown) costs the heap once a
-// shard's chunks have reached full size: its record's bytes (about 42,
+// shard's chunks have reached full size: its record's bytes (about 43,
 // its shape and sample being table numbers; 53 when the record spelled
 // them) and a seven-hundredth of a chunk object. The Event, PVarSample
-// and component array it replaced were 336 B.
+// and component array it replaced were 336 B. The event is a t14 whose
+// t1 the shard never saw, so it is recorded in full; folded into a t1 it
+// would carry a back-reference and residuals instead of its IDs,
+// timestamp delta and table numbers.
 func TestPackedEmitSteadyStateCost(t *testing.T) {
 	const warm, n = 4096, 50_000
 	p := newProfiler("cost/p", StageFull, 8, 8*(warm+n))

@@ -9,7 +9,7 @@ import (
 	"math"
 )
 
-// The trace dump format, version 2 (DESIGN.md §10 "Trace dump format").
+// The trace dump format, version 3 (DESIGN.md §10 "Trace dump format").
 // All integers are minimal-length varints: "uv" is an unsigned LEB128
 // varint, "zz" a zigzag-coded signed one.
 //
@@ -19,14 +19,26 @@ import (
 //	nshapes:uv { kind:uv breadcrumb:uv entity:uv peer:uv rpc:uv }*
 //	nsamples:uv { heap_bytes:uv goroutines:zz }*
 //	nevents:uv npvars:uv ncomponents:uv
-//	{ event }*
+//	{ event | fold }*
 //
 //	event:
-//	  flags:uv                            evFlag bits
+//	  flags:uv                            evFlag bits, evFold clear
 //	  request_id:uv order:uv
 //	  timestamp:zz                        delta against the previous event
 //	  shape:uv sample:uv                  table indexes
-//	  [duration:zz] [queue_ns:zz] [pool_runnable:zz] [pool_blocked:zz]
+//	  [duration:zz] annotations
+//
+//	fold:                                 an end, folded into its start
+//	  flags:uv                            evFold set
+//	  back:uv                             how many events back its start is
+//	  duration:zz
+//	  [ts_residual:zz]                    timestamp - (start's + duration)
+//	  [order_residual:zz]                 order - (start's + 1)
+//	  [sample:uv]                         only if not the start's
+//	  annotations
+//
+//	annotations:
+//	  [queue_ns:zz] [pool_runnable:zz] [pool_blocked:zz]
 //	  [pvars: mask:uv { field:uv }*]      one value per set mask bit
 //	  [components: mask:uv { ns:uv }*]
 //	  [batch_id:uv] [window_ns:zz]
@@ -35,35 +47,53 @@ import (
 // string-table indexes of its entity, peer and RPC name; a sample is the
 // heap size and goroutine count of its SysSample. A bracketed field is
 // present when its flag bit is set, and is set only for a nonzero value
-// (a non-nil pointer, for pvars and components). Each table lists its
-// entries in the order they are first used — samples and shapes by the
-// events, strings by the shapes — and holds no entry twice and none
-// unused. Together with the minimal varints this makes the encoding of
-// a dump unique: ReadTrace rejects every other spelling, so what it
-// accepts re-encodes to the same bytes.
+// (a non-nil pointer, for pvars and components; a sample other than the
+// start's, for a fold's). Each table lists its entries in the order they
+// are first used — samples and shapes by the events, strings by the
+// shapes — and holds no entry twice and none unused.
+//
+// A fold is an end event (t14, t8) whose start (t1, t5) the span memo
+// (spanMemo) holds open: the same request ID, breadcrumb, entity, peer
+// and RPC, among the last memoSpans starts. Its request ID, breadcrumb,
+// strings and, unless it says otherwise, its sample are the start's, and
+// its kind is the start's partner. Writer and reader replay the memo over
+// the events in order, and every end the memo folds is a fold and every
+// other event a full record. Together with the minimal varints this makes
+// the encoding of a dump unique: ReadTrace rejects every other spelling,
+// so what it accepts re-encodes to the same bytes.
 //
 // The version byte changes whenever a reader of the old layout would
 // misread the new one: a field added to Event, SysSample or PVarSample,
-// a change of NumComponents, a new flag bit, a reordering.
+// a change of NumComponents, a new flag bit, a reordering, a change of
+// the fold rule.
 const (
 	traceMagic   = "SYTD"
-	traceVersion = 2
+	traceVersion = 3
 )
 
-// Event flag bits, the ones most events set first, so that the flags
-// word of most events is one byte.
+// Event flag bits. The seven a fold usually sets come first, so that the
+// flags word of a fold or a t1 is one byte (a t5's queue time takes a
+// second).
 const (
-	evDuration = 1 << iota
-	evQueue
+	evFold = 1 << iota
+	evTSResidual
+	evOrderResidual
 	evPoolRunnable
 	evPoolBlocked
 	evPVars
 	evComponents
+	evQueue
+	evDuration
 	evFailed
 	evBatchID
 	evWindow
+	evSample
 
 	evFlagBits = iota
+
+	// foldOnly and fullOnly are the bits only one kind of record sets.
+	foldOnly = evTSResidual | evOrderResidual | evSample
+	fullOnly = evDuration
 )
 
 // The tables of a dump, as traceReader.used counts them.
@@ -91,10 +121,14 @@ func (p *PVarSample) fields() [numPVarFields]*uint64 {
 }
 
 // minEventBytes is the shortest encoded event: flags, two IDs, the
-// timestamp delta and two table indexes, one byte each. A shape takes at
-// least five bytes and a sample two.
+// timestamp delta and two table indexes, one byte each; a fold takes at
+// least three: flags, back-reference and duration. Each fold closes a
+// start of its own, so n records take at least n·minPairBytes/2 bytes. A
+// shape takes at least five bytes and a sample two.
 const (
 	minEventBytes  = 6
+	minFoldBytes   = 3
+	minPairBytes   = minEventBytes + minFoldBytes
 	minShapeBytes  = 5
 	minSampleBytes = 2
 )
@@ -106,18 +140,20 @@ func WriteTrace(w io.Writer, d *TraceDump) error {
 	return err
 }
 
-func encodeTraceDump(d *TraceDump) []byte {
-	// First pass: define each sample and shape once, in the order the
-	// events first use them (and so each string in the order the shapes
-	// first use it), and count the annotations so the reader can size
-	// its storage up front.
-	var tab traceTables
-	tab.strs.number(d.Entity)
-	var npvars, ncomps uint64
-	for i := range d.Events {
-		ev := &d.Events[i]
-		tab.shapeOf(ev)
-		tab.internSample(sampleOf(&ev.Sys))
+// numberDump is the first pass of encoding a dump of evs: it defines in
+// t each sample and shape once, in the order the events first use them
+// (and so each string in the order the shapes first use it), and counts
+// the annotations so the reader can size its storage up front. A fold
+// uses no shape, and a sample only when its own differs from its
+// start's. It leaves t's span memo empty for the second pass.
+func (t *traceTables) numberDump(evs []Event) (npvars, ncomps uint64) {
+	for i := range evs {
+		ev := &evs[i]
+		if sp := t.spans.close(ev, t.strs.vals, t.shapes.vals); sp == nil {
+			t.spans.open(ev, uint64(i), t.shapeOf(ev), t.internSample(sampleOf(&ev.Sys)))
+		} else if smp := sampleOf(&ev.Sys); smp != t.samples.vals[sp.sample] {
+			t.internSample(smp)
+		}
 		if ev.PVars != nil {
 			npvars++
 		}
@@ -125,6 +161,14 @@ func encodeTraceDump(d *TraceDump) []byte {
 			ncomps++
 		}
 	}
+	t.spans = spanMemo{}
+	return npvars, ncomps
+}
+
+func encodeTraceDump(d *TraceDump) []byte {
+	var tab traceTables
+	tab.strs.number(d.Entity)
+	npvars, ncomps := tab.numberDump(d.Events)
 
 	strs, shapes, samples := tab.strs.vals, tab.shapes.vals, tab.samples.vals
 	b := make([]byte, 0, 64+16*(len(strs)+len(shapes))+32*len(d.Events))
@@ -154,11 +198,20 @@ func encodeTraceDump(d *TraceDump) []byte {
 	b = binary.AppendUvarint(b, npvars)
 	b = binary.AppendUvarint(b, ncomps)
 
+	// Second pass: the same memo over the same events folds the same ends.
 	var prev int64
 	var rec eventRecord
 	for i := range d.Events {
 		ev := &d.Events[i]
-		n := rec.encode(ev, ev.PVars, ev.Components, prev, tab.shapeOf(ev), tab.internSample(sampleOf(&ev.Sys)))
+		var n int
+		if sp := tab.spans.close(ev, strs, shapes); sp == nil {
+			shape, sample := tab.shapeOf(ev), tab.internSample(sampleOf(&ev.Sys))
+			tab.spans.open(ev, uint64(i), shape, sample)
+			n = rec.full(ev, ev.PVars, ev.Components, prev, shape, sample)
+		} else {
+			sample := tab.internSample(sampleOf(&ev.Sys))
+			n = rec.fold(ev, ev.PVars, ev.Components, uint64(i)-sp.pos, sp, sample, sample != uint64(sp.sample))
+		}
 		b = append(b, rec[:n]...)
 		prev = ev.Timestamp
 	}
@@ -167,10 +220,11 @@ func encodeTraceDump(d *TraceDump) []byte {
 
 // eventRecord is room for the longest event record: the flags word, two
 // IDs, the timestamp delta, two table indexes, six optional fields and
-// the two masked annotation blocks, every varint at its full ten bytes.
-// Records are built in one (on the stack) and then appended to where
-// they are kept, so the encoder writes by index and never grows
-// anything.
+// the two masked annotation blocks, every varint at its full ten bytes
+// (a fold is shorter: its back-reference, duration, two residuals and
+// sample stand for the IDs, delta and indexes). Records are built in one
+// (on the stack) and then appended to where they are kept, so the
+// encoder writes by index and never grows anything.
 type eventRecord [(1+2+1+2+6)*binary.MaxVarintLen64 +
 	(2 + numPVarFields*binary.MaxVarintLen64) + (2 + int(NumComponents)*binary.MaxVarintLen64)]byte
 
@@ -208,31 +262,49 @@ func (r *eventRecord) masked(n int, vals []uint64) int {
 	return n
 }
 
-// encode writes one event record (the "event" production above) into r
-// and returns its length. It is the one event encoder: a dump file and
-// a Profiler shard's in-memory chunks hold the same bytes per event. pv
-// and comps are the event's annotations, passed beside it because the
-// recording path holds them apart from ev (ev.PVars and ev.Components
-// are not read); prev is the timestamp the delta is taken against, and
-// shape and sample are the indexes of ev's shape and sample in whatever
-// tables the record's reader will use.
-func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, prev int64, shape, sample uint64) int {
-	var flags uint64
-	set := func(bit uint64, on bool) {
-		if on {
-			flags |= bit
-		}
+// annotationFlags returns the flag bits of what a record of ev carries
+// in its annotations: pv and comps are the event's annotations, passed
+// beside it because the recording path holds them apart from ev
+// (ev.PVars and ev.Components are not read).
+func annotationFlags(ev *Event, pv *PVarSample, comps *[NumComponents]uint64) (flags uint64) {
+	if ev.QueueNanos != 0 {
+		flags |= evQueue
 	}
-	set(evDuration, ev.Duration != 0)
-	set(evQueue, ev.QueueNanos != 0)
-	set(evPoolRunnable, ev.Sys.PoolRunnable != 0)
-	set(evPoolBlocked, ev.Sys.PoolBlocked != 0)
-	set(evPVars, pv != nil)
-	set(evComponents, comps != nil)
-	set(evFailed, ev.Failed)
-	set(evBatchID, ev.BatchID != 0)
-	set(evWindow, ev.WindowNanos != 0)
+	if ev.Sys.PoolRunnable != 0 {
+		flags |= evPoolRunnable
+	}
+	if ev.Sys.PoolBlocked != 0 {
+		flags |= evPoolBlocked
+	}
+	if pv != nil {
+		flags |= evPVars
+	}
+	if comps != nil {
+		flags |= evComponents
+	}
+	if ev.Failed {
+		flags |= evFailed
+	}
+	if ev.BatchID != 0 {
+		flags |= evBatchID
+	}
+	if ev.WindowNanos != 0 {
+		flags |= evWindow
+	}
+	return flags
+}
 
+// full writes ev's full record (the "event" production above) into r and
+// returns its length. It and fold are the one event encoder: a dump file
+// and a Profiler shard's in-memory chunks hold the same bytes per event.
+// prev is the timestamp the delta is taken against, and shape and
+// sample are the indexes of ev's shape and sample in whatever tables the
+// record's reader will use.
+func (r *eventRecord) full(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, prev int64, shape, sample uint64) int {
+	flags := annotationFlags(ev, pv, comps)
+	if ev.Duration != 0 {
+		flags |= evDuration
+	}
 	n := r.uv(0, flags)
 	n = r.uv(n, ev.RequestID)
 	n = r.uv(n, ev.Order)
@@ -242,6 +314,43 @@ func (r *eventRecord) encode(ev *Event, pv *PVarSample, comps *[NumComponents]ui
 	if flags&evDuration != 0 {
 		n = r.zz(n, ev.Duration)
 	}
+	return r.annotations(n, flags, ev, pv, comps)
+}
+
+// fold writes ev as the fold of the start sp, back events before it (the
+// "fold" production above), and returns its length. sample is the index
+// of ev's sample, written if differs says it is not the start's.
+func (r *eventRecord) fold(ev *Event, pv *PVarSample, comps *[NumComponents]uint64, back uint64, sp *openSpan, sample uint64, differs bool) int {
+	tsRes := ev.Timestamp - (sp.ts + ev.Duration) // wraps, as the reader's sum does
+	orderRes := ev.Order - (sp.order + 1)
+	flags := annotationFlags(ev, pv, comps) | evFold
+	if tsRes != 0 {
+		flags |= evTSResidual
+	}
+	if orderRes != 0 {
+		flags |= evOrderResidual
+	}
+	if differs {
+		flags |= evSample
+	}
+	n := r.uv(0, flags)
+	n = r.uv(n, back)
+	n = r.zz(n, ev.Duration)
+	if tsRes != 0 {
+		n = r.zz(n, tsRes)
+	}
+	if orderRes != 0 {
+		n = r.zz(n, int64(orderRes))
+	}
+	if differs {
+		n = r.uv(n, sample)
+	}
+	return r.annotations(n, flags, ev, pv, comps)
+}
+
+// annotations writes the fields of a record after its head, at r[n:],
+// and returns the offset after them.
+func (r *eventRecord) annotations(n int, flags uint64, ev *Event, pv *PVarSample, comps *[NumComponents]uint64) int {
 	if flags&evQueue != 0 {
 		n = r.zz(n, ev.QueueNanos)
 	}
@@ -282,7 +391,7 @@ func ReadTrace(r io.Reader) (*TraceDump, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: read trace dump: %w", err)
 	}
-	d, err := decodeTraceDump(data)
+	d, _, err := decodeTraceDump(data)
 	if err != nil {
 		return nil, fmt.Errorf("core: parse trace dump: %w", err)
 	}
@@ -328,23 +437,27 @@ type traceReader struct {
 	off int
 	err error
 
-	// Event decoding state: the timestamp the next delta adds to, and
-	// the storage the next PVAR sample and component array go into.
+	// Event decoding state: the timestamp the next delta adds to, the
+	// storage the next PVAR sample and component array go into, and how
+	// many records so far were folds.
 	ts    int64
 	pvars []PVarSample
 	comps [][NumComponents]uint64
+	folds int
 }
 
-// recordTables are the tables event records index, and how many of each
+// recordTables are the tables event records index, how many of each
 // one's entries have been used so far (by the shapes, for strings; by
-// the events, for the others). They are kept apart from the traceReader,
-// whose error escapes: escape analysis does not tell a struct's fields
-// apart, and a dump's tables may live on its decoder's stack.
+// the events, for the others), and the span memo the records replay.
+// They are kept apart from the traceReader, whose error escapes: escape
+// analysis does not tell a struct's fields apart, and a dump's tables
+// may live on its decoder's stack.
 type recordTables struct {
 	strs    []string
 	shapes  []shape
 	samples []sample
 	used    [numTables]uint64
+	spans   spanMemo
 }
 
 func (r *traceReader) fail(format string, args ...any) {
@@ -417,31 +530,48 @@ func (r *traceReader) ref(t *recordTables, table int, size int) uint64 {
 	return i
 }
 
-// event reads one event record (what eventRecord.encode wrote) into *ev,
-// which the caller hands over zeroed, expanding its shape and sample
-// from t and pointing its annotations at the next free entries of
-// r.pvars and r.comps.
-func (r *traceReader) event(ev *Event, t *recordTables) {
+// event reads one record (what eventRecord.full or fold wrote) into
+// *ev, which the caller hands over zeroed. prior are the events of the
+// record's sequence before it, which a fold refers back into. A full
+// record's shape and sample expand from t; the annotations point at the
+// next free entries of r.pvars and r.comps.
+func (r *traceReader) event(ev *Event, t *recordTables, prior []Event) {
 	flags := r.uv()
-	if flags>>evFlagBits != 0 {
+	pos := uint64(len(prior))
+	switch {
+	case flags>>evFlagBits != 0:
 		r.fail("unknown event flag bits %#x", flags)
+	case flags&evFold != 0 && flags&fullOnly != 0:
+		r.fail("fold with flag bits %#x of a full record", flags&fullOnly)
+	case flags&evFold == 0 && flags&foldOnly != 0:
+		r.fail("full record with flag bits %#x of a fold", flags&foldOnly)
+	case flags&evFold != 0:
+		r.fold(ev, t, flags, prior)
+	default:
+		ev.RequestID = r.uv()
+		ev.Order = r.uv()
+		r.ts += r.zz()
+		ev.Timestamp = r.ts
+		shi, smi := r.ref(t, tabShapes, len(t.shapes)), r.ref(t, tabSamples, len(t.samples))
+		if r.err != nil {
+			return
+		}
+		sh, sm := &t.shapes[shi], &t.samples[smi]
+		ev.Kind, ev.Breadcrumb = sh.kind, sh.bc
+		ev.Entity, ev.Peer, ev.RPCName = t.strs[sh.strs[0]], t.strs[sh.strs[1]], t.strs[sh.strs[2]]
+		ev.Sys.HeapBytes, ev.Sys.Goroutines = sm.heap, sm.goroutines
+		if sp := t.spans.close(ev, t.strs, t.shapes); sp != nil {
+			r.fail("a full record of the end that folds into event %d", sp.pos)
+		}
+		t.spans.open(ev, pos, shi, smi)
+		if flags&evDuration != 0 {
+			ev.Duration = int64(r.nonzero(uint64(r.zz())))
+		}
 	}
-	ev.RequestID = r.uv()
-	ev.Order = r.uv()
-	r.ts += r.zz()
-	ev.Timestamp = r.ts
-	shi, smi := r.ref(t, tabShapes, len(t.shapes)), r.ref(t, tabSamples, len(t.samples))
 	if r.err != nil {
 		return
 	}
-	sh, sm := &t.shapes[shi], &t.samples[smi]
-	ev.Kind, ev.Breadcrumb = sh.kind, sh.bc
-	ev.Entity, ev.Peer, ev.RPCName = t.strs[sh.strs[0]], t.strs[sh.strs[1]], t.strs[sh.strs[2]]
-	ev.Sys.HeapBytes, ev.Sys.Goroutines = sm.heap, sm.goroutines
 	ev.Failed = flags&evFailed != 0
-	if flags&evDuration != 0 {
-		ev.Duration = int64(r.nonzero(uint64(r.zz())))
-	}
 	if flags&evQueue != 0 {
 		ev.QueueNanos = int64(r.nonzero(uint64(r.zz())))
 	}
@@ -477,6 +607,55 @@ func (r *traceReader) event(ev *Event, t *recordTables) {
 	if flags&evWindow != 0 {
 		ev.WindowNanos = int64(r.nonzero(uint64(r.zz())))
 	}
+}
+
+// fold reads the head of a fold: the start it refers back to, in prior,
+// must be the one the memo closes for the end it spells.
+func (r *traceReader) fold(ev *Event, t *recordTables, flags uint64, prior []Event) {
+	pos, back := uint64(len(prior)), r.uv()
+	if r.err != nil {
+		return
+	}
+	if back == 0 || back > pos {
+		r.fail("fold %d events back from event %d", back, pos)
+		return
+	}
+	start := &prior[pos-back]
+	if !isSpanStart(start.Kind) {
+		r.fail("fold into event %d, of kind %v", pos-back, start.Kind)
+		return
+	}
+	ev.RequestID, ev.Kind, ev.Breadcrumb = start.RequestID, spanPartner(start.Kind), start.Breadcrumb
+	ev.Entity, ev.Peer, ev.RPCName = start.Entity, start.Peer, start.RPCName
+	sp := t.spans.close(ev, t.strs, t.shapes)
+	if sp == nil || sp.pos != pos-back {
+		r.fail("fold into event %d, which is not its span's open start in the memo", pos-back)
+		return
+	}
+	r.folds++
+	ev.Duration = r.zz()
+	var tsRes, orderRes int64
+	if flags&evTSResidual != 0 {
+		tsRes = int64(r.nonzero(uint64(r.zz())))
+	}
+	if flags&evOrderResidual != 0 {
+		orderRes = int64(r.nonzero(uint64(r.zz())))
+	}
+	ev.Timestamp = sp.ts + ev.Duration + tsRes
+	ev.Order = sp.order + 1 + uint64(orderRes)
+	r.ts = ev.Timestamp
+	smp := sampleOf(&start.Sys)
+	if flags&evSample != 0 {
+		i := r.ref(t, tabSamples, len(t.samples))
+		if r.err != nil {
+			return
+		}
+		if t.samples[i] == smp {
+			r.fail("fold repeats its start's sample")
+		}
+		smp = t.samples[i]
+	}
+	ev.Sys.HeapBytes, ev.Sys.Goroutines = smp.heap, smp.goroutines
 }
 
 // count reads the size of a table, believing it only as far as the bytes
@@ -585,12 +764,14 @@ func (r *traceReader) sampleTable(room []sample) []sample {
 
 var errTraceMagic = errors.New("not a trace dump (bad magic)")
 
-func decodeTraceDump(data []byte) (*TraceDump, error) {
+// decodeTraceDump parses a dump, and counts the events in it spelled as
+// folds.
+func decodeTraceDump(data []byte) (*TraceDump, int, error) {
 	if len(data) < len(traceMagic)+1 || string(data[:len(traceMagic)]) != traceMagic {
-		return nil, errTraceMagic
+		return nil, 0, errTraceMagic
 	}
 	if v := data[len(traceMagic)]; v != traceVersion {
-		return nil, fmt.Errorf("trace dump version %d is not read by this build, which reads version %d only: dump the run again", v, traceVersion)
+		return nil, 0, fmt.Errorf("trace dump version %d is not read by this build, which reads version %d only: dump the run again", v, traceVersion)
 	}
 	r := traceReader{b: data, off: len(traceMagic) + 1}
 	var t recordTables
@@ -608,7 +789,7 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 	nstr := r.uv()
 	if nstr == 0 || nstr > r.remaining() {
 		r.fail("string table of %d entries in %d bytes", nstr, r.remaining())
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	strs := table(room.strs[:], nstr)
 	tabStart := r.off
@@ -616,12 +797,12 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		n := r.uv()
 		if n > r.remaining() {
 			r.fail("string %d of %d bytes in %d bytes", i, n, r.remaining())
-			return nil, r.err
+			return nil, 0, r.err
 		}
 		r.off += int(n)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	blob := string(data[tabStart:r.off])
 	r.off = tabStart
@@ -633,7 +814,7 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 	}
 	if j := firstRepeat(strs); j >= 0 {
 		r.fail("string %q defined twice", strs[j])
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	d.Entity = strs[0]
 	t.strs, t.used[tabStrings] = strs, 1 // the entity is entry 0
@@ -643,12 +824,12 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 
 	nev, npv, ncomp := r.uv(), r.uv(), r.uv()
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	rem := r.remaining()
-	if nev > rem/minEventBytes || npv > nev || ncomp > nev || nev*minEventBytes+npv+ncomp > rem {
+	if nev > 2*rem/minPairBytes || npv > nev || ncomp > nev || nev*minPairBytes/2+npv+ncomp > rem {
 		r.fail("%d events, %d pvar samples, %d component arrays in %d bytes", nev, npv, ncomp, rem)
-		return nil, r.err
+		return nil, 0, r.err
 	}
 	if nev > 0 {
 		d.Events = make([]Event, nev)
@@ -660,8 +841,8 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		r.comps = make([][NumComponents]uint64, ncomp)
 	}
 	for i := range d.Events {
-		if r.event(&d.Events[i], &t); r.err != nil {
-			return nil, fmt.Errorf("event %d: %w", i, r.err)
+		if r.event(&d.Events[i], &t, d.Events[:i]); r.err != nil {
+			return nil, 0, fmt.Errorf("event %d: %w", i, r.err)
 		}
 	}
 	switch {
@@ -675,7 +856,7 @@ func decodeTraceDump(data []byte) (*TraceDump, error) {
 		r.fail("%d bytes after the last event", len(r.b)-r.off)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, 0, r.err
 	}
-	return d, nil
+	return d, r.folds, nil
 }

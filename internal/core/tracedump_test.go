@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -219,9 +220,12 @@ func TestTraceDumpSize(t *testing.T) {
 	if per := len(b) / len(evs); per > 64 {
 		t.Fatalf("golden dump is %d B/event", per)
 	}
-	// A run repeats its shapes and samples: folded, a hundred requests of
-	// the golden callpath cost their IDs, timestamps and annotations only
-	// (26.9 B/event; 35.8 when every event spelled its own).
+	// A run repeats its shapes and samples, and its ends repeat their
+	// starts: folded, a hundred requests of the golden callpath cost
+	// their starts' IDs, timestamps and annotations, and their ends'
+	// back-references, residuals and annotations (24.0 B/event; 26.9 when
+	// every end spelled its own IDs and timestamp, 35.8 when every event
+	// also spelled its shape and sample).
 	var run []Event
 	for k := uint64(0); k < 100; k++ {
 		for _, ev := range goldenEvents()[:4] {
@@ -232,8 +236,139 @@ func TestTraceDumpSize(t *testing.T) {
 		}
 	}
 	b = encodeTrace(t, &TraceDump{Entity: "n0/cli", Events: run})
-	if per := float64(len(b)) / float64(len(run)); per > 27.5 {
-		t.Fatalf("a run of repeated shapes dumps to %.1f B/event, want <= 27.5", per)
+	if per := float64(len(b)) / float64(len(run)); per > 24.5 {
+		t.Fatalf("a run of repeated shapes dumps to %.1f B/event, want <= 24.5", per)
+	}
+}
+
+// spanRun is a deterministic two-process run: 64 requests from a loader
+// to a server, one every microsecond and each open for about 20, so some
+// twenty spans overlap on either side. Every request is a t1 and t14 on
+// the loader and a t5 and t8 on the server, annotated as margo annotates
+// them, with a heap sample that moves every 16 requests; the Lamport
+// order is the emission order. It returns the two profilers and, per
+// profiler, the events emitted into it.
+func spanRun(t *testing.T) (profs [2]*Profiler, emitted [2][]Event) {
+	t.Helper()
+	profs = [2]*Profiler{newProfiler("n0/loader", StageFull, 8, 0), newProfiler("n1/srv", StageFull, 8, 0)}
+	type emit struct {
+		side int
+		ult  uint64
+		ev   Event
+	}
+	var all []emit
+	comps := func(k int64) *[NumComponents]uint64 {
+		var c [NumComponents]uint64
+		c[CompOriginExec], c[CompInputSer] = uint64(20_000+7*k), uint64(300+k)
+		return &c
+	}
+	for k := int64(0); k < 64; k++ {
+		base := Event{RequestID: 7<<32 | uint64(k+1), Breadcrumb: 0xed3a, RPCName: "sdskv_put_packed",
+			Sys: SysSample{PoolRunnable: k % 3, PoolBlocked: k % 5, HeapBytes: uint64(40+k/16) << 20, Goroutines: 212}}
+		t1 := base
+		t1.Kind, t1.Timestamp, t1.Entity, t1.Peer = EvOriginStart, 1_700_000_000_000_000_000+1_000*k, "n0/loader", "n1/srv"
+		t1.PVars = &PVarSample{OFIEventsRead: uint64(k), PostedHandles: 64}
+		t5 := base
+		t5.Kind, t5.Timestamp, t5.Entity, t5.Peer, t5.QueueNanos = EvTargetStart, t1.Timestamp+200, "n1/srv", "n0/loader", 50+k
+		t5.PVars = &PVarSample{OFIEventsRead: uint64(k), RPCsInvokedTotal: uint64(k)}
+		t8 := t5
+		t8.Kind, t8.Duration, t8.QueueNanos, t8.PVars = EvTargetEnd, 15_000+k, 0, nil
+		t8.Timestamp = t5.Timestamp + t8.Duration + k%3 - 1 // wall and monotonic clocks differ by a few ns
+		t14 := t1
+		t14.Kind, t14.Duration, t14.Components = EvOriginEnd, 20_000+7*k, comps(k)
+		t14.Timestamp = t1.Timestamp + t14.Duration
+		t14.PVars = &PVarSample{OFIEventsRead: uint64(k), InputSerNanos: uint64(300 + k), OriginCBNanos: 900}
+		all = append(all, emit{0, uint64(k%5 + 1), t1}, emit{1, uint64(k%3 + 10), t5}, emit{1, uint64(k%3 + 10), t8}, emit{0, uint64(k%5 + 1), t14})
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].ev.Timestamp < all[j].ev.Timestamp })
+	for i := range all {
+		e := &all[i]
+		e.ev.Order = uint64(i + 1)
+		emitBeside(profs[e.side], e.ult, e.ev)
+		emitted[e.side] = append(emitted[e.side], e.ev)
+	}
+	return profs, emitted
+}
+
+// TestFoldedStreamSize guards the fold: through a Profiler, the ends of
+// overlapping spans fold into their starts in the shards, in the dumps
+// and in the JSONL stream (written as Cluster.Export writes it, one
+// process after the other); the events come back exact from all three;
+// and what an event costs stays within 5% of where the fold put it: 71.1
+// B/event as JSONL and 16.8 B/event dumped, against 85.9 and 20.4 when
+// every end was spelled in full.
+func TestFoldedStreamSize(t *testing.T) {
+	profs, emitted := spanRun(t)
+	var stream bytes.Buffer
+	sink := NewJSONLTraceSink(&stream)
+	var ends, dumpFolds, dumpBytes int
+	for i, p := range profs {
+		evs := p.TraceEvents()
+		sortEvents(emitted[i])
+		if !reflect.DeepEqual(evs, emitted[i]) {
+			t.Fatalf("%s: the shards returned %d events differing from the %d emitted", p.Entity(), len(evs), len(emitted[i]))
+		}
+		for _, ev := range evs {
+			if !isSpanStart(ev.Kind) {
+				ends++
+			}
+			if err := sink.WriteEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data := encodeTrace(t, p.DumpTrace())
+		d, folds, err := decodeTraceDump(data)
+		if err != nil || !reflect.DeepEqual(d.Events, evs) {
+			t.Fatalf("%s: the dump reads back as %d events (%v), not the %d emitted", p.Entity(), len(d.Events), err, len(evs))
+		}
+		dumpFolds += folds
+		dumpBytes += len(data)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ReadEventsJSONL(bytes.NewReader(stream.Bytes()))
+	if err != nil || !reflect.DeepEqual(got, append(append([]Event(nil), emitted[0]...), emitted[1]...)) {
+		t.Fatalf("the stream reads back as %d events (%v), not the %d emitted", len(got), err, len(emitted[0])+len(emitted[1]))
+	}
+	streamFolds := bytes.Count(stream.Bytes(), []byte("\n"+jsonlFold))
+	events := float64(len(got))
+	t.Logf("%d of %d ends folded in the stream, %d in the dumps; %.1f B/event as JSONL, %.1f B/event dumped",
+		streamFolds, ends, dumpFolds, float64(stream.Len())/events, float64(dumpBytes)/events)
+	for what, folds := range map[string]int{"stream": streamFolds, "dumps": dumpFolds} {
+		if float64(folds) < 0.95*float64(ends) {
+			t.Errorf("%d of %d ends folded in the %s, want at least 95%%", folds, ends, what)
+		}
+	}
+	if per := float64(stream.Len()) / events; per > 71.1*1.05 {
+		t.Errorf("the stream takes %.1f B/event, want <= %.1f", per, 71.1*1.05)
+	}
+	if per := float64(dumpBytes) / events; per > 16.8*1.05 {
+		t.Errorf("the dumps take %.1f B/event, want <= %.1f", per, 16.8*1.05)
+	}
+}
+
+// TestFoldAcrossReset: ResetMeasurements empties the shards' span memo
+// with their records. A t14 whose t1 the reset dropped is recorded in
+// full, and does not fold into the record that now holds the t1's index.
+func TestFoldAcrossReset(t *testing.T) {
+	p := newProfiler("reset/p", StageFull, 1, 0)
+	t1 := Event{RequestID: 1, Kind: EvOriginStart, Timestamp: 100, Entity: "e", RPCName: "r"}
+	p.Emit(t1)
+	p.ResetMeasurements()
+	other := t1
+	other.RequestID, other.Timestamp = 2, 200
+	t14 := t1
+	t14.Kind, t14.Timestamp, t14.Duration = EvOriginEnd, 300, 200
+	p.Emit(other)
+	p.Emit(t14)
+	want := []Event{other, t14}
+	if got := p.TraceEvents(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after a reset the shard returns %+v, want %+v", got, want)
+	}
+	d, folds, err := decodeTraceDump(encodeTrace(t, p.DumpTrace()))
+	if err != nil || folds != 0 || !reflect.DeepEqual(d.Events, want) {
+		t.Fatalf("the dump reads back as %+v with %d folds (%v), want %+v in full", d, folds, err, want)
 	}
 }
 
@@ -289,31 +424,62 @@ func malformedDumps() (good []byte, cases map[string][]byte) {
 	huge := uv(1 << 40)
 	v1 := cat([]byte(traceMagic), []byte{1}, uv(7), uv(0), strTable("e"), uv(1), uv(0), uv(0),
 		uv(0), uv(1), uv(1), uv(1), uv(0), uv(0), uv(0), uv(0)) // a minimal dump of version 1
+
+	// Spans: shape 0 is a t1 and shape 1 the t14 of the same callpath
+	// and strings. start(id) is a t1 of request id, end(id) its t14 in
+	// full, fold(back) a t14 folded into the event back events before it.
+	spans := func(events ...[]byte) []byte {
+		return cat(pre, uv(2), shape0, shapeDef(uint64(EvOriginEnd), 0, 0, 0, 0), uv(1), sample0,
+			uv(uint64(len(events))), uv(0), uv(0), cat(events...))
+	}
+	start := func(id uint64) []byte { return cat(uv(0), uv(id), uv(1), uv(0), uv(0), uv(0)) }
+	end := func(id uint64) []byte { return cat(uv(0), uv(id), uv(2), uv(0), uv(1), uv(0)) }
+	fold := func(back uint64) []byte { return cat(uv(evFold), uv(back), uv(0)) }
+	pushedOut := [][]byte{start(1)}
+	for id := uint64(2); id <= memoSpans+1; id++ {
+		pushedOut = append(pushedOut, start(id))
+	}
+	pushedOut = append(pushedOut, fold(memoSpans+1))
+
 	return good, map[string][]byte{
-		"empty":                   nil,
-		"json":                    []byte(`{"entity":"e","pid":1,"dropped":0,"events":[]}`),
-		"bad magic":               cat([]byte("SYTX"), good[4:]),
-		"magic only":              []byte(traceMagic),
-		"version 1":               v1,
-		"future version":          cat([]byte(traceMagic), []byte{traceVersion + 1}, good[5:]),
-		"truncated varint":        cat(head, []byte{0x80}),
-		"overlong varint":         cat(head, bytes.Repeat([]byte{0xff}, 11)),
-		"non-minimal varint":      cat(head, []byte{0x87, 0x00}, good[6:]),
-		"pid overflow":            cat(head, uv(1<<32), good[6:]),
-		"no entity string":        cat(head, uv(7), uv(0), uv(0), uv(0), uv(0), uv(0), uv(0), uv(0)),
-		"2^40 strings":            cat(head, uv(7), uv(0), huge, uv(1), []byte("e")),
-		"string past the end":     cat(head, uv(7), uv(0), uv(1), uv(50), []byte("e")),
-		"2^40-byte string":        cat(head, uv(7), uv(0), uv(1), huge, []byte("e")),
-		"duplicate string":        over(strTable("e", "e"), cat(uv(1), shape0), cat(uv(1), sample0), ev(0)),
-		"unused string":           over(strTable("e", "f"), cat(uv(1), shape0), cat(uv(1), sample0), ev(0)),
-		"string index past table": over(strTable("e"), cat(uv(1), shapeDef(0, 0, 0, 0, 9)), cat(uv(1), sample0), ev(0)),
-		"string index skips one":  over(strTable("e", "f", "g"), cat(uv(1), shapeDef(0, 0, 0, 2, 1)), cat(uv(1), sample0), ev(0)),
-		"2^40 shapes":             cat(pre, huge, shape0, uv(1), sample0, uv(1), uv(0), uv(0), ev(0)),
-		"shape past the end":      cat(pre, uv(2), shape0),
-		"kind over a byte":        over(strTable("e"), cat(uv(1), shapeDef(256, 0, 0, 0, 0)), cat(uv(1), sample0), ev(0)),
-		"duplicate shape":         over(strTable("e"), cat(uv(2), shape0, shape0), cat(uv(1), sample0), ev(0)),
-		"unused shape":            over(strTable("e"), cat(uv(2), shape0, shapeDef(1, 0, 0, 0, 0)), cat(uv(1), sample0), ev(0)),
-		"shape index past table":  one(0, 0, cat(uv(0), uv(1), uv(1), uv(0), uv(1), uv(0))),
+		"fold before the first event":                               spans(start(1), fold(2)),
+		"fold into an end":                                          spans(start(1), end(2), fold(1)),
+		"fold into a closed start":                                  spans(start(1<<40), fold(1), fold(2)), // a long ID: three records need 14 bytes
+		"fold into another request's start, pushed out of the memo": spans(pushedOut...),
+		"fold past a newer start of its span":                       spans(start(1), start(1), fold(2)),
+		"full record of an end that folds":                          spans(start(1), end(1)),
+		// A t1 of request 2 after ResetMeasurements, then the t14 of
+		// request 1, whose t1 the reset dropped, folded as if the memo had
+		// kept it.
+		"fold across a reset":         spans(start(2), end(3), fold(3)),
+		"fold with a duration flag":   spans(start(1), cat(uv(evFold|evDuration), uv(1), uv(0), uv(5))),
+		"full record with a residual": one(0, 0, ev(evTSResidual, uv(1))),
+		"fold repeating its sample":   spans(start(1), cat(uv(evFold|evSample), uv(1), uv(0), uv(0))),
+		"version 2":                   cat([]byte(traceMagic), []byte{2}, good[5:]),
+		"empty":                       nil,
+		"json":                        []byte(`{"entity":"e","pid":1,"dropped":0,"events":[]}`),
+		"bad magic":                   cat([]byte("SYTX"), good[4:]),
+		"magic only":                  []byte(traceMagic),
+		"version 1":                   v1,
+		"future version":              cat([]byte(traceMagic), []byte{traceVersion + 1}, good[5:]),
+		"truncated varint":            cat(head, []byte{0x80}),
+		"overlong varint":             cat(head, bytes.Repeat([]byte{0xff}, 11)),
+		"non-minimal varint":          cat(head, []byte{0x87, 0x00}, good[6:]),
+		"pid overflow":                cat(head, uv(1<<32), good[6:]),
+		"no entity string":            cat(head, uv(7), uv(0), uv(0), uv(0), uv(0), uv(0), uv(0), uv(0)),
+		"2^40 strings":                cat(head, uv(7), uv(0), huge, uv(1), []byte("e")),
+		"string past the end":         cat(head, uv(7), uv(0), uv(1), uv(50), []byte("e")),
+		"2^40-byte string":            cat(head, uv(7), uv(0), uv(1), huge, []byte("e")),
+		"duplicate string":            over(strTable("e", "e"), cat(uv(1), shape0), cat(uv(1), sample0), ev(0)),
+		"unused string":               over(strTable("e", "f"), cat(uv(1), shape0), cat(uv(1), sample0), ev(0)),
+		"string index past table":     over(strTable("e"), cat(uv(1), shapeDef(0, 0, 0, 0, 9)), cat(uv(1), sample0), ev(0)),
+		"string index skips one":      over(strTable("e", "f", "g"), cat(uv(1), shapeDef(0, 0, 0, 2, 1)), cat(uv(1), sample0), ev(0)),
+		"2^40 shapes":                 cat(pre, huge, shape0, uv(1), sample0, uv(1), uv(0), uv(0), ev(0)),
+		"shape past the end":          cat(pre, uv(2), shape0),
+		"kind over a byte":            over(strTable("e"), cat(uv(1), shapeDef(256, 0, 0, 0, 0)), cat(uv(1), sample0), ev(0)),
+		"duplicate shape":             over(strTable("e"), cat(uv(2), shape0, shape0), cat(uv(1), sample0), ev(0)),
+		"unused shape":                over(strTable("e"), cat(uv(2), shape0, shapeDef(1, 0, 0, 0, 0)), cat(uv(1), sample0), ev(0)),
+		"shape index past table":      one(0, 0, cat(uv(0), uv(1), uv(1), uv(0), uv(1), uv(0))),
 		"shape index skips one": over(strTable("e"), cat(uv(2), shape0, shapeDef(1, 0, 0, 0, 0)), cat(uv(1), sample0),
 			cat(uv(0), uv(1), uv(1), uv(0), uv(1), uv(0))),
 		"2^40 samples":            cat(pre, uv(1), shape0, huge, sample0, uv(1), uv(0), uv(0), ev(0)),
@@ -345,8 +511,10 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(good)); err != nil {
 		t.Fatalf("hand-built minimal dump rejected: %v", err)
 	}
-	if _, err := ReadTrace(bytes.NewReader(cases["version 1"])); err == nil || !strings.Contains(err.Error(), "version 1 is not read") {
-		t.Errorf("a version 1 dump is refused with %v, which does not name its version", err)
+	for _, v := range []string{"1", "2"} {
+		if _, err := ReadTrace(bytes.NewReader(cases["version "+v])); err == nil || !strings.Contains(err.Error(), "version "+v+" is not read") {
+			t.Errorf("a version %s dump is refused with %v, which does not name its version", v, err)
+		}
 	}
 	for name, data := range cases {
 		d, err := ReadTrace(bytes.NewReader(data))
@@ -451,10 +619,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 	// the counts, the first event, and one byte short of the end.
 	var tab traceTables
 	tab.strs.number("n0/cli")
-	for _, ev := range goldenEvents() {
-		tab.shapeOf(&ev)
-		tab.internSample(sampleOf(&ev.Sys))
-	}
+	tab.numberDump(goldenEvents())
 	header := len(traceMagic) + 1 + len(uv(4242)) + len(uv(3))
 	table := header + len(uv(uint64(len(tab.strs.vals))))
 	for _, s := range tab.strs.vals {
@@ -477,11 +642,15 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		seeds["cut-"+name] = golden[:n]
 	}
 
-	// Tables out of order or out of turn, and a dump of the last version.
+	// Tables out of order or out of turn, folds the span memo does not
+	// make, and dumps of the last versions.
 	_, bad := malformedDumps()
-	for _, name := range []string{"version 1", "string index skips one", "duplicate shape", "unused shape",
-		"shape index skips one", "duplicate sample", "sample index skips one"} {
-		seeds["bad-"+strings.ReplaceAll(name, " ", "-")] = bad[name]
+	for _, name := range []string{"version 1", "version 2", "string index skips one", "duplicate shape", "unused shape",
+		"shape index skips one", "duplicate sample", "sample index skips one",
+		"fold before the first event", "fold into an end", "fold into a closed start",
+		"fold into another request's start, pushed out of the memo", "fold past a newer start of its span",
+		"full record of an end that folds", "fold across a reset"} {
+		seeds["bad-"+strings.NewReplacer(" ", "-", ",", "", "'", "").Replace(name)] = bad[name]
 	}
 	return seeds
 }
@@ -541,9 +710,10 @@ func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := allocatedBytes()
 		d, err := ReadTrace(bytes.NewReader(data))
-		// The largest honest ratio is a ten-byte event decoding to an
-		// Event, a PVarSample and a component array (34x); the constant
-		// covers the fixed overhead and the fuzz worker's own goroutines.
+		// The largest honest ratio is an eight-byte start and its
+		// five-byte fold, each decoding to an Event, a PVarSample and a
+		// component array (52x); the constant covers the fixed overhead
+		// and the fuzz worker's own goroutines.
 		if grew, limit := allocatedBytes()-before, uint64(len(data))*64+1<<16; grew > limit {
 			t.Fatalf("%d input bytes made ReadTrace allocate %d bytes (limit %d)", len(data), grew, limit)
 		}

@@ -156,9 +156,13 @@ func TestBatchSweepReports(t *testing.T) {
 func TestReadDumpsRefusesOldFormats(t *testing.T) {
 	for _, tc := range []struct{ file, data, want string }{
 		{"n0_cli.trace.jsonl", `{"symbiosys_trace":2,"t0":5,"keys":{}}` + "\n" + `{"s":1,"v":"e"}` + "\n" + `{"i":1,"e":1}` + "\n",
-			"is not version 3: it says version 2; re-export it"},
+			"is not version 4: it says version 2; re-export it"},
+		{"n0_cli.trace.jsonl", `{"symbiosys_trace":3,"t0":5,"keys":{}}` + "\n" + `{"s":1,"v":"e"}` + "\n" + `{"x":1,"e":1}` + "\n" + `{"t":0,"x":1}` + "\n",
+			"is not version 4: it says version 3; re-export it"},
 		{"n0_cli.trace.bin", "SYTD\x01\x07\x00\x01\x01e\x01\x00\x00\x00\x01\x01\x01\x00\x00\x00\x00",
-			"trace dump version 1 is not read by this build, which reads version 2 only"},
+			"trace dump version 1 is not read by this build, which reads version 3 only"},
+		{"n0_cli.trace.bin", "SYTD\x02\x07\x00\x01\x01e\x01\x00\x00\x00\x00\x00\x01\x00\x00\x01\x00\x00\x00\x01\x01\x00\x00\x00",
+			"trace dump version 2 is not read by this build, which reads version 3 only"},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.data), 0o644); err != nil {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func newPair(t *testing.T, cfg Config) (*Fabric, *Endpoint, *Endpoint) {
+func newPair(t testing.TB, cfg Config) (*Fabric, *Endpoint, *Endpoint) {
 	t.Helper()
 	f := NewFabric(cfg)
 	a, err := f.NewEndpoint("node0", "a")
@@ -444,6 +446,69 @@ func TestCompletionQueueRingKeepsOrder(t *testing.T) {
 	if c.len() != 1<<10 || c.overflows.Load() != 5 {
 		t.Fatalf("len %d, overflows %d at the bound", c.len(), c.overflows.Load())
 	}
+}
+
+// BenchmarkDeliveryLateness measures how late the fabric delivers what
+// it carries, by Endpoint.Lateness: a sender streams messages over the
+// default fabric, at most 16 in flight, to a receiver that polls its
+// completion queue, while GOMAXPROCS goroutines beside them spin in
+// quanta of about a microsecond and yield, as execution streams do. It
+// reports the mean lateness and the shares of deliveries more than 10 µs
+// and more than 50 µs late: the starting point a change to how the
+// fabric times its deliveries is measured against. It reads the host's
+// timer wakes, so it is not gated.
+func BenchmarkDeliveryLateness(b *testing.B) {
+	const inFlight, spinQuantum = 16, 1000
+	_, snd, rcv := newPair(b, DefaultConfig())
+	var stop atomic.Bool
+	var received atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for x := 1; !stop.Load(); x++ {
+				if x%spinQuantum == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := make([]Event, 0, 64)
+		for received.Load() < int64(b.N) {
+			evs := rcv.PollInto(buf, 64)
+			if len(evs) == 0 {
+				runtime.Gosched()
+			}
+			received.Add(int64(len(evs)))
+		}
+	}()
+	b.ResetTimer()
+	buf, msg := make([]Event, 0, 64), []byte("m")
+	for i := 0; i < b.N; i++ {
+		for int64(i)-received.Load() >= inFlight {
+			snd.PollInto(buf, 64) // the send completions
+			runtime.Gosched()
+		}
+		snd.Send(rcv.Addr(), TagUnexpected, msg, nil)
+	}
+	for received.Load() < int64(b.N) {
+		runtime.Gosched()
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+	l := rcv.Lateness()
+	if l.Count == 0 {
+		b.Fatal("no deliveries counted")
+	}
+	n := float64(l.Count)
+	b.ReportMetric(float64(l.SumNanos)/n, "late-ns/msg")
+	b.ReportMetric(float64(l.Over10us)/n, "frac-late>10us")
+	b.ReportMetric(float64(l.Over50us)/n, "frac-late>50us")
 }
 
 // TestLatenessCountsEveryDelivery: n sends on an idle fabric are n
