@@ -17,24 +17,30 @@ vet:
 # under cmd/ or examples/ and nothing under benchmark/ reaches (so also a
 # package without a non-test importer), an RPC with a handler and no
 # caller outside tests, or an option field no non-test file sets: code
-# only its own tests (or nothing) reach is deleted, not carried. The rule
-# and its allowlist are orphans_test.go; plain `go test ./...` runs it too.
+# only its own tests (or nothing) reach is deleted, not carried. It
+# resolves every reference with go/types over the non-test files of both
+# modules, so a function, RPC or field is reached only through the
+# object itself, never through another of the same name; a call through
+# an interface reaches every method that implements it. The rule, its
+# allowlist and its self-test on testdata/orphans are orphans_test.go;
+# plain `go test ./...` runs them too. -count=1: the packages it checks
+# come from a `go list` the test cache does not see.
 orphans:
-	$(GO) test -run '^TestNoOrphans$$' .
+	$(GO) test -count=1 -run '^TestNoOrphans' .
 
 # surface prints the size numbers a re-anchor quotes: Go lines of the
 # root module (benchmark/ is a module of its own) outside and inside
 # tests, the same per package, the binaries under cmd/, DESIGN.md, and
-# what TestNoOrphans counts: the option fields of the exported
-# Config/Options/Policy/Plan/Opts structs under internal/ and the entries
-# of its allowlist. It counts tracked files, so `git add` new ones first.
+# what TestNoOrphans counts: the functions nothing reaches (0 when it
+# passes), the option fields of the exported Config/Options/Policy/Plan/
+# Opts structs under internal/ and the entries of its allowlist. It counts tracked files, so `git add` new ones first.
 surface:
 	@files=$$(git ls-files '*.go' | grep -v '^benchmark/'); \
 	echo "non-test Go lines: $$(echo "$$files" | grep -v _test.go | xargs cat | wc -l)"; \
 	echo "test Go lines:     $$(echo "$$files" | grep _test.go | xargs cat | wc -l)"; \
 	echo "cmd/ binaries:     $$(git ls-files 'cmd/*/main.go' | wc -l)"; \
 	echo "DESIGN.md bytes:   $$(wc -c < DESIGN.md)"; \
-	$(GO) test -run '^TestNoOrphans$$' -v . | sed -n 's/.*\(option fields: [0-9]*\), \(allowlist entries: [0-9]*\)/\1\n\2/p'; \
+	$(GO) test -count=1 -run '^TestNoOrphans$$' -v . | sed -n 's/.*\(unreached functions: [0-9]*\), \(option fields: [0-9]*\), \(allowlist entries: [0-9]*\)/\1\n\2\n\3/p'; \
 	echo "non-test lines per package:"; \
 	echo "$$files" | grep -v _test.go | while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \
 		awk '{n[$$1] += $$2} END {for (d in n) printf "%7d  %s\n", n[d], d}' | sort -k2

@@ -2,9 +2,8 @@ package symbiosys
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // serialized "map" backend vs a concurrent one (does the Figure 10
-// pathology disappear?), the Mercury eager-buffer size (how much
-// metadata rides the internal RDMA path?), and the per-RPC cost of each
-// SYMBIOSYS measurement stage.
+// pathology disappear?) and the per-RPC cost of each SYMBIOSYS
+// measurement stage.
 
 import (
 	"testing"
@@ -40,30 +39,6 @@ func BenchmarkAblationBackend(b *testing.B) {
 	b.ReportMetric(blockedSharded, "max_blocked_sharded")
 	b.ReportMetric(execMap, "cum_exec_map_ms")
 	b.ReportMetric(execSharded, "cum_exec_sharded_ms")
-}
-
-// BenchmarkAblationEagerLimit sweeps Mercury's eager buffer on the
-// Sonata workload: a small buffer pushes nearly all metadata through
-// internal RDMA, a large one none (the Figure 7 mechanism isolated).
-func BenchmarkAblationEagerLimit(b *testing.B) {
-	var rdmaSmall, rdmaDefault, rdmaHuge float64
-	for i := 0; i < b.N; i++ {
-		run := func(limit int) float64 {
-			res, err := experiments.RunSonata(experiments.SonataConfig{
-				Records: 2000, BatchSize: 200, RecordSize: 256, EagerLimit: limit,
-			}, "", "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res.RDMAFraction()
-		}
-		rdmaSmall = run(1 << 10)
-		rdmaDefault = run(4 << 10)
-		rdmaHuge = run(1 << 20)
-	}
-	b.ReportMetric(rdmaSmall, "rdma_frac_eager_1k")
-	b.ReportMetric(rdmaDefault, "rdma_frac_eager_4k")
-	b.ReportMetric(rdmaHuge, "rdma_frac_eager_1m") // should be ~0
 }
 
 // BenchmarkAblationStageCost measures raw per-RPC latency at each

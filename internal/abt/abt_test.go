@@ -291,7 +291,7 @@ func TestDetachedDataPresetAndCleared(t *testing.T) {
 // bodies on them and recycles them into its own free list.
 func TestIdleWorkersOutliveRuntime(t *testing.T) {
 	ran := make(chan *Pool, 1)
-	body := func(self *ULT) { ran <- self.Pool() }
+	body := func(self *ULT) { ran <- self.pool }
 	rt := NewRuntime()
 	p := rt.AddPool("first")
 	rt.AddXStreams("es", 1, p)

@@ -25,9 +25,6 @@ type ring struct {
 	slots [ringSize]atomic.Pointer[ULT]
 }
 
-// size reports the current occupancy (approximate under concurrency).
-func (r *ring) size() int { return int(r.tail.Load() - r.head.Load()) }
-
 // free reports remaining capacity as seen by the owner. Concurrent pops
 // only grow it, so a push based on a stale value is always safe.
 func (r *ring) free() int { return ringSize - int(r.tail.Load()-r.head.Load()) }

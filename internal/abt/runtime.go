@@ -33,13 +33,6 @@ func (r *Runtime) AddPool(name string) *Pool {
 	return p
 }
 
-// Pool returns the named pool, or nil.
-func (r *Runtime) Pool(name string) *Pool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pools[name]
-}
-
 // Pools returns a snapshot of all pools in the runtime.
 func (r *Runtime) Pools() []*Pool {
 	r.mu.Lock()

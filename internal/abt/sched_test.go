@@ -248,6 +248,6 @@ func joinTimeout(u *ULT, d time.Duration) error {
 	case err := <-errc:
 		return err
 	case <-time.After(d):
-		return fmt.Errorf("join of %s timed out after %v", u.Name(), d)
+		return fmt.Errorf("join of %s timed out after %v", u.name, d)
 	}
 }

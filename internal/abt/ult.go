@@ -79,13 +79,6 @@ func newULT(name string, fn Func, p *Pool, detached bool) *ULT {
 // ID returns the runtime-unique identifier of the ULT.
 func (u *ULT) ID() uint64 { return u.id }
 
-// Name returns the debug name given at creation.
-func (u *ULT) Name() string { return u.name }
-
-// Pool returns the pool the ULT was created into (and returns to when it
-// yields or is woken).
-func (u *ULT) Pool() *Pool { return u.pool }
-
 // SpawnTime returns the instant the ULT was created into its pool (the
 // paper's t4 for RPC handler ULTs).
 func (u *ULT) SpawnTime() time.Time { return u.spawned }
@@ -93,10 +86,6 @@ func (u *ULT) SpawnTime() time.Time { return u.spawned }
 // FirstRunTime returns the instant the ULT first began executing (t5).
 // It is zero until the ULT has run.
 func (u *ULT) FirstRunTime() time.Time { return u.firstRun }
-
-// Done returns a channel closed when the ULT terminates. It is safe to
-// wait on from plain goroutines.
-func (u *ULT) Done() <-chan struct{} { return u.doneCh }
 
 // Err returns a non-nil error if the ULT body panicked.
 func (u *ULT) Err() error {

@@ -28,7 +28,6 @@ const grabBatch = 32
 // sibling streams' rings before parking. Pool priority is preserved:
 // pool i's ring and inject queue are always tried before pool i+1's.
 type XStream struct {
-	id    int
 	name  string
 	pools []*Pool
 	rings []*ring
@@ -49,8 +48,6 @@ type XStream struct {
 	wakes  atomic.Uint64 // single-waker tokens aimed at this stream
 }
 
-var xstreamIDs atomic.Int64
-
 // NewXStream creates and starts an execution stream draining the given
 // pools in order (earlier pools have priority). At least one pool is
 // required.
@@ -59,7 +56,6 @@ func NewXStream(name string, pools ...*Pool) *XStream {
 		panic("abt: NewXStream requires at least one pool")
 	}
 	x := &XStream{
-		id:       int(xstreamIDs.Add(1)),
 		name:     name,
 		pools:    pools,
 		rings:    make([]*ring, len(pools)),
@@ -74,12 +70,6 @@ func NewXStream(name string, pools ...*Pool) *XStream {
 	go x.loop()
 	return x
 }
-
-// ID returns the runtime-unique stream identifier.
-func (x *XStream) ID() int { return x.id }
-
-// Name returns the stream's debug name.
-func (x *XStream) Name() string { return x.name }
 
 // Quanta reports the number of scheduling quanta the stream has run.
 func (x *XStream) Quanta() uint64 { return x.quanta.Load() }

@@ -296,9 +296,6 @@ func TestSystemStatsBatching(t *testing.T) {
 	if s.BatchedOps != 3 || s.BatchFlushes != 2 {
 		t.Fatalf("batched ops=%d flushes=%d, want 3/2", s.BatchedOps, s.BatchFlushes)
 	}
-	if r := s.CoalesceRatio(); r != 1.5 {
-		t.Fatalf("coalesce ratio = %v", r)
-	}
 }
 
 func TestMergeTracesCountsDropped(t *testing.T) {

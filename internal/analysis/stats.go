@@ -36,15 +36,6 @@ type EntityStats struct {
 	BatchFlushes int
 }
 
-// CoalesceRatio reports ops per vectored flush (zero when nothing
-// coalesced).
-func (s *EntityStats) CoalesceRatio() float64 {
-	if s.BatchFlushes == 0 {
-		return 0
-	}
-	return float64(s.BatchedOps) / float64(s.BatchFlushes)
-}
-
 // SystemStats computes the per-entity system statistics summary (the
 // third analysis script of Table V). capEvents is the configured
 // OFI_max_events used to count at-capacity samples.

@@ -111,12 +111,6 @@ func (w *Window) Add(nbytes int, deadlineNanos int64) {
 	}
 }
 
-// Ops reports the member count.
-func (w *Window) Ops() int { return w.ops }
-
-// Bytes reports the accumulated encoded payload size.
-func (w *Window) Bytes() int { return w.bytes }
-
 // Due reports whether the window must flush immediately after an Add,
 // based on size thresholds alone (time-based flushes come from FlushAt).
 func (p Policy) Due(w *Window) Reason {

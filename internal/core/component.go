@@ -35,37 +35,17 @@ const (
 	NumComponents
 )
 
-type componentInfo struct {
-	name  string
-	start string
-	end   string
-}
-
-var componentTable = [NumComponents]componentInfo{
-	CompOriginExec: {"Origin Execution Time", "t1", "t14"},
-	CompInputSer:   {"Input Serialization Time", "t2", "t3"},
-	CompRDMA:       {"Target Internal RDMA Transfer Time", "t3", "t4"},
-	CompHandler:    {"Target ULT Handler Time", "t4", "t5"},
-	CompInputDeser: {"Input Deserialization Time", "t6", "t7"},
-	CompTargetExec: {"Target ULT Execution Time (exclusive)", "t5", "t8"},
-	CompOutputSer:  {"Output Serialization Time", "t9", "t10"},
-	CompTargetCB:   {"Target ULT Completion Callback Time", "t8", "t13"},
-	CompOriginCB:   {"Origin Completion Callback Time", "t12", "t14"},
+var componentNames = [NumComponents]string{
+	CompOriginExec: "Origin Execution Time",
+	CompInputSer:   "Input Serialization Time",
+	CompRDMA:       "Target Internal RDMA Transfer Time",
+	CompHandler:    "Target ULT Handler Time",
+	CompInputDeser: "Input Deserialization Time",
+	CompTargetExec: "Target ULT Execution Time (exclusive)",
+	CompOutputSer:  "Output Serialization Time",
+	CompTargetCB:   "Target ULT Completion Callback Time",
+	CompOriginCB:   "Origin Completion Callback Time",
 }
 
 // Name returns the Table III interval name.
-func (c Component) Name() string { return componentTable[c].name }
-
-// Interval returns the (start, end) timeline labels, e.g. ("t4", "t5").
-func (c Component) Interval() (string, string) {
-	return componentTable[c].start, componentTable[c].end
-}
-
-// Components lists all components in Table III order.
-func Components() []Component {
-	out := make([]Component, NumComponents)
-	for i := range out {
-		out[i] = Component(i)
-	}
-	return out
-}
+func (c Component) Name() string { return componentNames[c] }

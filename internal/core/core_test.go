@@ -260,7 +260,7 @@ func TestProfilerRequestIDsUnique(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if p1.PID() == p2.PID() {
+	if p1.pid == p2.pid {
 		t.Fatal("PIDs collide")
 	}
 }
@@ -407,33 +407,25 @@ func TestStagePredicates(t *testing.T) {
 }
 
 func TestComponentTableMatchesPaperTableIII(t *testing.T) {
-	// Table III rows: interval, t-start, t-end.
-	want := []struct {
-		c     Component
-		start string
-		end   string
-	}{
-		{CompOriginExec, "t1", "t14"},
-		{CompInputSer, "t2", "t3"},
-		{CompRDMA, "t3", "t4"},
-		{CompHandler, "t4", "t5"},
-		{CompInputDeser, "t6", "t7"},
-		{CompTargetExec, "t5", "t8"},
-		{CompOutputSer, "t9", "t10"},
-		{CompTargetCB, "t8", "t13"},
-		{CompOriginCB, "t12", "t14"},
+	// Table III rows, in order.
+	want := []string{
+		"Origin Execution Time",
+		"Input Serialization Time",
+		"Target Internal RDMA Transfer Time",
+		"Target ULT Handler Time",
+		"Input Deserialization Time",
+		"Target ULT Execution Time (exclusive)",
+		"Output Serialization Time",
+		"Target ULT Completion Callback Time",
+		"Origin Completion Callback Time",
 	}
 	if len(want) != int(NumComponents) {
 		t.Fatal("test table incomplete")
 	}
-	for _, w := range want {
-		s, e := w.c.Interval()
-		if s != w.start || e != w.end {
-			t.Errorf("%s interval = %s→%s, want %s→%s", w.c.Name(), s, e, w.start, w.end)
+	for c, name := range want {
+		if got := Component(c).Name(); got != name {
+			t.Errorf("component %d is named %q, want %q", c, got, name)
 		}
-	}
-	if len(Components()) != int(NumComponents) {
-		t.Fatal("Components() incomplete")
 	}
 }
 

@@ -305,12 +305,6 @@ func newProfiler(entity string, stage Stage, shards, capacity int) *Profiler {
 	return p
 }
 
-// Entity returns the process address the profiler describes.
-func (p *Profiler) Entity() string { return p.entity }
-
-// PID returns the process's numeric id (the high half of request IDs).
-func (p *Profiler) PID() uint32 { return p.pid }
-
 // Stage returns the active measurement stage.
 func (p *Profiler) Stage() Stage { return Stage(p.stage.Load()) }
 

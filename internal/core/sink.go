@@ -22,7 +22,7 @@ type TraceSink interface {
 	// hot measurement paths and must be safe for concurrent use. The
 	// event is borrowed: what ev.PVars and ev.Components point to is
 	// valid until WriteEvent returns and overwritten afterwards, so a
-	// sink encodes the event on the spot or keeps ev.Clone().
+	// sink encodes the event on the spot or keeps copies of both.
 	WriteEvent(ev Event) error
 	// Flush forces any buffered output out (end of run).
 	Flush() error

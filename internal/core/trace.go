@@ -105,20 +105,6 @@ type Event struct {
 	Components *[NumComponents]uint64 `json:"components,omitempty"`
 }
 
-// Clone returns ev with annotations of its own: what a TraceSink keeps of
-// an event it was lent.
-func (ev Event) Clone() Event {
-	if ev.PVars != nil {
-		pv := *ev.PVars
-		ev.PVars = &pv
-	}
-	if ev.Components != nil {
-		comps := *ev.Components
-		ev.Components = &comps
-	}
-	return ev
-}
-
 // A shard's trace chunks double from chunkMin bytes to chunkMax, so a shard
 // that records twenty events does not pay for a large chunk — a
 // deployment's first events land inside the run they measure, and 48

@@ -16,12 +16,26 @@ type recordingSink struct {
 
 func (s *recordingSink) WriteEvent(ev Event) error {
 	s.mu.Lock()
-	s.evs = append(s.evs, ev.Clone())
+	s.evs = append(s.evs, keepAnnotations(ev))
 	s.mu.Unlock()
 	return nil
 }
 
 func (s *recordingSink) Flush() error { return nil }
+
+// keepAnnotations returns ev with copies of the PVAR sample and the
+// component array a sink is lent.
+func keepAnnotations(ev Event) Event {
+	if ev.PVars != nil {
+		pv := *ev.PVars
+		ev.PVars = &pv
+	}
+	if ev.Components != nil {
+		comps := *ev.Components
+		ev.Components = &comps
+	}
+	return ev
+}
 
 // emitAt hands ev to the shard selected by key with the annotations it
 // carries.

@@ -306,7 +306,7 @@ func TestFoldedStreamSize(t *testing.T) {
 		evs := p.TraceEvents()
 		sortEvents(emitted[i])
 		if !reflect.DeepEqual(evs, emitted[i]) {
-			t.Fatalf("%s: the shards returned %d events differing from the %d emitted", p.Entity(), len(evs), len(emitted[i]))
+			t.Fatalf("%s: the shards returned %d events differing from the %d emitted", p.entity, len(evs), len(emitted[i]))
 		}
 		for _, ev := range evs {
 			if !isSpanStart(ev.Kind) {
@@ -319,7 +319,7 @@ func TestFoldedStreamSize(t *testing.T) {
 		data := encodeTrace(t, p.DumpTrace())
 		d, folds, err := decodeTraceDump(data)
 		if err != nil || !reflect.DeepEqual(d.Events, evs) {
-			t.Fatalf("%s: the dump reads back as %d events (%v), not the %d emitted", p.Entity(), len(d.Events), err, len(evs))
+			t.Fatalf("%s: the dump reads back as %d events (%v), not the %d emitted", p.entity, len(d.Events), err, len(evs))
 		}
 		dumpFolds += folds
 		dumpBytes += len(data)

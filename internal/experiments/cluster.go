@@ -50,7 +50,6 @@ type ProcessOptions struct {
 	HandlerStreams      int
 	DedicatedProgressES bool
 	Stage               core.Stage
-	EagerLimit          int
 	OFIMaxEvents        int
 	// Retry installs a client-side resilience policy on the process
 	// (margo.Options.Retry); nil keeps single-attempt forwards.
@@ -66,14 +65,11 @@ type ProcessOptions struct {
 // Start launches a virtual process on the cluster.
 func (c *Cluster) Start(opts ProcessOptions) (*margo.Instance, error) {
 	inst, err := margo.New(margo.Options{
-		Mode:   opts.Mode,
-		Node:   opts.Node,
-		Name:   opts.Name,
-		Fabric: c.Fabric,
-		Mercury: mercury.Config{
-			EagerLimit:   opts.EagerLimit,
-			OFIMaxEvents: opts.OFIMaxEvents,
-		},
+		Mode:                opts.Mode,
+		Node:                opts.Node,
+		Name:                opts.Name,
+		Fabric:              c.Fabric,
+		Mercury:             mercury.Config{OFIMaxEvents: opts.OFIMaxEvents},
 		HandlerStreams:      opts.HandlerStreams,
 		DedicatedProgressES: opts.DedicatedProgressES,
 		Stage:               opts.Stage,

@@ -383,7 +383,15 @@ func smallHEPnOSRun(t *testing.T) (*Cluster, []core.Event) {
 type keepSink struct{ evs []core.Event }
 
 func (s *keepSink) WriteEvent(ev core.Event) error {
-	s.evs = append(s.evs, ev.Clone())
+	if ev.PVars != nil {
+		pv := *ev.PVars
+		ev.PVars = &pv
+	}
+	if ev.Components != nil {
+		comps := *ev.Components
+		ev.Components = &comps
+	}
+	s.evs = append(s.evs, ev)
 	return nil
 }
 

@@ -29,9 +29,9 @@ const (
 	// demand.
 	StormHandlerStreams = 2
 	StormHandlerCost    = 300 * time.Microsecond
-	// StormMaxInFlight is the server's admission cap (soft watermark at
-	// half of it, hard at it), so the handler queue is provably bounded
-	// regardless of drain speed.
+	// StormMaxInFlight is the server's admission cap (its watermark at
+	// half of it), so the handler queue is provably bounded regardless of
+	// drain speed.
 	StormMaxInFlight = 8
 	// recoveryPace is the inter-op sleep during recovery: 24 issuers at
 	// 10ms ≈ 2.4k ops/s, well under the provider's capacity, so recovery
@@ -117,9 +117,8 @@ func RunOverload(cfg OverloadConfig, metricsAddr, out string) (*OverloadResult, 
 			HandlerStreams: StormHandlerStreams,
 			Stage:          core.StageFull,
 			Overload: &margo.OverloadPolicy{
-				SoftWatermark: StormMaxInFlight / 2,
-				HardWatermark: StormMaxInFlight,
-				MaxInFlight:   StormMaxInFlight,
+				Watermark:   StormMaxInFlight / 2,
+				MaxInFlight: StormMaxInFlight,
 			},
 		}); err != nil {
 			return err

@@ -19,7 +19,6 @@ type SonataConfig struct {
 	Records    int // paper: 50,000
 	BatchSize  int // paper: 5,000
 	RecordSize int // bytes per JSON record
-	EagerLimit int // Mercury eager buffer; 0 is Mercury's default
 }
 
 // SonataResult carries the Figure 7 breakdown: how the cumulative RPC
@@ -98,7 +97,7 @@ func sonataScenario(cfg SonataConfig, register func(srv *margo.Instance) error) 
 			var err error
 			if srv, err = c.Start(ProcessOptions{
 				Mode: margo.ModeServer, Node: "node1", Name: "sonata",
-				HandlerStreams: 4, Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
+				HandlerStreams: 4, Stage: core.StageFull,
 			}); err != nil {
 				return err
 			}
@@ -107,7 +106,7 @@ func sonataScenario(cfg SonataConfig, register func(srv *margo.Instance) error) 
 			}
 			if cli, err = c.Start(ProcessOptions{
 				Mode: margo.ModeClient, Node: "node0", Name: "bench",
-				Stage: core.StageFull, EagerLimit: cfg.EagerLimit,
+				Stage: core.StageFull,
 			}); err != nil {
 				return err
 			}

@@ -361,9 +361,6 @@ type btreeDB struct {
 func newBTreeDB(name string) *btreeDB {
 	return &btreeDB{name: name, t: newBTree()}
 }
-
-func (d *btreeDB) Name() string           { return d.name }
-func (d *btreeDB) Backend() string        { return "map" }
 func (d *btreeDB) ConcurrentWrites() bool { return false }
 
 func (d *btreeDB) Put(key, value []byte) error {

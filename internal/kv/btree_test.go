@@ -23,8 +23,8 @@ import (
 // is re-checked at the end, after later Puts rewrote values in place).
 func TestStoreOwnsItsBytes(t *testing.T) {
 	sizes := []int{0, 1, 7, 48, 512, 600, chunkSize / 4, chunkSize/4 + 1, chunkSize + 100}
-	for _, db := range allBackends(t) {
-		t.Run(db.Backend(), func(t *testing.T) {
+	for i, db := range allBackends(t) {
+		t.Run(backends[i], func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			model := make(map[string]string)
 			type handed struct{ got, want []byte }
@@ -152,7 +152,7 @@ func TestMapPutAllocs(t *testing.T) {
 // the caller already owns. The unordered engine sorts a listing's keys
 // first, which is its one allocation.
 func TestAppendReadsAllocateNothing(t *testing.T) {
-	for _, db := range allBackends(t) {
+	for b, db := range allBackends(t) {
 		const n = 64
 		key := make([]byte, 48)
 		for i := uint64(0); i < 4*n; i++ {
@@ -171,7 +171,7 @@ func TestAppendReadsAllocateNothing(t *testing.T) {
 			}
 		})
 		if get != 0 {
-			t.Errorf("%s: AppendGet into a buffer with room allocates %.3f objects, want 0", db.Backend(), get)
+			t.Errorf("%s: AppendGet into a buffer with room allocates %.3f objects, want 0", backends[b], get)
 		}
 		pairs, buf := make([]Pair, 0, n), make([]byte, 0, n*(48+256))
 		list := mallocsPerRun(200, func() {
@@ -181,7 +181,7 @@ func TestAppendReadsAllocateNothing(t *testing.T) {
 			}
 		})
 		if list != 0 {
-			t.Errorf("%s: AppendList of %d pairs into sized buffers allocates %.3f objects, want 0", db.Backend(), n, list)
+			t.Errorf("%s: AppendList of %d pairs into sized buffers allocates %.3f objects, want 0", backends[b], n, list)
 		}
 	}
 }

@@ -61,10 +61,6 @@ func carvePairs(pairs []Pair, buf []byte, size int) []byte {
 // into buffers the caller passes in and may reuse, so a read into
 // buffers with room allocates nothing.
 type DB interface {
-	// Name returns the database's instance name.
-	Name() string
-	// Backend returns the engine identifier ("map", "shardedmap").
-	Backend() string
 	// Put stores copies of key and value, replacing any previous value;
 	// the caller may reuse both buffers as soon as it returns.
 	Put(key, value []byte) error

@@ -34,8 +34,8 @@ func TestOpenUnknownBackend(t *testing.T) {
 }
 
 func TestBasicPutGetDeleteAllBackends(t *testing.T) {
-	for _, db := range allBackends(t) {
-		t.Run(db.Backend(), func(t *testing.T) {
+	for i, db := range allBackends(t) {
+		t.Run(backends[i], func(t *testing.T) {
 			if err := db.Put([]byte("a"), []byte("1")); err != nil {
 				t.Fatal(err)
 			}
@@ -75,20 +75,20 @@ func TestBasicPutGetDeleteAllBackends(t *testing.T) {
 }
 
 func TestEmptyValueRoundTrip(t *testing.T) {
-	for _, db := range allBackends(t) {
+	for i, db := range allBackends(t) {
 		v0 := []byte{}
 		if err := db.Put([]byte("empty"), v0); err != nil {
 			t.Fatal(err)
 		}
 		v, ok, err := db.Get([]byte("empty"))
 		if err != nil || !ok || len(v) != 0 {
-			t.Fatalf("%s: empty value: %q %v %v", db.Backend(), v, ok, err)
+			t.Fatalf("%s: empty value: %q %v %v", backends[i], v, ok, err)
 		}
 	}
 }
 
 func TestListOrderedBackends(t *testing.T) {
-	for _, db := range allBackends(t) {
+	for i, db := range allBackends(t) {
 		keys := []string{"b", "d", "a", "c", "e"}
 		for _, k := range keys {
 			db.Put([]byte(k), []byte("v"+k))
@@ -98,20 +98,20 @@ func TestListOrderedBackends(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(pairs) != 3 {
-			t.Fatalf("%s: List = %d pairs", db.Backend(), len(pairs))
+			t.Fatalf("%s: List = %d pairs", backends[i], len(pairs))
 		}
 		want := []string{"b", "c", "d"}
 		for i, p := range pairs {
 			if string(p.Key) != want[i] {
-				t.Fatalf("%s: List keys = %v", db.Backend(), pairs)
+				t.Fatalf("%s: List keys = %v", backends[i], pairs)
 			}
 			if string(p.Value) != "v"+want[i] {
-				t.Fatalf("%s: value mismatch: %q", db.Backend(), p.Value)
+				t.Fatalf("%s: value mismatch: %q", backends[i], p.Value)
 			}
 		}
 		// max <= 0 returns nothing.
 		if pairs, _, _ := db.AppendList(nil, nil, nil, 0); pairs != nil {
-			t.Fatalf("%s: AppendList(0) = %v", db.Backend(), pairs)
+			t.Fatalf("%s: AppendList(0) = %v", backends[i], pairs)
 		}
 	}
 }
@@ -138,8 +138,8 @@ func TestClosedBackendErrors(t *testing.T) {
 // TestBackendsMatchModel drives every backend against a model map with a
 // random operation sequence and demands identical visible state.
 func TestBackendsMatchModel(t *testing.T) {
-	for _, db := range allBackends(t) {
-		t.Run(db.Backend(), func(t *testing.T) {
+	for i, db := range allBackends(t) {
+		t.Run(backends[i], func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			model := make(map[string]string)
 			for op := 0; op < 5000; op++ {

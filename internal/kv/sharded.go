@@ -36,9 +36,6 @@ func newShardedDB(name string) *shardedDB {
 	}
 	return d
 }
-
-func (d *shardedDB) Name() string           { return d.name }
-func (d *shardedDB) Backend() string        { return "shardedmap" }
 func (d *shardedDB) ConcurrentWrites() bool { return true }
 
 // shardFor maps a key to its shard with an inlined FNV-1a loop: this is

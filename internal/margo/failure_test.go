@@ -199,7 +199,7 @@ func TestDrainWaitsForInflightAndShedsNew(t *testing.T) {
 
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- srv.Drain(context.Background()) }()
-	waitFor(t, func() bool { return srv.Draining() })
+	waitFor(t, srv.draining.Load)
 
 	// A request arriving during the drain is shed, not queued.
 	if err := call(t, cli, func(self *abt.ULT) error {
@@ -258,7 +258,7 @@ func TestHandlerPanicDuringDrain(t *testing.T) {
 
 	drainDone := make(chan error, 1)
 	go func() { drainDone <- srv.Drain(context.Background()) }()
-	waitFor(t, func() bool { return srv.Draining() })
+	waitFor(t, srv.draining.Load)
 
 	gate.Set(nil) // handler resumes and panics while draining
 	if err := fwd.Join(nil); err != nil {
@@ -284,7 +284,7 @@ func TestHandlerPanicDuringDrain(t *testing.T) {
 func TestShedRequestStitchesSingleFailedTrace(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv", Stage: core.StageFull,
-		Overload: &OverloadPolicy{MaxInFlight: 1, SoftWatermark: 100, HardWatermark: 200}})
+		Overload: &OverloadPolicy{MaxInFlight: 1, Watermark: 100}})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull})
 
 	gate := abt.NewEventual()

@@ -125,10 +125,6 @@ type ForwardOpts struct {
 	// and handlers propagate it onto their nested forwards. It also
 	// bounds the call client-side, like Timeout.
 	Deadline time.Time
-	// Priority is the request's admission class: 128 and above survives
-	// an OverloadPolicy's soft watermark. Zero inherits the servicing
-	// handler's priority, if any.
-	Priority uint8
 }
 
 // originOp is the origin half of one logical RPC, t1 to t14 of Figure 2,
@@ -144,14 +140,13 @@ type originOp struct {
 	order   uint64 // Lamport order stamped at t1
 	t1      time.Time
 	dlNanos int64
-	prio    uint8
 }
 
 // beginOp resolves, once per logical op, the identity a forward of
 // rpcName issued by self carries. When self is a handler ULT its data
 // slot holds the Context of the request it is servicing: the forward
-// extends that request's breadcrumb and keeps its request ID, deadline
-// and priority, so a multi-tier request carries one ID and one absolute
+// extends that request's breadcrumb and keeps its request ID and
+// deadline, so a multi-tier request carries one ID and one absolute
 // deadline across every hop (paper §IV-A1). Otherwise it is a root:
 // empty ancestry, and a fresh request ID when tracing. Explicit options
 // win over inherited values. It returns the client-side bound on the
@@ -159,18 +154,13 @@ type originOp struct {
 // since waiting past it can only return an expiry) and refuses an op
 // whose deadline has already passed.
 func (i *Instance) beginOp(op *originOp, self *abt.ULT, stage core.Stage, target, rpcName string, opts ForwardOpts) (time.Duration, error) {
-	*op = originOp{ult: self.ID(), prio: opts.Priority}
+	*op = originOp{ult: self.ID()}
 	if !opts.Deadline.IsZero() {
 		op.dlNanos = opts.Deadline.UnixNano()
 	}
 	parent, _ := self.Data().(*Context)
-	if parent != nil {
-		if op.dlNanos == 0 {
-			op.dlNanos = parent.dlNanos
-		}
-		if op.prio == 0 {
-			op.prio = parent.prio
-		}
+	if parent != nil && op.dlNanos == 0 {
+		op.dlNanos = parent.dlNanos
 	}
 	if parent != nil && parent.traced {
 		op.bc, op.reqID = parent.bc, parent.reqID
@@ -199,9 +189,9 @@ func (i *Instance) beginOp(op *originOp, self *abt.ULT, stage core.Stage, target
 // different execution streams take disjoint locks. sampled says whether
 // the global PVAR sample rides the event.
 func (i *Instance) originStart(op *originOp, stage core.Stage, target, rpcName string, sampled bool) mercury.Meta {
-	// Deadline and priority are control-plane state, stamped regardless
-	// of the measurement stage.
-	meta := mercury.Meta{DeadlineNanos: op.dlNanos, Priority: op.prio}
+	// The deadline is control-plane state, stamped regardless of the
+	// measurement stage.
+	meta := mercury.Meta{DeadlineNanos: op.dlNanos}
 	if stage.Injects() {
 		meta.HasTrace = true
 		meta.Breadcrumb = uint64(op.bc)
@@ -321,9 +311,9 @@ func (i *Instance) retryVerdict(target, rpcName string, attempt int, err error, 
 // same profile entry (paper §IV-C).
 //
 // opts, at most one, carries the per-call options: a client-side
-// timeout, a propagated absolute deadline and an admission priority. A
-// handler issuing nested forwards inherits its own request's deadline
-// and priority without them; opts is how the first hop stamps them.
+// timeout and a propagated absolute deadline. A handler issuing nested
+// forwards inherits its own request's deadline without them; opts is how
+// the first hop stamps it.
 func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercury.Procable, opts ...ForwardOpts) error {
 	if self == nil {
 		return fmt.Errorf("margo: Forward requires the calling ULT")

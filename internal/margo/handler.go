@@ -37,13 +37,12 @@ type Context struct {
 
 	rpcName string
 	// What nested forwards inherit: the callpath ancestry and request
-	// identity (when the request carried them), the absolute deadline
-	// and the priority.
+	// identity (when the request carried them) and the absolute
+	// deadline.
 	traced  bool
 	bc      core.Breadcrumb
 	reqID   uint64
 	dlNanos int64
-	prio    uint8
 
 	t5        time.Time
 	responded bool
@@ -111,20 +110,8 @@ func (c *Context) Scratch(n int) []byte {
 	return *c.scratch
 }
 
-// Instance returns the hosting Margo instance.
-func (c *Context) Instance() *Instance { return c.inst }
-
-// RPCName returns the RPC being serviced.
-func (c *Context) RPCName() string { return c.rpcName }
-
 // Origin returns the fabric address of the calling entity.
 func (c *Context) Origin() string { return c.mh.Peer() }
-
-// Breadcrumb returns the callpath ancestry carried by the request.
-func (c *Context) Breadcrumb() core.Breadcrumb { return c.bc }
-
-// RequestID returns the distributed request ID carried by the request.
-func (c *Context) RequestID() uint64 { return c.reqID }
 
 // Deadline returns the absolute deadline propagated with the request,
 // or the zero time when none was stamped.
@@ -134,9 +121,6 @@ func (c *Context) Deadline() time.Time {
 	}
 	return time.Time{}
 }
-
-// Priority returns the request's admission priority class.
-func (c *Context) Priority() uint8 { return c.prio }
 
 // GetInput decodes the request arguments (charging the
 // input_deserialization_time PVAR, t6→t7). v's byte slices are read-only
@@ -155,7 +139,7 @@ func (c *Context) Compute(d time.Duration) {
 }
 
 // Forward issues a nested RPC from within the handler; the callpath
-// breadcrumb, request ID, deadline and priority of this request
+// breadcrumb, request ID and deadline of this request
 // propagate automatically (paper §IV-A1).
 func (c *Context) Forward(target, rpcName string, in, out mercury.Procable) error {
 	return c.inst.Forward(c.Self, target, rpcName, in, out)
@@ -312,11 +296,10 @@ func runHandler(self *abt.ULT) {
 	ctx.traced = meta.HasTrace
 	ctx.bc = core.Breadcrumb(meta.Breadcrumb)
 	ctx.reqID = meta.RequestID
-	// The absolute deadline (and priority) propagate to nested forwards,
-	// so every hop of a multi-tier request can make the same drop/serve
-	// decision against the same clock.
+	// The absolute deadline propagates to nested forwards, so every hop
+	// of a multi-tier request can make the same drop/serve decision
+	// against the same clock.
 	ctx.dlNanos = meta.DeadlineNanos
-	ctx.prio = meta.Priority
 	ctx.t5 = time.Now()
 
 	if meta.HasTrace {

@@ -110,7 +110,7 @@ type Options struct {
 	Name   string // process name within the node
 	Fabric *na.Fabric
 
-	// Mercury holds the RPC-library tuning (eager limit, OFI_max_events).
+	// Mercury holds the RPC-library tuning (OFI_max_events).
 	Mercury mercury.Config
 
 	// HandlerStreams is the number of execution streams draining the
@@ -337,9 +337,6 @@ func (i *Instance) MainPool() *abt.Pool { return i.mainPool }
 
 // HandlerPool returns the pool running RPC handler ULTs.
 func (i *Instance) HandlerPool() *abt.Pool { return i.handlerPool }
-
-// Stage returns the active measurement stage.
-func (i *Instance) Stage() core.Stage { return i.prof.Stage() }
 
 // SetStage switches the measurement stage at runtime.
 func (i *Instance) SetStage(s core.Stage) { i.prof.SetStage(s) }

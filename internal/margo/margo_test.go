@@ -170,20 +170,15 @@ func TestRegisterOnClientRejected(t *testing.T) {
 }
 
 func TestBreadcrumbChainsAcrossProcesses(t *testing.T) {
-	// client -> mid (handler forwards) -> leaf; the leaf must observe a
-	// depth-2 breadcrumb ending in its own RPC.
+	// client -> mid (handler forwards) -> leaf; the leaf must trace its
+	// span under a depth-2 breadcrumb ending in its own RPC and the
+	// client's request ID.
 	c := newCluster(t)
 	leaf := c.add(t, Options{Mode: ModeServer, Node: "n2", Name: "leaf", Stage: core.StageFull})
 	mid := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "mid", Stage: core.StageFull})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull})
 
-	var leafBC core.Breadcrumb
-	var leafReqID uint64
-	leaf.Register("leaf_rpc", func(ctx *Context) {
-		leafBC = ctx.Breadcrumb()
-		leafReqID = ctx.RequestID()
-		ctx.Respond(mercury.Void{})
-	})
+	leaf.Register("leaf_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	mid.Register("mid_rpc", func(ctx *Context) {
 		if err := ctx.Forward(leaf.Addr(), "leaf_rpc", &mercury.Void{}, nil); err != nil {
 			ctx.RespondError("leaf: %v", err)
@@ -202,11 +197,26 @@ func TestBreadcrumbChainsAcrossProcesses(t *testing.T) {
 	}
 
 	want := core.Breadcrumb(0).Push("mid_rpc").Push("leaf_rpc")
-	if leafBC != want {
-		t.Fatalf("leaf breadcrumb = %v, want %v", leafBC, want)
+	var rootID uint64
+	for _, ev := range cli.Profiler().TraceEvents() {
+		if ev.Kind == core.EvOriginStart {
+			rootID = ev.RequestID
+		}
 	}
-	if leafReqID == 0 {
-		t.Fatal("request ID did not propagate")
+	var leafStart *core.Event
+	for _, ev := range leaf.Profiler().TraceEvents() {
+		if ev.Kind == core.EvTargetStart {
+			leafStart = &ev
+		}
+	}
+	if leafStart == nil {
+		t.Fatal("the leaf traced no target start")
+	}
+	if bc := core.Breadcrumb(leafStart.Breadcrumb); bc != want {
+		t.Fatalf("leaf breadcrumb = %v, want %v", bc, want)
+	}
+	if rootID == 0 || leafStart.RequestID != rootID {
+		t.Fatalf("leaf request ID = %d, want the client's %d", leafStart.RequestID, rootID)
 	}
 
 	// The mid profile must hold an origin entry for mid_rpc=>leaf_rpc.

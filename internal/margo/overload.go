@@ -12,19 +12,16 @@ import (
 // OverloadPolicy is the server-side admission-control configuration
 // (Options.Overload). The paper's C2 configuration saturates because an
 // undersized handler pool queues requests unboundedly; this policy
-// bounds that queue: when the handler pool's runnable depth or the
-// in-flight handler count crosses a watermark, new requests are shed at
-// dispatch (t4) with a typed, retryable rejection instead of being
-// buried in the queue. Shedding happens to the *newest* requests first
+// bounds that queue: when the handler pool's runnable depth reaches the
+// watermark or the in-flight handler count reaches its cap, new requests
+// are shed at dispatch (t4) with a typed, retryable rejection instead of
+// being buried in the queue. Shedding happens to the *newest* requests first
 // (the ones just arriving), CoDel-style: requests already admitted keep
 // their execution streams and drain the backlog.
 type OverloadPolicy struct {
-	// SoftWatermark is the handler-pool runnable depth at which requests
-	// of a priority below 128 are shed. Default 64.
-	SoftWatermark int
-	// HardWatermark is the depth at which all requests are shed
-	// regardless of priority. Default 2×SoftWatermark.
-	HardWatermark int
+	// Watermark is the handler-pool runnable depth at which new requests
+	// are shed. Default 64.
+	Watermark int
 	// MaxInFlight caps admitted-but-unfinished handlers; at or above the
 	// cap every new request is shed. Zero means no cap. This is the
 	// deterministic knob tests use: unlike queue depth it does not race
@@ -32,16 +29,9 @@ type OverloadPolicy struct {
 	MaxInFlight int
 }
 
-// highPriority is the priority class that survives the soft watermark:
-// only the hard watermark sheds it.
-const highPriority = 128
-
 func (p OverloadPolicy) withDefaults() OverloadPolicy {
-	if p.SoftWatermark <= 0 {
-		p.SoftWatermark = 64
-	}
-	if p.HardWatermark <= 0 {
-		p.HardWatermark = 2 * p.SoftWatermark
+	if p.Watermark <= 0 {
+		p.Watermark = 64
 	}
 	return p
 }
@@ -58,7 +48,7 @@ const (
 // admitVerdict decides, in the progress ULT at dispatch time (t4),
 // whether an incoming request gets a handler ULT. Draining instances
 // shed everything; expired deadlines are rejected before any queueing;
-// otherwise the overload policy's watermarks apply.
+// otherwise the overload policy's in-flight cap and watermark apply.
 func (i *Instance) admitVerdict(meta mercury.Meta) admission {
 	if i.draining.Load() {
 		return admitShed
@@ -73,11 +63,7 @@ func (i *Instance) admitVerdict(meta mercury.Meta) admission {
 	if ol.MaxInFlight > 0 && i.handlersInFlight.Load() >= int64(ol.MaxInFlight) {
 		return admitShed
 	}
-	depth := int(i.handlerPool.Runnable())
-	if depth >= ol.HardWatermark {
-		return admitShed
-	}
-	if depth >= ol.SoftWatermark && meta.Priority < highPriority {
+	if int(i.handlerPool.Runnable()) >= ol.Watermark {
 		return admitShed
 	}
 	return admitOK
@@ -122,19 +108,6 @@ func (i *Instance) rejectRequest(mh *mercury.Handle, rpcName string, verdict adm
 	// it is on the wire.
 	mh.Destroy()
 }
-
-// Overload returns a copy of the active admission policy, or nil when
-// the instance admits unconditionally.
-func (i *Instance) Overload() *OverloadPolicy {
-	if i.overload == nil {
-		return nil
-	}
-	pol := *i.overload
-	return &pol
-}
-
-// Draining reports whether the instance has stopped admitting requests.
-func (i *Instance) Draining() bool { return i.draining.Load() }
 
 // OverloadStats is the instance's lifetime overload-control counters.
 type OverloadStats struct {

@@ -419,10 +419,10 @@ func TestFaultyFabricNeverCrossesRequests(t *testing.T) {
 }
 
 // TestNestedForwardInheritsIdentityAtDepth3: a request stamped with a
-// deadline and a priority at the root crosses three handlers; each hop
-// must see the breadcrumb extended by its own RPC, the root's request
-// ID, and the root's deadline and priority — read off the servicing
-// handler's Context, with nothing re-stamped on the way.
+// deadline at the root crosses three handlers; each hop must see the
+// root's deadline, read off the servicing handler's Context, and trace
+// its span under the breadcrumb extended by its own RPC and the root's
+// request ID, with nothing re-stamped on the way.
 func TestNestedForwardInheritsIdentityAtDepth3(t *testing.T) {
 	c := newCluster(t)
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli", Stage: core.StageFull})
@@ -431,17 +431,11 @@ func TestNestedForwardInheritsIdentityAtDepth3(t *testing.T) {
 	for k := range hops {
 		srvs[k] = c.add(t, Options{Mode: ModeServer, Node: "n1", Name: hops[k], Stage: core.StageFull})
 	}
-	type seen struct {
-		bc    core.Breadcrumb
-		reqID uint64
-		dl    time.Time
-		prio  uint8
-	}
-	got := make([]seen, len(hops))
+	deadlines := make([]time.Time, len(hops))
 	for k := range hops {
 		k := k
 		srvs[k].Register(hops[k], func(ctx *Context) {
-			got[k] = seen{ctx.Breadcrumb(), ctx.RequestID(), ctx.Deadline(), ctx.Priority()}
+			deadlines[k] = ctx.Deadline()
 			if k+1 < len(hops) {
 				if err := ctx.Forward(srvs[k+1].Addr(), hops[k+1], mercury.Void{}, nil); err != nil {
 					ctx.RespondError("%s: %v", hops[k+1], err)
@@ -458,8 +452,7 @@ func TestNestedForwardInheritsIdentityAtDepth3(t *testing.T) {
 
 	deadline := time.Now().Add(time.Minute)
 	if err := call(t, cli, func(self *abt.ULT) error {
-		return cli.Forward(self, srvs[0].Addr(), hops[0], mercury.Void{}, nil,
-			ForwardOpts{Deadline: deadline, Priority: 7})
+		return cli.Forward(self, srvs[0].Addr(), hops[0], mercury.Void{}, nil, ForwardOpts{Deadline: deadline})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +468,21 @@ func TestNestedForwardInheritsIdentityAtDepth3(t *testing.T) {
 	var bc core.Breadcrumb
 	for k, rpc := range hops {
 		bc = bc.Push(rpc)
-		want := seen{bc, rootID, time.Unix(0, deadline.UnixNano()), 7}
-		if got[k] != want {
-			t.Errorf("hop %d (%s) saw %+v, want %+v", k+1, rpc, got[k], want)
+		if want := time.Unix(0, deadline.UnixNano()); !deadlines[k].Equal(want) {
+			t.Errorf("hop %d (%s) saw deadline %v, want %v", k+1, rpc, deadlines[k], want)
+		}
+		starts := 0
+		for _, ev := range srvs[k].Profiler().TraceEvents() {
+			if ev.Kind != core.EvTargetStart {
+				continue
+			}
+			starts++
+			if ev.RequestID != rootID || core.Breadcrumb(ev.Breadcrumb) != bc {
+				t.Errorf("hop %d (%s) traced request %d breadcrumb %v, want %d and %v", k+1, rpc, ev.RequestID, core.Breadcrumb(ev.Breadcrumb), rootID, bc)
+			}
+		}
+		if starts != 1 {
+			t.Errorf("hop %d (%s) traced %d target starts, want 1", k+1, rpc, starts)
 		}
 	}
 }

@@ -223,16 +223,6 @@ func (i *Instance) RetryStats() RetryStats {
 	}
 }
 
-// Retry returns a copy of the active policy, or nil when the instance
-// forwards without retries.
-func (i *Instance) Retry() *RetryPolicy {
-	if i.retry == nil {
-		return nil
-	}
-	pol := i.retry.pol
-	return &pol
-}
-
 // exhausted wraps the final retryable error once the origin gives up.
 func exhausted(kind error, rpcName, target string, attempts int, last error) error {
 	return fmt.Errorf("%w: %s to %s after %d attempt(s): %w", kind, rpcName, target, attempts, last)

@@ -111,7 +111,7 @@ func TestScrapeDuringForwardsDrainAndShutdown(t *testing.T) {
 	})
 	drained := make(chan error, 1)
 	go func() { drained <- cli.Drain(context.Background()) }()
-	waitFor(t, cli.Draining)
+	waitFor(t, cli.draining.Load)
 	if want := `symbiosys_overload_draining{instance="` + cli.Addr() + `"} 1`; !strings.Contains(string(get(t, addr, "/metrics")), want) {
 		t.Errorf("scrape after Drain began lacks %q", want)
 	}

@@ -72,10 +72,9 @@ func (b *BatchBuilder) Add(in Procable, meta Meta) error {
 		b.ent.RequestID = meta.RequestID
 		b.ent.Order = meta.Order
 	}
-	if meta.DeadlineNanos != 0 || meta.Priority != 0 {
+	if meta.DeadlineNanos != 0 {
 		b.ent.Flags |= flagDeadline
 		b.ent.DeadlineNanos = meta.DeadlineNanos
-		b.ent.Priority = meta.Priority
 	}
 	mark := len(b.buf)
 	buf, err := AppendEncode(b.buf, &b.ent)
@@ -236,7 +235,6 @@ func (c *Class) handleBatchRequest(msg *na.Message, hdr *reqHeader, payload []by
 			RequestID:     ent.RequestID,
 			Order:         ent.Order,
 			DeadlineNanos: ent.DeadlineNanos,
-			Priority:      ent.Priority,
 			BatchID:       hdr.BatchID,
 		}
 		sub.reqPayload = body

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -155,6 +159,118 @@ func TestDecodeHandsOutViews(t *testing.T) {
 	}
 }
 
+// pack builds the response frame [u32 hdrLen][header][payload]: the
+// reference encoder of the golden frames and the fuzz round trip, which
+// the target's own responses never need.
+func (r *respHeader) pack(payload []byte) []byte {
+	p := beginFrame(4 + respHeaderMax + len(payload))
+	r.Proc(p)
+	p.endHeader()
+	p.raw(payload)
+	return p.endFrame()
+}
+
+var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzFrameHeaders from frameSeeds")
+
+// frameSeeds is the committed seed corpus of FuzzFrameHeaders
+// (TestFrameSeedCorpusCurrent keeps the files equal to it): the golden
+// frames of TestGoldenFramesStable, one request for the fuzz target's
+// RPC, and one vectored frame of each kind whose entries carry no
+// metadata, the trace fields and a deadline.
+func frameSeeds(t testing.TB) map[string][]byte {
+	t.Helper()
+	seeds := map[string][]byte{}
+	for i, g := range goldenReqFrames {
+		seeds[fmt.Sprintf("golden-request-%d", i)], _ = hex.DecodeString(g.frame)
+	}
+	for i, g := range goldenRespFrames {
+		seeds[fmt.Sprintf("golden-response-%d", i)], _ = hex.DecodeString(g.frame)
+	}
+	encode := func(v Procable) []byte {
+		b, err := Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	rpc := hashRPC("fuzz_rpc")
+	single := reqHeader{RPCID: rpc, Cookie: 10}
+	seeds["single-request"] = single.pack(encode(&fuzzArgs{ID: 7, Key: []byte("key"), Name: "name", Vals: [][]byte{[]byte("a"), nil}, Nums: []uint64{1, 2}}))
+
+	var reqs []byte
+	for _, e := range []struct {
+		ent batchReqEntry
+		in  fuzzArgs
+	}{
+		{batchReqEntry{}, fuzzArgs{ID: 1, Key: []byte("k1"), Name: "n"}},
+		{batchReqEntry{Flags: flagTrace, Breadcrumb: 3, RequestID: 4, Order: 5}, fuzzArgs{ID: 2, Vals: [][]byte{[]byte("v")}}},
+		{batchReqEntry{Flags: flagDeadline, DeadlineNanos: 77}, fuzzArgs{ID: 3, Nums: []uint64{9}}},
+	} {
+		body := encode(&e.in)
+		e.ent.Len = uint32(len(body))
+		reqs = append(append(reqs, encode(&e.ent)...), body...)
+	}
+	vreq := reqHeader{RPCID: rpc, Cookie: 9, Flags: flagBatch, BatchID: 6, Count: 3}
+	seeds["vectored-request"] = vreq.pack(reqs)
+
+	var resps []byte
+	for _, e := range []struct {
+		ent  batchRespEntry
+		body string
+	}{
+		{batchRespEntry{Status: statusOK}, ""},
+		{batchRespEntry{Status: statusHandlerError, Flags: flagTrace, Order: 8}, "\x01"},
+		{batchRespEntry{Status: statusExpired}, "\x02\x02"},
+	} {
+		e.ent.Len = uint32(len(e.body))
+		resps = append(append(resps, encode(&e.ent)...), e.body...)
+	}
+	vresp := respHeader{Flags: flagBatch, Count: 3}
+	seeds["vectored-response"] = vresp.pack(resps)
+	return seeds
+}
+
+// TestFrameSeedCorpusCurrent keeps the committed corpus of
+// FuzzFrameHeaders equal to what frameSeeds builds, so a wire change
+// cannot leave stale seeds behind. `go test ./internal/mercury -run
+// TestFrameSeedCorpusCurrent -update` rewrites it.
+func TestFrameSeedCorpusCurrent(t *testing.T) {
+	dir := filepath.Join("testdata/fuzz", "FuzzFrameHeaders")
+	seeds := frameSeeds(t)
+	if *updateSeeds {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, data := range seeds {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		path := filepath.Join(dir, name)
+		if *updateSeeds {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if got, err := os.ReadFile(path); err != nil {
+			t.Fatalf("%v (run with -update)", err)
+		} else if string(got) != want {
+			t.Errorf("%s is stale (run with -update)", path)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, ok := seeds[e.Name()]; !ok {
+			t.Errorf("%s/%s has no entry in frameSeeds (run with -update)", dir, e.Name())
+		}
+	}
+}
+
 // FuzzFrameHeaders feeds arbitrary bytes to the three frame parsers —
 // request header, response header, and the entries of a vectored frame
 // of either kind — and to a live target. Whatever a parser accepts must
@@ -163,8 +279,7 @@ func TestDecodeHandsOutViews(t *testing.T) {
 // and into the very same bytes when the input had no slack in it;
 // whatever it rejects must not panic or read past the frame (the input
 // is clipped to its length, so an overrun is a bounds failure). The
-// committed corpus holds the golden frames of TestGoldenFramesStable
-// and one vectored frame of each kind with real entries.
+// committed corpus is frameSeeds.
 func FuzzFrameHeaders(f *testing.F) {
 	fab := na.NewFabric(na.DefaultConfig())
 	ep, err := fab.NewEndpoint("fuzz", "target")

@@ -191,12 +191,6 @@ func (h *Handle) SetData(v any) { h.data = v }
 // Data returns the value last stored with SetData, nil when none.
 func (h *Handle) Data() any { return h.data }
 
-// RPCName returns the RPC the handle belongs to.
-func (h *Handle) RPCName() string { return h.rpcName }
-
-// Target returns the service address of the exchange.
-func (h *Handle) Target() string { return h.target }
-
 // Peer returns the origin address (target side only).
 func (h *Handle) Peer() string { return h.peer }
 
@@ -228,10 +222,9 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 		hdr.RequestID = meta.RequestID
 		hdr.Order = meta.Order
 	}
-	if meta.DeadlineNanos != 0 || meta.Priority != 0 {
+	if meta.DeadlineNanos != 0 {
 		hdr.Flags |= flagDeadline
 		hdr.DeadlineNanos = meta.DeadlineNanos
-		hdr.Priority = meta.Priority
 	}
 
 	// Header, then input, encoded once into the frame the fabric carries.
@@ -250,7 +243,7 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 		return fmt.Errorf("mercury: encode input for %s: %w", h.rpcName, err)
 	}
 	frame := p.endFrame()
-	if len(frame)-body > c.cfg.EagerLimit {
+	if len(frame)-body > eagerLimit {
 		frame = h.spill(&hdr, frame, frame[body:])
 	}
 	h.post(frame, cb)
@@ -265,14 +258,14 @@ func (h *Handle) Forward(in Procable, meta Meta, cb ForwardCallback) error {
 func (h *Handle) spill(hdr *reqHeader, frame, payload []byte) []byte {
 	c := h.class
 	c.eagerOverflows.Inc()
-	tail := make([]byte, len(payload)-c.cfg.EagerLimit)
-	copy(tail, payload[c.cfg.EagerLimit:])
+	tail := make([]byte, len(payload)-eagerLimit)
+	copy(tail, payload[eagerLimit:])
 	h.memH = c.ep.RegisterMemory(tail)
 	h.memRegistered = true
 	hdr.Flags |= flagMore
 	hdr.TotalLen = uint32(len(payload))
 	hdr.Mem = h.memH
-	eager := hdr.pack(payload[:c.cfg.EagerLimit])
+	eager := hdr.pack(payload[:eagerLimit])
 	putFrame(frame)
 	return eager
 }

@@ -39,12 +39,13 @@ var (
 	ErrDeadlineExpired = errors.New("mercury: request deadline expired at target")
 )
 
+// eagerLimit is the number of request-metadata bytes sent eagerly;
+// larger serialized inputs trigger an internal RDMA transfer for the
+// remainder (paper §III-C1).
+const eagerLimit = 4096
+
 // Config tunes a Mercury instance.
 type Config struct {
-	// EagerLimit is the number of request-metadata bytes sent eagerly;
-	// larger serialized inputs trigger an internal RDMA transfer for the
-	// remainder (paper §III-C1). Default 4096.
-	EagerLimit int
 	// OFIMaxEvents bounds how many network completion events one
 	// Progress call reads — the paper's OFI_max_events, default 16
 	// (paper §V-C4).
@@ -52,9 +53,6 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.EagerLimit <= 0 {
-		c.EagerLimit = 4096
-	}
 	if c.OFIMaxEvents <= 0 {
 		c.OFIMaxEvents = 16
 	}
@@ -199,17 +197,6 @@ func (c *Class) Register(name string, handler HandlerFunc) error {
 	}
 	c.rpcs[id] = &rpcDef{id: id, name: name, handler: handler}
 	return nil
-}
-
-// RPCName resolves a registered RPC id to its name.
-func (c *Class) RPCName(id uint32) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.rpcs[id]
-	if !ok {
-		return "", false
-	}
-	return d.name, true
 }
 
 // enqueue adds a completion to the internal queue, stamping its
@@ -401,7 +388,6 @@ func (c *Class) handleRequest(msg *na.Message) {
 		RequestID:     hdr.RequestID,
 		Order:         hdr.Order,
 		DeadlineNanos: hdr.DeadlineNanos,
-		Priority:      hdr.Priority,
 	}
 	if hdr.Flags&flagMore == 0 {
 		h.frame, h.reqPayload = msg.Data, eager

@@ -234,7 +234,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestEagerOverflowUsesRDMA(t *testing.T) {
-	p := newRPCPair(t, Config{EagerLimit: 256})
+	p := newRPCPair(t, Config{})
 	var gotSize int
 	var rdmaNanos uint64
 	doneServer := make(chan struct{}, 1)
@@ -272,7 +272,7 @@ func TestEagerOverflowUsesRDMA(t *testing.T) {
 }
 
 func TestSmallRequestSkipsRDMA(t *testing.T) {
-	p := newRPCPair(t, Config{EagerLimit: 4096})
+	p := newRPCPair(t, Config{})
 	var rdmaNanos uint64 = 99
 	p.server.Register("small_rpc", func(h *Handle) {
 		rdmaNanos = h.RDMATime.Nanos()
@@ -445,15 +445,27 @@ func TestRegisterCollisionAndReplace(t *testing.T) {
 	}
 }
 
+// TestRPCNameLookup: the target resolves the RPC id on the wire back to
+// the name the handler was registered under (an unknown id is
+// TestUnknownRPCFailsFast).
 func TestRPCNameLookup(t *testing.T) {
 	p := newRPCPair(t, Config{})
-	p.server.Register("lookup_rpc", nil)
-	name, ok := p.server.RPCName(hashRPC("lookup_rpc"))
-	if !ok || name != "lookup_rpc" {
-		t.Fatalf("RPCName = %q, %v", name, ok)
+	var name string
+	p.server.Register("lookup_rpc", func(h *Handle) {
+		name = h.rpcName
+		h.Respond(&Void{}, Meta{}, nil)
+	})
+	p.client.Register("lookup_rpc", nil)
+	h, err := p.client.Create(p.server.Addr(), "lookup_rpc")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := p.server.RPCName(12345); ok {
-		t.Fatal("unknown id resolved")
+	defer h.Destroy()
+	if err := forwardWait(t, h, &Void{}, Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	if name != "lookup_rpc" {
+		t.Fatalf("the handler serviced %q", name)
 	}
 }
 
@@ -540,7 +552,7 @@ func TestEchoRoundTripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		done = false
-		meta := Meta{HasTrace: true, Breadcrumb: 1, RequestID: want, Order: want, DeadlineNanos: 1 << 62, Priority: 1}
+		meta := Meta{HasTrace: true, Breadcrumb: 1, RequestID: want, Order: want, DeadlineNanos: 1 << 62}
 		if err := h.Forward(&arg, meta, cb); err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -73,13 +72,6 @@ type Proc struct {
 	// grows by moving to the next frame class, never by append.
 	framed bool
 }
-
-// NewEncoder returns a Proc that appends encoded fields to an internal
-// buffer retrievable with Bytes.
-func NewEncoder() *Proc { return &Proc{op: OpEncode} }
-
-// NewDecoder returns a Proc that reads fields from buf.
-func NewDecoder(buf []byte) *Proc { return &Proc{op: OpDecode, buf: buf} }
 
 // procPool recycles Proc cursors so the per-call encode/decode on the
 // RPC hot path (Forward, Respond, GetInput, GetOutput) does not allocate
@@ -168,9 +160,6 @@ func (p *Proc) Op() Op { return p.op }
 
 // Err returns the first error encountered.
 func (p *Proc) Err() error { return p.err }
-
-// Buffer returns the encoded wire buffer (encode direction).
-func (p *Proc) Buffer() []byte { return p.buf }
 
 // Remaining reports unread bytes (decode direction).
 func (p *Proc) Remaining() int { return len(p.buf) - p.off }
@@ -297,16 +286,6 @@ func (p *Proc) Bool(v *bool) error {
 		return err
 	}
 	*v = b != 0
-	return nil
-}
-
-// Float64 processes a 64-bit float field.
-func (p *Proc) Float64(v *float64) error {
-	u := math.Float64bits(*v)
-	if err := p.Uint64(&u); err != nil {
-		return err
-	}
-	*v = math.Float64frombits(u)
 	return nil
 }
 

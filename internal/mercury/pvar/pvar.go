@@ -170,27 +170,20 @@ func (r *Registry) register(info Info, v *variable) {
 // the paper's session_handle.
 type Session struct {
 	reg    *Registry
-	id     uint64
 	closed atomic.Bool
 
 	mu      sync.Mutex
 	handles map[*Handle]struct{}
 }
 
-var sessionIDs atomic.Uint64
-
 // InitSession starts a sampling session.
 func (r *Registry) InitSession() *Session {
 	r.sessions.Add(1)
 	return &Session{
 		reg:     r,
-		id:      sessionIDs.Add(1),
 		handles: make(map[*Handle]struct{}),
 	}
 }
-
-// ID returns the unique session identifier.
-func (s *Session) ID() uint64 { return s.id }
 
 // Query lists all exported PVARs, sorted by index.
 func (s *Session) Query() ([]Info, error) {
@@ -227,9 +220,6 @@ type Handle struct {
 	v       *variable
 	freed   atomic.Bool
 }
-
-// Info returns the described variable.
-func (h *Handle) Info() Info { return h.v.info }
 
 // AllocHandle allocates a sampling handle for the PVAR at index.
 func (s *Session) AllocHandle(index int) (*Handle, error) {

@@ -78,6 +78,3 @@ func (t *Timer) SetDuration(d time.Duration) { t.ns.Store(uint64(d)) }
 
 // Nanos samples the accumulated interval in nanoseconds.
 func (t *Timer) Nanos() uint64 { return t.ns.Load() }
-
-// Duration samples the accumulated interval.
-func (t *Timer) Duration() time.Duration { return time.Duration(t.ns.Load()) }

@@ -258,9 +258,8 @@ func TestCancelSweepAndSecondDestroy(t *testing.T) {
 // buffer, so the target fetches the rest by RDMA.
 func TestRecycledHandleStartsClean(t *testing.T) {
 	f := na.NewFabric(na.DefaultConfig())
-	cfg := Config{EagerLimit: 64}
-	client := NewClass(newEndpoint(t, f, "node0", "client"), cfg)
-	server := NewClass(newEndpoint(t, f, "node1", "server"), cfg)
+	client := NewClass(newEndpoint(t, f, "node0", "client"), Config{})
+	server := NewClass(newEndpoint(t, f, "node1", "server"), Config{})
 	var target *Handle
 	if err := server.Register("blob", func(h *Handle) {
 		target = h
@@ -295,7 +294,7 @@ func TestRecycledHandleStartsClean(t *testing.T) {
 		return v
 	}
 
-	payload := RawBytes(make([]byte, 1024))
+	payload := RawBytes(make([]byte, 2*eagerLimit))
 	recycled := 0
 	// Under the race detector the pool drops Puts at random; a few
 	// rounds always see a handle come back.

@@ -16,9 +16,9 @@ const (
 	// eager buffer; the remainder is fetched by internal RDMA.
 	flagMore
 	// flagDeadline marks requests carrying overload-control metadata:
-	// an absolute completion deadline and a scheduling priority. Unlike
-	// the trace fields these are control-plane state, present whenever
-	// the origin set them regardless of the measurement stage.
+	// an absolute completion deadline. Unlike the trace fields it is
+	// control-plane state, present whenever the origin set it regardless
+	// of the measurement stage.
 	flagDeadline
 	// flagBatch marks a vectored frame: the payload carries Count
 	// sub-requests (or, on a response, Count per-entry statuses), each
@@ -44,9 +44,8 @@ const (
 
 // Meta is the SYMBIOSYS metadata piggybacked on RPC messages: the 64-bit
 // callpath breadcrumb, the globally unique request ID, the Lamport
-// order counter (paper §IV-A), and the overload-control fields
-// (absolute deadline, priority) every layer consults for drop/serve
-// decisions.
+// order counter (paper §IV-A), and the absolute deadline every layer
+// consults for drop/serve decisions.
 type Meta struct {
 	HasTrace   bool
 	Breadcrumb uint64
@@ -56,9 +55,6 @@ type Meta struct {
 	// zero means no deadline. Targets reject requests whose deadline
 	// already passed instead of burning an execution stream on them.
 	DeadlineNanos int64
-	// Priority is the request's admission class: higher values survive
-	// load shedding longer (see margo.OverloadPolicy).
-	Priority uint8
 	// BatchID groups the sub-requests of one vectored forward: every
 	// sub-request's t1–t14 chain carries the same BatchID so the
 	// analysis plane can stitch per-op traces back to their batch.
@@ -74,9 +70,8 @@ type reqHeader struct {
 	Breadcrumb uint64
 	RequestID  uint64
 	Order      uint64
-	// DeadlineNanos and Priority are present when flagDeadline is set.
+	// DeadlineNanos is present when flagDeadline is set.
 	DeadlineNanos int64
-	Priority      uint8
 	// TotalLen and Mem are present when flagMore is set.
 	TotalLen uint32
 	Mem      na.MemHandle
@@ -97,7 +92,6 @@ func (r *reqHeader) Proc(p *Proc) error {
 	}
 	if r.Flags&flagDeadline != 0 {
 		p.Int64(&r.DeadlineNanos)
-		p.Uint8(&r.Priority)
 	}
 	if r.Flags&flagMore != 0 {
 		p.Uint32(&r.TotalLen)
@@ -144,7 +138,6 @@ type batchReqEntry struct {
 	RequestID     uint64
 	Order         uint64
 	DeadlineNanos int64
-	Priority      uint8
 	Len           uint32 // sub-request payload length
 }
 
@@ -158,7 +151,6 @@ func (e *batchReqEntry) Proc(p *Proc) error {
 	}
 	if e.Flags&flagDeadline != 0 {
 		p.Int64(&e.DeadlineNanos)
-		p.Uint8(&e.Priority)
 	}
 	p.Uint32(&e.Len)
 	return p.Err()
@@ -219,21 +211,12 @@ func (r *reqHeader) pack(payload []byte) []byte {
 	return p.endFrame()
 }
 
-// pack builds the response frame [u32 hdrLen][header][payload].
-func (r *respHeader) pack(payload []byte) []byte {
-	p := beginFrame(4 + respHeaderMax + len(payload))
-	r.Proc(p)
-	p.endHeader()
-	p.raw(payload)
-	return p.endFrame()
-}
-
 // Largest encoded headers, for sizing a frame whose payload length is
 // known: every optional request field present with a fabric address of
 // ordinary length; every optional response field present. An
 // underestimate costs one move to the next frame class, nothing else.
 const (
-	reqHeaderMax  = 13 + 24 + 9 + (4 + 4 + 64 + 16) + 12
+	reqHeaderMax  = 13 + 24 + 8 + (4 + 4 + 64 + 16) + 12
 	respHeaderMax = 2 + 8 + 4
 )
 

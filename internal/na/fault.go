@@ -198,14 +198,6 @@ func (f *Fabric) SetFaultPlan(p *FaultPlan) {
 	f.faults.Store(&faultState{plan: p, seq: make(map[LinkKey]uint64)})
 }
 
-// FaultPlan returns the installed plan, or nil when none is active.
-func (f *Fabric) FaultPlan() *FaultPlan {
-	if fs := f.faults.Load(); fs != nil {
-		return fs.plan
-	}
-	return nil
-}
-
 // FaultStats reports fabric-wide injected-fault totals.
 func (f *Fabric) FaultStats() FaultStats {
 	return FaultStats{

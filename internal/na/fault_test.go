@@ -134,7 +134,7 @@ func TestFaultPlanHotSwapHealsPartition(t *testing.T) {
 
 	// Heal at runtime; traffic flows again.
 	f.SetFaultPlan(nil)
-	if f.FaultPlan() != nil {
+	if f.faults.Load() != nil {
 		t.Fatal("plan still installed after heal")
 	}
 	a.Send(b.Addr(), TagUnexpected, []byte("y"), nil)

@@ -83,9 +83,6 @@ func NewFabric(cfg Config) *Fabric {
 	return &Fabric{cfg: cfg, eps: make(map[string]*Endpoint)}
 }
 
-// Config returns the fabric cost model.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // NewEndpoint registers an endpoint for a (virtual) process on a node.
 // The returned endpoint's address is "node/name".
 func (f *Fabric) NewEndpoint(node, name string) (*Endpoint, error) {
@@ -264,9 +261,6 @@ func (e *Endpoint) delivered(late time.Duration) {
 
 // Addr returns the endpoint's fabric address ("node/name").
 func (e *Endpoint) Addr() string { return e.addr }
-
-// Node returns the node the endpoint lives on.
-func (e *Endpoint) Node() string { return e.node }
 
 // Close makes the endpoint unreachable; in-flight deliveries to it are
 // dropped and subsequent sends fail with an EvError completion.

@@ -279,14 +279,8 @@ func (c *Client) Persist(self *abt.ULT, target string, rid uint64) error {
 	return c.inst.Forward(self, target, RPCPersist, &r.region, nil)
 }
 
-// Read fills buf from the region at off via target-side bulk push.
-func (c *Client) Read(self *abt.ULT, target string, rid, off uint64, buf []byte) error {
-	bulk := c.inst.BulkCreate(buf)
-	defer c.inst.BulkFree(bulk)
-	return c.ReadInto(self, target, rid, off, bulk, uint64(len(buf)))
-}
-
-// ReadInto is Read into a memory window someone else exposed.
+// ReadInto fills size bytes of bulk from the region at off via
+// target-side bulk push.
 func (c *Client) ReadInto(self *abt.ULT, target string, rid, off uint64, bulk mercury.Bulk, size uint64) error {
 	return c.transfer(self, target, RPCRead, rid, off, bulk, size)
 }

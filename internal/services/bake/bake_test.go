@@ -40,6 +40,14 @@ func newEnv(t *testing.T) *env {
 }
 
 // run executes fn in a client ULT and propagates its error.
+// read fills buf from the region at off, exposing buf as the window the
+// target pushes into.
+func (e *env) read(self *abt.ULT, rid, off uint64, buf []byte) error {
+	bulk := e.cli.BulkCreate(buf)
+	defer e.cli.BulkFree(bulk)
+	return e.client.ReadInto(self, e.srv.Addr(), rid, off, bulk, uint64(len(buf)))
+}
+
 func (e *env) run(t *testing.T, fn func(self *abt.ULT) error) error {
 	t.Helper()
 	var err error
@@ -75,7 +83,7 @@ func TestCreateWritePersistRead(t *testing.T) {
 			t.Errorf("size = %d", size)
 		}
 		back := make([]byte, len(data))
-		if err := e.client.Read(self, e.srv.Addr(), rid, 0, back); err != nil {
+		if err := e.read(self, rid, 0, back); err != nil {
 			return err
 		}
 		if !bytes.Equal(back, data) {
@@ -99,7 +107,7 @@ func TestPartialWindowedIO(t *testing.T) {
 			return err
 		}
 		buf := make([]byte, 5)
-		if err := e.client.Read(self, e.srv.Addr(), rid, 10, buf); err != nil {
+		if err := e.read(self, rid, 10, buf); err != nil {
 			return err
 		}
 		if string(buf) != "HELLO" {
@@ -124,7 +132,7 @@ func TestErrorsOutOfBoundsAndUnknownRegion(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "beyond region end") {
 			t.Errorf("err = %v", err)
 		}
-		if err := e.client.Read(self, e.srv.Addr(), rid, 10, make([]byte, 16)); err == nil {
+		if err := e.read(self, rid, 10, make([]byte, 16)); err == nil {
 			t.Error("out-of-bounds read accepted")
 		}
 		if err := e.client.Persist(self, e.srv.Addr(), 999); err == nil {

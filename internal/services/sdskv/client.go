@@ -22,16 +22,6 @@ func NewClient(inst *margo.Instance) (*Client, error) {
 	return &Client{inst: inst}, nil
 }
 
-// Open creates (or errors on duplicate) a named database at the target.
-func (c *Client) Open(self *abt.ULT, target, name, backend string) (uint32, error) {
-	var out openResp
-	err := c.inst.Forward(self, target, RPCOpen, &openArgs{Name: name, Backend: backend}, &out)
-	if err != nil {
-		return 0, err
-	}
-	return out.DBID, nil
-}
-
 // Put stores one key-value pair.
 func (c *Client) Put(self *abt.ULT, target string, db uint32, key, value []byte) error {
 	in := putCalls.Get()

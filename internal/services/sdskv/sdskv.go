@@ -31,7 +31,6 @@ import (
 
 // RPC names exported by the SDSKV provider.
 const (
-	RPCOpen        = "sdskv_open_rpc"
 	RPCPut         = "sdskv_put_rpc"
 	RPCGet         = "sdskv_get_rpc"
 	RPCPutPacked   = "sdskv_put_packed_rpc"
@@ -40,7 +39,7 @@ const (
 
 // RPCNames lists every SDSKV RPC (for client registration).
 func RPCNames() []string {
-	return []string{RPCOpen, RPCPut, RPCGet, RPCPutPacked, RPCListKeyvals}
+	return []string{RPCPut, RPCGet, RPCPutPacked, RPCListKeyvals}
 }
 
 // Config models backend insertion costs.
@@ -99,7 +98,6 @@ func RegisterProvider(inst *margo.Instance, cfg Config) (*Provider, error) {
 		byName: make(map[string]uint32),
 	}
 	handlers := map[string]margo.HandlerFunc{
-		RPCOpen:        p.handleOpen,
 		RPCPut:         p.handlePut,
 		RPCGet:         p.handleGet,
 		RPCPutPacked:   p.handlePutPacked,
@@ -155,21 +153,6 @@ func (p *Provider) database(id uint32) (*database, bool) {
 }
 
 // Wire types.
-
-type openArgs struct {
-	Name    string
-	Backend string
-}
-
-func (a *openArgs) Proc(pr *mercury.Proc) error {
-	pr.String(&a.Name)
-	pr.String(&a.Backend)
-	return pr.Err()
-}
-
-type openResp struct{ DBID uint32 }
-
-func (a *openResp) Proc(pr *mercury.Proc) error { return pr.Uint32(&a.DBID) }
 
 type putArgs struct {
 	DBID  uint32
@@ -406,20 +389,6 @@ func (b *packedBatch) release() {
 }
 
 // Handlers.
-
-func (p *Provider) handleOpen(ctx *margo.Context) {
-	var in openArgs
-	if err := ctx.GetInput(&in); err != nil {
-		ctx.RespondError("sdskv: %v", err)
-		return
-	}
-	id, err := p.OpenLocal(in.Name, in.Backend)
-	if err != nil {
-		ctx.RespondError("sdskv: %v", err)
-		return
-	}
-	ctx.Respond(&openResp{DBID: id})
-}
 
 // withWriteLock runs fn with the database's write serialization held
 // (when the backend needs it), making backend contention visible as

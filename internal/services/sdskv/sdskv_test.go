@@ -85,7 +85,7 @@ func TestPutMultiGetMultiBatched(t *testing.T) {
 	e := newBatchEnv(t, Config{}, batch.Policy{MaxOps: 16, MaxDelay: 500 * time.Microsecond})
 	const n = 48
 	err := e.run(t, func(self *abt.ULT) error {
-		db, err := e.client.Open(self, e.srv.Addr(), "multi", "map")
+		db, err := e.prov.OpenLocal("multi", "map")
 		if err != nil {
 			return err
 		}
@@ -137,7 +137,7 @@ func TestPutMultiGetMultiBatched(t *testing.T) {
 func TestPutMultiFallsBackWithoutPolicy(t *testing.T) {
 	e := newEnv(t, Config{}) // no Options.Batch: sequential Forwards
 	err := e.run(t, func(self *abt.ULT) error {
-		db, err := e.client.Open(self, e.srv.Addr(), "plain", "map")
+		db, err := e.prov.OpenLocal("plain", "map")
 		if err != nil {
 			return err
 		}
@@ -172,7 +172,7 @@ func TestPutMultiFallsBackWithoutPolicy(t *testing.T) {
 func TestOpenPutGetOverRPC(t *testing.T) {
 	e := newEnv(t, Config{})
 	err := e.run(t, func(self *abt.ULT) error {
-		db, err := e.client.Open(self, e.srv.Addr(), "db0", "map")
+		db, err := e.prov.OpenLocal("db0", "map")
 		if err != nil {
 			return err
 		}
@@ -198,20 +198,14 @@ func TestOpenPutGetOverRPC(t *testing.T) {
 
 func TestOpenDuplicateAndUnknownBackend(t *testing.T) {
 	e := newEnv(t, Config{})
-	err := e.run(t, func(self *abt.ULT) error {
-		if _, err := e.client.Open(self, e.srv.Addr(), "dup", "map"); err != nil {
-			return err
-		}
-		if _, err := e.client.Open(self, e.srv.Addr(), "dup", "map"); err == nil {
-			t.Error("duplicate open accepted")
-		}
-		if _, err := e.client.Open(self, e.srv.Addr(), "x", "rocksdb"); err == nil {
-			t.Error("unknown backend accepted")
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err := e.prov.OpenLocal("dup", "map"); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := e.prov.OpenLocal("dup", "map"); err == nil {
+		t.Error("duplicate open accepted")
+	}
+	if _, err := e.prov.OpenLocal("x", "rocksdb"); err == nil {
+		t.Error("unknown backend accepted")
 	}
 }
 
@@ -234,7 +228,7 @@ func TestPutPackedRoundTrip(t *testing.T) {
 	e := newEnv(t, Config{})
 	const n = 200
 	err := e.run(t, func(self *abt.ULT) error {
-		db, err := e.client.Open(self, e.srv.Addr(), "packed", "map")
+		db, err := e.prov.OpenLocal("packed", "map")
 		if err != nil {
 			return err
 		}
@@ -264,7 +258,7 @@ func TestPutPackedRoundTrip(t *testing.T) {
 func TestListKeyvalsOrdered(t *testing.T) {
 	e := newEnv(t, Config{})
 	err := e.run(t, func(self *abt.ULT) error {
-		db, err := e.client.Open(self, e.srv.Addr(), "listdb", "map")
+		db, err := e.prov.OpenLocal("listdb", "map")
 		if err != nil {
 			return err
 		}
@@ -309,7 +303,7 @@ func TestSerialBackendBlocksConcurrentPuts(t *testing.T) {
 	var db uint32
 	if err := e.run(t, func(self *abt.ULT) error {
 		var err error
-		db, err = e.client.Open(self, e.srv.Addr(), "serial", "map")
+		db, err = e.prov.OpenLocal("serial", "map")
 		return err
 	}); err != nil {
 		t.Fatal(err)
@@ -347,7 +341,7 @@ func TestShardedBackendDoesNotSerialize(t *testing.T) {
 	var db uint32
 	if err := e.run(t, func(self *abt.ULT) error {
 		var err error
-		db, err = e.client.Open(self, e.srv.Addr(), "conc", "shardedmap")
+		db, err = e.prov.OpenLocal("conc", "shardedmap")
 		return err
 	}); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"symbiosys/internal/abt"
 	"symbiosys/internal/core"
 	"symbiosys/internal/margo"
-	"symbiosys/internal/mercury"
 	"symbiosys/internal/na"
 )
 
@@ -22,15 +21,13 @@ func newEnv(t *testing.T) *env {
 	t.Helper()
 	f := na.NewFabric(na.DefaultConfig())
 	srv, err := margo.New(margo.Options{
-		Mode: margo.ModeServer, Node: "n1", Name: "sonata", Fabric: f,
-		Mercury: mercury.Config{EagerLimit: 2048}, Stage: core.StageFull,
+		Mode: margo.ModeServer, Node: "n1", Name: "sonata", Fabric: f, Stage: core.StageFull,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli, err := margo.New(margo.Options{
-		Mode: margo.ModeClient, Node: "n0", Name: "cli", Fabric: f,
-		Mercury: mercury.Config{EagerLimit: 2048}, Stage: core.StageFull,
+		Mode: margo.ModeClient, Node: "n0", Name: "cli", Fabric: f, Stage: core.StageFull,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +112,7 @@ func TestStoreMultiErrors(t *testing.T) {
 }
 
 func TestLargeBatchTriggersInternalRDMA(t *testing.T) {
-	// A batch far beyond the 2 KiB eager limit must move the metadata
+	// A batch far beyond the 4 KiB eager limit must move the metadata
 	// remainder through the internal RDMA path and charge measurable
 	// deserialization time at the target — the setting of Figure 7.
 	e := newEnv(t)

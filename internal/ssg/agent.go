@@ -10,17 +10,15 @@ import (
 
 // Agent is the participant side of a dynamic group: a process (server
 // mode — it must service RPCs) that joins or watches groups rooted
-// elsewhere, receives pushed membership deltas, answers failure-
-// detector pings, and keeps a locally cached view per group. Routing
-// layers subscribe to the event stream to refresh their tables without
-// polling Observe.
+// elsewhere, receives pushed membership deltas and answers failure-
+// detector pings. Routing layers subscribe to the event stream to
+// refresh their tables without polling Observe.
 type Agent struct {
 	inst *margo.Instance
 	cli  *Client
 
-	mu    sync.Mutex
-	views map[string]View // group -> freshest view seen
-	subs  map[string][]func(Event)
+	mu   sync.Mutex
+	subs map[string][]func(Event)
 }
 
 // NewAgent installs the participant-side SSG RPCs (notify, ping) on a
@@ -30,7 +28,7 @@ func NewAgent(inst *margo.Instance) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Agent{inst: inst, cli: cli, views: make(map[string]View), subs: make(map[string][]func(Event))}
+	a := &Agent{inst: inst, cli: cli, subs: make(map[string][]func(Event))}
 	if err := inst.Register(RPCNotify, a.handleNotify); err != nil {
 		return nil, err
 	}
@@ -43,14 +41,13 @@ func NewAgent(inst *margo.Instance) (*Agent, error) {
 // Client exposes the underlying pull-side client (Observe etc.).
 func (a *Agent) Client() *Client { return a.cli }
 
-// Join enters the group rooted at root as this process, caching the
-// returned view. Returns the assigned rank.
+// Join enters the group rooted at root as this process. Returns the
+// assigned rank and the group's view.
 func (a *Agent) Join(self *abt.ULT, root, group string) (uint32, View, error) {
 	rank, v, err := a.cli.Join(self, root, group, a.inst.Addr())
 	if err != nil {
 		return 0, View{}, err
 	}
-	a.apply(group, v)
 	return rank, v, nil
 }
 
@@ -59,56 +56,25 @@ func (a *Agent) Leave(self *abt.ULT, root, group string) error {
 	return a.cli.Leave(self, root, group, a.inst.Addr())
 }
 
-// Watch subscribes this process for pushed deltas without joining,
-// caching the returned view.
+// Watch subscribes this process for pushed deltas without joining and
+// returns the current view.
 func (a *Agent) Watch(self *abt.ULT, root, group string) (View, error) {
-	v, err := a.cli.Subscribe(self, root, group, a.inst.Addr())
-	if err != nil {
-		return View{}, err
-	}
-	a.apply(group, v)
-	return v, nil
+	return a.cli.Subscribe(self, root, group, a.inst.Addr())
 }
 
 // Refresh re-pulls the view from the root (recovery path when pushes
-// were missed) and caches it.
+// were missed).
 func (a *Agent) Refresh(self *abt.ULT, root, group string) (View, error) {
-	v, err := a.cli.Observe(self, root, group)
-	if err != nil {
-		return View{}, err
-	}
-	a.apply(group, v)
-	return v, nil
-}
-
-// View returns the freshest cached view for the group.
-func (a *Agent) View(group string) (View, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v, ok := a.views[group]
-	return v, ok
+	return a.cli.Observe(self, root, group)
 }
 
 // OnEvent subscribes a callback to the group's pushed membership
 // events. Callbacks run on the notify handler ULT, one event at a
-// time, after the cached view has been updated — so a callback reading
-// Agent.View sees a view at least as new as the event's.
+// time; each event carries the view it produced.
 func (a *Agent) OnEvent(group string, fn func(Event)) {
 	a.mu.Lock()
 	a.subs[group] = append(a.subs[group], fn)
 	a.mu.Unlock()
-}
-
-// apply caches v if it is newer than what we hold (pushes and pulls
-// can race; versions are totally ordered by the root).
-func (a *Agent) apply(group string, v View) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if cur, ok := a.views[group]; ok && cur.Version >= v.Version && v.Version != 0 {
-		return false
-	}
-	a.views[group] = v
-	return true
 }
 
 func (a *Agent) handleNotify(ctx *margo.Context) {
@@ -118,8 +84,6 @@ func (a *Agent) handleNotify(ctx *margo.Context) {
 		return
 	}
 	ev := argsToEvent(&in)
-	// Suspicion does not bump the version; still deliver the event.
-	a.apply(in.Group, ev.View)
 	a.mu.Lock()
 	subs := append([]func(Event){}, a.subs[in.Group]...)
 	a.mu.Unlock()

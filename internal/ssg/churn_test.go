@@ -93,7 +93,7 @@ func TestViewSnapshotUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v := g.View(); v.Size() != 1 {
+	if v := g.View(); len(v.Members) != 1 {
 		t.Fatalf("final view = %+v, want only the root", v)
 	}
 }
@@ -208,7 +208,7 @@ func TestAgentPushedDeltas(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if v.Size() != 1 {
+		if len(v.Members) != 1 {
 			return fmt.Errorf("watch view = %+v", v)
 		}
 		return nil
@@ -234,7 +234,8 @@ func TestAgentPushedDeltas(t *testing.T) {
 	})
 
 	mu.Lock()
-	defer mu.Unlock()
+	events = append([]Event(nil), events...)
+	mu.Unlock()
 	if events[0].Type != EventJoin || events[0].Member.Addr != e.insts[1].Addr() {
 		t.Fatalf("event 0 = %+v", events[0])
 	}
@@ -244,9 +245,16 @@ func TestAgentPushedDeltas(t *testing.T) {
 	if events[0].View.Version >= events[1].View.Version {
 		t.Fatalf("versions not increasing: %d then %d", events[0].View.Version, events[1].View.Version)
 	}
-	if v, ok := e.agents[0].View("svc"); !ok || v.Size() != 1 || v.Version != events[1].View.Version {
-		t.Fatalf("cached view = %+v ok=%v", v, ok)
+	if n := len(events[1].View.Members); n != 1 {
+		t.Fatalf("the leave pushed a view of %d members, want 1", n)
 	}
+	e.run(t, 0, func(self *abt.ULT) error {
+		v, err := e.agents[0].Refresh(self, e.root.Addr(), "svc")
+		if err == nil && v.Version != events[1].View.Version {
+			err = fmt.Errorf("refreshed view %+v, want the pushed version %d", v, events[1].View.Version)
+		}
+		return err
+	})
 }
 
 // TestDetectorSuspectsThenEvicts: the SWIM-style suspicion path. A
@@ -277,7 +285,7 @@ func TestDetectorSuspectsThenEvicts(t *testing.T) {
 			return err
 		})
 	}
-	if v := g.View(); v.Size() != 2 {
+	if v := g.View(); len(v.Members) != 2 {
 		t.Fatalf("view = %+v", v)
 	}
 
@@ -332,7 +340,7 @@ func TestDetectorSuspectsThenEvicts(t *testing.T) {
 		return sawSuspect && sawFail
 	})
 
-	if v := g.View(); v.Size() != 1 || v.Has(victim) {
+	if v := g.View(); len(v.Members) != 1 || v.Has(victim) {
 		t.Fatalf("post-eviction view = %+v", v)
 	}
 }

@@ -104,9 +104,6 @@ type View struct {
 	Members []Member // sorted by rank; immutable once published
 }
 
-// Size returns the member count.
-func (v *View) Size() int { return len(v.Members) }
-
 // Addrs lists member addresses in rank order.
 func (v *View) Addrs() []string {
 	out := make([]string, len(v.Members))
@@ -137,7 +134,6 @@ type Group struct {
 	version uint64
 	cur     []Member        // copy-on-write sorted snapshot
 	watch   map[string]bool // subscribed non-member observers
-	subs    []func(Event)   // root-local subscribers
 }
 
 // Host manages the groups rooted at one server process.
@@ -259,14 +255,6 @@ func (g *Group) viewLocked() View {
 	return View{Name: g.name, Version: g.version, Members: g.cur}
 }
 
-// OnEvent subscribes a root-local callback to this group's membership
-// events. Callbacks run on the host's notifier ULT, in event order.
-func (g *Group) OnEvent(fn func(Event)) {
-	g.mu.Lock()
-	g.subs = append(g.subs, fn)
-	g.mu.Unlock()
-}
-
 // join adds a member, returning its rank, the new view, and whether
 // membership actually changed.
 func (g *Group) join(addr string) (uint32, View, bool) {
@@ -370,8 +358,7 @@ func (h *Host) enqueue(group string, ev Event) {
 
 // notifyLoop drains the push queue: each event fans out to the group's
 // members and subscribed observers as ssg_notify RPCs (short timeout —
-// an unreachable recipient must not stall churn), and to root-local
-// subscribers as direct calls.
+// an unreachable recipient must not stall churn).
 func (h *Host) notifyLoop(self *abt.ULT) {
 	for {
 		h.qsem.Acquire(self)
@@ -391,12 +378,6 @@ func (h *Host) notifyLoop(self *abt.ULT) {
 		g, ok := h.group(p.group)
 		if !ok {
 			continue
-		}
-		g.mu.Lock()
-		subs := append([]func(Event){}, g.subs...)
-		g.mu.Unlock()
-		for _, fn := range subs {
-			fn(p.ev)
 		}
 		args := eventToArgs(p.group, p.ev)
 		for _, addr := range g.recipients(p.ev) {

@@ -56,7 +56,7 @@ func TestCreateJoinObserveLeave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := g.View(); v.Size() != 1 || v.Members[0].Addr != e.root.Addr() {
+	if v := g.View(); len(v.Members) != 1 || v.Members[0].Addr != e.root.Addr() {
 		t.Fatalf("initial view = %+v", v)
 	}
 	err = e.run(t, func(self *abt.ULT) error {
@@ -67,7 +67,7 @@ func TestCreateJoinObserveLeave(t *testing.T) {
 		if rank != 1 {
 			t.Errorf("rank = %d, want 1", rank)
 		}
-		if view.Size() != 2 || view.Version != 2 {
+		if len(view.Members) != 2 || view.Version != 2 {
 			t.Errorf("view = %+v", view)
 		}
 		// Observe sees the same membership.
@@ -75,7 +75,7 @@ func TestCreateJoinObserveLeave(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if obs.Size() != 2 || obs.Version != view.Version {
+		if len(obs.Members) != 2 || obs.Version != view.Version {
 			t.Errorf("observe = %+v", obs)
 		}
 		if obs.Addrs()[0] != e.root.Addr() || obs.Addrs()[1] != e.cli.Addr() {
@@ -89,7 +89,7 @@ func TestCreateJoinObserveLeave(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if obs.Size() != 1 || obs.Version != 3 {
+		if len(obs.Members) != 1 || obs.Version != 3 {
 			t.Errorf("after leave = %+v", obs)
 		}
 		return nil
