@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet orphans surface check bench bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke
+.PHONY: all build test race vet orphans surface check bench bench-build bench-allocs alloc-sites smoke-metrics chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke reach
 
 all: check
 
@@ -65,7 +65,7 @@ surface:
 # mercury, margo, core) run three times (core also because one lock per
 # shard guards both its callpath maps and its trace records, while
 # readers decode snapshots outside it): their recycle tests race timers,
-# cancellation sweeps, late fabric errors, duplicated and delayed
+# cancellations, late fabric errors, duplicated and delayed
 # deliveries and the last reference on every request, and which side
 # wins differs from run to run. Under the race detector a recycled frame
 # or arena is overwritten before it re-enters its pool, so these runs are
@@ -163,6 +163,50 @@ alloc-sites:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
+
+# reach prints which internal/ code the entry points execute, where
+# orphans only asks what they could reach. It builds every main under
+# cmd/ and examples/ and the benchmark harness with coverage of every
+# package of both modules (the mains included: a binary whose main
+# package is not covered writes no counters). In a temporary directory
+# it then runs the seven configurations and figures 5-13 at -scale 16,
+# the chaos, overload, elastic and batch scenarios with their /metrics
+# capture, every sym subcommand in each output form over their dumps,
+# the five examples, and the six benchmark workloads for 2 s each,
+# untraced and then traced (the traced run adds the per-layer probes).
+# It prints the statement coverage of each internal/ package, then the
+# internal/ functions no run executed. About two minutes on two cores;
+# not part of check.
+reach:
+	@set -e; d=$$(mktemp -d); log=$$d/run.log; \
+	trap 'st=$$?; [ $$st = 0 ] || { echo "reach: a run failed; the end of its log:"; tail -20 $$log; }; rm -rf "$$d"' EXIT; \
+	mkdir -p $$d/bin $$d/cov $$d/run; \
+	$(GO) build -cover -coverpkg=symbiosys/... -o $$d/bin/ ./cmd/... ./examples/...; \
+	(cd benchmark && $(GO) build -cover -coverpkg=symbiosys/... -o $$d/bin/symbench .); \
+	export GOCOVERDIR=$$d/cov; cd $$d/run; \
+	hb="$$d/bin/hepnos-bench -scale 16 -out dumps"; sym=$$d/bin/sym; \
+	for c in C1 C2 C3 C4 C5 C6 C7; do $$hb -config $$c; done >>$$log 2>&1; \
+	for f in 5 6 7 9 10 11 12 13; do $$hb -figure $$f; done >figures.txt 2>>$$log; \
+	for r in chaos overload elastic batch; do $$hb -run $$r -metrics 127.0.0.1:0; done >>$$log 2>&1; \
+	for e in composed livemon quickstart saturation tracing; do $$d/bin/$$e; done >>$$log 2>&1; \
+	req=$$(sed -n 's/.*-req \(0x[0-9a-f]*\).*/\1/p' figures.txt | head -1); \
+	{ for o in cli tui html; do \
+		$$sym prof -dir dumps/C1 -o $$o; \
+		$$sym stats -dir dumps/C1 -o $$o; \
+		$$sym trace -dir dumps/chaos-faulted -flame -o $$o; \
+		$$sym diff -before dumps/chaos-clean -dir dumps/chaos-faulted -o $$o -out diff.$$o; \
+	done; \
+	$$sym stats -classes; $$sym stats -pvars; $$sym trace -dir dumps/mobject; \
+	$$sym trace -dir dumps/mobject -req $$req -path -gantt -zipkin zipkin.json; \
+	$$sym trace -dir .; } >>$$log 2>&1; \
+	for w in hepnos_c7 hepnos_c4 sdskv_mixed sdskv_multi mobject_ior analyze_c7; do \
+		$$d/bin/symbench --workload $$w --seed 1 --seconds 2 --trace 0; \
+		$$d/bin/symbench --workload $$w --seed 1 --seconds 2 --trace 1; \
+	done >>$$log 2>&1; \
+	echo "statement coverage per internal/ package:"; \
+	$(GO) tool covdata percent -i=$$d/cov | grep 'symbiosys/internal/' | sort; \
+	echo "internal/ functions no run executed:"; \
+	$(GO) tool covdata func -i=$$d/cov | awk '$$1 ~ /^symbiosys\/internal\// && $$NF == "0.0%"'
 
 # smoke-metrics spins up a tiny HEPnOS cluster with live telemetry,
 # scrapes /metrics mid-run, and asserts the exposition is well-formed

@@ -156,9 +156,9 @@ func (b *bench) done(r *experiments.Run) {
 	if f := c.Faults; f != (na.FaultStats{}) {
 		fmt.Fprintf(b.w, "  injected: drops %d  dups %d  delays %d  refusals %d\n", f.Drops, f.Dups, f.Delays, f.Refusals)
 	}
-	if c.Retries+c.Timeouts+c.Exhausted+c.Cancels > 0 {
-		fmt.Fprintf(b.w, "  client resilience: retries %d  timeouts %d  exhausted %d  cancels %d\n",
-			c.Retries, c.Timeouts, c.Exhausted, c.Cancels)
+	if c.Retries+c.Timeouts+c.Exhausted > 0 {
+		fmt.Fprintf(b.w, "  client resilience: retries %d  timeouts %d  exhausted %d\n",
+			c.Retries, c.Timeouts, c.Exhausted)
 	}
 	if c.Shed+c.Expired+c.BreakerTrips+c.BreakerFastFails > 0 {
 		fmt.Fprintf(b.w, "  overload control: shed %d  expired %d  breaker trips %d  local fast-fails %d\n",

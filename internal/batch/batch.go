@@ -24,7 +24,7 @@ const (
 	ReasonNone Reason = iota
 	// ReasonFull: the window reached Policy.MaxOps members.
 	ReasonFull
-	// ReasonBytes: the window reached Policy.MaxBytes encoded bytes.
+	// ReasonBytes: the window reached MaxBytes encoded bytes.
 	ReasonBytes
 	// ReasonWindow: the adaptive delay elapsed with the window open.
 	ReasonWindow
@@ -55,6 +55,11 @@ func (r Reason) String() string {
 	}
 }
 
+// MaxBytes flushes a window when its encoded payload reaches this many
+// bytes. It also bounds the vectored frame so batch frames stay on the
+// eager path.
+const MaxBytes = 128 << 10
+
 // Policy tunes one coalescer. The zero value is usable: WithDefaults
 // fills the paper-informed defaults (window 64 reproduces HEPnOS C1;
 // window 1 degenerates to the C4 misconfiguration).
@@ -62,10 +67,6 @@ type Policy struct {
 	// MaxOps flushes a window when it holds this many members.
 	// Default 64.
 	MaxOps int
-	// MaxBytes flushes a window when its encoded payload reaches this
-	// many bytes. It also bounds the vectored frame so batch frames
-	// stay on the eager path. Default 128 KiB.
-	MaxBytes int
 	// MaxDelay is the longest a member waits for companions before the
 	// window flushes anyway. Default 200µs.
 	MaxDelay time.Duration
@@ -75,9 +76,6 @@ type Policy struct {
 func (p Policy) WithDefaults() Policy {
 	if p.MaxOps <= 0 {
 		p.MaxOps = 64
-	}
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = 128 << 10
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 200 * time.Microsecond
@@ -117,7 +115,7 @@ func (p Policy) Due(w *Window) Reason {
 	if w.ops >= p.MaxOps {
 		return ReasonFull
 	}
-	if w.bytes >= p.MaxBytes {
+	if w.bytes >= MaxBytes {
 		return ReasonBytes
 	}
 	return ReasonNone

@@ -7,17 +7,17 @@ import (
 
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{}.WithDefaults()
-	if p.MaxOps != 64 || p.MaxBytes != 128<<10 || p.MaxDelay != 200*time.Microsecond {
+	if p.MaxOps != 64 || p.MaxDelay != 200*time.Microsecond {
 		t.Fatalf("unexpected defaults: %+v", p)
 	}
-	keep := Policy{MaxOps: 8, MaxBytes: 1 << 10, MaxDelay: time.Millisecond}.WithDefaults()
-	if keep.MaxOps != 8 || keep.MaxBytes != 1<<10 || keep.MaxDelay != time.Millisecond {
+	keep := Policy{MaxOps: 8, MaxDelay: time.Millisecond}.WithDefaults()
+	if keep.MaxOps != 8 || keep.MaxDelay != time.Millisecond {
 		t.Fatalf("WithDefaults overwrote explicit values: %+v", keep)
 	}
 }
 
 func TestWindowDueFull(t *testing.T) {
-	p := Policy{MaxOps: 3, MaxBytes: 1 << 20, MaxDelay: time.Second}
+	p := Policy{MaxOps: 3, MaxDelay: time.Second}
 	var w Window
 	w.Open(100)
 	for i := 0; i < 2; i++ {
@@ -33,21 +33,21 @@ func TestWindowDueFull(t *testing.T) {
 }
 
 func TestWindowDueBytes(t *testing.T) {
-	p := Policy{MaxOps: 100, MaxBytes: 25, MaxDelay: time.Second}
+	p := Policy{MaxOps: 100, MaxDelay: time.Second}
 	var w Window
 	w.Open(0)
-	w.Add(10, 0)
+	w.Add(MaxBytes/2, 0)
 	if r := p.Due(&w); r != ReasonNone {
 		t.Fatalf("premature flush: %v", r)
 	}
-	w.Add(20, 0)
+	w.Add(MaxBytes/2, 0)
 	if r := p.Due(&w); r != ReasonBytes {
 		t.Fatalf("want ReasonBytes, got %v", r)
 	}
 }
 
 func TestFlushAtWindow(t *testing.T) {
-	p := Policy{MaxOps: 100, MaxBytes: 1 << 20, MaxDelay: time.Millisecond}
+	p := Policy{MaxOps: 100, MaxDelay: time.Millisecond}
 	var w Window
 	w.Open(1000)
 	w.Add(1, 0)
@@ -58,7 +58,7 @@ func TestFlushAtWindow(t *testing.T) {
 }
 
 func TestFlushAtUrgent(t *testing.T) {
-	p := Policy{MaxOps: 100, MaxBytes: 1 << 20, MaxDelay: time.Millisecond}
+	p := Policy{MaxOps: 100, MaxDelay: time.Millisecond}
 	var w Window
 	w.Open(1000)
 	// A member whose deadline lands inside the window pulls the flush

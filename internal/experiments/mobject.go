@@ -85,7 +85,6 @@ func RunMobjectIOR(cfg MobjectConfig, metricsAddr, out string) (*MobjectResult, 
 					Rank:         i,
 					Segments:     cfg.Segments,
 					TransferSize: cfg.TransferSize,
-					ReadBack:     true,
 				})
 			}()
 		}

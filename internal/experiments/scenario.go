@@ -79,7 +79,7 @@ func (p Phase) SuccessRate() float64 {
 // Counters are the resilience and overload counters summed over every
 // process of a run, and the faults the fabric injected.
 type Counters struct {
-	Retries, Timeouts, Exhausted, Cancels         uint64
+	Retries, Timeouts, Exhausted                  uint64
 	Shed, Expired, BreakerTrips, BreakerFastFails uint64
 	Faults                                        na.FaultStats
 }
@@ -142,7 +142,6 @@ func (c *Cluster) execute(s Scenario, metricsAddr, out string) (*Run, error) {
 		r.Counters.Retries += rs.Retries
 		r.Counters.Timeouts += rs.Timeouts
 		r.Counters.Exhausted += rs.Exhausted
-		r.Counters.Cancels += rs.Cancels
 		r.Counters.Shed += ol.Shed
 		r.Counters.Expired += ol.Expired
 		r.Counters.BreakerTrips += ol.BreakerTrips

@@ -106,7 +106,7 @@ func TestMixedServiceSoak(t *testing.T) {
 			defer wg.Done()
 			_, errs[0] = ior.Run(iorCli, ior.Config{
 				Target: mobSrv.Addr(), Rank: 0, Segments: 6,
-				TransferSize: 8 << 10, ReadBack: true,
+				TransferSize: 8 << 10,
 			})
 		}()
 		go func() {

@@ -317,10 +317,9 @@ func batchDone(h *mercury.Handle, err error) {
 func (fl *batchFlight) attemptDone(h *mercury.Handle, err error) {
 	t14 := time.Now()
 	i, co := fl.co.i, fl.co
-	timerFired := fl.call.timerFired.Load()
 	fl.call.release()
 	fl.call = nil
-	timedOut := i.attemptDone(fl.br, err, timerFired)
+	timedOut := i.attemptDone(fl.br, err)
 	if err == nil {
 		fl.fanOut(h, t14)
 		h.Destroy()

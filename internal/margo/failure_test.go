@@ -134,46 +134,6 @@ func TestClockSkewPreservesLamportOrder(t *testing.T) {
 	}
 }
 
-func TestCancelPostedSweepsTarget(t *testing.T) {
-	c := newCluster(t)
-	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
-	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli"})
-	release := make(chan struct{})
-	srv.Register("hang_rpc", func(ctx *Context) {
-		<-release
-		ctx.Respond(mercury.Void{})
-	})
-	defer close(release)
-	cli.RegisterClient("hang_rpc")
-
-	errs := make([]error, 3)
-	ults := make([]*abt.ULT, 3)
-	for i := range ults {
-		idx := i
-		ults[i] = cli.Run("w", func(self *abt.ULT) {
-			errs[idx] = cli.Forward(self, srv.Addr(), "hang_rpc", &mercury.Void{}, nil)
-		})
-	}
-	// Wait for all three to be posted, then sweep.
-	deadline := time.Now().Add(5 * time.Second)
-	for cli.InFlight() != 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("InFlight = %d", cli.InFlight())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond) // let the sends post the handles
-	if n := cli.Mercury().CancelPosted(srv.Addr()); n != 3 {
-		t.Fatalf("CancelPosted = %d, want 3", n)
-	}
-	for i, u := range ults {
-		u.Join(nil)
-		if !errors.Is(errs[i], mercury.ErrCanceled) {
-			t.Fatalf("rpc %d err = %v", i, errs[i])
-		}
-	}
-}
-
 // TestDrainWaitsForInflightAndShedsNew: Drain must stop admitting new
 // requests immediately (they shed with ErrOverloaded) while the
 // in-flight handler runs to completion and gets its response out — the

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"symbiosys/internal/abt"
@@ -41,17 +40,14 @@ type originCall struct {
 	// mh is the handle the armed timer cancels; the timer holds a
 	// reference to it from arm until a successful Stop or until it has
 	// fired, so a late timeout finds this call's handle, never the one
-	// its memory serves next. timerFired disambiguates this call's own
-	// deadline from an external cancellation: the store happens before
-	// Cancel enqueues the completion, so when the wait observes
-	// ErrCanceled caused by the timer, the flag is already visible. If a
+	// its memory serves next. The timer is the only caller of Cancel, so
+	// an attempt that ends in mercury.ErrCanceled timed out. If a
 	// genuine response races the timer, completeForward's CAS lets
 	// exactly one of them win — a late timer then cancels an
 	// already-completed handle, a no-op.
-	mh         *mercury.Handle
-	timer      *time.Timer
-	onTimeout  func() // == timeout, bound once so arming never allocates
-	timerFired atomic.Bool
+	mh        *mercury.Handle
+	timer     *time.Timer
+	onTimeout func() // == timeout, bound once so arming never allocates
 }
 
 var callPool = sync.Pool{New: func() any {
@@ -72,7 +68,6 @@ func (c *originCall) arm(mh *mercury.Handle, d time.Duration) {
 }
 
 func (c *originCall) timeout() {
-	c.timerFired.Store(true)
 	c.mh.Cancel()
 	c.mh.Unref()
 }
@@ -92,7 +87,6 @@ func (c *originCall) release() {
 	}
 	c.ev.Reset()
 	c.err, c.mh = nil, nil
-	c.timerFired.Store(false)
 	callPool.Put(c)
 }
 
@@ -254,18 +248,13 @@ func (i *Instance) admit(br *breaker, target, rpcName string) error {
 	return fmt.Errorf("%w: %s to %s", ErrCircuitOpen, rpcName, target)
 }
 
-// attemptDone is the verdict on one finished attempt. timerFired says
-// the attempt's own per-try timer went off; with mercury.ErrCanceled
-// that makes it a timeout, without it an external CancelPosted — the
-// two surface as the same error and only the first may be retried. The
-// outcome is counted, fed to the circuit and, on success, refills the
-// retry budget.
-func (i *Instance) attemptDone(br *breaker, err error, timerFired bool) (timedOut bool) {
-	if canceled := errors.Is(err, mercury.ErrCanceled); canceled && timerFired {
-		timedOut = true
+// attemptDone is the verdict on one finished attempt. Only the
+// attempt's own per-try timer cancels a handle, so mercury.ErrCanceled
+// means the attempt timed out. The outcome is counted, fed to the
+// circuit and, on success, refills the retry budget.
+func (i *Instance) attemptDone(br *breaker, err error) (timedOut bool) {
+	if timedOut = errors.Is(err, mercury.ErrCanceled); timedOut {
 		i.timeoutsTotal.Add(1)
-	} else if canceled {
-		i.cancelsTotal.Add(1)
 	}
 	if br != nil && br.record(time.Now(), err != nil, overloadClass(err, timedOut)) {
 		i.breakerTripsTotal.Add(1)
@@ -352,9 +341,8 @@ func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercur
 		// cooldown and a later attempt becomes the half-open probe.
 		timedOut := false
 		if err = i.admit(br, target, rpcName); err == nil {
-			var fired bool
-			err, fired = i.forwardOnce(self, &op, target, rpcName, in, out, tryTimeout, stage)
-			timedOut = i.attemptDone(br, err, fired)
+			err = i.forwardOnce(self, &op, target, rpcName, in, out, tryTimeout, stage)
+			timedOut = i.attemptDone(br, err)
 			if err == nil {
 				return nil
 			}
@@ -381,12 +369,10 @@ func (i *Instance) Forward(self *abt.ULT, target, rpcName string, in, out mercur
 }
 
 // forwardOnce issues a single attempt of a forward and stamps its span.
-// timerFired reports that the attempt's own per-try timer went off (see
-// attemptDone).
-func (i *Instance) forwardOnce(self *abt.ULT, op *originOp, target, rpcName string, in, out mercury.Procable, timeout time.Duration, stage core.Stage) (err error, timerFired bool) {
+func (i *Instance) forwardOnce(self *abt.ULT, op *originOp, target, rpcName string, in, out mercury.Procable, timeout time.Duration, stage core.Stage) error {
 	mh, err := i.hg.Create(target, rpcName)
 	if err != nil {
-		return err, false
+		return err
 	}
 	defer mh.Destroy()
 
@@ -397,13 +383,13 @@ func (i *Instance) forwardOnce(self *abt.ULT, op *originOp, target, rpcName stri
 		c.release()
 		// t1 is stamped: a request that never left still closes its span.
 		i.originEnd(op, stage, target, rpcName, time.Now(), true, mh, 0, 0)
-		return err, false
+		return err
 	}
 	if timeout > 0 {
 		c.arm(mh, timeout)
 	}
 	c.ev.Wait(self)
-	err, t14, timerFired := c.err, c.t14, c.timerFired.Load()
+	err, t14 := c.err, c.t14
 	c.release()
 
 	if stage.Injects() {
@@ -415,7 +401,7 @@ func (i *Instance) forwardOnce(self *abt.ULT, op *originOp, target, rpcName stri
 		err = mh.GetOutput(out)
 	}
 	i.originEnd(op, stage, target, rpcName, t14, err != nil, mh, 0, 0)
-	return err, timerFired
+	return err
 }
 
 // BulkCreate exposes buf for one-sided transfers.

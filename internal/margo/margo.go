@@ -219,7 +219,6 @@ type Instance struct {
 	retriesTotal   atomic.Uint64
 	timeoutsTotal  atomic.Uint64
 	exhaustedTotal atomic.Uint64
-	cancelsTotal   atomic.Uint64
 
 	// Server-side overload-control state (Options.Overload): the
 	// admission policy, the draining flag Drain raises, the

@@ -19,6 +19,10 @@ var ErrDeadlineExceeded = errors.New("margo: forward deadline exceeded")
 // the instance's retry budget ran dry (retry-storm protection).
 var ErrRetryBudgetExhausted = errors.New("margo: retry budget exhausted")
 
+// budgetRefill is the number of retry tokens each successful attempt
+// puts back: sustained, one retry per two successes.
+const budgetRefill = 0.5
+
 // RetryPolicy is the client-side resilience configuration applied to
 // every forward of an instance, single or coalesced (Options.Retry). Send
 // failures the fabric reports before delivery (unreachable, closed,
@@ -39,11 +43,10 @@ type RetryPolicy struct {
 	// time out under a ForwardOpts.Timeout.
 	PerTryTimeout time.Duration
 	// Budget is the token bucket protecting against retry storms: each
-	// retry spends one token, each success refills BudgetRefill tokens
-	// (capped at Budget). Defaults: 64 tokens, 0.5 refill. A negative
-	// Budget disables the bucket.
-	Budget       float64
-	BudgetRefill float64
+	// retry spends one token, each success refills budgetRefill tokens
+	// (capped at Budget). Default 64 tokens. A negative Budget disables
+	// the bucket.
+	Budget float64
 	// Breaker, when non-nil, adds a per-(target, RPC) circuit breaker
 	// in front of every attempt: consecutive overload-class failures
 	// (sheds, deadline rejections, timeouts, fabric partitions) trip it
@@ -64,9 +67,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.Budget == 0 {
 		p.Budget = 64
-	}
-	if p.BudgetRefill <= 0 {
-		p.BudgetRefill = 0.5
 	}
 	return p
 }
@@ -126,7 +126,7 @@ func (rs *retryState) success() {
 		return
 	}
 	rs.mu.Lock()
-	rs.tokens += rs.pol.BudgetRefill
+	rs.tokens += budgetRefill
 	if rs.tokens > rs.pol.Budget {
 		rs.tokens = rs.pol.Budget
 	}
@@ -175,8 +175,7 @@ func (i *Instance) Idempotent(rpcName string) bool {
 }
 
 // retryable classifies one failed attempt. timedOut marks a failure
-// produced by this forward's own per-try timer (as opposed to an
-// external CancelPosted, which is never retried).
+// produced by this forward's own per-try timer.
 func (i *Instance) retryable(err error, timedOut bool, rpcName string) bool {
 	if timedOut {
 		// The request may have reached (and executed at) the target;
@@ -208,9 +207,6 @@ type RetryStats struct {
 	// Exhausted counts forwards abandoned with retryable errors
 	// (attempts, deadline, or budget ran out).
 	Exhausted uint64
-	// Cancels counts attempts completed by an external cancellation
-	// (CancelPosted), which is never retried.
-	Cancels uint64
 }
 
 // RetryStats reports the instance's resilience counters.
@@ -219,7 +215,6 @@ func (i *Instance) RetryStats() RetryStats {
 		Retries:   i.retriesTotal.Load(),
 		Timeouts:  i.timeoutsTotal.Load(),
 		Exhausted: i.exhaustedTotal.Load(),
-		Cancels:   i.cancelsTotal.Load(),
 	}
 }
 

@@ -149,8 +149,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	c := newCluster(t)
 	srv := c.add(t, Options{Mode: ModeServer, Node: "n1", Name: "srv"})
 	cli := c.add(t, Options{Mode: ModeClient, Node: "n0", Name: "cli",
-		Retry: testRetry(RetryPolicy{MaxAttempts: 10, Budget: 2, BudgetRefill: 0.1,
-			InitialBackoff: time.Millisecond})})
+		Retry: testRetry(RetryPolicy{MaxAttempts: 10, Budget: 2, InitialBackoff: time.Millisecond})})
 	srv.Register("never_rpc", func(ctx *Context) { ctx.Respond(mercury.Void{}) })
 	cli.RegisterClient("never_rpc")
 	c.fabric.SetFaultPlan(na.NewFaultPlan(1).PartitionOneWay(cli.Addr(), srv.Addr()))

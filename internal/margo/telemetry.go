@@ -32,7 +32,6 @@ func (i *Instance) TelemetrySample() telemetry.Sample {
 		RPCRetries:     i.retriesTotal.Load(),
 		RPCTimeouts:    i.timeoutsTotal.Load(),
 		RPCExhausted:   i.exhaustedTotal.Load(),
-		RPCCancels:     i.cancelsTotal.Load(),
 		FaultDrops:     i.ep.FaultDrops(),
 		FaultDups:      i.ep.FaultDups(),
 		FaultDelays:    i.ep.FaultDelays(),

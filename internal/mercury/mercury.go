@@ -461,29 +461,6 @@ func (c *Class) handleResponse(msg *na.Message) {
 	c.enqueue(completion{kind: compResponse, h: h})
 }
 
-// CancelPosted cancels every posted handle addressed to target (or all
-// posted handles when target is empty). Each canceled forward's
-// callback fires with ErrCanceled; late responses are dropped as stale.
-func (c *Class) CancelPosted(target string) int {
-	c.mu.Lock()
-	var victims []*Handle
-	for _, h := range c.posted {
-		if target == "" || h.target == target {
-			// Referenced under the lock, while the table still holds it:
-			// a response may complete and recycle the handle before the
-			// sweep gets to it.
-			h.Ref()
-			victims = append(victims, h)
-		}
-	}
-	c.mu.Unlock()
-	for _, h := range victims {
-		h.Cancel()
-		h.Unref()
-	}
-	return len(victims)
-}
-
 // unpost takes h out of the posted table, if it is still there, and
 // gives back the table's reference. The caller holds one of its own.
 func (c *Class) unpost(h *Handle) {

@@ -3,6 +3,7 @@ package mercury
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -15,7 +16,7 @@ import (
 // The tests in this file run recycled handles through the interleavings
 // that could hand one request another's state: a completion event that
 // arrives after its forward was canceled and destroyed, a cancellation
-// sweep racing responses, a second Destroy, and a handler that never
+// racing the response, a second Destroy, and a handler that never
 // destroys at all. Every request carries a nonce the reply must echo.
 
 type nonceArg struct{ N uint64 }
@@ -161,8 +162,9 @@ func TestLateSendErrorMeetsItsOwnRequest(t *testing.T) {
 
 // TestCancelSweepAndSecondDestroy: issuers destroy every handle twice
 // while it is still posted (the owner is done; the response, which still
-// arrives, completes the forward) and a sweeper cancels whatever is
-// posted, so cancellations, responses and the last reference race on
+// arrives, completes the forward) and a canceler goroutine, holding a
+// reference of its own, cancels each handle after a short random delay,
+// so the cancellation, the response and the last reference race on
 // every handle. A reference of the issuer's own spans the two Destroys,
 // which keeps the second one inside the handle's life. Each forward must
 // complete exactly once, with its own nonce or ErrCanceled; a second
@@ -172,23 +174,6 @@ func TestLateSendErrorMeetsItsOwnRequest(t *testing.T) {
 func TestCancelSweepAndSecondDestroy(t *testing.T) {
 	p := newRPCPair(t, Config{})
 	registerNonceEcho(t, p.client, p.server, "nonce", true, nil)
-
-	stop := make(chan struct{})
-	var sweeper sync.WaitGroup
-	sweeper.Add(1)
-	var swept atomic.Int64
-	go func() {
-		defer sweeper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				swept.Add(int64(p.client.CancelPosted("")))
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
 
 	const issuers, perIssuer = 4, 2000
 	var successes, cancels atomic.Int64
@@ -202,6 +187,7 @@ func TestCancelSweepAndSecondDestroy(t *testing.T) {
 				err error
 			}
 			done := make(chan result, 2) // a second completion must not block the progress loop
+			canceled := make(chan struct{})
 			for k := 0; k < perIssuer; k++ {
 				nonce := uint64(issuer)<<32 | uint64(k+1)
 				h, err := p.client.Create(p.server.Addr(), "nonce")
@@ -220,10 +206,20 @@ func TestCancelSweepAndSecondDestroy(t *testing.T) {
 					return
 				}
 				h.Ref()
+				go func(spins int) {
+					for ; spins > 0; spins-- {
+						runtime.Gosched()
+					}
+					h.Cancel()
+					h.Unref()
+					canceled <- struct{}{}
+				}(rand.IntN(64))
+				h.Ref()
 				h.Destroy()
 				h.Destroy()
 				h.Unref()
 				r := <-done
+				<-canceled
 				switch {
 				case r.err == nil && r.n == nonce:
 					successes.Add(1)
@@ -243,12 +239,10 @@ func TestCancelSweepAndSecondDestroy(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
-	close(stop)
-	sweeper.Wait()
 	if got := successes.Load() + cancels.Load(); got != issuers*perIssuer {
 		t.Errorf("successes %d + cancels %d = %d, want %d", successes.Load(), cancels.Load(), got, issuers*perIssuer)
 	}
-	t.Logf("%d successes, %d canceled (%d handles swept)", successes.Load(), cancels.Load(), swept.Load())
+	t.Logf("%d successes, %d canceled", successes.Load(), cancels.Load())
 }
 
 // TestRecycledHandleStartsClean: a handle that comes back from the pool

@@ -252,12 +252,8 @@ func (n *Node) Join(self *abt.ULT) error {
 }
 
 // onEvent reacts to a pushed membership delta: install the new ring and
-// kick the rebalance worker. Suspicion changes nothing (the member is
-// still in the view); join/leave/fail all carry a new view.
+// kick the rebalance worker. Every delta carries the view it produced.
 func (n *Node) onEvent(ev ssg.Event) {
-	if ev.Type == ssg.EventSuspect {
-		return
-	}
 	n.applyView(ev.View)
 }
 

@@ -64,11 +64,7 @@ func NewRouter(inst *margo.Instance, root, group string) (*Router, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.agent.OnEvent(group, func(ev ssg.Event) {
-			if ev.Type != ssg.EventSuspect {
-				r.applyView(ev.View)
-			}
-		})
+		r.agent.OnEvent(group, func(ev ssg.Event) { r.applyView(ev.View) })
 		r.ssgc = r.agent.Client()
 	} else if r.ssgc, err = ssg.NewClient(inst); err != nil {
 		return nil, err

@@ -10,9 +10,9 @@ import (
 
 // Agent is the participant side of a dynamic group: a process (server
 // mode — it must service RPCs) that joins or watches groups rooted
-// elsewhere, receives pushed membership deltas and answers failure-
-// detector pings. Routing layers subscribe to the event stream to
-// refresh their tables without polling Observe.
+// elsewhere and receives pushed membership deltas. Routing layers
+// subscribe to the event stream to refresh their tables without polling
+// Observe.
 type Agent struct {
 	inst *margo.Instance
 	cli  *Client
@@ -21,8 +21,8 @@ type Agent struct {
 	subs map[string][]func(Event)
 }
 
-// NewAgent installs the participant-side SSG RPCs (notify, ping) on a
-// Margo server instance and returns the agent.
+// NewAgent installs the participant-side SSG RPC (notify) on a Margo
+// server instance and returns the agent.
 func NewAgent(inst *margo.Instance) (*Agent, error) {
 	cli, err := NewClient(inst)
 	if err != nil {
@@ -30,9 +30,6 @@ func NewAgent(inst *margo.Instance) (*Agent, error) {
 	}
 	a := &Agent{inst: inst, cli: cli, subs: make(map[string][]func(Event))}
 	if err := inst.Register(RPCNotify, a.handleNotify); err != nil {
-		return nil, err
-	}
-	if err := inst.Register(RPCPing, a.handlePing); err != nil {
 		return nil, err
 	}
 	return a, nil
@@ -90,9 +87,5 @@ func (a *Agent) handleNotify(ctx *margo.Context) {
 	for _, fn := range subs {
 		fn(ev)
 	}
-	ctx.Respond(mercury.Void{})
-}
-
-func (a *Agent) handlePing(ctx *margo.Context) {
 	ctx.Respond(mercury.Void{})
 }

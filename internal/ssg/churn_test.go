@@ -256,91 +256,3 @@ func TestAgentPushedDeltas(t *testing.T) {
 		return err
 	})
 }
-
-// TestDetectorSuspectsThenEvicts: the SWIM-style suspicion path. A
-// member is partitioned from the root by the fault plane; the detector
-// must first push EventSuspect (view unchanged) and then EventFail
-// (member evicted, version bumped). The surviving member sees both
-// pushes.
-func TestDetectorSuspectsThenEvicts(t *testing.T) {
-	e := newAgentEnv(t, 2)
-	g, err := e.host.Create("svc", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var events []Event
-	record := func(ev Event) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}
-	e.agents[0].OnEvent("svc", record)
-
-	for i := 0; i < 2; i++ {
-		i := i
-		e.run(t, i, func(self *abt.ULT) error {
-			_, _, err := e.agents[i].Join(self, e.root.Addr(), "svc")
-			return err
-		})
-	}
-	if v := g.View(); len(v.Members) != 2 {
-		t.Fatalf("view = %+v", v)
-	}
-
-	det := e.host.StartDetector(g, DetectorConfig{
-		Interval:     5 * time.Millisecond,
-		PingTimeout:  20 * time.Millisecond,
-		SuspectAfter: 2,
-		FailAfter:    4,
-	})
-	defer det.Stop()
-
-	// Let a few clean ping rounds pass: no spurious suspicion.
-	time.Sleep(50 * time.Millisecond)
-	mu.Lock()
-	for _, ev := range events {
-		if ev.Type == EventSuspect || ev.Type == EventFail {
-			mu.Unlock()
-			t.Fatalf("spurious %v before partition: %+v", ev.Type, ev)
-		}
-	}
-	mu.Unlock()
-
-	// Partition agent 1 from the root: pings start missing.
-	victim := e.insts[1].Addr()
-	plan := na.NewFaultPlan(7)
-	plan.Partition(e.root.Addr(), victim)
-	e.fabric.SetFaultPlan(plan)
-	waitFor(t, 5*time.Second, "suspect then fail", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		var sawSuspect, sawFail bool
-		for _, ev := range events {
-			if ev.Member.Addr != victim {
-				continue
-			}
-			switch ev.Type {
-			case EventSuspect:
-				sawSuspect = true
-				if !ev.View.Has(victim) {
-					t.Errorf("suspect evicted the member early: %+v", ev.View)
-				}
-			case EventFail:
-				sawFail = true
-				if ev.View.Has(victim) {
-					t.Errorf("fail view still has victim: %+v", ev.View)
-				}
-				if !sawSuspect {
-					t.Errorf("fail before suspect")
-				}
-			}
-		}
-		return sawSuspect && sawFail
-	})
-
-	if v := g.View(); len(v.Members) != 1 || v.Has(victim) {
-		t.Fatalf("post-eviction view = %+v", v)
-	}
-}

@@ -10,10 +10,10 @@
 // process and runs join/leave/observe as ordinary RPCs over the fabric,
 // which preserves the discovery API the services need. On top of the
 // pull API the group is dynamic: membership changes are pushed as
-// versioned view deltas to members and subscribed observers (Agent),
-// and a SWIM-style failure detector on the root turns missed pings into
-// suspicion and, eventually, eviction — so elasticity and fault
-// handling ride the same event stream.
+// versioned view deltas to members and subscribed observers (Agent), so
+// elasticity rides the same event stream. A member leaves only by
+// saying so: there is no failure detector, and an unresponsive member
+// stays in the view.
 package ssg
 
 import (
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/margo"
@@ -28,15 +29,18 @@ import (
 )
 
 // RPC names exported by a group root (join/leave/observe/subscribe) and
-// by group participants (notify/ping, see Agent).
+// by group participants (notify, see Agent).
 const (
 	RPCJoin      = "ssg_join_rpc"
 	RPCLeave     = "ssg_leave_rpc"
 	RPCObserve   = "ssg_observe_rpc"
 	RPCSubscribe = "ssg_subscribe_rpc"
 	RPCNotify    = "ssg_notify_rpc"
-	RPCPing      = "ssg_ping_rpc"
 )
+
+// notifyTimeout bounds each best-effort push RPC so one unreachable
+// recipient cannot stall the notifier queue behind it.
+const notifyTimeout = 250 * time.Millisecond
 
 // RPCNames lists the root-side SSG RPCs (for client registration).
 func RPCNames() []string {
@@ -64,11 +68,6 @@ const (
 	EventJoin EventType = iota + 1
 	// EventLeave: a member left voluntarily.
 	EventLeave
-	// EventSuspect: the failure detector missed pings from a member;
-	// the member is still in the view but may be about to fail.
-	EventSuspect
-	// EventFail: the failure detector evicted an unresponsive member.
-	EventFail
 )
 
 // String names the event type.
@@ -78,16 +77,12 @@ func (t EventType) String() string {
 		return "join"
 	case EventLeave:
 		return "leave"
-	case EventSuspect:
-		return "suspect"
-	case EventFail:
-		return "fail"
 	}
 	return "unknown"
 }
 
 // Event is one versioned membership delta: what changed, and the full
-// view after the change (suspicion does not bump the version).
+// view after the change.
 type Event struct {
 	Type   EventType
 	Member Member
@@ -111,16 +106,6 @@ func (v *View) Addrs() []string {
 		out[i] = m.Addr
 	}
 	return out
-}
-
-// Has reports whether addr is in the view.
-func (v *View) Has(addr string) bool {
-	for _, m := range v.Members {
-		if m.Addr == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // Group is the root-side state of one service group.
@@ -150,9 +135,6 @@ type Host struct {
 	qsem     *abt.Semaphore
 	notifier *abt.ULT
 	stopped  bool
-
-	detectMu  sync.Mutex
-	detectors []*Detector
 }
 
 // push is one queued notification fan-out.
@@ -175,8 +157,8 @@ func NewHost(inst *margo.Instance) (*Host, error) {
 			return nil, err
 		}
 	}
-	// The root forwards notify/ping to participants.
-	if err := inst.RegisterClient(RPCNotify, RPCPing); err != nil {
+	// The root forwards notify to participants.
+	if err := inst.RegisterClient(RPCNotify); err != nil {
 		return nil, err
 	}
 	h.qsem = abt.NewSemaphore(1)
@@ -185,16 +167,9 @@ func NewHost(inst *margo.Instance) (*Host, error) {
 	return h, nil
 }
 
-// Close stops the host's notifier ULT and any failure detectors. The
-// margo instance is not touched.
+// Close stops the host's notifier ULT. The margo instance is not
+// touched.
 func (h *Host) Close() {
-	h.detectMu.Lock()
-	dets := h.detectors
-	h.detectors = nil
-	h.detectMu.Unlock()
-	for _, d := range dets {
-		d.Stop()
-	}
 	h.qmu.Lock()
 	if h.stopped {
 		h.qmu.Unlock()
@@ -284,31 +259,6 @@ func (g *Group) leave(addr string) (View, bool) {
 	return g.viewLocked(), true
 }
 
-// Fail evicts an unresponsive member (failure-detector verdict),
-// reporting whether it was present. The eviction is pushed to the
-// survivors as an EventFail delta.
-func (g *Group) Fail(addr string) bool {
-	v, ok := g.leave(addr)
-	if !ok {
-		return false
-	}
-	g.host.enqueue(g.name, Event{Type: EventFail, Member: Member{Addr: addr}, View: v})
-	return true
-}
-
-// Suspect pushes an EventSuspect delta for addr without changing the
-// view (the member may still recover).
-func (g *Group) Suspect(addr string) {
-	g.mu.Lock()
-	rank, ok := g.members[addr]
-	v := g.viewLocked()
-	g.mu.Unlock()
-	if !ok {
-		return
-	}
-	g.host.enqueue(g.name, Event{Type: EventSuspect, Member: Member{Rank: rank, Addr: addr}, View: v})
-}
-
 // subscribe registers a non-member observer for push notifications.
 func (g *Group) subscribe(addr string) View {
 	g.mu.Lock()
@@ -319,8 +269,7 @@ func (g *Group) subscribe(addr string) View {
 
 // recipients lists every address to push an event to: members plus
 // subscribed observers, minus the event's own member (a joiner already
-// holds the view from its join response; a left or failed member is
-// gone).
+// holds the view from its join response; a member that left is gone).
 func (g *Group) recipients(ev Event) []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -91,7 +91,6 @@ type Sample struct {
 	RPCRetries    uint64 `json:"rpc_retries"`
 	RPCTimeouts   uint64 `json:"rpc_timeouts"`
 	RPCExhausted  uint64 `json:"rpc_exhausted"`
-	RPCCancels    uint64 `json:"rpc_cancels"`
 	FaultDrops    uint64 `json:"fault_drops"`
 	FaultDups     uint64 `json:"fault_dups"`
 	FaultDelays   uint64 `json:"fault_delays"`
@@ -197,7 +196,6 @@ func sampleRows(sm Sample) []row {
 		{"rpc_retries_total", Counter, float64(sm.RPCRetries)},
 		{"rpc_timeouts_total", Counter, float64(sm.RPCTimeouts)},
 		{"rpc_exhausted_total", Counter, float64(sm.RPCExhausted)},
-		{"rpc_cancels_total", Counter, float64(sm.RPCCancels)},
 		{"fault_drops_total", Counter, float64(sm.FaultDrops)},
 		{"fault_dups_total", Counter, float64(sm.FaultDups)},
 		{"fault_delays_total", Counter, float64(sm.FaultDelays)},

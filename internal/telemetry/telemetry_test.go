@@ -76,9 +76,9 @@ func TestSampleRows(t *testing.T) {
 			reasons = append(reasons, strings.TrimPrefix(r.name, "batch_flush_reason/"))
 		}
 	}
-	// 45 fixed rows, 3 flush reasons, 2 PVARs, 4 rows for the one pool.
-	if len(rows) != 54 {
-		t.Errorf("%d rows, want 54", len(rows))
+	// 44 fixed rows, 3 flush reasons, 2 PVARs, 4 rows for the one pool.
+	if len(rows) != 53 {
+		t.Errorf("%d rows, want 53", len(rows))
 	}
 	for name, want := range map[string]kv{
 		"cq_depth":                     {Gauge, 2},

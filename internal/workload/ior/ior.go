@@ -23,8 +23,6 @@ type Config struct {
 	Segments int
 	// TransferSize is the bytes per object.
 	TransferSize int
-	// ReadBack enables the read phase.
-	ReadBack bool
 }
 
 // Result reports one client's outcome.
@@ -34,8 +32,8 @@ type Result struct {
 	BytesMoved     int64
 }
 
-// Run executes the write phase then (optionally) the read phase from a
-// single client ULT, matching ior's per-rank sequential issue order.
+// Run executes the write phase then the read phase from a single client
+// ULT, matching ior's per-rank sequential issue order.
 func Run(inst *margo.Instance, cfg Config) (Result, error) {
 	client, err := mobject.NewClient(inst)
 	if err != nil {
@@ -56,9 +54,6 @@ func Run(inst *margo.Instance, cfg Config) (Result, error) {
 			}
 			res.ObjectsWritten++
 			res.BytesMoved += int64(cfg.TransferSize)
-		}
-		if !cfg.ReadBack {
-			return
 		}
 		buf := make([]byte, cfg.TransferSize)
 		for s := 0; s < cfg.Segments; s++ {

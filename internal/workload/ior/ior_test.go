@@ -35,7 +35,7 @@ func newSetup(t *testing.T) (*margo.Instance, *margo.Instance) {
 func TestWriteAndReadPhases(t *testing.T) {
 	srv, cli := newSetup(t)
 	res, err := Run(cli, Config{
-		Target: srv.Addr(), Rank: 3, Segments: 5, TransferSize: 2048, ReadBack: true,
+		Target: srv.Addr(), Rank: 3, Segments: 5, TransferSize: 2048,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,19 +45,6 @@ func TestWriteAndReadPhases(t *testing.T) {
 	}
 	if res.BytesMoved != 2*5*2048 {
 		t.Fatalf("bytes = %d", res.BytesMoved)
-	}
-}
-
-func TestWriteOnlyPhase(t *testing.T) {
-	srv, cli := newSetup(t)
-	res, err := Run(cli, Config{
-		Target: srv.Addr(), Rank: 0, Segments: 3, TransferSize: 512,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ObjectsWritten != 3 || res.ObjectsRead != 0 {
-		t.Fatalf("result = %+v", res)
 	}
 }
 
