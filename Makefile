@@ -134,12 +134,13 @@ fuzz-smoke:
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# bench-allocs prints the four gated end-to-end metrics of the five
-# workloads that run RPCs (single forwards with a bulk pull, large
-# packed batches, single forwards both ways, coalesced forwards, nested
-# forwards), one 15 s run each.
+# bench-allocs prints the four gated end-to-end metrics of the six
+# workloads: the five that run RPCs (single forwards with a bulk pull,
+# large packed batches, single forwards both ways, coalesced forwards,
+# nested forwards) and the offline analysis of a C7 capture, one 15 s
+# run each.
 bench-allocs:
-	@set -e; for w in hepnos_c7 hepnos_c4 sdskv_mixed sdskv_multi mobject_ior; do \
+	@set -e; for w in hepnos_c7 hepnos_c4 sdskv_mixed sdskv_multi mobject_ior analyze_c7; do \
 		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --trace 0); \
 		echo "$$out" | grep -E '^(# [a-z0-9_]+ seed=|(setup_s|allocs_per_op|alloc_bytes_per_op|trace_bytes_per_op) )'; \
 	done
@@ -150,8 +151,11 @@ bench-allocs:
 # of Table IV (C1..C7), regenerates the per-site table a payload-path
 # change is argued from; ALLOC_SITES_BENCH=BenchmarkFig05MobjectWriteTrace
 # does the same over a per-RPC shape (one composed mobject write: a dozen
-# nested forwards), and ALLOC_SITES_INDEX=alloc_objects ranks the sites
-# by objects instead of bytes. Neither touches benchmark/.
+# nested forwards), ALLOC_SITES_BENCH=BenchmarkAnalysisPass over one
+# analyst's pass (read, merge, critical paths, flame, render) of the C7
+# dumps under cmd/sym/testdata, and ALLOC_SITES_INDEX=alloc_objects
+# ranks the sites by objects instead of bytes. Neither touches
+# benchmark/.
 ALLOC_SITES_DIR ?= .bench_build/alloc-sites
 ALLOC_SITES_BENCH ?= BenchmarkTableIVConfigs
 ALLOC_SITES_INDEX ?= alloc_space

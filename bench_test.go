@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"symbiosys/internal/analysis"
+	"symbiosys/internal/analysis/report"
 	"symbiosys/internal/core"
 	"symbiosys/internal/experiments"
 )
@@ -273,6 +275,40 @@ func BenchmarkTableIVConfigs(b *testing.B) {
 	for j, n := range names {
 		b.ReportMetric(walls[j], n)
 	}
+}
+
+// BenchmarkAnalysisPass is one analyst's pass over the dumps of a small
+// C7 run, the fixture sym's golden tests read (cmd/sym/testdata/c7: six
+// processes, 256 requests, 1,024 events): read them, merge the profiles
+// and the traces, extract every critical path, count the incomplete
+// requests, fold the flame and render both reports. `make alloc-sites
+// ALLOC_SITES_BENCH=BenchmarkAnalysisPass` ranks where one pass puts its
+// bytes.
+func BenchmarkAnalysisPass(b *testing.B) {
+	b.ReportAllocs()
+	var requests int
+	for i := 0; i < b.N; i++ {
+		profiles, traces, _, err := experiments.ReadDumps("cmd/sym/testdata/c7")
+		if err != nil {
+			b.Fatal(err)
+		}
+		merged := analysis.Merge(profiles)
+		ts := analysis.MergeTraces(traces)
+		paths, stats := analysis.ExtractPaths(ts)
+		if stats.Incomplete+ts.IncompleteRequests() != 0 || len(paths) != stats.Requests {
+			b.Fatalf("%d paths of %d requests, %d incomplete", len(paths), stats.Requests, stats.Incomplete)
+		}
+		flame := analysis.FoldPaths(paths)
+		flame.Stats = stats
+		if err := report.WriteCLI(io.Discard, report.FromFlame("analysis pass", flame, 5)); err != nil {
+			b.Fatal(err)
+		}
+		if err := report.WriteCLI(io.Discard, report.FromProfile("analysis pass", merged, 5)); err != nil {
+			b.Fatal(err)
+		}
+		requests = stats.Requests
+	}
+	b.ReportMetric(float64(requests), "requests")
 }
 
 var _ = time.Now // keep time imported for future tuning

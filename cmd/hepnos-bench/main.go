@@ -203,7 +203,7 @@ func (b *bench) hepnos(cfg experiments.HEPnOSConfig) (*experiments.HEPnOSResult,
 		cfg.Name, cfg.TotalClients, cfg.TotalServers, cfg.BatchSize, cfg.Threads, cfg.Databases,
 		cfg.OFIMaxEvents, cfg.ClientProgressThread)
 	fmt.Fprintf(b.w, "  events %d   put_packed RPCs %d   trace samples %d\n",
-		res.EventsStored, res.Unaccounted.Count, len(res.Traces.Events))
+		res.EventsStored, res.Unaccounted.Count, res.Traces.NumEvents())
 	if res.Traces.Dropped > 0 {
 		fmt.Fprintf(b.w, "  WARNING: %d trace events dropped at capacity\n", res.Traces.Dropped)
 	}

@@ -69,7 +69,7 @@ func TestConfigPrintsRowsAndWritesDumps(t *testing.T) {
 	if len(rows) == 0 || rows[0].Name != "sdskv_put_packed_rpc" {
 		t.Fatalf("the dumps' dominant callpath is %v, want sdskv_put_packed_rpc", rows)
 	}
-	if len(analysis.MergeTraces(traces).Events) == 0 {
+	if analysis.MergeTraces(traces).NumEvents() == 0 {
 		t.Fatal("the trace dumps hold no events")
 	}
 }

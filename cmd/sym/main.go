@@ -175,7 +175,7 @@ func (e *env) traces(dir string) (*analysis.TraceSet, []string, error) {
 	}
 	ts := analysis.MergeTraces(dumps)
 	fmt.Fprintf(e.stderr, "ingested %d events from %d process dump(s) in %s, %d dropped\n",
-		len(ts.Events), len(dumps), dir, ts.Dropped)
+		ts.NumEvents(), len(dumps), dir, ts.Dropped)
 	if ts.Dropped > 0 {
 		warnings = append(warnings, fmt.Sprintf(
 			"%d trace events dropped at the capacity bound; the summary undercounts. "+
@@ -379,16 +379,16 @@ func summarize(w io.Writer, ts *analysis.TraceSet, n int) {
 		id         uint64
 		evs, spans int
 	}
-	reqs := ts.Requests()
-	rows := make([]row, 0, len(reqs))
-	for id, evs := range reqs {
-		rows = append(rows, row{id: id, evs: len(evs), spans: len(analysis.SpansOf(id, evs))})
-	}
+	var rows []row
+	ts.EachRequest(func(id uint64, evs []*core.Event, spans []analysis.Span) {
+		rows = append(rows, row{id: id, evs: len(evs), spans: len(spans)})
+	})
+	requests := len(rows)
 	slices.SortFunc(rows, func(a, b row) int {
 		return cmp.Or(cmp.Compare(b.spans, a.spans), cmp.Compare(a.id, b.id))
 	})
 	rows = rows[:min(n, len(rows))]
-	fmt.Fprintf(w, "\n%d distributed requests; largest %d:\n", len(reqs), len(rows))
+	fmt.Fprintf(w, "\n%d distributed requests; largest %d:\n", requests, len(rows))
 	for _, r := range rows {
 		fmt.Fprintf(w, "  request %#016x: %3d events, %3d spans\n", r.id, r.evs, r.spans)
 	}

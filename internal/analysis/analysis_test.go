@@ -192,12 +192,20 @@ func TestOFIEventsReadSeries(t *testing.T) {
 
 func TestRequestsSortedByLamport(t *testing.T) {
 	ts, reqID := buildTrace()
-	reqs := ts.Requests()
-	evs := reqs[reqID]
-	for i := 1; i < len(evs); i++ {
-		if evs[i-1].Order > evs[i].Order {
-			t.Fatal("events not lamport-sorted")
+	seen := 0
+	ts.EachRequest(func(id uint64, evs []*core.Event, _ []Span) {
+		if id != reqID {
+			return
 		}
+		seen = len(evs)
+		for i := 1; i < len(evs); i++ {
+			if evs[i-1].Order > evs[i].Order {
+				t.Fatal("events not lamport-sorted")
+			}
+		}
+	})
+	if seen == 0 {
+		t.Fatalf("no events for request %#x", reqID)
 	}
 	ids := ts.RequestIDs()
 	if len(ids) != 1 || ids[0] != reqID {

@@ -89,7 +89,7 @@ type Gap struct {
 }
 
 // RequestGaps computes the uncovered stretches of the root span.
-// Spans must come from Spans/SpansOf for one request.
+// Spans must come from Spans (or EachRequest) for one request.
 func RequestGaps(spans []Span) []Gap {
 	if len(spans) == 0 {
 		return nil

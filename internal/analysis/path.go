@@ -74,6 +74,9 @@ func (k SegKind) String() string {
 // PathSegment is one attributed interval of a critical path.
 type PathSegment struct {
 	Kind SegKind
+	// Failed marks segments belonging to a failed attempt. It sits
+	// beside Kind so that the two share one word.
+	Failed bool
 	// RPC names the hop the segment belongs to; Entity the process the
 	// time was observed on.
 	RPC    string
@@ -82,8 +85,6 @@ type PathSegment struct {
 	Depth      int
 	StartNanos int64
 	DurNanos   int64
-	// Failed marks segments belonging to a failed attempt.
-	Failed bool
 }
 
 // CriticalPath is the longest dependency chain of one request.
@@ -136,26 +137,18 @@ type PathStats struct {
 }
 
 // ExtractPaths computes the critical path of every request in the trace
-// set. One sort groups the events by request; one builder then walks
-// the groups, reusing its scratch from request to request, so the sweep
-// allocates per distinct path shape and per arena chunk, not per
-// request. The paths' Segments are sub-slices of those chunks.
+// set. It walks the set's requests; one builder builds each in turn,
+// reusing its scratch from request to request, so the sweep allocates
+// per distinct path shape and per arena chunk, not per request. The
+// paths' Segments are sub-slices of those chunks.
 func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
-	keys := ts.byRequest()
-	stats := PathStats{Requests: countRuns(keys)}
+	stats := PathStats{Requests: countRuns(ts.index)}
 	paths := make([]CriticalPath, 0, stats.Requests)
-	b := pathBuilder{chunk: min(max(len(keys), 16), 1024)}
-	for lo := 0; lo < len(keys); {
-		hi := runEnd(keys, lo)
-		b.evs = b.evs[:0]
-		for _, k := range keys[lo:hi] {
-			b.evs = append(b.evs, ts.Events[k.pos])
-		}
-		id := keys[lo].req
-		lo = hi
-		p, ok := b.build(id, b.pair(id, b.evs))
+	b := pathBuilder{chunk: min(max(len(ts.index), 16), 1024)}
+	ts.EachRequest(func(id uint64, _ []*core.Event, spans []Span) {
+		p, ok := b.build(id, spans)
 		if !ok {
-			continue
+			return
 		}
 		stats.Extracted++
 		if p.Incomplete {
@@ -168,12 +161,12 @@ func ExtractPaths(ts *TraceSet) ([]CriticalPath, PathStats) {
 			stats.Failed++
 		}
 		paths = append(paths, p)
-	}
+	})
 	return paths, stats
 }
 
 // PathFromSpans computes the critical path from one request's
-// reconstructed spans (SpansOf output). Returns nil when the request
+// reconstructed spans (Spans output). Returns nil when the request
 // has no spans at all.
 func PathFromSpans(requestID uint64, spans []Span) *CriticalPath {
 	var b pathBuilder
@@ -194,9 +187,9 @@ func (b *pathBuilder) pathOf(requestID uint64, spans []Span) *CriticalPath {
 // callpaths — so building a path allocates nothing once the slices have
 // grown to the largest request seen. The zero value is ready to use.
 type pathBuilder struct {
-	// Pairing scratch (pair): the current request's events when they
-	// had to be gathered, its unmatched start events, its spans.
-	evs   []core.Event
+	// Pairing scratch (gather, pair): the current request's events,
+	// its unmatched start events, its spans.
+	evs   []*core.Event
 	open  []int
 	spans []Span
 
@@ -243,7 +236,7 @@ type childGroup struct {
 func isClient(s *Span) bool { return s.Kind == "CLIENT" }
 
 // build computes the critical path of the request whose spans these are
-// (SpansOf output); ok is false when there is none.
+// (Spans output); ok is false when there is none.
 func (b *pathBuilder) build(requestID uint64, spans []Span) (CriticalPath, bool) {
 	if len(spans) == 0 {
 		return CriticalPath{}, false
@@ -594,13 +587,11 @@ func (b *pathBuilder) matchServer(cs *Span, beforeNanos int64) int {
 // target pair despite having origin events — requests that would
 // otherwise be silently skipped by span-level analyses.
 func (ts *TraceSet) IncompleteRequests() int {
-	keys := ts.byRequest()
 	n := 0
-	for lo := 0; lo < len(keys); {
-		hi := runEnd(keys, lo)
+	ts.EachRequest(func(_ uint64, evs []*core.Event, _ []Span) {
 		var origin, target bool
-		for _, k := range keys[lo:hi] {
-			switch ts.Events[k.pos].Kind {
+		for _, e := range evs {
+			switch e.Kind {
 			case core.EvOriginStart, core.EvOriginEnd:
 				origin = true
 			case core.EvTargetStart, core.EvTargetEnd:
@@ -610,7 +601,6 @@ func (ts *TraceSet) IncompleteRequests() int {
 		if origin && !target {
 			n++
 		}
-		lo = hi
-	}
+	})
 	return n
 }

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -78,7 +81,7 @@ func eqKinds(got, want []SegKind) bool {
 // extractPath is the critical path ExtractPaths finds for one request's
 // events (nil when it finds none).
 func extractPath(evs []core.Event) *CriticalPath {
-	paths, _ := ExtractPaths(&TraceSet{Events: evs})
+	paths, _ := ExtractPaths(MergeTraces([]*core.TraceDump{{Entity: "e", Events: evs}}))
 	if len(paths) == 0 {
 		return nil
 	}
@@ -512,26 +515,68 @@ func TestRequestGroupingCases(t *testing.T) {
 	if got, want := ts.IncompleteRequests(), oracleIncompleteRequests(ts); got != want {
 		t.Fatalf("IncompleteRequests() = %d, the map-based count %d", got, want)
 	}
-	reqs := ts.Requests()
-	if len(reqs) != 5 || len(reqs[30]) != 4 {
-		t.Fatalf("Requests() = %v", reqs)
-	}
-	for i, e := range reqs[30] {
-		if e.Order != uint64(i+1) {
-			t.Fatalf("request 30 not in Lamport order: %+v", reqs[30])
+	walked := 0
+	ts.EachRequest(func(id uint64, evs []*core.Event, _ []Span) {
+		walked++
+		if id != 30 {
+			return
 		}
+		if len(evs) != 4 {
+			t.Fatalf("request 30 has %d events, want 4", len(evs))
+		}
+		for i, e := range evs {
+			if e.Order != uint64(i+1) {
+				t.Fatalf("request 30 not in Lamport order: event %d has order %d", i, e.Order)
+			}
+		}
+	})
+	if walked != 5 {
+		t.Fatalf("EachRequest walked %d requests, want 5", walked)
 	}
 	var empty TraceSet
-	if empty.RequestIDs() != nil || empty.IncompleteRequests() != 0 || len(empty.Requests()) != 0 {
+	empty.EachRequest(func(uint64, []*core.Event, []Span) { walked++ })
+	if empty.RequestIDs() != nil || empty.IncompleteRequests() != 0 || walked != 5 || empty.NumEvents() != 0 {
 		t.Fatal("empty trace set has requests")
 	}
 }
 
-func TestMergeTracesPresizesAndStaysLazy(t *testing.T) {
+// TestMergeTracesBorrowsTheDumps: the set copies no event. Every event
+// either walk yields is the dump's own, each exactly once, the whole-set
+// walk in dump order, and the index is built once at merge time.
+func TestMergeTracesBorrowsTheDumps(t *testing.T) {
 	a, b := twoHopEvents(1, pathTraceBase), retriedEvents(2, pathTraceBase)
-	ts := MergeTraces([]*core.TraceDump{{Entity: "a", Events: a}, {Entity: "b", Events: b}})
-	if len(ts.Events) != len(a)+len(b) || cap(ts.Events) != len(ts.Events) {
-		t.Fatalf("merged %d events into capacity %d, want %d exactly", len(ts.Events), cap(ts.Events), len(a)+len(b))
+	dumps := []*core.TraceDump{{Entity: "a", Events: a}, {Entity: "b", Events: b}}
+	ts := MergeTraces(dumps)
+	var all []*core.Event
+	for _, d := range dumps {
+		for i := range d.Events {
+			all = append(all, &d.Events[i])
+		}
+	}
+	if ts.NumEvents() != len(all) || len(ts.index) != len(all) || cap(ts.index) != len(all) {
+		t.Fatalf("NumEvents() = %d, index %d of capacity %d, want %d", ts.NumEvents(), len(ts.index), cap(ts.index), len(all))
+	}
+	var walked []*core.Event
+	ts.EachEvent(func(e *core.Event) { walked = append(walked, e) })
+	if !slices.Equal(walked, all) {
+		t.Fatal("EachEvent does not yield &d.Events[i] of each dump in dump order")
+	}
+	seen := map[*core.Event]int{}
+	ts.EachRequest(func(id uint64, evs []*core.Event, _ []Span) {
+		for _, e := range evs {
+			if e.RequestID != id {
+				t.Fatalf("request %d walked an event of request %d", id, e.RequestID)
+			}
+			seen[e]++
+		}
+	})
+	for _, e := range all {
+		if seen[e] != 1 {
+			t.Fatalf("EachRequest yielded &d.Events[i] %d times, want once", seen[e])
+		}
+	}
+	if len(seen) != len(all) {
+		t.Fatalf("EachRequest yielded %d distinct events, want %d of the dumps'", len(seen), len(all))
 	}
 	if ts.DroppedBy != nil {
 		t.Fatalf("DroppedBy = %v with no drops, want nil", ts.DroppedBy)
@@ -707,8 +752,28 @@ func TestExtractPathsMatchesOracle(t *testing.T) {
 			t.Fatalf("seed %d: %d paths, oracle %d", seed, len(gotPaths), len(wantPaths))
 		}
 		wantReqs := oracleRequests(ts)
-		if got := ts.Requests(); !reflect.DeepEqual(got, wantReqs) {
-			t.Fatalf("seed %d: Requests() differs from the oracle", seed)
+		walked := 0
+		ts.EachRequest(func(id uint64, evs []*core.Event, spans []Span) {
+			walked++
+			want := wantReqs[id]
+			if len(evs) != len(want) {
+				t.Fatalf("seed %d request %#x: EachRequest walked %d events, oracle %d", seed, id, len(evs), len(want))
+			}
+			for i, e := range evs {
+				if !reflect.DeepEqual(*e, want[i]) {
+					t.Fatalf("seed %d request %#x: event %d differs from the oracle:\n got %+v\nwant %+v", seed, id, i, *e, want[i])
+				}
+			}
+			wantSpans := oracleSpansOf(id, want)
+			if (len(spans) > 0 || len(wantSpans) > 0) && !reflect.DeepEqual(spans, wantSpans) {
+				t.Fatalf("seed %d request %#x: EachRequest's spans differ:\n got %+v\nwant %+v", seed, id, spans, wantSpans)
+			}
+			if got := ts.Spans(id); !reflect.DeepEqual(got, wantSpans) {
+				t.Fatalf("seed %d request %#x: Spans differs:\n got %+v\nwant %+v", seed, id, got, wantSpans)
+			}
+		})
+		if walked != len(wantReqs) {
+			t.Fatalf("seed %d: EachRequest walked %d requests, oracle %d", seed, walked, len(wantReqs))
 		}
 		if got, want := ts.RequestIDs(), oracleRequestIDs(ts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: RequestIDs() = %v, oracle %v", seed, got, want)
@@ -718,9 +783,6 @@ func TestExtractPathsMatchesOracle(t *testing.T) {
 		}
 		for id, evs := range wantReqs {
 			wantSpans := oracleSpansOf(id, evs)
-			if got := SpansOf(id, evs); !reflect.DeepEqual(got, wantSpans) {
-				t.Fatalf("seed %d request %#x: SpansOf differs:\n got %+v\nwant %+v", seed, id, got, wantSpans)
-			}
 			want := oraclePathFromSpans(id, wantSpans)
 			if got := PathFromSpans(id, wantSpans); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d request %#x: PathFromSpans differs:\n got %+v\nwant %+v", seed, id, got, want)
@@ -728,7 +790,7 @@ func TestExtractPathsMatchesOracle(t *testing.T) {
 			if len(wantSpans) > 12 {
 				saw.wide++
 			}
-			if wantSpans != nil && oracleIncompleteRequests(&TraceSet{Events: evs}) == 1 {
+			if wantSpans != nil && oracleIncompleteRequests(MergeTraces([]*core.TraceDump{{Entity: "e", Events: evs}})) == 1 {
 				saw.originOnly++
 			}
 		}
@@ -761,6 +823,39 @@ func TestExtractPathsMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestTraceSetConcurrentReaders: a set is built once and only read
+// after, so several goroutines may walk it at once and each gets what a
+// lone reader gets.
+func TestTraceSetConcurrentReaders(t *testing.T) {
+	ts := synthTraceSet(12)
+	wantPaths, wantStats := ExtractPaths(ts)
+	wantIDs, wantInc := ts.RequestIDs(), ts.IncompleteRequests()
+	wantSpans := map[uint64][]Span{}
+	for _, id := range wantIDs {
+		wantSpans[id] = ts.Spans(id)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			paths, stats := ExtractPaths(ts)
+			if stats != wantStats || !reflect.DeepEqual(paths, wantPaths) {
+				t.Errorf("concurrent ExtractPaths differs: %+v, alone %+v", stats, wantStats)
+			}
+			if ids := ts.RequestIDs(); !reflect.DeepEqual(ids, wantIDs) || ts.IncompleteRequests() != wantInc {
+				t.Error("concurrent RequestIDs or IncompleteRequests differs")
+			}
+			for _, id := range wantIDs {
+				if !reflect.DeepEqual(ts.Spans(id), wantSpans[id]) {
+					t.Errorf("concurrent Spans(%#x) differs", id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestExtractPathsSharesShapesAndClipsSegments: paths of one sweep with
 // equal shapes share the string, and appending to one path's Segments
 // cannot reach the next path's in the arena.
@@ -786,10 +881,25 @@ func TestExtractPathsSharesShapesAndClipsSegments(t *testing.T) {
 	}
 }
 
-// TestExtractPathsAllocations pins the point of the builder: a sweep
-// allocates per arena chunk and per distinct shape, not per request.
-func TestExtractPathsAllocations(t *testing.T) {
-	const requests = 2048
+// TestHeldStructSizes pins the two structs analysis holds one of per
+// event and per path segment: each keeps its Failed flag in the padding
+// after its Kind, so that neither pays a word for a bool.
+func TestHeldStructSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(core.Event{}); got != 168 {
+		t.Errorf("core.Event is %d B, want 168", got)
+	}
+	if got := unsafe.Sizeof(PathSegment{}); got != 64 {
+		t.Errorf("PathSegment is %d B, want 64", got)
+	}
+}
+
+// twoProcessDumps is a synthetic two-process run: requests single-hop
+// requests from "cli" to "srv", four events each, the client's in one
+// dump and the server's in the other.
+func twoProcessDumps(requests int) []*core.TraceDump {
 	bc := uint64(core.Breadcrumb(0).Push("a_rpc"))
 	cli := &core.TraceDump{Entity: "cli"}
 	srv := &core.TraceDump{Entity: "srv"}
@@ -806,7 +916,14 @@ func TestExtractPathsAllocations(t *testing.T) {
 		cli.Events = append(cli.Events, at(core.EvOriginStart, 1, "cli", 0, 0), at(core.EvOriginEnd, 4, "cli", 400, 400))
 		srv.Events = append(srv.Events, t5, at(core.EvTargetEnd, 3, "srv", 300, 200))
 	}
-	ts := MergeTraces([]*core.TraceDump{cli, srv})
+	return []*core.TraceDump{cli, srv}
+}
+
+// TestExtractPathsAllocations pins the point of the builder: a sweep
+// allocates per arena chunk and per distinct shape, not per request.
+func TestExtractPathsAllocations(t *testing.T) {
+	const requests = 2048
+	ts := MergeTraces(twoProcessDumps(requests))
 	var stats PathStats
 	allocs := testing.AllocsPerRun(5, func() { benchSinkPaths, stats = ExtractPaths(ts) })
 	if stats.Extracted != requests || stats.Incomplete != 0 {
@@ -814,6 +931,39 @@ func TestExtractPathsAllocations(t *testing.T) {
 	}
 	if per := allocs / requests; per >= 0.25 {
 		t.Fatalf("ExtractPaths allocated %.0f times for %d requests (%.2f per request), want < 0.25", allocs, requests, per)
+	}
+}
+
+// TestAnalysisPassByteBudget bounds the heap bytes one analysis pass
+// allocates per request over the two-process set: merge, extract every
+// critical path, count the incomplete requests. The set borrows the
+// dumps' events and indexes them once in 24 B keys, so what is left is
+// the index (96 B a request), the path (72 B), its four 64 B segments
+// and the walks' scratch: 426.1 B a request on go1.24/amd64, bounded at
+// that +10%. When merging copied every 176 B event into the set and the
+// index was sorted twice, once for the paths and once for the
+// incomplete count, the same pass took 1,257.5 B.
+func TestAnalysisPassByteBudget(t *testing.T) {
+	const requests = 2048
+	dumps := twoProcessDumps(requests)
+	pass := func() int {
+		ts := MergeTraces(dumps)
+		paths, _ := ExtractPaths(ts)
+		benchSinkPaths = paths
+		return ts.IncompleteRequests()
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	incomplete := pass()
+	runtime.ReadMemStats(&after)
+	if incomplete != 0 || len(benchSinkPaths) != requests {
+		t.Fatalf("%d paths, %d incomplete", len(benchSinkPaths), incomplete)
+	}
+	per := float64(after.TotalAlloc-before.TotalAlloc) / requests
+	t.Logf("%.1f B per request", per)
+	if per > 469 {
+		t.Fatalf("an analysis pass allocated %.1f B per request, want <= 469", per)
 	}
 }
 
@@ -826,12 +976,13 @@ func TestExtractPathsAllocations(t *testing.T) {
 // the replacement to its results.
 
 // oracleRequests groups events by request ID, each group sorted by Lamport
-// order (the clock-skew-tolerant ordering of the paper §IV-A2).
+// order (the clock-skew-tolerant ordering of the paper §IV-A2). It reads
+// the dumps in merge order, dump by dump.
 func oracleRequests(ts *TraceSet) map[uint64][]core.Event {
 	out := make(map[uint64][]core.Event)
-	for _, e := range ts.Events {
-		out[e.RequestID] = append(out[e.RequestID], e)
-	}
+	ts.EachEvent(func(e *core.Event) {
+		out[e.RequestID] = append(out[e.RequestID], *e)
+	})
 	for id := range out {
 		evs := out[id]
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Order < evs[j].Order })
@@ -844,12 +995,12 @@ func oracleRequests(ts *TraceSet) map[uint64][]core.Event {
 func oracleRequestIDs(ts *TraceSet) []uint64 {
 	seen := make(map[uint64]bool)
 	var ids []uint64
-	for _, e := range ts.Events {
+	ts.EachEvent(func(e *core.Event) {
 		if !seen[e.RequestID] {
 			seen[e.RequestID] = true
 			ids = append(ids, e.RequestID)
 		}
-	}
+	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
@@ -1285,7 +1436,7 @@ func oracleShapeOf(segs []PathSegment) string {
 func oracleIncompleteRequests(ts *TraceSet) int {
 	type seen struct{ origin, target bool }
 	byReq := make(map[uint64]*seen)
-	for _, e := range ts.Events {
+	ts.EachEvent(func(e *core.Event) {
 		s := byReq[e.RequestID]
 		if s == nil {
 			s = &seen{}
@@ -1297,7 +1448,7 @@ func oracleIncompleteRequests(ts *TraceSet) int {
 		case core.EvTargetStart, core.EvTargetEnd:
 			s.target = true
 		}
-	}
+	})
 	n := 0
 	for _, s := range byReq {
 		if s.origin && !s.target {

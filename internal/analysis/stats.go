@@ -48,7 +48,7 @@ func SystemStats(ts *TraceSet, capEvents uint64) []EntityStats {
 		batchIDs          map[uint64]bool
 	}
 	sum := make(map[string]*sums)
-	for _, e := range ts.Events {
+	ts.EachEvent(func(e *core.Event) {
 		s := agg[e.Entity]
 		if s == nil {
 			s = &EntityStats{Entity: e.Entity}
@@ -91,7 +91,7 @@ func SystemStats(ts *TraceSet, capEvents uint64) []EntityStats {
 			}
 			sm.batchIDs[e.BatchID] = true
 		}
-	}
+	})
 	// Attribute drops even for entities whose every event was dropped.
 	for ent, n := range ts.DroppedBy {
 		s := agg[ent]

@@ -11,28 +11,39 @@ import (
 	"symbiosys/internal/core"
 )
 
-// TraceSet is the merged view over all per-process trace dumps.
+// TraceSet is the merged view over all per-process trace dumps. It
+// borrows the dumps it was merged from: it holds no copy of their
+// events, only one index over them, so a caller must not change the
+// dumps or their Events after merging. Nothing in a set changes once
+// MergeTraces returns it, so several goroutines may read one set.
 type TraceSet struct {
-	Events  []core.Event
 	Dropped uint64
 	// DroppedBy attributes dropped events to the process that dropped
 	// them, so truncated traces are flagged per entity.
 	DroppedBy map[string]uint64
+
+	dumps []*core.TraceDump
+	// index places every event of the dumps once, sorted by request ID,
+	// then Lamport order (the clock-skew-tolerant ordering of the paper
+	// §IV-A2), then dump and position: the order a stable sort by Lamport
+	// order gives the dumps' concatenation. Each request is one run.
+	index []reqKey
 }
 
-// MergeTraces combines trace dumps from every process. DroppedBy stays
-// nil until a dump reports drops.
+// reqKey places one event in the request index: its request ID and
+// Lamport order, and where it lives (ts.dumps[dump].Events[pos]).
+type reqKey struct {
+	req, order uint64
+	dump, pos  uint32
+}
+
+// MergeTraces combines trace dumps from every process, indexing their
+// events by request. DroppedBy stays nil until a dump reports drops.
 func MergeTraces(dumps []*core.TraceDump) *TraceSet {
+	ts := &TraceSet{dumps: dumps}
 	n := 0
 	for _, d := range dumps {
 		n += len(d.Events)
-	}
-	ts := &TraceSet{}
-	if n > 0 {
-		ts.Events = make([]core.Event, 0, n)
-	}
-	for _, d := range dumps {
-		ts.Events = append(ts.Events, d.Events...)
 		ts.Dropped += d.Dropped
 		if d.Dropped > 0 {
 			if ts.DroppedBy == nil {
@@ -41,36 +52,37 @@ func MergeTraces(dumps []*core.TraceDump) *TraceSet {
 			ts.DroppedBy[d.Entity] += d.Dropped
 		}
 	}
-	return ts
-}
-
-// reqKey places one event in the request grouping.
-type reqKey struct {
-	req, order uint64
-	pos        int // index into ts.Events
-}
-
-// byRequest indexes ts.Events sorted by request ID, then Lamport order
-// (the clock-skew-tolerant ordering of the paper §IV-A2), then position
-// in ts.Events — the order a stable sort by Lamport order gives each
-// request's events. Every request is one contiguous run of the result,
-// runs in ascending request ID; everything that works per request walks
-// it with runEnd.
-func (ts *TraceSet) byRequest() []reqKey {
-	keys := make([]reqKey, len(ts.Events))
-	for i := range ts.Events {
-		keys[i] = reqKey{ts.Events[i].RequestID, ts.Events[i].Order, i}
+	if n > 0 {
+		ts.index = make([]reqKey, 0, n)
 	}
-	slices.SortFunc(keys, func(a, b reqKey) int {
+	for di, d := range dumps {
+		for i := range d.Events {
+			ts.index = append(ts.index, reqKey{d.Events[i].RequestID, d.Events[i].Order, uint32(di), uint32(i)})
+		}
+	}
+	slices.SortFunc(ts.index, func(a, b reqKey) int {
 		if c := cmp.Compare(a.req, b.req); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.order, b.order); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.pos, b.pos)
+		return cmp.Or(cmp.Compare(a.dump, b.dump), cmp.Compare(a.pos, b.pos))
 	})
-	return keys
+	return ts
+}
+
+// NumEvents returns how many events the set holds.
+func (ts *TraceSet) NumEvents() int { return len(ts.index) }
+
+// EachEvent calls fn with every event of the set, dump by dump, each
+// dump's in its own order. The events are the dumps' own.
+func (ts *TraceSet) EachEvent(fn func(*core.Event)) {
+	for _, d := range ts.dumps {
+		for i := range d.Events {
+			fn(&d.Events[i])
+		}
+	}
 }
 
 // runEnd returns the end of the run of one request's keys that starts
@@ -92,30 +104,35 @@ func countRuns(keys []reqKey) int {
 	return n
 }
 
-// Requests groups events by request ID, each group sorted by Lamport
-// order. The groups are sub-slices of one array.
-func (ts *TraceSet) Requests() map[uint64][]core.Event {
-	keys := ts.byRequest()
-	evs := make([]core.Event, len(keys))
-	for i, k := range keys {
-		evs[i] = ts.Events[k.pos]
-	}
-	out := make(map[uint64][]core.Event, countRuns(keys))
-	for lo := 0; lo < len(keys); {
-		hi := runEnd(keys, lo)
-		out[keys[lo].req] = evs[lo:hi:hi]
+// EachRequest calls fn once per request, in ascending request ID, with
+// its events in Lamport order (ties in merge order) and its spans, as
+// Spans reconstructs them. Both slices are scratch the walk reuses for
+// the next request, so fn must not keep them; the events are the
+// dumps' own.
+func (ts *TraceSet) EachRequest(fn func(id uint64, evs []*core.Event, spans []Span)) {
+	// Room for a few hops; a larger request grows the scratch.
+	b := pathBuilder{evs: make([]*core.Event, 0, 16), open: make([]int, 0, 8), spans: make([]Span, 0, 8)}
+	for lo := 0; lo < len(ts.index); {
+		hi := runEnd(ts.index, lo)
+		id := ts.index[lo].req
+		b.gather(ts, ts.index[lo:hi])
+		fn(id, b.evs, b.pair(id, b.evs))
 		lo = hi
 	}
-	return out
+}
+
+// gather points b.evs at the events of keys.
+func (b *pathBuilder) gather(ts *TraceSet, keys []reqKey) {
+	b.evs = b.evs[:0]
+	for _, k := range keys {
+		b.evs = append(b.evs, &ts.dumps[k.dump].Events[k.pos])
+	}
 }
 
 // RequestIDs returns all request IDs, sorted.
 func (ts *TraceSet) RequestIDs() []uint64 {
-	keys := ts.byRequest()
 	var ids []uint64
-	for lo := 0; lo < len(keys); lo = runEnd(keys, lo) {
-		ids = append(ids, keys[lo].req)
-	}
+	ts.EachRequest(func(id uint64, _ []*core.Event, _ []Span) { ids = append(ids, id) })
 	return ids
 }
 
@@ -143,37 +160,30 @@ type Span struct {
 	PVars       *core.PVarSample
 }
 
-// Spans reconstructs the call intervals of one request. Prefer
-// SpansOf with pre-grouped events when iterating many requests.
-func (ts *TraceSet) Spans(requestID uint64) []Span {
-	var evs []core.Event
-	for _, e := range ts.Events {
-		if e.RequestID == requestID {
-			evs = append(evs, e)
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Order < evs[j].Order })
-	return SpansOf(requestID, evs)
-}
-
-// SpansOf reconstructs the call intervals of one request from its
+// Spans reconstructs the call intervals of one request from its
 // Lamport-ordered events by pairing start and end events per (entity,
 // breadcrumb, side): each end event closes the oldest unmatched start
 // (calls from one ULT are sequential, so FIFO pairing is exact there
 // and a close approximation for concurrent same-callpath calls).
-func SpansOf(requestID uint64, evs []core.Event) []Span {
+func (ts *TraceSet) Spans(requestID uint64) []Span {
+	lo, _ := slices.BinarySearchFunc(ts.index, requestID, func(k reqKey, id uint64) int { return cmp.Compare(k.req, id) })
+	hi := lo
+	for hi < len(ts.index) && ts.index[hi].req == requestID {
+		hi++
+	}
 	var b pathBuilder
-	return b.pair(requestID, evs)
+	b.gather(ts, ts.index[lo:hi])
+	return b.pair(requestID, b.evs)
 }
 
-// pair is SpansOf into the builder's reused span storage. The starts
-// still open are a short list scanned from the oldest (a request has a
-// few spans, and few of them open at once), not a map per request.
-func (b *pathBuilder) pair(requestID uint64, evs []core.Event) []Span {
+// pair is Spans over one request's events, into the builder's reused
+// span storage. The starts still open are a short list scanned from the
+// oldest (a request has a few spans, and few of them open at once), not
+// a map per request.
+func (b *pathBuilder) pair(requestID uint64, evs []*core.Event) []Span {
 	open := b.open[:0] // indexes into evs of unmatched start events
 	spans := b.spans[:0]
-	for i := range evs {
-		e := &evs[i]
+	for i, e := range evs {
 		var startKind core.EventKind
 		switch e.Kind {
 		case core.EvOriginStart, core.EvTargetStart:
@@ -187,13 +197,13 @@ func (b *pathBuilder) pair(requestID uint64, evs []core.Event) []Span {
 			continue
 		}
 		at := slices.IndexFunc(open, func(j int) bool {
-			s := &evs[j]
+			s := evs[j]
 			return s.Kind == startKind && s.Breadcrumb == e.Breadcrumb && s.Entity == e.Entity
 		})
 		if at < 0 {
 			continue // unmatched end (dropped start)
 		}
-		start := &evs[open[at]]
+		start := evs[open[at]]
 		open = slices.Delete(open, at, at+1)
 		kind := "SERVER"
 		if e.Kind == core.EvOriginEnd {
@@ -351,7 +361,7 @@ type BlockedSample struct {
 // target-start events (the t5 sample of the Argobots pool).
 func (ts *TraceSet) BlockedULTSeries(rpcName string) []BlockedSample {
 	var out []BlockedSample
-	for _, e := range ts.Events {
+	ts.EachEvent(func(e *core.Event) {
 		if e.Kind == core.EvTargetStart && (rpcName == "" || e.RPCName == rpcName) {
 			out = append(out, BlockedSample{
 				TimestampNanos: e.Timestamp,
@@ -360,7 +370,7 @@ func (ts *TraceSet) BlockedULTSeries(rpcName string) []BlockedSample {
 				Entity:         e.Entity,
 			})
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].TimestampNanos < out[j].TimestampNanos })
 	return out
 }
@@ -377,19 +387,16 @@ type OFISample struct {
 // events (entity == "" selects all origins).
 func (ts *TraceSet) OFIEventsReadSeries(entity string) []OFISample {
 	var out []OFISample
-	for _, e := range ts.Events {
-		if e.Kind != core.EvOriginEnd || e.PVars == nil {
-			continue
-		}
-		if entity != "" && e.Entity != entity {
-			continue
+	ts.EachEvent(func(e *core.Event) {
+		if e.Kind != core.EvOriginEnd || e.PVars == nil || entity != "" && e.Entity != entity {
+			return
 		}
 		out = append(out, OFISample{
 			TimestampNanos: e.Timestamp,
 			EventsRead:     e.PVars.OFIEventsRead,
 			Entity:         e.Entity,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].TimestampNanos < out[j].TimestampNanos })
 	return out
 }

@@ -67,25 +67,26 @@ type SysSample struct {
 
 // Event is one distributed-trace record.
 type Event struct {
-	RequestID  uint64    `json:"request_id"`
-	Order      uint64    `json:"order"` // Lamport counter
-	Kind       EventKind `json:"kind"`
-	Timestamp  int64     `json:"ts_ns"` // local wall clock, ns since epoch
-	Entity     string    `json:"entity"`
-	Peer       string    `json:"peer,omitempty"`
-	RPCName    string    `json:"rpc"`
-	Breadcrumb uint64    `json:"breadcrumb"`
-	Duration   int64     `json:"dur_ns,omitempty"` // span length for end events
+	RequestID uint64    `json:"request_id"`
+	Order     uint64    `json:"order"` // Lamport counter
+	Kind      EventKind `json:"kind"`
+	// Failed marks a terminal event whose attempt ended in an error:
+	// a canceled/failed origin attempt, or a target span closed by a
+	// handler panic or error response. Stitchers use it to close spans
+	// without treating them as successful executions. It sits beside
+	// Kind so that the two share one word.
+	Failed     bool   `json:"failed,omitempty"`
+	Timestamp  int64  `json:"ts_ns"` // local wall clock, ns since epoch
+	Entity     string `json:"entity"`
+	Peer       string `json:"peer,omitempty"`
+	RPCName    string `json:"rpc"`
+	Breadcrumb uint64 `json:"breadcrumb"`
+	Duration   int64  `json:"dur_ns,omitempty"` // span length for end events
 	// BatchID groups the per-op spans of one coalesced (vectored)
 	// forward: every member's chain shares the batch ID while keeping
 	// its own request ID, so analysis can attribute time per logical op
 	// and still see which ops traveled together. Zero means unbatched.
 	BatchID uint64 `json:"batch_id,omitempty"`
-	// Failed marks a terminal event whose attempt ended in an error:
-	// a canceled/failed origin attempt, or a target span closed by a
-	// handler panic or error response. Stitchers use it to close spans
-	// without treating them as successful executions.
-	Failed bool `json:"failed,omitempty"`
 	// QueueNanos, on target-start (t5) events, is the handler-pool wait
 	// the request's ULT spent spawned-but-unscheduled (t4→t5). It is the
 	// per-request form of the CompHandler profile component, carried on

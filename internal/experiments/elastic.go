@@ -322,12 +322,12 @@ func RunElastic(cfg ElasticConfig, metricsAddr, out string) (*ElasticResult, err
 	res.Run = run
 	// Trace visibility: migration segments appear as sdskv_migrate_* spans
 	// in the merged trace set.
-	for id, evs := range run.Traces.Requests() {
-		for _, sp := range analysis.SpansOf(id, evs) {
+	run.Traces.EachRequest(func(_ uint64, _ []*core.Event, spans []analysis.Span) {
+		for _, sp := range spans {
 			if strings.HasPrefix(sp.RPCName, "sdskv_migrate_") {
 				res.MigrateSpans++
 			}
 		}
-	}
+	})
 	return res, nil
 }

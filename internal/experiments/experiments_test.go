@@ -94,7 +94,7 @@ func TestRunHEPnOSStoresAllEvents(t *testing.T) {
 	if res.LostAcked != 0 {
 		t.Fatalf("servers are missing %d acknowledged events", res.LostAcked)
 	}
-	if len(res.Traces.Events) == 0 {
+	if res.Traces.NumEvents() == 0 {
 		t.Fatal("no trace samples at Full stage")
 	}
 	if len(res.BlockedSeries) == 0 {

@@ -102,12 +102,11 @@ func RunMobjectIOR(cfg MobjectConfig, metricsAddr, out string) (*MobjectResult, 
 	}
 	res := &MobjectResult{Config: cfg, Run: run, Dominant: run.Profile.DominantCallpaths(5)}
 	// Pick one complete mobject_write_op request for the Figure 5 trace.
-	for _, ev := range run.Traces.Events {
-		if ev.Kind == core.EvOriginEnd && ev.RPCName == mobject.RPCWriteOp {
+	run.Traces.EachEvent(func(ev *core.Event) {
+		if res.WriteTraceRequestID == 0 && ev.Kind == core.EvOriginEnd && ev.RPCName == mobject.RPCWriteOp {
 			res.WriteTraceRequestID = ev.RequestID
-			break
 		}
-	}
+	})
 	if res.WriteTraceRequestID != 0 {
 		res.WriteSpans = run.Traces.Spans(res.WriteTraceRequestID)
 	}

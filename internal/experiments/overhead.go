@@ -72,7 +72,7 @@ func RunOverheadStudy(cfg OverheadConfig, metricsAddr, out string) (*OverheadRes
 				return nil, err
 			}
 			st.Runs = append(st.Runs, r.Run)
-			st.TraceSamples = max(st.TraceSamples, len(r.Traces.Events))
+			st.TraceSamples = max(st.TraceSamples, r.Traces.NumEvents())
 		}
 	}
 	for s := range res.Stages {

@@ -218,12 +218,12 @@ func RunOverload(cfg OverloadConfig, metricsAddr, out string) (*OverloadResult, 
 			res.ServerPVars = p.PVars
 		}
 	}
-	for id, evs := range run.Traces.Requests() {
-		for _, sp := range analysis.SpansOf(id, evs) {
+	run.Traces.EachRequest(func(_ uint64, _ []*core.Event, spans []analysis.Span) {
+		for _, sp := range spans {
 			if sp.Kind == "SERVER" && sp.Failed {
 				res.FailedServerSpans++
 			}
 		}
-	}
+	})
 	return res, nil
 }

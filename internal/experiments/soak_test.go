@@ -195,17 +195,16 @@ func TestMixedServiceSoak(t *testing.T) {
 
 	// Traces stitch: every request's spans pair up and the gap view is
 	// well-formed.
-	reqs := traces.Requests()
-	if len(reqs) == 0 {
-		t.Fatal("no requests traced")
-	}
-	spansSeen := 0
-	for id, evs := range reqs {
-		spans := analysis.SpansOf(id, evs)
+	reqs, spansSeen := 0, 0
+	traces.EachRequest(func(id uint64, _ []*core.Event, spans []analysis.Span) {
+		reqs++
 		spansSeen += len(spans)
 		if f := analysis.UncoveredFraction(spans); f < 0 || f > 1 {
 			t.Fatalf("request %#x uncovered fraction %f", id, f)
 		}
+	})
+	if reqs == 0 {
+		t.Fatal("no requests traced")
 	}
 	if spansSeen == 0 {
 		t.Fatal("no spans reconstructed")

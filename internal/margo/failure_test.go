@@ -3,7 +3,6 @@ package margo
 import (
 	"context"
 	"errors"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -272,14 +271,9 @@ func TestShedRequestStitchesSingleFailedTrace(t *testing.T) {
 
 	// Merge both sides' events and find the shed request: it has a
 	// Failed SERVER span on the target.
-	evs := append(cli.Profiler().TraceEvents(), srv.Profiler().TraceEvents()...)
-	byReq := make(map[uint64][]core.Event)
-	for _, e := range evs {
-		byReq[e.RequestID] = append(byReq[e.RequestID], e)
-	}
+	ts := analysis.MergeTraces([]*core.TraceDump{cli.Profiler().DumpTrace(), srv.Profiler().DumpTrace()})
 	shedReqs := 0
-	for id, revs := range byReq {
-		sort.SliceStable(revs, func(i, j int) bool { return revs[i].Order < revs[j].Order })
+	ts.EachRequest(func(id uint64, revs []*core.Event, spans []analysis.Span) {
 		starts, ends, failedEnds := 0, 0, 0
 		for _, e := range revs {
 			switch e.Kind {
@@ -293,14 +287,13 @@ func TestShedRequestStitchesSingleFailedTrace(t *testing.T) {
 			}
 		}
 		if failedEnds == 0 {
-			continue
+			return
 		}
 		shedReqs++
 		// The rejection pairs exactly: one start, one Failed end.
 		if starts != 1 || ends != 1 {
 			t.Errorf("request %d: %d target starts / %d ends, want 1/1", id, starts, ends)
 		}
-		spans := analysis.SpansOf(id, revs)
 		server := 0
 		for _, sp := range spans {
 			if sp.Kind == "SERVER" {
@@ -313,7 +306,7 @@ func TestShedRequestStitchesSingleFailedTrace(t *testing.T) {
 		if server != 1 {
 			t.Errorf("request %d: %d SERVER spans, want exactly 1", id, server)
 		}
-	}
+	})
 	if shedReqs != 1 {
 		t.Fatalf("%d requests with Failed server spans, want 1 (the shed one)", shedReqs)
 	}

@@ -87,7 +87,7 @@ func (i *Instance) rejectRequest(mh *mercury.Handle, rpcName string, verdict adm
 	}
 
 	if stage.Measures() {
-		// Both halves of the span are emitted here: SpansOf pairs a
+		// Both halves of the span are emitted here: analysis pairs a
 		// start with an end per (entity, breadcrumb, side), so a lone
 		// Failed end event would be dropped as unmatched.
 		ev := i.stamp(core.EvTargetStart, time.Now(), meta.RequestID, respMeta.Order, mh.Peer(), rpcName, core.Breadcrumb(meta.Breadcrumb), i.handlerPool)

@@ -71,7 +71,7 @@ func TestRetryHealsAfterPartition(t *testing.T) {
 	if starts < 2 {
 		t.Fatalf("%d origin starts, want >= 2 (retried attempts)", starts)
 	}
-	spans := analysis.SpansOf(reqID, evs)
+	spans := analysis.MergeTraces([]*core.TraceDump{{Entity: "cli", Events: evs}}).Spans(reqID)
 	if len(spans) != starts {
 		t.Fatalf("%d spans from %d attempts: retries left dangling starts", len(spans), starts)
 	}
@@ -242,12 +242,11 @@ func TestPanickingHandlerClosesTrace(t *testing.T) {
 		cli.Profiler().DumpTrace(), srv.Profiler().DumpTrace(),
 	})
 	var reqID uint64
-	for _, e := range ts.Events {
-		if e.RPCName == "boom_trace" {
+	ts.EachEvent(func(e *core.Event) {
+		if reqID == 0 && e.RPCName == "boom_trace" {
 			reqID = e.RequestID
-			break
 		}
-	}
+	})
 	if reqID == 0 {
 		t.Fatal("no trace events for the panicking RPC")
 	}
