@@ -17,6 +17,15 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the fixtur
 // servers, 256 single-event requests.
 const fixtureDir = "testdata/c7"
 
+// runsDir holds the dumps of three runs whose requests are not one hop
+// each, written with `-scale 64 -out` (the floor): testdata/runs/mobject
+// by `hepnos-bench -figure 5` (ior over Mobject, depth-3 nested forwards
+// of one request ID, the same RPC called more than once per handler),
+// testdata/runs/chaos-faulted by `-run chaos -config C7` (dropped
+// requests, failed and retried attempts) and testdata/runs/batch-w8 by
+// `-run batch` (coalesced members sharing batch IDs, window waits).
+const runsDir = "testdata/runs"
+
 // generatedLine is the report header's time stamp, the one part of a
 // report that differs from run to run.
 var generatedLine = regexp.MustCompile(`(?m)^generated: .*$`)
@@ -28,21 +37,30 @@ var generatedLine = regexp.MustCompile(`(?m)^generated: .*$`)
 // written; `go test ./cmd/sym -run TestGoldenOutputOverFixedDumps
 // -update` rewrites them.
 func TestGoldenOutputOverFixedDumps(t *testing.T) {
-	const req = "0x0000000500000001"
-	for _, tc := range []struct {
-		name string
-		args []string
-	}{
-		{"prof", []string{"prof"}},
-		{"stats", []string{"stats"}},
-		{"trace", []string{"trace", "-n", "20"}},
-		{"trace_flame", []string{"trace", "-flame"}},
-		{"trace_req", []string{"trace", "-req", req, "-path", "-gantt"}},
-		{"trace_zipkin", []string{"trace", "-req", req, "-zipkin", "ZIPKIN"}},
-	} {
+	const req, nested = "0x0000000500000001", "0x0000000200000001"
+	type golden struct {
+		name, dir string
+		args      []string
+	}
+	cases := []golden{
+		{"prof", fixtureDir, []string{"prof"}},
+		{"stats", fixtureDir, []string{"stats"}},
+		{"trace", fixtureDir, []string{"trace", "-n", "20"}},
+		{"trace_flame", fixtureDir, []string{"trace", "-flame"}},
+		{"trace_req", fixtureDir, []string{"trace", "-req", req, "-path", "-gantt"}},
+		{"trace_zipkin", fixtureDir, []string{"trace", "-req", req, "-zipkin", "ZIPKIN"}},
+		{"mobject_req", runsDir + "/mobject", []string{"trace", "-req", nested, "-path", "-gantt", "-zipkin", "ZIPKIN"}},
+	}
+	for _, run := range []string{"mobject", "chaos-faulted", "batch-w8"} {
+		cases = append(cases,
+			golden{run + "_stats", runsDir + "/" + run, []string{"stats"}},
+			golden{run + "_trace", runsDir + "/" + run, []string{"trace", "-n", "20"}},
+			golden{run + "_trace_flame", runsDir + "/" + run, []string{"trace", "-flame"}})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			zipkin := filepath.Join(t.TempDir(), "req.json")
-			args := append([]string{tc.args[0], "-dir", fixtureDir}, tc.args[1:]...)
+			args := append([]string{tc.args[0], "-dir", tc.dir}, tc.args[1:]...)
 			for i, a := range args {
 				if a == "ZIPKIN" {
 					args[i] = zipkin
