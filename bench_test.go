@@ -12,7 +12,11 @@ package symbiosys
 // paper-vs-measured comparison and the shape checks.
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -281,14 +285,19 @@ func BenchmarkTableIVConfigs(b *testing.B) {
 // C7 run, the fixture sym's golden tests read (cmd/sym/testdata/c7: six
 // processes, 256 requests, 1,024 events): read them, merge the profiles
 // and the traces, extract every critical path, count the incomplete
-// requests, fold the flame and render both reports. `make alloc-sites
+// requests, fold the flame and render both reports. It reports the heap
+// bytes a pass allocates per request, and what decoding the trace dumps
+// into their span tables allocates per byte of dump. `make alloc-sites
 // ALLOC_SITES_BENCH=BenchmarkAnalysisPass` ranks where one pass puts its
 // bytes.
 func BenchmarkAnalysisPass(b *testing.B) {
+	const dir = "cmd/sym/testdata/c7"
 	b.ReportAllocs()
 	var requests int
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
-		profiles, traces, _, err := experiments.ReadDumps("cmd/sym/testdata/c7")
+		profiles, traces, _, err := experiments.ReadDumps(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +317,31 @@ func BenchmarkAnalysisPass(b *testing.B) {
 		}
 		requests = stats.Requests
 	}
+	runtime.ReadMemStats(&after)
+	b.StopTimer()
 	b.ReportMetric(float64(requests), "requests")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*requests), "B/request")
+
+	files, err := filepath.Glob(filepath.Join(dir, "*.trace.bin"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no trace dumps in %s (%v)", dir, err)
+	}
+	var dumpBytes, decodeBytes uint64
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rd := bytes.NewReader(data)
+		runtime.ReadMemStats(&before)
+		if _, err := core.ReadTrace(rd); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		dumpBytes += uint64(len(data))
+		decodeBytes += after.TotalAlloc - before.TotalAlloc
+	}
+	b.ReportMetric(float64(decodeBytes)/float64(dumpBytes), "decodeB/dumpB")
 }
 
 var _ = time.Now // keep time imported for future tuning

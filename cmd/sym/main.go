@@ -380,8 +380,8 @@ func summarize(w io.Writer, ts *analysis.TraceSet, n int) {
 		evs, spans int
 	}
 	var rows []row
-	ts.EachRequest(func(id uint64, evs []*core.Event, spans []analysis.Span) {
-		rows = append(rows, row{id: id, evs: len(evs), spans: len(spans)})
+	ts.EachRequest(func(id uint64, evs int, spans []analysis.Span) {
+		rows = append(rows, row{id: id, evs: evs, spans: len(spans)})
 	})
 	requests := len(rows)
 	slices.SortFunc(rows, func(a, b row) int {

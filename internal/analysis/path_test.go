@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -81,7 +82,7 @@ func eqKinds(got, want []SegKind) bool {
 // extractPath is the critical path ExtractPaths finds for one request's
 // events (nil when it finds none).
 func extractPath(evs []core.Event) *CriticalPath {
-	paths, _ := ExtractPaths(MergeTraces([]*core.TraceDump{{Entity: "e", Events: evs}}))
+	paths, _ := ExtractPaths(MergeTraces([]*core.TraceDump{core.NewTraceDump("e", 0, 0, evs)}))
 	if len(paths) == 0 {
 		return nil
 	}
@@ -308,8 +309,8 @@ func TestExtractPathsIncompleteCounting(t *testing.T) {
 			Entity: "cli", RPCName: "a_rpc", Breadcrumb: uint64(bc), Duration: 100},
 	})
 	ts := MergeTraces([]*core.TraceDump{
-		{Entity: "a", Events: twoHopEvents(1, pathTraceBase)},
-		{Entity: "b", Events: orphan},
+		core.NewTraceDump("a", 0, 0, twoHopEvents(1, pathTraceBase)),
+		core.NewTraceDump("b", 0, 0, orphan),
 	})
 	paths, stats := ExtractPaths(ts)
 	if stats.Requests != 2 || stats.Extracted != 2 {
@@ -339,9 +340,7 @@ func TestExtractPathsIncompleteCounting(t *testing.T) {
 func TestFoldPathsShapesAndPercentiles(t *testing.T) {
 	var dumps []*core.TraceDump
 	for i := 0; i < 8; i++ {
-		dumps = append(dumps, &core.TraceDump{
-			Entity: "d", Events: twoHopEvents(uint64(i+1), pathTraceBase+int64(i)*10_000),
-		})
+		dumps = append(dumps, core.NewTraceDump("d", 0, 0, twoHopEvents(uint64(i+1), pathTraceBase+int64(i)*10_000)))
 	}
 	f := BuildFlame(MergeTraces(dumps))
 	if len(f.Paths) != 1 {
@@ -393,7 +392,7 @@ func TestDiffFlamesLocalizesRegression(t *testing.T) {
 					}
 				}
 			}
-			dumps = append(dumps, &core.TraceDump{Entity: "d", Events: evs})
+			dumps = append(dumps, core.NewTraceDump("d", 0, 0, evs))
 		}
 		return BuildFlame(MergeTraces(dumps))
 	}
@@ -430,10 +429,10 @@ func TestDiffFlamesLocalizesRegression(t *testing.T) {
 func TestDiffFlamesStructuralShapes(t *testing.T) {
 	// A retry chain only exists in the "after" run: its shape must
 	// surface as NEW, ranked before same-shape drift.
-	cleanA := MergeTraces([]*core.TraceDump{{Entity: "d", Events: twoHopEvents(1, pathTraceBase)}})
+	cleanA := MergeTraces([]*core.TraceDump{core.NewTraceDump("d", 0, 0, twoHopEvents(1, pathTraceBase))})
 	faulted := MergeTraces([]*core.TraceDump{
-		{Entity: "d", Events: twoHopEvents(1, pathTraceBase)},
-		{Entity: "d", Events: retriedEvents(2, pathTraceBase)},
+		core.NewTraceDump("d", 0, 0, twoHopEvents(1, pathTraceBase)),
+		core.NewTraceDump("d", 0, 0, retriedEvents(2, pathTraceBase)),
 	})
 	d := DiffFlames(BuildFlame(cleanA), BuildFlame(faulted))
 	if len(d.Paths) != 2 {
@@ -458,9 +457,7 @@ var benchSinkPaths []CriticalPath
 func BenchmarkExtractPaths(b *testing.B) {
 	var dumps []*core.TraceDump
 	for i := 0; i < 64; i++ {
-		dumps = append(dumps, &core.TraceDump{
-			Entity: "d", Events: twoHopEvents(uint64(i+1), pathTraceBase+int64(i)*10_000),
-		})
+		dumps = append(dumps, core.NewTraceDump("d", 0, 0, twoHopEvents(uint64(i+1), pathTraceBase+int64(i)*10_000)))
 	}
 	ts := MergeTraces(dumps)
 	b.ReportAllocs()
@@ -491,20 +488,20 @@ func TestRequestGroupingCases(t *testing.T) {
 			Entity: "e", RPCName: "a_rpc", Breadcrumb: bc}
 	}
 	ts := MergeTraces([]*core.TraceDump{
-		{Entity: "cli", Events: []core.Event{
+		core.NewTraceDump("cli", 0, 0, []core.Event{
 			ev(30, 1, core.EvOriginStart), // mixed
 			ev(10, 1, core.EvOriginStart), // origin-only: both origin events
 			ev(30, 4, core.EvOriginEnd),
 			ev(50, 1, core.EvOriginEnd), // origin-only: a lone t14
 			ev(10, 2, core.EvOriginEnd),
-		}},
-		{Entity: "srv", Events: []core.Event{
+		}),
+		core.NewTraceDump("srv", 0, 0, []core.Event{
 			ev(20, 1, core.EvTargetStart), // target-only
 			ev(30, 2, core.EvTargetStart),
 			ev(20, 2, core.EvTargetEnd),
 			ev(40, 1, core.EvTargetEnd), // target-only: a lone t8
 			ev(30, 3, core.EvTargetEnd),
-		}},
+		}),
 	})
 	if got, want := ts.RequestIDs(), []uint64{10, 20, 30, 40, 50}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("RequestIDs() = %v, want %v", got, want)
@@ -516,72 +513,63 @@ func TestRequestGroupingCases(t *testing.T) {
 		t.Fatalf("IncompleteRequests() = %d, the map-based count %d", got, want)
 	}
 	walked := 0
-	ts.EachRequest(func(id uint64, evs []*core.Event, _ []Span) {
+	ts.EachRequest(func(id uint64, events int, spans []Span) {
 		walked++
 		if id != 30 {
 			return
 		}
-		if len(evs) != 4 {
-			t.Fatalf("request 30 has %d events, want 4", len(evs))
-		}
-		for i, e := range evs {
-			if e.Order != uint64(i+1) {
-				t.Fatalf("request 30 not in Lamport order: event %d has order %d", i, e.Order)
-			}
+		if events != 4 || len(spans) != 2 || spans[0].StartOrder != 1 || spans[1].StartOrder != 2 {
+			t.Fatalf("request 30 has %d events and spans %+v, want 4 events and spans from orders 1 and 2", events, spans)
 		}
 	})
 	if walked != 5 {
 		t.Fatalf("EachRequest walked %d requests, want 5", walked)
 	}
 	var empty TraceSet
-	empty.EachRequest(func(uint64, []*core.Event, []Span) { walked++ })
+	empty.EachRequest(func(uint64, int, []Span) { walked++ })
 	if empty.RequestIDs() != nil || empty.IncompleteRequests() != 0 || walked != 5 || empty.NumEvents() != 0 {
 		t.Fatal("empty trace set has requests")
 	}
 }
 
-// TestMergeTracesBorrowsTheDumps: the set copies no event. Every event
-// either walk yields is the dump's own, each exactly once, the whole-set
-// walk in dump order, and the index is built once at merge time.
+// TestMergeTracesBorrowsTheDumps: the set copies no row, it indexes the
+// dumps' own, one key a row; EachEvent walks every event of the dumps
+// once, and EachRequest counts each once.
 func TestMergeTracesBorrowsTheDumps(t *testing.T) {
 	a, b := twoHopEvents(1, pathTraceBase), retriedEvents(2, pathTraceBase)
-	dumps := []*core.TraceDump{{Entity: "a", Events: a}, {Entity: "b", Events: b}}
+	dumps := []*core.TraceDump{core.NewTraceDump("a", 0, 0, a), core.NewTraceDump("b", 0, 0, b)}
 	ts := MergeTraces(dumps)
-	var all []*core.Event
-	for _, d := range dumps {
-		for i := range d.Events {
-			all = append(all, &d.Events[i])
-		}
+	rows := len(dumps[0].Rows()) + len(dumps[1].Rows())
+	all := append(slices.Clone(a), b...)
+	if ts.NumEvents() != len(all) || len(ts.index) != rows || cap(ts.index) != rows {
+		t.Fatalf("NumEvents() = %d, index %d of capacity %d, want %d events and %d rows", ts.NumEvents(), len(ts.index), cap(ts.index), len(all), rows)
 	}
-	if ts.NumEvents() != len(all) || len(ts.index) != len(all) || cap(ts.index) != len(all) {
-		t.Fatalf("NumEvents() = %d, index %d of capacity %d, want %d", ts.NumEvents(), len(ts.index), cap(ts.index), len(all))
+	var walked []core.Event
+	ts.EachEvent(func(e *core.Event) { walked = append(walked, *e) })
+	byOrder := func(x, y core.Event) int {
+		return cmp.Or(cmp.Compare(x.RequestID, y.RequestID), cmp.Compare(x.Order, y.Order), cmp.Compare(x.Kind, y.Kind))
 	}
-	var walked []*core.Event
-	ts.EachEvent(func(e *core.Event) { walked = append(walked, e) })
-	if !slices.Equal(walked, all) {
-		t.Fatal("EachEvent does not yield &d.Events[i] of each dump in dump order")
+	slices.SortFunc(walked, byOrder)
+	slices.SortFunc(all, byOrder)
+	if !reflect.DeepEqual(walked, all) {
+		t.Fatal("EachEvent does not yield each event of the dumps once")
 	}
-	seen := map[*core.Event]int{}
-	ts.EachRequest(func(id uint64, evs []*core.Event, _ []Span) {
-		for _, e := range evs {
-			if e.RequestID != id {
-				t.Fatalf("request %d walked an event of request %d", id, e.RequestID)
+	events := 0
+	ts.EachRequest(func(id uint64, n int, spans []Span) {
+		events += n
+		for _, s := range spans {
+			if s.RequestID != id {
+				t.Fatalf("request %d walked a span of request %d", id, s.RequestID)
 			}
-			seen[e]++
 		}
 	})
-	for _, e := range all {
-		if seen[e] != 1 {
-			t.Fatalf("EachRequest yielded &d.Events[i] %d times, want once", seen[e])
-		}
-	}
-	if len(seen) != len(all) {
-		t.Fatalf("EachRequest yielded %d distinct events, want %d of the dumps'", len(seen), len(all))
+	if events != len(all) {
+		t.Fatalf("EachRequest counted %d events, want %d", events, len(all))
 	}
 	if ts.DroppedBy != nil {
 		t.Fatalf("DroppedBy = %v with no drops, want nil", ts.DroppedBy)
 	}
-	ts = MergeTraces([]*core.TraceDump{{Entity: "a", Events: a, Dropped: 2}, {Entity: "b"}, {Entity: "a", Dropped: 1}})
+	ts = MergeTraces([]*core.TraceDump{core.NewTraceDump("a", 0, 2, a), {Entity: "b"}, {Entity: "a", Dropped: 1}})
 	if ts.Dropped != 3 || len(ts.DroppedBy) != 1 || ts.DroppedBy["a"] != 3 {
 		t.Fatalf("dropped = %d by %v", ts.Dropped, ts.DroppedBy)
 	}
@@ -726,7 +714,7 @@ func synthTraceSet(seed int64) *TraceSet {
 		if seed%4 == 0 {
 			s.rng.Shuffle(len(evs), func(i, j int) { evs[i], evs[j] = evs[j], evs[i] })
 		}
-		dumps = append(dumps, &core.TraceDump{Entity: name, Events: evs})
+		dumps = append(dumps, core.NewTraceDump(name, 0, 0, evs))
 	}
 	return MergeTraces(dumps)
 }
@@ -753,16 +741,11 @@ func TestExtractPathsMatchesOracle(t *testing.T) {
 		}
 		wantReqs := oracleRequests(ts)
 		walked := 0
-		ts.EachRequest(func(id uint64, evs []*core.Event, spans []Span) {
+		ts.EachRequest(func(id uint64, events int, spans []Span) {
 			walked++
 			want := wantReqs[id]
-			if len(evs) != len(want) {
-				t.Fatalf("seed %d request %#x: EachRequest walked %d events, oracle %d", seed, id, len(evs), len(want))
-			}
-			for i, e := range evs {
-				if !reflect.DeepEqual(*e, want[i]) {
-					t.Fatalf("seed %d request %#x: event %d differs from the oracle:\n got %+v\nwant %+v", seed, id, i, *e, want[i])
-				}
+			if events != len(want) {
+				t.Fatalf("seed %d request %#x: EachRequest counted %d events, oracle %d", seed, id, events, len(want))
 			}
 			wantSpans := oracleSpansOf(id, want)
 			if (len(spans) > 0 || len(wantSpans) > 0) && !reflect.DeepEqual(spans, wantSpans) {
@@ -790,7 +773,7 @@ func TestExtractPathsMatchesOracle(t *testing.T) {
 			if len(wantSpans) > 12 {
 				saw.wide++
 			}
-			if wantSpans != nil && oracleIncompleteRequests(MergeTraces([]*core.TraceDump{{Entity: "e", Events: evs}})) == 1 {
+			if wantSpans != nil && oracleIncompleteRequests(MergeTraces([]*core.TraceDump{core.NewTraceDump("e", 0, 0, evs)})) == 1 {
 				saw.originOnly++
 			}
 		}
@@ -861,8 +844,8 @@ func TestTraceSetConcurrentReaders(t *testing.T) {
 // cannot reach the next path's in the arena.
 func TestExtractPathsSharesShapesAndClipsSegments(t *testing.T) {
 	ts := MergeTraces([]*core.TraceDump{
-		{Entity: "a", Events: twoHopEvents(1, pathTraceBase)},
-		{Entity: "b", Events: twoHopEvents(2, pathTraceBase+10_000)},
+		core.NewTraceDump("a", 0, 0, twoHopEvents(1, pathTraceBase)),
+		core.NewTraceDump("b", 0, 0, twoHopEvents(2, pathTraceBase+10_000)),
 	})
 	paths, _ := ExtractPaths(ts)
 	if len(paths) != 2 {
@@ -881,12 +864,17 @@ func TestExtractPathsSharesShapesAndClipsSegments(t *testing.T) {
 	}
 }
 
-// TestHeldStructSizes pins the two structs analysis holds one of per
-// event and per path segment: each keeps its Failed flag in the padding
-// after its Kind, so that neither pays a word for a bool.
+// TestHeldStructSizes pins the structs analysis holds one of per span,
+// per event it expands and per path segment: a dump's span row, 80 B
+// for a start and its end; an event and a path segment, each of which
+// keeps its Failed flag in the padding after its Kind, so that neither
+// pays a word for a bool.
 func TestHeldStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(core.SpanRow{}); got != 80 {
+		t.Errorf("core.SpanRow is %d B, want 80", got)
 	}
 	if got := unsafe.Sizeof(core.Event{}); got != 168 {
 		t.Errorf("core.Event is %d B, want 168", got)
@@ -901,8 +889,7 @@ func TestHeldStructSizes(t *testing.T) {
 // dump and the server's in the other.
 func twoProcessDumps(requests int) []*core.TraceDump {
 	bc := uint64(core.Breadcrumb(0).Push("a_rpc"))
-	cli := &core.TraceDump{Entity: "cli"}
-	srv := &core.TraceDump{Entity: "srv"}
+	var cli, srv []core.Event
 	for i := 0; i < requests; i++ {
 		id, base := uint64(1)<<32|uint64(i), pathTraceBase+int64(i)*1000
 		ev := core.Event{RequestID: id, RPCName: "a_rpc", Breadcrumb: bc}
@@ -913,10 +900,10 @@ func twoProcessDumps(requests int) []*core.TraceDump {
 		}
 		t5 := at(core.EvTargetStart, 2, "srv", 100, 0)
 		t5.QueueNanos = 40
-		cli.Events = append(cli.Events, at(core.EvOriginStart, 1, "cli", 0, 0), at(core.EvOriginEnd, 4, "cli", 400, 400))
-		srv.Events = append(srv.Events, t5, at(core.EvTargetEnd, 3, "srv", 300, 200))
+		cli = append(cli, at(core.EvOriginStart, 1, "cli", 0, 0), at(core.EvOriginEnd, 4, "cli", 400, 400))
+		srv = append(srv, t5, at(core.EvTargetEnd, 3, "srv", 300, 200))
 	}
-	return []*core.TraceDump{cli, srv}
+	return []*core.TraceDump{core.NewTraceDump("cli", 0, 0, cli), core.NewTraceDump("srv", 0, 0, srv)}
 }
 
 // TestExtractPathsAllocations pins the point of the builder: a sweep
@@ -937,12 +924,12 @@ func TestExtractPathsAllocations(t *testing.T) {
 // TestAnalysisPassByteBudget bounds the heap bytes one analysis pass
 // allocates per request over the two-process set: merge, extract every
 // critical path, count the incomplete requests. The set borrows the
-// dumps' events and indexes them once in 24 B keys, so what is left is
-// the index (96 B a request), the path (72 B), its four 64 B segments
-// and the walks' scratch: 426.1 B a request on go1.24/amd64, bounded at
-// that +10%. When merging copied every 176 B event into the set and the
-// index was sorted twice, once for the paths and once for the
-// incomplete count, the same pass took 1,257.5 B.
+// dumps' span tables and indexes their rows once in 24 B keys, one per
+// span, so what is left is the index (48 B a request), the path (72 B),
+// its four 64 B segments and the walks' scratch: 376.9 B a request on
+// go1.24/amd64, bounded at that +10%. When the set indexed the dumps'
+// events it took 426.1 B; when merging copied every 176 B event into
+// the set and the index was sorted twice, 1,257.5 B.
 func TestAnalysisPassByteBudget(t *testing.T) {
 	const requests = 2048
 	dumps := twoProcessDumps(requests)
@@ -962,25 +949,38 @@ func TestAnalysisPassByteBudget(t *testing.T) {
 	}
 	per := float64(after.TotalAlloc-before.TotalAlloc) / requests
 	t.Logf("%.1f B per request", per)
-	if per > 469 {
-		t.Fatalf("an analysis pass allocated %.1f B per request, want <= 469", per)
+	if per > 415 {
+		t.Fatalf("an analysis pass allocated %.1f B per request, want <= 415", per)
 	}
 }
 
 // ---------------------------------------------------------------------
-// The oracle: the map-based request grouping, span pairing and path
-// builder that ExtractPaths replaced, verbatim but for the names. It
-// allocates per request (a map slot and slice per group, an `open` map
-// per pairing, two maps and a heap path per build, fmt into a builder
-// per shape) and exists only so TestExtractPathsMatchesOracle can hold
-// the replacement to its results.
+// The oracle: the request grouping, span pairing and path builder the
+// analysis plane replaced, verbatim but for the names: the map-based
+// grouping and path builder ExtractPaths replaced, and the event
+// pairing (pathBuilder.pair) that the dumps' span tables replaced. It
+// allocates per request (a map slot and slice per group, two maps and a
+// heap path per build, fmt into a builder per shape) and exists only so
+// TestExtractPathsMatchesOracle and TestSpanTablePairingMatchesOracle
+// can hold the replacements to its results.
+
+// oracleEach calls fn with every event of the set's dumps, dump by
+// dump, each dump's in its own order.
+func oracleEach(ts *TraceSet, fn func(*core.Event)) {
+	for _, d := range ts.dumps {
+		evs := d.Events()
+		for i := range evs {
+			fn(&evs[i])
+		}
+	}
+}
 
 // oracleRequests groups events by request ID, each group sorted by Lamport
 // order (the clock-skew-tolerant ordering of the paper §IV-A2). It reads
 // the dumps in merge order, dump by dump.
 func oracleRequests(ts *TraceSet) map[uint64][]core.Event {
 	out := make(map[uint64][]core.Event)
-	ts.EachEvent(func(e *core.Event) {
+	oracleEach(ts, func(e *core.Event) {
 		out[e.RequestID] = append(out[e.RequestID], *e)
 	})
 	for id := range out {
@@ -995,7 +995,7 @@ func oracleRequests(ts *TraceSet) map[uint64][]core.Event {
 func oracleRequestIDs(ts *TraceSet) []uint64 {
 	seen := make(map[uint64]bool)
 	var ids []uint64
-	ts.EachEvent(func(e *core.Event) {
+	oracleEach(ts, func(e *core.Event) {
 		if !seen[e.RequestID] {
 			seen[e.RequestID] = true
 			ids = append(ids, e.RequestID)
@@ -1009,57 +1009,62 @@ func oracleRequestIDs(ts *TraceSet) []uint64 {
 // Lamport-ordered events by pairing start and end events per (entity,
 // breadcrumb, side): each end event closes the oldest unmatched start
 // (calls from one ULT are sequential, so FIFO pairing is exact there
-// and a close approximation for concurrent same-callpath calls).
+// and a close approximation for concurrent same-callpath calls). The
+// starts still open are a short list scanned from the oldest.
 func oracleSpansOf(requestID uint64, evs []core.Event) []Span {
-	type pairKey struct {
-		entity string
-		bc     core.Breadcrumb
-		client bool
-	}
-	open := make(map[pairKey][]core.Event)
+	var open []int // indexes into evs of unmatched start events
 	var spans []Span
-	for _, e := range evs {
+	for i := range evs {
+		e := &evs[i]
+		var startKind core.EventKind
 		switch e.Kind {
 		case core.EvOriginStart, core.EvTargetStart:
-			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginStart}
-			open[k] = append(open[k], e)
-		case core.EvOriginEnd, core.EvTargetEnd:
-			k := pairKey{e.Entity, core.Breadcrumb(e.Breadcrumb), e.Kind == core.EvOriginEnd}
-			q := open[k]
-			if len(q) == 0 {
-				continue // unmatched end (dropped start)
-			}
-			start := q[0]
-			open[k] = q[1:]
-			kind := "SERVER"
-			if e.Kind == core.EvOriginEnd {
-				kind = "CLIENT"
-			}
-			dur := e.Duration
-			if dur == 0 {
-				dur = e.Timestamp - start.Timestamp
-			}
-			spans = append(spans, Span{
-				RequestID:  requestID,
-				Breadcrumb: core.Breadcrumb(e.Breadcrumb),
-				RPCName:    e.RPCName,
-				Entity:     e.Entity,
-				Kind:       kind,
-				StartNanos: start.Timestamp,
-				DurNanos:   dur,
-				StartOrder: start.Order,
-				Failed:     e.Failed,
-				// Queue wait rides the start (t5) event, window wait
-				// and batch identity the end (t14) event.
-				QueueNanos:  start.QueueNanos,
-				WindowNanos: e.WindowNanos,
-				BatchID:     e.BatchID,
-				Sys:         e.Sys,
-				PVars:       e.PVars,
-			})
+			open = append(open, i)
+			continue
+		case core.EvOriginEnd:
+			startKind = core.EvOriginStart
+		case core.EvTargetEnd:
+			startKind = core.EvTargetStart
+		default:
+			continue
 		}
+		at := slices.IndexFunc(open, func(j int) bool {
+			s := &evs[j]
+			return s.Kind == startKind && s.Breadcrumb == e.Breadcrumb && s.Entity == e.Entity
+		})
+		if at < 0 {
+			continue // unmatched end (dropped start)
+		}
+		start := &evs[open[at]]
+		open = slices.Delete(open, at, at+1)
+		kind := "SERVER"
+		if e.Kind == core.EvOriginEnd {
+			kind = "CLIENT"
+		}
+		dur := e.Duration
+		if dur == 0 {
+			dur = e.Timestamp - start.Timestamp
+		}
+		spans = append(spans, Span{
+			RequestID:  requestID,
+			Breadcrumb: core.Breadcrumb(e.Breadcrumb),
+			RPCName:    e.RPCName,
+			Entity:     e.Entity,
+			Kind:       kind,
+			StartNanos: start.Timestamp,
+			DurNanos:   dur,
+			StartOrder: start.Order,
+			Failed:     e.Failed,
+			// Queue wait rides the start (t5) event, window wait
+			// and batch identity the end (t14) event.
+			QueueNanos:  start.QueueNanos,
+			WindowNanos: e.WindowNanos,
+			BatchID:     e.BatchID,
+			Sys:         e.Sys,
+			PVars:       e.PVars,
+		})
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].StartOrder < spans[j].StartOrder })
+	slices.SortFunc(spans, func(x, y Span) int { return cmp.Compare(x.StartOrder, y.StartOrder) })
 	return spans
 }
 

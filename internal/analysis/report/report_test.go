@@ -46,9 +46,7 @@ func fixtureEvents(reqID uint64, base int64) []core.Event {
 func fixtureFlame(n int, base int64) *analysis.Flame {
 	var dumps []*core.TraceDump
 	for i := 0; i < n; i++ {
-		dumps = append(dumps, &core.TraceDump{
-			Entity: "d", Events: fixtureEvents(uint64(i+1), base+int64(i)*10_000),
-		})
+		dumps = append(dumps, core.NewTraceDump("d", 0, 0, fixtureEvents(uint64(i+1), base+int64(i)*10_000)))
 	}
 	return analysis.BuildFlame(analysis.MergeTraces(dumps))
 }

@@ -378,10 +378,11 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Events) != 1 {
-		t.Fatalf("events = %d", len(got.Events))
+	evs := got.Events()
+	if len(evs) != 1 {
+		t.Fatalf("events = %d", len(evs))
 	}
-	ev := got.Events[0]
+	ev := evs[0]
 	if ev.Kind != EvTargetStart || ev.Sys.PoolBlocked != 7 || ev.PVars.OFIEventsRead != 16 {
 		t.Fatalf("event = %+v", ev)
 	}

@@ -87,7 +87,7 @@ func ReadDumps(dir string) (profiles []*core.ProfileDump, traces []*core.TraceDu
 				warnings = append(warnings, fmt.Sprintf(
 					"%s: discarded truncated final line (stream cut off mid-write); %d events kept", path, len(evs)))
 			}
-			traces = append(traces, &core.TraceDump{Entity: strings.TrimSuffix(name, traceStreamSuffix), Events: evs})
+			traces = append(traces, core.NewTraceDump(strings.TrimSuffix(name, traceStreamSuffix), 0, 0, evs))
 		}
 	}
 	return profiles, traces, warnings, nil

@@ -322,7 +322,7 @@ func RunElastic(cfg ElasticConfig, metricsAddr, out string) (*ElasticResult, err
 	res.Run = run
 	// Trace visibility: migration segments appear as sdskv_migrate_* spans
 	// in the merged trace set.
-	run.Traces.EachRequest(func(_ uint64, _ []*core.Event, spans []analysis.Span) {
+	run.Traces.EachRequest(func(_ uint64, _ int, spans []analysis.Span) {
 		for _, sp := range spans {
 			if strings.HasPrefix(sp.RPCName, "sdskv_migrate_") {
 				res.MigrateSpans++

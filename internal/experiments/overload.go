@@ -218,7 +218,7 @@ func RunOverload(cfg OverloadConfig, metricsAddr, out string) (*OverloadResult, 
 			res.ServerPVars = p.PVars
 		}
 	}
-	run.Traces.EachRequest(func(_ uint64, _ []*core.Event, spans []analysis.Span) {
+	run.Traces.EachRequest(func(_ uint64, _ int, spans []analysis.Span) {
 		for _, sp := range spans {
 			if sp.Kind == "SERVER" && sp.Failed {
 				res.FailedServerSpans++

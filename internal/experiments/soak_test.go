@@ -196,7 +196,7 @@ func TestMixedServiceSoak(t *testing.T) {
 	// Traces stitch: every request's spans pair up and the gap view is
 	// well-formed.
 	reqs, spansSeen := 0, 0
-	traces.EachRequest(func(id uint64, _ []*core.Event, spans []analysis.Span) {
+	traces.EachRequest(func(id uint64, _ int, spans []analysis.Span) {
 		reqs++
 		spansSeen += len(spans)
 		if f := analysis.UncoveredFraction(spans); f < 0 || f > 1 {

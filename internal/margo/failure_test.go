@@ -272,20 +272,28 @@ func TestShedRequestStitchesSingleFailedTrace(t *testing.T) {
 	// Merge both sides' events and find the shed request: it has a
 	// Failed SERVER span on the target.
 	ts := analysis.MergeTraces([]*core.TraceDump{cli.Profiler().DumpTrace(), srv.Profiler().DumpTrace()})
-	shedReqs := 0
-	ts.EachRequest(func(id uint64, revs []*core.Event, spans []analysis.Span) {
-		starts, ends, failedEnds := 0, 0, 0
-		for _, e := range revs {
-			switch e.Kind {
-			case core.EvTargetStart:
-				starts++
-			case core.EvTargetEnd:
-				ends++
-				if e.Failed {
-					failedEnds++
-				}
+	type targetEvents struct{ starts, ends, failedEnds int }
+	byReq := map[uint64]*targetEvents{}
+	ts.EachEvent(func(e *core.Event) {
+		c := byReq[e.RequestID]
+		if c == nil {
+			c = &targetEvents{}
+			byReq[e.RequestID] = c
+		}
+		switch e.Kind {
+		case core.EvTargetStart:
+			c.starts++
+		case core.EvTargetEnd:
+			c.ends++
+			if e.Failed {
+				c.failedEnds++
 			}
 		}
+	})
+	shedReqs := 0
+	ts.EachRequest(func(id uint64, _ int, spans []analysis.Span) {
+		c := byReq[id]
+		starts, ends, failedEnds := c.starts, c.ends, c.failedEnds
 		if failedEnds == 0 {
 			return
 		}

@@ -71,7 +71,7 @@ func TestRetryHealsAfterPartition(t *testing.T) {
 	if starts < 2 {
 		t.Fatalf("%d origin starts, want >= 2 (retried attempts)", starts)
 	}
-	spans := analysis.MergeTraces([]*core.TraceDump{{Entity: "cli", Events: evs}}).Spans(reqID)
+	spans := analysis.MergeTraces([]*core.TraceDump{core.NewTraceDump("cli", 0, 0, evs)}).Spans(reqID)
 	if len(spans) != starts {
 		t.Fatalf("%d spans from %d attempts: retries left dangling starts", len(spans), starts)
 	}
