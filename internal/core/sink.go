@@ -291,30 +291,18 @@ func (s *JSONLTraceSink) writeLine(b []byte) {
 	s.check(s.bw.Write(append(s.bw.AvailableBuffer(), b...)))
 }
 
-// ref returns the number of str in the stream's string table, writing
-// its definition line on first use.
-func (s *JSONLTraceSink) ref(str string) uint32 {
-	n := len(s.tab.strs.vals)
-	i := s.tab.strs.number(str)
-	if len(s.tab.strs.vals) > n {
+// shape returns the number of ev's shape in the stream, writing the
+// definition lines of the strings and the shape it is the first to use.
+func (s *JSONLTraceSink) shape(ev *Event) uint64 {
+	strs, shapes := len(s.tab.strs.vals), len(s.tab.shapes.vals)
+	i := s.tab.shapeOf(ev)
+	for n, str := range s.tab.strs.vals[strs:] {
 		// Strings are rare: encoding/json owns the escaping.
 		q, _ := json.Marshal(str)
-		s.check(fmt.Fprintf(s.bw, "%s%d,\"v\":%s}\n", jsonlString, i, q))
+		s.check(fmt.Fprintf(s.bw, "%s%d,\"v\":%s}\n", jsonlString, strs+n, q))
 	}
-	return i
-}
-
-// shape returns the number of ev's shape in the stream, writing its
-// definition line, and those of its strings, on first use.
-func (s *JSONLTraceSink) shape(ev *Event) uint64 {
-	if i, ok := s.tab.memo.get(ev); ok {
-		return i
-	}
-	sh := shape{bc: ev.Breadcrumb, kind: ev.Kind,
-		strs: [3]uint32{s.ref(ev.Entity), s.ref(ev.Peer), s.ref(ev.RPCName)}}
-	n := len(s.tab.shapes.vals)
-	i := uint64(s.tab.shapes.number(sh))
-	if len(s.tab.shapes.vals) > n {
+	if len(s.tab.shapes.vals) > shapes {
+		sh := &s.tab.shapes.vals[i]
 		var line [128]byte
 		b := strconv.AppendUint(append(line[:0], jsonlShape...), i, 10)
 		b = append(b, ',')
@@ -325,7 +313,6 @@ func (s *JSONLTraceSink) shape(ev *Event) uint64 {
 		b = appendUint(b, `"r":`, uint64(sh.strs[2]))
 		s.writeLine(b)
 	}
-	s.tab.memo.put(ev, i)
 	return i
 }
 
