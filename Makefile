@@ -30,7 +30,8 @@ orphans:
 
 # surface prints the size numbers a re-anchor quotes: Go lines of the
 # root module (benchmark/ is a module of its own) outside and inside
-# tests, the same per package, the binaries under cmd/, DESIGN.md, and
+# tests, the same per package, the binaries under cmd/, DESIGN.md, the
+# trace codec (core's trace, tracedump, sink and dump files), and
 # what TestNoOrphans counts: the functions nothing reaches (0 when it
 # passes), the option fields of the exported Config/Options/Policy/Plan/
 # Opts structs under internal/ and the entries of its allowlist. It counts tracked files, so `git add` new ones first.
@@ -40,6 +41,7 @@ surface:
 	echo "test Go lines:     $$(echo "$$files" | grep _test.go | xargs cat | wc -l)"; \
 	echo "cmd/ binaries:     $$(git ls-files 'cmd/*/main.go' | wc -l)"; \
 	echo "DESIGN.md bytes:   $$(wc -c < DESIGN.md)"; \
+	echo "trace codec lines: $$(cat internal/core/trace.go internal/core/tracedump.go internal/core/sink.go internal/core/dump.go | wc -l)"; \
 	$(GO) test -count=1 -run '^TestNoOrphans$$' -v . | sed -n 's/.*\(unreached functions: [0-9]*\), \(option fields: [0-9]*\), \(allowlist entries: [0-9]*\)/\1\n\2\n\3/p'; \
 	echo "non-test lines per package:"; \
 	echo "$$files" | grep -v _test.go | while read f; do echo "$$(dirname $$f) $$(wc -l < $$f)"; done | \
