@@ -336,7 +336,7 @@ func TestSystemStatsBatching(t *testing.T) {
 
 func TestMergeTracesCountsDropped(t *testing.T) {
 	ts := MergeTraces([]*core.TraceDump{
-		{Dropped: 3}, {Dropped: 4},
+		core.NewTraceDump("a", 0, 3, nil), core.NewTraceDump("b", 0, 4, nil),
 	})
 	if ts.Dropped != 7 {
 		t.Fatalf("dropped = %d", ts.Dropped)

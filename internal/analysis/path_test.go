@@ -569,7 +569,7 @@ func TestMergeTracesBorrowsTheDumps(t *testing.T) {
 	if ts.DroppedBy != nil {
 		t.Fatalf("DroppedBy = %v with no drops, want nil", ts.DroppedBy)
 	}
-	ts = MergeTraces([]*core.TraceDump{core.NewTraceDump("a", 0, 2, a), {Entity: "b"}, {Entity: "a", Dropped: 1}})
+	ts = MergeTraces([]*core.TraceDump{core.NewTraceDump("a", 0, 2, a), core.NewTraceDump("b", 0, 0, nil), core.NewTraceDump("a", 0, 1, nil)})
 	if ts.Dropped != 3 || len(ts.DroppedBy) != 1 || ts.DroppedBy["a"] != 3 {
 		t.Fatalf("dropped = %d by %v", ts.Dropped, ts.DroppedBy)
 	}
@@ -968,11 +968,34 @@ func TestAnalysisPassByteBudget(t *testing.T) {
 // dump, each dump's in its own order.
 func oracleEach(ts *TraceSet, fn func(*core.Event)) {
 	for _, d := range ts.dumps {
-		evs := d.Events()
+		evs := dumpOrder(d)
 		for i := range evs {
 			fn(&evs[i])
 		}
 	}
+}
+
+// dumpOrder rebuilds a dump's events in the order they were dumped: each
+// half of a row holds its event's index in the dump.
+func dumpOrder(d *core.TraceDump) []core.Event {
+	rows := d.Rows()
+	n := 0
+	for i := range rows {
+		for h := range 2 {
+			if rows[i].Has(h) {
+				n++
+			}
+		}
+	}
+	evs := make([]core.Event, n)
+	for i := range rows {
+		for h := range 2 {
+			if rows[i].Has(h) {
+				d.Event(&rows[i], h, &evs[rows[i].Pos[h]], new(core.PVarSample), new([core.NumComponents]uint64))
+			}
+		}
+	}
+	return evs
 }
 
 // oracleRequests groups events by request ID, each group sorted by Lamport

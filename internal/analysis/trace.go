@@ -45,12 +45,12 @@ func MergeTraces(dumps []*core.TraceDump) *TraceSet {
 	n := 0
 	for _, d := range dumps {
 		n += len(d.Rows())
-		ts.Dropped += d.Dropped
-		if d.Dropped > 0 {
+		if dropped := d.Dropped(); dropped > 0 {
+			ts.Dropped += dropped
 			if ts.DroppedBy == nil {
 				ts.DroppedBy = make(map[string]uint64)
 			}
-			ts.DroppedBy[d.Entity] += d.Dropped
+			ts.DroppedBy[d.Entity()] += dropped
 		}
 	}
 	if n > 0 {

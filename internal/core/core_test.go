@@ -378,7 +378,7 @@ func TestTraceDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := got.Events()
+	evs := dumpEvents(got)
 	if len(evs) != 1 {
 		t.Fatalf("events = %d", len(evs))
 	}

@@ -169,8 +169,8 @@ func TestProfilerDumpSurfacesDropped(t *testing.T) {
 	if d := p.Dump(); d.TraceDropped != p.TraceDropped() {
 		t.Fatalf("profile dump dropped = %d, want %d", d.TraceDropped, p.TraceDropped())
 	}
-	if d := p.DumpTrace(); d.Dropped != p.TraceDropped() {
-		t.Fatalf("trace dump dropped = %d, want %d", d.Dropped, p.TraceDropped())
+	if d := p.DumpTrace(); d.Dropped() != p.TraceDropped() {
+		t.Fatalf("trace dump dropped = %d, want %d", d.Dropped(), p.TraceDropped())
 	}
 }
 

@@ -23,20 +23,37 @@ const (
 
 // WriteDumps persists per-process profile and trace dumps into dir as
 // <entity>.profile.json and <entity>.trace.bin — the on-disk layout
-// ReadDumps, and so the sym tool, reads.
+// ReadDumps, and so the sym tool, reads. Two dumps of a kind whose
+// entities sanitize to one file name (a/b_c and a_b/c) fail the write
+// rather than overwrite each other.
 func WriteDumps(dir string, profiles []*core.ProfileDump, traces []*core.TraceDump) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	written := map[string]string{} // file name: the entity dumped there
+	fileOf := func(entity, suffix string) (string, error) {
+		name := sanitize(entity) + suffix
+		if other, ok := written[name]; ok {
+			return "", fmt.Errorf("experiments: the dumps of %q and %q would both be %s", other, entity, name)
+		}
+		written[name] = entity
+		return filepath.Join(dir, name), nil
+	}
 	for _, p := range profiles {
-		path := filepath.Join(dir, sanitize(p.Entity)+profileDumpSuffix)
-		if err := writeDump(path, func(f *os.File) error { return core.WriteProfile(f, p) }); err != nil {
+		path, err := fileOf(p.Entity, profileDumpSuffix)
+		if err == nil {
+			err = writeDump(path, func(f *os.File) error { return core.WriteProfile(f, p) })
+		}
+		if err != nil {
 			return err
 		}
 	}
 	for _, t := range traces {
-		path := filepath.Join(dir, sanitize(t.Entity)+traceDumpSuffix)
-		if err := writeDump(path, func(f *os.File) error { return core.WriteTrace(f, t) }); err != nil {
+		path, err := fileOf(t.Entity(), traceDumpSuffix)
+		if err == nil {
+			err = writeDump(path, func(f *os.File) error { return core.WriteTrace(f, t) })
+		}
+		if err != nil {
 			return err
 		}
 	}
