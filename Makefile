@@ -76,11 +76,14 @@ surface:
 # reply keeping bytes copies them lives in the service reply types (and
 # the reads into caller buffers in kv, taken while the map store grows,
 # replaces and clears chunk-table slots and rebuilds itself): the
-# services and kv run three times too.
+# services and kv run three times too, and so does the data loader,
+# whose put_packed frames cross from an issuer to its async flusher ULT
+# and go back to the arena pool only after the target's pull: its tests
+# read every stored event back.
 race:
 	$(GO) test -race -count=3 ./internal/na/... ./internal/mercury/... \
 		./internal/margo/... ./internal/core/... \
-		./internal/services/... ./internal/kv/...
+		./internal/services/... ./internal/kv/... ./internal/workload/...
 	$(GO) test -race \
 		./internal/telemetry/... ./internal/abt/... ./internal/batch/... \
 		./internal/ssg/... ./internal/analysis/...
@@ -93,7 +96,7 @@ race:
 # benchmark/run.sh -all`, `-compare`), not here.
 check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke fuzz-smoke build test bench-build
 
-# fuzz-smoke fuzzes the five parsers that take bytes from other
+# fuzz-smoke fuzzes the six parsers that take bytes from other
 # processes, then the "map" store: core.ReadTrace (whatever the bytes,
 # it returns an error or a dump that re-encodes to exactly those bytes,
 # without a panic and without allocating more than a small multiple of
@@ -104,7 +107,10 @@ check: vet orphans race chaos-smoke overload-smoke analyze-smoke elastic-smoke f
 # without reading past the frame and pack again, in place, to the same
 # bytes), the five messages of sdskv's migration protocol (each decodes
 # to views clipped inside the frame, or for a reply to a copy outside
-# it, and encodes back to the bytes it consumed) and the sdskv list reply
+# it, and encodes back to the bytes it consumed), the put_packed payload
+# a target pulls over bulk (a count the input cannot hold fails before
+# headers are sized for it, every pair is a view clipped inside the
+# input, and a Frame of the pairs is the bytes consumed) and the sdskv list reply
 # decoded into a Listing (a count the input cannot hold fails before
 # anything is allocated, keys and values must pair up, every pair is a
 # slice of the Listing's own buffer, and it encodes back to the bytes);
@@ -126,6 +132,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzReadEventsJSONL$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mercury -run '^$$' -fuzz '^FuzzFrameHeaders$$' -fuzztime 10s
 	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzMigrateWire$$' -fuzztime 10s
+	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzPackedBatch$$' -fuzztime 10s
 	$(GO) test ./internal/services/sdskv -run '^$$' -fuzz '^FuzzListReply$$' -fuzztime 10s
 	$(GO) test ./internal/kv -run '^$$' -fuzz '^FuzzMapBackend$$' -fuzztime 10s -fuzzminimizetime 1s
 

@@ -129,15 +129,22 @@ func arenaPool(n int) *sync.Pool {
 
 // GetArena returns a zero-length scratch buffer with retained capacity,
 // from the pool whose buffers are the likelier to hold n bytes (it is
-// still the caller's to grow). Besides the encode paths here, it backs
-// margo's per-request Context.Scratch and the buffer sdskv registers
-// for a packed put.
+// still the caller's to grow), or a new one of n bytes. Besides the
+// encode paths here, it backs margo's per-request Context.Scratch and
+// the buffer sdskv registers for a packed put.
 func GetArena(n int) *[]byte {
-	if a, ok := arenaPool(n).Get().(*[]byte); ok {
+	if a := ReuseArena(n); a != nil {
 		return a
 	}
 	b := make([]byte, 0, max(n, 512))
 	return &b
+}
+
+// ReuseArena is GetArena for a caller that may never fill n bytes: nil
+// when that pool is empty, rather than a new buffer of n bytes.
+func ReuseArena(n int) *[]byte {
+	a, _ := arenaPool(n).Get().(*[]byte)
+	return a
 }
 
 // PutArena resets and recycles a scratch buffer. Pass the (possibly

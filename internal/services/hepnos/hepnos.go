@@ -140,7 +140,7 @@ type Client struct {
 
 	// pending holds the open batch of each destination database, nil
 	// until its first event. keyBuf is where a key is formatted to be
-	// hashed, before it is known which batch's arena it belongs in.
+	// hashed, before it is known which batch's frame it belongs in.
 	pending []*batch
 	keyBuf  []byte
 	stored  uint64
@@ -167,38 +167,14 @@ type Client struct {
 	asyncErr    error
 }
 
-// batch is the events queued for one database: the values as the
-// caller gave them, the keys as views of the batch's own arena. In async
-// mode it is also the flusher ULT's record, so it names its owner and
-// destination.
+// batch is the events queued for one database, copied into the frame
+// the target will pull. In async mode it is also the flusher ULT's
+// record, so it names its owner and destination.
 type batch struct {
-	c    *Client
-	addr string
-	dbID uint32
-	keys [][]byte
-	vals [][]byte
-	// The key arena is a list of segments filled in turn, each twice the
-	// size of the one before (256 B to 16 KiB): growing it neither moves
-	// the keys already queued nor abandons a buffer, so a batch of any
-	// size allocates about what its keys occupy, once.
-	segs [][]byte
-	seg  int
-}
-
-// appendKey copies k into the arena and returns the copy.
-func (b *batch) appendKey(k []byte) []byte {
-	for ; ; b.seg++ {
-		if b.seg == len(b.segs) {
-			size := max(256<<min(len(b.segs), 6), len(k))
-			b.segs = append(b.segs, make([]byte, 0, size))
-		}
-		if s := b.segs[b.seg]; cap(s)-len(s) >= len(k) {
-			off := len(s)
-			s = append(s, k...)
-			b.segs[b.seg] = s
-			return s[off:len(s):len(s)]
-		}
-	}
+	c     *Client
+	addr  string
+	dbID  uint32
+	frame sdskv.Frame
 }
 
 // takeBatch returns an empty batch.
@@ -213,15 +189,9 @@ func (c *Client) takeBatch() *batch {
 	return &batch{c: c}
 }
 
-// recycle empties a flushed batch, keeping its capacity, and frees it.
+// recycle releases a flushed batch's frame and frees the batch.
 func (b *batch) recycle() {
-	clear(b.keys)
-	clear(b.vals)
-	b.keys, b.vals = b.keys[:0], b.vals[:0]
-	for i := range b.segs {
-		b.segs[i] = b.segs[i][:0]
-	}
-	b.seg = 0
+	b.frame.Release()
 	c := b.c
 	c.freeMu.Lock()
 	c.free = append(c.free, b)
@@ -305,20 +275,23 @@ func (c *Client) locate(global int) (string, uint32) {
 	panic("hepnos: database index out of range")
 }
 
-// StoreEvent queues one serialized event; when its destination batch
-// reaches BatchSize the batch is flushed with a single sdskv_put_packed
-// RPC from the calling ULT.
+// StoreEvent queues a copy of one serialized event, so the caller may
+// reuse data once it returns; when its destination batch reaches
+// BatchSize the batch is flushed with a single sdskv_put_packed RPC from
+// the calling ULT.
 func (c *Client) StoreEvent(self *abt.ULT, key EventKey, data []byte) error {
 	c.keyBuf = key.AppendTo(c.keyBuf[:0])
 	idx := c.dbFor(c.keyBuf)
 	b := c.pending[idx]
 	if b == nil {
+		// The frame draws a recycled arena from the pool sized for the
+		// whole batch, up to the 1 MiB the pool keeps.
 		b = c.takeBatch()
+		b.frame.Expect(min(c.batchSize*(8+len(c.keyBuf)+len(data)), 1<<20))
 		c.pending[idx] = b
 	}
-	b.keys = append(b.keys, b.appendKey(c.keyBuf))
-	b.vals = append(b.vals, data)
-	if len(b.keys) >= c.batchSize {
+	b.frame.Add(c.keyBuf, data)
+	if b.frame.Len() >= c.batchSize {
 		return c.flushDB(self, idx)
 	}
 	return nil
@@ -328,7 +301,7 @@ func (c *Client) StoreEvent(self *abt.ULT, key EventKey, data []byte) error {
 // outstanding flushes to complete.
 func (c *Client) Flush(self *abt.ULT) error {
 	for idx, b := range c.pending {
-		if b != nil && len(b.keys) > 0 {
+		if b != nil && b.frame.Len() > 0 {
 			if err := c.flushDB(self, idx); err != nil {
 				return err
 			}
@@ -341,7 +314,7 @@ func (c *Client) flushDB(self *abt.ULT, idx int) error {
 	b := c.pending[idx]
 	c.pending[idx] = nil
 	b.addr, b.dbID = c.locate(idx)
-	n := len(b.keys)
+	n := b.frame.Len()
 	if c.issueCost > 0 {
 		// Modeled request-preparation CPU: holds the stream, as the
 		// real packing work would. Paid in coarse slices (see issueDebt).
@@ -372,7 +345,7 @@ func (c *Client) flushDB(self *abt.ULT, idx int) error {
 
 // put ships the batch with one sdskv_put_packed RPC.
 func (b *batch) put(self *abt.ULT) error {
-	if err := b.c.kv.PutPacked(self, b.addr, b.dbID, b.keys, b.vals); err != nil {
+	if err := b.c.kv.PutFrame(self, b.addr, b.dbID, &b.frame); err != nil {
 		return fmt.Errorf("hepnos: put_packed to %s db %d: %w", b.addr, b.dbID, err)
 	}
 	return nil

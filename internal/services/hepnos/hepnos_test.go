@@ -225,9 +225,49 @@ func TestClientRequiresDatabases(t *testing.T) {
 	_ = mercury.Void{}
 }
 
+// TestStoreEventCopiesItsPayload: StoreEvent copies the event, so a
+// caller that rewrites one buffer for every event, as a file reader
+// does, still stores each event's own bytes.
+func TestStoreEventCopiesItsPayload(t *testing.T) {
+	e := newEnv(t, 1, 2)
+	const events = 32
+	key := func(i int) EventKey { return EventKey{DataSet: "reuse", Run: 1, Event: uint64(i)} }
+	want := func(i int) []byte { return []byte(fmt.Sprintf("payload of event %04d", i)) }
+	err := e.run(t, func(self *abt.ULT) error {
+		c, err := NewClient(e.cli, e.infos, Options{BatchSize: 8})
+		if err != nil {
+			return err
+		}
+		var buf []byte
+		for i := 0; i < events; i++ {
+			buf = append(buf[:0], want(i)...)
+			if err := c.StoreEvent(self, key(i), buf); err != nil {
+				return err
+			}
+		}
+		if err := c.Flush(self); err != nil {
+			return err
+		}
+		for i := 0; i < events; i++ {
+			got, found, err := c.LoadEvent(self, key(i))
+			if err != nil {
+				return err
+			}
+			if !found || string(got) != string(want(i)) {
+				t.Errorf("event %d = %q (found %v), want %q", i, got, found, want(i))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStoreEventAllocs pins the loader's hot path. Between flushes a
-// StoreEvent appends a key to its batch's arena and two slice headers,
-// nothing else. A flush hands the batch to sdskv (through a recycled
+// StoreEvent copies the key and the event into its batch's frame, whose
+// pooled arena was sized for the whole batch at its first event, and
+// allocates nothing. A flush hands the batch to sdskv (through a recycled
 // flusher ULT in async mode) and takes it back afterwards, so a
 // batch-of-one StoreEvent costs the whole process what its put_packed
 // round trip costs — under one object, the store's and the trace's

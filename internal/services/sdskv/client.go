@@ -2,7 +2,6 @@ package sdskv
 
 import (
 	"fmt"
-	"slices"
 
 	"symbiosys/internal/abt"
 	"symbiosys/internal/margo"
@@ -98,35 +97,52 @@ func (c *Client) GetMulti(self *abt.ULT, target string, db uint32, keys [][]byte
 	return values, found, errs
 }
 
-// PutPacked stores a batch of pairs with a single RPC: the pairs are
-// packed into one buffer exposed for the target's bulk pull — the
-// HEPnOS data-loader hot path (paper §V-C1).
+// PutPacked stores a batch of pairs with a single RPC: PutFrame of a
+// frame holding them.
 func (c *Client) PutPacked(self *abt.ULT, target string, db uint32, keys, values [][]byte) error {
 	call := packedCalls.Get()
 	defer packedCalls.Put(call)
 	call.args.DBID = db
-	return call.send(c.inst, self, target, RPCPutPacked, keys, values, &call.args.putPackedArgs)
+	return call.sendPairs(c.inst, self, target, RPCPutPacked, keys, values, &call.args.putPackedArgs)
 }
 
-// send packs keys and values into a recycled arena grown once to their
-// encoded size, describes it in call.args for the target's bulk pull,
-// and forwards in — call.args.putPackedArgs for a put_packed, call.args
-// for a migrate push. BulkFree is the barrier after which no pull (of
-// this try or a timed-out earlier one) can read the arena, so it goes
-// back to the pool.
-func (call *packedCall) send(inst *margo.Instance, self *abt.ULT, target, rpc string, keys, values [][]byte, in mercury.Procable) error {
-	call.batch = packedBatch{Keys: keys, Values: values}
-	size := call.batch.encodedSize()
-	arena := mercury.GetArena(size)
-	buf, err := mercury.AppendEncode(slices.Grow(*arena, size), &call.batch)
-	if err == nil {
-		bulk := inst.BulkCreate(buf)
-		call.args.NumKeys, call.args.Bulk, call.args.Size = uint32(len(keys)), bulk, uint64(len(buf))
-		err = inst.Forward(self, target, rpc, in, nil)
-		inst.BulkFree(bulk)
+// PutFrame stores the pairs of f with a single RPC, exposing f as it is
+// for the target's bulk pull — the HEPnOS data-loader hot path (paper
+// §V-C1). f stays the caller's to Release.
+func (c *Client) PutFrame(self *abt.ULT, target string, db uint32, f *Frame) error {
+	call := packedCalls.Get()
+	defer packedCalls.Put(call)
+	call.args.DBID = db
+	return call.send(c.inst, self, target, RPCPutPacked, f, &call.args.putPackedArgs)
+}
+
+// sendPairs sends a frame of keys[i] and values[i] for every i, grown
+// once to their size.
+func (call *packedCall) sendPairs(inst *margo.Instance, self *abt.ULT, target, rpc string, keys, values [][]byte, in mercury.Procable) error {
+	if len(keys) != len(values) {
+		return fmt.Errorf("sdskv: %d keys and %d values", len(keys), len(values))
 	}
-	mercury.PutArena(arena, buf)
-	return err
+	size := 0
+	for i := range keys {
+		size += 8 + len(keys[i]) + len(values[i])
+	}
+	call.frame.grow(size)
+	for i := range keys {
+		call.frame.Add(keys[i], values[i])
+	}
+	defer call.frame.Release()
+	return call.send(inst, self, target, rpc, &call.frame, in)
+}
+
+// send exposes f for the target's bulk pull and forwards in, which is
+// call.args or its putPackedArgs. After BulkFree no pull, of this try or
+// a timed-out earlier one, can read f, so f may then be released.
+func (call *packedCall) send(inst *margo.Instance, self *abt.ULT, target, rpc string, f *Frame, in mercury.Procable) error {
+	buf := f.bytes()
+	bulk := inst.BulkCreate(buf)
+	defer inst.BulkFree(bulk)
+	call.args.NumKeys, call.args.Bulk, call.args.Size = f.n, bulk, uint64(len(buf))
+	return inst.Forward(self, target, rpc, in, nil)
 }
 
 // Listing is what ListKeyvals lists into: Keys[i] and Values[i] are the

@@ -616,7 +616,7 @@ func (n *Node) pushChunk(self *abt.ULT, dest string, version uint64, keys, value
 	call := packedCalls.Get()
 	defer packedCalls.Put(call)
 	call.args.DBID, call.args.Version = nodeDB, version
-	return call.send(n.inst, self, dest, RPCMigratePush, keys, values, &call.args)
+	return call.sendPairs(n.inst, self, dest, RPCMigratePush, keys, values, &call.args)
 }
 
 // Scale-in.

@@ -422,18 +422,15 @@ func TestGetMultiRoundTripAllocs(t *testing.T) {
 // TestPackedBatchDecodeAllocs: a 64-pair batch decodes into its two
 // slice-header arrays and nothing else.
 func TestPackedBatchDecodeAllocs(t *testing.T) {
-	in := packedBatch{}
+	var in packedBatch
+	var f Frame
 	for k := 0; k < 64; k++ {
 		in.Keys = append(in.Keys, keyBytes(uint64(k)))
 		in.Values = append(in.Values, stamped(uint64(k), 0, 512))
+		f.Add(in.Keys[k], in.Values[k])
 	}
-	wire, err := mercury.Encode(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wire) != in.encodedSize() {
-		t.Fatalf("encodedSize = %d, encoded %d bytes", in.encodedSize(), len(wire))
-	}
+	wire := append([]byte(nil), f.bytes()...)
+	f.Release()
 	var out packedBatch
 	a := testing.AllocsPerRun(200, func() {
 		out = packedBatch{}
@@ -450,13 +447,19 @@ func TestPackedBatchDecodeAllocs(t *testing.T) {
 }
 
 // FuzzPackedBatch feeds arbitrary bytes to the packed-batch decoder,
-// which slices a buffer a client controls: accepted input must decode
-// to views inside it and encode back to the bytes consumed, rejected
-// input must not panic. Seeds: testdata/fuzz/FuzzPackedBatch.
+// which slices a buffer a client controls: a count the input cannot
+// hold fails before headers are sized for it, accepted input must decode
+// to views inside it and a Frame of the decoded pairs must be the bytes
+// consumed, rejected input must not panic. Seeds:
+// testdata/fuzz/FuzzPackedBatch.
 func FuzzPackedBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var b packedBatch
-		if err := mercury.Decode(data, &b); err != nil {
+		err := mercury.Decode(data, &b)
+		if cap(b.Keys) > len(data)/4 || cap(b.Values) > len(data)/4 {
+			t.Fatalf("%d input bytes grew %d key and %d value headers", len(data), cap(b.Keys), cap(b.Values))
+		}
+		if err != nil {
 			return
 		}
 		lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
@@ -466,9 +469,13 @@ func FuzzPackedBatch(f *testing.F) {
 				t.Fatalf("decoded element %q is not a clipped view of the input", v)
 			}
 		}
-		wire, err := mercury.Encode(&b)
-		if err != nil || len(wire) != b.encodedSize() || !bytes.Equal(wire, data[:len(wire)]) {
-			t.Fatalf("re-encode = %x (encodedSize %d), %v; want a prefix of %x", wire, b.encodedSize(), err, data)
+		var fr Frame
+		defer fr.Release()
+		for i := range b.Keys {
+			fr.Add(b.Keys[i], b.Values[i])
+		}
+		if wire := fr.bytes(); len(wire) > len(data) || !bytes.Equal(wire, data[:len(wire)]) {
+			t.Fatalf("re-encode = %x; want a prefix of %x", wire, data)
 		}
 	})
 }
@@ -528,7 +535,7 @@ func FuzzListReply(f *testing.F) {
 		if cap(l.Keys) > len(data)/4 || cap(l.Values) > len(data)/4 || cap(l.buf) > 2*len(data)+16 {
 			t.Fatalf("%d input bytes grew %d key and %d value headers and a %d-byte buffer", len(data), cap(l.Keys), cap(l.Values), cap(l.buf))
 		}
-		var raw packedBatch // the same two arrays, decoded as views
+		var raw twoArrays
 		if mercury.Decode(data, &raw) == nil && len(raw.Keys) != len(raw.Values) && err == nil {
 			t.Fatalf("a listing of %d keys and %d values was accepted", len(raw.Keys), len(raw.Values))
 		}
@@ -550,6 +557,15 @@ func FuzzListReply(f *testing.F) {
 			t.Fatalf("re-encode = %x, %v; want a prefix of %x", wire, err, data)
 		}
 	})
+}
+
+// twoArrays is a listing's two byte-slice arrays decoded as views.
+type twoArrays struct{ Keys, Values [][]byte }
+
+func (a *twoArrays) Proc(pr *mercury.Proc) error {
+	pr.BytesSlice(&a.Keys)
+	pr.BytesSlice(&a.Values)
+	return pr.Err()
 }
 
 // TestListReplyIsListRespOnTheWire: the provider encodes a listing

@@ -18,6 +18,7 @@
 package sdskv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -319,29 +320,81 @@ func (a *listReply) Proc(pr *mercury.Proc) error {
 	return pr.Err()
 }
 
-// packedBatch is the packed put payload pulled over bulk.
+// Frame is a put_packed payload as the target pulls it: a pair count,
+// then each pair as (key length, key, value length, value), count and
+// lengths little-endian uint32s, in a pooled mercury arena. The zero
+// value is empty; Release recycles the arena once the frame is shipped.
+type Frame struct {
+	arena *[]byte
+	buf   []byte
+	n     uint32
+}
+
+// Expect readies an empty frame for about n bytes of pairs: it takes an
+// arena from the pool likelier to hold them, if that pool has one, and
+// allocates nothing, so a frame that never fills costs what it holds.
+func (f *Frame) Expect(n int) {
+	if f.arena == nil {
+		if a := mercury.ReuseArena(4 + n); a != nil {
+			f.arena, f.buf = a, append(*a, 0, 0, 0, 0)
+		}
+	}
+}
+
+// grow makes room for n more bytes of pairs.
+func (f *Frame) grow(n int) {
+	if f.arena == nil {
+		f.arena = mercury.GetArena(4 + n)
+		f.buf = append(*f.arena, 0, 0, 0, 0)
+	}
+	f.buf = slices.Grow(f.buf, n)
+}
+
+// Add appends a copy of one pair.
+func (f *Frame) Add(key, value []byte) {
+	f.grow(8 + len(key) + len(value))
+	f.buf = append(binary.LittleEndian.AppendUint32(f.buf, uint32(len(key))), key...)
+	f.buf = append(binary.LittleEndian.AppendUint32(f.buf, uint32(len(value))), value...)
+	f.n++
+}
+
+// Len reports how many pairs f holds.
+func (f *Frame) Len() int { return int(f.n) }
+
+// Release empties f and recycles its arena.
+func (f *Frame) Release() {
+	if f.arena != nil {
+		mercury.PutArena(f.arena, f.buf)
+	}
+	*f = Frame{}
+}
+
+// bytes returns the frame's wire form, its count patched in.
+func (f *Frame) bytes() []byte {
+	f.grow(0)
+	binary.LittleEndian.PutUint32(f.buf, f.n)
+	return f.buf
+}
+
+// packedBatch is a Frame as the target decodes it, into views.
 type packedBatch struct {
 	Keys   [][]byte
 	Values [][]byte
 }
 
 func (b *packedBatch) Proc(pr *mercury.Proc) error {
-	pr.BytesSlice(&b.Keys)
-	pr.BytesSlice(&b.Values)
+	var n uint32
+	if pr.Op() == mercury.OpEncode {
+		return fmt.Errorf("sdskv: a packed batch is encoded as a Frame")
+	} else if pr.Uint32(&n); int(n) > pr.Remaining()/8 { // a pair holds two lengths
+		return fmt.Errorf("sdskv: %d pairs in %d bytes", n, pr.Remaining())
+	}
+	b.Keys, b.Values = slices.Grow(b.Keys[:0], int(n))[:n], slices.Grow(b.Values[:0], int(n))[:n]
+	for i := range b.Keys {
+		pr.Bytes(&b.Keys[i])
+		pr.Bytes(&b.Values[i])
+	}
 	return pr.Err()
-}
-
-// encodedSize is the exact length Proc encodes b to: two counts, then a
-// length prefix per element.
-func (b *packedBatch) encodedSize() int {
-	n := 8 + 4*(len(b.Keys)+len(b.Values))
-	for _, k := range b.Keys {
-		n += len(k)
-	}
-	for _, v := range b.Values {
-		n += len(v)
-	}
-	return n
 }
 
 // Per-call records. Arguments and replies travel as mercury.Procable
@@ -360,7 +413,7 @@ type (
 	}
 	packedCall struct {
 		args  migratePushArgs // a put_packed sends args.putPackedArgs
-		batch packedBatch
+		frame Frame
 	}
 )
 
@@ -376,8 +429,8 @@ var (
 var listHeaders = sync.Pool{New: func() any { return new([]kv.Pair) }}
 
 // unpackedBatches recycles the target's decoded batches with their
-// Keys/Values header arrays, which BytesSlice decodes into when they are
-// large enough: a thousand-pair put_packed allocates no headers.
+// Keys/Values header arrays, which Proc decodes into when they are large
+// enough: a thousand-pair put_packed allocates no headers.
 var unpackedBatches = sync.Pool{New: func() any { return new(packedBatch) }}
 
 // release drops the batch's views, keeps its capacity, and recycles it.
@@ -495,7 +548,7 @@ func pullPacked(ctx *margo.Context, in *putPackedArgs) (*packedBatch, error) {
 	}
 	batch := unpackedBatches.Get().(*packedBatch)
 	err := mercury.Decode(buf, batch)
-	if err == nil && (len(batch.Keys) != len(batch.Values) || uint32(len(batch.Keys)) != in.NumKeys) {
+	if err == nil && uint32(len(batch.Keys)) != in.NumKeys {
 		err = fmt.Errorf("packed batch shape mismatch")
 	}
 	if err != nil {

@@ -37,8 +37,14 @@ func NewEventGen(dataset string, size int, seed uint64) *EventGen {
 	return &EventGen{DataSet: dataset, Size: size, seed: seed}
 }
 
-// Event returns the key and serialized payload of event i.
+// Event returns the key and a freshly allocated payload of event i.
 func (g *EventGen) Event(i int) (hepnos.EventKey, []byte) {
+	return g.AppendEvent(make([]byte, 0, g.Size), i)
+}
+
+// AppendEvent returns the key of event i and appends its serialized
+// payload to dst.
+func (g *EventGen) AppendEvent(dst []byte, i int) (hepnos.EventKey, []byte) {
 	key := hepnos.EventKey{
 		DataSet: g.DataSet,
 		Run:     uint64(i / 1000),
@@ -46,7 +52,8 @@ func (g *EventGen) Event(i int) (hepnos.EventKey, []byte) {
 		Event:   uint64(i),
 	}
 	// xorshift-filled payload: deterministic, incompressible-ish, cheap.
-	buf := make([]byte, g.Size)
+	dst = append(dst, make([]byte, g.Size)...)
+	buf := dst[len(dst)-g.Size:]
 	x := g.seed ^ uint64(i)*0x9e3779b97f4a7c15
 	for j := 0; j < len(buf); j += 8 {
 		x ^= x << 13
@@ -56,7 +63,7 @@ func (g *EventGen) Event(i int) (hepnos.EventKey, []byte) {
 			buf[j+k] = byte(x >> (8 * k))
 		}
 	}
-	return key, buf
+	return key, dst
 }
 
 // Config drives one client process's share of the load.
@@ -110,9 +117,11 @@ func Run(inst *margo.Instance, cfg Config) (uint64, error) {
 				errs[w] = err
 				return
 			}
+			var payload []byte // StoreEvent copies it
 			for i := lo; i < hi; i++ {
-				key, data := gen.Event(i)
-				if err := client.StoreEvent(self, key, data); err != nil {
+				var key hepnos.EventKey
+				key, payload = gen.AppendEvent(payload[:0], i)
+				if err := client.StoreEvent(self, key, payload); err != nil {
 					errs[w] = err
 					return
 				}
